@@ -56,7 +56,14 @@ class Placer:
     """Greedy bin-packing placer preferring consolidated placements."""
 
     def __init__(self, topology: ClusterTopology) -> None:
-        self._topology = topology
+        #: Per accelerator type, the worker ids of each server in server
+        #: order: the (immutable) table every round's free lists start from.
+        self._servers: Dict[str, List[Tuple[int, ...]]] = {}
+        for server in topology.servers:
+            self._servers.setdefault(server.accelerator_type.name, []).append(server.worker_ids)
+        self._capacity: Dict[str, int] = {
+            name: sum(len(ids) for ids in servers) for name, servers in self._servers.items()
+        }
 
     def place(self, requests: Sequence[PlacementRequest]) -> List[Placement]:
         """Assign workers to every request.
@@ -67,56 +74,46 @@ class Placer:
         any accelerator type — the mechanism is responsible for never handing
         the placer an infeasible round.
         """
-        free: Dict[str, Dict[int, List[int]]] = {}
-        for server in self._topology.servers:
-            per_type = free.setdefault(server.accelerator_type.name, {})
-            per_type[server.server_id] = list(server.worker_ids)
-
         demanded: Dict[str, int] = {}
         for request in requests:
             demanded[request.accelerator_name] = (
                 demanded.get(request.accelerator_name, 0) + request.scale_factor
             )
         for name, demand in demanded.items():
-            available = sum(len(ids) for ids in free.get(name, {}).values())
+            available = self._capacity.get(name, 0)
             if demand > available:
                 raise SchedulingError(
                     f"placement demand for {name!r} ({demand}) exceeds available workers ({available})"
                 )
+        # Free worker ids per server (server order), for the demanded types only.
+        free: Dict[str, List[List[int]]] = {
+            name: [list(ids) for ids in self._servers.get(name, ())] for name in demanded
+        }
+        ordered = sorted(requests, key=lambda r: (-r.scale_factor, r.combination))
+        return [self._place_one(request, free[request.accelerator_name]) for request in ordered]
 
-        ordered = sorted(
-            requests, key=lambda r: (-r.scale_factor, r.combination)
-        )
-        placements: List[Placement] = []
-        for request in ordered:
-            placements.append(self._place_one(request, free))
-        return placements
-
-    def _place_one(
-        self, request: PlacementRequest, free: Dict[str, Dict[int, List[int]]]
-    ) -> Placement:
-        per_server = free.get(request.accelerator_name, {})
+    @staticmethod
+    def _place_one(request: PlacementRequest, servers: List[List[int]]) -> Placement:
         needed = request.scale_factor
 
         # Prefer the single server with the fewest free workers that still fits
         # the whole request (best-fit => consolidated placement, low
-        # fragmentation).
-        best_server: Optional[int] = None
-        best_free = None
-        for server_id, ids in per_server.items():
-            if len(ids) >= needed and (best_free is None or len(ids) < best_free):
-                best_server, best_free = server_id, len(ids)
-        if best_server is not None:
-            ids = per_server[best_server]
-            chosen = tuple(ids[:needed])
-            del ids[:needed]
+        # fragmentation); the first such server wins a tie.
+        best: Optional[List[int]] = None
+        best_free = 0
+        for ids in servers:
+            free = len(ids)
+            if free >= needed and (best is None or free < best_free):
+                best, best_free = ids, free
+        if best is not None:
+            chosen = tuple(best[:needed])
+            del best[:needed]
             return Placement(request=request, worker_ids=chosen, consolidated=True)
 
         # Otherwise spread across servers with the most free workers first so
         # the job touches as few servers as possible.
         chosen_list: List[int] = []
-        for server_id in sorted(per_server, key=lambda s: -len(per_server[s])):
-            ids = per_server[server_id]
+        for ids in sorted(servers, key=len, reverse=True):
             take = min(needed - len(chosen_list), len(ids))
             chosen_list.extend(ids[:take])
             del ids[:take]

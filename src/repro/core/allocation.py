@@ -42,6 +42,10 @@ class Allocation:
                 )
             self._entries[key] = array
         self._scale_factors: Dict[int, int] = dict(scale_factors or {})
+        # Entries are immutable after construction, so the sorted row order
+        # (and the dense matrix aligned with it) is computed once.
+        self._combinations: Tuple[JobCombination, ...] = tuple(sorted(self._entries))
+        self._matrix: Optional[np.ndarray] = None
         self._job_ids: Tuple[int, ...] = tuple(
             sorted({job_id for combination in self._entries for job_id in combination})
         )
@@ -67,7 +71,18 @@ class Allocation:
 
     @property
     def combinations(self) -> Tuple[JobCombination, ...]:
-        return tuple(sorted(self._entries))
+        """Every row key, sorted; the row order of :attr:`matrix`."""
+        return self._combinations
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """All rows as one read-only ``(len(combinations), len(registry))`` array."""
+        if self._matrix is None:
+            rows = [self._entries[combination] for combination in self._combinations]
+            matrix = np.array(rows, dtype=float).reshape(len(rows), len(self._registry))
+            matrix.flags.writeable = False
+            self._matrix = matrix
+        return self._matrix
 
     @property
     def job_ids(self) -> Tuple[int, ...]:
@@ -174,7 +189,7 @@ class Allocation:
 
     def __repr__(self) -> str:
         lines = [f"Allocation({len(self._entries)} rows, accelerators={list(self._registry.names)})"]
-        for combination in self.combinations:
+        for combination in self._combinations:
             values = ", ".join(f"{v:.3f}" for v in self._entries[combination])
             lines.append(f"  {combination}: [{values}]")
         return "\n".join(lines)

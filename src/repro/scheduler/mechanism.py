@@ -4,20 +4,29 @@ Each round the mechanism picks, per accelerator type, the job combinations
 with the highest priority that fit in the remaining worker budget, subject to
 the constraint that no job appears in more than one scheduled combination in
 the same round.
+
+Selection runs on the tracker's dense arrays (see
+:mod:`repro.scheduler.priorities`): the candidates are the cells with a
+positive target and a positive priority (one mask — NaN is not positive), and
+one ``np.lexsort`` puts them in Algorithm 1's order: priority descending
+(never-run cells are ``+inf`` and need no sentinel), then target descending,
+then combination — which is row order, because rows are the *sorted*
+combinations — then accelerator *name*, through a per-cluster name rank since
+registry column order is not alphabetical.  Only the greedy pick itself, which
+is inherently sequential (each pick consumes workers and marks jobs busy),
+stays a Python loop, over the pre-sorted index lists and with an early exit
+once every worker is taken.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.cluster.cluster_spec import ClusterSpec
 from repro.cluster.placement import PlacementRequest
-from repro.core.allocation import Allocation
-from repro.core.throughput_matrix import JobCombination
 from repro.exceptions import SchedulingError
 from repro.scheduler.priorities import PriorityTracker
 
@@ -38,20 +47,14 @@ def scheduled_job_ids(scheduled: Sequence["ScheduledCombination"]) -> Tuple[int,
 
 
 @dataclass(frozen=True)
-class ScheduledCombination:
-    """One job combination scheduled on one accelerator type for a round."""
+class ScheduledCombination(PlacementRequest):
+    """One job combination scheduled on one accelerator type for a round.
 
-    combination: JobCombination
-    accelerator_name: str
-    scale_factor: int
+    It *is* the round's placement request for that combination (the placer
+    takes the scheduled list as-is) plus the priority it was picked at.
+    """
+
     priority: float
-
-    def placement_request(self) -> PlacementRequest:
-        return PlacementRequest(
-            combination=self.combination,
-            accelerator_name=self.accelerator_name,
-            scale_factor=self.scale_factor,
-        )
 
 
 class RoundScheduler:
@@ -59,71 +62,51 @@ class RoundScheduler:
 
     def __init__(self, cluster_spec: ClusterSpec) -> None:
         self._cluster_spec = cluster_spec
+        self._names: Tuple[str, ...] = cluster_spec.registry.names
+        self._capacity: List[int] = [cluster_spec.count(name) for name in self._names]
+        # Algorithm 1's last tie-break is the accelerator *name*, and registry
+        # column order (v100, p100, k80) is not alphabetical.
+        self._name_rank: np.ndarray = np.argsort(np.argsort(self._names))
 
-    def schedule_round(
-        self,
-        tracker: PriorityTracker,
-        scale_factors: Mapping[int, int],
-    ) -> List[ScheduledCombination]:
+    def schedule_round(self, tracker: PriorityTracker) -> List[ScheduledCombination]:
         """Select the combinations to run in the upcoming round.
 
         Args:
-            tracker: Priority tracker holding the target allocation and the
-                time received so far in this allocation period.
-            scale_factors: Worker count required per job id.
+            tracker: Priority tracker holding the period's target allocation,
+                per-combination worker demand and the time received so far.
 
         Returns:
-            Scheduled combinations (at most one per job) whose total worker
-            demand per accelerator type fits the cluster.
+            Scheduled combinations (at most one per job), in pick order, whose
+            total worker demand per accelerator type fits the cluster.
         """
-        allocation = tracker.allocation
         priorities = tracker.priorities()
-        registry = allocation.registry
+        target = tracker.target
+        # ``priorities > 0`` is False for NaN: a NaN candidate would make the
+        # order non-total, so it is never a candidate.
+        rows, columns = np.nonzero((target > 0) & (priorities > 0))
+        priority = priorities[rows, columns]
+        # Higher priority first (never-run cells are +inf), then larger
+        # target, then combination (rows are sorted), then accelerator name.
+        order = np.lexsort(
+            (self._name_rank[columns], rows, -target[rows, columns], -priority)
+        )
 
-        candidates: List[Tuple[float, float, JobCombination, str, int]] = []
-        for combination in allocation.combinations:
-            scale = max(int(scale_factors.get(job_id, 1)) for job_id in combination)
-            target = allocation.row(combination)
-            priority_row = priorities[combination]
-            for column, accelerator_name in enumerate(registry.names):
-                if target[column] <= 0:
-                    continue
-                priority = priority_row[column]
-                # ``not (priority > 0)`` also rejects NaN priorities, which
-                # would otherwise make the sort key non-total and the
-                # resulting schedule dependent on candidate insertion order.
-                if not (priority > 0):
-                    continue
-                # Sort key: higher priority first; ties broken by larger target
-                # allocation, then deterministically by combination id.
-                sort_priority = priority if math.isfinite(priority) else 1e18
-                candidates.append(
-                    (sort_priority, float(target[column]), combination, accelerator_name, scale)
-                )
-
-        candidates.sort(key=lambda item: (-item[0], -item[1], item[2], item[3]))
-
-        remaining: Dict[str, int] = {
-            name: self._cluster_spec.count(name) for name in registry.names
-        }
+        combinations, demand, names = tracker.combinations, tracker.demand, self._names
+        remaining = list(self._capacity)
+        idle_workers = sum(remaining)
         scheduled: List[ScheduledCombination] = []
         busy_jobs: Set[int] = set()
-        for priority, _target, combination, accelerator_name, scale in candidates:
-            if any(job_id in busy_jobs for job_id in combination):
+        for row, column, value in zip(
+            rows[order].tolist(), columns[order].tolist(), priority[order].tolist()
+        ):
+            combination, scale = combinations[row], demand[row]
+            if remaining[column] < scale or not busy_jobs.isdisjoint(combination):
                 continue
-            if remaining[accelerator_name] < scale:
-                continue
-            remaining[accelerator_name] -= scale
+            remaining[column] -= scale
             busy_jobs.update(combination)
-            scheduled.append(
-                ScheduledCombination(
-                    combination=combination,
-                    accelerator_name=accelerator_name,
-                    scale_factor=scale,
-                    priority=priority,
-                )
-            )
-            if all(count == 0 for count in remaining.values()):
+            scheduled.append(ScheduledCombination(combination, names[column], scale, value))
+            idle_workers -= scale
+            if idle_workers == 0:
                 break
         return scheduled
 

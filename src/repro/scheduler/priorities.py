@@ -7,16 +7,24 @@ type, and the priority of a (combination, type) pair is the element-wise
 ratio ``X_opt / f``: combinations that have received less time than their
 target allocation get a high priority (infinite if they have received
 nothing at all) and are scheduled first in the next round.
+
+Data layout.  A tracker lives for one allocation period and holds that
+period's state densely: every array has one row per combination, in the
+allocation's *sorted* combination order (``combinations[row]``, inverse
+``row_of``), and one column per accelerator type in registry order.
+``target`` (``X_opt``) and ``demand`` (workers a combination occupies) are
+fixed for the period; only ``time_received`` changes, by O(1) indexed adds.
+Fractions and priorities are whole-matrix expressions over those arrays that
+perform, per cell, the same IEEE operations as the scalar definition above.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from repro.cluster.accelerators import AcceleratorRegistry
 from repro.core.allocation import Allocation
 from repro.core.throughput_matrix import JobCombination
 from repro.exceptions import SchedulingError
@@ -25,76 +33,89 @@ __all__ = ["PriorityTracker"]
 
 
 class PriorityTracker:
-    """Tracks time received per (combination, accelerator type) and derives priorities."""
+    """Time received per (combination, accelerator type) and the priorities it implies.
+
+    Attributes:
+        combinations: The allocation's combinations, sorted; row order of every array.
+        row_of: Inverse of ``combinations``.
+        target: ``X_opt`` as a read-only ``(n_combinations, n_types)`` array.
+        demand: Workers each combination occupies when scheduled — the largest
+            scale factor among its members, per row.
+        time_received: Seconds received this period, same shape as ``target``.
+    """
 
     def __init__(self, allocation: Allocation) -> None:
         self._allocation = allocation
-        self._registry: AcceleratorRegistry = allocation.registry
-        self._time_received: Dict[JobCombination, np.ndarray] = {
-            combination: np.zeros(len(self._registry))
-            for combination in allocation.combinations
+        self.combinations: Tuple[JobCombination, ...] = allocation.combinations
+        self.row_of: Dict[JobCombination, int] = {
+            combination: row for row, combination in enumerate(self.combinations)
         }
+        self.target: np.ndarray = allocation.matrix
+        self.demand: Tuple[int, ...] = tuple(
+            max(allocation.scale_factor(job_id) for job_id in combination)
+            for combination in self.combinations
+        )
+        self.time_received: np.ndarray = np.zeros(self.target.shape)
+        self._wanted: np.ndarray = self.target > 0
 
     # -- bookkeeping -------------------------------------------------------------
     @property
     def allocation(self) -> Allocation:
         return self._allocation
 
+    def row(self, combination: Sequence[int]) -> int:
+        """Row of ``combination`` (members in any order) in every array."""
+        row = self.row_of.get(tuple(combination))
+        if row is None:
+            row = self.row_of.get(tuple(sorted(int(j) for j in combination)))
+        if row is None:
+            raise SchedulingError(
+                f"combination {tuple(combination)} is not part of the tracked allocation"
+            )
+        return row
+
     def record_time(self, combination: Sequence[int], accelerator_name: str, seconds: float) -> None:
         """Record that ``combination`` ran on ``accelerator_name`` for ``seconds``."""
-        key = tuple(sorted(int(j) for j in combination))
-        if key not in self._time_received:
-            raise SchedulingError(f"combination {key} is not part of the tracked allocation")
-        if seconds < 0:
-            raise SchedulingError(f"cannot record negative time {seconds}")
-        column = self._registry.index_of(accelerator_name)
-        self._time_received[key][column] += seconds
+        # ``not (0 <= s < inf)`` also rejects NaN, which a ``s < 0`` guard lets
+        # through — and one NaN makes the combination's priorities NaN, which
+        # Algorithm 1 then skips forever without an error.
+        if not (0 <= seconds < math.inf):
+            raise SchedulingError(f"cannot record time {seconds}: need a finite value >= 0")
+        column = self._allocation.registry.index_of(accelerator_name)
+        self.time_received[self.row(combination), column] += seconds
 
-    def snapshot_state(self) -> Dict[JobCombination, np.ndarray]:
-        """Copy of the per-combination time-received table (for checkpointing)."""
-        return {combination: received.copy() for combination, received in self._time_received.items()}
+    def snapshot_state(self) -> np.ndarray:
+        """Copy of the time-received matrix (for checkpointing)."""
+        return self.time_received.copy()
 
-    def restore_state(self, state: Mapping[JobCombination, np.ndarray]) -> None:
-        """Overwrite the time-received table from a :meth:`snapshot_state` copy.
+    def restore_state(self, state: np.ndarray) -> None:
+        """Overwrite the time-received matrix from a :meth:`snapshot_state` copy.
 
-        The state must cover exactly the combinations of the tracked
-        allocation — restoring a snapshot taken against a different allocation
-        is a checkpoint/allocation mismatch.
+        The state must have exactly the tracked allocation's shape — restoring
+        a snapshot taken against a different allocation is a
+        checkpoint/allocation mismatch.
         """
-        if set(state) != set(self._time_received):
+        received = np.array(state, dtype=float)
+        if received.shape != self.target.shape:
             raise SchedulingError(
-                "priority-tracker state does not match the tracked allocation's combinations"
+                f"priority-tracker state has shape {received.shape}, "
+                f"the tracked allocation needs {self.target.shape}"
             )
-        self._time_received = {combination: np.array(received, dtype=float) for combination, received in state.items()}
-
-    def time_received(self, combination: Sequence[int]) -> np.ndarray:
-        """Seconds of time received per accelerator type for one combination."""
-        key = tuple(sorted(int(j) for j in combination))
-        if key not in self._time_received:
-            raise SchedulingError(f"combination {key} is not part of the tracked allocation")
-        return self._time_received[key].copy()
+        self.time_received = received
 
     def total_time_per_type(self) -> np.ndarray:
         """Total recorded seconds per accelerator type across all combinations."""
-        total = np.zeros(len(self._registry))
-        for received in self._time_received.values():
-            total += received
-        return total
+        return self.time_received.sum(axis=0)
 
     # -- fractions and priorities ----------------------------------------------------
-    def fractions(self) -> Dict[JobCombination, np.ndarray]:
+    def fractions(self) -> np.ndarray:
         """``f[k, j]``: share of accelerator ``j``'s recorded time spent on combination ``k``."""
         totals = self.total_time_per_type()
-        fractions: Dict[JobCombination, np.ndarray] = {}
-        for combination, received in self._time_received.items():
-            row = np.zeros(len(self._registry))
-            for column in range(len(self._registry)):
-                if totals[column] > 0:
-                    row[column] = received[column] / totals[column]
-            fractions[combination] = row
+        fractions = np.zeros(self.target.shape)
+        np.divide(self.time_received, totals, out=fractions, where=totals > 0)
         return fractions
 
-    def priorities(self) -> Dict[JobCombination, np.ndarray]:
+    def priorities(self) -> np.ndarray:
         """Element-wise ``X_opt / f`` with the conventions of Figure 4.
 
         * target 0 ⇒ priority 0 (never scheduled on that type);
@@ -102,17 +123,7 @@ class PriorityTracker:
         * otherwise the ratio of target to received fraction.
         """
         fractions = self.fractions()
-        priorities: Dict[JobCombination, np.ndarray] = {}
-        for combination in self._allocation.combinations:
-            target = self._allocation.row(combination)
-            fraction = fractions[combination]
-            row = np.zeros(len(self._registry))
-            for column in range(len(self._registry)):
-                if target[column] <= 0:
-                    row[column] = 0.0
-                elif fraction[column] <= 0:
-                    row[column] = math.inf
-                else:
-                    row[column] = target[column] / fraction[column]
-            priorities[combination] = row
+        starved = self._wanted & (fractions <= 0)
+        priorities = np.where(starved, math.inf, 0.0)
+        np.divide(self.target, fractions, out=priorities, where=self._wanted & ~starved)
         return priorities

@@ -195,7 +195,9 @@ class _JobState:
     admitted_at: float = 0.0
     steps_done: float = 0.0
     last_accelerator: Optional[str] = None
-    was_running_last_round: bool = False
+    #: ``num_rounds`` index of the last round this job ran in (-1: never); a
+    #: job resumes without checkpoint overhead only from the previous round.
+    last_round: int = -1
 
     @property
     def steps_remaining(self) -> float:
@@ -256,7 +258,7 @@ class SchedulerSnapshot:
     #: replay identically.
     event_heap: List[Tuple[float, int, str, object]]
     event_seq: int
-    active: List[Tuple[Job, float, float, Optional[str], bool]]
+    active: List[Tuple[Job, float, float, Optional[str], int]]
     records: Dict[int, JobRecord]
     busy_seconds: Dict[str, float]
     checkpoint_seconds: Dict[str, float]
@@ -272,7 +274,7 @@ class SchedulerSnapshot:
     staleness_integral: float
     staleness_events: int
     tracker_allocation: Optional[Allocation]
-    tracker_state: Optional[Dict[Tuple[int, ...], np.ndarray]]
+    tracker_state: Optional[np.ndarray]
     rng_state: dict
     session_history: List[Tuple[PolicyProblem, Optional[List[PolicyDelta]]]]
 
@@ -373,6 +375,9 @@ class ClusterScheduler:
 
         self._allocation_stale = True
         self._tracker: Optional[PriorityTracker] = None
+        #: Execution throughputs of the current allocation period, keyed by
+        #: (combination, job id, accelerator, consolidated); see _start_period.
+        self._period_throughputs: Dict[Tuple[Tuple[int, ...], int, str, bool], float] = {}
         self._engine = self._make_engine()
         self._session: Optional[PolicySession] = None
         #: (problem, deltas) consumed by the live session, in order; ``None``
@@ -804,7 +809,7 @@ class ClusterScheduler:
                     state.admitted_at,
                     state.steps_done,
                     state.last_accelerator,
-                    state.was_running_last_round,
+                    state.last_round,
                 )
                 for state in self._active.values()
             ],
@@ -855,9 +860,9 @@ class ClusterScheduler:
                 admitted_at=admitted_at,
                 steps_done=steps_done,
                 last_accelerator=last_accelerator,
-                was_running_last_round=was_running,
+                last_round=last_round,
             )
-            for job, admitted_at, steps_done, last_accelerator, was_running in snapshot.active
+            for job, admitted_at, steps_done, last_accelerator, last_round in snapshot.active
         }
         self._records = copy.deepcopy(snapshot.records)
         self._busy_seconds = dict(snapshot.busy_seconds)
@@ -874,9 +879,8 @@ class ClusterScheduler:
         self._rng.bit_generator.state = copy.deepcopy(snapshot.rng_state)
         self._rebuild_engine()
         self._replay_session(snapshot.session_history)
-        if snapshot.tracker_allocation is not None:
-            self._tracker = PriorityTracker(snapshot.tracker_allocation)
-            self._tracker.restore_state(snapshot.tracker_state)
+        if snapshot.tracker_allocation is not None and snapshot.tracker_state is not None:
+            self._start_period(snapshot.tracker_allocation).restore_state(snapshot.tracker_state)
         else:
             self._tracker = None
         self._allocation_stale = snapshot.allocation_stale
@@ -1016,6 +1020,17 @@ class ClusterScheduler:
             self._stale_event_times.clear()
         return allocation
 
+    def _start_period(self, allocation: Allocation) -> PriorityTracker:
+        """Open an allocation period: a fresh tracker, and nothing cached from the last.
+
+        Everything that is constant between two re-allocations — the tracker's
+        dense target/demand arrays and the execution throughputs below — is
+        built at most once per period and dies with the tracker.
+        """
+        self._tracker = PriorityTracker(allocation)
+        self._period_throughputs = {}
+        return self._tracker
+
     def _execution_throughput(
         self,
         combination: Tuple[int, ...],
@@ -1024,21 +1039,26 @@ class ClusterScheduler:
         consolidated: bool,
     ) -> float:
         """True throughput used to advance training progress."""
-        state = self._active[job_id]
-        if len(combination) == 1:
-            throughput = self._oracle.throughput(
-                state.job.job_type,
-                accelerator_name,
-                scale_factor=state.job.scale_factor,
-                consolidated=consolidated,
-            )
-        else:
-            other_id = combination[0] if combination[1] == job_id else combination[1]
-            other = self._active[other_id]
-            pair = self._colocation.colocated_throughputs(
-                state.job.job_type, other.job.job_type, accelerator_name
-            )
-            throughput = pair.first if combination[0] == job_id else pair.second
+        key = (combination, job_id, accelerator_name, consolidated)
+        throughput = self._period_throughputs.get(key)
+        if throughput is None:
+            # Deterministic in the jobs' (constant) types and scale factors.
+            state = self._active[job_id]
+            if len(combination) == 1:
+                throughput = self._oracle.throughput(
+                    state.job.job_type,
+                    accelerator_name,
+                    scale_factor=state.job.scale_factor,
+                    consolidated=consolidated,
+                )
+            else:
+                other_id = combination[0] if combination[1] == job_id else combination[1]
+                other = self._active[other_id]
+                pair = self._colocation.colocated_throughputs(
+                    state.job.job_type, other.job.job_type, accelerator_name
+                )
+                throughput = pair.first if combination[0] == job_id else pair.second
+            self._period_throughputs[key] = throughput
         if self._config.mode == "physical" and self._config.throughput_jitter_std > 0:
             throughput *= max(
                 0.0, float(self._rng.normal(1.0, self._config.throughput_jitter_std))
@@ -1065,24 +1085,24 @@ class ClusterScheduler:
         if not self._active:
             return
 
-        if self._allocation_stale or self._tracker is None:
-            allocation = self._solve_allocation(current_time)
-            self._tracker = PriorityTracker(allocation)
-            self._allocation_stale = False
         tracker = self._tracker
+        if self._allocation_stale or tracker is None:
+            tracker = self._start_period(self._solve_allocation(current_time))
+            self._allocation_stale = False
 
-        scale_factors = {job_id: state.job.scale_factor for job_id, state in self._active.items()}
-        scheduled = self._round_scheduler.schedule_round(tracker, scale_factors)
+        scheduled = self._round_scheduler.schedule_round(tracker)
         self._round_scheduler.validate_round(scheduled)
-        placements = self._placer.place([item.placement_request() for item in scheduled])
+        placements = self._placer.place(scheduled)
         consolidated_by_combination = {
             placement.combination: placement.consolidated for placement in placements
         }
 
         round_end = current_time + round_duration
+        this_round = self._num_rounds
         completed_this_round: List[Tuple[int, float]] = []
-        running_jobs: Set[int] = set()
         records = self._records
+        registry = self._cluster_spec.registry
+        cost_per_hour = dict(zip(registry.names, registry.costs_per_hour()))
         for job_id in scheduled_job_ids(scheduled):
             if records[job_id].first_allocation_time is None:
                 records[job_id].first_allocation_time = current_time
@@ -1090,7 +1110,6 @@ class ClusterScheduler:
             combination = item.combination
             accelerator_name = item.accelerator_name
             consolidated = consolidated_by_combination.get(combination, True)
-            effective_duration = round_duration
             # Worker-occupancy within the round: jobs that complete mid-round
             # release their accelerators at the completion instant, so
             # utilization and cost are prorated rather than charged a full
@@ -1101,15 +1120,14 @@ class ClusterScheduler:
             occupancy_seconds = 0.0
             for job_id in combination:
                 state = self._active[job_id]
-                running_jobs.add(job_id)
                 overhead = 0.0
                 if physical and (
-                    not state.was_running_last_round
+                    state.last_round != this_round - 1
                     or state.last_accelerator != accelerator_name
                 ):
                     overhead = min(config.checkpoint_overhead_seconds, round_duration)
                     records[job_id].preemptions += 1
-                usable = max(0.0, effective_duration - overhead)
+                usable = max(0.0, round_duration - overhead)
                 throughput = self._execution_throughput(
                     combination, job_id, accelerator_name, consolidated
                 )
@@ -1124,6 +1142,7 @@ class ClusterScheduler:
                     state.steps_done += progress
                     used_seconds = round_duration
                 state.last_accelerator = accelerator_name
+                state.last_round = this_round
                 record = records[job_id]
                 record.steps_done = state.steps_done
                 record.accelerator_seconds[accelerator_name] = (
@@ -1140,7 +1159,7 @@ class ClusterScheduler:
                         overhead_used * item.scale_factor / len(combination)
                     )
                 cost = (
-                    self._cluster_spec.registry.get(accelerator_name).cost_per_hour
+                    cost_per_hour[accelerator_name]
                     * state.job.scale_factor
                     * used_seconds
                     / _SECONDS_PER_HOUR
@@ -1152,9 +1171,6 @@ class ClusterScheduler:
                 occupancy_seconds = max(occupancy_seconds, used_seconds)
             self._busy_seconds[accelerator_name] += item.scale_factor * occupancy_seconds
             tracker.record_time(combination, accelerator_name, round_duration)
-
-        for job_id, state in self._active.items():
-            state.was_running_last_round = job_id in running_jobs
 
         for job_id, finish_time in completed_this_round:
             records[job_id].completion_time = finish_time

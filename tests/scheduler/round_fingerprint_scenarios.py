@@ -1,0 +1,77 @@
+"""Seeded round-mechanism runs whose results are pinned in ``data/round_fingerprints.json``.
+
+The JSON was recorded from the commit *before* the round mechanism moved onto
+dense arrays (scalar ``PriorityTracker`` / ``RoundScheduler`` / ``Placer``),
+by calling :func:`fingerprint` on ``run_scenario(name).result()`` for every
+scenario.  It only needs re-recording when scheduling *semantics* change on
+purpose; a refactor of the mechanism must reproduce it.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+from typing import Any, Dict
+
+from repro.cluster import ClusterSpec
+from repro.scheduler import ClusterScheduler, SchedulerConfig
+from repro.scheduler.metrics import SimulationResult
+from repro.workloads import ThroughputOracle, TraceGenerator, TraceGeneratorConfig
+
+RECORDED = Path(__file__).parent / "data" / "round_fingerprints.json"
+
+#: name -> (policy, scheduler config, cluster counts per type, multi-worker trace?)
+SCENARIOS: Dict[str, Any] = {
+    # Scale factors 1-8 on 8-GPU types: distributed demand, unconsolidated placements.
+    "round": ("max_min_fairness", SchedulerConfig(mode="round"), 8, True),
+    # Checkpoint overhead on preemption/migration and seeded throughput jitter.
+    "physical": (
+        "max_min_fairness",
+        SchedulerConfig(mode="physical", throughput_jitter_std=0.05, seed=11),
+        2,
+        False,
+    ),
+    # Space-sharing pairs compete with their members' singleton rows.
+    "space_sharing": ("max_min_fairness+ss", SchedulerConfig(mode="round"), 2, False),
+}
+
+
+def load_recorded() -> Dict[str, Any]:
+    return json.loads(RECORDED.read_text(encoding="utf-8"))
+
+
+def run_scenario(name: str, until: float = float("inf")) -> ClusterScheduler:
+    """A scheduler that has replayed scenario ``name`` up to ``until``."""
+    policy, config, per_type, multi_worker = SCENARIOS[name]
+    oracle = ThroughputOracle()
+    generator = TraceGenerator(oracle, TraceGeneratorConfig(multi_worker=multi_worker))
+    trace = generator.generate_continuous(num_jobs=14, jobs_per_hour=6.0, seed=5)
+    cluster = ClusterSpec.from_counts({kind: per_type for kind in ("v100", "p100", "k80")})
+    scheduler = ClusterScheduler(policy, cluster, oracle=oracle, config=config)
+    for job in trace.jobs:
+        scheduler.submit(job)
+    scheduler.run_until(until)
+    return scheduler
+
+
+def fingerprint(result: SimulationResult) -> Dict[str, Any]:
+    """The schedule-determined part of a result, as JSON-ready data."""
+    records = sorted(result.records.items())
+    return {
+        "num_rounds": result.num_rounds,
+        "num_policy_recomputations": result.num_policy_recomputations,
+        "end_time": result.end_time,
+        "total_cost_dollars": result.total_cost_dollars,
+        "busy_worker_seconds": dict(result.busy_worker_seconds),
+        "checkpoint_worker_seconds": dict(result.checkpoint_worker_seconds),
+        "preemptions": {str(job_id): record.preemptions for job_id, record in records},
+        "completion_time": {str(job_id): record.completion_time for job_id, record in records},
+        "cost_dollars": {str(job_id): record.cost_dollars for job_id, record in records},
+        "first_allocation_time": {
+            str(job_id): record.first_allocation_time for job_id, record in records
+        },
+        "accelerator_seconds": {
+            str(job_id): dict(sorted(record.accelerator_seconds.items()))
+            for job_id, record in records
+        },
+    }

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cluster import ClusterSpec, default_registry
+from repro.cluster import ClusterSpec, ClusterTopology, Placer, default_registry
 from repro.core import Allocation
 from repro.exceptions import SchedulingError
 from repro.scheduler import PriorityTracker, RoundScheduler, ScheduledCombination
@@ -14,8 +14,8 @@ def registry():
     return default_registry()
 
 
-def _tracker(registry, entries):
-    return PriorityTracker(Allocation(registry, entries))
+def _tracker(registry, entries, scale_factors=None):
+    return PriorityTracker(Allocation(registry, entries, scale_factors=scale_factors))
 
 
 class TestRoundScheduling:
@@ -28,7 +28,7 @@ class TestRoundScheduling:
                 (1,): np.array([0.5, 0.5, 0.0]),
             },
         )
-        scheduled = RoundScheduler(spec).schedule_round(tracker, {0: 1, 1: 1})
+        scheduled = RoundScheduler(spec).schedule_round(tracker)
         # Each job can be scheduled at most once per round.
         jobs = [job for item in scheduled for job in item.combination]
         assert sorted(jobs) == sorted(set(jobs))
@@ -38,7 +38,7 @@ class TestRoundScheduling:
         spec = ClusterSpec.from_counts({"v100": 2, "p100": 2, "k80": 2}, registry=registry)
         entries = {(i,): np.full(3, 1 / 3) for i in range(6)}
         tracker = _tracker(registry, entries)
-        scheduled = RoundScheduler(spec).schedule_round(tracker, {i: 1 for i in range(6)})
+        scheduled = RoundScheduler(spec).schedule_round(tracker)
         assert len(scheduled) == 6
 
     def test_zero_allocation_jobs_not_scheduled(self, registry):
@@ -50,14 +50,49 @@ class TestRoundScheduling:
                 (1,): np.array([0.0, 0.0, 0.0]),
             },
         )
-        scheduled = RoundScheduler(spec).schedule_round(tracker, {0: 1, 1: 1})
+        scheduled = RoundScheduler(spec).schedule_round(tracker)
         assert all(item.combination != (1,) for item in scheduled)
 
     def test_distributed_job_needs_enough_workers(self, registry):
         spec = ClusterSpec.from_counts({"v100": 2, "p100": 0, "k80": 0}, registry=registry)
-        tracker = _tracker(registry, {(0,): np.array([1.0, 0.0, 0.0])})
-        scheduled = RoundScheduler(spec).schedule_round(tracker, {0: 4})
-        assert scheduled == []
+        tracker = _tracker(registry, {(0,): np.array([1.0, 0.0, 0.0])}, scale_factors={0: 4})
+        assert tracker.demand == (4,)
+        assert RoundScheduler(spec).schedule_round(tracker) == []
+
+    def test_pair_occupies_its_larger_members_workers(self, registry):
+        spec = ClusterSpec.from_counts({"v100": 3, "p100": 0, "k80": 0}, registry=registry)
+        entries = {(0, 1): np.array([0.9, 0.0, 0.0]), (2,): np.array([0.5, 0.0, 0.0])}
+        tracker = _tracker(registry, entries, scale_factors={0: 1, 1: 2, 2: 2})
+        scheduled = RoundScheduler(spec).schedule_round(tracker)
+        # Both are never-run (+inf); the larger target goes first and leaves 1 worker.
+        assert [(item.combination, item.scale_factor) for item in scheduled] == [((0, 1), 2)]
+
+    def test_never_run_combination_reports_infinite_priority(self, registry):
+        """The result carries the real priority, not a finite sort sentinel."""
+        spec = ClusterSpec.from_counts({"v100": 1, "p100": 1, "k80": 0}, registry=registry)
+        tracker = _tracker(
+            registry, {(0,): np.array([0.5, 0.0, 0.0]), (1,): np.array([0.0, 0.5, 0.0])}
+        )
+        tracker.record_time((1,), "p100", 360.0)
+        by_job = {item.combination: item for item in RoundScheduler(spec).schedule_round(tracker)}
+        assert by_job[(0,)].priority == float("inf")
+        assert by_job[(1,)].priority == pytest.approx(0.5)
+
+    def test_scheduled_combinations_are_the_placement_requests(self, registry):
+        spec = ClusterSpec.from_counts({"v100": 4, "p100": 0, "k80": 0}, registry=registry)
+        tracker = _tracker(registry, {(0,): np.array([1.0, 0.0, 0.0])}, scale_factors={0: 4})
+        scheduled = RoundScheduler(spec).schedule_round(tracker)
+        [placement] = Placer(ClusterTopology(spec)).place(scheduled)
+        assert placement.request is scheduled[0]
+        assert len(placement.worker_ids) == 4 and placement.consolidated
+
+    def test_accelerator_name_breaks_the_last_tie(self, registry):
+        """Equal priority, target and combination: names order k80 < p100 < v100,
+        which is *not* the registry's column order."""
+        spec = ClusterSpec.from_counts({"v100": 1, "p100": 1, "k80": 1}, registry=registry)
+        tracker = _tracker(registry, {(0,): np.full(3, 0.3)})
+        [only] = RoundScheduler(spec).schedule_round(tracker)
+        assert only.accelerator_name == "k80"
 
     def test_underserved_job_scheduled_before_overserved(self, registry):
         spec = ClusterSpec.from_counts({"v100": 1, "p100": 0, "k80": 0}, registry=registry)
@@ -70,7 +105,7 @@ class TestRoundScheduling:
         )
         # Job 0 already ran for three rounds on the V100; job 1 never did.
         tracker.record_time((0,), "v100", 3 * 360.0)
-        scheduled = RoundScheduler(spec).schedule_round(tracker, {0: 1, 1: 1})
+        scheduled = RoundScheduler(spec).schedule_round(tracker)
         assert len(scheduled) == 1
         assert scheduled[0].combination == (1,)
 
@@ -85,7 +120,7 @@ class TestRoundScheduling:
                 (0, 1): np.array([0.8, 0.0, 0.0]),
             },
         )
-        scheduled = RoundScheduler(spec).schedule_round(tracker, {0: 1, 1: 1})
+        scheduled = RoundScheduler(spec).schedule_round(tracker)
         combinations = [item.combination for item in scheduled]
         assert (0, 1) in combinations
         assert (0,) not in combinations and (1,) not in combinations
@@ -93,8 +128,8 @@ class TestRoundScheduling:
     def test_deterministic_given_same_state(self, registry):
         spec = ClusterSpec.from_counts({"v100": 2, "p100": 1, "k80": 1}, registry=registry)
         entries = {(i,): np.array([0.3, 0.3, 0.3]) for i in range(5)}
-        first = RoundScheduler(spec).schedule_round(_tracker(registry, entries), {i: 1 for i in range(5)})
-        second = RoundScheduler(spec).schedule_round(_tracker(registry, entries), {i: 1 for i in range(5)})
+        first = RoundScheduler(spec).schedule_round(_tracker(registry, entries))
+        second = RoundScheduler(spec).schedule_round(_tracker(registry, entries))
         assert [(s.combination, s.accelerator_name) for s in first] == [
             (s.combination, s.accelerator_name) for s in second
         ]
@@ -142,12 +177,12 @@ class TestLongRunConvergence:
         tracker = PriorityTracker(allocation)
         scheduler = RoundScheduler(spec)
         for _ in range(100):
-            scheduled = scheduler.schedule_round(tracker, {0: 1, 1: 1})
+            scheduled = scheduler.schedule_round(tracker)
             for item in scheduled:
                 tracker.record_time(item.combination, item.accelerator_name, 360.0)
         fractions = tracker.fractions()
-        assert fractions[(0,)][0] == pytest.approx(0.75, abs=0.02)
-        assert fractions[(1,)][0] == pytest.approx(0.25, abs=0.02)
+        assert fractions[0, 0] == pytest.approx(0.75, abs=0.02)
+        assert fractions[1, 0] == pytest.approx(0.25, abs=0.02)
 
 
 class TestTieBreakDeterminism:
@@ -155,11 +190,10 @@ class TestTieBreakDeterminism:
         """Repeated rounds over tied candidates must pick the same winners."""
         spec = ClusterSpec.from_counts({"v100": 1, "p100": 1, "k80": 0}, registry=registry)
         entries = {(i,): np.array([0.25, 0.25, 0.0]) for i in range(8)}
-        scale_factors = {i: 1 for i in range(8)}
         schedules = []
         for _ in range(10):
             tracker = _tracker(registry, dict(entries))
-            scheduled = RoundScheduler(spec).schedule_round(tracker, scale_factors)
+            scheduled = RoundScheduler(spec).schedule_round(tracker)
             schedules.append(
                 tuple((item.combination, item.accelerator_name) for item in scheduled)
             )
@@ -169,11 +203,10 @@ class TestTieBreakDeterminism:
         """The schedule is a function of allocation values, not dict ordering."""
         spec = ClusterSpec.from_counts({"v100": 2, "p100": 1, "k80": 1}, registry=registry)
         entries = {(i,): np.array([0.3, 0.3, 0.3]) for i in range(6)}
-        scale_factors = {i: 1 for i in range(6)}
         baseline = None
         for ordering in (list(entries), list(reversed(list(entries)))):
             tracker = _tracker(registry, {key: entries[key] for key in ordering})
-            scheduled = RoundScheduler(spec).schedule_round(tracker, scale_factors)
+            scheduled = RoundScheduler(spec).schedule_round(tracker)
             snapshot = tuple(
                 (item.combination, item.accelerator_name) for item in scheduled
             )
@@ -193,15 +226,18 @@ class TestTieBreakDeterminism:
         )
         tracker = PriorityTracker(allocation)
         priorities = tracker.priorities()
-        priorities[(0,)][0] = float("nan")
+        priorities[tracker.row((0,)), 0] = float("nan")
 
         class _PatchedTracker:
-            allocation = tracker.allocation
+            """Duck-typed tracker: what Algorithm 1 reads, with a poisoned cell."""
+
+            combinations = tracker.combinations
+            target = tracker.target
+            demand = tracker.demand
 
             @staticmethod
             def priorities():
                 return priorities
 
-        scheduled = RoundScheduler(spec).schedule_round(_PatchedTracker(), {0: 1, 1: 1})
-        assert all(item.combination != (0,) for item in scheduled)
-        assert any(item.combination == (1,) for item in scheduled)
+        scheduled = RoundScheduler(spec).schedule_round(_PatchedTracker())
+        assert [item.combination for item in scheduled] == [(1,)]

@@ -4,7 +4,13 @@ For random valid allocations and cluster shapes, every round produced by
 Algorithm 1 must (a) never run a job twice, (b) never oversubscribe an
 accelerator type, and (c) over many rounds drive the received time fractions
 towards the target allocation (the mechanism's fidelity claim, §7.5).
+
+The array implementation is also compared, cell for cell and pick for pick,
+with the scalar reference in ``reference_mechanism.py`` — same IEEE
+operations in the same order, so equality is exact, not approximate.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -14,7 +20,14 @@ from repro.cluster import ClusterSpec, default_registry
 from repro.core import Allocation
 from repro.scheduler import PriorityTracker, RoundScheduler
 
+from reference_mechanism import (
+    reference_fractions,
+    reference_priorities,
+    reference_schedule_round,
+)
+
 _REGISTRY = default_registry()
+_ROUND = 360.0
 
 
 @st.composite
@@ -51,9 +64,8 @@ class TestMechanismProperties:
         allocation, cluster = data
         tracker = PriorityTracker(allocation)
         scheduler = RoundScheduler(cluster)
-        scale_factors = {job_id: 1 for job_id in allocation.job_ids}
         for _ in range(5):
-            scheduled = scheduler.schedule_round(tracker, scale_factors)
+            scheduled = scheduler.schedule_round(tracker)
             scheduler.validate_round(scheduled)
             for item in scheduled:
                 tracker.record_time(item.combination, item.accelerator_name, 360.0)
@@ -64,9 +76,8 @@ class TestMechanismProperties:
         allocation, cluster = data
         tracker = PriorityTracker(allocation)
         scheduler = RoundScheduler(cluster)
-        scale_factors = {job_id: 1 for job_id in allocation.job_ids}
         for _ in range(80):
-            scheduled = scheduler.schedule_round(tracker, scale_factors)
+            scheduled = scheduler.schedule_round(tracker)
             for item in scheduled:
                 tracker.record_time(item.combination, item.accelerator_name, 360.0)
         fractions = tracker.fractions()
@@ -79,7 +90,7 @@ class TestMechanismProperties:
         contended = [
             column_targets[column] >= capacity[column] - 1e-9 for column in range(3)
         ]
-        for combination in allocation.combinations:
+        for row, combination in enumerate(allocation.combinations):
             target = allocation.row(combination)
             for column in range(3):
                 # Only compare on accelerator types that actually received
@@ -112,4 +123,132 @@ class TestMechanismProperties:
                     if column_targets[column] > 0
                     else 0.0
                 )
-                assert fractions[combination][column] == pytest.approx(expected, abs=0.25)
+                assert fractions[row, column] == pytest.approx(expected, abs=0.25)
+
+
+# Few distinct values on purpose: exact ties in priority *and* target are what
+# the (combination, accelerator-name) tie-breaks exist for.
+_TARGETS = st.one_of(st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.5))
+# Received times are 0 or at least a millisecond, which keeps every finite
+# priority far below the reference's 1e18 sort sentinel for "never run" (the
+# one place the two differ on purpose: see test_never_run_outranks_any_finite_priority).
+_SECONDS = st.one_of(
+    st.sampled_from([0.0, 0.0, _ROUND, 2 * _ROUND, 7 * _ROUND]), st.floats(1e-3, 1e6)
+)
+
+
+@st.composite
+def _allocation_period(draw):
+    """A random allocation period: targets, worker demand, capacity, time received so far.
+
+    Covers singleton and space-sharing rows, scale factors > 1, accelerator
+    types with zero capacity, the all-``inf`` first round (nothing received
+    yet) and arbitrary mid-period states.
+    """
+    num_jobs = draw(st.integers(1, 6))
+    pairs = [(i, j) for i in range(num_jobs) for j in range(i + 1, num_jobs)]
+    combinations = [(i,) for i in range(num_jobs)]
+    combinations += draw(st.lists(st.sampled_from(pairs), unique=True, max_size=6)) if pairs else []
+    entries = {
+        combination: np.array([draw(_TARGETS) for _ in range(3)])
+        for combination in draw(st.permutations(combinations))
+    }
+    scale_factors = {job: draw(st.sampled_from([1, 1, 1, 2, 4])) for job in range(num_jobs)}
+    allocation = Allocation(_REGISTRY, entries, scale_factors=scale_factors)
+    counts = {name: draw(st.integers(0, 6)) for name in _REGISTRY.names}
+    counts["p100"] = max(counts["p100"], 1 - counts["v100"] - counts["k80"])  # at least one worker
+    cluster = ClusterSpec.from_counts(counts, registry=_REGISTRY)
+    first_round = draw(st.booleans())
+    received = {
+        combination: np.array([0.0 if first_round else draw(_SECONDS) for _ in range(3)])
+        for combination in allocation.combinations
+    }
+    return allocation, scale_factors, cluster, received
+
+
+def _dense(allocation, by_combination):
+    """A per-combination dict of rows as the tracker's matrix (sorted row order)."""
+    return np.array([by_combination[c] for c in allocation.combinations]).reshape(-1, 3)
+
+
+def _tracker_with(allocation, received):
+    tracker = PriorityTracker(allocation)
+    tracker.restore_state(_dense(allocation, received))
+    return tracker
+
+
+def _picks(scheduled):
+    return [
+        (item.combination, item.accelerator_name, item.scale_factor, item.priority)
+        for item in scheduled
+    ]
+
+
+class TestArrayMechanismMatchesScalarReference:
+    @given(period=_allocation_period())
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_fractions_and_priorities_are_bit_identical(self, period):
+        allocation, _scale_factors, _cluster, received = period
+        tracker = _tracker_with(allocation, received)
+        np.testing.assert_array_equal(
+            tracker.fractions(), _dense(allocation, reference_fractions(allocation, received))
+        )
+        np.testing.assert_array_equal(
+            tracker.priorities(), _dense(allocation, reference_priorities(allocation, received))
+        )
+
+    @given(period=_allocation_period(), rounds=st.integers(1, 6))
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_scheduled_sequence_is_identical_round_after_round(self, period, rounds):
+        """Same picks in the same order, with the true priority, as the period advances."""
+        allocation, scale_factors, cluster, received = period
+        tracker = _tracker_with(allocation, received)
+        scheduler = RoundScheduler(cluster)
+        for _ in range(rounds):
+            expected = reference_schedule_round(
+                allocation, reference_priorities(allocation, received), scale_factors, cluster
+            )
+            scheduled = scheduler.schedule_round(tracker)
+            assert _picks(scheduled) == expected
+            scheduler.validate_round(scheduled)
+            for combination, accelerator_name, _scale, _priority in expected:
+                received[combination][_REGISTRY.index_of(accelerator_name)] += _ROUND
+                tracker.record_time(combination, accelerator_name, _ROUND)
+
+    def test_never_run_outranks_any_finite_priority(self):
+        """The reference sorted ``inf`` as 1e18, so a larger finite priority beat it.
+
+        Sorting on the true priority removes that inversion; it needs a
+        received share below 1e-18 and so never arose in a real period.
+        """
+        entries = {(0,): np.array([0.25, 0.0, 1.0]), (1,): np.array([0.0, 0.0, 0.0])}
+        allocation = Allocation(_REGISTRY, entries)
+        cluster = ClusterSpec.from_counts({"v100": 1, "k80": 1}, registry=_REGISTRY)
+        received = {(0,): np.array([0.0, 0.0, 1e-213]), (1,): np.array([0.0, 0.0, _ROUND])}
+        [pick] = RoundScheduler(cluster).schedule_round(_tracker_with(allocation, received))
+        assert (pick.accelerator_name, pick.priority) == ("v100", math.inf)
+        [stale] = reference_schedule_round(
+            allocation, reference_priorities(allocation, received), {}, cluster
+        )
+        assert stale[1] == "k80" and 1e18 < stale[3] < math.inf
+
+    @given(period=_allocation_period(), data=st.data())
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_nan_priorities_are_skipped_identically(self, period, data):
+        """``not (priority > 0)`` must keep rejecting NaN cells, wherever they fall."""
+        allocation, scale_factors, cluster, received = period
+        priorities = reference_priorities(allocation, received)
+        for combination in allocation.combinations:
+            for column in range(3):
+                if data.draw(st.integers(0, 3)) == 0:
+                    priorities[combination][column] = math.nan
+
+        class _Poisoned(PriorityTracker):
+            def priorities(self):
+                return _dense(allocation, priorities)
+
+        scheduled = RoundScheduler(cluster).schedule_round(_Poisoned(allocation))
+        assert _picks(scheduled) == reference_schedule_round(
+            allocation, priorities, scale_factors, cluster
+        )
+        assert not any(math.isnan(item.priority) for item in scheduled)

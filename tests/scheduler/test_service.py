@@ -14,6 +14,8 @@ from repro.scheduler import ClusterScheduler, SchedulerConfig, VirtualClock, Wal
 from repro.simulator import Simulator, SimulatorConfig
 from repro.workloads import Job, ThroughputOracle, Trace, TraceGenerator
 
+from round_fingerprint_scenarios import SCENARIOS, fingerprint, load_recorded, run_scenario
+
 
 @pytest.fixture(scope="module")
 def oracle():
@@ -701,3 +703,42 @@ class TestSessionCorrectnessUnderChurn:
                 abs=config.round_duration_seconds,
                 rel=1e-3,
             )
+
+
+def _assert_matches_recorded(actual, recorded, path=""):
+    """Counts and names exactly; times and dollars to 1e-9 (LP round-off may
+    differ in the last bits across HiGHS builds, a changed schedule by far more)."""
+    if isinstance(recorded, dict):
+        assert actual.keys() == recorded.keys(), path
+        for key in recorded:
+            _assert_matches_recorded(actual[key], recorded[key], f"{path}/{key}")
+    elif isinstance(recorded, float):
+        assert actual == pytest.approx(recorded, rel=1e-9, abs=1e-9), path
+    else:
+        assert actual == recorded, path
+
+
+class TestRoundMechanismReproducesRecordedRuns:
+    """The dense-array round mechanism schedules exactly what the scalar one did."""
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_result_matches_fingerprint_recorded_before_the_rewrite(self, name):
+        _assert_matches_recorded(fingerprint(run_scenario(name).result()), load_recorded()[name])
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_mid_period_snapshot_resumes_byte_identically(self, name):
+        """Snapshot between two re-allocations, with time already received this period."""
+        reference = _result_fingerprint(run_scenario(name).result())
+        interrupted = run_scenario(name, until=30_000.0)
+        checkpoint = interrupted.snapshot()
+        while checkpoint.allocation_stale or not checkpoint.tracker_state.any():
+            interrupted.step()
+            checkpoint = interrupted.snapshot()
+        policy, config, _per_type, _multi = SCENARIOS[name]
+        resumed = ClusterScheduler(policy, checkpoint.cluster_spec, config=config)
+        resumed.restore(checkpoint)
+        np.testing.assert_array_equal(
+            resumed.snapshot().tracker_state, checkpoint.tracker_state
+        )
+        resumed.run_until()
+        assert _result_fingerprint(resumed.result()) == reference
