@@ -19,18 +19,14 @@ Also measures, under job churn:
   engine's delta stream (live program edited in place, warm-started solves);
   the session must be at least 2x faster at the largest churn job count for
   the plain LAS policy;
-* water-filling policy-solve time under the same churn protocol, pitting the
-  historical rebuild-per-LP implementation (``incremental=False`` — a fresh
-  program per level iteration and per headroom probe) against the persistent
-  level-loop session; the session must be at least 2x faster at every
-  measured count of 64+ jobs (typically ~4-5x);
+* water-filling policy-solve time under the same churn protocol (a fresh
+  level-loop program per event vs the persistent level-loop session);
+  recorded as an absolute series, not gated;
 * LP *construction* time (the ``build`` phase: session construction +
-  ``session.prepare``, everything short of the LP solve), comparing the
-  per-term dict assembly path against the columnar/vectorized path; the
-  vectorized path must be at least 3x faster for ``max_min_fairness+ss`` at
-  every measured count of 256+ jobs.  The space-sharing policies are
-  benchmarked at >=512 jobs by default and the ``REPRO_BENCH_SCALE`` sweep
-  reaches the paper's 2048 jobs;
+  ``session.prepare``, everything short of the LP solve), recorded as an
+  absolute series.  The space-sharing policies are benchmarked at >=512 jobs
+  by default and the ``REPRO_BENCH_SCALE`` sweep reaches the paper's 2048
+  jobs;
 * the *type-aggregated* representation (``aggregation="type"``, one LP row
   per group of interchangeable jobs instead of one per job), comparing the
   full session path (construct + solve + proportional-split expansion)
@@ -44,8 +40,9 @@ Also measures, under job churn:
   and ``hierarchical``), whose level loops run over group representatives.
 
 The per-sweep timings are additionally written to ``BENCH_fig12.json``
-(override the path with ``REPRO_BENCH_JSON``) so CI can publish them as an
-artifact and track the perf trajectory across PRs.
+(override the path with ``REPRO_BENCH_JSON``); the file is committed, so the
+absolute series form a readable perf trajectory across PRs, and
+``benchmarks/e2e`` is the regression guard for the LP layers.
 """
 
 from __future__ import annotations
@@ -68,26 +65,22 @@ from repro.workloads import TraceGenerator
 
 _NUM_JOBS = [8, 16, 32] if BENCH_SCALE == 1 else [32, 64, 128, 256]
 #: Job counts for the churn measurements; the acceptance gate runs at 128+
-#: jobs at laptop scale (at 64 jobs the vectorized from-scratch build got so
-#: cheap that the session's edge is mostly solver warm-starting).
+#: jobs at laptop scale (at 64 jobs the from-scratch build is so cheap that
+#: the session's edge is mostly solver warm-starting).
 _CHURN_NUM_JOBS = [16, 128] if BENCH_SCALE == 1 else [64, 128, 256]
 _CHURN_POLICIES = {
     "LAS": "max_min_fairness",
     "LAS w/ SS": "max_min_fairness+ss",
 }
 #: Required scratch/session speedup for plain LAS at the largest churn count.
-#: The historical 2x gate was calibrated against the per-term dict assembly;
-#: columnar assembly cut the stateless path's construction cost by ~7x, so
-#: the session's remaining advantage at laptop scale is the warm-started
-#: re-solve itself (~2.2x at 128 jobs; 2x holds again from 256 jobs up).
+#: Columnar assembly makes the stateless path's construction cheap, so the
+#: session's advantage at laptop scale is the warm-started re-solve itself
+#: (~2.2x at 128 jobs; 2x holds from 256 jobs up).
 _CHURN_SPEEDUP_GATE = 1.7 if BENCH_SCALE == 1 else 2.0
 #: Water-filling churn sweep: the level loop solves O(iterations x candidates)
-#: LPs per event, so the rebuild baseline is expensive — fewer events, and the
-#: gate point is 64 jobs (the issue's "64+ jobs" floor) at every scale.
+#: LPs per event, so it replays fewer events.
 _WF_CHURN_NUM_JOBS = [16, 64] if BENCH_SCALE == 1 else [64, 128]
 _WF_CHURN_NUM_EVENTS = 6
-#: Required rebuild/session speedup for water filling at every 64+ job count.
-_WF_CHURN_SPEEDUP_GATE = 2.0
 #: Job counts for the LP-construction (build-phase) sweep.  Construction is
 #: solver-free, so the space-sharing policies reach 512 jobs even at laptop
 #: scale, and the scaled sweep runs the paper's full 2048 active jobs.
@@ -96,9 +89,6 @@ _BUILD_POLICIES = {
     "LAS w/ SS": "max_min_fairness+ss",
     "Makespan w/ SS": "makespan+ss",
 }
-#: Vectorized-over-dict LP construction speedup required for LAS w/ SS at
-#: every measured job count of 256 and above.
-_BUILD_SPEEDUP_GATE = 3.0
 #: Job counts for the type-aggregated sweep.  The aggregated LP's size is set
 #: by the active-type count, not the job count, so the series runs far past
 #: the per-job sweeps — 16384 jobs by default, 100k under REPRO_BENCH_SCALE.
@@ -134,19 +124,12 @@ def _hierarchical_for_scaling(space_sharing=False):
 
 
 def _water_filling_churn(oracle):
-    """Rebuild-per-LP baseline vs persistent level-loop session under churn."""
+    """Fresh level-loop program per event vs the persistent session under churn."""
     return measure_policy_solve_under_churn(
-        make_policy(
-            "max_min_fairness_water_filling",
-            use_milp_bottleneck_detection=False,
-            incremental=False,
-        ),
+        make_policy("max_min_fairness_water_filling", use_milp_bottleneck_detection=False),
         _WF_CHURN_NUM_JOBS,
         num_events=_WF_CHURN_NUM_EVENTS,
         oracle=oracle,
-        session_policy=make_policy(
-            "max_min_fairness_water_filling", use_milp_bottleneck_detection=False
-        ),
     )
 
 
@@ -283,31 +266,20 @@ def bench_fig12_policy_scalability(benchmark, oracle):
             point["scratch"] / max(point["session"], 1e-12), 2
         )
 
-    build_rows = []
-    for name in build:
-        for n in _BUILD_NUM_JOBS:
-            point = build[name][n]
-            build_rows.append(
-                [
-                    name,
-                    str(n),
-                    f"{point['dict']:.3f}",
-                    f"{point['vectorized']:.3f}",
-                    f"{point['dict'] / max(point['vectorized'], 1e-12):.1f}x",
-                ]
-            )
+    build_rows = [
+        [name] + [f"{build[name][n]:.3f}" for n in _BUILD_NUM_JOBS] for name in build
+    ]
     print(
         format_table(
-            ["policy", "jobs", "dict build (s)", "vectorized build (s)", "speedup"],
+            ["policy"] + [f"{n} jobs (s)" for n in _BUILD_NUM_JOBS],
             build_rows,
-            title="LP construction (no solve): per-term dict vs columnar/vectorized assembly",
+            title="LP construction (session + prepare, no solve)",
         )
     )
     build_largest = _BUILD_NUM_JOBS[-1]
     for name in build:
-        point = build[name][build_largest]
-        benchmark.extra_info[f"lp_build_speedup[{name}]@{build_largest}jobs"] = round(
-            point["dict"] / max(point["vectorized"], 1e-12), 2
+        benchmark.extra_info[f"lp_build_seconds[{name}]@{build_largest}jobs"] = round(
+            build[name][build_largest], 4
         )
 
     agg_rows = []
@@ -379,28 +351,6 @@ def bench_fig12_policy_scalability(benchmark, oracle):
     # regression (with slack for shared-runner timing noise).
     ss_point = churn["LAS w/ SS"][churn_largest]
     assert ss_point["scratch"] >= 0.8 * ss_point["session"]
-    # The persistent water-filling level loop must keep cutting repeated
-    # solves at least 2x vs the historical rebuild-per-LP baseline at every
-    # measured count of 64+ jobs (typically ~4-5x: the baseline rebuilds a
-    # program per level iteration and per greedy headroom probe).
-    for n in _WF_CHURN_NUM_JOBS:
-        if n < 64:
-            continue
-        wf_point = churn["WaterFilling"][n]
-        assert wf_point["scratch"] >= _WF_CHURN_SPEEDUP_GATE * wf_point["session"], (
-            f"water-filling session speedup below {_WF_CHURN_SPEEDUP_GATE}x at {n} jobs: "
-            f"rebuild={wf_point['scratch']:.3f}s session={wf_point['session']:.3f}s"
-        )
-    # Columnar LP assembly must cut construction time by at least 3x for
-    # LAS w/ SS at every measured job count of 256+ (typically 7-12x).
-    for n in _BUILD_NUM_JOBS:
-        if n < 256:
-            continue
-        point = build["LAS w/ SS"][n]
-        assert point["dict"] >= _BUILD_SPEEDUP_GATE * point["vectorized"], (
-            f"vectorized LP construction speedup below {_BUILD_SPEEDUP_GATE}x "
-            f"at {n} jobs: dict={point['dict']:.3f}s vectorized={point['vectorized']:.3f}s"
-        )
     # Every type-aggregated session (plain LAS and the iterative water-filling
     # family) must beat its per-job counterpart by at least 5x at every
     # measured count of 2048+ jobs where both legs ran (typically 30-60x for

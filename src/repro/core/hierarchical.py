@@ -15,11 +15,7 @@ Both policies are **sessionful**: :meth:`~repro.core.policy.Policy.session`
 returns a :class:`~repro.core.water_filling.WaterFillingSession` that keeps
 one level-loop program alive across allocation recomputations and applies
 engine deltas (job churn, estimate refinements — including the entity-weight
-redistribution they trigger) as targeted edits.  Construct with
-``incremental=False`` to fall back to the historical rebuild-per-LP
-behaviour (a :class:`~repro.core.session.RebuildSession` over the legacy
-:class:`~repro.core.water_filling.WaterFillingAllocator` path), kept as the
-equivalence/benchmark baseline.
+redistribution they trigger) as targeted edits.
 """
 
 from __future__ import annotations
@@ -30,8 +26,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 from repro.core.allocation import Allocation
 from repro.core.policy import Policy
 from repro.core.problem import PolicyProblem
+from repro.core.session import PolicySession
 from repro.core.water_filling import (
-    WaterFillingAllocator,
     WaterFillingResult,
     WaterFillingSession,
     _Redistribute,
@@ -77,23 +73,16 @@ class _WaterFillingPolicyBase(Policy):
         heterogeneity_agnostic: bool = False,
         space_sharing: bool = False,
         use_milp_bottleneck_detection: bool = True,
-        incremental: bool = True,
     ) -> None:
         super().__init__(
             heterogeneity_agnostic=heterogeneity_agnostic, space_sharing=space_sharing
         )
         self._use_milp = use_milp_bottleneck_detection
-        self._incremental = incremental
 
     @property
     def use_milp_bottleneck_detection(self) -> bool:
         """Whether bottleneck detection uses the Appendix A.1 MILP."""
         return self._use_milp
-
-    @property
-    def incremental(self) -> bool:
-        """Whether sessions keep a persistent level-loop program."""
-        return self._incremental
 
     # -- weight semantics supplied by subclasses -----------------------------------------
     def water_filling_weights(self, problem: PolicyProblem) -> Dict[int, float]:
@@ -108,10 +97,6 @@ class _WaterFillingPolicyBase(Policy):
 
     # -- policy interface ------------------------------------------------------------------
     def _make_session(self, problem: PolicyProblem) -> PolicySession:
-        if not self._incremental:
-            from repro.core.session import RebuildSession
-
-            return RebuildSession(self, problem)
         return WaterFillingSession(self, problem)
 
     def compute_allocation(self, problem: PolicyProblem) -> Allocation:
@@ -125,24 +110,12 @@ class _WaterFillingPolicyBase(Policy):
     def compute_with_diagnostics(self, problem: PolicyProblem) -> WaterFillingResult:
         """Run water filling and return the allocation plus per-job levels.
 
-        In incremental mode this opens a fresh session and solves once —
-        exactly what a :class:`~repro.core.session.RebuildSession` does per
-        solve — so the stateless and sessionful APIs always agree.
+        Opens a fresh session and solves once, so the stateless and
+        sessionful APIs always agree.
         """
-        if self._incremental:
-            session = WaterFillingSession(self, problem)
-            session.solve(problem)
-            return session.last_result
-        allocator = WaterFillingAllocator(
-            problem,
-            self.effective_matrix(problem),
-            use_milp_bottleneck_detection=self._use_milp,
-            persistent=False,
-        )
-        return allocator.run(
-            initial_weights=self.water_filling_weights(problem),
-            redistribute=self.water_filling_redistribution(problem),
-        )
+        session = WaterFillingSession(self, problem)
+        session.solve(problem)
+        return session.last_result
 
 
 class HierarchicalPolicy(_WaterFillingPolicyBase):
@@ -156,14 +129,12 @@ class HierarchicalPolicy(_WaterFillingPolicyBase):
         heterogeneity_agnostic: bool = False,
         space_sharing: bool = False,
         use_milp_bottleneck_detection: bool = True,
-        incremental: bool = True,
         entity_fallback: str = _STRICT,
     ) -> None:
         super().__init__(
             heterogeneity_agnostic=heterogeneity_agnostic,
             space_sharing=space_sharing,
             use_milp_bottleneck_detection=use_milp_bottleneck_detection,
-            incremental=incremental,
         )
         if not entities:
             raise ConfigurationError("hierarchical policy requires at least one entity")

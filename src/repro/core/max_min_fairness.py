@@ -21,7 +21,7 @@ event touches a handful of rows and HiGHS re-solves from its incumbent basis.
 from __future__ import annotations
 
 import math
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -89,60 +89,29 @@ class MaxMinFairnessSession(IncrementalProgramSession):
         self._program.maximize({self._epigraph.index: 1.0})
         self._constraints: Dict[int, int] = {}
         self._scales: Dict[int, float] = {}
-        self._expressions: Dict[int, LinearExpression] = {}
+        #: Identity cache of each job's throughput terms: the variables object
+        #: returns the *same* tuple until one of the job's matrix rows changes.
+        self._terms: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
 
     def _prepare(self, problem: PolicyProblem) -> None:
+        """Align the epigraph rows ``t <= scale_m * throughput(m, X)``.
+
+        A from-scratch alignment (first solve, or every job changed) emits
+        all rows in one columnar call; incremental alignment edits only the
+        jobs whose cached terms or normalization moved.
+        """
         policy = self._policy
         self._sync(problem)
         program = self._program
         variables = self._variables
         matrix = variables.matrix
+        epigraph_index = self._epigraph.index
         active = set(matrix.job_ids)
         for job_id in list(self._constraints):
             if job_id not in active:
                 program.remove_constraint(self._constraints.pop(job_id))
                 self._scales.pop(job_id, None)
-                self._expressions.pop(job_id, None)
-        if variables.vectorized:
-            self._align_vectorized(problem, matrix)
-            return
-        for job_id in matrix.job_ids:
-            scale = policy.normalized_throughput_scale(problem, matrix, job_id)
-            expression = variables.effective_throughput_expression(job_id)
-            handle = self._constraints.get(job_id)
-            if (
-                handle is not None
-                and self._expressions.get(job_id) is expression
-                and self._scales.get(job_id) == scale
-            ):
-                continue
-            # t <= scale * expr  <=>  t - scale * expr <= 0
-            coefficients = {
-                index: -coefficient * scale
-                for index, coefficient in expression.coefficients.items()
-            }
-            coefficients[self._epigraph.index] = (
-                coefficients.get(self._epigraph.index, 0.0) + 1.0
-            )
-            if handle is None:
-                self._constraints[job_id] = program.add_less_equal(coefficients, 0.0)
-            else:
-                program.set_constraint_coefficients(handle, coefficients)
-            self._scales[job_id] = scale
-            self._expressions[job_id] = expression
-
-    def _align_vectorized(self, problem: PolicyProblem, matrix: ThroughputMatrix) -> None:
-        """Columnar twin of the per-job epigraph alignment (same rows, same order).
-
-        A from-scratch alignment (first solve, or every job changed) emits
-        all ``t <= scale_m * throughput(m, X)`` rows in one columnar call;
-        incremental alignment edits only the jobs whose cached terms or
-        normalization moved.
-        """
-        policy = self._policy
-        program = self._program
-        variables = self._variables
-        epigraph_index = self._epigraph.index
+                self._terms.pop(job_id, None)
         if not self._constraints:
             job_ids, starts, cols, vals = variables.effective_throughput_blocks()
             num_jobs = len(job_ids)
@@ -154,30 +123,18 @@ class MaxMinFairnessSession(IncrementalProgramSession):
                 dtype=float,
                 count=num_jobs,
             )
-            counts = np.diff(starts)
-            coeffs = -vals * np.repeat(scales, counts)
-            # Interleave the epigraph term (+1) at the end of each job's
-            # segment, mirroring the dict path's insertion order.
-            total = len(cols)
-            epigraph_positions = starts[1:] + np.arange(num_jobs)
-            term_mask = np.ones(total + num_jobs, dtype=bool)
-            term_mask[epigraph_positions] = False
-            all_cols = np.empty(total + num_jobs, dtype=np.int64)
-            all_vals = np.empty(total + num_jobs)
-            all_rows = np.empty(total + num_jobs, dtype=np.int64)
-            all_cols[term_mask] = cols
-            all_vals[term_mask] = coeffs
-            all_rows[term_mask] = np.repeat(np.arange(num_jobs, dtype=np.int64), counts)
-            all_cols[epigraph_positions] = epigraph_index
-            all_vals[epigraph_positions] = 1.0
-            all_rows[epigraph_positions] = np.arange(num_jobs, dtype=np.int64)
+            # t - scale * expr <= 0, the epigraph term last in each row.
             handles = program.add_constraints_from_arrays(
-                all_rows, all_cols, all_vals, -math.inf, np.zeros(num_jobs)
+                *variables.rows_with_column(
+                    starts, cols, -vals * np.repeat(scales, np.diff(starts)), epigraph_index, 1.0
+                ),
+                -math.inf,
+                np.zeros(num_jobs),
             )
             for position, job_id in enumerate(job_ids.tolist()):
                 self._constraints[job_id] = int(handles[position])
                 self._scales[job_id] = float(scales[position])
-                self._expressions[job_id] = variables.effective_throughput_terms(job_id)
+                self._terms[job_id] = variables.effective_throughput_terms(job_id)
             return
         for job_id in matrix.job_ids:
             scale = policy.normalized_throughput_scale(problem, matrix, job_id)
@@ -185,7 +142,7 @@ class MaxMinFairnessSession(IncrementalProgramSession):
             handle = self._constraints.get(job_id)
             if (
                 handle is not None
-                and self._expressions.get(job_id) is terms
+                and self._terms.get(job_id) is terms
                 and self._scales.get(job_id) == scale
             ):
                 continue
@@ -205,7 +162,7 @@ class MaxMinFairnessSession(IncrementalProgramSession):
             else:
                 program.set_constraint_coefficients_from_arrays(handle, row_cols, row_vals)
             self._scales[job_id] = float(scale)
-            self._expressions[job_id] = terms
+            self._terms[job_id] = terms
 
     def _solve(self, problem: PolicyProblem) -> Allocation:
         self._prepare(problem)

@@ -16,7 +16,7 @@ minimum-progress / SLO constraints) each round.
 from __future__ import annotations
 
 import math
-from typing import Optional, Set, Tuple
+from typing import Optional, Set
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from repro.core.policy import AllocationVariables, Policy
 from repro.core.problem import PolicyProblem
 from repro.core.session import OBJECTIVE_TAG, IncrementalProgramSession, PolicySession
 from repro.core.throughput_matrix import ThroughputMatrix
-from repro.exceptions import InfeasibleError, SolverError
+from repro.exceptions import InfeasibleError
 from repro.solver.fractional import FractionalProgram
 from repro.solver.lp import LinearExpression
 
@@ -57,37 +57,9 @@ class MinCostPolicy(Policy):
         return 1.0 / fastest if fastest > 0 else 0.0
 
     def _add_objective(
-        self,
-        problem: PolicyProblem,
-        variables: AllocationVariables,
-        program: FractionalProgram,
+        self, variables: AllocationVariables, program: FractionalProgram
     ) -> None:
         """Add the ratio objective and minimum-progress constraints."""
-        matrix = variables.matrix
-        if variables.vectorized:
-            numerator = self._add_objective_vectorized(variables, program)
-        else:
-            numerator = LinearExpression()
-            for job_id in problem.job_ids:
-                scale = self._normalizer(matrix, job_id)
-                throughput = variables.effective_throughput_expression(job_id)
-                numerator = numerator + throughput * scale
-                # Every job must make at least minimal progress, otherwise the
-                # cheapest "allocation" is to run nothing at all.  On a
-                # type-aggregated problem the row carries the group-total
-                # throughput, so the floor scales with the group size.
-                if self._minimum_normalized_throughput > 0 and scale > 0:
-                    count = problem.group_count(job_id)
-                    program.add_greater_equal(
-                        throughput, count * self._minimum_normalized_throughput / scale
-                    )
-        denominator = variables.cost_expression() + 1e-9
-        program.set_ratio_objective(numerator, denominator)
-
-    def _add_objective_vectorized(
-        self, variables: AllocationVariables, program: FractionalProgram
-    ) -> LinearExpression:
-        """Columnar twin of the per-job objective loop (same rows, same order)."""
         matrix = variables.matrix
         job_ids, starts, cols, vals = variables.effective_throughput_blocks()
         scales = np.fromiter(
@@ -100,7 +72,10 @@ class MinCostPolicy(Policy):
         nonzero = weighted != 0.0
         numerator = LinearExpression.from_arrays(cols[nonzero], weighted[nonzero])
         if self._minimum_normalized_throughput > 0:
-            # Group-total rows must clear the floor once per member.
+            # Every job must make at least minimal progress, otherwise the
+            # cheapest "allocation" is to run nothing at all.  On a
+            # type-aggregated problem the row carries the group-total
+            # throughput, so the floor scales with the group size.
             group_sizes = np.fromiter(
                 (variables.job_count(job_id) for job_id in job_ids.tolist()),
                 dtype=float,
@@ -131,16 +106,8 @@ class MinCostPolicy(Policy):
                 program.add_constraints_from_arrays(
                     seg_rows, seg_cols, seg_vals, bounds, math.inf
                 )
-        return numerator
-
-    def _build_program(
-        self, problem: PolicyProblem
-    ) -> Tuple[ThroughputMatrix, FractionalProgram, AllocationVariables]:
-        matrix = self.effective_matrix(problem)
-        program = FractionalProgram(name=self.display_name)
-        variables = AllocationVariables(problem, matrix, program)
-        self._add_objective(problem, variables, program)
-        return matrix, program, variables
+        denominator = variables.cost_expression() + 1e-9
+        program.set_ratio_objective(numerator, denominator)
 
     def _make_session(self, problem: PolicyProblem) -> PolicySession:
         return MinCostSession(self, problem)
@@ -196,7 +163,7 @@ class MinCostSession(IncrementalProgramSession):
         program.clear_tag(OBJECTIVE_TAG)
         program.begin_tag(OBJECTIVE_TAG)
         try:
-            self._policy._add_objective(problem, self._variables, program)
+            self._policy._add_objective(self._variables, program)
         finally:
             program.end_tag()
 
@@ -223,7 +190,7 @@ class MinCostWithSLOsSession(IncrementalProgramSession):
             program.clear_tag(OBJECTIVE_TAG)
             program.begin_tag(OBJECTIVE_TAG)
             try:
-                policy._add_objective(problem, variables, program)
+                policy._add_objective(variables, program)
                 for job_id in sorted(achievable - dropped):
                     required = policy._required_throughput(problem, job_id)
                     if required is None:
@@ -235,7 +202,7 @@ class MinCostWithSLOsSession(IncrementalProgramSession):
                 program.end_tag()
             try:
                 solution = program.solve()
-            except (InfeasibleError, SolverError):
+            except InfeasibleError:
                 # Drop the tightest remaining SLO and retry; an empty set of
                 # SLO constraints always yields a feasible program.
                 remaining = sorted(

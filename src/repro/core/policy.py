@@ -23,15 +23,13 @@ from __future__ import annotations
 
 import abc
 import math
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.allocation import Allocation
 from repro.core.problem import PolicyProblem
 from repro.core.throughput_matrix import DenseRows, JobCombination, ThroughputMatrix
-from repro.exceptions import ConfigurationError
 from repro.solver.fractional import FractionalProgram, FractionalSolution
 from repro.solver.lp import LinearExpression, LinearProgram, Solution, Variable
 
@@ -39,47 +37,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.session import PolicySession
     from repro.workloads.job import Job
 
-__all__ = [
-    "Policy",
-    "OptimizationPolicy",
-    "AllocationVariables",
-    "lp_assembly",
-    "lp_assembly_mode",
-]
+__all__ = ["Policy", "OptimizationPolicy", "AllocationVariables"]
 
 _Program = Union[LinearProgram, FractionalProgram]
 _ProgramSolution = Union[Solution, FractionalSolution]
-
-#: Whether new :class:`AllocationVariables` use the columnar (ndarray) LP
-#: assembly path by default.  The dict-by-dict path is kept as a reference
-#: implementation: benchmarks and equivalence tests flip this via
-#: :func:`lp_assembly` to compare the two.
-_VECTORIZED_DEFAULT = True
-
-
-def lp_assembly_mode() -> str:
-    """The LP-assembly mode new sessions will use: ``"vectorized"`` or ``"dict"``."""
-    return "vectorized" if _VECTORIZED_DEFAULT else "dict"
-
-
-@contextmanager
-def lp_assembly(mode: str) -> Iterator[None]:
-    """Temporarily select the LP-assembly path for new :class:`AllocationVariables`.
-
-    ``"vectorized"`` (the default) emits variables and constraints as ndarray
-    blocks through the columnar solver API; ``"dict"`` uses the historical
-    per-term coefficient maps.  Both produce identical programs — the dict
-    path exists as the equivalence/benchmark baseline.
-    """
-    global _VECTORIZED_DEFAULT
-    if mode not in ("vectorized", "dict"):
-        raise ConfigurationError(f"unknown LP assembly mode {mode!r}")
-    previous = _VECTORIZED_DEFAULT
-    _VECTORIZED_DEFAULT = mode == "vectorized"
-    try:
-        yield
-    finally:
-        _VECTORIZED_DEFAULT = previous
 
 
 class Policy(abc.ABC):
@@ -199,12 +160,9 @@ class AllocationVariables:
     changes, which is what policy sessions lean on to rebuild objectives
     cheaply.
 
-    Two construction paths produce identical programs: the **vectorized**
-    path (default) feeds the program's columnar API whole ndarray blocks —
-    one bulk variable allocation, one constraint block per validity family —
-    straight from :meth:`ThroughputMatrix.dense_rows`; the **dict** path is
-    the historical per-term reference implementation, kept for equivalence
-    tests and as the benchmark baseline (see :func:`lp_assembly`).
+    Every row family is emitted as one ndarray block through the program's
+    columnar API — one bulk variable allocation, one constraint block per
+    validity family — straight from :meth:`ThroughputMatrix.dense_rows`.
     """
 
     def __init__(
@@ -212,12 +170,10 @@ class AllocationVariables:
         problem: PolicyProblem,
         matrix: ThroughputMatrix,
         program: _Program,
-        vectorized: Optional[bool] = None,
     ) -> None:
         self._problem = problem
         self._matrix = matrix
         self._program = program
-        self._vectorized = _VECTORIZED_DEFAULT if vectorized is None else bool(vectorized)
         #: Group sizes when the problem is type-aggregated (empty otherwise):
         #: per-job validity right-hand sides become the group size and
         #: variable upper bounds the row's group-size cap, so one variable
@@ -235,16 +191,7 @@ class AllocationVariables:
         #: per matrix snapshot for the whole-program columnar builders.
         self._var_matrix: Optional[np.ndarray] = None
         self._var_matrix_for: Optional[ThroughputMatrix] = None
-        if self._vectorized:
-            self._create_rows_vectorized()
-        else:
-            self._create_variables()
-            self._add_validity_constraints()
-
-    @property
-    def vectorized(self) -> bool:
-        """Whether this object assembles LP rows through the columnar path."""
-        return self._vectorized
+        self._create_rows()
 
     # -- group-count helpers ---------------------------------------------------------
     def job_count(self, job_id: int) -> int:
@@ -270,51 +217,7 @@ class AllocationVariables:
             counts_by_ordinal[dense.member_ordinals], dense.offsets[:-1]
         )
 
-    # -- construction (dict reference path) ----------------------------------------
-    def _create_variables(self) -> None:
-        names = self._matrix.registry.names
-        for combination in self._matrix.combinations:
-            row = self._matrix.row(combination)
-            self._row_values[combination] = row
-            runnable = (row > 0).any(axis=0)
-            cap = self._row_cap(combination)
-            indices = np.empty(self._num_columns, dtype=np.int64)
-            for column, accelerator_name in enumerate(names):
-                variable = self._program.add_variable(
-                    name=f"x[{combination},{accelerator_name}]",
-                    lower=0.0,
-                    upper=cap if runnable[column] else 0.0,
-                )
-                indices[column] = variable.index
-            self._row_vars[combination] = indices
-
-    def _add_validity_constraints(self) -> None:
-        # (2) total allocation of each job across all rows containing it is
-        # bounded by its group size (1 in ordinary per-job problems).  A
-        # same-group pair row (j, j) appears twice in rows_containing, so its
-        # variables accumulate coefficient 2 — the row consumes two members.
-        for job_id in self._matrix.job_ids:
-            terms: Dict[int, float] = {}
-            for combination, _position in self._matrix.rows_containing(job_id):
-                for index in self._row_vars[combination].tolist():
-                    terms[index] = terms.get(index, 0.0) + 1.0
-            self._job_constraints[job_id] = self._program.add_less_equal(
-                terms, float(self.job_count(job_id))
-            )
-
-        # (3) expected worker usage per accelerator type is bounded by capacity.
-        capacity = self._problem.cluster_spec.counts_vector()
-        for column in range(self._num_columns):
-            terms = {}
-            for combination in self._matrix.combinations:
-                scale = max(self._problem.scale_factor(job_id) for job_id in combination)
-                index = int(self._row_vars[combination][column])
-                terms[index] = terms.get(index, 0.0) + float(scale)
-            self._capacity_constraints.append(
-                self._program.add_less_equal(terms, float(capacity[column]))
-            )
-
-    # -- construction (columnar path) ------------------------------------------------
+    # -- construction ---------------------------------------------------------------
     def _row_scales(self, dense: DenseRows) -> np.ndarray:
         """Per-row worker scale: max scale factor over the row's jobs."""
         scale_by_job = np.fromiter(
@@ -324,13 +227,8 @@ class AllocationVariables:
         )
         return np.maximum.reduceat(scale_by_job[dense.member_ordinals], dense.offsets[:-1])
 
-    def _create_rows_vectorized(self) -> None:
-        """Emit all variables and validity constraints as ndarray blocks.
-
-        Produces the same program as the dict path — identical variable-index
-        sequence, constraint order and coefficient order — without building a
-        single per-term Python dict.
-        """
+    def _create_rows(self) -> None:
+        """Emit all variables and validity constraints as ndarray blocks."""
         program = self._program
         dense = self._matrix.dense_rows()
         num_columns = self._num_columns
@@ -414,7 +312,7 @@ class AllocationVariables:
 
         Only the difference against the previous matrix is applied: new
         combinations gain variables and constraint terms (appended as whole
-        row blocks in one columnar call when vectorized), vanished ones are
+        row blocks in one columnar call), vanished ones are
         scrubbed and their variables released back to the program, and
         persisting rows whose throughput values changed (estimate
         refinements) get their runnable bounds refreshed.  Cached throughput
@@ -458,11 +356,7 @@ class AllocationVariables:
         self._matrix = matrix
         added = sorted(new_combinations - old_combinations)
         if added:
-            if self._vectorized:
-                self._insert_combinations(added)
-            else:
-                for combination in added:
-                    self._insert_combination(combination)
+            self._insert_combinations(added)
 
         # Jobs that vanished entirely: drop their (now vacuous) constraints.
         active_jobs = set(matrix.job_ids)
@@ -500,47 +394,11 @@ class AllocationVariables:
                 indices, 0.0, runnable.astype(float) * self._row_cap(combination)
             )
 
-    def _insert_combination(self, combination: JobCombination) -> None:
-        row = self._matrix.row(combination)
-        self._row_values[combination] = row
-        scale = float(max(self._problem.scale_factor(job_id) for job_id in combination))
-        runnable = (row > 0).any(axis=0)
-        cap = self._row_cap(combination)
-        indices = np.empty(self._num_columns, dtype=np.int64)
-        new_terms: Dict[int, float] = {}
-        for column, accelerator_name in enumerate(self._matrix.registry.names):
-            variable = self._program.add_variable(
-                name=f"x[{combination},{accelerator_name}]",
-                lower=0.0,
-                upper=cap if runnable[column] else 0.0,
-            )
-            indices[column] = variable.index
-            new_terms[variable.index] = 1.0
-            self._program.add_terms_to_constraint(
-                self._capacity_constraints[column], {variable.index: scale}
-            )
-        self._row_vars[combination] = indices
-        for job_id in dict.fromkeys(combination):
-            # Same-group pair rows (j, j) contribute one term per membership.
-            multiplicity = float(combination.count(job_id))
-            terms = {index: multiplicity for index in new_terms}
-            handle = self._job_constraints.get(job_id)
-            if handle is None:
-                self._job_constraints[job_id] = self._program.add_less_equal(
-                    terms, float(self.job_count(job_id))
-                )
-            else:
-                self._program.add_terms_to_constraint(handle, terms)
-            self._invalidate_job(job_id)
-
     def _insert_combinations(self, combinations: Sequence[JobCombination]) -> None:
         """Batch insert of new matrix rows (sorted), one columnar call per family.
 
-        The equivalent of running :meth:`_insert_combination` per row: the
-        same variable indices are assigned (bulk allocation consumes the
-        recycled-index pool in the same order) and the same constraints end
-        up with the same coefficient order; only the per-term Python work is
-        gone.
+        Bulk allocation consumes the recycled-index pool in removal order, so
+        the column layout is a deterministic function of the churn sequence.
         """
         program = self._program
         dense = self._matrix.dense_rows()
@@ -578,7 +436,7 @@ class AllocationVariables:
                 self._capacity_constraints[column], var_new[:, column], row_scales
             )
         # Job constraints: group the new rows per job in first-occurrence
-        # order so new-constraint handles match the sequential path.
+        # order, which fixes the order of new-constraint handles.
         rows_by_job: Dict[int, List[int]] = {}
         for position, combination in enumerate(combinations):
             for job_id in combination:
@@ -688,6 +546,36 @@ class AllocationVariables:
                 )
         return dense.job_ids, starts, cols, vals
 
+    @staticmethod
+    def rows_with_column(
+        starts: np.ndarray, cols: np.ndarray, coeffs: np.ndarray, column: int, value: float
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One row per job from throughput blocks, each ending in ``value * x[column]``.
+
+        ``starts`` / ``cols`` come from :meth:`effective_throughput_blocks`
+        and ``coeffs`` are the (already scaled) coefficients aligned with
+        ``cols``.  Returns the ``(rows, cols, coeffs)`` triplet
+        ``add_constraints_from_arrays`` takes — the shape of every epigraph
+        row family (``t <= scale_m * throughput(m, X)``, water-filling level
+        rows).
+        """
+        num_jobs = len(starts) - 1
+        total = len(cols)
+        ordinals = np.arange(num_jobs, dtype=np.int64)
+        extra_positions = starts[1:] + ordinals
+        term_mask = np.ones(total + num_jobs, dtype=bool)
+        term_mask[extra_positions] = False
+        all_rows = np.empty(total + num_jobs, dtype=np.int64)
+        all_cols = np.empty(total + num_jobs, dtype=np.int64)
+        all_coeffs = np.empty(total + num_jobs)
+        all_rows[term_mask] = np.repeat(ordinals, np.diff(starts))
+        all_cols[term_mask] = cols
+        all_coeffs[term_mask] = coeffs
+        all_rows[extra_positions] = ordinals
+        all_cols[extra_positions] = column
+        all_coeffs[extra_positions] = value
+        return all_rows, all_cols, all_coeffs
+
     def effective_throughput_expression(self, job_id: int) -> LinearExpression:
         """``throughput(job_id, X)`` as a linear expression over the variables.
 
@@ -716,19 +604,10 @@ class AllocationVariables:
         the number of workers the combination occupies.
         """
         costs = self._matrix.registry.costs_per_hour()
-        if self._vectorized:
-            dense = self._matrix.dense_rows()
-            var_matrix = self._aligned_var_matrix(dense)
-            coeffs = self._row_scales(dense)[:, None] * np.asarray(costs, dtype=float)[None, :]
-            return LinearExpression.from_arrays(var_matrix.ravel(), coeffs.ravel())
-        coefficients: Dict[int, float] = {}
-        for combination in self._matrix.combinations:
-            scale = max(self._problem.scale_factor(job_id) for job_id in combination)
-            indices = self._row_vars[combination]
-            for column in range(self._num_columns):
-                index = int(indices[column])
-                coefficients[index] = coefficients.get(index, 0.0) + costs[column] * scale
-        return LinearExpression(coefficients)
+        dense = self._matrix.dense_rows()
+        var_matrix = self._aligned_var_matrix(dense)
+        coeffs = self._row_scales(dense)[:, None] * np.asarray(costs, dtype=float)[None, :]
+        return LinearExpression.from_arrays(var_matrix.ravel(), coeffs.ravel())
 
     def extract_allocation(self, solution: _ProgramSolution) -> Allocation:
         """Read the optimal variable values back into an :class:`Allocation`."""

@@ -36,8 +36,8 @@ import numpy as np
 from repro.core.allocation import Allocation
 from repro.core.policy import AllocationVariables, OptimizationPolicy, Policy, _Program
 from repro.core.problem import PolicyProblem
-from repro.exceptions import ConfigurationError, InfeasibleError, SolverError
-from repro.solver.lp import LinearExpression, LinearProgram
+from repro.exceptions import ConfigurationError, InfeasibleError
+from repro.solver.lp import LinearProgram
 from repro.workloads.job import Job
 
 __all__ = [
@@ -338,7 +338,7 @@ class ThroughputFeasibilitySession(IncrementalProgramSession):
     def __init__(self, policy: Policy, problem: PolicyProblem) -> None:
         super().__init__(policy, problem, LinearProgram(name=policy.display_name))
         self._feasibility: dict = {}
-        self._feasibility_exprs: dict = {}
+        self._feasibility_terms: dict = {}
 
     def _prepare(self, problem: PolicyProblem) -> None:
         self._sync(problem)
@@ -347,11 +347,11 @@ class ThroughputFeasibilitySession(IncrementalProgramSession):
     def _align_feasibility(self) -> None:
         """Re-align per-job feasibility constraints and the total-throughput objective.
 
-        Must be called after :meth:`_sync`; relies on the expression/terms
-        caches returning the *same object* for jobs whose rows did not change
-        to detect which constraints need their coefficients refreshed.  In
-        vectorized mode a from-scratch alignment emits every feasibility row
-        in one columnar call.
+        Must be called after :meth:`_sync`; relies on the terms cache
+        returning the *same object* for jobs whose rows did not change to
+        detect which constraints need their coefficients refreshed.  A
+        from-scratch alignment emits every feasibility row in one columnar
+        call.
         """
         program = self._program
         variables = self._variables
@@ -360,35 +360,12 @@ class ThroughputFeasibilitySession(IncrementalProgramSession):
         for job_id in list(self._feasibility):
             if job_id not in active:
                 program.remove_constraint(self._feasibility.pop(job_id))
-                self._feasibility_exprs.pop(job_id, None)
-        if variables.vectorized:
-            self._align_feasibility_vectorized(job_ids)
-            return
-        for job_id in job_ids:
-            expression = variables.effective_throughput_expression(job_id)
-            handle = self._feasibility.get(job_id)
-            if handle is None:
-                self._feasibility[job_id] = program.add_greater_equal(expression, 0.0)
-                self._feasibility_exprs[job_id] = expression
-            elif self._feasibility_exprs.get(job_id) is not expression:
-                program.set_constraint_coefficients(handle, expression)
-                self._feasibility_exprs[job_id] = expression
-        # Among feasible allocations prefer higher total throughput so the
-        # witness allocation keeps the cluster busy.
-        program.maximize(
-            LinearExpression.sum(
-                variables.effective_throughput_expression(job_id) for job_id in job_ids
-            )
-        )
-
-    def _align_feasibility_vectorized(self, job_ids: Tuple[int, ...]) -> None:
-        """Columnar twin of the dict alignment above: same rows, same order."""
-        program = self._program
-        variables = self._variables
+                self._feasibility_terms.pop(job_id, None)
+        # One columnar gather serves both the constraint block and the
+        # objective: among feasible allocations prefer higher total
+        # throughput so the witness allocation keeps the cluster busy.
+        ids, starts, cols, vals = variables.effective_throughput_blocks()
         if not self._feasibility:
-            # One columnar gather serves both the constraint block and the
-            # total-throughput objective below.
-            ids, starts, cols, vals = variables.effective_throughput_blocks()
             handles = program.add_constraints_from_arrays(
                 np.repeat(np.arange(len(ids), dtype=np.int64), np.diff(starts)),
                 cols,
@@ -398,28 +375,26 @@ class ThroughputFeasibilitySession(IncrementalProgramSession):
             )
             for position, job_id in enumerate(ids.tolist()):
                 self._feasibility[job_id] = int(handles[position])
-                self._feasibility_exprs[job_id] = variables.effective_throughput_terms(job_id)
-            program.set_objective_from_arrays(cols, vals, maximize=True)
-            return
-        for job_id in job_ids:
-            terms = variables.effective_throughput_terms(job_id)
-            handle = self._feasibility.get(job_id)
-            if handle is None:
-                cols, vals = terms
-                self._feasibility[job_id] = int(
-                    program.add_constraints_from_arrays(
-                        np.zeros(len(cols), dtype=np.int64),
-                        cols,
-                        vals,
-                        np.zeros(1),
-                        math.inf,
-                    )[0]
-                )
-                self._feasibility_exprs[job_id] = terms
-            elif self._feasibility_exprs.get(job_id) is not terms:
-                program.set_constraint_coefficients_from_arrays(handle, *terms)
-                self._feasibility_exprs[job_id] = terms
-        _ids, _starts, cols, vals = variables.effective_throughput_blocks()
+                self._feasibility_terms[job_id] = variables.effective_throughput_terms(job_id)
+        else:
+            for job_id in job_ids:
+                terms = variables.effective_throughput_terms(job_id)
+                handle = self._feasibility.get(job_id)
+                if handle is None:
+                    row_cols, row_vals = terms
+                    self._feasibility[job_id] = int(
+                        program.add_constraints_from_arrays(
+                            np.zeros(len(row_cols), dtype=np.int64),
+                            row_cols,
+                            row_vals,
+                            np.zeros(1),
+                            math.inf,
+                        )[0]
+                    )
+                    self._feasibility_terms[job_id] = terms
+                elif self._feasibility_terms.get(job_id) is not terms:
+                    program.set_constraint_coefficients_from_arrays(handle, *terms)
+                    self._feasibility_terms[job_id] = terms
         program.set_objective_from_arrays(cols, vals, maximize=True)
 
     def _set_feasibility_rhs(self, required: dict) -> None:
@@ -431,6 +406,6 @@ class ThroughputFeasibilitySession(IncrementalProgramSession):
         """Solve the current candidate; ``None`` when infeasible."""
         try:
             solution = self._program.solve()
-        except (InfeasibleError, SolverError):
+        except InfeasibleError:
             return None
         return self._variables.extract_allocation(solution)

@@ -38,7 +38,7 @@ JobCombination = Tuple[int, ...]
 
 @dataclass(frozen=True)
 class DenseRows:
-    """Columnar view of every matrix row, for vectorized LP assembly.
+    """Columnar view of every matrix row, for LP assembly.
 
     The matrix's rows are ragged (singletons carry one member, pairs two), so
     the view flattens them member-major: member ``k`` of row ``r`` lives at
@@ -338,7 +338,7 @@ class ThroughputMatrix:
     def dense_rows(self) -> DenseRows:
         """Cached columnar view of every row (see :class:`DenseRows`).
 
-        This is what the vectorized LP-assembly path consumes: flat ndarrays
+        This is what LP assembly consumes: flat ndarrays
         covering all rows at once, instead of per-row Python objects.
         """
         if self._dense_rows is None:

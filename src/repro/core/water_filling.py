@@ -20,7 +20,7 @@ Every LP of one water-filling run — and, through
 :class:`WaterFillingSession`, of *every* run across a scheduling loop — shares
 one validity scaffold: the decision variables, constraint (2) and the
 capacity rows built by :class:`~repro.core.policy.AllocationVariables`.  The
-default implementation therefore keeps a single mutable
+implementation therefore keeps a single mutable
 :class:`~repro.solver.lp.LinearProgram` alive and drives the level loop with
 targeted edits instead of rebuilding per iteration.  The **edit protocol**
 (see :class:`_LevelLoopProgram`) gives each job two persistent rows over its
@@ -47,9 +47,6 @@ same program (epigraph pinned to zero, level rows relaxed, one
 objective-swap solve per candidate); the Appendix A.1 MILP is solved on a
 throwaway canonically-ordered program so its integer branching never depends
 on the live program's edit history and never invalidates the warm LP basis.
-The historical build-per-LP implementation is kept behind
-``WaterFillingAllocator(..., persistent=False)`` as the equivalence and
-benchmark baseline, mirroring ``lp_assembly("dict")``.
 
 Type-aggregated runs (see :mod:`repro.core.aggregation`) feed the same loop a
 problem whose rows are group representatives with ``group_counts`` set: the
@@ -70,7 +67,6 @@ import numpy as np
 
 from repro.core.allocation import Allocation
 from repro.core.effective_throughput import (
-    effective_throughput,
     fastest_reference_throughput,
     normalized_throughput_scale,
 )
@@ -78,7 +74,7 @@ from repro.core.policy import AllocationVariables
 from repro.core.problem import PolicyProblem
 from repro.core.session import IncrementalProgramSession
 from repro.core.throughput_matrix import ThroughputMatrix
-from repro.exceptions import ConfigurationError, InfeasibleError, SolverError
+from repro.exceptions import ConfigurationError, InfeasibleError
 from repro.solver.lp import LinearExpression, LinearProgram
 
 if TYPE_CHECKING:  # circular at runtime: hierarchical imports this module
@@ -101,18 +97,6 @@ class WaterFillingResult:
     normalized_throughputs: Dict[int, float]
     iterations: int
     bottleneck_order: List[Set[int]] = field(default_factory=list)
-
-
-def _normalization_factors(
-    problem: PolicyProblem, matrix: ThroughputMatrix
-) -> Dict[int, float]:
-    """Per-job factor ``scale_factor / throughput(m, X^equal_m)`` (raises on zero)."""
-    return {
-        job_id: normalized_throughput_scale(
-            matrix, problem.cluster_spec, job_id, scale_factor=problem.scale_factor(job_id)
-        )
-        for job_id in matrix.job_ids
-    }
 
 
 def _normalized_upper_bound(
@@ -269,24 +253,12 @@ class _LevelLoopProgram:
         floor_handles = program.add_constraints_from_arrays(
             rows, cols, coeffs, -math.inf, math.inf
         )
-        # Level rows: the same terms with the epigraph column interleaved at
-        # the end of each job's segment (weight 1.0 until the first
-        # iteration supplies the real weights).
-        total = len(cols)
-        epigraph_positions = starts[1:] + np.arange(num_jobs)
-        term_mask = np.ones(total + num_jobs, dtype=bool)
-        term_mask[epigraph_positions] = False
-        all_cols = np.empty(total + num_jobs, dtype=np.int64)
-        all_vals = np.empty(total + num_jobs)
-        all_rows = np.empty(total + num_jobs, dtype=np.int64)
-        all_cols[term_mask] = cols
-        all_vals[term_mask] = coeffs
-        all_rows[term_mask] = rows
-        all_cols[epigraph_positions] = self._epigraph.index
-        all_vals[epigraph_positions] = -1.0
-        all_rows[epigraph_positions] = np.arange(num_jobs, dtype=np.int64)
+        # Level rows: the same terms plus the epigraph column (weight 1.0
+        # until the first iteration supplies the real weights).
         level_handles = program.add_constraints_from_arrays(
-            all_rows, all_cols, all_vals, -math.inf, math.inf
+            *variables.rows_with_column(starts, cols, coeffs, self._epigraph.index, -1.0),
+            -math.inf,
+            math.inf,
         )
         for position, job_id in enumerate(job_ids.tolist()):
             self._floors[job_id] = int(floor_handles[position])
@@ -429,7 +401,7 @@ class _LevelLoopProgram:
                 return _solve_bottleneck_milp(
                     self._problem, self._variables.matrix, self._norms, levels, candidates
                 )
-            except (InfeasibleError, SolverError):
+            except InfeasibleError:
                 pass
         return self._find_improvable_greedy(levels, candidates)
 
@@ -468,7 +440,7 @@ class _LevelLoopProgram:
                 )
                 try:
                     solution = program.solve()
-                except (InfeasibleError, SolverError):
+                except InfeasibleError:
                     continue
                 threshold = levels.get(job_id, 0.0) + _IMPROVEMENT * self._group_count(job_id)
                 if solution.objective_value > threshold:
@@ -542,13 +514,11 @@ class _LevelLoopProgram:
 
 
 class WaterFillingAllocator:
-    """Runs water filling over a policy problem given per-job weight assignments.
+    """One-shot water filling over a policy problem given per-job weight assignments.
 
-    ``persistent=True`` (the default) drives the whole level loop through one
-    mutable program (see the module docstring); ``persistent=False`` keeps
-    the historical implementation — a fresh program per level LP, per
-    bottleneck MILP and per greedy headroom probe — as the equivalence and
-    benchmark baseline.
+    A thin wrapper that builds a fresh :class:`_LevelLoopProgram` and runs it
+    once; :class:`WaterFillingSession` keeps the same program alive across
+    solves.
     """
 
     def __init__(
@@ -557,100 +527,14 @@ class WaterFillingAllocator:
         matrix: ThroughputMatrix,
         use_milp_bottleneck_detection: bool = True,
         max_iterations: Optional[int] = None,
-        persistent: bool = True,
     ) -> None:
         self._problem = problem
         self._matrix = matrix
         self._use_milp = use_milp_bottleneck_detection
-        self._persistent = persistent
         self._max_iterations = (
             max_iterations if max_iterations is not None else problem.num_jobs + 2
         )
-        #: Validates every job up front (raises on zero-throughput jobs) and
-        #: serves the legacy per-LP path.
-        self._norms = _normalization_factors(problem, matrix)
 
-    # -- normalization helpers --------------------------------------------------------
-    def _normalized_expression(
-        self, variables: AllocationVariables, job_id: int
-    ) -> LinearExpression:
-        return variables.effective_throughput_expression(job_id) * self._norms[job_id]
-
-    def _normalized_value(self, allocation: Allocation, job_id: int) -> float:
-        return effective_throughput(self._matrix, allocation, job_id) * self._norms[job_id]
-
-    # -- per-iteration LP (legacy build-per-solve path) -------------------------------
-    def _solve_level_lp(
-        self,
-        weights: Mapping[int, float],
-        levels: Mapping[int, float],
-        frozen: Set[int],
-    ) -> Allocation:
-        program = LinearProgram(name="water_filling_lp")
-        variables = AllocationVariables(self._problem, self._matrix, program)
-        active_expressions: List[LinearExpression] = []
-        for job_id in self._problem.job_ids:
-            normalized = self._normalized_expression(variables, job_id)
-            # Nobody may drop below the level already achieved.
-            if levels.get(job_id, 0.0) > 0:
-                program.add_greater_equal(
-                    normalized,
-                    levels[job_id] - _EPSILON * self._problem.group_count(job_id),
-                )
-            weight = weights.get(job_id, 0.0)
-            if job_id not in frozen and weight > 0:
-                active_expressions.append(
-                    (normalized + (-levels.get(job_id, 0.0))) * (1.0 / weight)
-                )
-        if not active_expressions:
-            raise InfeasibleError("water filling has no active jobs to optimize")
-        program.add_max_min_objective(active_expressions)
-        solution = program.solve()
-        return variables.extract_allocation(solution)
-
-    # -- bottleneck detection (legacy path) -------------------------------------------
-    def _find_improvable_jobs(
-        self, levels: Mapping[int, float], candidates: Set[int]
-    ) -> Set[int]:
-        """Return the subset of ``candidates`` whose normalized throughput can still rise."""
-        if not candidates:
-            return set()
-        if not self._use_milp:
-            return self._find_improvable_jobs_greedy(levels, candidates)
-        try:
-            return _solve_bottleneck_milp(
-                self._problem, self._matrix, self._norms, levels, candidates
-            )
-        except (InfeasibleError, SolverError):
-            return self._find_improvable_jobs_greedy(levels, candidates)
-
-    def _find_improvable_jobs_greedy(
-        self, levels: Mapping[int, float], candidates: Set[int]
-    ) -> Set[int]:
-        """LP fallback: test each candidate individually for head room."""
-        improvable: Set[int] = set()
-        for job_id in sorted(candidates):
-            program = LinearProgram(name=f"water_filling_headroom[{job_id}]")
-            variables = AllocationVariables(self._problem, self._matrix, program)
-            for other in self._problem.job_ids:
-                normalized = self._normalized_expression(variables, other)
-                program.add_greater_equal(
-                    normalized,
-                    levels.get(other, 0.0) - _EPSILON * self._problem.group_count(other),
-                )
-            program.maximize(self._normalized_expression(variables, job_id))
-            try:
-                solution = program.solve()
-            except (InfeasibleError, SolverError):
-                continue
-            threshold = levels.get(job_id, 0.0) + _IMPROVEMENT * self._problem.group_count(
-                job_id
-            )
-            if solution.objective_value > threshold:
-                improvable.add(job_id)
-        return improvable
-
-    # -- main loop -------------------------------------------------------------------------
     def run(
         self,
         initial_weights: Mapping[int, float],
@@ -666,75 +550,14 @@ class WaterFillingAllocator:
                 assignment.  Defaults to keeping weights fixed, which is the
                 single-level behaviour.
         """
-        if self._persistent:
-            program = LinearProgram(name="water_filling")
-            variables = AllocationVariables(self._problem, self._matrix, program)
-            loop = _LevelLoopProgram(
-                program, variables, use_milp_bottleneck_detection=self._use_milp
-            )
-            loop.align(self._problem)
-            return loop.run(
-                initial_weights, redistribute=redistribute, max_iterations=self._max_iterations
-            )
-        return self._run_legacy(initial_weights, redistribute)
-
-    def _run_legacy(
-        self,
-        initial_weights: Mapping[int, float],
-        redistribute: Optional[_Redistribute],
-    ) -> WaterFillingResult:
-        weights: Dict[int, float] = {
-            job_id: float(initial_weights.get(job_id, 0.0)) for job_id in self._problem.job_ids
-        }
-        if all(weight <= 0 for weight in weights.values()):
-            raise ConfigurationError("water filling requires at least one positive job weight")
-
-        levels: Dict[int, float] = {job_id: 0.0 for job_id in self._problem.job_ids}
-        frozen: Set[int] = set()
-        bottleneck_order: List[Set[int]] = []
-        allocation: Optional[Allocation] = None
-
-        iterations = 0
-        while iterations < self._max_iterations:
-            iterations += 1
-            active = {
-                job_id
-                for job_id in self._problem.job_ids
-                if job_id not in frozen and weights.get(job_id, 0.0) > 0
-            }
-            if not active:
-                break
-            allocation = self._solve_level_lp(weights, levels, frozen)
-            for job_id in self._problem.job_ids:
-                levels[job_id] = max(levels[job_id], self._normalized_value(allocation, job_id))
-
-            improvable = self._find_improvable_jobs(levels, active)
-            newly_frozen = active - improvable
-            if not newly_frozen:
-                # Guard against cycling: freeze the lowest-level active group
-                # (compared per member so group size does not bias the pick).
-                newly_frozen = {
-                    min(
-                        active,
-                        key=lambda job_id: levels[job_id]
-                        / self._problem.group_count(job_id),
-                    )
-                }
-            frozen.update(newly_frozen)
-            bottleneck_order.append(set(newly_frozen))
-
-            if redistribute is not None:
-                weights = dict(redistribute(weights, frozen))
-            if len(frozen) == len(self._problem.job_ids):
-                break
-
-        if allocation is None:
-            raise InfeasibleError("water filling produced no allocation")
-        return WaterFillingResult(
-            allocation=allocation,
-            normalized_throughputs=dict(levels),
-            iterations=iterations,
-            bottleneck_order=bottleneck_order,
+        program = LinearProgram(name="water_filling")
+        variables = AllocationVariables(self._problem, self._matrix, program)
+        loop = _LevelLoopProgram(
+            program, variables, use_milp_bottleneck_detection=self._use_milp
+        )
+        loop.align(self._problem)
+        return loop.run(
+            initial_weights, redistribute=redistribute, max_iterations=self._max_iterations
         )
 
 

@@ -185,7 +185,6 @@ def measure_policy_solve_under_churn(
     num_events: int = 8,
     seeds: Sequence[int] = (0,),
     oracle: Optional[ThroughputOracle] = None,
-    session_policy: "Policy | str | None" = None,
 ) -> Dict[int, Dict[str, float]]:
     """Policy-solve seconds across a job-churn sequence, per strategy.
 
@@ -199,25 +198,13 @@ def measure_policy_solve_under_churn(
       ``policy.session(...)`` kept alive and fed the engine's delta stream),
       including the initial session construction.
 
-    ``session_policy`` lets the two legs use differently-configured policy
-    instances — e.g. the water-filling gate pits the historical
-    rebuild-per-LP baseline (``incremental=False``) against the persistent
-    level-loop session.  Matrix preparation runs through an
-    :class:`AllocationEngine` in both strategies and is *excluded* from the
-    timings, so the comparison isolates the policy-side solve — the
-    counterpart of :func:`measure_matrix_prep_runtime` for the Figure 12
-    story.
+    Matrix preparation runs through an :class:`AllocationEngine` in both
+    strategies and is *excluded* from the timings, so the comparison isolates
+    the policy-side solve — the counterpart of
+    :func:`measure_matrix_prep_runtime` for the Figure 12 story.
     """
     oracle = oracle if oracle is not None else ThroughputOracle()
     resolved = _resolve_policy(policy)
-    resolved_session = (
-        resolved if session_policy is None else _resolve_policy(session_policy)
-    )
-    if resolved_session.space_sharing != resolved.space_sharing:
-        raise ConfigurationError(
-            "session_policy must share the scratch policy's space_sharing setting "
-            "(both legs replay one engine configuration)"
-        )
     generator = TraceGenerator(oracle=oracle)
     results: Dict[int, Dict[str, float]] = {}
     for num_jobs in num_jobs_values:
@@ -265,7 +252,7 @@ def measure_policy_solve_under_churn(
                     start = _time.perf_counter()
                     if use_session:
                         if session is None:
-                            session = resolved_session.session(problem)
+                            session = resolved.session(problem)
                         else:
                             session.apply(deltas)
                         session.solve(problem)
@@ -289,8 +276,8 @@ def measure_lp_build_runtime(
     per_type_workers_per_job: float = 0.05,
     seeds: Sequence[int] = (0,),
     oracle: Optional[ThroughputOracle] = None,
-) -> Dict[int, Dict[str, float]]:
-    """LP *construction* seconds per assembly path, versus active-job count.
+) -> Dict[int, float]:
+    """LP *construction* seconds versus active-job count.
 
     For each job count the policy-input matrix is built once (through the
     incremental :class:`AllocationEngine`, whose type-level colocation cache
@@ -298,29 +285,18 @@ def measure_lp_build_runtime(
     policy->LP construction — ``policy.session(problem)`` followed by
     ``session.prepare(problem)``, i.e. decision variables, the Section 3.1
     validity constraints and the policy objective, everything except the LP
-    solve — is timed under both assembly paths:
-
-    * ``"dict"`` — the per-term coefficient-map reference path;
-    * ``"vectorized"`` — the columnar ndarray path
-      (:meth:`LinearProgram.add_constraints_from_arrays` fed from
-      :meth:`ThroughputMatrix.dense_rows`).
-
-    Returns ``{num_jobs: {"dict": seconds, "vectorized": seconds}}``; the
-    Figure 12 benchmark gates the ratio at >=3x for ``max_min_fairness+ss``.
+    solve — is timed.  Returns ``{num_jobs: seconds}``.
     """
-    from repro.core.allocation_engine import AllocationEngine
-    from repro.core.policy import lp_assembly
-
     oracle = oracle if oracle is not None else ThroughputOracle()
     resolved = _resolve_policy(policy)
     generator = TraceGenerator(oracle=oracle)
-    results: Dict[int, Dict[str, float]] = {}
+    results: Dict[int, float] = {}
     for num_jobs in num_jobs_values:
         per_type = max(1, int(round(num_jobs * per_type_workers_per_job)))
         cluster_spec = ClusterSpec.from_counts(
             {name: per_type for name in oracle.registry.names}, registry=oracle.registry
         )
-        timings = {"dict": 0.0, "vectorized": 0.0}
+        total = 0.0
         for seed in seeds:
             trace = generator.generate_static(num_jobs=num_jobs, seed=seed)
             jobs = list(trace.jobs)
@@ -335,15 +311,11 @@ def measure_lp_build_runtime(
                 throughputs=engine.matrix(),
                 cluster_spec=cluster_spec,
             )
-            for mode in ("dict", "vectorized"):
-                with lp_assembly(mode):
-                    start = _time.perf_counter()
-                    session = resolved.session(problem)
-                    session.prepare(problem)
-                    timings[mode] += _time.perf_counter() - start
-        results[int(num_jobs)] = {
-            mode: total / len(seeds) for mode, total in timings.items()
-        }
+            start = _time.perf_counter()
+            session = resolved.session(problem)
+            session.prepare(problem)
+            total += _time.perf_counter() - start
+        results[int(num_jobs)] = total / len(seeds)
     return results
 
 

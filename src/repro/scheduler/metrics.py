@@ -10,7 +10,7 @@ rounds; ``repro.simulator`` re-exports the public names for convenience.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -44,6 +44,10 @@ class JobRecord:
     #: (workers in round mode, fluid throughput in ideal/continuous mode);
     #: ``None`` while the job is still waiting.
     first_allocation_time: Optional[float] = None
+
+    def copy(self) -> "JobRecord":
+        """An independent record: the frozen ``job`` is shared, the seconds map is not."""
+        return replace(self, accelerator_seconds=dict(self.accelerator_seconds))
 
     @property
     def completed(self) -> bool:

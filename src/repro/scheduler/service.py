@@ -813,7 +813,7 @@ class ClusterScheduler:
                 )
                 for state in self._active.values()
             ],
-            records=copy.deepcopy(self._records),
+            records={job_id: record.copy() for job_id, record in self._records.items()},
             busy_seconds=dict(self._busy_seconds),
             checkpoint_seconds=dict(self._checkpoint_seconds),
             total_cost=self._total_cost,
@@ -864,7 +864,7 @@ class ClusterScheduler:
             )
             for job, admitted_at, steps_done, last_accelerator, last_round in snapshot.active
         }
-        self._records = copy.deepcopy(snapshot.records)
+        self._records = {job_id: record.copy() for job_id, record in snapshot.records.items()}
         self._busy_seconds = dict(snapshot.busy_seconds)
         self._checkpoint_seconds = dict(snapshot.checkpoint_seconds)
         self._total_cost = snapshot.total_cost

@@ -36,7 +36,14 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.exceptions import InfeasibleError, SolverError
-from repro.solver.lp import LinearExpression, LinearProgram, Variable, _columnar_rows
+from repro.solver.lp import (
+    LinearExpression,
+    LinearProgram,
+    Variable,
+    _columnar_rows,
+    _expression_terms,
+    _Row,
+)
 
 __all__ = ["FractionalProgram", "FractionalSolution"]
 
@@ -55,57 +62,18 @@ class FractionalSolution:
         return expression.value(self.values)
 
 
-class _RatioConstraint:
-    """One ratio-program constraint; array-backed like :class:`~repro.solver.lp._Constraint`.
+class _RatioConstraint(_Row):
+    """One ratio-program constraint ``a·x + constant (sense) rhs`` over a stored row."""
 
-    Constraints built through the columnar API carry their ``(indices,
-    values)`` fragment from birth and materialize the coefficient dict only
-    when a term-level edit needs it.
-    """
-
-    __slots__ = ("_coefficients", "constant", "sense", "rhs", "indices", "values")
+    __slots__ = ("constant", "sense", "rhs")
 
     def __init__(
-        self,
-        coefficients: Optional[Dict[int, float]] = None,
-        constant: float = 0.0,
-        sense: str = "<=",
-        rhs: float = 0.0,
-        indices: Optional[np.ndarray] = None,
-        values: Optional[np.ndarray] = None,
+        self, indices: np.ndarray, values: np.ndarray, constant: float, sense: str, rhs: float
     ) -> None:
-        self._coefficients = coefficients
+        super().__init__(indices, values)
         self.constant = constant
         self.sense = sense
         self.rhs = rhs
-        self.indices = indices
-        self.values = values
-
-    @property
-    def coefficients(self) -> Dict[int, float]:
-        if self._coefficients is None:
-            indices = self.indices if self.indices is not None else ()
-            values = self.values if self.values is not None else ()
-            self._coefficients = dict(zip((int(i) for i in indices), (float(v) for v in values)))
-        return self._coefficients
-
-    @coefficients.setter
-    def coefficients(self, mapping: Dict[int, float]) -> None:
-        self._coefficients = mapping
-        self.indices = None
-        self.values = None
-
-    def fragment(self) -> Tuple[np.ndarray, np.ndarray]:
-        if self.indices is None:
-            items = [(i, c) for i, c in self._coefficients.items() if c != 0.0]
-            self.indices = np.fromiter((i for i, _ in items), dtype=np.int64, count=len(items))
-            self.values = np.fromiter((c for _, c in items), dtype=float, count=len(items))
-        return self.indices, self.values
-
-    def invalidate(self) -> None:
-        assert self._coefficients is not None, "invalidate() before materializing the dict"
-        self.indices = None
-        self.values = None
 
 
 class FractionalProgram:
@@ -124,8 +92,9 @@ class FractionalProgram:
         self._names: List[str] = []
         self._constraints: Dict[int, _RatioConstraint] = {}
         self._next_constraint_id = 0
-        self._numerator: Optional[LinearExpression] = None
-        self._denominator: Optional[LinearExpression] = None
+        #: Ratio objective as ``(indices, values, constant)`` term arrays.
+        self._numerator: Optional[Tuple[np.ndarray, np.ndarray, float]] = None
+        self._denominator: Optional[Tuple[np.ndarray, np.ndarray, float]] = None
         self._free_variables: List[int] = []
         self._active_tag: Optional[str] = None
         self._tagged_constraints: Dict[str, List[int]] = {}
@@ -278,18 +247,9 @@ class FractionalProgram:
             self.release_variable(index)
 
     # -- constraints ------------------------------------------------------------
-    @staticmethod
-    def _normalize(expression: "Mapping[int, float] | LinearExpression") -> Tuple[Dict[int, float], float]:
-        if isinstance(expression, Variable):
-            return {expression.index: 1.0}, 0.0
-        if isinstance(expression, LinearExpression):
-            return dict(expression.coefficients), expression.constant
-        return {int(k): float(v) for k, v in expression.items()}, 0.0
-
-    def _append_constraint(self, coefficients: Dict[int, float], constant: float, sense: str, rhs: float) -> int:
+    def _append_constraint(self, constraint: _RatioConstraint) -> int:
         constraint_id = self._next_constraint_id
         self._next_constraint_id += 1
-        constraint = _RatioConstraint(coefficients, constant, sense, rhs)
         self._constraints[constraint_id] = constraint
         if self._active_tag is not None:
             self._tagged_constraints.setdefault(self._active_tag, []).append(constraint_id)
@@ -298,16 +258,19 @@ class FractionalProgram:
         return constraint_id
 
     def add_less_equal(self, expression: "Mapping[int, float] | LinearExpression", rhs: float) -> int:
-        coefficients, constant = self._normalize(expression)
-        return self._append_constraint(coefficients, constant, "<=", float(rhs))
+        return self._append_constraint(
+            _RatioConstraint(*_expression_terms(expression), "<=", float(rhs))
+        )
 
     def add_greater_equal(self, expression: "Mapping[int, float] | LinearExpression", rhs: float) -> int:
-        coefficients, constant = self._normalize(expression)
-        return self._append_constraint(coefficients, constant, ">=", float(rhs))
+        return self._append_constraint(
+            _RatioConstraint(*_expression_terms(expression), ">=", float(rhs))
+        )
 
     def add_equal(self, expression: "Mapping[int, float] | LinearExpression", rhs: float) -> int:
-        coefficients, constant = self._normalize(expression)
-        return self._append_constraint(coefficients, constant, "==", float(rhs))
+        return self._append_constraint(
+            _RatioConstraint(*_expression_terms(expression), "==", float(rhs))
+        )
 
     def remove_constraint(self, handle: int) -> None:
         """Delete one constraint by handle (no-op if already removed)."""
@@ -318,57 +281,24 @@ class FractionalProgram:
 
     def add_terms_to_constraint(self, handle: int, terms: Mapping[int, float]) -> None:
         """Accumulate coefficients onto an existing constraint."""
-        constraint = self._require(handle)
-        coefficients = constraint.coefficients
-        for index, coefficient in terms.items():
-            coefficients[index] = coefficients.get(index, 0.0) + float(coefficient)
-        constraint.invalidate()
-        if self._cc_lp is not None and handle in self._cc_rows:
-            self._cc_lp.add_terms_to_constraint(
-                self._cc_rows[handle],
-                {self._cc_scaled[int(i)].index: float(c) for i, c in terms.items()},
-            )
+        indices, values, _constant = _expression_terms(terms)
+        self.add_terms_to_constraint_from_arrays(handle, indices, values)
 
     def add_terms_to_constraint_from_arrays(
         self, handle: int, indices: np.ndarray, values: np.ndarray
     ) -> None:
-        """Columnar term append; extends the fragment directly when possible."""
-        constraint = self._require(handle)
+        """Columnar term accumulation (see the LP twin), mirrored into the live CC row."""
         indices = np.asarray(indices, dtype=np.int64)
-        values = np.asarray(values, dtype=float)
-        nonzero = values != 0.0
-        if not nonzero.all():
-            indices, values = indices[nonzero], values[nonzero]
-        if len(indices):
-            if (
-                constraint._coefficients is None
-                and constraint.indices is not None
-                and not np.isin(indices, constraint.indices).any()
-            ):
-                constraint.indices = np.concatenate([constraint.indices, indices])
-                constraint.values = np.concatenate([constraint.values, values])
-            else:
-                coefficients = constraint.coefficients
-                for index, value in zip(indices.tolist(), values.tolist()):
-                    coefficients[index] = coefficients.get(index, 0.0) + value
-                constraint.invalidate()
-            if self._cc_lp is not None and handle in self._cc_rows:
-                self._cc_lp.add_terms_to_constraint_from_arrays(
-                    self._cc_rows[handle], self._cc_column_map()[indices], values
-                )
+        self._require(handle).add_terms(indices, values)
+        if self._cc_lp is not None and handle in self._cc_rows:
+            self._cc_lp.add_terms_to_constraint_from_arrays(
+                self._cc_rows[handle], self._cc_column_map()[indices], values
+            )
 
     def remove_terms_from_constraint(self, handle: int, indices: Iterable[int]) -> None:
         """Drop the given variables' coefficients from an existing constraint."""
-        constraint = self._require(handle)
         indices = [int(index) for index in indices]
-        if constraint._coefficients is None and constraint.indices is not None:
-            keep = ~np.isin(constraint.indices, np.asarray(indices, dtype=np.int64))
-            constraint.indices = constraint.indices[keep]
-            constraint.values = constraint.values[keep]
-        else:
-            for index in indices:
-                constraint.coefficients.pop(index, None)
-            constraint.invalidate()
+        self._require(handle).remove_columns(indices)
         if self._cc_lp is not None and handle in self._cc_rows:
             self._cc_lp.remove_terms_from_constraint(
                 self._cc_rows[handle],
@@ -406,17 +336,9 @@ class FractionalProgram:
                     f"{self.name}: row bounds ({low}, {high}) do not map to a single sense"
                 )
             start, end = boundaries[ordinal], boundaries[ordinal + 1]
-            constraint = _RatioConstraint(
-                sense=sense, rhs=rhs, indices=cols[start:end], values=coeffs[start:end]
+            handles[ordinal] = self._append_constraint(
+                _RatioConstraint(cols[start:end], coeffs[start:end], 0.0, sense, rhs)
             )
-            constraint_id = self._next_constraint_id
-            self._next_constraint_id += 1
-            self._constraints[constraint_id] = constraint
-            handles[ordinal] = constraint_id
-            if self._active_tag is not None:
-                self._tagged_constraints.setdefault(self._active_tag, []).append(constraint_id)
-            if self._cc_lp is not None:
-                self._cc_mirror_constraint(constraint_id, constraint)
         return handles
 
     def set_constraint_bounds(
@@ -498,10 +420,8 @@ class FractionalProgram:
         denominator: "Mapping[int, float] | LinearExpression",
     ) -> None:
         """Maximize ``numerator / denominator``."""
-        num_coefficients, num_constant = self._normalize(numerator)
-        den_coefficients, den_constant = self._normalize(denominator)
-        self._numerator = LinearExpression(num_coefficients, num_constant)
-        self._denominator = LinearExpression(den_coefficients, den_constant)
+        self._numerator = _expression_terms(numerator)
+        self._denominator = _expression_terms(denominator)
 
     # -- the persistent Charnes–Cooper mirror ---------------------------------------
     @property
@@ -541,12 +461,8 @@ class FractionalProgram:
 
     def _cc_mirror_constraint(self, handle: int, constraint: _RatioConstraint) -> None:
         """``a·x + a0 (sense) rhs`` becomes ``a·y + (a0 - rhs)*s (sense) 0``."""
-        indices, values = constraint.fragment()
-        mapped = (
-            self._cc_column_map()[indices] if len(indices) else np.empty(0, dtype=np.int64)
-        )
-        cols = np.append(mapped, self._cc_scale.index)
-        coeffs = np.append(values, constraint.constant - constraint.rhs)
+        cols = np.append(self._cc_column_map()[constraint.indices], self._cc_scale.index)
+        coeffs = np.append(constraint.values, constraint.constant - constraint.rhs)
         if constraint.sense == "<=":
             lower, upper = -math.inf, 0.0
         elif constraint.sense == ">=":
@@ -578,22 +494,26 @@ class FractionalProgram:
     def _cc_sync_objective(self) -> None:
         """Refresh the normalisation row ``d·y + d0*s == 1`` and the objective."""
         s = self._cc_scale.index
-        denominator = {
-            self._cc_scaled[i].index: c for i, c in self._denominator.coefficients.items()
-        }
-        denominator[s] = denominator.get(s, 0.0) + self._denominator.constant
+        indices, values, constant = self._denominator
+        cols = np.append(self._cc_column_map()[indices], s)
+        coeffs = np.append(values, constant)
         if self._cc_denominator is None:
-            self._cc_denominator = self._cc_lp.add_equal(denominator, 1.0)
+            self._cc_denominator = int(
+                self._cc_lp.add_constraints_from_arrays(
+                    np.zeros(len(cols), dtype=np.int64), cols, coeffs, [1.0], [1.0]
+                )[0]
+            )
         else:
-            self._cc_lp.set_constraint_coefficients(self._cc_denominator, denominator)
-        numerator = {
-            self._cc_scaled[i].index: c for i, c in self._numerator.coefficients.items()
-        }
-        numerator[s] = numerator.get(s, 0.0) + self._numerator.constant
-        self._cc_lp.maximize(numerator)
+            self._cc_lp.set_constraint_coefficients_from_arrays(
+                self._cc_denominator, cols, coeffs
+            )
+        indices, values, constant = self._numerator
+        self._cc_lp.set_objective_from_arrays(
+            np.append(self._cc_column_map()[indices], s), np.append(values, constant), maximize=True
+        )
 
     # -- solving -------------------------------------------------------------------
-    def solve(self, warm_start: Optional[np.ndarray] = None) -> FractionalSolution:
+    def solve(self) -> FractionalSolution:
         """Solve via the (persistent) Charnes–Cooper LP and map back."""
         if self._numerator is None or self._denominator is None:
             raise SolverError(f"{self.name}: ratio objective not set")

@@ -26,28 +26,32 @@ The mutation surface is
   constraint created inside the scope, and :meth:`clear_tag` removes them all
   at once (sessions rebuild only the policy objective this way, leaving the
   validity constraints untouched);
-* cached sparse assembly — each constraint's coefficient arrays are built
-  once and reused, so a solve after a right-hand-side-only edit (bisection
-  policies) reuses the previous constraint matrix outright, and any other
-  edit only pays a fast ``np.concatenate`` over per-constraint fragments;
-* **columnar ingestion** — :meth:`add_variables_from_arrays` bulk-allocates
-  columns and :meth:`add_constraints_from_arrays` adds whole constraint
-  blocks from ``(rows, cols, coeffs, lower, upper)`` ndarrays; such
-  constraints are *array-backed* — their sparse-assembly fragments exist from
-  birth and no per-term coefficient dict is materialized unless a term-level
-  edit needs one (:meth:`add_terms_to_constraint_from_arrays` and
-  :meth:`set_constraint_coefficients_from_arrays` edit fragments directly,
-  :meth:`set_objective_from_arrays` accumulates the dense objective).  This
-  is the fast path the policy layer uses to emit validity/objective rows
-  straight from throughput-matrix ndarrays (Figure 12 at 2048 jobs).
+* **one row format** — a constraint row is stored as a pair of parallel
+  ``(column indices, coefficients)`` ndarrays holding unique columns and no
+  zeros, and as nothing else.  Whole blocks arrive in that format through
+  :meth:`add_variables_from_arrays` / :meth:`add_constraints_from_arrays`
+  (``(rows, cols, coeffs, lower, upper)`` triplets straight from
+  throughput-matrix ndarrays) and are edited through
+  :meth:`add_terms_to_constraint_from_arrays`,
+  :meth:`set_constraint_coefficients_from_arrays` and
+  :meth:`set_objective_from_arrays`.  The mapping / :class:`LinearExpression`
+  methods (``add_less_equal``, ``add_terms_to_constraint``, ...) are a
+  convenience **boundary**: they convert their argument to arrays once, in
+  first-occurrence term order, and store or delegate — no per-term dict
+  survives the call, so callers never need to know the row format;
+* cached sparse assembly — the CSR constraint matrix is an ``np.concatenate``
+  over the stored rows, cached until a structural edit, so a solve after a
+  right-hand-side-only edit (bisection policies) reuses it outright.
 
-Problems are handed to :func:`scipy.optimize.linprog` (pure LPs) or
-:func:`scipy.optimize.milp` (when any variable is integer), both of which use
-HiGHS and solve the same programs cvxpy would.  ``solve`` accepts a
-``warm_start`` hint with the previous solution; SciPy's HiGHS interface
-exposes no basis/solution warm starting, so the hint is currently recorded
-but unused — the parameter exists so sessions already thread the information
-a warm-start-capable backend would need.
+Pure LPs are solved by a **live HiGHS model** (:class:`_HighsBackend`, the
+incremental ``scipy.optimize._highspy`` API SciPy has vendored since 1.15):
+the first solve passes the full model, every later solve replays only the
+edits journalled since the previous one and HiGHS re-solves from its
+incumbent basis.  A failed edit or solver call raises
+:class:`~repro.exceptions.SolverError` and drops the live model, so the next
+solve passes the full model again (the cold rebuild) instead of answering
+for a diverged one.  Programs with integer variables go to
+:func:`scipy.optimize.milp`, the only path that runs them.
 """
 
 from __future__ import annotations
@@ -57,32 +61,49 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
+import scipy
 from scipy import sparse
-from scipy.optimize import LinearConstraint, linprog, milp
+from scipy.optimize import LinearConstraint, milp
 from scipy.optimize import Bounds as ScipyBounds
 
 from repro.exceptions import InfeasibleError, SolverError
 
-try:  # SciPy vendors the full incremental HiGHS API; use it when present.
+try:
     from scipy.optimize._highspy import _core as _highs_core
-except Exception:  # pragma: no cover - older/newer scipy layouts
-    _highs_core = None
+except ImportError as error:  # pragma: no cover - needs an older SciPy to reach
+    raise ImportError(
+        "repro.solver.lp needs SciPy >= 1.15, the first release that ships the "
+        f"incremental HiGHS API (scipy.optimize._highspy._core); found SciPy {scipy.__version__}"
+    ) from error
 
 __all__ = ["Variable", "LinearExpression", "LinearProgram", "Solution"]
 
 _Coefficients = Union[Mapping[int, float], "LinearExpression"]
 
 
-def _coalesce_terms(
+def _nonzero_terms(
     indices: np.ndarray, values: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Sum duplicate indices in a parallel (indices, values) term list.
+    nonzero = values != 0.0
+    if nonzero.all():
+        return indices, values
+    return indices[nonzero], values[nonzero]
 
-    Constraint fragments must hold unique column indices (HiGHS rejects
-    repeated columns within a row), but callers may legitimately emit one
-    entry per membership — e.g. the same-group pair rows of type-aggregated
-    problems.  No-op (same arrays returned) when already unique.
+
+def _row_terms(
+    indices: np.ndarray, values: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Normalise a parallel (indices, values) term list to the stored row format.
+
+    Stored rows hold unique column indices (HiGHS rejects repeated columns
+    within a row) and no zeros, but callers may legitimately emit one entry
+    per membership — e.g. the same-group pair rows of type-aggregated
+    problems.  Zeros are dropped and duplicates summed at their first
+    occurrence; the input arrays are returned as-is when already clean.
     """
+    indices, values = _nonzero_terms(
+        np.asarray(indices, dtype=np.int64), np.asarray(values, dtype=float)
+    )
     if len(indices) > 1:
         unique, first_pos, inverse = np.unique(
             indices, return_index=True, return_inverse=True
@@ -139,7 +160,7 @@ def _columnar_rows(
         # Coalesce duplicate (row, column) entries by summation — a
         # same-group pair row of a type-aggregated problem legitimately
         # contributes one entry per membership, but HiGHS rejects rows with
-        # repeated column indices, so the fragment must hold unique columns.
+        # repeated column indices, so each stored row must hold unique columns.
         keys = rows * (np.int64(cols.max()) + 1) + cols
         unique_keys, first_pos, inverse = np.unique(
             keys, return_index=True, return_inverse=True
@@ -286,65 +307,76 @@ class Solution:
         return variable.value(self.values)
 
 
-class _Constraint:
-    """One linear constraint, stored array-first.
+def _expression_terms(expression: "_Coefficients | Variable") -> Tuple[np.ndarray, np.ndarray, float]:
+    """The boundary conversion: mapping / expression -> ``(indices, values, constant)``.
 
-    A constraint is either *dict-backed* (built term-by-term through the
-    classic ``add_*`` API) or *array-backed* (built through the columnar
-    :meth:`LinearProgram.add_constraints_from_arrays` path, in which case the
-    sparse-assembly fragment exists from birth and no per-term dict is ever
-    materialized).  The coefficient dict of an array-backed constraint is
-    created lazily, only when a term-level edit actually needs it.
+    Terms keep their first-occurrence (dict insertion) order, so a row built
+    from a mapping reaches HiGHS with the same column order every time.
+    """
+    if isinstance(expression, Variable):
+        return np.array([expression.index], dtype=np.int64), np.ones(1), 0.0
+    if isinstance(expression, LinearExpression):
+        mapping, constant = expression.coefficients, expression.constant
+    else:
+        mapping, constant = expression, 0.0
+    count = len(mapping)
+    indices = np.fromiter(mapping.keys(), dtype=np.int64, count=count)
+    values = np.fromiter(mapping.values(), dtype=float, count=count)
+    return (*_nonzero_terms(indices, values), constant)
+
+
+class _Row:
+    """One stored row: parallel ``(indices, values)`` arrays — the only row format.
+
+    The arrays hold unique column indices and no zeros (see
+    :func:`_row_terms`).  Edits replace the arrays, never mutate them in
+    place, so slices handed in by the columnar API can be shared safely.
+    Shared by :class:`_Constraint` and the ratio constraints of
+    :mod:`repro.solver.fractional` so the edit algebra cannot drift.
     """
 
-    __slots__ = ("_coefficients", "lower", "upper", "indices", "values")
+    __slots__ = ("indices", "values")
 
-    def __init__(
-        self,
-        coefficients: Optional[Dict[int, float]] = None,
-        lower: float = -math.inf,
-        upper: float = math.inf,
-        indices: Optional[np.ndarray] = None,
-        values: Optional[np.ndarray] = None,
-    ) -> None:
-        self._coefficients = coefficients
-        self.lower = lower
-        self.upper = upper
+    def __init__(self, indices: np.ndarray, values: np.ndarray) -> None:
         self.indices = indices
         self.values = values
 
-    @property
-    def coefficients(self) -> Dict[int, float]:
-        """Term map; materialized on demand for array-backed constraints."""
-        if self._coefficients is None:
-            indices = self.indices if self.indices is not None else ()
-            values = self.values if self.values is not None else ()
-            self._coefficients = dict(zip((int(i) for i in indices), (float(v) for v in values)))
-        return self._coefficients
+    def set_terms(self, indices: np.ndarray, values: np.ndarray) -> None:
+        """Replace the row's terms wholesale."""
+        self.indices, self.values = _row_terms(indices, values)
 
-    @coefficients.setter
-    def coefficients(self, mapping: Dict[int, float]) -> None:
-        self._coefficients = mapping
-        self.indices = None
-        self.values = None
+    def add_terms(self, indices: np.ndarray, values: np.ndarray) -> None:
+        """Accumulate terms: present columns sum in place, new ones append in order."""
+        indices, values = _row_terms(indices, values)
+        present = np.isin(indices, self.indices)
+        if present.any():
+            order = np.argsort(self.indices)
+            slots = order[np.searchsorted(self.indices, indices[present], sorter=order)]
+            summed = self.values.copy()
+            summed[slots] += values[present]
+            self.indices, self.values = _nonzero_terms(self.indices, summed)
+            indices, values = indices[~present], values[~present]
+        self.indices = np.concatenate([self.indices, indices])
+        self.values = np.concatenate([self.values, values])
 
-    def fragment(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Cached ``(column indices, coefficients)`` arrays for assembly."""
-        if self.indices is None:
-            items = [(i, c) for i, c in self._coefficients.items() if c != 0.0]
-            self.indices = np.fromiter((i for i, _ in items), dtype=np.int64, count=len(items))
-            self.values = np.fromiter((c for _, c in items), dtype=float, count=len(items))
-        return self.indices, self.values
+    def remove_columns(self, columns: Iterable[int]) -> None:
+        """Drop the given columns' terms (absent columns are ignored)."""
+        keep = ~np.isin(self.indices, np.asarray(list(columns), dtype=np.int64))
+        self.indices = self.indices[keep]
+        self.values = self.values[keep]
 
-    def invalidate(self) -> None:
-        """Drop the cached fragment (dict-backed constraints only).
 
-        Callers must have materialized :attr:`coefficients` before editing;
-        the next :meth:`fragment` call rebuilds the arrays from the dict.
-        """
-        assert self._coefficients is not None, "invalidate() before materializing the dict"
-        self.indices = None
-        self.values = None
+class _Constraint(_Row):
+    """One linear constraint: a stored row plus its two-sided bounds."""
+
+    __slots__ = ("lower", "upper")
+
+    def __init__(
+        self, indices: np.ndarray, values: np.ndarray, lower: float, upper: float
+    ) -> None:
+        super().__init__(indices, values)
+        self.lower = lower
+        self.upper = upper
 
 
 def _ensure_highs_ok(status: object, action: str, name: str) -> None:
@@ -362,13 +394,11 @@ def _ensure_highs_ok(status: object, action: str, name: str) -> None:
 class _HighsBackend:
     """A live HiGHS instance mirroring one :class:`LinearProgram`.
 
-    SciPy's ``linprog`` rebuilds the solver state on every call; this backend
-    keeps a ``_Highs`` model alive instead and replays only the *edits* made
-    to the owning program since the previous solve (row adds/deletes, bound
-    and cost updates).  HiGHS then re-solves from its incumbent basis — the
-    actual warm start that makes right-hand-side-only edits (bisection
-    candidates) and small churn edits cost a handful of simplex iterations
-    instead of a full solve.
+    Keeps a ``_Highs`` model alive and replays only the *edits* made to the
+    owning program since the previous solve (row adds/deletes, bound and cost
+    updates).  HiGHS then re-solves from its incumbent basis — the warm start
+    that makes right-hand-side-only edits (bisection candidates) and small
+    churn edits cost a handful of simplex iterations instead of a full solve.
     """
 
     def __init__(self) -> None:
@@ -444,22 +474,14 @@ class _HighsBackend:
 
         add = sorted(h for h in program._constraints if h not in self._row_of)
         if add:
-            fragments = [program._constraints[h].fragment() for h in add]
-            counts = np.fromiter((len(f[0]) for f in fragments), np.int64, count=len(add))
+            added = [program._constraints[h] for h in add]
+            counts = np.fromiter((len(c.indices) for c in added), np.int64, count=len(add))
             starts = np.zeros(len(add) + 1, np.int64)
             np.cumsum(counts, out=starts[1:])
-            indices = (
-                np.concatenate([f[0] for f in fragments]) if len(add) else np.empty(0, np.int64)
-            )
-            values = (
-                np.concatenate([f[1] for f in fragments]) if len(add) else np.empty(0)
-            )
-            lowers = np.fromiter(
-                (program._constraints[h].lower for h in add), float, count=len(add)
-            )
-            uppers = np.fromiter(
-                (program._constraints[h].upper for h in add), float, count=len(add)
-            )
+            indices = np.concatenate([c.indices for c in added])
+            values = np.concatenate([c.values for c in added])
+            lowers = np.fromiter((c.lower for c in added), float, count=len(add))
+            uppers = np.fromiter((c.upper for c in added), float, count=len(add))
             # An unchecked rejection here would silently desynchronise the
             # HiGHS model from the program (constraints that exist
             # Python-side but not solver-side) — the PR 6 bug.
@@ -567,7 +589,6 @@ class LinearProgram:
         self._cached_key: Optional[Tuple[int, int]] = None
         self._cached_matrix: Optional[sparse.csr_matrix] = None
         self._cached_ids: List[int] = []
-        self._warm_start_hint: Optional[np.ndarray] = None
         # Edit journal consumed by the live HiGHS backend (warm starts).
         self._backend: Optional[_HighsBackend] = None
         self._hs_removed: Set[int] = set()
@@ -753,20 +774,12 @@ class LinearProgram:
             self._structure_revision += 1
 
     # -- constraints ------------------------------------------------------------------
-    @staticmethod
-    def _normalize(expression: "_Coefficients") -> Tuple[Dict[int, float], float]:
-        if isinstance(expression, Variable):
-            return {expression.index: 1.0}, 0.0
-        if isinstance(expression, LinearExpression):
-            return dict(expression.coefficients), expression.constant
-        return {int(k): float(v) for k, v in expression.items()}, 0.0
-
-    def _append_constraint(self, coefficients: Dict[int, float], lower: float, upper: float) -> int:
+    def _append_constraint(
+        self, indices: np.ndarray, values: np.ndarray, lower: float, upper: float
+    ) -> int:
         constraint_id = self._next_constraint_id
         self._next_constraint_id += 1
-        self._constraints[constraint_id] = _Constraint(
-            coefficients=coefficients, lower=lower, upper=upper
-        )
+        self._constraints[constraint_id] = _Constraint(indices, values, lower, upper)
         if self._active_tag is not None:
             self._tagged_constraints.setdefault(self._active_tag, []).append(constraint_id)
         self._structure_revision += 1
@@ -774,19 +787,19 @@ class LinearProgram:
 
     def add_less_equal(self, expression: "_Coefficients", rhs: float) -> int:
         """Add ``expression <= rhs``; returns the constraint handle."""
-        coefficients, constant = self._normalize(expression)
-        return self._append_constraint(coefficients, -math.inf, float(rhs) - constant)
+        indices, values, constant = _expression_terms(expression)
+        return self._append_constraint(indices, values, -math.inf, float(rhs) - constant)
 
     def add_greater_equal(self, expression: "_Coefficients", rhs: float) -> int:
         """Add ``expression >= rhs``; returns the constraint handle."""
-        coefficients, constant = self._normalize(expression)
-        return self._append_constraint(coefficients, float(rhs) - constant, math.inf)
+        indices, values, constant = _expression_terms(expression)
+        return self._append_constraint(indices, values, float(rhs) - constant, math.inf)
 
     def add_equal(self, expression: "_Coefficients", rhs: float) -> int:
         """Add ``expression == rhs``; returns the constraint handle."""
-        coefficients, constant = self._normalize(expression)
+        indices, values, constant = _expression_terms(expression)
         bound = float(rhs) - constant
-        return self._append_constraint(coefficients, bound, bound)
+        return self._append_constraint(indices, values, bound, bound)
 
     def add_constraints_from_arrays(
         self,
@@ -801,13 +814,11 @@ class LinearProgram:
         ``rows`` holds per-entry constraint ordinals ``0..n-1`` and must be
         grouped in non-decreasing order; ``lower``/``upper`` are the per-row
         bounds (scalars broadcast).  ``n`` is inferred from the bounds arrays,
-        or from ``rows`` when both bounds are scalars.  Each constraint's
-        sparse-assembly fragment is the corresponding slice of ``cols`` /
-        ``coeffs`` — no per-term dicts are built, which is what makes this the
-        fast path for emitting whole constraint blocks (one row per job, one
-        row per worker type) straight from ndarrays.  Entries with a zero
-        coefficient are dropped, mirroring the dict path's assembly filter;
-        column indices must be unique within each row.  Returns the new
+        or from ``rows`` when both bounds are scalars.  Each constraint
+        stores the corresponding slice of ``cols`` / ``coeffs``, so whole
+        constraint blocks (one row per job, one row per worker type) go in
+        straight from ndarrays.  Entries with a zero coefficient are dropped
+        and duplicate ``(row, column)`` entries summed.  Returns the new
         constraint handles, in row order.
         """
         rows, cols, coeffs, lower_arr, upper_arr, boundaries, num_rows = _columnar_rows(
@@ -821,10 +832,7 @@ class LinearProgram:
         for ordinal in range(num_rows):
             start, end = boundaries[ordinal], boundaries[ordinal + 1]
             constraints[first_handle + ordinal] = _Constraint(
-                lower=lower_list[ordinal],
-                upper=upper_list[ordinal],
-                indices=cols[start:end],
-                values=coeffs[start:end],
+                cols[start:end], coeffs[start:end], lower_list[ordinal], upper_list[ordinal]
             )
         handles = np.arange(first_handle, first_handle + num_rows, dtype=np.int64)
         if self._active_tag is not None:
@@ -833,54 +841,28 @@ class LinearProgram:
             self._structure_revision += 1
         return handles
 
+    def _edited(self, handle: int) -> _Constraint:
+        """The constraint behind ``handle``, journalled as structurally edited."""
+        constraint = self._constraint(handle)
+        self._structure_revision += 1
+        self._hs_dirty.add(handle)
+        return constraint
+
     def add_terms_to_constraint_from_arrays(
         self, handle: int, indices: np.ndarray, values: np.ndarray
     ) -> None:
-        """Append ``(indices, values)`` terms to an existing constraint.
+        """Accumulate ``(indices, values)`` terms onto an existing constraint.
 
-        When the constraint is array-backed and none of ``indices`` already
-        appears in it, the fragment arrays are extended directly; otherwise
-        the edit falls back to dict accumulation.
+        Columns already in the row sum in place (their position is kept);
+        new columns are appended in order.
         """
-        constraint = self._constraint(handle)
-        indices = np.asarray(indices, dtype=np.int64)
-        values = np.asarray(values, dtype=float)
-        nonzero = values != 0.0
-        if not nonzero.all():
-            indices, values = indices[nonzero], values[nonzero]
-        indices, values = _coalesce_terms(indices, values)
-        if len(indices):
-            if (
-                constraint._coefficients is None
-                and constraint.indices is not None
-                and not np.isin(indices, constraint.indices).any()
-            ):
-                constraint.indices = np.concatenate([constraint.indices, indices])
-                constraint.values = np.concatenate([constraint.values, values])
-            else:
-                coefficients = constraint.coefficients
-                for index, value in zip(indices.tolist(), values.tolist()):
-                    coefficients[index] = coefficients.get(index, 0.0) + value
-                constraint.invalidate()
-        self._structure_revision += 1
-        self._hs_dirty.add(handle)
+        self._edited(handle).add_terms(indices, values)
 
     def set_constraint_coefficients_from_arrays(
         self, handle: int, indices: np.ndarray, values: np.ndarray
     ) -> None:
         """Replace a constraint's coefficients wholesale from arrays (bounds unchanged)."""
-        constraint = self._constraint(handle)
-        indices = np.asarray(indices, dtype=np.int64)
-        values = np.asarray(values, dtype=float)
-        nonzero = values != 0.0
-        if not nonzero.all():
-            indices, values = indices[nonzero], values[nonzero]
-        indices, values = _coalesce_terms(indices, values)
-        constraint._coefficients = None
-        constraint.indices = indices
-        constraint.values = values
-        self._structure_revision += 1
-        self._hs_dirty.add(handle)
+        self._edited(handle).set_terms(indices, values)
 
     def remove_constraint(self, handle: int) -> None:
         """Delete one constraint by handle (no-op if already removed)."""
@@ -890,51 +872,28 @@ class LinearProgram:
 
     def add_terms_to_constraint(self, handle: int, terms: Mapping[int, float]) -> None:
         """Accumulate coefficients onto an existing constraint."""
-        constraint = self._constraint(handle)
-        coefficients = constraint.coefficients
-        for index, coefficient in terms.items():
-            coefficients[index] = coefficients.get(index, 0.0) + float(coefficient)
-        constraint.invalidate()
-        self._structure_revision += 1
-        self._hs_dirty.add(handle)
+        indices, values, _constant = _expression_terms(terms)
+        self.add_terms_to_constraint_from_arrays(handle, indices, values)
 
     def remove_terms_from_constraint(self, handle: int, indices: Iterable[int]) -> None:
-        """Drop the given variables' coefficients from an existing constraint.
-
-        Array-backed constraints are filtered in place (vectorized); the
-        coefficient dict is only touched when it was already materialized.
-        """
-        constraint = self._constraint(handle)
-        if constraint._coefficients is None and constraint.indices is not None:
-            keep = ~np.isin(constraint.indices, np.asarray(list(indices), dtype=np.int64))
-            constraint.indices = constraint.indices[keep]
-            constraint.values = constraint.values[keep]
-        else:
-            for index in indices:
-                constraint.coefficients.pop(int(index), None)
-            constraint.invalidate()
-        self._structure_revision += 1
-        self._hs_dirty.add(handle)
+        """Drop the given variables' coefficients from an existing constraint."""
+        self._edited(handle).remove_columns(indices)
 
     def set_constraint_coefficients(self, handle: int, expression: "_Coefficients") -> None:
-        """Replace a constraint's coefficient map (bounds unchanged).
+        """Replace a constraint's coefficients (bounds unchanged).
 
         The expression must be constant-free: the stored bounds already fold
         in the rhs (and any constant) from construction time, so a new
         constant cannot be applied unambiguously.  Use
         :meth:`set_constraint_bounds` to move the right-hand side.
         """
-        constraint = self._constraint(handle)
-        coefficients, constant = self._normalize(expression)
+        indices, values, constant = _expression_terms(expression)
         if constant != 0.0:
             raise SolverError(
                 f"{self.name}: set_constraint_coefficients requires a constant-free "
                 f"expression (got constant {constant!r}); adjust the bounds instead"
             )
-        constraint.coefficients = coefficients
-        constraint.invalidate()
-        self._structure_revision += 1
-        self._hs_dirty.add(handle)
+        self.set_constraint_coefficients_from_arrays(handle, indices, values)
 
     def set_constraint_bounds(
         self, handle: int, lower: Optional[float] = None, upper: Optional[float] = None
@@ -997,13 +956,8 @@ class LinearProgram:
     # -- objective ---------------------------------------------------------------------
     def set_objective(self, expression: "_Coefficients", maximize: bool) -> None:
         """Set the linear objective; ``maximize`` selects the sense."""
-        coefficients, constant = self._normalize(expression)
-        vec = np.zeros(self.num_variables())
-        for index, coefficient in coefficients.items():
-            vec[index] = coefficient
-        self._objective_vec = vec
-        self._objective_constant = constant
-        self._maximize = maximize
+        indices, values, constant = _expression_terms(expression)
+        self.set_objective_from_arrays(indices, values, maximize, constant)
 
     def set_objective_from_arrays(
         self,
@@ -1034,11 +988,13 @@ class LinearProgram:
         """
         epigraph = self.add_variable(name="max_min_t", lower=-math.inf)
         for expression in expressions:
-            coefficients, constant = self._normalize(expression)
+            indices, values, constant = _expression_terms(expression)
             # t <= expr  <=>  t - expr <= constant-part of expr
-            shifted = {index: -coefficient for index, coefficient in coefficients.items()}
-            shifted[epigraph.index] = shifted.get(epigraph.index, 0.0) + 1.0
-            self._append_constraint(shifted, -math.inf, constant)
+            self._append_constraint(
+                *_row_terms(np.append(indices, epigraph.index), np.append(-values, 1.0)),
+                -math.inf,
+                constant,
+            )
         self.maximize({epigraph.index: 1.0})
         return epigraph
 
@@ -1046,17 +1002,19 @@ class LinearProgram:
         """Minimize ``max_k expressions[k]`` via an epigraph variable."""
         epigraph = self.add_variable(name="min_max_t", lower=-math.inf)
         for expression in expressions:
-            coefficients, constant = self._normalize(expression)
+            indices, values, constant = _expression_terms(expression)
             # expr <= t  <=>  expr - t <= -constant
-            shifted = dict(coefficients)
-            shifted[epigraph.index] = shifted.get(epigraph.index, 0.0) - 1.0
-            self._append_constraint(shifted, -math.inf, -constant)
+            self._append_constraint(
+                *_row_terms(np.append(indices, epigraph.index), np.append(values, -1.0)),
+                -math.inf,
+                -constant,
+            )
         self.minimize({epigraph.index: 1.0})
         return epigraph
 
     # -- solving --------------------------------------------------------------------------
     def _assembled(self) -> Tuple[Optional[sparse.csr_matrix], np.ndarray, np.ndarray]:
-        """Constraint matrix plus per-row bounds, with fragment-level caching.
+        """Constraint matrix plus per-row bounds, cached between structural edits.
 
         The CSR matrix is cached on ``(structure revision, num variables)``;
         row bounds are re-read every call so right-hand-side edits take
@@ -1065,12 +1023,12 @@ class LinearProgram:
         key = (self._structure_revision, self.num_variables())
         if key != self._cached_key:
             ids = list(self._constraints)
-            fragments = [self._constraints[i].fragment() for i in ids]
-            counts = np.fromiter((len(f[0]) for f in fragments), dtype=np.int64, count=len(ids))
-            if fragments:
+            stored = list(self._constraints.values())
+            if stored:
+                counts = np.fromiter((len(c.indices) for c in stored), np.int64, count=len(ids))
                 rows = np.repeat(np.arange(len(ids)), counts)
-                cols = np.concatenate([f[0] for f in fragments]) if len(ids) else np.empty(0, np.int64)
-                data = np.concatenate([f[1] for f in fragments]) if len(ids) else np.empty(0)
+                cols = np.concatenate([c.indices for c in stored])
+                data = np.concatenate([c.values for c in stored])
             else:
                 rows = np.empty(0, np.int64)
                 cols = np.empty(0, np.int64)
@@ -1100,108 +1058,63 @@ class LinearProgram:
         c = self._objective_dense()
         return -c if self._maximize else c
 
-    def solve(self, warm_start: Optional[np.ndarray] = None) -> Solution:
+    def solve(self) -> Solution:
         """Solve the program, raising on infeasibility or solver failure.
 
-        ``warm_start`` is a previous solution used as a starting hint when the
-        backend supports it (SciPy's HiGHS interface currently does not; the
-        hint is recorded for API parity with warm-start-capable backends).
+        Pure LPs re-solve on the live HiGHS model (see :class:`_HighsBackend`);
+        programs with integer variables are handed to SciPy's ``milp``.
         """
         if self.num_variables() == 0:
             raise SolverError(f"{self.name}: cannot solve a program with no variables")
-        self._warm_start_hint = warm_start
-        use_milp = bool(self._integer.any())
+        if self._integer.any():
+            return self._solve_milp()
+        if self._backend is None:
+            self._backend = _HighsBackend()
+        try:
+            values, objective = self._backend.solve(self)
+        except InfeasibleError:
+            raise
+        except SolverError:
+            # A failed edit leaves the backend's row maps and this program's
+            # journal half-advanced, and a failed run leaves HiGHS in an
+            # unknown state: drop the live model so the next solve passes the
+            # full model again instead of answering for a diverged one.
+            self._backend = None
+            raise
+        except Exception as error:
+            self._backend = None
+            raise SolverError(f"{self.name}: HiGHS backend failed: {error!r}") from error
+        return Solution(
+            values=values,
+            objective_value=objective + self._objective_constant,
+            status="optimal",
+        )
 
-        if not use_milp and _highs_core is not None:
-            try:
-                if self._backend is None:
-                    self._backend = _HighsBackend()
-                values, objective = self._backend.solve(self)
-            except (InfeasibleError, SolverError):
-                raise
-            except Exception:
-                # Any backend/API hiccup: drop the live instance and fall back
-                # to the stateless SciPy path below.
-                self._backend = None
-            else:
-                return Solution(
-                    values=values,
-                    objective_value=objective + self._objective_constant,
-                    status="optimal",
-                )
-
-        # Stateless path (MILP, or backend failure): a live backend would miss
-        # the edits consumed here, so drop it — the next pure-LP solve passes
-        # the full model again — and clear the now-meaningless journal.
+    def _solve_milp(self) -> Solution:
+        # milp is stateless: a live backend would miss the edits consumed
+        # here, so drop it — the next pure-LP solve passes the full model
+        # again — and clear the now-meaningless journal.
         self._backend = None
         self._hs_removed.clear()
         self._hs_dirty.clear()
         self._hs_bounds_dirty.clear()
-        c = self._objective_vector()
-        lower = np.array(self._lower)
-        upper = np.array(self._upper)
-
+        constraints = []
         if self._constraints:
-            matrix, constraint_lower, constraint_upper = self._assembled()
-        else:
-            matrix, constraint_lower, constraint_upper = None, None, None
-
-        if use_milp:
-            constraints = []
-            if matrix is not None:
-                constraints.append(LinearConstraint(matrix, constraint_lower, constraint_upper))
-            integrality = self._integer.astype(int)
-            result = milp(
-                c=c,
-                constraints=constraints,
-                bounds=ScipyBounds(lower, upper),
-                integrality=integrality,
-            )
-            success, status_message, x, objective = (
-                result.success,
-                result.message,
-                result.x,
-                result.fun,
-            )
-        else:
-            if matrix is not None:
-                # Split two-sided row bounds into <= rows for linprog.
-                finite_upper = np.isfinite(constraint_upper)
-                finite_lower = np.isfinite(constraint_lower)
-                blocks = []
-                rhs_parts = []
-                if finite_upper.any():
-                    blocks.append(matrix[finite_upper])
-                    rhs_parts.append(constraint_upper[finite_upper])
-                if finite_lower.any():
-                    blocks.append(-matrix[finite_lower])
-                    rhs_parts.append(-constraint_lower[finite_lower])
-                a_ub = sparse.vstack(blocks) if blocks else None
-                b_ub = np.concatenate(rhs_parts) if rhs_parts else None
-            else:
-                a_ub, b_ub = None, None
-            result = linprog(
-                c=c,
-                A_ub=a_ub,
-                b_ub=b_ub,
-                bounds=np.column_stack([lower, upper]),
-                method="highs",
-            )
-            success, status_message, x, objective = (
-                result.success,
-                result.message,
-                result.x,
-                result.fun,
-            )
-
-        if not success or x is None:
-            message = status_message or "unknown solver failure"
+            constraints.append(LinearConstraint(*self._assembled()))
+        result = milp(
+            c=self._objective_vector(),
+            constraints=constraints,
+            bounds=ScipyBounds(np.array(self._lower), np.array(self._upper)),
+            integrality=self._integer.astype(int),
+        )
+        if not result.success or result.x is None:
+            message = result.message or "unknown solver failure"
             if "infeasible" in message.lower():
                 raise InfeasibleError(f"{self.name}: {message}")
             raise SolverError(f"{self.name}: {message}")
-
-        objective_value = float(objective)
-        if self._maximize:
-            objective_value = -float(objective)
-        objective_value += self._objective_constant
-        return Solution(values=np.asarray(x, dtype=float), objective_value=objective_value, status="optimal")
+        objective_value = -float(result.fun) if self._maximize else float(result.fun)
+        return Solution(
+            values=np.asarray(result.x, dtype=float),
+            objective_value=objective_value + self._objective_constant,
+            status="optimal",
+        )

@@ -1,0 +1,167 @@
+"""LP assembly: the validity scaffold against Section 3.1, and pinned allocations.
+
+:class:`~repro.core.policy.AllocationVariables` emits the decision variables
+and validity constraints (2) and (3) as ndarray blocks.  These tests check
+that program against a small dense construction written directly from the
+paper — fresh, after ``update_to`` churn, and for a type-aggregated problem —
+and pin the allocations every space-sharing registry policy computes over a
+churn sequence to fingerprints recorded before the per-term dict assembly
+(the previous reference) was deleted.
+"""
+
+import numpy as np
+import pytest
+from churn_fingerprint_scenarios import (
+    SS_POLICY_SPECS,
+    churn_fingerprints,
+    churn_problems,
+    load_recorded,
+)
+
+from repro.cluster import ClusterSpec
+from repro.core import AggregatedProblem
+from repro.core.policy import AllocationVariables
+from repro.core.problem import PolicyProblem
+from repro.core.throughput_matrix import build_throughput_matrix
+from repro.solver.lp import LinearProgram
+from repro.workloads import Job, ThroughputOracle, TraceGenerator, TraceGeneratorConfig
+
+
+@pytest.fixture(scope="module")
+def oracle():
+    return ThroughputOracle()
+
+
+@pytest.fixture(scope="module")
+def cluster():
+    return ClusterSpec.from_counts({"v100": 2, "p100": 2, "k80": 2})
+
+
+def _section_3_1_scaffold(problem, matrix, variables, num_variables):
+    """Dense ``(A, row upper bounds, variable upper bounds)`` of constraints (2)/(3).
+
+    Written from the paper, one scalar at a time: a variable ``X[c, a]`` per
+    matrix row ``c`` and accelerator type ``a``, usable only where some job
+    of ``c`` runs on ``a``; (2) each job's total time across the rows
+    containing it is at most 1 (its group size when type-aggregated, a
+    ``(j, j)`` row consuming two members); (3) per type, the workers the
+    allocation occupies — each row weighted by its widest job — fit the
+    cluster.  Columns not owned by a live variable stay zero and fixed.
+    """
+    names = matrix.registry.names
+    counts = problem.group_counts or {}
+    column = {
+        (combination, a): variables.variable(combination, a).index
+        for combination in matrix.combinations
+        for a in range(len(names))
+    }
+    upper = np.zeros(num_variables)
+    for combination in matrix.combinations:
+        throughputs = matrix.row(combination)
+        cap = min(counts.get(job_id, 1) for job_id in combination)
+        for a in range(len(names)):
+            if (throughputs[:, a] > 0).any():
+                upper[column[combination, a]] = cap
+    rows, bounds = [], []
+    for job_id in matrix.job_ids:
+        row = np.zeros(num_variables)
+        for combination in matrix.combinations:
+            for a in range(len(names)):
+                row[column[combination, a]] += combination.count(job_id)
+        rows.append(row)
+        bounds.append(counts.get(job_id, 1))
+    capacity = problem.cluster_spec.counts_vector()
+    for a in range(len(names)):
+        row = np.zeros(num_variables)
+        for combination in matrix.combinations:
+            row[column[combination, a]] = max(
+                problem.scale_factor(job_id) for job_id in combination
+            )
+        rows.append(row)
+        bounds.append(capacity[a])
+    return np.array(rows), np.array(bounds, dtype=float), upper
+
+
+def _assert_matches_scaffold(program, problem, matrix, variables):
+    num_variables = program.num_variables()
+    expected, expected_upper, variable_upper = _section_3_1_scaffold(
+        problem, matrix, variables, num_variables
+    )
+    assembled, lower, upper = program._assembled()
+    dense = assembled.toarray()
+    assert dense.shape == expected.shape
+    # Row order is an implementation detail; the row *set* is the claim.
+    order = np.lexsort(np.column_stack([dense, upper]).T)
+    expected_order = np.lexsort(np.column_stack([expected, expected_upper]).T)
+    assert np.array_equal(dense[order], expected[expected_order])
+    assert np.array_equal(upper[order], expected_upper[expected_order])
+    assert np.all(np.isneginf(lower))
+    assert np.array_equal(np.asarray(program._lower), np.zeros(num_variables))
+    assert np.array_equal(np.asarray(program._upper), variable_upper)
+
+
+class TestValidityScaffold:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_fresh_build(self, oracle, cluster, seed):
+        generator = TraceGenerator(oracle, TraceGeneratorConfig(multi_worker=seed == 2))
+        jobs = list(generator.generate_static(num_jobs=12, seed=seed).jobs)
+        matrix = build_throughput_matrix(jobs, oracle, space_sharing=True)
+        problem = PolicyProblem(
+            jobs={job.job_id: job for job in jobs}, throughputs=matrix, cluster_spec=cluster
+        )
+        program = LinearProgram()
+        variables = AllocationVariables(problem, matrix, program)
+        _assert_matches_scaffold(program, problem, matrix, variables)
+
+    def test_after_insert_remove_churn(self, oracle):
+        steps = churn_problems(oracle)
+        first = steps[0][0]
+        program = LinearProgram()
+        variables = AllocationVariables(first, first.throughputs, program)
+        for problem, _deltas in steps[1:]:
+            variables.update_to(problem, problem.throughputs)
+            _assert_matches_scaffold(program, problem, problem.throughputs, variables)
+        # Released columns are recycled before the program grows.
+        most_rows = max(problem.throughputs.num_rows() for problem, _deltas in steps)
+        assert program.num_variables() == 3 * most_rows
+
+    def test_aggregated_same_group_pair_row_counts_twice(self, oracle, cluster):
+        jobs = [
+            Job(job_id=0, job_type="a3c-bs4", total_steps=10.0),
+            Job(job_id=1, job_type="a3c-bs4", total_steps=20.0),
+            Job(job_id=2, job_type="a3c-bs4", total_steps=30.0),
+            Job(job_id=3, job_type="resnet18-bs64", total_steps=40.0),
+        ]
+        base = PolicyProblem(
+            jobs={job.job_id: job for job in jobs},
+            throughputs=build_throughput_matrix(jobs, oracle, space_sharing=True),
+            cluster_spec=cluster,
+        )
+        problem = AggregatedProblem.build(base).problem
+        matrix = problem.throughputs
+        assert (0, 0) in matrix.combinations
+        program = LinearProgram()
+        variables = AllocationVariables(problem, matrix, program)
+        _assert_matches_scaffold(program, problem, matrix, variables)
+        # The claim spelled out: job 0's row weighs its (0, 0) pair twice and
+        # is bounded by the group size.
+        handle = variables._job_constraints[0]
+        row = program._constraints[handle]
+        pair_columns = variables._row_vars[(0, 0)]
+        assert row.values[np.isin(row.indices, pair_columns)].tolist() == [2.0] * 3
+        assert row.upper == 3.0
+
+
+class TestRecordedChurnAllocations:
+    @pytest.mark.parametrize("policy_spec", SS_POLICY_SPECS)
+    def test_churn_allocations_match_recording(self, oracle, policy_spec):
+        """Counts and names exactly; time fractions to 1e-9 (other HiGHS builds)."""
+        recorded = load_recorded()[policy_spec]
+        actual = churn_fingerprints(policy_spec, churn_problems(oracle))
+        assert len(actual) == len(recorded)
+        idle = [0.0, 0.0, 0.0]
+        for step, (got, want) in enumerate(zip(actual, recorded)):
+            for combination in sorted(got.keys() | want.keys()):
+                assert got.get(combination, idle) == pytest.approx(
+                    want.get(combination, idle), rel=1e-9, abs=1e-9
+                ), f"{policy_spec} step {step} row {combination}"

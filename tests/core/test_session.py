@@ -99,8 +99,6 @@ class TestSessionMatchesScratch:
         for spec in ("max_min_fairness_water_filling", "hierarchical"):
             session = make_policy(spec).session(problem)
             assert isinstance(session, WaterFillingSession)
-        rebuild = make_policy("max_min_fairness_water_filling", incremental=False)
-        assert isinstance(rebuild.session(problem), RebuildSession)
 
     @pytest.mark.parametrize("spec", ["max_min_fairness+ss", "max_min_fairness_water_filling+ss"])
     def test_estimate_refinement_reaches_session(self, spec, oracle, cluster):

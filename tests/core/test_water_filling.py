@@ -104,57 +104,3 @@ class TestWaterFilling:
             initial_weights={job_id: 1.0 for job_id in mixed_problem.job_ids}
         )
         assert result.iterations <= mixed_problem.num_jobs + 2
-
-    @pytest.mark.parametrize("use_milp", [True, False])
-    @pytest.mark.parametrize("weighting", ["uniform", "weighted", "with_zeros"])
-    def test_persistent_matches_legacy_rebuild_baseline(
-        self, mixed_problem, use_milp, weighting
-    ):
-        """The persistent level loop agrees with the historical rebuild-per-LP path.
-
-        ``incremental=False`` / ``persistent=False`` keeps the pre-session
-        implementation as the equivalence baseline; the two paths use
-        different level-update rules (analytic ``level += w*t*`` for the jobs
-        in play vs vertex readback for every job), so agreement is on the
-        outcome: per-job effective throughputs to within the procedure's own
-        epsilon tolerances.  The ``with_zeros`` case exercises the one regime
-        where the rules differ structurally — zero-weight jobs (FIFO-entity
-        hierarchies), which the legacy path ratchets and the persistent path
-        leaves untouched.
-        """
-        from repro.core.effective_throughput import effective_throughput
-
-        job_ids = sorted(mixed_problem.job_ids)
-        if weighting == "uniform":
-            weights = {job_id: 1.0 for job_id in job_ids}
-        elif weighting == "weighted":
-            weights = {job_id: 1.0 + (job_id % 3) for job_id in job_ids}
-        else:  # one zero-weight job, like a FIFO entity's queued followers
-            weights = {
-                job_id: (0.0 if position == len(job_ids) - 1 else 1.0)
-                for position, job_id in enumerate(job_ids)
-            }
-        persistent = WaterFillingAllocator(
-            mixed_problem,
-            mixed_problem.throughputs,
-            use_milp_bottleneck_detection=use_milp,
-            persistent=True,
-        ).run(initial_weights=weights)
-        legacy = WaterFillingAllocator(
-            mixed_problem,
-            mixed_problem.throughputs,
-            use_milp_bottleneck_detection=use_milp,
-            persistent=False,
-        ).run(initial_weights=weights)
-        matrix = mixed_problem.throughputs
-        persistent.allocation.validate(mixed_problem.cluster_spec)
-        legacy.allocation.validate(mixed_problem.cluster_spec)
-        for job_id in mixed_problem.job_ids:
-            if weights[job_id] <= 0:
-                # Zero-weight jobs are optimized by neither path; whatever
-                # they receive is incidental slack and may legitimately
-                # differ, so only validity is asserted for them (above).
-                continue
-            a = effective_throughput(matrix, persistent.allocation, job_id)
-            b = effective_throughput(matrix, legacy.allocation, job_id)
-            assert a == pytest.approx(b, rel=0.05, abs=0.05)

@@ -6,7 +6,9 @@ from repro.cluster import ClusterSpec
 from repro.exceptions import ConfigurationError
 from repro.harness import (
     LoadSweepPoint,
+    measure_lp_build_runtime,
     measure_policy_runtime,
+    measure_policy_solve_under_churn,
     run_load_sweep,
     run_policy_on_trace,
     steady_state_job_ids,
@@ -111,3 +113,17 @@ class TestPolicyRuntime:
             "max_min_fairness_ss", num_jobs_values=[8], oracle=oracle, space_sharing=True
         )
         assert runtimes[8] > 0
+
+
+class TestFigure12Series:
+    def test_lp_build_is_one_timing_per_job_count(self, oracle):
+        build = measure_lp_build_runtime("max_min_fairness+ss", [8, 16], oracle=oracle)
+        assert set(build) == {8, 16}
+        assert all(isinstance(seconds, float) and seconds > 0 for seconds in build.values())
+
+    def test_churn_times_both_strategies_of_one_policy(self, oracle):
+        churn = measure_policy_solve_under_churn(
+            "max_min_fairness_water_filling", [8], num_events=2, oracle=oracle
+        )
+        assert set(churn[8]) == {"scratch", "session"}
+        assert all(seconds > 0 for seconds in churn[8].values())

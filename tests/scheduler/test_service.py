@@ -517,8 +517,15 @@ class TestSnapshotRestore:
         scheduler.run_until(3600.0)
         checkpoint = scheduler.snapshot()
         steps_at_checkpoint = {j: r.steps_done for j, r in checkpoint.records.items()}
+        seconds_at_checkpoint = {
+            j: dict(r.accelerator_seconds) for j, r in checkpoint.records.items()
+        }
+        assert any(seconds_at_checkpoint.values())
         scheduler.run_until()
         assert {j: r.steps_done for j, r in checkpoint.records.items()} == steps_at_checkpoint
+        assert {
+            j: r.accelerator_seconds for j, r in checkpoint.records.items()
+        } == seconds_at_checkpoint
 
     def test_restore_preserves_online_events(self, oracle, small_spec):
         """A snapshot taken after cancel/resize restores the changed state."""

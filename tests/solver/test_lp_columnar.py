@@ -93,14 +93,16 @@ class TestBulkConstraints:
                 np.array([0, 0]), v[:2], np.array([1.0, 1.0]), -math.inf, np.array([1.5])
             )[0]
         )
-        # Appending a disjoint term extends the fragment without a dict.
+        row = program._constraints[handle]
+        # Appending a disjoint term extends the stored arrays.
         program.add_terms_to_constraint_from_arrays(handle, v[2:], np.array([1.0]))
-        assert program._constraints[handle]._coefficients is None
-        # Overlapping append falls back to (correct) dict accumulation.
+        assert row.indices.tolist() == v.tolist()
+        # An overlapping append sums in place.
         program.add_terms_to_constraint_from_arrays(handle, v[:1], np.array([0.5]))
-        assert program._constraints[handle].coefficients[int(v[0])] == pytest.approx(1.5)
+        assert row.indices.tolist() == v.tolist()
+        assert row.values.tolist() == [1.5, 1.0, 1.0]
         program.remove_terms_from_constraint(handle, [int(v[1])])
-        assert int(v[1]) not in program._constraints[handle].coefficients
+        assert row.indices.tolist() == [int(v[0]), int(v[2])]
         program.set_constraint_coefficients_from_arrays(
             handle, v[:2], np.array([2.0, 3.0])
         )

@@ -75,6 +75,97 @@ class TestConstraintMutation:
         assert warm.value_of(x) == pytest.approx(cold.value_of(fx))
 
 
+class TestRowFormat:
+    """Term-level edits on the stored ``(indices, values)`` arrays.
+
+    Every edit entry point — mapping, :class:`LinearExpression` or arrays —
+    lands in the same array algebra; these pin its ordering rules (HiGHS
+    sees a row's columns in stored order) and check the live model agrees.
+    """
+
+    @staticmethod
+    def _row(lp, handle):
+        constraint = lp._constraints[handle]
+        return constraint.indices.tolist(), constraint.values.tolist()
+
+    def test_overlapping_terms_sum_in_place(self):
+        lp, x, y, handle = _toy_program()
+        lp.solve()
+        z = lp.add_variable("z", upper=10.0)
+        lp.add_terms_to_constraint(handle, {y.index: 0.5, z.index: 2.0, x.index: 1.0})
+        # x and y keep their positions and accumulate; z is appended.
+        assert self._row(lp, handle) == ([x.index, y.index, z.index], [2.0, 1.5, 2.0])
+        lp.maximize(x * 2.0 + y + z * 3.0)
+        warm = lp.solve()
+
+        fresh = LinearProgram()
+        fx = fresh.add_variable("x", upper=4.0)
+        fy = fresh.add_variable("y", upper=3.0)
+        fz = fresh.add_variable("z", upper=10.0)
+        fresh.add_less_equal(fx * 2.0 + fy * 1.5 + fz * 2.0, 5.0)
+        fresh.maximize(fx * 2.0 + fy + fz * 3.0)
+        assert warm.objective_value == pytest.approx(fresh.solve().objective_value)
+
+    def test_terms_cancelling_to_zero_leave_the_row(self):
+        lp, x, y, handle = _toy_program()
+        lp.add_terms_to_constraint_from_arrays(
+            handle, np.array([x.index]), np.array([-1.0])
+        )
+        assert self._row(lp, handle) == ([y.index], [1.0])
+        assert lp.solve().objective_value == pytest.approx(11.0)
+
+    def test_duplicate_array_terms_coalesce_before_summing(self):
+        lp, x, y, handle = _toy_program()
+        lp.add_terms_to_constraint_from_arrays(
+            handle, np.array([y.index, y.index]), np.array([0.25, 0.25])
+        )
+        assert self._row(lp, handle) == ([x.index, y.index], [1.0, 1.5])
+
+    def test_replace_coefficients_from_linear_expression(self):
+        lp, x, y, handle = _toy_program()
+        lp.solve()
+        # Term order follows the expression (y first), zeros are dropped.
+        lp.set_constraint_coefficients(
+            handle, LinearExpression({y.index: 4.0, x.index: 0.0})
+        )
+        assert self._row(lp, handle) == ([y.index], [4.0])
+        solution = lp.solve()
+        assert solution.value_of(x) == pytest.approx(4.0)
+        assert solution.value_of(y) == pytest.approx(1.25)
+        with pytest.raises(SolverError):
+            lp.set_constraint_coefficients(handle, LinearExpression({x.index: 1.0}, 2.0))
+
+    def test_remove_then_re_add_column_moves_it_to_the_end(self):
+        lp, x, y, handle = _toy_program()
+        lp.solve()
+        lp.remove_terms_from_constraint(handle, [x.index])
+        assert self._row(lp, handle) == ([y.index], [1.0])
+        assert lp.solve().objective_value == pytest.approx(11.0)
+        lp.add_terms_to_constraint(handle, {x.index: 1.0})
+        assert self._row(lp, handle) == ([y.index, x.index], [1.0, 1.0])
+        assert lp.solve().objective_value == pytest.approx(9.0)
+
+    def test_fractional_rows_share_the_edit_algebra(self):
+        fp = FractionalProgram()
+        x = fp.add_variable("x", upper=1.0)
+        y = fp.add_variable("y", upper=1.0)
+        handle = fp.add_less_equal({x.index: 1.0, y.index: 1.0}, 1.5)
+        fp.set_ratio_objective(x + y * 1.0, x * 1.0 + y * 2.0 + 0.1)
+        fp.solve()  # build the Charnes-Cooper mirror, then edit through it
+        fp.add_terms_to_constraint(handle, {y.index: 1.0})
+        fp.remove_terms_from_constraint(handle, [x.index])
+        constraint = fp._constraints[handle]
+        assert (constraint.indices.tolist(), constraint.values.tolist()) == ([y.index], [2.0])
+        warm = fp.solve()
+
+        fresh = FractionalProgram()
+        fx = fresh.add_variable("x", upper=1.0)
+        fy = fresh.add_variable("y", upper=1.0)
+        fresh.add_less_equal({fy.index: 2.0}, 1.5)
+        fresh.set_ratio_objective(fx + fy * 1.0, fx * 1.0 + fy * 2.0 + 0.1)
+        assert warm.objective_value == pytest.approx(fresh.solve().objective_value)
+
+
 class TestVariableRecycling:
     def test_release_and_reuse_index(self):
         lp = LinearProgram()

@@ -8,26 +8,27 @@ diverged model.
 """
 
 import pytest
+from scipy.optimize._highspy import _core as _highs_core
 
+from repro.cluster import ClusterSpec
+from repro.core import PolicyProblem, build_throughput_matrix, make_policy
 from repro.exceptions import SolverError
 from repro.solver import LinearProgram
-
-try:
-    from scipy.optimize._highspy import _core as _highs_core
-except ImportError:  # pragma: no cover - exercised only without highspy
-    _highs_core = None
-
-pytestmark = pytest.mark.skipif(
-    _highs_core is None, reason="highspy backend not available"
-)
+from repro.workloads import ThroughputOracle, TraceGenerator
 
 
 class _ForcedError:
-    """Delegating proxy that performs the real call but reports ``kError``."""
+    """Delegating proxy that performs the real call but reports ``kError``.
 
-    def __init__(self, real, failing_method):
+    ``on_call`` restricts the forced status to the n-th call of the method
+    (1-based); by default every call reports the error.
+    """
+
+    def __init__(self, real, failing_method, on_call=None):
         self._real = real
         self._failing_method = failing_method
+        self._on_call = on_call
+        self._calls = 0
 
     def __getattr__(self, name):
         attribute = getattr(self._real, name)
@@ -35,8 +36,11 @@ class _ForcedError:
             return attribute
 
         def forced(*args, **kwargs):
-            attribute(*args, **kwargs)
-            return _highs_core.HighsStatus.kError
+            status = attribute(*args, **kwargs)
+            self._calls += 1
+            if self._on_call is None or self._calls == self._on_call:
+                return _highs_core.HighsStatus.kError
+            return status
 
         return forced
 
@@ -75,3 +79,78 @@ def test_delete_rows_error_raises_solver_error():
     lp.remove_constraint(handle)
     with pytest.raises(SolverError, match="deleteRows failed"):
         lp.solve()
+
+
+def test_failed_sync_falls_back_to_a_cold_rebuild():
+    """A rejected edit must not leave later solves answering for a diverged model.
+
+    ``deleteRows`` really deletes the row but reports ``kError``, so the
+    backend's row maps and the program's edit journal are half-advanced when
+    the error surfaces.  Replaying them would delete whichever row now sits
+    at the stale index (here the binding ``x <= 2``); the next solve must pass
+    the full model instead.
+    """
+    lp, x, y = _warm_program()
+    doomed = lp.add_less_equal(x - y, 1.0)
+    lp.add_less_equal({x.index: 1.0}, 2.0)
+    assert lp.solve().objective_value == pytest.approx(7.0)
+    real = lp._backend._highs
+    lp._backend._highs = _ForcedError(real, "deleteRows")
+    lp.remove_constraint(doomed)
+    with pytest.raises(SolverError, match="deleteRows failed"):
+        lp.solve()
+    if lp._backend is not None:
+        lp._backend._highs = real
+    recovered = lp.solve()
+
+    fresh = LinearProgram()
+    fx = fresh.add_variable("x", upper=4.0)
+    fy = fresh.add_variable("y", upper=3.0)
+    fresh.add_less_equal(fx + fy, 5.0)
+    fresh.add_less_equal({fx.index: 1.0}, 2.0)
+    fresh.maximize(fx * 2.0 + fy)
+    cold = fresh.solve()
+    assert recovered.objective_value == pytest.approx(cold.objective_value)
+    assert recovered.value_of(x) == pytest.approx(cold.value_of(fx))
+    assert recovered.value_of(y) == pytest.approx(cold.value_of(fy))
+
+
+def _contended_problem(num_jobs=6):
+    oracle = ThroughputOracle()
+    jobs = list(TraceGenerator(oracle).generate_static(num_jobs=num_jobs, seed=3).jobs)
+    return PolicyProblem(
+        jobs={job.job_id: job for job in jobs},
+        throughputs=build_throughput_matrix(jobs, oracle),
+        cluster_spec=ClusterSpec.from_counts({"v100": 1, "p100": 1, "k80": 1}),
+    )
+
+
+@pytest.mark.parametrize("spec", ["makespan", "finish_time_fairness"])
+def test_hard_failure_mid_bisection_is_not_infeasible(spec):
+    """``kError`` on one bisection candidate must raise, not loosen the optimum.
+
+    The third ``run`` of a solve is the first midpoint candidate (after the
+    two bracket ends); treating its failure as "infeasible" would silently
+    return a looser makespan / fairness ratio.
+    """
+    problem = _contended_problem()
+    session = make_policy(spec).session(problem)
+    session.solve(problem)
+    backend = session.program._backend
+    backend._highs = _ForcedError(backend._highs, "run", on_call=3)
+    with pytest.raises(SolverError, match="run failed"):
+        session.solve(problem)
+    assert backend._highs._calls == 3
+
+
+def test_hard_failure_in_a_headroom_probe_is_not_a_bottleneck():
+    """``kError`` on a greedy headroom probe must raise, not freeze the job."""
+    problem = _contended_problem()
+    policy = make_policy("max_min_fairness_water_filling", use_milp_bottleneck_detection=False)
+    session = policy.session(problem)
+    session.solve(problem)
+    backend = session.program._backend
+    # Run 1 is the first level LP; run 2 is the first headroom probe.
+    backend._highs = _ForcedError(backend._highs, "run", on_call=2)
+    with pytest.raises(SolverError, match="run failed"):
+        session.solve(problem)
