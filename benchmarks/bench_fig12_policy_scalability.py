@@ -53,6 +53,7 @@ import os
 from conftest import BENCH_SCALE
 
 from repro.core import make_policy
+from repro.core.water_filling import _LevelLoopProgram
 from repro.harness import (
     format_table,
     measure_aggregated_solve_runtime,
@@ -116,17 +117,13 @@ _AGG_SPEEDUP_GATE = 5.0
 
 def _hierarchical_for_scaling(space_sharing=False):
     """Registry hierarchical policy (round-robin entity fallback) for scaling runs."""
-    return make_policy(
-        "hierarchical",
-        space_sharing=space_sharing,
-        use_milp_bottleneck_detection=False,
-    )
+    return make_policy("hierarchical", space_sharing=space_sharing)
 
 
 def _water_filling_churn(oracle):
     """Fresh level-loop program per event vs the persistent session under churn."""
     return measure_policy_solve_under_churn(
-        make_policy("max_min_fairness_water_filling", use_milp_bottleneck_detection=False),
+        make_policy("max_min_fairness_water_filling"),
         _WF_CHURN_NUM_JOBS,
         num_events=_WF_CHURN_NUM_EVENTS,
         oracle=oracle,
@@ -134,6 +131,25 @@ def _water_filling_churn(oracle):
 
 
 def _measure(oracle):
+    """Every sweep, plus the bottleneck-detection counters of all its level loops."""
+    detections = {"solves": 0, "milp_fallbacks": 0, "infeasible": 0}
+    run = _LevelLoopProgram.run
+
+    def counted(self, *args, **kwargs):
+        result = run(self, *args, **kwargs)
+        detections["solves"] += result.detection_solves
+        detections["milp_fallbacks"] += result.milp_fallbacks
+        detections["infeasible"] += result.infeasible_detections
+        return result
+
+    _LevelLoopProgram.run = counted
+    try:
+        return (*_measure_series(oracle), detections)
+    finally:
+        _LevelLoopProgram.run = run
+
+
+def _measure_series(oracle):
     policies = {
         "LAS": ("max_min_fairness", False),
         "LAS w/ SS": ("max_min_fairness_ss", True),
@@ -166,7 +182,7 @@ def _measure(oracle):
     return runtimes, prep, churn, build, aggregated
 
 
-def _write_artifact(runtimes, prep, churn, build, aggregated) -> str:
+def _write_artifact(runtimes, prep, churn, build, aggregated, detections) -> str:
     """Dump the sweep timings as JSON for the CI perf-trajectory artifact."""
     path = os.environ.get("REPRO_BENCH_JSON", "BENCH_fig12.json")
     payload = {
@@ -193,6 +209,9 @@ def _write_artifact(runtimes, prep, churn, build, aggregated) -> str:
             name: {str(n): point for n, point in series.items()}
             for name, series in aggregated.items()
         },
+        # Bottleneck detections of every water-filling / hierarchical solve
+        # above, and how many needed the integer re-solve.
+        "water_filling_detections": detections,
     }
     with open(path, "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
@@ -200,7 +219,7 @@ def _write_artifact(runtimes, prep, churn, build, aggregated) -> str:
 
 
 def bench_fig12_policy_scalability(benchmark, oracle):
-    runtimes, prep, churn, build, aggregated = benchmark.pedantic(
+    runtimes, prep, churn, build, aggregated, detections = benchmark.pedantic(
         _measure, args=(oracle,), rounds=1, iterations=1
     )
     rows = [
@@ -330,8 +349,13 @@ def bench_fig12_policy_scalability(benchmark, oracle):
             series[_AGG_NUM_JOBS[-1]]["lp_rows"]
         )
 
-    artifact = _write_artifact(runtimes, prep, churn, build, aggregated)
+    artifact = _write_artifact(runtimes, prep, churn, build, aggregated, detections)
     print(f"wrote sweep timings to {artifact}")
+    print(
+        f"water-filling bottleneck detections: {detections['solves']} solved, "
+        f"{detections['milp_fallbacks']} needed the integer fallback, "
+        f"{detections['infeasible']} infeasible"
+    )
 
     # Shape checks: runtime grows with the number of jobs, the hierarchical
     # policy costs more than single-level LAS, and every configuration stays

@@ -68,22 +68,6 @@ class EntitySpec:
 class _WaterFillingPolicyBase(Policy):
     """Shared sessionful plumbing for the two water-filling policies."""
 
-    def __init__(
-        self,
-        heterogeneity_agnostic: bool = False,
-        space_sharing: bool = False,
-        use_milp_bottleneck_detection: bool = True,
-    ) -> None:
-        super().__init__(
-            heterogeneity_agnostic=heterogeneity_agnostic, space_sharing=space_sharing
-        )
-        self._use_milp = use_milp_bottleneck_detection
-
-    @property
-    def use_milp_bottleneck_detection(self) -> bool:
-        """Whether bottleneck detection uses the Appendix A.1 MILP."""
-        return self._use_milp
-
     # -- weight semantics supplied by subclasses -----------------------------------------
     def water_filling_weights(self, problem: PolicyProblem) -> Dict[int, float]:
         """Initial per-job weights for one water-filling run."""
@@ -128,13 +112,10 @@ class HierarchicalPolicy(_WaterFillingPolicyBase):
         entities: Sequence[EntitySpec],
         heterogeneity_agnostic: bool = False,
         space_sharing: bool = False,
-        use_milp_bottleneck_detection: bool = True,
         entity_fallback: str = _STRICT,
     ) -> None:
         super().__init__(
-            heterogeneity_agnostic=heterogeneity_agnostic,
-            space_sharing=space_sharing,
-            use_milp_bottleneck_detection=use_milp_bottleneck_detection,
+            heterogeneity_agnostic=heterogeneity_agnostic, space_sharing=space_sharing
         )
         if not entities:
             raise ConfigurationError("hierarchical policy requires at least one entity")

@@ -548,13 +548,19 @@ class AllocationVariables:
 
     @staticmethod
     def rows_with_column(
-        starts: np.ndarray, cols: np.ndarray, coeffs: np.ndarray, column: int, value: float
+        starts: np.ndarray,
+        cols: np.ndarray,
+        coeffs: np.ndarray,
+        column: "int | np.ndarray",
+        value: "float | np.ndarray",
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """One row per job from throughput blocks, each ending in ``value * x[column]``.
 
         ``starts`` / ``cols`` come from :meth:`effective_throughput_blocks`
         and ``coeffs`` are the (already scaled) coefficients aligned with
-        ``cols``.  Returns the ``(rows, cols, coeffs)`` triplet
+        ``cols``; ``column`` / ``value`` are one scalar shared by every row (an
+        epigraph variable) or one entry per job (water-filling's detection
+        indicators).  Returns the ``(rows, cols, coeffs)`` triplet
         ``add_constraints_from_arrays`` takes — the shape of every epigraph
         row family (``t <= scale_m * throughput(m, X)``, water-filling level
         rows).

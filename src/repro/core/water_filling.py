@@ -9,9 +9,29 @@ policy, and repeats.  Two optimization problems are solved per iteration:
 1. an LP that maximizes the minimum weighted *increase* in normalized
    throughput across the jobs still in play, subject to nobody dropping below
    the level reached in earlier iterations; and
-2. the Appendix A.1 MILP that identifies which jobs are bottlenecked, i.e.
+2. the Appendix A.1 problem that identifies which jobs are bottlenecked, i.e.
    whose normalized throughput cannot be improved at all without hurting
-   another job.
+   another job: maximize ``sum_m z_m`` over binary ``z`` subject to nobody
+   dropping below its level and ``z_m = 1`` only if job ``m`` gains at least
+   ``delta``.  It is written in its tight form (no big-M)
+
+       ``n_m >= (L_m - eps * n_g) + (delta + eps) * n_g * z_m``
+
+   which has the same feasible set for binary ``z``, and it is solved as an
+   **LP** over ``0 <= z <= 1``.  *Decisive-LP rule:* let ``S`` be the jobs
+   with ``z_m >= 1 - tol`` and ``F`` the sum of the other (fractional)
+   ``z_m``; if ``F < 1`` then ``S`` is an exact MILP optimum.  Proof: the
+   MILP optimum is an integer no larger than the LP optimum ``<= |S| + F <
+   |S| + 1``, so it is at most ``|S|``, and the LP's own allocation with
+   ``z`` rounded to the indicator of ``S`` is MILP-feasible (a row only
+   loosens when its ``z_m`` drops to 0) and attains ``|S|``.  Only a
+   non-decisive LP (``F >= 1``) re-solves the same rows with ``z`` integer,
+   and the loop counts those fallbacks
+   (:attr:`WaterFillingResult.milp_fallbacks`).  The optimum *set* is not
+   unique when interchangeable jobs tie (the others' ``eps`` slack can fund a
+   ``delta`` for any one of them): the LP vertex picks one as the MILP's
+   branching used to, and the level profile is the same either way up to
+   ``delta``.
 
 Persistent-program level loop
 -----------------------------
@@ -42,19 +62,30 @@ A level iteration is then: one bound sweep, one warm-started re-solve of the
 live program, an analytic level bump (``level_m += w_m * t*`` for the jobs in
 play — ``t*`` is the LP's unique optimal value, so the loop's trajectory
 never depends on which degenerate vertex the solver returned), and a
-bottleneck check.  Greedy bottleneck detection reuses the
-same program (epigraph pinned to zero, level rows relaxed, one
-objective-swap solve per candidate); the Appendix A.1 MILP is solved on a
-throwaway canonically-ordered program so its integer branching never depends
-on the live program's edit history and never invalidates the warm LP basis.
+bottleneck check.
+
+Bottleneck detection (:func:`_find_improvable`) is solved on a throwaway,
+canonically ordered program of its own — per job one row
+``n_m - (delta + eps) * n_g * z_m >= L_m - eps * n_g`` and one column
+``z_m`` — built afresh for every detection, so its vertex never depends on
+any live program's edit history.  Keeping it off the level program is a
+requirement, not a style choice: a detection solved there moves that
+program's basis, the next level LP then starts from a different vertex, and a
+long-lived session stops reproducing a from-scratch run round for round.
+This way the level program's solve sequence consists of level LPs only.  (A
+second *long-lived* detection program, synchronised by the same ``update_to``
+deltas and re-solved warm, was measured about 1.8x faster per re-allocation
+and keeps the same property; ``CHANGES.md``, PR 16, records why it is left
+for a follow-up.)
 
 Type-aggregated runs (see :mod:`repro.core.aggregation`) feed the same loop a
 problem whose rows are group representatives with ``group_counts`` set: the
 variables hold group *totals*, the baked ``w · n_g`` weights make the
 epigraph and the analytic level bumps track per-member levels scaled by group
-mass, and every epsilon slack / improvement threshold / big-M constant /
-freeze-guard comparison scales by the row's group count.  The loop itself is
-unchanged — its iteration count is bounded by the number of active *groups*.
+mass, and every epsilon slack / improvement threshold / indicator
+coefficient / freeze-guard comparison scales by the row's group count.  The
+loop itself is unchanged — its iteration count is bounded by the number of
+active *groups*.
 """
 
 from __future__ import annotations
@@ -66,16 +97,13 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Set, 
 import numpy as np
 
 from repro.core.allocation import Allocation
-from repro.core.effective_throughput import (
-    fastest_reference_throughput,
-    normalized_throughput_scale,
-)
+from repro.core.effective_throughput import normalized_throughput_scale
 from repro.core.policy import AllocationVariables
 from repro.core.problem import PolicyProblem
 from repro.core.session import IncrementalProgramSession
 from repro.core.throughput_matrix import ThroughputMatrix
 from repro.exceptions import ConfigurationError, InfeasibleError
-from repro.solver.lp import LinearExpression, LinearProgram
+from repro.solver.lp import LinearProgram, Solution
 
 if TYPE_CHECKING:  # circular at runtime: hierarchical imports this module
     from repro.core.hierarchical import _WaterFillingPolicyBase
@@ -85,75 +113,80 @@ __all__ = ["WaterFillingResult", "WaterFillingAllocator", "WaterFillingSession"]
 _EPSILON = 1e-4
 #: Minimum normalized-throughput gain for a job to count as improvable.
 _IMPROVEMENT = 10 * _EPSILON
+#: A relaxed indicator at least this close to 1 counts as set; the fractional
+#: rest must sum below ``1 - _Z_TOLERANCE`` for the relaxation to be decisive.
+_Z_TOLERANCE = 1e-6
 
 _Redistribute = Callable[[Mapping[int, float], Set[int]], Dict[int, float]]
 
 
 @dataclass
 class WaterFillingResult:
-    """Outcome of the water-filling procedure."""
+    """Outcome of the water-filling procedure.
+
+    ``detection_solves`` counts bottleneck detections (one per iteration),
+    ``milp_fallbacks`` those whose LP relaxation was not decisive and were
+    re-solved with integer indicators, and ``infeasible_detections`` those
+    the solver reported infeasible — each of which froze every job still in
+    play (an empty improvable set) instead of raising.
+    """
 
     allocation: Allocation
     normalized_throughputs: Dict[int, float]
     iterations: int
     bottleneck_order: List[Set[int]] = field(default_factory=list)
+    detection_solves: int = 0
+    milp_fallbacks: int = 0
+    infeasible_detections: int = 0
 
 
-def _normalized_upper_bound(
-    matrix: ThroughputMatrix, norms: Mapping[int, float], job_id: int, count: int = 1
-) -> float:
-    """Upper bound on a job's normalized throughput (run 100% on fastest type).
-
-    ``count`` is the aggregation-group size behind the row: an aggregated
-    row's variables hold the group *total*, whose ceiling is ``n_g`` members
-    each running flat out on the fastest type.
-    """
-    return count * norms[job_id] * fastest_reference_throughput(matrix, job_id) + 1.0
-
-
-def _solve_bottleneck_milp(
+def _find_improvable(
     problem: PolicyProblem,
     matrix: ThroughputMatrix,
     norms: Mapping[int, float],
     levels: Mapping[int, float],
     candidates: Set[int],
-) -> Set[int]:
-    """Appendix A.1 MILP: the subset of ``candidates`` that can still improve.
+) -> Tuple[Set[int], bool]:
+    """A maximum set of ``candidates`` that can all gain ``delta`` at once.
 
-    Always solved on a fresh, canonically-ordered program: MILPs force the
-    stateless solver path anyway, so there is no warm state to reuse, and a
-    canonical build keeps the (possibly tie-broken) optimal indicator set
-    independent of any live program's edit history — which is what lets a
-    long-lived session reproduce a from-scratch run bit for bit.
-
-    On a type-aggregated problem every row stands for a group of ``n_g``
-    interchangeable jobs and ``levels`` hold group totals, so the epsilon
-    slack, the improvement threshold and the big-M constant all scale by
-    ``n_g`` (a per-member delta for each of the ``n_g`` members).
+    Builds the Appendix A.1 program of the module docstring — per job the row
+    ``n_m - (delta + eps) * n_g * z_m >= L_m - eps * n_g`` and the indicator
+    column ``z_m`` (1 at most for a candidate, 0 for the rest), maximizing
+    their sum — on a fresh, canonically ordered program and applies the
+    decisive-LP rule (``_Z_TOLERANCE`` on both comparisons).  Returns the set
+    plus whether the integer fallback was needed; raises
+    :class:`InfeasibleError` when even "nobody drops below its level" has no
+    solution.
     """
-    program = LinearProgram(name="water_filling_bottleneck_milp")
+    program = LinearProgram(name="water_filling_detection")
     variables = AllocationVariables(problem, matrix, program)
-    indicator: Dict[int, "object"] = {}
-    objective = LinearExpression()
-    for job_id in matrix.job_ids:
-        normalized = variables.effective_throughput_expression(job_id) * norms[job_id]
-        level = levels.get(job_id, 0.0)
-        count = problem.group_count(job_id)
-        # No group may drop below its current level.
-        program.add_greater_equal(normalized, level - _EPSILON * count)
-        if job_id in candidates:
-            z = program.add_variable(name=f"z[{job_id}]", lower=0.0, upper=1.0, integer=True)
-            indicator[job_id] = z
-            big_m = _normalized_upper_bound(matrix, norms, job_id, count)
-            # z = 1 => normalized >= level + delta (strictly better), via
-            # normalized >= (level + delta) - bigM * (1 - z).
-            program.add_greater_equal(
-                normalized + z * (-big_m), level + _IMPROVEMENT * count - big_m
-            )
-            objective = objective + z * 1.0
-    program.maximize(objective)
-    solution = program.solve()
-    return {job_id for job_id, z in indicator.items() if solution.value_of(z) > 0.5}
+    job_ids, starts, cols, vals = variables.effective_throughput_blocks()
+    jobs = job_ids.tolist()
+    norm_vec = np.fromiter((norms[job_id] for job_id in jobs), float, count=len(jobs))
+    counts = np.fromiter(
+        (problem.group_count(job_id) for job_id in jobs), float, count=len(jobs)
+    )
+    level_vec = np.fromiter((levels.get(job_id, 0.0) for job_id in jobs), float, count=len(jobs))
+    in_play = np.fromiter((job_id in candidates for job_id in jobs), float, count=len(jobs))
+    indicators = program.add_variables_from_arrays(len(jobs), upper=in_play, name="z")
+    program.add_constraints_from_arrays(
+        *variables.rows_with_column(
+            starts,
+            cols,
+            vals * np.repeat(norm_vec, np.diff(starts)),
+            indicators,
+            -(_IMPROVEMENT + _EPSILON) * counts,
+        ),
+        level_vec - _EPSILON * counts,
+        math.inf,
+    )
+    program.set_objective_from_arrays(indicators, np.ones(len(jobs)), maximize=True)
+    z = program.solve().values[indicators]
+    chosen = z >= 1.0 - _Z_TOLERANCE
+    decisive = float(z[~chosen].sum()) < 1.0 - _Z_TOLERANCE
+    if not decisive:
+        chosen = program.solve(integer_columns=indicators).values[indicators] > 0.5
+    return {jobs[position] for position in np.flatnonzero(chosen)}, not decisive
 
 
 class _LevelLoopProgram:
@@ -166,15 +199,9 @@ class _LevelLoopProgram:
     sweeps and warm re-solves of the single live program.
     """
 
-    def __init__(
-        self,
-        program: LinearProgram,
-        variables: AllocationVariables,
-        use_milp_bottleneck_detection: bool = True,
-    ) -> None:
+    def __init__(self, program: LinearProgram, variables: AllocationVariables) -> None:
         self._program = program
         self._variables = variables
-        self._use_milp = use_milp_bottleneck_detection
         self._epigraph = program.add_variable(name="water_level_t", lower=-math.inf)
         self._problem: Optional[PolicyProblem] = None
         #: job id -> constraint handle of the floor / level rows.
@@ -330,7 +357,7 @@ class _LevelLoopProgram:
 
         Levels track group *totals* on aggregated problems, so every epsilon
         slack, improvement threshold and freeze-guard comparison scales by
-        this count (see :func:`_solve_bottleneck_milp`).
+        this count (a per-member delta for each of the ``n_g`` members).
         """
         problem = self._problem
         return 1 if problem is None else problem.group_count(job_id)
@@ -371,8 +398,8 @@ class _LevelLoopProgram:
         program.set_variable_bounds(self._epigraph, -math.inf, None)
         program.maximize({self._epigraph.index: 1.0})
 
-    def _solve_level(self) -> Tuple[Allocation, float]:
-        """Solve the current level LP: ``(allocation, t*)``.
+    def _solve_level(self) -> Tuple[Solution, float]:
+        """Solve the current level LP: ``(solution, t*)``.
 
         ``t*`` — the optimal minimum weighted increase — is the LP's optimal
         *value* and therefore unique, unlike the allocation vertex achieving
@@ -381,73 +408,11 @@ class _LevelLoopProgram:
         trajectory (levels, freeze order, weight redistribution) a
         deterministic function of the problem snapshot: a warm-started
         session and a cold rebuild walk identical level loops even when
-        degenerate optima let their solvers pick different vertices.
+        degenerate optima let their solvers pick different vertices.  Only
+        the last iteration's vertex is ever turned into an allocation.
         """
         solution = self._program.solve()
-        return (
-            self._variables.extract_allocation(solution),
-            max(0.0, float(solution.objective_value)),
-        )
-
-    # -- bottleneck detection ---------------------------------------------------------
-    def _find_improvable(
-        self, levels: Mapping[int, float], candidates: Set[int]
-    ) -> Set[int]:
-        """The subset of ``candidates`` whose normalized throughput can still rise."""
-        if not candidates:
-            return set()
-        if self._use_milp:
-            try:
-                return _solve_bottleneck_milp(
-                    self._problem, self._variables.matrix, self._norms, levels, candidates
-                )
-            except InfeasibleError:
-                pass
-        return self._find_improvable_greedy(levels, candidates)
-
-    def _find_improvable_greedy(
-        self, levels: Mapping[int, float], candidates: Set[int]
-    ) -> Set[int]:
-        """Per-candidate headroom probes on the live program.
-
-        Detection state: the epigraph variable is pinned to zero, the level
-        rows are relaxed, and the floors are swept to the just-updated levels
-        — leaving exactly "nobody drops below its level".  Each candidate is
-        then one objective swap (maximize its normalized throughput) plus a
-        warm re-solve.
-        """
-        program = self._program
-        job_ids, floor_handles, level_handles = self._handles()
-        program.fix_variable(self._epigraph, 0.0)
-        program.set_constraint_bounds_from_arrays(level_handles, lower=-math.inf)
-        floor_lowers = np.fromiter(
-            (
-                levels.get(job_id, 0.0) - _EPSILON * self._group_count(job_id)
-                for job_id in job_ids
-            ),
-            dtype=float,
-            count=len(job_ids),
-        )
-        program.set_constraint_bounds_from_arrays(floor_handles, lower=floor_lowers)
-        improvable: Set[int] = set()
-        try:
-            # Sorted: each probe re-solves the warm program, so probe order is
-            # part of the deterministic solve trajectory.
-            for job_id in sorted(candidates):
-                cols, vals = self._terms[job_id]
-                program.set_objective_from_arrays(
-                    cols, vals * self._norms[job_id], maximize=True
-                )
-                try:
-                    solution = program.solve()
-                except InfeasibleError:
-                    continue
-                threshold = levels.get(job_id, 0.0) + _IMPROVEMENT * self._group_count(job_id)
-                if solution.objective_value > threshold:
-                    improvable.add(job_id)
-        finally:
-            program.set_variable_bounds(self._epigraph, -math.inf, None)
-        return improvable
+        return solution, max(0.0, float(solution.objective_value))
 
     # -- the level loop ---------------------------------------------------------------
     def run(
@@ -470,9 +435,9 @@ class _LevelLoopProgram:
         levels: Dict[int, float] = {job_id: 0.0 for job_id in job_ids}
         frozen: Set[int] = set()
         bottleneck_order: List[Set[int]] = []
-        allocation: Optional[Allocation] = None
+        solution: Optional[Solution] = None
+        iterations = detection_solves = milp_fallbacks = infeasible_detections = 0
 
-        iterations = 0
         while iterations < limit:
             iterations += 1
             active = {
@@ -483,11 +448,23 @@ class _LevelLoopProgram:
             if not active:
                 break
             self._begin_iteration(weights, levels, frozen)
-            allocation, t_star = self._solve_level()
+            solution, t_star = self._solve_level()
             for job_id in sorted(active):
                 levels[job_id] = levels[job_id] + weights[job_id] * t_star
 
-            improvable = self._find_improvable(levels, active)
+            detection_solves += 1
+            try:
+                improvable, fell_back = _find_improvable(
+                    self._problem, self._variables.matrix, self._norms, levels, active
+                )
+            except InfeasibleError:
+                # Not even "nobody drops below its level" is feasible: nothing
+                # can be shown improvable, so everything in play freezes — on
+                # the record.  A SolverError is a failure and propagates.
+                infeasible_detections += 1
+                improvable = set()
+            else:
+                milp_fallbacks += fell_back
             newly_frozen = active - improvable
             if not newly_frozen:
                 # Guard against cycling: freeze the lowest-level active group
@@ -503,13 +480,16 @@ class _LevelLoopProgram:
             if len(frozen) == len(job_ids):
                 break
 
-        if allocation is None:
+        if solution is None:
             raise InfeasibleError("water filling produced no allocation")
         return WaterFillingResult(
-            allocation=allocation,
-            normalized_throughputs=dict(levels),
+            allocation=self._variables.extract_allocation(solution),
+            normalized_throughputs=levels,
             iterations=iterations,
             bottleneck_order=bottleneck_order,
+            detection_solves=detection_solves,
+            milp_fallbacks=milp_fallbacks,
+            infeasible_detections=infeasible_detections,
         )
 
 
@@ -525,12 +505,10 @@ class WaterFillingAllocator:
         self,
         problem: PolicyProblem,
         matrix: ThroughputMatrix,
-        use_milp_bottleneck_detection: bool = True,
         max_iterations: Optional[int] = None,
     ) -> None:
         self._problem = problem
         self._matrix = matrix
-        self._use_milp = use_milp_bottleneck_detection
         self._max_iterations = (
             max_iterations if max_iterations is not None else problem.num_jobs + 2
         )
@@ -552,9 +530,7 @@ class WaterFillingAllocator:
         """
         program = LinearProgram(name="water_filling")
         variables = AllocationVariables(self._problem, self._matrix, program)
-        loop = _LevelLoopProgram(
-            program, variables, use_milp_bottleneck_detection=self._use_milp
-        )
+        loop = _LevelLoopProgram(program, variables)
         loop.align(self._problem)
         return loop.run(
             initial_weights, redistribute=redistribute, max_iterations=self._max_iterations
@@ -577,11 +553,7 @@ class WaterFillingSession(IncrementalProgramSession):
 
     def __init__(self, policy: "_WaterFillingPolicyBase", problem: PolicyProblem) -> None:
         super().__init__(policy, problem, LinearProgram(name=policy.display_name))
-        self._loop = _LevelLoopProgram(
-            self._program,
-            self._variables,
-            use_milp_bottleneck_detection=policy.use_milp_bottleneck_detection,
-        )
+        self._loop = _LevelLoopProgram(self._program, self._variables)
         self._last_result: Optional[WaterFillingResult] = None
 
     @property

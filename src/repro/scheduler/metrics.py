@@ -10,7 +10,7 @@ rounds; ``repro.simulator`` re-exports the public names for convenience.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -46,8 +46,17 @@ class JobRecord:
     first_allocation_time: Optional[float] = None
 
     def copy(self) -> "JobRecord":
-        """An independent record: the frozen ``job`` is shared, the seconds map is not."""
-        return replace(self, accelerator_seconds=dict(self.accelerator_seconds))
+        """An independent record: the frozen ``job`` is shared, the seconds map is not.
+
+        Copies the instance dict instead of going through
+        :func:`dataclasses.replace`: a snapshot copies every record of the run,
+        and ``replace`` (field introspection plus ``__init__``) was nine tenths
+        of ``ClusterScheduler.snapshot()``.
+        """
+        clone = object.__new__(JobRecord)
+        clone.__dict__.update(self.__dict__)
+        clone.accelerator_seconds = dict(self.accelerator_seconds)
+        return clone
 
     @property
     def completed(self) -> bool:

@@ -50,8 +50,14 @@ edits journalled since the previous one and HiGHS re-solves from its
 incumbent basis.  A failed edit or solver call raises
 :class:`~repro.exceptions.SolverError` and drops the live model, so the next
 solve passes the full model again (the cold rebuild) instead of answering
-for a diverged one.  Programs with integer variables go to
-:func:`scipy.optimize.milp`, the only path that runs them.
+for a diverged one.  Integers go to :func:`scipy.optimize.milp`
+(``_solve_milp``), the only path that runs them, and it is reached in two
+ways only: the program declares integer variables (nothing in ``src/`` does),
+or a ``solve(integer_columns=...)`` call makes some columns integer for that
+one solve — the fallback of the water-filling bottleneck detection when its
+LP relaxation is not decisive (:mod:`repro.core.water_filling`), which the
+level loop counts in ``WaterFillingResult.milp_fallbacks``.  Either way the
+live model is dropped, so the next pure-LP solve passes the full model.
 """
 
 from __future__ import annotations
@@ -411,7 +417,12 @@ class _HighsBackend:
             )
         self._row_handles: List[int] = []
         self._row_of: Dict[int, int] = {}
-        self._num_cols = 0
+        #: Column bounds, costs and sense as HiGHS last saw them: a later sync
+        #: pushes only the columns that differ from this mirror.
+        self._col_lower = np.empty(0)
+        self._col_upper = np.empty(0)
+        self._col_cost = np.empty(0)
+        self._maximize = False
         self._synced = False
 
     # -- synchronisation -------------------------------------------------------
@@ -421,9 +432,10 @@ class _HighsBackend:
         lp = _highs_core.HighsLp()
         lp.num_col_ = num_vars
         lp.num_row_ = matrix.shape[0]
-        lp.col_cost_ = program._objective_dense()
-        lp.col_lower_ = np.array(program._lower)
-        lp.col_upper_ = np.array(program._upper)
+        self._col_cost = lp.col_cost_ = program._objective_dense()
+        self._col_lower = lp.col_lower_ = np.array(program._lower)
+        self._col_upper = lp.col_upper_ = np.array(program._upper)
+        self._maximize = program._maximize
         lp.row_lower_ = row_lower
         lp.row_upper_ = row_upper
         lp.sense_ = (
@@ -442,23 +454,25 @@ class _HighsBackend:
         _ensure_highs_ok(self._highs.passModel(lp), "passModel", program.name)
         self._row_handles = list(program._cached_ids)
         self._row_of = {handle: row for row, handle in enumerate(self._row_handles)}
-        self._num_cols = num_vars
         self._synced = True
 
     def _apply_edits(self, program: "LinearProgram") -> None:
         highs = self._highs
-        num_vars = program.num_variables()
-        empty_i = np.empty(0, np.int32)
-        empty_f = np.empty(0, float)
-        for index in range(self._num_cols, num_vars):
-            _ensure_highs_ok(
-                highs.addCol(
-                    0.0, program._lower[index], program._upper[index], 0, empty_i, empty_f
-                ),
-                "addCol",
-                program.name,
-            )
-        self._num_cols = num_vars
+        lower, upper = np.array(program._lower), np.array(program._upper)
+        cost = program._objective_dense()
+        known = len(self._col_cost)
+        if len(cost) > known:
+            empty_i = np.empty(0, np.int32)
+            empty_f = np.empty(0, float)
+            for index in range(known, len(cost)):
+                _ensure_highs_ok(
+                    highs.addCol(0.0, lower[index], upper[index], 0, empty_i, empty_f),
+                    "addCol",
+                    program.name,
+                )
+            self._col_lower = np.concatenate([self._col_lower, lower[known:]])
+            self._col_upper = np.concatenate([self._col_upper, upper[known:]])
+            self._col_cost = np.concatenate([self._col_cost, np.zeros(len(cost) - known)])
 
         # Rows whose coefficients changed are deleted and re-added.
         drop = {
@@ -513,28 +527,38 @@ class _HighsBackend:
                     program.name,
                 )
 
-        all_columns = np.arange(num_vars, dtype=np.int32)
-        _ensure_highs_ok(
-            highs.changeColsBounds(
-                num_vars, all_columns, np.array(program._lower), np.array(program._upper)
-            ),
-            "changeColsBounds",
-            program.name,
-        )
-        _ensure_highs_ok(
-            highs.changeColsCost(num_vars, all_columns, program._objective_dense()),
-            "changeColsCost",
-            program.name,
-        )
-        _ensure_highs_ok(
-            highs.changeObjectiveSense(
-                _highs_core.ObjSense.kMaximize
-                if program._maximize
-                else _highs_core.ObjSense.kMinimize
-            ),
-            "changeObjectiveSense",
-            program.name,
-        )
+        # Columns are journalled by difference against what HiGHS last saw:
+        # bounds are written through numpy views all over the program, so the
+        # mirror is the one record that cannot miss a write.
+        moved = np.flatnonzero((lower != self._col_lower) | (upper != self._col_upper))
+        if len(moved):
+            _ensure_highs_ok(
+                highs.changeColsBounds(
+                    len(moved), moved.astype(np.int32), lower[moved], upper[moved]
+                ),
+                "changeColsBounds",
+                program.name,
+            )
+            self._col_lower, self._col_upper = lower, upper
+        moved = np.flatnonzero(cost != self._col_cost)
+        if len(moved):
+            _ensure_highs_ok(
+                highs.changeColsCost(len(moved), moved.astype(np.int32), cost[moved]),
+                "changeColsCost",
+                program.name,
+            )
+            self._col_cost = cost
+        if program._maximize != self._maximize:
+            _ensure_highs_ok(
+                highs.changeObjectiveSense(
+                    _highs_core.ObjSense.kMaximize
+                    if program._maximize
+                    else _highs_core.ObjSense.kMinimize
+                ),
+                "changeObjectiveSense",
+                program.name,
+            )
+            self._maximize = program._maximize
 
     # -- solving ----------------------------------------------------------------
     def solve(self, program: "LinearProgram") -> Tuple[np.ndarray, float]:
@@ -1058,16 +1082,24 @@ class LinearProgram:
         c = self._objective_dense()
         return -c if self._maximize else c
 
-    def solve(self) -> Solution:
+    def solve(self, integer_columns: Optional[np.ndarray] = None) -> Solution:
         """Solve the program, raising on infeasibility or solver failure.
 
-        Pure LPs re-solve on the live HiGHS model (see :class:`_HighsBackend`);
-        programs with integer variables are handed to SciPy's ``milp``.
+        Pure LPs re-solve on the live HiGHS model (see :class:`_HighsBackend`).
+        SciPy's ``milp`` is reached in exactly two ways: the program declares
+        integer variables, or the caller passes ``integer_columns`` to
+        restrict those columns to integers *for this solve only* — how the
+        water-filling detection program re-solves its own rows when the LP
+        relaxation does not already decide the Appendix A.1 MILP.
         """
         if self.num_variables() == 0:
             raise SolverError(f"{self.name}: cannot solve a program with no variables")
-        if self._integer.any():
-            return self._solve_milp()
+        integrality = self._integer
+        if integer_columns is not None:
+            integrality = integrality.copy()
+            integrality[integer_columns] = True
+        if integrality.any():
+            return self._solve_milp(integrality)
         if self._backend is None:
             self._backend = _HighsBackend()
         try:
@@ -1090,7 +1122,7 @@ class LinearProgram:
             status="optimal",
         )
 
-    def _solve_milp(self) -> Solution:
+    def _solve_milp(self, integrality: np.ndarray) -> Solution:
         # milp is stateless: a live backend would miss the edits consumed
         # here, so drop it — the next pure-LP solve passes the full model
         # again — and clear the now-meaningless journal.
@@ -1105,7 +1137,7 @@ class LinearProgram:
             c=self._objective_vector(),
             constraints=constraints,
             bounds=ScipyBounds(np.array(self._lower), np.array(self._upper)),
-            integrality=self._integer.astype(int),
+            integrality=integrality.astype(int),
         )
         if not result.success or result.x is None:
             message = result.message or "unknown solver failure"

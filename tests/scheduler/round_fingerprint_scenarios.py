@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict
+from typing import Any, Dict, Optional
 
 from repro.cluster import ClusterSpec
 from repro.scheduler import ClusterScheduler, SchedulerConfig
@@ -35,14 +35,31 @@ SCENARIOS: Dict[str, Any] = {
     "space_sharing": ("max_min_fairness+ss", SchedulerConfig(mode="round"), 2, False),
 }
 
+#: The water-filling family, replayed through every scenario's configuration
+#: by the ``_solve_milp`` count test.  No fingerprint is recorded for
+#: these: when identical jobs tie, the Appendix A.1 optimum is not unique.
+WATER_FILLING_SPECS = [
+    "max_min_fairness_water_filling",
+    "max_min_fairness_water_filling+ss",
+    "hierarchical",
+    "hierarchical+ss",
+]
+
 
 def load_recorded() -> Dict[str, Any]:
     return json.loads(RECORDED.read_text(encoding="utf-8"))
 
 
-def run_scenario(name: str, until: float = float("inf")) -> ClusterScheduler:
-    """A scheduler that has replayed scenario ``name`` up to ``until``."""
-    policy, config, per_type, multi_worker = SCENARIOS[name]
+def run_scenario(
+    name: str, until: float = float("inf"), policy: Optional[str] = None
+) -> ClusterScheduler:
+    """A scheduler that has replayed scenario ``name`` up to ``until``.
+
+    ``policy`` replaces the scenario's own policy spec (same trace, cluster
+    and scheduler configuration).
+    """
+    recorded_policy, config, per_type, multi_worker = SCENARIOS[name]
+    policy = recorded_policy if policy is None else policy
     oracle = ThroughputOracle()
     generator = TraceGenerator(oracle, TraceGeneratorConfig(multi_worker=multi_worker))
     trace = generator.generate_continuous(num_jobs=14, jobs_per_hour=6.0, seed=5)

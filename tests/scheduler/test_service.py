@@ -14,7 +14,13 @@ from repro.scheduler import ClusterScheduler, SchedulerConfig, VirtualClock, Wal
 from repro.simulator import Simulator, SimulatorConfig
 from repro.workloads import Job, ThroughputOracle, Trace, TraceGenerator
 
-from round_fingerprint_scenarios import SCENARIOS, fingerprint, load_recorded, run_scenario
+from round_fingerprint_scenarios import (
+    SCENARIOS,
+    WATER_FILLING_SPECS,
+    fingerprint,
+    load_recorded,
+    run_scenario,
+)
 
 
 @pytest.fixture(scope="module")
@@ -749,3 +755,42 @@ class TestRoundMechanismReproducesRecordedRuns:
         )
         resumed.run_until()
         assert _result_fingerprint(resumed.result()) == reference
+
+
+@pytest.mark.parametrize("spec", WATER_FILLING_SPECS)
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_water_filling_detection_accounts_for_every_milp(monkeypatch, name, spec):
+    """``_solve_milp`` runs only as a counted fallback, and never without ``+ss``.
+
+    Without space sharing every bottleneck detection of these runs is decided
+    by its LP relaxation.  Pair rows make two fractional indicators possible:
+    ``round`` x ``hierarchical+ss`` has one such detection, which the integer
+    re-solve then confirms.
+    """
+    from repro.core.water_filling import _LevelLoopProgram
+    from repro.solver.lp import LinearProgram
+
+    milp_calls = []
+    solve_milp = LinearProgram._solve_milp
+
+    def counted_milp(self, integrality):
+        milp_calls.append(self.name)
+        return solve_milp(self, integrality)
+
+    results = []
+    run = _LevelLoopProgram.run
+
+    def recorded_run(*args, **kwargs):
+        results.append(run(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(LinearProgram, "_solve_milp", counted_milp)
+    monkeypatch.setattr(_LevelLoopProgram, "run", recorded_run)
+    scheduler = run_scenario(name, policy=spec)
+    assert not scheduler.has_work
+    assert sum(result.detection_solves for result in results) > 0
+    assert sum(result.infeasible_detections for result in results) == 0
+    fallbacks = sum(result.milp_fallbacks for result in results)
+    assert milp_calls == ["water_filling_detection"] * fallbacks
+    if not spec.endswith("+ss"):
+        assert fallbacks == 0

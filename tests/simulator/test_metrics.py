@@ -1,5 +1,7 @@
 """Tests for simulation metrics."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,27 @@ class TestJobRecord:
     def test_finish_time_fairness(self):
         record = _record(0, completion=200.0)
         assert record.finish_time_fairness(100.0) == pytest.approx(2.0)
+
+    def test_copy_carries_every_field_and_owns_its_seconds_map(self):
+        record = JobRecord(
+            job=_record(0).job,
+            completion_time=9.0,
+            steps_done=8.0,
+            cost_dollars=7.0,
+            accelerator_seconds={"v100": 6.0},
+            preemptions=5,
+            checkpoint_seconds=4.0,
+            cancelled=True,
+            first_allocation_time=3.0,
+        )
+        defaults = JobRecord(job=record.job)
+        for spec in fields(JobRecord):  # every field set to a non-default value above
+            assert spec.name == "job" or getattr(record, spec.name) != getattr(defaults, spec.name)
+        clone = record.copy()
+        assert clone == record and clone.job is record.job
+        clone.accelerator_seconds["v100"] += 1.0
+        clone.steps_done += 1.0
+        assert record.accelerator_seconds == {"v100": 6.0} and record.steps_done == 8.0
         assert record.finish_time_fairness(0.0) is None
 
 

@@ -14,6 +14,7 @@ from repro.cluster import ClusterSpec
 from repro.core import PolicyProblem, build_throughput_matrix, make_policy
 from repro.exceptions import SolverError
 from repro.solver import LinearProgram
+from repro.solver.lp import _HighsBackend
 from repro.workloads import ThroughputOracle, TraceGenerator
 
 
@@ -115,6 +116,53 @@ def test_failed_sync_falls_back_to_a_cold_rebuild():
     assert recovered.value_of(y) == pytest.approx(cold.value_of(fy))
 
 
+class _Recorder:
+    """Delegating proxy that records the arguments of the named HiGHS calls."""
+
+    def __init__(self, real, *methods):
+        self._real = real
+        self.calls = {method: [] for method in methods}
+
+    def __getattr__(self, name):
+        attribute = getattr(self._real, name)
+        if name not in self.calls:
+            return attribute
+
+        def recorded(*args):
+            self.calls[name].append(args)
+            return attribute(*args)
+
+        return recorded
+
+
+def test_only_moved_columns_are_pushed_to_the_live_model():
+    """A re-solve pushes the columns whose bounds or costs moved, and no others."""
+    lp, x, y = _warm_program()
+    z = lp.add_variable("z", upper=1.0)  # a new column arrives with its bounds
+    recorder = _Recorder(
+        lp._backend._highs, "addCol", "changeColsBounds", "changeColsCost", "changeObjectiveSense"
+    )
+    lp._backend._highs = recorder
+    lp.set_variable_bounds(y, 0.0, 2.0)
+    lp.maximize(x * 2.0 + y + z * 3.0)
+    assert lp.solve().objective_value == pytest.approx(2.0 * 4.0 + 1.0 + 3.0)
+    assert len(recorder.calls["addCol"]) == 1
+    ((count, columns, lowers, uppers),) = recorder.calls["changeColsBounds"]
+    assert (count, list(columns), list(lowers), list(uppers)) == (1, [y.index], [0.0], [2.0])
+    ((count, columns, costs),) = recorder.calls["changeColsCost"]
+    assert (count, list(columns), list(costs)) == (1, [z.index], [3.0])
+    assert recorder.calls["changeObjectiveSense"] == []
+
+    for calls in recorder.calls.values():
+        calls.clear()
+    lp.solve()  # nothing moved: nothing is pushed
+    assert not any(recorder.calls.values())
+    lp.minimize(x * 2.0 + y + z * 3.0)
+    assert lp.solve().objective_value == pytest.approx(0.0)
+    assert len(recorder.calls["changeObjectiveSense"]) == 1
+    assert recorder.calls["changeColsBounds"] == recorder.calls["changeColsCost"] == []
+
+
 def _contended_problem(num_jobs=6):
     oracle = ThroughputOracle()
     jobs = list(TraceGenerator(oracle).generate_static(num_jobs=num_jobs, seed=3).jobs)
@@ -143,14 +191,26 @@ def test_hard_failure_mid_bisection_is_not_infeasible(spec):
     assert backend._highs._calls == 3
 
 
-def test_hard_failure_in_a_headroom_probe_is_not_a_bottleneck():
-    """``kError`` on a greedy headroom probe must raise, not freeze the job."""
+def test_hard_failure_in_bottleneck_detection_is_not_a_bottleneck(monkeypatch):
+    """``kError`` on a detection solve must raise, not freeze every job.
+
+    The level loop turns an *infeasible* detection into an empty improvable
+    set (counted in ``WaterFillingResult.infeasible_detections``); a hard
+    solver failure on the detection program is not that and must propagate.
+    """
     problem = _contended_problem()
-    policy = make_policy("max_min_fairness_water_filling", use_milp_bottleneck_detection=False)
-    session = policy.session(problem)
+    session = make_policy("max_min_fairness_water_filling").session(problem)
     session.solve(problem)
-    backend = session.program._backend
-    # Run 1 is the first level LP; run 2 is the first headroom probe.
-    backend._highs = _ForcedError(backend._highs, "run", on_call=2)
-    with pytest.raises(SolverError, match="run failed"):
+    assert session.last_result.infeasible_detections == 0
+
+    # Every detection runs on a program of its own: fail the first one's run.
+    pass_full_model = _HighsBackend._pass_full_model
+
+    def failing_detection(backend, program):
+        pass_full_model(backend, program)
+        if program.name == "water_filling_detection":
+            backend._highs = _ForcedError(backend._highs, "run", on_call=1)
+
+    monkeypatch.setattr(_HighsBackend, "_pass_full_model", failing_detection)
+    with pytest.raises(SolverError, match="water_filling_detection: HiGHS run failed"):
         session.solve(problem)
