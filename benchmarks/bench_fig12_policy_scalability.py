@@ -75,8 +75,9 @@ _CHURN_POLICIES = {
 }
 #: Required scratch/session speedup for plain LAS at the largest churn count.
 #: Columnar assembly makes the stateless path's construction cheap, so the
-#: session's advantage at laptop scale is the warm-started re-solve itself
-#: (~2.2x at 128 jobs; 2x holds from 256 jobs up).
+#: session's advantage at laptop scale is the warm-started re-solve itself:
+#: 3.4-3.6x at 128 jobs over five runs now that the HiGHS basis survives row
+#: edits (1.25-2.55x, tripping this gate at random, while it did not).
 _CHURN_SPEEDUP_GATE = 1.7 if BENCH_SCALE == 1 else 2.0
 #: Water-filling churn sweep: the level loop solves O(iterations x candidates)
 #: LPs per event, so it replays fewer events.

@@ -15,6 +15,7 @@ from repro.core.allocation_engine import AllocationEngine, PairThroughputCache
 from repro.core.baselines import AlloXPolicy, GandivaPolicy, IsolatedPolicy
 from repro.core.effective_throughput import (
     effective_throughput,
+    effective_throughputs,
     equal_share_reference_throughput,
     fastest_reference_throughput,
     isolated_reference_throughput,
@@ -62,6 +63,7 @@ __all__ = [
     "JobCombination",
     "build_throughput_matrix",
     "effective_throughput",
+    "effective_throughputs",
     "equal_share_reference_throughput",
     "isolated_reference_throughput",
     "fastest_reference_throughput",

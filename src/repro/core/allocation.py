@@ -7,8 +7,8 @@ spend running on that type between allocation recomputations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from bisect import bisect_left
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -23,7 +23,12 @@ _VALIDATION_TOLERANCE = 1e-4
 
 
 class Allocation:
-    """Time-fraction allocation over job combinations and accelerator types."""
+    """Time-fraction allocation over job combinations and accelerator types.
+
+    Stored as one read-only ``(len(combinations), len(registry))`` array whose
+    rows follow the sorted combinations; per-row and per-job accessors are
+    views or sums over it.
+    """
 
     def __init__(
         self,
@@ -31,8 +36,7 @@ class Allocation:
         entries: Mapping[JobCombination, np.ndarray],
         scale_factors: Optional[Mapping[int, int]] = None,
     ) -> None:
-        self._registry = registry
-        self._entries: Dict[JobCombination, np.ndarray] = {}
+        rows: Dict[JobCombination, np.ndarray] = {}
         for combination, values in entries.items():
             key = tuple(sorted(int(j) for j in combination))
             array = np.asarray(values, dtype=float).reshape(-1)
@@ -40,17 +44,57 @@ class Allocation:
                 raise AllocationError(
                     f"allocation row for {key} has shape {array.shape}, expected ({len(registry)},)"
                 )
-            self._entries[key] = array
-        self._scale_factors: Dict[int, int] = dict(scale_factors or {})
-        # Entries are immutable after construction, so the sorted row order
-        # (and the dense matrix aligned with it) is computed once.
-        self._combinations: Tuple[JobCombination, ...] = tuple(sorted(self._entries))
-        self._matrix: Optional[np.ndarray] = None
-        self._job_ids: Tuple[int, ...] = tuple(
-            sorted({job_id for combination in self._entries for job_id in combination})
+            rows[key] = array
+        combinations = tuple(sorted(rows))
+        matrix = np.array([rows[combination] for combination in combinations], dtype=float)
+        self._adopt(
+            registry, combinations, matrix.reshape(len(rows), len(registry)), scale_factors
         )
 
+    def _adopt(
+        self,
+        registry: AcceleratorRegistry,
+        combinations: Tuple[JobCombination, ...],
+        matrix: np.ndarray,
+        scale_factors: Optional[Mapping[int, int]],
+    ) -> None:
+        matrix.flags.writeable = False
+        self._registry = registry
+        self._combinations = combinations
+        self._matrix = matrix
+        self._entries: Dict[JobCombination, np.ndarray] = dict(zip(combinations, matrix))
+        self._scale_factors: Dict[int, int] = dict(scale_factors or {})
+        self._job_ids: Tuple[int, ...] = tuple(
+            sorted({job_id for combination in combinations for job_id in combination})
+        )
+        #: Per-job sums over the rows containing the job, aligned with
+        #: ``_job_ids``; built on first use (see :meth:`_job_rows`).
+        self._job_row_sums: Optional[np.ndarray] = None
+
     # -- constructors -------------------------------------------------------------
+    @classmethod
+    def from_matrix(
+        cls,
+        registry: AcceleratorRegistry,
+        combinations: Tuple[JobCombination, ...],
+        matrix: np.ndarray,
+        scale_factors: Optional[Mapping[int, int]] = None,
+    ) -> "Allocation":
+        """Array-backed constructor: ``matrix[r]`` is the row of ``combinations[r]``.
+
+        ``combinations`` must already be normalised (each a sorted tuple of
+        ints) and sorted — e.g. ``ThroughputMatrix.dense_rows().combinations``
+        — and ``matrix`` is adopted, not copied: it becomes read-only.
+        """
+        if matrix.shape != (len(combinations), len(registry)):
+            raise AllocationError(
+                f"allocation matrix has shape {matrix.shape}, expected "
+                f"({len(combinations)}, {len(registry)})"
+            )
+        allocation = cls.__new__(cls)
+        allocation._adopt(registry, tuple(combinations), matrix, scale_factors)
+        return allocation
+
     @classmethod
     def zeros(
         cls,
@@ -58,9 +102,11 @@ class Allocation:
         scale_factors: Optional[Mapping[int, int]] = None,
     ) -> "Allocation":
         """An all-zero allocation over the rows of ``matrix``."""
-        return cls(
+        combinations = matrix.combinations
+        return cls.from_matrix(
             matrix.registry,
-            {combination: np.zeros(len(matrix.registry)) for combination in matrix.combinations},
+            combinations,
+            np.zeros((len(combinations), len(matrix.registry))),
             scale_factors=scale_factors,
         )
 
@@ -77,11 +123,6 @@ class Allocation:
     @property
     def matrix(self) -> np.ndarray:
         """All rows as one read-only ``(len(combinations), len(registry))`` array."""
-        if self._matrix is None:
-            rows = [self._entries[combination] for combination in self._combinations]
-            matrix = np.array(rows, dtype=float).reshape(len(rows), len(self._registry))
-            matrix.flags.writeable = False
-            self._matrix = matrix
         return self._matrix
 
     @property
@@ -107,21 +148,35 @@ class Allocation:
     def value(self, combination: Sequence[int], accelerator_name: str) -> float:
         return float(self.row(combination)[self._registry.index_of(accelerator_name)])
 
-    def job_total(self, job_id: int) -> float:
-        """Total time fraction job ``job_id`` receives across all rows and types."""
-        total = 0.0
-        for combination, values in self._entries.items():
-            if job_id in combination:
-                total += float(values.sum())
-        return total
+    def _job_rows(self) -> np.ndarray:
+        """``(len(job_ids), len(registry))`` sums over the rows containing each job.
+
+        Built once, on first use: one pass over the combinations instead of
+        one per queried job.  A same-group ``(j, j)`` row counts once.
+        """
+        if self._job_row_sums is None:
+            position = {job_id: index for index, job_id in enumerate(self._job_ids)}
+            rows: List[int] = []
+            owners: List[int] = []
+            for row, combination in enumerate(self._combinations):
+                for job_id in dict.fromkeys(combination):
+                    rows.append(row)
+                    owners.append(position[job_id])
+            sums = np.zeros((len(self._job_ids), len(self._registry)))
+            np.add.at(sums, owners, self._matrix[rows])
+            self._job_row_sums = sums
+        return self._job_row_sums
 
     def job_row(self, job_id: int) -> np.ndarray:
         """Per-accelerator time fractions of ``job_id`` summed over all rows containing it."""
-        row = np.zeros(len(self._registry))
-        for combination, values in self._entries.items():
-            if job_id in combination:
-                row += values
-        return row
+        index = bisect_left(self._job_ids, job_id)
+        if index == len(self._job_ids) or self._job_ids[index] != job_id:
+            return np.zeros(len(self._registry))
+        return self._job_rows()[index].copy()
+
+    def job_total(self, job_id: int) -> float:
+        """Total time fraction job ``job_id`` receives across all rows and types."""
+        return float(self.job_row(job_id).sum())
 
     def worker_usage(self) -> np.ndarray:
         """Expected worker usage per accelerator type (left side of constraint (3))."""
@@ -145,17 +200,22 @@ class Allocation:
         3. expected worker usage per accelerator type does not exceed the
            number of workers of that type.
         """
-        for combination, values in self._entries.items():
-            if np.any(values < -tolerance) or np.any(values > 1 + tolerance):
-                raise AllocationError(
-                    f"allocation entries for {combination} are outside [0, 1]: {values}"
-                )
-        for job_id in self._job_ids:
-            total = self.job_total(job_id)
-            if total > 1 + tolerance:
-                raise AllocationError(
-                    f"job {job_id} is allocated a total time fraction of {total:.4f} > 1"
-                )
+        matrix = self._matrix
+        outside = ((matrix < -tolerance) | (matrix > 1 + tolerance)).any(axis=1)
+        if outside.any():
+            row = int(np.argmax(outside))
+            raise AllocationError(
+                f"allocation entries for {self._combinations[row]} are outside [0, 1]: "
+                f"{matrix[row]}"
+            )
+        totals = self._job_rows().sum(axis=1)
+        over = totals > 1 + tolerance
+        if over.any():
+            index = int(np.argmax(over))
+            raise AllocationError(
+                f"job {self._job_ids[index]} is allocated a total time fraction of "
+                f"{totals[index]:.4f} > 1"
+            )
         usage = self.worker_usage()
         capacity = cluster_spec.counts_vector()
         for column, name in enumerate(self._registry.names):
@@ -180,10 +240,10 @@ class Allocation:
         Type-aggregated solves pass ``upper=None``: group-total rows may
         legitimately exceed 1, so only the lower bound is enforced.
         """
-        top = np.inf if upper is None else upper
-        return Allocation(
+        return Allocation.from_matrix(
             self._registry,
-            {combination: np.clip(values, 0.0, top) for combination, values in self._entries.items()},
+            self._combinations,
+            np.clip(self._matrix, 0.0, upper),
             scale_factors=self._scale_factors,
         )
 

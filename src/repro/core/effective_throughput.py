@@ -29,6 +29,7 @@ from repro.exceptions import ConfigurationError
 
 __all__ = [
     "effective_throughput",
+    "effective_throughputs",
     "equal_share_reference_throughput",
     "isolated_reference_throughput",
     "fastest_reference_throughput",
@@ -50,6 +51,28 @@ def effective_throughput(matrix: ThroughputMatrix, allocation: Allocation, job_i
         row = matrix.row(combination)[position]
         total += float(np.dot(row, allocation.row(combination)))
     return total
+
+
+def effective_throughputs(matrix: ThroughputMatrix, allocation: Allocation) -> Dict[int, float]:
+    """:func:`effective_throughput` of every job of ``matrix`` at once.
+
+    One pass over the matrix's columnar view instead of one walk per job;
+    equal to the scalar function up to floating-point summation order.
+    """
+    dense = matrix.dense_rows()
+    if allocation.combinations == dense.combinations:
+        shares = allocation.matrix
+    else:
+        # Rows the allocation does not cover contribute nothing.
+        shares = np.zeros((len(dense.combinations), len(matrix.registry)))
+        row_of = {combination: row for row, combination in enumerate(allocation.combinations)}
+        for row, combination in enumerate(dense.combinations):
+            covered = row_of.get(combination)
+            if covered is not None:
+                shares[row] = allocation.matrix[covered]
+    per_member = (dense.values * shares[dense.member_rows]).sum(axis=1)
+    totals = np.bincount(dense.member_ordinals, weights=per_member, minlength=len(dense.job_ids))
+    return dict(zip(dense.job_ids.tolist(), totals.tolist()))
 
 
 def equal_share_reference_throughput(

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import abc
 import math
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -187,10 +187,9 @@ class AllocationVariables:
         self._row_values: Dict[JobCombination, np.ndarray] = {}
         self._throughput_cache: Dict[int, LinearExpression] = {}
         self._throughput_terms_cache: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        #: Row-aligned (num_rows, num_columns) variable-index matrix, cached
-        #: per matrix snapshot for the whole-program columnar builders.
-        self._var_matrix: Optional[np.ndarray] = None
-        self._var_matrix_for: Optional[ThroughputMatrix] = None
+        #: (num_rows, num_columns) variable-index matrix, row-aligned with
+        #: ``matrix.dense_rows()``, for the whole-program columnar builders.
+        self._var_matrix: np.ndarray
         self._create_rows()
 
     # -- group-count helpers ---------------------------------------------------------
@@ -243,7 +242,6 @@ class AllocationVariables:
         )
         var_matrix = flat.reshape(num_rows, num_columns)
         self._var_matrix = var_matrix
-        self._var_matrix_for = self._matrix
         offsets = dense.offsets
         values = dense.values
         row_vars = self._row_vars
@@ -293,15 +291,6 @@ class AllocationVariables:
         )
         self._capacity_constraints = [int(handle) for handle in capacity_handles]
 
-    def _aligned_var_matrix(self, dense: DenseRows) -> np.ndarray:
-        """The (num_rows, num_columns) variable-index matrix for this snapshot."""
-        if self._var_matrix is None or self._var_matrix_for is not self._matrix:
-            self._var_matrix = np.stack(
-                [self._row_vars[combination] for combination in dense.combinations]
-            )
-            self._var_matrix_for = self._matrix
-        return self._var_matrix
-
     def _invalidate_job(self, job_id: int) -> None:
         self._throughput_cache.pop(job_id, None)
         self._throughput_terms_cache.pop(job_id, None)
@@ -331,32 +320,54 @@ class AllocationVariables:
             capacity = problem.cluster_spec.counts_vector()
             for column, handle in enumerate(self._capacity_constraints):
                 self._program.set_constraint_bounds(handle, upper=float(capacity[column]))
-        old_combinations = set(self._row_values)
-        new_combinations = set(matrix.combinations)
+        # Both snapshots list their rows sorted, so the rows present in both
+        # line up once each side is masked down to them.
+        old_dense = self._matrix.dense_rows()
+        new_dense = matrix.dense_rows()
+        new_combinations = set(new_dense.combinations)
+        stays = np.fromiter(
+            (combination in new_combinations for combination in old_dense.combinations),
+            dtype=bool,
+            count=len(old_dense.combinations),
+        )
+        stayed = np.fromiter(
+            (combination in self._row_vars for combination in new_dense.combinations),
+            dtype=bool,
+            count=len(new_dense.combinations),
+        )
 
         # Sorted: removal order decides variable-recycling order, which decides
         # the column layout later inserts reuse.
-        for combination in sorted(old_combinations - new_combinations):
-            self._remove_combination(combination)
+        for row in np.flatnonzero(~stays).tolist():
+            self._remove_combination(old_dense.combinations[row])
 
-        # Persisting rows: detect value changes (refined pair estimates).
-        for combination in sorted(old_combinations & new_combinations):
-            row = matrix.row(combination)
-            if not np.array_equal(row, self._row_values[combination]):
-                self._row_values[combination] = row
-                runnable = (row > 0).any(axis=0)
-                self._program.set_variable_bounds_from_arrays(
-                    self._row_vars[combination],
-                    0.0,
-                    runnable.astype(float) * self._row_cap(combination),
-                )
-                for job_id in combination:
-                    self._invalidate_job(job_id)
+        # Persisting rows: one stacked comparison finds the rows whose values
+        # changed (refined pair estimates).
+        stayed_members = np.repeat(stayed, new_dense.sizes)
+        differs = (
+            old_dense.values[np.repeat(stays, old_dense.sizes)]
+            != new_dense.values[stayed_members]
+        ).any(axis=1)
+        for row in np.unique(new_dense.member_rows[stayed_members][differs]).tolist():
+            combination = new_dense.combinations[row]
+            self._row_values[combination] = new_dense.values[
+                new_dense.offsets[row] : new_dense.offsets[row + 1]
+            ]
+            self._program.set_variable_bounds_from_arrays(
+                self._row_vars[combination],
+                0.0,
+                new_dense.runnable[row].astype(float) * self._row_cap(combination),
+            )
+            for job_id in combination:
+                self._invalidate_job(job_id)
 
         self._matrix = matrix
-        added = sorted(new_combinations - old_combinations)
+        var_matrix = np.empty((len(stayed), self._num_columns), dtype=np.int64)
+        var_matrix[stayed] = self._var_matrix[stays]
+        added = [new_dense.combinations[row] for row in np.flatnonzero(~stayed).tolist()]
         if added:
-            self._insert_combinations(added)
+            var_matrix[~stayed] = self._insert_combinations(added)
+        self._var_matrix = var_matrix
 
         # Jobs that vanished entirely: drop their (now vacuous) constraints.
         active_jobs = set(matrix.job_ids)
@@ -394,11 +405,12 @@ class AllocationVariables:
                 indices, 0.0, runnable.astype(float) * self._row_cap(combination)
             )
 
-    def _insert_combinations(self, combinations: Sequence[JobCombination]) -> None:
+    def _insert_combinations(self, combinations: Sequence[JobCombination]) -> np.ndarray:
         """Batch insert of new matrix rows (sorted), one columnar call per family.
 
         Bulk allocation consumes the recycled-index pool in removal order, so
         the column layout is a deterministic function of the churn sequence.
+        Returns the new rows' variable indices, one row per combination.
         """
         program = self._program
         dense = self._matrix.dense_rows()
@@ -461,6 +473,7 @@ class AllocationVariables:
             )
             for (job_id, _), handle in zip(new_jobs, handles):
                 self._job_constraints[job_id] = int(handle)
+        return var_new
 
     def _remove_combination(self, combination: JobCombination) -> None:
         indices = self._row_vars.pop(combination)
@@ -530,9 +543,8 @@ class AllocationVariables:
         arrays.
         """
         dense = self._matrix.dense_rows()
-        var_matrix = self._aligned_var_matrix(dense)
         member_order = dense.members_by_job
-        cols = var_matrix[dense.member_rows[member_order]].reshape(-1)
+        cols = self._var_matrix[dense.member_rows[member_order]].reshape(-1)
         vals = dense.values[member_order].reshape(-1)
         counts = np.diff(dense.job_starts) * self._num_columns
         starts = np.zeros(len(counts) + 1, dtype=np.int64)
@@ -611,23 +623,22 @@ class AllocationVariables:
         """
         costs = self._matrix.registry.costs_per_hour()
         dense = self._matrix.dense_rows()
-        var_matrix = self._aligned_var_matrix(dense)
         coeffs = self._row_scales(dense)[:, None] * np.asarray(costs, dtype=float)[None, :]
-        return LinearExpression.from_arrays(var_matrix.ravel(), coeffs.ravel())
+        return LinearExpression.from_arrays(self._var_matrix.ravel(), coeffs.ravel())
 
     def extract_allocation(self, solution: _ProgramSolution) -> Allocation:
         """Read the optimal variable values back into an :class:`Allocation`."""
-        values = solution.values
-        entries: Dict[JobCombination, np.ndarray] = {
-            combination: values[self._row_vars[combination]]
-            for combination in self._matrix.combinations
-        }
-        allocation = Allocation(
-            self._matrix.registry, entries, scale_factors=self._problem.scale_factors()
+        shares = solution.values[self._var_matrix]
+        # Clean up LP round-off.  Group-total rows of a type-aggregated
+        # problem may legitimately sit above 1, so only the lower bound is
+        # enforced there.
+        np.clip(shares, 0.0, None if self._counts else 1.0, out=shares)
+        return Allocation.from_matrix(
+            self._matrix.registry,
+            self._matrix.dense_rows().combinations,
+            shares,
+            scale_factors=self._problem.scale_factors(),
         )
-        # Group-total rows of a type-aggregated problem may legitimately sit
-        # above 1, so only the lower bound is cleaned up there.
-        return allocation.clipped(upper=None if self._counts else 1.0)
 
 
 class OptimizationPolicy(Policy):

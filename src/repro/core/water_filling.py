@@ -70,9 +70,14 @@ canonically ordered program of its own — per job one row
 ``z_m`` — built afresh for every detection, so its vertex never depends on
 any live program's edit history.  Keeping it off the level program is a
 requirement, not a style choice: a detection solved there moves that
-program's basis, the next level LP then starts from a different vertex, and a
-long-lived session stops reproducing a from-scratch run round for round.
-This way the level program's solve sequence consists of level LPs only.  (A
+program's basis, and the next level LP then starts from a vertex no level LP
+left.  This way the level program's solve sequence consists of level LPs
+only.  It is still a *sequence*: the LP layer carries the basis across the
+row edits between two runs (:class:`~repro.solver.lp._HighsBackend`), so a
+long-lived session's first level LP starts from the previous run's last
+vertex where a from-scratch run starts cold.  The level profile is the same
+either way (:meth:`_LevelLoopProgram._solve_level`); the vertex of the last
+iteration, which becomes the allocation, need not be.  (A
 second *long-lived* detection program, synchronised by the same ``update_to``
 deltas and re-solved warm, was measured about 1.8x faster per re-allocation
 and keeps the same property; ``CHANGES.md``, PR 16, records why it is left

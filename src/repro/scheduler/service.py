@@ -57,7 +57,7 @@ from repro.cluster.placement import Placer
 from repro.cluster.worker import ClusterTopology
 from repro.core.allocation import Allocation
 from repro.core.allocation_engine import AllocationEngine
-from repro.core.effective_throughput import effective_throughput, isolated_reference_throughput
+from repro.core.effective_throughput import effective_throughputs, isolated_reference_throughput
 from repro.core.policy import Policy
 from repro.core.problem import PolicyProblem
 from repro.core.registry import make_policy
@@ -1230,9 +1230,7 @@ class ClusterScheduler:
         allocation = self._solve_allocation(current_time)
         matrix = self._session.problem.throughputs
 
-        throughputs = {
-            job_id: effective_throughput(matrix, allocation, job_id) for job_id in self._active
-        }
+        throughputs = effective_throughputs(matrix, allocation)
         for job_id, throughput in throughputs.items():
             if throughput > 0 and self._records[job_id].first_allocation_time is None:
                 self._records[job_id].first_allocation_time = current_time

@@ -46,8 +46,16 @@ The mutation surface is
 Pure LPs are solved by a **live HiGHS model** (:class:`_HighsBackend`, the
 incremental ``scipy.optimize._highspy`` API SciPy has vendored since 1.15):
 the first solve passes the full model, every later solve replays only the
-edits journalled since the previous one and HiGHS re-solves from its
-incumbent basis.  A failed edit or solver call raises
+edits journalled since the previous one, each through the HiGHS call that
+keeps the incumbent basis — rows are appended or rewritten in place, and the
+one call that drops the basis, ``deleteRows``, is reserved for constraints
+that were really removed, with the basis carried across it (see
+:class:`_HighsBackend` for the contract and the HiGHS version it was checked
+on).  Every :class:`Solution` says whether it started from a basis
+(``warm_started``) and what it cost (``simplex_iterations``).  A warm solve
+returns an optimal vertex near the previous one, so where optima tie the
+vertex depends on the program's solve history; the objective never does.
+A failed edit or solver call raises
 :class:`~repro.exceptions.SolverError` and drops the live model, so the next
 solve passes the full model again (the cold rebuild) instead of answering
 for a diverged one.  Integers go to :func:`scipy.optimize.milp`
@@ -305,6 +313,10 @@ class Solution:
     values: np.ndarray
     objective_value: float
     status: str
+    #: Simplex iterations HiGHS spent on this solve (0 for a ``milp`` solve).
+    simplex_iterations: int = 0
+    #: Whether HiGHS held a valid basis on entry to ``run()``.
+    warm_started: bool = False
 
     def value_of(self, variable: "Variable | LinearExpression") -> float:
         """Value of a variable or linear expression at the optimum."""
@@ -397,14 +409,61 @@ def _ensure_highs_ok(status: object, action: str, name: str) -> None:
         raise SolverError(f"{name}: HiGHS {action} failed")
 
 
+_DUAL_SIMPLEX = int(_highs_core.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
+_PRIMAL_SIMPLEX = int(_highs_core.simplex_constants.SimplexStrategy.kSimplexStrategyPrimal)
+
+
+def _nonbasic_status(lower: float, upper: float) -> object:
+    """The non-basic status of a column with these bounds: at a finite bound, else free."""
+    if lower > -math.inf:
+        return _highs_core.HighsBasisStatus.kLower
+    if upper < math.inf:
+        return _highs_core.HighsBasisStatus.kUpper
+    return _highs_core.HighsBasisStatus.kZero
+
+
 class _HighsBackend:
     """A live HiGHS instance mirroring one :class:`LinearProgram`.
 
     Keeps a ``_Highs`` model alive and replays only the *edits* made to the
-    owning program since the previous solve (row adds/deletes, bound and cost
-    updates).  HiGHS then re-solves from its incumbent basis — the warm start
-    that makes right-hand-side-only edits (bisection candidates) and small
-    churn edits cost a handful of simplex iterations instead of a full solve.
+    owning program since the previous solve, choosing for each the HiGHS call
+    that keeps the incumbent basis (checked on HiGHS 1.12.0, the build SciPy
+    1.17.1 vendors):
+
+    * ``addCols``, ``addRows``, ``changeCoeff``, ``changeRowBounds``,
+      ``changeColsBounds``, ``changeColsCost`` and ``changeObjectiveSense``
+      leave ``getBasis().valid`` set — HiGHS itself makes a new column
+      non-basic at a finite bound and a new row basic — so new rows are
+      appended, rewritten rows are edited **in place**, one ``changeCoeff``
+      per coefficient that differs from what HiGHS last saw, and bounds and
+      costs are pushed by difference;
+    * ``deleteRows`` clears the basis unless every deleted row was basic, so
+      it is called only for constraints that were really removed, and the
+      basis is carried across it: captured first, re-installed with
+      ``setBasis`` without the deleted rows' statuses and with every released
+      column non-basic, as an *alien* basis — one HiGHS checks and repairs (a
+      deleted tight row leaves one basic variable too many).
+
+    ``setBasis`` is a hint.  If HiGHS rejects it the solve simply starts
+    without a basis; the rejection is counted in
+    :attr:`LinearProgram.basis_rejections` and never raised.
+
+    A basis is only worth what the simplex started from it can use.  An edit
+    that only deleted rows hands HiGHS a basis that is close to primal
+    feasible and far from dual feasible, so that solve runs the primal
+    simplex; every other solve runs the dual (HiGHS' default), which is what
+    new rows and moved right-hand sides want.  Measured on LAS with space
+    sharing at 128 jobs (the Figure 12 churn series): a departure costs the
+    dual simplex up to 9 400 pivots from the carried basis — more than a cold
+    solve — and the primal simplex 2 to 39.
+
+    A solve that starts from a basis stops at an optimal vertex *near the
+    previous one*; a cold solve stops at HiGHS' canonical vertex.  Where the
+    optimum is not unique (LAS, makespan, finish-time fairness and total
+    throughput all have ties) the two differ in the allocation, never in the
+    objective: the vertex a live program returns is a function of its solve
+    history.  ``ClusterScheduler.restore`` replays that history, which is how
+    a restored run reproduces the original's vertices.
     """
 
     def __init__(self) -> None:
@@ -456,37 +515,104 @@ class _HighsBackend:
         self._row_of = {handle: row for row, handle in enumerate(self._row_handles)}
         self._synced = True
 
+    def _drop_rows_and_columns(self, program: "LinearProgram", rows: List[int]) -> None:
+        """Delete really-removed rows and retire released columns, keeping the basis.
+
+        The basis is captured first and re-installed afterwards without the
+        deleted rows and with every released column non-basic: a released
+        column is empty (its owner scrubbed it from every row) and may since
+        have been handed to a new variable, so its old status means nothing.
+        """
+        highs = self._highs
+        basis = highs.getBasis()
+        if rows:
+            _ensure_highs_ok(
+                highs.deleteRows(len(rows), np.array(rows, np.int32)), "deleteRows", program.name
+            )
+            deleted = set(rows)
+            self._row_handles = [
+                handle for row, handle in enumerate(self._row_handles) if row not in deleted
+            ]
+            self._row_of = {handle: row for row, handle in enumerate(self._row_handles)}
+            basis.row_status = [
+                status for row, status in enumerate(basis.row_status) if row not in deleted
+            ]
+        if not basis.valid:
+            return
+        col_status = basis.col_status
+        for column in program._hs_released:
+            col_status[column] = _nonbasic_status(
+                program._lower_buf[column], program._upper_buf[column]
+            )
+        basis.col_status = col_status
+        # Alien: HiGHS checks the basis and repairs a count mismatch (a deleted
+        # tight row leaves one basic variable too many) or a singularity.
+        basis.alien = True
+        if highs.setBasis(basis) == _highs_core.HighsStatus.kError:
+            program.basis_rejections += 1
+
     def _apply_edits(self, program: "LinearProgram") -> None:
         highs = self._highs
         lower, upper = np.array(program._lower), np.array(program._upper)
         cost = program._objective_dense()
-        known = len(self._col_cost)
-        if len(cost) > known:
-            empty_i = np.empty(0, np.int32)
-            empty_f = np.empty(0, float)
-            for index in range(known, len(cost)):
-                _ensure_highs_ok(
-                    highs.addCol(0.0, lower[index], upper[index], 0, empty_i, empty_f),
-                    "addCol",
-                    program.name,
-                )
-            self._col_lower = np.concatenate([self._col_lower, lower[known:]])
-            self._col_upper = np.concatenate([self._col_upper, upper[known:]])
-            self._col_cost = np.concatenate([self._col_cost, np.zeros(len(cost) - known)])
+        num_cols = len(cost)
+        extra = num_cols - len(self._col_cost)
+        if extra > 0:
+            no_index = np.empty(0, np.int32)
+            _ensure_highs_ok(
+                highs.addCols(
+                    extra,
+                    np.zeros(extra),
+                    lower[-extra:],
+                    upper[-extra:],
+                    0,
+                    no_index,
+                    no_index,
+                    np.empty(0),
+                ),
+                "addCols",
+                program.name,
+            )
+            self._col_lower = np.concatenate([self._col_lower, lower[-extra:]])
+            self._col_upper = np.concatenate([self._col_upper, upper[-extra:]])
+            self._col_cost = np.concatenate([self._col_cost, np.zeros(extra)])
 
-        # Rows whose coefficients changed are deleted and re-added.
-        drop = {
-            handle
-            for handle in (program._hs_removed | program._hs_dirty)
-            if handle in self._row_of
-        }
-        if drop:
-            rows = np.array(sorted(self._row_of[handle] for handle in drop), np.int32)
-            _ensure_highs_ok(highs.deleteRows(len(rows), rows), "deleteRows", program.name)
-            self._row_handles = [h for h in self._row_handles if h not in drop]
-            self._row_of = {handle: row for row, handle in enumerate(self._row_handles)}
+        removed = sorted(
+            self._row_of[handle] for handle in program._hs_removed if handle in self._row_of
+        )
+        if removed or program._hs_released:
+            self._drop_rows_and_columns(program, removed)
+
+        # Rewritten rows stay where they are: push the coefficients that
+        # differ from the terms HiGHS holds (journalled at the first edit).
+        for handle, (old_indices, old_values) in program._hs_dirty.items():
+            row = self._row_of.get(handle)
+            constraint = program._constraints.get(handle)
+            if row is None or constraint is None:
+                continue
+            before = np.zeros(num_cols)
+            before[old_indices] = old_values
+            after = np.zeros(num_cols)
+            after[constraint.indices] = constraint.values
+            moved = np.flatnonzero(before != after)
+            for column, value in zip(moved.tolist(), after[moved].tolist()):
+                _ensure_highs_ok(
+                    highs.changeCoeff(row, column, value), "changeCoeff", program.name
+                )
 
         add = sorted(h for h in program._constraints if h not in self._row_of)
+        # Which simplex: an edit that only deleted rows leaves the incumbent
+        # point feasible and takes the deleted rows' multipliers out of the
+        # duals — the primal simplex's case.  Any other edit (new rows, moved
+        # right-hand sides) costs primal feasibility at most: the dual's.
+        only_deleted = bool(removed) and not add and not program._hs_bounds_dirty
+        _ensure_highs_ok(
+            highs.setOptionValue(
+                "simplex_strategy", _PRIMAL_SIMPLEX if only_deleted else _DUAL_SIMPLEX
+            ),
+            "setOptionValue('simplex_strategy')",
+            program.name,
+        )
         if add:
             added = [program._constraints[h] for h in add]
             counts = np.fromiter((len(c.indices) for c in added), np.int64, count=len(add))
@@ -561,14 +687,13 @@ class _HighsBackend:
             self._maximize = program._maximize
 
     # -- solving ----------------------------------------------------------------
-    def solve(self, program: "LinearProgram") -> Tuple[np.ndarray, float]:
+    def solve(self, program: "LinearProgram") -> Solution:
         if not self._synced:
             self._pass_full_model(program)
         else:
             self._apply_edits(program)
-        program._hs_removed.clear()
-        program._hs_dirty.clear()
-        program._hs_bounds_dirty.clear()
+        program._clear_journal()
+        warm_started = bool(self._highs.getBasis().valid)
         _ensure_highs_ok(self._highs.run(), "run", program.name)
         status = self._highs.getModelStatus()
         if status != _highs_core.HighsModelStatus.kOptimal:
@@ -579,9 +704,14 @@ class _HighsBackend:
             ):
                 raise InfeasibleError(message)
             raise SolverError(message)
-        values = np.asarray(self._highs.getSolution().col_value, dtype=float)
-        objective = float(self._highs.getInfo().objective_function_value)
-        return values, objective
+        info = self._highs.getInfo()
+        return Solution(
+            values=np.asarray(self._highs.getSolution().col_value, dtype=float),
+            objective_value=float(info.objective_function_value) + program._objective_constant,
+            status="optimal",
+            simplex_iterations=int(info.simplex_iteration_count),
+            warm_started=warm_started,
+        )
 
 
 class LinearProgram:
@@ -613,11 +743,17 @@ class LinearProgram:
         self._cached_key: Optional[Tuple[int, int]] = None
         self._cached_matrix: Optional[sparse.csr_matrix] = None
         self._cached_ids: List[int] = []
-        # Edit journal consumed by the live HiGHS backend (warm starts).
+        # Edit journal consumed by the live HiGHS backend (warm starts):
+        # removed handles, rewritten handles with the terms they had when
+        # HiGHS last saw them, and handles whose bounds moved.
         self._backend: Optional[_HighsBackend] = None
         self._hs_removed: Set[int] = set()
-        self._hs_dirty: Set[int] = set()
+        self._hs_dirty: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         self._hs_bounds_dirty: Set[int] = set()
+        self._hs_released: Set[int] = set()
+        #: Times HiGHS refused the basis carried across a row deletion (the
+        #: solve then started cold; see :class:`_HighsBackend`).
+        self.basis_rejections = 0
 
     # -- variables -----------------------------------------------------------------
     @property
@@ -768,6 +904,7 @@ class LinearProgram:
         self.fix_variable(index, 0.0)
         self._integer[index] = False
         self._free_variables.append(index)
+        self._hs_released.add(index)
 
     # -- tag scopes --------------------------------------------------------------------
     def begin_tag(self, tag: str) -> None:
@@ -869,7 +1006,7 @@ class LinearProgram:
         """The constraint behind ``handle``, journalled as structurally edited."""
         constraint = self._constraint(handle)
         self._structure_revision += 1
-        self._hs_dirty.add(handle)
+        self._hs_dirty.setdefault(handle, (constraint.indices, constraint.values))
         return constraint
 
     def add_terms_to_constraint_from_arrays(
@@ -1103,7 +1240,7 @@ class LinearProgram:
         if self._backend is None:
             self._backend = _HighsBackend()
         try:
-            values, objective = self._backend.solve(self)
+            return self._backend.solve(self)
         except InfeasibleError:
             raise
         except SolverError:
@@ -1116,20 +1253,19 @@ class LinearProgram:
         except Exception as error:
             self._backend = None
             raise SolverError(f"{self.name}: HiGHS backend failed: {error!r}") from error
-        return Solution(
-            values=values,
-            objective_value=objective + self._objective_constant,
-            status="optimal",
-        )
+
+    def _clear_journal(self) -> None:
+        self._hs_removed.clear()
+        self._hs_dirty.clear()
+        self._hs_bounds_dirty.clear()
+        self._hs_released.clear()
 
     def _solve_milp(self, integrality: np.ndarray) -> Solution:
         # milp is stateless: a live backend would miss the edits consumed
         # here, so drop it — the next pure-LP solve passes the full model
         # again — and clear the now-meaningless journal.
         self._backend = None
-        self._hs_removed.clear()
-        self._hs_dirty.clear()
-        self._hs_bounds_dirty.clear()
+        self._clear_journal()
         constraints = []
         if self._constraints:
             constraints.append(LinearConstraint(*self._assembled()))

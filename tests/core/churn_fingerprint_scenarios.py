@@ -1,27 +1,43 @@
 """Seeded ``+ss`` churn runs whose allocations are pinned in ``data/churn_fingerprints.json``.
 
-The JSON was recorded from the commit *before* the per-term dict LP assembly
-was deleted — where ``tests/core/test_lp_vectorized.py`` still proved the dict
-and columnar paths bit-identical on exactly this sequence — by calling
-:func:`churn_fingerprints` for every spec in :data:`SS_POLICY_SPECS`.  It only
-needs re-recording when a policy's LP changes on purpose; a refactor of the
-assembly or solver layers must reproduce it.
+Two recordings, both made by :func:`churn_fingerprints` for every spec in
+:data:`SS_POLICY_SPECS`:
+
+* ``churn_fingerprints.json`` pins every allocation of a live session fed the
+  sequence, vertex and all.  A live program re-solves from the basis its
+  previous solve left, so where a policy's optimum is not unique the vertex
+  depends on the solve history *and on how the LP layer carries the basis
+  across edits*: a refactor of the LP assembly must reproduce this file, a
+  change to basis handling (or another HiGHS build) may legitimately not.
+  Re-record with ``python tests/core/churn_fingerprint_scenarios.py --record``
+  — after :func:`policy_objective` has shown the new vertices to be ties.
+* ``churn_fingerprints_cold.json`` is the recording from before the basis
+  survived row edits (every re-solve after a row rewrite started cold; made
+  where ``tests/core/test_lp_vectorized.py`` still proved the dict and columnar
+  assembly bit-identical on this sequence).  It is never re-recorded: tests
+  compare against it by *objective*, which no tie-break can move, and
+  :data:`UNIQUE_OPTIMUM_SPECS` still match it bit for bit.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 from pathlib import Path
 from typing import Any, Dict, List, Tuple
+
+import numpy as np
 
 from repro.cluster import ClusterSpec
 from repro.core import make_policy
 from repro.core.allocation import Allocation
 from repro.core.allocation_engine import AllocationEngine
+from repro.core.effective_throughput import effective_throughputs, fastest_reference_throughput
 from repro.core.problem import PolicyProblem
 from repro.workloads import ColocationModel, ThroughputOracle, TraceGenerator
 
 RECORDED = Path(__file__).parent / "data" / "churn_fingerprints.json"
+RECORDED_COLD = Path(__file__).parent / "data" / "churn_fingerprints_cold.json"
 
 #: Every LP/fractional-program policy from the registry, with space sharing.
 SS_POLICY_SPECS = [
@@ -37,8 +53,12 @@ SS_POLICY_SPECS = [
 ]
 
 
-def load_recorded() -> Dict[str, Any]:
-    return json.loads(RECORDED.read_text(encoding="utf-8"))
+#: Specs whose optimum is unique on this sequence: no basis can move them.
+UNIQUE_OPTIMUM_SPECS = ["fifo+ss", "shortest_job_first+ss"]
+
+
+def load_recorded(path: Path = RECORDED) -> Dict[str, Any]:
+    return json.loads(path.read_text(encoding="utf-8"))
 
 
 def churn_problems(
@@ -97,3 +117,77 @@ def allocation_fingerprint(allocation: Allocation) -> Dict[str, List[float]]:
 
 def churn_fingerprints(policy_spec: str, steps) -> List[Dict[str, List[float]]]:
     return [allocation_fingerprint(a) for a in session_allocations(policy_spec, steps)]
+
+
+def allocation_from_fingerprint(problem: PolicyProblem, rows: Dict[str, List[float]]) -> Allocation:
+    """The allocation a recorded step stands for (rows it omits are idle)."""
+    return Allocation(
+        problem.throughputs.registry,
+        {tuple(int(job_id) for job_id in key.split("-")): values for key, values in rows.items()},
+        scale_factors=problem.scale_factors(),
+    )
+
+
+def bisection_requirements(
+    policy_spec: str, problem: PolicyProblem, value: float
+) -> Dict[int, float]:
+    """Per-job minimum throughputs at a bisected makespan (or finish-time-fairness rho)."""
+    if policy_spec.split("+")[0] == "makespan":
+        return {job_id: problem.remaining_steps(job_id) / value for job_id in problem.job_ids}
+    policy = make_policy(policy_spec)
+    finish = policy._isolated_finish_times(problem, policy.effective_matrix(problem))
+    return {
+        job_id: problem.remaining_steps(job_id) / (value * finish[job_id] - problem.elapsed(job_id))
+        for job_id in problem.job_ids
+    }
+
+
+def policy_objective(policy_spec: str, problem: PolicyProblem, allocation: Allocation) -> float:
+    """What the policy's program maximises, computed from the allocation alone.
+
+    Two optimal vertices of one program differ in the allocation and agree
+    here.  For the bisection policies this is the objective of the witness LP
+    (total throughput); that both allocations witness the same bisected
+    scalar is checked with :func:`bisection_requirements`.
+    """
+    policy = make_policy(policy_spec)
+    matrix = policy.effective_matrix(problem)
+    throughputs = effective_throughputs(matrix, allocation)
+    name = policy_spec.split("+")[0]
+    if name == "max_min_fairness":
+        return min(
+            policy.normalized_throughput_scale(problem, matrix, job_id) * throughputs[job_id]
+            for job_id in matrix.job_ids
+        )
+    if name in ("makespan", "finish_time_fairness"):
+        return sum(throughputs.values())
+    normalized = sum(
+        throughputs[job_id] / fastest_reference_throughput(matrix, job_id)
+        for job_id in matrix.job_ids
+    )
+    if name == "max_total_throughput":
+        return normalized
+    if name in ("min_cost", "min_cost_slo"):
+        costs = np.asarray(matrix.registry.costs_per_hour(), dtype=float)
+        dollars = sum(
+            float(np.dot(allocation.row(combination), costs))
+            * max(problem.scale_factor(job_id) for job_id in combination)
+            for combination in allocation.combinations
+        )
+        return normalized / (dollars + 1e-9)
+    raise KeyError(f"no objective written down for {policy_spec!r}")
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--record", action="store_true", help=f"rewrite {RECORDED.name}")
+    if not parser.parse_args().record:
+        parser.error("nothing to do without --record")
+    steps = churn_problems(ThroughputOracle())
+    recording = {spec: churn_fingerprints(spec, steps) for spec in SS_POLICY_SPECS}
+    RECORDED.write_text(json.dumps(recording, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"recorded {len(recording)} specs x {len(steps)} steps into {RECORDED}")
+
+
+if __name__ == "__main__":
+    main()

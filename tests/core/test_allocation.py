@@ -34,6 +34,21 @@ class TestConstruction:
         assert allocation.combinations == ((0,), (1,))
 
 
+    def test_from_matrix_adopts_sorted_rows(self, registry):
+        rows = np.array([[0.5, 0.0, 0.0], [0.0, 0.25, 0.0]])
+        allocation = Allocation.from_matrix(registry, ((0,), (0, 1)), rows, scale_factors={0: 2})
+        built = Allocation(
+            registry, {(1, 0): [0.0, 0.25, 0.0], (0,): [0.5, 0.0, 0.0]}, scale_factors={0: 2}
+        )
+        assert allocation.combinations == built.combinations
+        np.testing.assert_array_equal(allocation.matrix, built.matrix)
+        np.testing.assert_array_equal(allocation.worker_usage(), built.worker_usage())
+        assert allocation.job_ids == (0, 1)
+        assert not allocation.matrix.flags.writeable
+        with pytest.raises(AllocationError):
+            Allocation.from_matrix(registry, ((0,),), rows)
+
+
 class TestQueries:
     @pytest.fixture
     def allocation(self, registry):
@@ -52,6 +67,23 @@ class TestQueries:
 
     def test_job_row_sums_rows_containing_job(self, allocation):
         np.testing.assert_allclose(allocation.job_row(1), [0.2, 0.0, 0.5])
+
+    def test_job_sums_agree_with_a_walk_over_the_rows(self, registry):
+        rng = np.random.default_rng(1)
+        entries = {(j,): rng.uniform(size=3) for j in range(5)}
+        entries.update({(a, b): rng.uniform(size=3) for a, b in [(0, 1), (0, 4), (2, 3), (3, 3)]})
+        allocation = Allocation(registry, entries)
+        for job_id in range(5):
+            walked = sum(values for combination, values in entries.items() if job_id in combination)
+            np.testing.assert_allclose(allocation.job_row(job_id), walked, rtol=1e-15)
+            assert allocation.job_total(job_id) == pytest.approx(walked.sum(), rel=1e-15)
+        # A job the allocation has never heard of receives nothing.
+        np.testing.assert_array_equal(allocation.job_row(9), np.zeros(3))
+        assert allocation.job_total(9) == 0.0
+
+    def test_job_row_is_a_copy(self, allocation):
+        allocation.job_row(0)[0] = 99.0
+        np.testing.assert_allclose(allocation.job_row(0), [0.6, 0.4, 0.3])
 
     def test_value_lookup(self, allocation):
         assert allocation.value((0,), "v100") == pytest.approx(0.6)

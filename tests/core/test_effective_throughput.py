@@ -7,6 +7,7 @@ from repro.cluster import ClusterSpec, default_registry
 from repro.core import Allocation, ThroughputMatrix
 from repro.core.effective_throughput import (
     effective_throughput,
+    effective_throughputs,
     equal_share_reference_throughput,
     fastest_reference_throughput,
     isolated_reference_throughput,
@@ -64,6 +65,53 @@ class TestEffectiveThroughput:
         allocation = Allocation(registry, {(0,): np.array([0.2, 0.3, 0.5])})
         expected = 4.0 * 0.2 + 2.0 * 0.3 + 1.0 * 0.5
         assert effective_throughput(matrix, allocation, 0) == pytest.approx(expected)
+
+
+class TestVectorisedAgainstScalar:
+    """``effective_throughputs`` is the scalar reference, all jobs in one pass."""
+
+    @staticmethod
+    def _assert_equal_to_scalar(matrix, allocation):
+        vectorised = effective_throughputs(matrix, allocation)
+        assert tuple(vectorised) == matrix.job_ids
+        for job_id in matrix.job_ids:
+            # Same products, summed in another order: a few ulps at most.
+            assert vectorised[job_id] == pytest.approx(
+                effective_throughput(matrix, allocation, job_id), rel=1e-12, abs=0.0
+            )
+
+    def test_random_pair_matrices(self, registry):
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            num_jobs = int(rng.integers(1, 7))
+            entries = {(j,): rng.uniform(0.0, 9.0, size=(1, 3)) for j in range(num_jobs)}
+            for a in range(num_jobs):
+                for b in range(a + 1, num_jobs):
+                    if rng.random() < 0.5:
+                        entries[(a, b)] = rng.uniform(0.0, 5.0, size=(2, 3))
+            matrix = ThroughputMatrix(registry, entries)
+            allocation = Allocation(
+                registry, {c: rng.uniform(0.0, 1.0, size=3) for c in matrix.combinations}
+            )
+            self._assert_equal_to_scalar(matrix, allocation)
+
+    def test_rows_the_allocation_does_not_cover_contribute_nothing(self, registry, matrix):
+        singles_only = Allocation(
+            registry, {(0,): np.array([0.5, 0.25, 0.0]), (1,): np.array([0.0, 0.0, 1.0])}
+        )
+        self._assert_equal_to_scalar(matrix, singles_only)
+        assert effective_throughputs(matrix, singles_only) == {0: 2.5, 1: 1.0}
+
+    def test_same_group_pair_row_counts_both_members(self, registry):
+        matrix = ThroughputMatrix(
+            registry,
+            {(0,): np.array([[4.0, 2.0, 1.0]]), (0, 0): np.array([[3.0, 1.0, 0.5]] * 2)},
+        )
+        allocation = Allocation(
+            registry, {(0,): np.array([1.0, 0.0, 0.0]), (0, 0): np.array([0.5, 0.0, 0.0])}
+        )
+        self._assert_equal_to_scalar(matrix, allocation)
+        assert effective_throughputs(matrix, allocation)[0] == pytest.approx(4.0 + 2 * 1.5)
 
 
 class TestReferences:

@@ -5,21 +5,31 @@ and validity constraints (2) and (3) as ndarray blocks.  These tests check
 that program against a small dense construction written directly from the
 paper — fresh, after ``update_to`` churn, and for a type-aggregated problem —
 and pin the allocations every space-sharing registry policy computes over a
-churn sequence to fingerprints recorded before the per-term dict assembly
-(the previous reference) was deleted.
+churn sequence: to the current recording vertex for vertex, and to the one
+made before the basis survived row edits by objective (see
+``churn_fingerprint_scenarios``).
 """
 
 import numpy as np
 import pytest
 from churn_fingerprint_scenarios import (
+    RECORDED_COLD,
     SS_POLICY_SPECS,
+    UNIQUE_OPTIMUM_SPECS,
+    allocation_fingerprint,
+    allocation_from_fingerprint,
+    bisection_requirements,
     churn_fingerprints,
     churn_problems,
     load_recorded,
+    policy_objective,
+    session_allocations,
 )
 
 from repro.cluster import ClusterSpec
-from repro.core import AggregatedProblem
+from repro.core import AggregatedProblem, finish_time_fairness, makespan
+from repro.core.effective_throughput import effective_throughputs
+from repro.core import make_policy
 from repro.core.policy import AllocationVariables
 from repro.core.problem import PolicyProblem
 from repro.core.throughput_matrix import build_throughput_matrix
@@ -152,16 +162,71 @@ class TestValidityScaffold:
         assert row.upper == 3.0
 
 
+def _assert_rows_match(actual, recorded, label):
+    """Counts and names exactly; time fractions to 1e-9 (other HiGHS builds)."""
+    assert len(actual) == len(recorded)
+    idle = [0.0, 0.0, 0.0]
+    for step, (got, want) in enumerate(zip(actual, recorded)):
+        for combination in sorted(got.keys() | want.keys()):
+            assert got.get(combination, idle) == pytest.approx(
+                want.get(combination, idle), rel=1e-9, abs=1e-9
+            ), f"{label} step {step} row {combination}"
+
+
 class TestRecordedChurnAllocations:
     @pytest.mark.parametrize("policy_spec", SS_POLICY_SPECS)
     def test_churn_allocations_match_recording(self, oracle, policy_spec):
-        """Counts and names exactly; time fractions to 1e-9 (other HiGHS builds)."""
-        recorded = load_recorded()[policy_spec]
-        actual = churn_fingerprints(policy_spec, churn_problems(oracle))
-        assert len(actual) == len(recorded)
-        idle = [0.0, 0.0, 0.0]
-        for step, (got, want) in enumerate(zip(actual, recorded)):
-            for combination in sorted(got.keys() | want.keys()):
-                assert got.get(combination, idle) == pytest.approx(
-                    want.get(combination, idle), rel=1e-9, abs=1e-9
-                ), f"{policy_spec} step {step} row {combination}"
+        _assert_rows_match(
+            churn_fingerprints(policy_spec, churn_problems(oracle)),
+            load_recorded()[policy_spec],
+            policy_spec,
+        )
+
+    @pytest.mark.parametrize("policy_spec", SS_POLICY_SPECS)
+    def test_vertices_moved_since_the_cold_recording_are_ties(
+        self, oracle, monkeypatch, policy_spec
+    ):
+        """Against the pre-warm-start recording: same objective, maybe another vertex.
+
+        Per step the policy objective of the recorded allocation equals
+        today's to 1e-9, and for the bisection policies both allocations
+        witness today's bisected scalar (to the solver's feasibility
+        tolerance).  Specs with a unique optimum have not moved at all.
+        """
+        bisected = []
+        for module in (makespan, finish_time_fairness):
+            original = module.bisect_min_feasible
+
+            def recording(*args, _original=original, **kwargs):
+                result = _original(*args, **kwargs)
+                bisected.append(result.value)
+                return result
+
+            monkeypatch.setattr(module, "bisect_min_feasible", recording)
+        steps = churn_problems(oracle)
+        allocations = session_allocations(policy_spec, steps)
+        recorded = load_recorded(RECORDED_COLD)[policy_spec]
+        if policy_spec in UNIQUE_OPTIMUM_SPECS:
+            _assert_rows_match(
+                [allocation_fingerprint(a) for a in allocations], recorded, policy_spec
+            )
+            return
+        assert len(allocations) == len(recorded)
+        matrix_of = make_policy(policy_spec).effective_matrix
+        for step, ((problem, _deltas), allocation, rows) in enumerate(
+            zip(steps, allocations, recorded)
+        ):
+            before = allocation_from_fingerprint(problem, rows)
+            before.validate(problem.cluster_spec)
+            assert policy_objective(policy_spec, problem, before) == pytest.approx(
+                policy_objective(policy_spec, problem, allocation), rel=1e-9
+            ), f"{policy_spec} step {step}"
+            if not bisected:
+                continue
+            required = bisection_requirements(policy_spec, problem, bisected[step])
+            for witness in (before, allocation):
+                throughputs = effective_throughputs(matrix_of(problem), witness)
+                for job_id, minimum in required.items():
+                    assert throughputs[job_id] >= minimum * (1 - 1e-6), (
+                        f"{policy_spec} step {step} job {job_id}"
+                    )

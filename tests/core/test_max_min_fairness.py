@@ -126,3 +126,63 @@ class TestVariants:
     def test_display_name_annotations(self):
         assert "het-agnostic" in MaxMinFairnessPolicy(heterogeneity_agnostic=True).display_name
         assert "+SS" in MaxMinFairnessPolicy(space_sharing=True).display_name
+
+
+class TestSessionNormalizationCache:
+    """The live session re-derives a job's normalization only when its inputs move."""
+
+    @staticmethod
+    def _min_normalized(policy, problem, allocation):
+        matrix = policy.effective_matrix(problem)
+        return min(
+            policy.normalized_throughput_scale(problem, matrix, job_id)
+            * effective_throughput(matrix, allocation, job_id)
+            for job_id in problem.job_ids
+        )
+
+    def test_cluster_and_weight_changes_reach_the_live_rows(
+        self, oracle, small_cluster, monkeypatch
+    ):
+        from dataclasses import replace
+
+        from repro.core import build_throughput_matrix
+
+        job_types = ("resnet50-bs64", "a3c-bs4", "lstm-bs80", "resnet18-bs64")
+        jobs = {
+            job_id: Job(job_id=job_id, job_type=job_type, total_steps=1e5)
+            for job_id, job_type in enumerate(job_types)
+        }
+        matrix = build_throughput_matrix(list(jobs.values()), oracle)
+        problem = PolicyProblem(jobs=jobs, throughputs=matrix, cluster_spec=small_cluster)
+        policy = MaxMinFairnessPolicy()
+        calls = []
+        scale = MaxMinFairnessPolicy.normalized_throughput_scale
+
+        def counted(self, problem, matrix, job_id):
+            calls.append(job_id)
+            return scale(self, problem, matrix, job_id)
+
+        session = policy.session(problem)
+        session.solve(problem)
+        monkeypatch.setattr(MaxMinFairnessPolicy, "normalized_throughput_scale", counted)
+
+        # A new snapshot of the same jobs, matrix and cluster: nothing to re-derive.
+        session.solve(replace(problem, current_time=60.0))
+        assert calls == []
+
+        heavier = dict(jobs)
+        heavier[2] = replace(jobs[2], priority_weight=3.0)
+        bigger = ClusterSpec.from_counts(
+            {"v100": 1, "p100": 2, "k80": 4}, registry=small_cluster.registry
+        )
+        for changed, touched in (
+            (replace(problem, jobs=heavier), [2]),
+            (replace(problem, jobs=heavier, cluster_spec=bigger), [0, 1, 2, 3]),
+        ):
+            calls.clear()
+            live = session.solve(changed)
+            assert calls == touched
+            fresh = policy.compute_allocation(changed)
+            assert self._min_normalized(policy, changed, live) == pytest.approx(
+                self._min_normalized(policy, changed, fresh), rel=1e-9
+            )

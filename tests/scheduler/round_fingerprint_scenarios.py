@@ -1,14 +1,23 @@
 """Seeded round-mechanism runs whose results are pinned in ``data/round_fingerprints.json``.
 
-The JSON was recorded from the commit *before* the round mechanism moved onto
-dense arrays (scalar ``PriorityTracker`` / ``RoundScheduler`` / ``Placer``),
-by calling :func:`fingerprint` on ``run_scenario(name).result()`` for every
-scenario.  It only needs re-recording when scheduling *semantics* change on
-purpose; a refactor of the mechanism must reproduce it.
+The JSON holds :func:`fingerprint` of ``run_scenario(name).result()`` for
+every scenario.  A refactor of the round *mechanism* (priorities, Algorithm 1,
+placement, accounting) must reproduce it.  The allocations the mechanism is
+fed are LAS vertices, though, and the LAS optimum is not unique (time above
+the fair minimum can go to any job), so the file also pins how the LP layer
+carries its basis from one re-allocation to the next: a change there — or
+another HiGHS build — may move every number in it.  Re-record with
+``python tests/scheduler/round_fingerprint_scenarios.py --record``.
+
+``round_fingerprints_cold.json`` is the recording from before the basis
+survived row edits (made on the scalar ``PriorityTracker`` / ``RoundScheduler``
+/ ``Placer``, reproduced exactly by the dense-array mechanism).  It is never
+re-recorded; tests hold today's runs to what no tie-break may move in it.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 from pathlib import Path
 from typing import Any, Dict, Optional
@@ -19,6 +28,7 @@ from repro.scheduler.metrics import SimulationResult
 from repro.workloads import ThroughputOracle, TraceGenerator, TraceGeneratorConfig
 
 RECORDED = Path(__file__).parent / "data" / "round_fingerprints.json"
+RECORDED_COLD = Path(__file__).parent / "data" / "round_fingerprints_cold.json"
 
 #: name -> (policy, scheduler config, cluster counts per type, multi-worker trace?)
 SCENARIOS: Dict[str, Any] = {
@@ -46,8 +56,8 @@ WATER_FILLING_SPECS = [
 ]
 
 
-def load_recorded() -> Dict[str, Any]:
-    return json.loads(RECORDED.read_text(encoding="utf-8"))
+def load_recorded(path: Path = RECORDED) -> Dict[str, Any]:
+    return json.loads(path.read_text(encoding="utf-8"))
 
 
 def run_scenario(
@@ -92,3 +102,17 @@ def fingerprint(result: SimulationResult) -> Dict[str, Any]:
             for job_id, record in records
         },
     }
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--record", action="store_true", help=f"rewrite {RECORDED.name}")
+    if not parser.parse_args().record:
+        parser.error("nothing to do without --record")
+    recording = {name: fingerprint(run_scenario(name).result()) for name in SCENARIOS}
+    RECORDED.write_text(json.dumps(recording, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"recorded {len(recording)} scenarios into {RECORDED}")
+
+
+if __name__ == "__main__":
+    main()

@@ -136,6 +136,61 @@ class TestSnapshotRestoreMidChurn:
         assert again.event_heap == snapshot.event_heap
         assert again.event_seq == snapshot.event_seq
 
+    @pytest.mark.parametrize("max_history", [None, 6])
+    def test_restored_twin_re_solves_from_the_same_basis(
+        self, oracle, small_spec, monkeypatch, max_history
+    ):
+        """``restore()`` rebuilds the solver state the next vertex depends on.
+
+        The LAS optimum is not unique and a live program returns the vertex
+        nearest its previous basis, so a restored run only matches byte for
+        byte if the replayed history leaves HiGHS the very basis the original
+        held: forward solves must agree in warm-start flag and pivot count,
+        not just in outcome.  With ``max_session_history`` the history — and
+        the basis — are dropped every so many re-allocations, in the original
+        as in the twin: the snapshot is taken after such a re-base, the
+        restore stays bit-exact *for that run*, and every later re-base
+        shows up as one cold solve on both sides.
+        """
+        from repro.solver.lp import LinearProgram
+
+        solved = []
+        solve = LinearProgram.solve
+
+        def recording(program, *args, **kwargs):
+            solution = solve(program, *args, **kwargs)
+            solved.append((solution.warm_started, solution.simplex_iterations))
+            return solution
+
+        monkeypatch.setattr(LinearProgram, "solve", recording)
+        config = SchedulerConfig(mode="continuous", max_session_history=max_history)
+
+        def loaded():
+            scheduler = _scheduler(oracle, small_spec, config=config)
+            for job in _trace(oracle, num_jobs=12, jobs_per_hour=6.0, seed=7).jobs:
+                scheduler.submit(job)
+            return scheduler
+
+        original = loaded()
+        for _ in range(10):
+            original.step()
+        snapshot = original.snapshot()
+        if max_history is not None:
+            assert original.result().num_policy_recomputations > max_history
+            assert len(snapshot.session_history) <= max_history
+        twin = _scheduler(oracle, small_spec, config=config).restore(snapshot)
+
+        solved.clear()
+        original.run_until()
+        forward = list(solved)
+        solved.clear()
+        twin.run_until()
+        assert solved == forward
+        assert forward[0][0], "the first solve after the snapshot starts from a basis"
+        cold = [warm for warm, _iterations in forward].count(False)
+        assert (cold == 0) if max_history is None else (cold >= 1)
+        assert _fingerprint(original.result()) == _fingerprint(twin.result())
+
 
 class TestResolveTicks:
     def test_interval_requires_continuous_mode(self):

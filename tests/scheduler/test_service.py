@@ -15,6 +15,7 @@ from repro.simulator import Simulator, SimulatorConfig
 from repro.workloads import Job, ThroughputOracle, Trace, TraceGenerator
 
 from round_fingerprint_scenarios import (
+    RECORDED_COLD,
     SCENARIOS,
     WATER_FILLING_SPECS,
     fingerprint,
@@ -732,11 +733,33 @@ def _assert_matches_recorded(actual, recorded, path=""):
 
 
 class TestRoundMechanismReproducesRecordedRuns:
-    """The dense-array round mechanism schedules exactly what the scalar one did."""
+    """Seeded round runs reproduce their recording (see ``round_fingerprint_scenarios``)."""
 
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_result_matches_fingerprint_recorded_before_the_rewrite(self, name):
         _assert_matches_recorded(fingerprint(run_scenario(name).result()), load_recorded()[name])
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_run_keeps_what_no_tie_break_may_move_in_the_cold_recording(self, name):
+        """Against the recording made before the basis survived row edits.
+
+        Its runs were fed other (equally optimal) LAS vertices, so times and
+        dollars differ; the jobs that complete, the cancelled set (empty) and
+        the validity of the run may not.
+        """
+        result = run_scenario(name).result()
+        recorded = load_recorded(RECORDED_COLD)[name]
+        completed = {str(job_id) for job_id, record in result.records.items() if record.completed}
+        assert completed == {
+            job_id for job_id, time in recorded["completion_time"].items() if time is not None
+        }
+        assert not any(record.cancelled for record in result.records.values())
+        assert 0.0 < result.utilization() <= 1.0
+        for record in result.records.values():
+            assert record.first_allocation_time >= record.job.arrival_time
+            assert record.completion_time > record.first_allocation_time
+            assert record.steps_done >= record.job.total_steps * (1 - 1e-9)
+            assert all(seconds >= 0.0 for seconds in record.accelerator_seconds.values())
 
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_mid_period_snapshot_resumes_byte_identically(self, name):

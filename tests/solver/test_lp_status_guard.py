@@ -116,6 +116,24 @@ def test_failed_sync_falls_back_to_a_cold_rebuild():
     assert recovered.value_of(y) == pytest.approx(cold.value_of(fy))
 
 
+def test_rejected_basis_is_counted_never_raised():
+    """``setBasis`` is a hint: ``kError`` costs the warm start, not the solve."""
+    lp, x, y = _warm_program()
+    doomed = lp.add_less_equal(x - y, 1.0)
+    assert lp.solve().objective_value == pytest.approx(8.0)
+    lp._backend._highs = _ForcedError(lp._backend._highs, "setBasis")
+    lp.remove_constraint(doomed)  # a real row deletion: the basis is carried across it
+    recovered = lp.solve()
+    assert lp.basis_rejections == 1
+    assert lp._backend._highs._calls == 1
+
+    fresh, fx, fy = _warm_program()
+    cold = fresh.solve()
+    assert recovered.objective_value == pytest.approx(cold.objective_value)
+    assert recovered.value_of(x) == pytest.approx(cold.value_of(fx))
+    assert recovered.value_of(y) == pytest.approx(cold.value_of(fy))
+
+
 class _Recorder:
     """Delegating proxy that records the arguments of the named HiGHS calls."""
 
@@ -140,13 +158,13 @@ def test_only_moved_columns_are_pushed_to_the_live_model():
     lp, x, y = _warm_program()
     z = lp.add_variable("z", upper=1.0)  # a new column arrives with its bounds
     recorder = _Recorder(
-        lp._backend._highs, "addCol", "changeColsBounds", "changeColsCost", "changeObjectiveSense"
+        lp._backend._highs, "addCols", "changeColsBounds", "changeColsCost", "changeObjectiveSense"
     )
     lp._backend._highs = recorder
     lp.set_variable_bounds(y, 0.0, 2.0)
     lp.maximize(x * 2.0 + y + z * 3.0)
     assert lp.solve().objective_value == pytest.approx(2.0 * 4.0 + 1.0 + 3.0)
-    assert len(recorder.calls["addCol"]) == 1
+    assert [call[0] for call in recorder.calls["addCols"]] == [1]
     ((count, columns, lowers, uppers),) = recorder.calls["changeColsBounds"]
     assert (count, list(columns), list(lowers), list(uppers)) == (1, [y.index], [0.0], [2.0])
     ((count, columns, costs),) = recorder.calls["changeColsCost"]
