@@ -62,6 +62,7 @@ from repro.harness import (
     measure_policy_runtime,
     measure_policy_solve_under_churn,
 )
+from repro.solver.lp import LinearProgram
 from repro.workloads import TraceGenerator
 
 _NUM_JOBS = [8, 16, 32] if BENCH_SCALE == 1 else [32, 64, 128, 256]
@@ -133,8 +134,9 @@ def _water_filling_churn(oracle):
 
 def _measure(oracle):
     """Every sweep, plus the bottleneck-detection counters of all its level loops."""
-    detections = {"solves": 0, "milp_fallbacks": 0, "infeasible": 0}
+    detections = {"solves": 0, "warm": 0, "milp_fallbacks": 0, "infeasible": 0}
     run = _LevelLoopProgram.run
+    solve = LinearProgram.solve
 
     def counted(self, *args, **kwargs):
         result = run(self, *args, **kwargs)
@@ -143,11 +145,22 @@ def _measure(oracle):
         detections["infeasible"] += result.infeasible_detections
         return result
 
+    def counted_solve(program, *args, **kwargs):
+        solution = solve(program, *args, **kwargs)
+        # A detection that started from a basis: the one-shot series build
+        # their program and solve it cold once per level loop, the sessions
+        # of the churn series keep theirs across events.
+        if program.name == "water_filling_detection" and solution.warm_started:
+            detections["warm"] += 1
+        return solution
+
     _LevelLoopProgram.run = counted
+    LinearProgram.solve = counted_solve
     try:
         return (*_measure_series(oracle), detections)
     finally:
         _LevelLoopProgram.run = run
+        LinearProgram.solve = solve
 
 
 def _measure_series(oracle):
@@ -353,7 +366,8 @@ def bench_fig12_policy_scalability(benchmark, oracle):
     artifact = _write_artifact(runtimes, prep, churn, build, aggregated, detections)
     print(f"wrote sweep timings to {artifact}")
     print(
-        f"water-filling bottleneck detections: {detections['solves']} solved, "
+        f"water-filling bottleneck detections: {detections['solves']} solved "
+        f"({detections['warm']} from a basis), "
         f"{detections['milp_fallbacks']} needed the integer fallback, "
         f"{detections['infeasible']} infeasible"
     )

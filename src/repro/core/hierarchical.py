@@ -183,9 +183,15 @@ class HierarchicalPolicy(_WaterFillingPolicyBase):
         return grouped
 
     def _distribute_weights(
-        self, problem: PolicyProblem, bottlenecked: Set[int]
+        self,
+        problem: PolicyProblem,
+        bottlenecked: Set[int],
+        grouped: Optional[Mapping[int, List[int]]] = None,
     ) -> Dict[int, float]:
         """Split each entity's weight among its non-bottlenecked jobs.
+
+        ``grouped`` is :meth:`_jobs_by_entity` of ``problem`` when the caller
+        already holds it (the level loop redistributes once per iteration).
 
         Invariants (guarded by property tests): bottlenecked jobs always get
         zero weight; an entity whose jobs are all bottlenecked contributes no
@@ -195,7 +201,8 @@ class HierarchicalPolicy(_WaterFillingPolicyBase):
         labelling.
         """
         weights: Dict[int, float] = {job_id: 0.0 for job_id in problem.job_ids}
-        grouped = self._jobs_by_entity(problem)
+        if grouped is None:
+            grouped = self._jobs_by_entity(problem)
         for entity_id, job_ids in grouped.items():
             if not job_ids:
                 continue
@@ -227,8 +234,10 @@ class HierarchicalPolicy(_WaterFillingPolicyBase):
     def water_filling_redistribution(
         self, problem: PolicyProblem
     ) -> Optional[_Redistribute]:
+        grouped = self._jobs_by_entity(problem)
+
         def redistribute(_weights: Mapping[int, float], frozen: Set[int]) -> Dict[int, float]:
-            return self._distribute_weights(problem, bottlenecked=frozen)
+            return self._distribute_weights(problem, bottlenecked=frozen, grouped=grouped)
 
         return redistribute
 

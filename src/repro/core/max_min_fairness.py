@@ -30,16 +30,15 @@ the optimal *value* may be relied on.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 import numpy as np
 
-from repro.cluster.cluster_spec import ClusterSpec
 from repro.core.allocation import Allocation
 from repro.core.effective_throughput import normalized_throughput_scale
 from repro.core.policy import AllocationVariables, OptimizationPolicy
 from repro.core.problem import PolicyProblem
-from repro.core.session import IncrementalProgramSession, PolicySession
+from repro.core.session import IncrementalProgramSession, NormalizationCache, PolicySession
 from repro.core.throughput_matrix import ThroughputMatrix
 from repro.solver.lp import LinearExpression, LinearProgram
 
@@ -98,48 +97,38 @@ class MaxMinFairnessSession(IncrementalProgramSession):
         self._epigraph = self._program.add_variable(name="max_min_t", lower=-math.inf)
         self._program.maximize({self._epigraph.index: 1.0})
         self._constraints: Dict[int, int] = {}
-        #: Identity cache of each job's throughput terms: the variables object
-        #: returns the *same* tuple until one of the job's matrix rows changes.
-        self._terms: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        #: What else a job's normalization depends on, as of its current row:
-        #: ``(cluster, scale factor, priority weight)``.
-        self._scale_inputs: Dict[int, Tuple[ClusterSpec, int, float]] = {}
-
-    @staticmethod
-    def _scale_inputs_of(problem: PolicyProblem, job_id: int) -> Tuple[ClusterSpec, int, float]:
-        """Everything ``normalized_throughput_scale`` reads besides the job's own row."""
-        job = problem.jobs[job_id]
-        return problem.cluster_spec, job.scale_factor, job.priority_weight
+        # Late-bound on purpose: the policy method is the override point.
+        self._scales = NormalizationCache(
+            lambda problem, matrix, job_id: policy.normalized_throughput_scale(
+                problem, matrix, job_id
+            )
+        )
 
     def _prepare(self, problem: PolicyProblem) -> None:
         """Align the epigraph rows ``t <= scale_m * throughput(m, X)``.
 
         A from-scratch alignment (first solve, or every job changed) emits
         all rows in one columnar call; incremental alignment edits only the
-        jobs whose cached terms or normalization moved.
+        jobs whose cached terms or normalization inputs moved.
         """
-        policy = self._policy
         self._sync(problem)
         program = self._program
         variables = self._variables
-        matrix = variables.matrix
         epigraph_index = self._epigraph.index
-        active = set(matrix.job_ids)
+        active = set(variables.matrix.job_ids)
         for job_id in list(self._constraints):
             if job_id not in active:
                 program.remove_constraint(self._constraints.pop(job_id))
-                self._scale_inputs.pop(job_id, None)
-                self._terms.pop(job_id, None)
+                self._scales.discard(job_id)
         if not self._constraints:
             job_ids, starts, cols, vals = variables.effective_throughput_blocks()
             num_jobs = len(job_ids)
+            self._scales.clear()
+            scale_of = {
+                job_id: scale for job_id, _terms, scale in self._scales.refresh(problem, variables)
+            }
             scales = np.fromiter(
-                (
-                    policy.normalized_throughput_scale(problem, matrix, job_id)
-                    for job_id in job_ids.tolist()
-                ),
-                dtype=float,
-                count=num_jobs,
+                (scale_of[job_id] for job_id in job_ids.tolist()), dtype=float, count=num_jobs
             )
             # t - scale * expr <= 0, the epigraph term last in each row.
             handles = program.add_constraints_from_arrays(
@@ -149,25 +138,12 @@ class MaxMinFairnessSession(IncrementalProgramSession):
                 -math.inf,
                 np.zeros(num_jobs),
             )
-            for position, job_id in enumerate(job_ids.tolist()):
-                self._constraints[job_id] = int(handles[position])
-                self._scale_inputs[job_id] = self._scale_inputs_of(problem, job_id)
-                self._terms[job_id] = variables.effective_throughput_terms(job_id)
+            self._constraints = dict(zip(job_ids.tolist(), handles.tolist()))
             return
-        for job_id in matrix.job_ids:
-            terms = variables.effective_throughput_terms(job_id)
-            inputs = self._scale_inputs_of(problem, job_id)
-            handle = self._constraints.get(job_id)
-            if (
-                handle is not None
-                and self._terms.get(job_id) is terms
-                and self._scale_inputs.get(job_id) == inputs
-            ):
-                continue
-            scale = policy.normalized_throughput_scale(problem, matrix, job_id)
-            cols, vals = terms
+        for job_id, (cols, vals), scale in self._scales.refresh(problem, variables):
             row_cols = np.append(cols, epigraph_index)
             row_vals = np.append(-vals * scale, 1.0)
+            handle = self._constraints.get(job_id)
             if handle is None:
                 self._constraints[job_id] = int(
                     program.add_constraints_from_arrays(
@@ -180,8 +156,6 @@ class MaxMinFairnessSession(IncrementalProgramSession):
                 )
             else:
                 program.set_constraint_coefficients_from_arrays(handle, row_cols, row_vals)
-            self._scale_inputs[job_id] = inputs
-            self._terms[job_id] = terms
 
     def _solve(self, problem: PolicyProblem) -> Allocation:
         self._prepare(problem)

@@ -29,13 +29,15 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.cluster.cluster_spec import ClusterSpec
 from repro.core.allocation import Allocation
 from repro.core.policy import AllocationVariables, OptimizationPolicy, Policy, _Program
 from repro.core.problem import PolicyProblem
+from repro.core.throughput_matrix import ThroughputMatrix
 from repro.exceptions import ConfigurationError, InfeasibleError
 from repro.solver.lp import LinearProgram
 from repro.workloads.job import Job
@@ -51,6 +53,7 @@ __all__ = [
     "PolicySession",
     "RebuildSession",
     "IncrementalProgramSession",
+    "NormalizationCache",
     "IncrementalLPSession",
     "ThroughputFeasibilitySession",
 ]
@@ -288,6 +291,65 @@ class IncrementalProgramSession(PolicySession):
 
     def _prepare(self, problem: PolicyProblem) -> None:
         self._sync(problem)
+
+
+class NormalizationCache:
+    """Per-job normalization factors, re-derived only when an input moved.
+
+    :func:`~repro.core.effective_throughput.normalized_throughput_scale`
+    reads the job's own matrix row, the cluster, and the job's scale factor
+    and priority weight.  A session's :class:`AllocationVariables` hands out
+    the *same* throughput-terms tuple until one of the job's rows changes, so
+    the tuple's identity stands for the row and ``compute`` runs again only
+    when it, the cluster or one of the two job attributes differs from the
+    last :meth:`refresh` — the one skip rule of the LAS session and the
+    water-filling level loop (whose detection rows reuse the level rows'
+    factors).
+    """
+
+    def __init__(
+        self, compute: Callable[[PolicyProblem, ThroughputMatrix, int], float]
+    ) -> None:
+        self._compute = compute
+        #: job id -> (terms tuple, cluster, scale factor, priority weight).
+        self._inputs: Dict[int, Tuple[object, ClusterSpec, int, float]] = {}
+
+    def refresh(
+        self, problem: PolicyProblem, variables: AllocationVariables
+    ) -> Iterator[Tuple[int, Tuple[np.ndarray, np.ndarray], float]]:
+        """Yield ``(job id, terms, factor)`` of every job that is new or whose inputs moved.
+
+        Jobs come in the matrix's job order; an unchanged snapshot yields
+        nothing and calls ``compute`` for nobody.
+        """
+        matrix = variables.matrix
+        terms_of = variables.effective_throughput_terms
+        cluster = problem.cluster_spec
+        jobs = problem.jobs
+        inputs = self._inputs
+        for job_id in matrix.job_ids:
+            terms = terms_of(job_id)
+            job = jobs[job_id]
+            seen = inputs.get(job_id)
+            if (
+                seen is not None
+                and seen[0] is terms
+                and (seen[1] is cluster or seen[1] == cluster)
+                and seen[2] == job.scale_factor
+                and seen[3] == job.priority_weight
+            ):
+                continue
+            scale = self._compute(problem, matrix, job_id)
+            inputs[job_id] = (terms, cluster, job.scale_factor, job.priority_weight)
+            yield job_id, terms, scale
+
+    def discard(self, job_id: int) -> None:
+        """Forget a departed job."""
+        self._inputs.pop(job_id, None)
+
+    def clear(self) -> None:
+        """Forget everybody: the next :meth:`refresh` yields every job."""
+        self._inputs.clear()
 
 
 class IncrementalLPSession(IncrementalProgramSession):

@@ -40,11 +40,13 @@ Every LP of one water-filling run — and, through
 :class:`WaterFillingSession`, of *every* run across a scheduling loop — shares
 one validity scaffold: the decision variables, constraint (2) and the
 capacity rows built by :class:`~repro.core.policy.AllocationVariables`.  The
-implementation therefore keeps a single mutable
-:class:`~repro.solver.lp.LinearProgram` alive and drives the level loop with
-targeted edits instead of rebuilding per iteration.  The **edit protocol**
-(see :class:`_LevelLoopProgram`) gives each job two persistent rows over its
-normalized-throughput terms ``n_m = norm_m * throughput(m, X)``:
+implementation therefore keeps one mutable
+:class:`~repro.solver.lp.LinearProgram` per kind of problem alive — the level
+program described here, the detection program described below — and drives
+the level loop with targeted edits; nothing is built per iteration.  The
+**edit protocol** (see :class:`_LevelLoopProgram`) gives each job two
+persistent rows over its normalized-throughput terms
+``n_m = norm_m * throughput(m, X)``:
 
 * a *floor* row ``n_m >= level_m - eps`` — nobody may drop below the level
   already achieved.  Bumping the water level is a bulk right-hand-side edit
@@ -64,24 +66,36 @@ play — ``t*`` is the LP's unique optimal value, so the loop's trajectory
 never depends on which degenerate vertex the solver returned), and a
 bottleneck check.
 
-Bottleneck detection (:func:`_find_improvable`) is solved on a throwaway,
-canonically ordered program of its own — per job one row
+Bottleneck detection is solved on a **second persistent program**
+(:class:`_DetectionProgram`, owned by the level loop): per job one row
 ``n_m - (delta + eps) * n_g * z_m >= L_m - eps * n_g`` and one column
-``z_m`` — built afresh for every detection, so its vertex never depends on
-any live program's edit history.  Keeping it off the level program is a
-requirement, not a style choice: a detection solved there moves that
-program's basis, and the next level LP then starts from a vertex no level LP
-left.  This way the level program's solve sequence consists of level LPs
-only.  It is still a *sequence*: the LP layer carries the basis across the
-row edits between two runs (:class:`~repro.solver.lp._HighsBackend`), so a
-long-lived session's first level LP starts from the previous run's last
-vertex where a from-scratch run starts cold.  The level profile is the same
+``z_m`` over an :class:`~repro.core.policy.AllocationVariables` of its own,
+built columnar and canonically ordered once and then moved to every new
+snapshot by the same ``update_to`` diff the level program gets.  A departed
+job's row is removed before its ``z`` column is released (the column pool is
+shared with the ``x`` columns), a persisting row is rewritten only when its
+terms, norm or group count changed, and a detection is two bound sweeps —
+row lower bounds to ``L - eps * n_g``, ``z`` upper bounds to the in-play
+mask — plus one warm solve.  What is a requirement, not a style choice, is
+that the programs are *separate*: a detection solved on the level program
+moves that program's basis, and the next level LP then starts from a vertex
+no level LP left.  This way the level program's solve sequence consists of
+level LPs only and the detection program's of detection LPs only.  Both are
+*sequences*: the LP layer carries the basis across the row edits between two
+runs (:class:`~repro.solver.lp._HighsBackend`), so a long-lived session's
+first level LP and first detection start from the previous run's last
+vertices where a from-scratch run starts cold.  The level profile is the same
 either way (:meth:`_LevelLoopProgram._solve_level`); the vertex of the last
-iteration, which becomes the allocation, need not be.  (A
-second *long-lived* detection program, synchronised by the same ``update_to``
-deltas and re-solved warm, was measured about 1.8x faster per re-allocation
-and keeps the same property; ``CHANGES.md``, PR 16, records why it is left
-for a follow-up.)
+iteration, which becomes the allocation, and the pick among tying jobs need
+not be.  Measured on the end-to-end benchmark's hierarchical workload (28
+jobs, 43 re-allocations): 219 of 220 detections enter HiGHS with a valid
+basis and cost 4 simplex iterations in the median, 5.8 in the mean (3 and
+8.9 cold) — the saving over a fresh program per detection is construction
+(a ``LinearProgram``, its variables, a HiGHS instance and a ``passModel``,
+220 times), not pivots.  A failed solve drops that program's live model
+(:meth:`~repro.solver.lp.LinearProgram.solve`), and since every sweep
+rewrites every bound it owns, the next run on the same session starts from a
+full model pass and nothing of the aborted one.
 
 Type-aggregated runs (see :mod:`repro.core.aggregation`) feed the same loop a
 problem whose rows are group representatives with ``group_counts`` set: the
@@ -105,7 +119,7 @@ from repro.core.allocation import Allocation
 from repro.core.effective_throughput import normalized_throughput_scale
 from repro.core.policy import AllocationVariables
 from repro.core.problem import PolicyProblem
-from repro.core.session import IncrementalProgramSession
+from repro.core.session import IncrementalProgramSession, NormalizationCache
 from repro.core.throughput_matrix import ThroughputMatrix
 from repro.exceptions import ConfigurationError, InfeasibleError
 from repro.solver.lp import LinearProgram, Solution
@@ -145,53 +159,175 @@ class WaterFillingResult:
     infeasible_detections: int = 0
 
 
-def _find_improvable(
-    problem: PolicyProblem,
-    matrix: ThroughputMatrix,
-    norms: Mapping[int, float],
-    levels: Mapping[int, float],
-    candidates: Set[int],
-) -> Tuple[Set[int], bool]:
-    """A maximum set of ``candidates`` that can all gain ``delta`` at once.
+def _norm(problem: PolicyProblem, matrix: ThroughputMatrix, job_id: int) -> float:
+    """``n_m = norm_m * throughput(m, X)``: weights are carried per iteration, not here."""
+    return normalized_throughput_scale(
+        matrix, problem.cluster_spec, job_id, scale_factor=problem.scale_factor(job_id)
+    )
 
-    Builds the Appendix A.1 program of the module docstring — per job the row
+
+class _DetectionProgram:
+    """The persistent Appendix A.1 program of one level loop.
+
+    A second live :class:`~repro.solver.lp.LinearProgram` over its own
+    :class:`AllocationVariables`, holding per job the row
     ``n_m - (delta + eps) * n_g * z_m >= L_m - eps * n_g`` and the indicator
-    column ``z_m`` (1 at most for a candidate, 0 for the rest), maximizing
-    their sum — on a fresh, canonically ordered program and applies the
-    decisive-LP rule (``_Z_TOLERANCE`` on both comparisons).  Returns the set
-    plus whether the integer fallback was needed; raises
-    :class:`InfeasibleError` when even "nobody drops below its level" has no
-    solution.
+    column ``z_m`` of the module docstring, maximizing ``sum_m z_m``.
+    :meth:`align` follows each snapshot with the same ``update_to`` diff the
+    level program gets; :meth:`find_improvable` is then two bound sweeps and
+    one warm solve.
     """
-    program = LinearProgram(name="water_filling_detection")
-    variables = AllocationVariables(problem, matrix, program)
-    job_ids, starts, cols, vals = variables.effective_throughput_blocks()
-    jobs = job_ids.tolist()
-    norm_vec = np.fromiter((norms[job_id] for job_id in jobs), float, count=len(jobs))
-    counts = np.fromiter(
-        (problem.group_count(job_id) for job_id in jobs), float, count=len(jobs)
-    )
-    level_vec = np.fromiter((levels.get(job_id, 0.0) for job_id in jobs), float, count=len(jobs))
-    in_play = np.fromiter((job_id in candidates for job_id in jobs), float, count=len(jobs))
-    indicators = program.add_variables_from_arrays(len(jobs), upper=in_play, name="z")
-    program.add_constraints_from_arrays(
-        *variables.rows_with_column(
-            starts,
-            cols,
-            vals * np.repeat(norm_vec, np.diff(starts)),
-            indicators,
-            -(_IMPROVEMENT + _EPSILON) * counts,
-        ),
-        level_vec - _EPSILON * counts,
-        math.inf,
-    )
-    program.set_objective_from_arrays(indicators, np.ones(len(jobs)), maximize=True)
-    z = program.solve().values[indicators]
-    chosen = z >= 1.0 - _Z_TOLERANCE
-    decisive = float(z[~chosen].sum()) < 1.0 - _Z_TOLERANCE
-    if not decisive:
-        chosen = program.solve(integer_columns=indicators).values[indicators] > 0.5
-    return {jobs[position] for position in np.flatnonzero(chosen)}, not decisive
+
+    def __init__(self, problem: PolicyProblem, matrix: ThroughputMatrix) -> None:
+        self.program = LinearProgram(name="water_filling_detection")
+        self._variables = AllocationVariables(problem, matrix, self.program)
+        #: job id -> constraint handle of its row / column index of its indicator.
+        self._rows: Dict[int, int] = {}
+        self._indicators: Dict[int, int] = {}
+        #: What each row encodes: ``(terms, norm, group count)`` — the terms
+        #: tuple by identity, as handed out by *this* program's variables.
+        self._encoded: Dict[int, Tuple[Tuple[np.ndarray, np.ndarray], float, int]] = {}
+        #: ``(job order, row handles, indicator columns, group counts)``, rebuilt lazily.
+        self._layout_cache: Optional[
+            Tuple[Tuple[int, ...], np.ndarray, np.ndarray, np.ndarray]
+        ] = None
+
+    def align(
+        self, problem: PolicyProblem, matrix: ThroughputMatrix, norms: Mapping[int, float]
+    ) -> None:
+        """Follow the level program to ``problem``; ``norms`` are its rows' factors."""
+        program = self.program
+        variables = self._variables
+        if variables.problem is not problem or variables.matrix is not matrix:
+            variables.update_to(problem, matrix)
+        active = set(matrix.job_ids)
+        for job_id in list(self._rows):
+            if job_id not in active:
+                # Row first: the column pool is shared with the ``x`` columns,
+                # so the coefficient must be gone before the index is recycled.
+                program.remove_constraint(self._rows.pop(job_id))
+                program.release_variable(self._indicators.pop(job_id))
+                del self._encoded[job_id]
+                self._layout_cache = None
+        if not self._rows:
+            self._build_all(problem, norms)
+        else:
+            for job_id in matrix.job_ids:
+                encoded = (
+                    variables.effective_throughput_terms(job_id),
+                    norms[job_id],
+                    problem.group_count(job_id),
+                )
+                previous = self._encoded.get(job_id)
+                if previous is None:
+                    self._indicators[job_id] = program.add_variable(name="z", upper=0.0).index
+                    row_cols, row_vals = self._job_row(job_id, *encoded)
+                    self._rows[job_id] = int(
+                        program.add_constraints_from_arrays(
+                            np.zeros(len(row_cols), dtype=np.int64),
+                            row_cols,
+                            row_vals,
+                            -math.inf,
+                            math.inf,
+                        )[0]
+                    )
+                    self._layout_cache = None
+                elif previous[0] is encoded[0] and previous[1:] == encoded[1:]:
+                    continue
+                else:
+                    program.set_constraint_coefficients_from_arrays(
+                        self._rows[job_id], *self._job_row(job_id, *encoded)
+                    )
+                    if previous[2] != encoded[2]:
+                        self._layout_cache = None
+                self._encoded[job_id] = encoded
+        _job_ids, _rows, indicators, _counts = self._layout()
+        program.set_objective_from_arrays(indicators, np.ones(len(indicators)), maximize=True)
+
+    def _job_row(
+        self, job_id: int, terms: Tuple[np.ndarray, np.ndarray], norm: float, count: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """One job's row as ``(columns, coefficients)``, the indicator term last."""
+        cols, vals = terms
+        return (
+            np.append(cols, self._indicators[job_id]),
+            np.append(vals * norm, -(_IMPROVEMENT + _EPSILON) * count),
+        )
+
+    def _build_all(self, problem: PolicyProblem, norms: Mapping[int, float]) -> None:
+        """From-scratch columnar build, canonically ordered: one call per family."""
+        program = self.program
+        variables = self._variables
+        job_ids, starts, cols, vals = variables.effective_throughput_blocks()
+        jobs = job_ids.tolist()
+        norm_vec = np.fromiter((norms[job_id] for job_id in jobs), float, count=len(jobs))
+        counts = np.fromiter(
+            (problem.group_count(job_id) for job_id in jobs), np.int64, count=len(jobs)
+        )
+        indicators = program.add_variables_from_arrays(len(jobs), upper=0.0, name="z")
+        handles = program.add_constraints_from_arrays(
+            *variables.rows_with_column(
+                starts,
+                cols,
+                vals * np.repeat(norm_vec, np.diff(starts)),
+                indicators,
+                -(_IMPROVEMENT + _EPSILON) * counts,
+            ),
+            -math.inf,
+            math.inf,
+        )
+        for position, job_id in enumerate(jobs):
+            self._rows[job_id] = int(handles[position])
+            self._indicators[job_id] = int(indicators[position])
+            self._encoded[job_id] = (
+                variables.effective_throughput_terms(job_id),
+                norms[job_id],
+                int(counts[position]),
+            )
+        self._layout_cache = None
+
+    def _layout(self) -> Tuple[Tuple[int, ...], np.ndarray, np.ndarray, np.ndarray]:
+        """``(job order, row handles, indicator columns, group counts)`` for the sweeps."""
+        job_ids = self._variables.matrix.job_ids
+        if self._layout_cache is None or self._layout_cache[0] != job_ids:
+            size = len(job_ids)
+            self._layout_cache = (
+                job_ids,
+                np.fromiter((self._rows[job_id] for job_id in job_ids), np.int64, count=size),
+                np.fromiter(
+                    (self._indicators[job_id] for job_id in job_ids), np.int64, count=size
+                ),
+                np.fromiter(
+                    (self._encoded[job_id][2] for job_id in job_ids), float, count=size
+                ),
+            )
+        return self._layout_cache
+
+    def find_improvable(
+        self, levels: Mapping[int, float], candidates: Set[int]
+    ) -> Tuple[Set[int], bool]:
+        """A maximum set of ``candidates`` that can all gain ``delta`` at once.
+
+        Points the rows at ``levels`` and the indicators at ``candidates``
+        (1 at most for a candidate, 0 for the rest), re-solves and applies the
+        decisive-LP rule (``_Z_TOLERANCE`` on both comparisons).  Returns the
+        set plus whether the integer fallback was needed; raises
+        :class:`InfeasibleError` when even "nobody drops below its level" has
+        no solution.
+        """
+        program = self.program
+        job_ids, rows, indicators, counts = self._layout()
+        size = len(job_ids)
+        level_vec = np.fromiter((levels.get(job_id, 0.0) for job_id in job_ids), float, count=size)
+        in_play = np.fromiter((job_id in candidates for job_id in job_ids), float, count=size)
+        program.set_constraint_bounds_from_arrays(rows, lower=level_vec - _EPSILON * counts)
+        program.set_variable_bounds_from_arrays(indicators, 0.0, in_play)
+        z = program.solve().values[indicators]
+        chosen = z >= 1.0 - _Z_TOLERANCE
+        decisive = float(z[~chosen].sum()) < 1.0 - _Z_TOLERANCE
+        if not decisive:
+            chosen = program.solve(integer_columns=indicators).values[indicators] > 0.5
+        return {job_ids[position] for position in np.flatnonzero(chosen)}, not decisive
 
 
 class _LevelLoopProgram:
@@ -199,9 +335,10 @@ class _LevelLoopProgram:
 
     Owns the epigraph variable ``t`` plus, per job, the floor and level rows
     described in the module docstring, and re-aligns them incrementally
-    against new problem snapshots (:meth:`align`).  One :meth:`run` call
-    executes the complete level loop of Section 4.3 through right-hand-side
-    sweeps and warm re-solves of the single live program.
+    against new problem snapshots (:meth:`align`) — together with the
+    :class:`_DetectionProgram` it owns.  One :meth:`run` call executes the
+    complete level loop of Section 4.3 through right-hand-side sweeps and
+    warm re-solves of the two live programs.
     """
 
     def __init__(self, program: LinearProgram, variables: AllocationVariables) -> None:
@@ -218,10 +355,12 @@ class _LevelLoopProgram:
         self._terms: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         #: job id -> normalization factor currently encoded in the rows.
         self._norms: Dict[int, float] = {}
+        self._scales = NormalizationCache(_norm)
         #: job id -> weight currently encoded as the level row's -w_m * t term.
         self._level_weights: Dict[int, float] = {}
         #: Handle arrays aligned with the matrix's job order (rebuilt lazily).
         self._handle_cache: Optional[Tuple[Tuple[int, ...], np.ndarray, np.ndarray]] = None
+        self.detection = _DetectionProgram(variables.problem, variables.matrix)
 
     # -- structural alignment ---------------------------------------------------------
     def align(self, problem: PolicyProblem) -> None:
@@ -231,7 +370,8 @@ class _LevelLoopProgram:
         synchronised (``update_to``): vanished jobs lose both rows, new jobs
         gain them, and persisting jobs whose cached throughput terms or
         normalization factor moved (estimate refinements, cluster resizes)
-        get their coefficients rewritten in place.
+        get their coefficients rewritten in place.  The detection program
+        then follows with the same diff.
         """
         self._problem = problem
         variables = self._variables
@@ -244,23 +384,20 @@ class _LevelLoopProgram:
                 program.remove_constraint(self._level_rows.pop(job_id))
                 self._terms.pop(job_id, None)
                 self._norms.pop(job_id, None)
+                self._scales.discard(job_id)
                 self._level_weights.pop(job_id, None)
                 self._handle_cache = None
         if not self._floors:
-            self._build_all(problem, matrix)
-            return
-        for job_id in matrix.job_ids:
-            norm = normalized_throughput_scale(
-                matrix, problem.cluster_spec, job_id,
-                scale_factor=problem.scale_factor(job_id),
-            )
-            terms = variables.effective_throughput_terms(job_id)
-            if job_id not in self._floors:
-                self._add_job_rows(job_id, terms, norm)
-            elif self._terms.get(job_id) is not terms or self._norms.get(job_id) != norm:
-                self._rewrite_job_rows(job_id, terms, norm)
+            self._build_all(problem)
+        else:
+            for job_id, terms, norm in self._scales.refresh(problem, variables):
+                if job_id not in self._floors:
+                    self._add_job_rows(job_id, terms, norm)
+                elif self._terms.get(job_id) is not terms or self._norms.get(job_id) != norm:
+                    self._rewrite_job_rows(job_id, terms, norm)
+        self.detection.align(problem, matrix, self._norms)
 
-    def _build_all(self, problem: PolicyProblem, matrix: ThroughputMatrix) -> None:
+    def _build_all(self, problem: PolicyProblem) -> None:
         """From-scratch columnar build: one call per row family, LAS-style."""
         program = self._program
         variables = self._variables
@@ -268,16 +405,12 @@ class _LevelLoopProgram:
         num_jobs = len(job_ids)
         if num_jobs == 0:
             return
+        self._scales.clear()
+        norm_of = {
+            job_id: norm for job_id, _terms, norm in self._scales.refresh(problem, variables)
+        }
         norms = np.fromiter(
-            (
-                normalized_throughput_scale(
-                    matrix, problem.cluster_spec, job_id,
-                    scale_factor=problem.scale_factor(job_id),
-                )
-                for job_id in job_ids.tolist()
-            ),
-            dtype=float,
-            count=num_jobs,
+            (norm_of[job_id] for job_id in job_ids.tolist()), dtype=float, count=num_jobs
         )
         counts = np.diff(starts)
         coeffs = vals * np.repeat(norms, counts)
@@ -459,9 +592,7 @@ class _LevelLoopProgram:
 
             detection_solves += 1
             try:
-                improvable, fell_back = _find_improvable(
-                    self._problem, self._variables.matrix, self._norms, levels, active
-                )
+                improvable, fell_back = self.detection.find_improvable(levels, active)
             except InfeasibleError:
                 # Not even "nobody drops below its level" is feasible: nothing
                 # can be shown improvable, so everything in play freezes — on
@@ -546,10 +677,11 @@ class WaterFillingSession(IncrementalProgramSession):
     """Stateful water-filling solver: one live level-loop program across rounds.
 
     The decision variables, validity constraints and the per-job floor/level
-    rows persist; a churn event becomes the usual
-    :class:`~repro.core.policy.AllocationVariables` delta sync plus an
-    :meth:`_LevelLoopProgram.align` diff, and every level iteration re-solves
-    the warm program instead of building a new one.  The owning policy
+    rows persist, and so does the detection program beside them; a churn
+    event becomes the usual :class:`~repro.core.policy.AllocationVariables`
+    delta sync plus an :meth:`_LevelLoopProgram.align` diff on each, and
+    every level iteration re-solves the two warm programs instead of building
+    a new one.  The owning policy
     supplies the weight semantics through
     ``water_filling_weights(problem)`` / ``water_filling_redistribution(problem)``
     (single-level fairness keeps weights fixed; the hierarchical policy
@@ -565,6 +697,11 @@ class WaterFillingSession(IncrementalProgramSession):
     def last_result(self) -> Optional[WaterFillingResult]:
         """Diagnostics of the most recent solve (levels, bottleneck order)."""
         return self._last_result
+
+    @property
+    def detection_program(self) -> LinearProgram:
+        """The live Appendix A.1 program (exposed for tests and diagnostics)."""
+        return self._loop.detection.program
 
     def _prepare(self, problem: PolicyProblem) -> None:
         self._sync(problem)

@@ -243,6 +243,23 @@ class TestDistributeWeightsProperties:
             assert permuted[job_id] == pytest.approx(weight)
 
 
+    @given(layout=_hierarchy_strategy, seed=_bottleneck_seed)
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_redistribution_closure_groups_jobs_once(self, layout, seed):
+        """The level loop's closure answers like a fresh split, from one grouping."""
+        entities, problem, bottlenecked = _hierarchy_case(layout, seed)
+        policy = HierarchicalPolicy(entities)
+        groupings = []
+        jobs_by_entity = policy._jobs_by_entity
+        policy._jobs_by_entity = lambda problem: groupings.append(1) or jobs_by_entity(problem)
+        redistribute = policy.water_filling_redistribution(problem)
+        for frozen in (set(), bottlenecked, set(problem.job_ids)):
+            assert redistribute({}, frozen) == HierarchicalPolicy(entities)._distribute_weights(
+                problem, frozen
+            )
+        assert groupings == [1]
+
+
 class TestEntityFallback:
     def test_round_robin_assigns_entityless_jobs(self):
         problem, matrix = _entity_problem(jobs_per_entity=(2, 2), num_gpus=2)

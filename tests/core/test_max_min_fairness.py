@@ -186,3 +186,38 @@ class TestSessionNormalizationCache:
             assert self._min_normalized(policy, changed, live) == pytest.approx(
                 self._min_normalized(policy, changed, fresh), rel=1e-9
             )
+
+    def test_failed_first_alignment_leaves_nothing_behind(self):
+        """A job nothing can normalize fails the solve; the session then serves the rest.
+
+        The from-scratch alignment derives every factor before it adds a row,
+        so the failure must not leave factors recorded for rows that were
+        never written.
+        """
+        import numpy as np
+
+        from repro.cluster import default_registry
+        from repro.core import ThroughputMatrix
+        from repro.exceptions import ConfigurationError
+
+        registry = default_registry().subset(["v100"])
+        spec = ClusterSpec.from_counts({"v100": 2}, registry=registry)
+        rows = {(0,): np.array([[2.0]]), (1,): np.array([[1.0]]), (2,): np.array([[0.0]])}
+        jobs = {i: Job(job_id=i, job_type="x", total_steps=1e3) for i in range(3)}
+        broken = PolicyProblem(
+            jobs=jobs, throughputs=ThroughputMatrix(registry, rows), cluster_spec=spec
+        )
+        policy = MaxMinFairnessPolicy()
+        session = policy.session(broken)
+        with pytest.raises(ConfigurationError, match="zero throughput"):
+            session.solve(broken)
+
+        del rows[(2,)], jobs[2]
+        healthy = PolicyProblem(
+            jobs=jobs, throughputs=ThroughputMatrix(registry, rows), cluster_spec=spec
+        )
+        live = session.solve(healthy)
+        assert self._min_normalized(policy, healthy, live) == pytest.approx(
+            self._min_normalized(policy, healthy, policy.compute_allocation(healthy)), rel=1e-9
+        )
+

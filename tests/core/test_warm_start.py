@@ -6,12 +6,19 @@ solve after the first must enter HiGHS with a valid basis, cost a fraction of
 what the same problems cost solved cold, and reach the cold optimum — the
 objective is unique even where the vertex is not.  This is what the 1.7x
 session-vs-scratch gate of the Figure 12 benchmark rests on.
+
+The water-filling family keeps *two* programs alive per session — the level
+program and the Appendix A.1 detection program — and the same sequence must
+find both warm from their second solve on, on the one pair of programs the
+session was opened with.
 """
 
+import numpy as np
 import pytest
 from churn_fingerprint_scenarios import churn_problems, session_allocations
 
-from repro.core import make_policy
+from repro.core import WaterFillingAllocator, make_policy
+from repro.harness.equivalence import LEVEL_PROFILE_TOL, water_filling_level_profile
 from repro.solver.lp import LinearProgram
 
 
@@ -55,3 +62,62 @@ def test_las_session_re_solves_warm_to_the_cold_optimum(
     assert sum(solution.simplex_iterations for solution in warm[1:]) < iteration_share * sum(
         solution.simplex_iterations for solution in cold[1:]
     )
+
+
+@pytest.mark.parametrize("policy_spec", ["max_min_fairness_water_filling", "hierarchical"])
+def test_water_filling_session_keeps_two_programs_warm(oracle, monkeypatch, policy_spec):
+    """One detection program per session; every solve but each program's first is warm."""
+    built = []
+    init = LinearProgram.__init__
+
+    def counting_init(program, name="lp"):
+        built.append(name)
+        init(program, name=name)
+
+    solved = []
+    solve = LinearProgram.solve
+
+    def recording(program, *args, **kwargs):
+        solved.append((program, solve(program, *args, **kwargs)))
+        return solved[-1][1]
+
+    monkeypatch.setattr(LinearProgram, "__init__", counting_init)
+    monkeypatch.setattr(LinearProgram, "solve", recording)
+    steps = churn_problems(oracle)
+    policy = make_policy(policy_spec)
+    session = policy.session(steps[0][0])
+    results = []
+    for step, (problem, deltas) in enumerate(steps):
+        if step:
+            session.apply(deltas)
+        results.append((session.solve(problem), session.last_result))
+    assert built == [policy.display_name, "water_filling_detection"]
+
+    level, detection = session.program, session.detection_program
+    assert {id(program) for program, _ in solved} == {id(level), id(detection)}
+    for program in (level, detection):
+        flags = [solution.warm_started for owner, solution in solved if owner is program]
+        assert flags == [False] + [True] * (len(flags) - 1), program.name
+        assert program.basis_rejections == 0
+    detections = sum(result.detection_solves for _, result in results)
+    assert detections >= len(steps)
+    assert sum(owner is detection for owner, _ in solved) == detections
+
+    # Cold one-shot runs of the same problems: same profile, same freeze sizes.
+    monkeypatch.undo()
+    for step, (problem, _deltas) in enumerate(steps):
+        allocation, result = results[step]
+        cold = WaterFillingAllocator(problem, policy.effective_matrix(problem)).run(
+            policy.water_filling_weights(problem),
+            redistribute=policy.water_filling_redistribution(problem),
+        )
+        assert result.milp_fallbacks == cold.milp_fallbacks == 0
+        assert [len(frozen) for frozen in result.bottleneck_order] == [
+            len(frozen) for frozen in cold.bottleneck_order
+        ], step
+        np.testing.assert_allclose(
+            water_filling_level_profile(policy, problem, allocation),
+            water_filling_level_profile(policy, problem, cold.allocation),
+            atol=LEVEL_PROFILE_TOL,
+            err_msg=f"step {step}",
+        )

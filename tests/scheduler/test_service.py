@@ -817,3 +817,65 @@ def test_water_filling_detection_accounts_for_every_milp(monkeypatch, name, spec
     assert milp_calls == ["water_filling_detection"] * fallbacks
     if not spec.endswith("+ss"):
         assert fallbacks == 0
+
+
+@pytest.mark.parametrize(
+    "aggregation, max_history", [("job", None), ("type", None), ("job", 4)]
+)
+def test_restored_hierarchical_twin_re_solves_both_programs_from_the_same_bases(
+    oracle, small_spec, monkeypatch, aggregation, max_history
+):
+    """``restore()`` rebuilds the level *and* the detection program's solver state.
+
+    A water-filling session keeps two live programs, and which of several
+    tying jobs a detection picks depends on the basis it starts from.  The
+    replayed history must therefore leave both programs of the twin where the
+    original's are: every forward solve agrees in program, warm-start flag
+    and pivot count, not just in outcome.  After a ``max_session_history``
+    re-base both start over, in the twin as in the original: one cold solve
+    per program per re-base.
+    """
+    from repro.solver.lp import LinearProgram
+
+    solved = []
+    solve = LinearProgram.solve
+
+    def recording(program, *args, **kwargs):
+        solution = solve(program, *args, **kwargs)
+        solved.append((program.name, solution.warm_started, solution.simplex_iterations))
+        return solution
+
+    monkeypatch.setattr(LinearProgram, "solve", recording)
+    config = SchedulerConfig(
+        mode="round", aggregation=aggregation, max_session_history=max_history
+    )
+
+    def loaded():
+        scheduler = _scheduler(oracle, small_spec, policy="hierarchical", config=config)
+        for job in _trace(oracle, num_jobs=12, jobs_per_hour=6.0, seed=7).jobs:
+            scheduler.submit(job)
+        return scheduler
+
+    original = loaded()
+    while original.result().num_policy_recomputations < 6:
+        original.step()
+    snapshot = original.snapshot()
+    if max_history is not None:
+        assert len(snapshot.session_history) <= max_history
+    twin = _scheduler(oracle, small_spec, policy="hierarchical", config=config).restore(
+        snapshot
+    )
+
+    solved.clear()
+    original.run_until()
+    forward = list(solved)
+    solved.clear()
+    twin.run_until()
+    assert solved == forward
+    programs = {name for name, _warm, _iterations in forward}
+    assert programs == {"hierarchical", "water_filling_detection"}
+    for name in programs:
+        flags = [warm for program, warm, _iterations in forward if program == name]
+        assert flags[0], f"{name}: the first solve after the snapshot starts from a basis"
+        assert (flags.count(False) == 0) if max_history is None else (flags.count(False) >= 1)
+    assert _result_fingerprint(original.result()) == _result_fingerprint(twin.result())

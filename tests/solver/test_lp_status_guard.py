@@ -7,12 +7,14 @@ the backend surfaces it as :class:`SolverError` instead of answering from a
 diverged model.
 """
 
+import numpy as np
 import pytest
 from scipy.optimize._highspy import _core as _highs_core
 
 from repro.cluster import ClusterSpec
 from repro.core import PolicyProblem, build_throughput_matrix, make_policy
 from repro.exceptions import SolverError
+from repro.harness.equivalence import LEVEL_PROFILE_TOL, water_filling_level_profile
 from repro.solver import LinearProgram
 from repro.solver.lp import _HighsBackend
 from repro.workloads import ThroughputOracle, TraceGenerator
@@ -181,13 +183,15 @@ def test_only_moved_columns_are_pushed_to_the_live_model():
     assert recorder.calls["changeColsBounds"] == recorder.calls["changeColsCost"] == []
 
 
-def _contended_problem(num_jobs=6):
+def _contended_problem(num_jobs=6, per_type=1):
     oracle = ThroughputOracle()
     jobs = list(TraceGenerator(oracle).generate_static(num_jobs=num_jobs, seed=3).jobs)
     return PolicyProblem(
         jobs={job.job_id: job for job in jobs},
         throughputs=build_throughput_matrix(jobs, oracle),
-        cluster_spec=ClusterSpec.from_counts({"v100": 1, "p100": 1, "k80": 1}),
+        cluster_spec=ClusterSpec.from_counts(
+            {"v100": per_type, "p100": per_type, "k80": per_type}
+        ),
     )
 
 
@@ -215,20 +219,43 @@ def test_hard_failure_in_bottleneck_detection_is_not_a_bottleneck(monkeypatch):
     The level loop turns an *infeasible* detection into an empty improvable
     set (counted in ``WaterFillingResult.infeasible_detections``); a hard
     solver failure on the detection program is not that and must propagate.
+    The detection program lives as long as the session, so the failure must
+    also drop its live model: the next solve on the same session passes that
+    one model again, cold, and nothing of the aborted loop (level and floor
+    bounds swept for an iteration that never finished) shows in its result.
     """
-    problem = _contended_problem()
-    session = make_policy("max_min_fairness_water_filling").session(problem)
+    problem = _contended_problem(num_jobs=5, per_type=2)
+    policy = make_policy("hierarchical")
+    session = policy.session(problem)
     session.solve(problem)
     assert session.last_result.infeasible_detections == 0
+    assert session.last_result.iterations == 2
 
-    # Every detection runs on a program of its own: fail the first one's run.
-    pass_full_model = _HighsBackend._pass_full_model
-
-    def failing_detection(backend, program):
-        pass_full_model(backend, program)
-        if program.name == "water_filling_detection":
-            backend._highs = _ForcedError(backend._highs, "run", on_call=1)
-
-    monkeypatch.setattr(_HighsBackend, "_pass_full_model", failing_detection)
+    # Fail the second detection of the next run: one iteration has completed,
+    # the second has swept its bounds and solved its level LP.
+    detection = session.detection_program
+    backend = detection._backend
+    backend._highs = _ForcedError(backend._highs, "run", on_call=2)
     with pytest.raises(SolverError, match="water_filling_detection: HiGHS run failed"):
         session.solve(problem)
+    assert backend._highs._calls == 2
+    assert detection._backend is None and session.program._backend is not None
+
+    passed = []
+    pass_full_model = _HighsBackend._pass_full_model
+
+    def recording(backend, program):
+        passed.append(program.name)
+        pass_full_model(backend, program)
+
+    monkeypatch.setattr(_HighsBackend, "_pass_full_model", recording)
+    recovered = session.solve(problem)
+    assert passed == ["water_filling_detection"]
+    assert session.detection_program is detection
+    fresh = policy.compute_with_diagnostics(problem)
+    assert session.last_result.bottleneck_order == fresh.bottleneck_order
+    np.testing.assert_allclose(
+        water_filling_level_profile(policy, problem, recovered),
+        water_filling_level_profile(policy, problem, fresh.allocation),
+        atol=LEVEL_PROFILE_TOL,
+    )
