@@ -18,7 +18,10 @@ Also measures, under job churn:
   (program rebuilt per event) against a stateful policy session fed the
   engine's delta stream (live program edited in place, warm-started solves);
   the session must be at least 2x faster at the largest churn job count for
-  the plain LAS policy;
+  the plain LAS policy; finish-time fairness and makespan ride along as
+  recorded series (their sessions keep a scaling and a witness program warm
+  and solve 2-4 LPs per event), with the numbers of the last bisecting commit
+  written beside them;
 * water-filling policy-solve time under the same churn protocol (a fresh
   level-loop program per event vs the persistent level-loop session);
   recorded as an absolute series, not gated;
@@ -73,6 +76,26 @@ _CHURN_NUM_JOBS = [16, 128] if BENCH_SCALE == 1 else [64, 128, 256]
 _CHURN_POLICIES = {
     "LAS": "max_min_fairness",
     "LAS w/ SS": "max_min_fairness+ss",
+    # The minimum-scalar family (scaling + witness LP per event): recorded, not gated.
+    "FTF": "finish_time_fairness",
+    "Makespan": "makespan",
+}
+#: The same two series at the commit before the family left bisection
+#: (eeb1fd4, ~10 feasibility LPs per event): medians of five runs of
+#: ``measure_policy_solve_under_churn(spec, [16, 128], num_events=16)`` on a
+#: scratch clone, alternating with the new code (whose medians then read
+#: 0.100 / 0.056 and 0.345 / 0.116 s for FTF, 0.094 / 0.057 and 0.320 /
+#: 0.117 s for Makespan).  Written into the artifact beside the live series;
+#: only meaningful at ``BENCH_SCALE == 1``.
+_CHURN_FAMILY_AT_PARENT = {
+    "FTF": {
+        "16": {"scratch": 0.1339, "session": 0.1195},
+        "128": {"scratch": 0.4915, "session": 0.4542},
+    },
+    "Makespan": {
+        "16": {"scratch": 0.1158, "session": 0.1012},
+        "128": {"scratch": 0.3903, "session": 0.3718},
+    },
 }
 #: Required scratch/session speedup for plain LAS at the largest churn count.
 #: Columnar assembly makes the stateless path's construction cheap, so the
@@ -215,6 +238,7 @@ def _write_artifact(runtimes, prep, churn, build, aggregated, detections) -> str
             name: {str(n): point for n, point in series.items()}
             for name, series in churn.items()
         },
+        "policy_solve_under_churn_seconds_at_parent": _CHURN_FAMILY_AT_PARENT,
         "lp_build_seconds": {
             name: {str(n): point for n, point in series.items()}
             for name, series in build.items()

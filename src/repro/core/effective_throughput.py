@@ -32,6 +32,7 @@ __all__ = [
     "effective_throughputs",
     "equal_share_reference_throughput",
     "isolated_reference_throughput",
+    "isolated_reference_throughputs",
     "fastest_reference_throughput",
     "normalized_throughput_scale",
 ]
@@ -116,6 +117,30 @@ def isolated_reference_throughput(
     if total > 1.0:
         fractions = fractions / total
     return float(np.dot(matrix.isolated_throughputs(job_id), fractions))
+
+
+def isolated_reference_throughputs(
+    matrix: ThroughputMatrix, cluster_spec: ClusterSpec, scale_factors: np.ndarray
+) -> np.ndarray:
+    """:func:`isolated_reference_throughput` of every job of ``matrix`` at once.
+
+    One entry per job in the matrix's (sorted) job order, each for a 1/n
+    slice with ``n`` the matrix's own job count; ``scale_factors`` is aligned
+    the same way.  One pass over the singleton block instead of one
+    ``counts_vector()`` and one fraction vector per job; equal to the scalar
+    function up to floating-point summation order.
+    """
+    _job_ids, singles = matrix.singles_matrix()
+    scales = np.asarray(scale_factors, dtype=float)
+    if scales.shape != (len(singles),):
+        raise ConfigurationError(
+            f"expected one scale factor per job ({len(singles)}), got shape {scales.shape}"
+        )
+    if np.any(scales <= 0):
+        raise ConfigurationError("scale factors must be positive")
+    fractions = cluster_spec.counts_vector()[None, :] / (len(singles) * scales)[:, None]
+    fractions /= np.maximum(fractions.sum(axis=1, keepdims=True), 1.0)
+    return (singles * fractions).sum(axis=1)
 
 
 def fastest_reference_throughput(matrix: ThroughputMatrix, job_id: int) -> float:

@@ -1,39 +1,67 @@
 """Minimum-makespan policy — Section 4.2 and Appendix A.1.
 
 The makespan of a batch of jobs is the maximum over jobs of
-``num_steps_m / throughput(m, X)``.  Minimizing it directly is not linear, so
-the policy binary-searches for the smallest makespan ``M`` such that the LP
+``num_steps_m / throughput(m, X)``.  Minimizing it directly is not linear, but
+``M`` is achievable exactly when the LP
 
     throughput(m, X) >= num_steps_m / M   for every job m
     X valid (Section 3.1 constraints)
 
-is feasible, returning the allocation that witnesses feasibility at the
-smallest ``M`` found.
+is feasible, and because these requirements are *multiplicative* in ``1 / M``
+the smallest such ``M`` needs no search at all: for any ``M_0 > 0`` the
+max-min LP
 
-:class:`MakespanSession` keeps one LP alive for the whole search *and*
-across allocation recomputations: every bisection candidate is a
-right-hand-side edit on persistent per-job feasibility constraints, so the
-constraint matrix is assembled once per structural change rather than once
-per candidate.
+    max y   subject to   throughput(m, X) >= (num_steps_m / M_0) * y
+
+has optimum ``y* = M_0 / M*``.  This is the one-step case of the certified
+Newton iteration of :class:`~repro.core.session.ThroughputRequirementSession`
+(finish-time fairness is the general one): the bound the LP's allocation
+achieves and the bound its duals certify coincide, ``L = U = M_0 / y*``, after
+one *scaling* LP from any start, and one *witness* LP at that makespan (rows
+``throughput(m, X) >= num_steps_m / M*``, total throughput as its objective)
+produces the allocation.  The policy is max-min LP + witness, exactly: two LPs
+per re-allocation.  ``M_0`` is the makespan of the isolated 1/n allocation,
+which keeps the ``y`` column on the scale of the throughputs.
+
+:class:`MakespanSession` keeps both LPs alive across allocation
+recomputations, each with its own basis.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+import numpy as np
 
 from repro.core.allocation import Allocation
-from repro.core.effective_throughput import (
-    fastest_reference_throughput,
-    isolated_reference_throughput,
-)
 from repro.core.policy import Policy
 from repro.core.problem import PolicyProblem
-from repro.core.session import PolicySession, ThroughputFeasibilitySession
+from repro.core.session import (
+    PolicySession,
+    RequirementCurves,
+    ThroughputRequirementSession,
+    steps_and_isolated_throughputs,
+)
 from repro.core.throughput_matrix import ThroughputMatrix
 from repro.exceptions import InfeasibleError
-from repro.solver.bisection import bisect_min_feasible
 
-__all__ = ["MakespanPolicy", "MakespanSession"]
+__all__ = ["MakespanPolicy", "MakespanSession", "makespan_requirements"]
+
+
+def makespan_requirements(
+    problem: PolicyProblem, matrix: ThroughputMatrix
+) -> RequirementCurves:
+    """The curves ``r_m(M) = num_steps_m / M``, one per job of ``matrix``.
+
+    The first candidate is the makespan of the equal 1/n isolated share
+    (always a valid allocation) over the jobs that can run at all.
+    """
+    steps, isolated = steps_and_isolated_throughputs(problem, matrix)
+    runnable = isolated > 0
+    start = float(np.max(steps[runnable] / isolated[runnable], initial=0.0))
+    if start <= 0:
+        raise InfeasibleError("no job with steps left can make progress on any accelerator type")
+    return RequirementCurves(
+        steps=steps, elapsed=np.zeros(len(steps)), reference=np.ones(len(steps)), start=start
+    )
 
 
 class MakespanPolicy(Policy):
@@ -50,70 +78,20 @@ class MakespanPolicy(Policy):
         super().__init__(heterogeneity_agnostic=heterogeneity_agnostic, space_sharing=space_sharing)
         self._relative_tolerance = relative_tolerance
 
+    @property
+    def relative_tolerance(self) -> float:
+        """Relative width of the certified bracket ``[L, U]`` a solve stops at."""
+        return self._relative_tolerance
+
     def _make_session(self, problem: PolicyProblem) -> PolicySession:
-        return MakespanSession(self, problem)
+        return MakespanSession(self, problem, self._relative_tolerance)
 
     def compute_allocation(self, problem: PolicyProblem) -> Allocation:
         return self.session(problem).solve(problem)
 
-    def _makespan_bounds(
-        self, problem: PolicyProblem, matrix: ThroughputMatrix
-    ) -> Tuple[float, float]:
-        """A guaranteed-feasible upper bound and a safe lower bound on the makespan.
 
-        Upper bound: every job running under the equal 1/n isolated share
-        (always a feasible allocation).  Lower bound: no job can finish faster
-        than running alone, all of the time, on its fastest accelerator.
-        """
-        num_jobs = problem.num_jobs
-        upper = 0.0
-        lower = 0.0
-        for job_id in problem.job_ids:
-            steps = problem.remaining_steps(job_id)
-            isolated = isolated_reference_throughput(
-                matrix,
-                problem.cluster_spec,
-                job_id,
-                num_jobs=num_jobs,
-                scale_factor=problem.scale_factor(job_id),
-            )
-            fastest = fastest_reference_throughput(matrix, job_id)
-            if isolated > 0:
-                upper = max(upper, steps / isolated)
-            if fastest > 0:
-                lower = max(lower, steps / fastest)
-        if upper <= 0:
-            raise InfeasibleError("no job can make progress on any accelerator type")
-        upper = max(upper, lower) * 1.001
-        return max(lower * 0.999, 0.0), upper
+class MakespanSession(ThroughputRequirementSession):
+    """Stateful makespan solver: a max-min scaling LP, then a witness LP, both persistent."""
 
-
-class MakespanSession(ThroughputFeasibilitySession):
-    """Stateful makespan solver: persistent feasibility LP, rhs-only candidates."""
-
-    def _solve(self, problem: PolicyProblem) -> Allocation:
-        policy = self._policy
-        self._prepare(problem)
-        matrix = self._variables.matrix
-        steps = {job_id: problem.remaining_steps(job_id) for job_id in matrix.job_ids}
-
-        def feasible_allocation(makespan: float) -> Optional[Allocation]:
-            if makespan <= 0:
-                # Zero (or negative) time is only enough when nothing is left
-                # to train; mirror ``0 >= steps`` without dividing by zero.
-                if any(value > 0 for value in steps.values()):
-                    return None
-                required = {job_id: 0.0 for job_id in steps}
-            else:
-                required = {job_id: value / makespan for job_id, value in steps.items()}
-            self._set_feasibility_rhs(required)
-            return self._solve_candidate()
-
-        lower, upper = policy._makespan_bounds(problem, matrix)
-        result = bisect_min_feasible(
-            feasible_allocation,
-            lower=lower,
-            upper=upper,
-            relative_tolerance=policy._relative_tolerance,
-        )
-        return result.witness
+    def _requirements(self, problem: PolicyProblem) -> RequirementCurves:
+        return makespan_requirements(problem, self._variables.matrix)

@@ -22,6 +22,29 @@ without reusable solver state fall back to :class:`RebuildSession`, which
 recomputes from scratch per solve — and the stateless
 ``Policy.compute_allocation`` is now a thin wrapper that opens a fresh
 session and solves once, so both APIs always agree.
+
+Minimum-scalar policies
+-----------------------
+
+Makespan and finish-time fairness are not LPs but ``min theta`` subject to
+``throughput(m, X) >= r_m(theta)`` with every ``r_m`` decreasing
+(:class:`RequirementCurves`).  :class:`ThroughputRequirementSession`
+solves them without searching for ``theta``: a persistent *scaling* program
+``max y`` s.t. ``throughput(m, X) - r_m(theta_k) * y >= 0`` is solved at a
+candidate ``theta_k`` and certifies a bound on each side — the ``theta`` its
+own allocation achieves (primal, ``U``), and, from the job rows' multipliers
+``lambda``, the root ``L`` of
+
+    ``sum_m lambda_m r_m(theta) = y_k * sum_m lambda_m r_m(theta_k)``
+
+(weak duality: no achievable ``theta`` has a larger left side).  The next
+candidate sits just right of ``L``; a step that fails to halve ``[L, U]`` is
+followed by a solve at the midpoint, so the loop is never worse than a
+bisection of a bracket that is already certified; and once ``U - L <=
+relative_tolerance * U`` a second persistent program, the *witness*, is solved
+once at ``U`` for the allocation.  Two programs, not one, so that each keeps
+the basis that is optimal for its own objective.  Makespan closes in one
+scaling LP, finish-time fairness in one to three.
 """
 
 from __future__ import annotations
@@ -35,10 +58,11 @@ import numpy as np
 
 from repro.cluster.cluster_spec import ClusterSpec
 from repro.core.allocation import Allocation
+from repro.core.effective_throughput import isolated_reference_throughputs
 from repro.core.policy import AllocationVariables, OptimizationPolicy, Policy, _Program
 from repro.core.problem import PolicyProblem
 from repro.core.throughput_matrix import ThroughputMatrix
-from repro.exceptions import ConfigurationError, InfeasibleError
+from repro.exceptions import ConfigurationError, InfeasibleError, SolverError
 from repro.solver.lp import LinearProgram
 from repro.workloads.job import Job
 
@@ -55,7 +79,9 @@ __all__ = [
     "IncrementalProgramSession",
     "NormalizationCache",
     "IncrementalLPSession",
-    "ThroughputFeasibilitySession",
+    "RequirementCurves",
+    "steps_and_isolated_throughputs",
+    "ThroughputRequirementSession",
 ]
 
 #: Tag under which sessions create per-solve objective state (epigraph
@@ -385,49 +411,176 @@ class IncrementalLPSession(IncrementalProgramSession):
         return self._variables.extract_allocation(solution)
 
 
-class ThroughputFeasibilitySession(IncrementalProgramSession):
-    """Base session for bisection policies (makespan, finish-time fairness).
+#: Relative step at which the scalar Newton of
+#: :meth:`RequirementCurves.dual_root` has converged, and its iteration
+#: cap (it takes a handful; a root it has not reached by then is not used).
+_NEWTON_TOLERANCE = 1e-12
+_NEWTON_STEPS = 50
+#: Scaling solves one re-allocation may take before the session gives up
+#: (measured: 4 at most at the default tolerance; the bracket safeguard on
+#: its own needs about ``log2(1 / tolerance)``).
+_MAX_SCALING_SOLVES = 64
 
-    Both policies binary-search a scalar and solve, per candidate, an LP
-    whose only candidate-dependent part is the right-hand side of per-job
-    ``throughput(m, X) >= rhs_m`` constraints.  This session keeps those
-    constraints (and the keep-the-cluster-busy objective) alive, so a
-    candidate evaluation is a right-hand-side edit plus a solve — the cached
-    constraint matrix is reused across *all* bisection iterations of *all*
-    rounds.
+
+class RequirementCurves:
+    """The per-job requirement curves of one minimum-scalar problem.
+
+    Makespan and finish-time fairness both ask for the smallest ``theta``
+    such that some valid allocation gives every job ``m`` at least
+
+        ``r_m(theta) = steps_m / budget_m(theta)``,
+        ``budget_m(theta) = theta * reference_m - (1 - theta) * elapsed_m``
+
+    — ``budget_m`` being the seconds the job may still take at ``theta``.
+    Finish-time fairness has ``reference_m = steps_m / throughput(m,
+    X^isolated)``, which makes ``budget_m = theta * D_m - t_m`` with ``D_m =
+    t_m + reference_m`` the isolated finish time (written so that nothing
+    cancels at ``theta = 1``); makespan is the case ``elapsed_m = 0``,
+    ``reference_m = 1``.  Right of its pole ``elapsed_m / (elapsed_m +
+    reference_m)`` each curve is positive, convex and decreasing; a job with
+    no steps left requires nothing at any ``theta``.  Arrays are aligned with
+    the matrix's job order; ``start`` is the first candidate a solve tries.
     """
 
-    def __init__(self, policy: Policy, problem: PolicyProblem) -> None:
-        super().__init__(policy, problem, LinearProgram(name=policy.display_name))
-        self._feasibility: dict = {}
-        self._feasibility_terms: dict = {}
+    def __init__(
+        self, steps: np.ndarray, elapsed: np.ndarray, reference: np.ndarray, start: float
+    ) -> None:
+        self.steps = steps
+        self.elapsed = elapsed
+        self.reference = reference
+        self.start = start
+        #: Jobs with steps left: the only ones that require anything.
+        self._working = steps > 0
+        spans = elapsed + reference
+        #: ``elapsed_m + reference_m`` where positive (1 elsewhere: only a job
+        #: with neither steps nor history has none, and it constrains nothing).
+        self._spans = np.where(spans > 0, spans, 1.0)
 
-    def _prepare(self, problem: PolicyProblem) -> None:
-        self._sync(problem)
-        self._align_feasibility()
+    @property
+    def floor(self) -> float:
+        """What no allocation beats: the largest ``elapsed_m / (elapsed_m + reference_m)``."""
+        return float(np.max(self.elapsed / self._spans))
 
-    def _align_feasibility(self) -> None:
-        """Re-align per-job feasibility constraints and the total-throughput objective.
+    def required(self, theta: float) -> np.ndarray:
+        """``r_m(theta)`` per job, for a ``theta`` right of every working job's pole."""
+        budgets = theta * self.reference - (1.0 - theta) * self.elapsed
+        return self.steps / np.where(self._working, budgets, 1.0)
 
-        Must be called after :meth:`_sync`; relies on the terms cache
-        returning the *same object* for jobs whose rows did not change to
-        detect which constraints need their coefficients refreshed.  A
-        from-scratch alignment emits every feasibility row in one columnar
-        call.
+    def achieved(self, throughputs: np.ndarray) -> float:
+        """The ``theta`` an allocation with these effective throughputs achieves.
+
+        ``max_m (elapsed_m + steps_m / throughput_m) / (elapsed_m +
+        reference_m)``; infinite when a job with steps left gets no throughput.
+        """
+        with np.errstate(divide="ignore"):
+            remaining = self.steps / np.where(self._working, np.maximum(throughputs, 0.0), 1.0)
+        return float(np.max((self.elapsed + remaining) / self._spans))
+
+    def dual_root(self, weights: np.ndarray, scale: float, theta: float) -> float:
+        """The lower bound one scaling solve at ``theta`` certifies (``-inf``: none).
+
+        ``weights`` are the job rows' multipliers ``lambda_m >= 0`` and
+        ``scale`` the optimal ``y``.  By weak duality every achievable
+        ``theta'`` has ``g(theta') <= scale * g(theta)`` for ``g(x) = sum_m
+        lambda_m r_m(x)`` (see :class:`ThroughputRequirementSession`), so the
+        root of ``g(x) = scale * g(theta)`` bounds the optimum from below.
+        Newton runs on ``1 / g``, which is increasing and *concave* (a
+        weighted harmonic mean of the increasing affine budgets): from the
+        left of the root the iterates increase towards it, every one a valid
+        bound; from the right one step lands left of it, and a step past the
+        rightmost pole is cut back half-way.  Where all poles coincide
+        (makespan) ``1 / g`` is linear and the first step is exact.
+        """
+        mass = weights * self.steps
+        active = mass > 0
+        if not active.any() or not scale > 0:
+            return -math.inf
+        mass, elapsed, reference = mass[active], self.elapsed[active], self.reference[active]
+        spans = self._spans[active]
+        pole = float(np.max(elapsed / spans))
+
+        def reciprocal(point: float) -> Tuple[float, float]:
+            """``1 / g`` and its derivative at ``point``."""
+            budgets = point * reference - (1.0 - point) * elapsed
+            terms = mass / budgets
+            total = float(np.sum(terms))
+            return 1.0 / total, float(np.sum(terms * spans / budgets)) / (total * total)
+
+        point = theta
+        value, slope = reciprocal(point)
+        target = value / scale
+        for _ in range(_NEWTON_STEPS):
+            step = point - (value - target) / slope
+            if step <= pole:
+                step = 0.5 * (pole + point)
+            if abs(step - point) <= _NEWTON_TOLERANCE * abs(point):
+                return point
+            point = step
+            value, slope = reciprocal(point)
+        return -math.inf
+
+
+def steps_and_isolated_throughputs(
+    problem: PolicyProblem, matrix: ThroughputMatrix
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per job of ``matrix``, in its job order: steps left and ``throughput(m, X^isolated)``.
+
+    What both requirement families are built from; the isolated throughputs
+    of all jobs come from one pass over the matrix's singleton block.
+    """
+    job_ids = matrix.job_ids
+    size = len(job_ids)
+    steps = np.fromiter((problem.remaining_steps(job_id) for job_id in job_ids), float, size)
+    scales = np.fromiter((problem.scale_factor(job_id) for job_id in job_ids), float, size)
+    return steps, isolated_reference_throughputs(matrix, problem.cluster_spec, scales)
+
+
+class _JobThroughputRows:
+    """One persistent ``throughput(m, X) >= lower_m`` row per job of a live program.
+
+    The rows follow the program's :class:`AllocationVariables` from snapshot
+    to snapshot (:meth:`align`), relying on the terms cache returning the
+    *same object* for jobs whose matrix rows did not change to detect which
+    rows need their coefficients refreshed.  A refresh rewrites the
+    throughput terms only, so a caller that keeps an extra column in the rows
+    (the scaling program's ``y``) writes it again afterwards.
+    """
+
+    def __init__(self, program: LinearProgram, variables: AllocationVariables) -> None:
+        self._program = program
+        self._variables = variables
+        self._rows: Dict[int, int] = {}
+        self._terms: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+        #: ``(job order, row handles)`` of the last :meth:`align`.
+        self._layout: Tuple[Tuple[int, ...], np.ndarray] = ((), np.empty(0, dtype=np.int64))
+        #: ``(starts, cols, vals)`` of the last :meth:`align`: job ``k`` of the
+        #: matrix's order owns ``cols[starts[k]:starts[k + 1]]``.
+        self.blocks: Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+    @property
+    def handles(self) -> np.ndarray:
+        """Row handles in the matrix's job order (as of the last :meth:`align`)."""
+        return self._layout[1]
+
+    def align(self) -> None:
+        """Re-align the rows with the variables' current snapshot (after ``update_to``).
+
+        Departed jobs lose their row, new jobs gain one (lower bound 0 until
+        the caller sets it), persisting rows are rewritten only when their
+        terms moved.  A from-scratch alignment emits every row in one
+        columnar call.
         """
         program = self._program
         variables = self._variables
         job_ids = variables.matrix.job_ids
         active = set(job_ids)
-        for job_id in list(self._feasibility):
+        for job_id in list(self._rows):
             if job_id not in active:
-                program.remove_constraint(self._feasibility.pop(job_id))
-                self._feasibility_terms.pop(job_id, None)
-        # One columnar gather serves both the constraint block and the
-        # objective: among feasible allocations prefer higher total
-        # throughput so the witness allocation keeps the cluster busy.
+                program.remove_constraint(self._rows.pop(job_id))
+                del self._terms[job_id]
         ids, starts, cols, vals = variables.effective_throughput_blocks()
-        if not self._feasibility:
+        self.blocks = (starts, cols, vals)
+        if not self._rows:
             handles = program.add_constraints_from_arrays(
                 np.repeat(np.arange(len(ids), dtype=np.int64), np.diff(starts)),
                 cols,
@@ -435,16 +588,16 @@ class ThroughputFeasibilitySession(IncrementalProgramSession):
                 np.zeros(len(ids)),
                 math.inf,
             )
-            for position, job_id in enumerate(ids.tolist()):
-                self._feasibility[job_id] = int(handles[position])
-                self._feasibility_terms[job_id] = variables.effective_throughput_terms(job_id)
+            for position, job_id in enumerate(job_ids):
+                self._rows[job_id] = int(handles[position])
+                self._terms[job_id] = variables.effective_throughput_terms(job_id)
         else:
             for job_id in job_ids:
                 terms = variables.effective_throughput_terms(job_id)
-                handle = self._feasibility.get(job_id)
+                handle = self._rows.get(job_id)
                 if handle is None:
                     row_cols, row_vals = terms
-                    self._feasibility[job_id] = int(
+                    self._rows[job_id] = int(
                         program.add_constraints_from_arrays(
                             np.zeros(len(row_cols), dtype=np.int64),
                             row_cols,
@@ -453,21 +606,168 @@ class ThroughputFeasibilitySession(IncrementalProgramSession):
                             math.inf,
                         )[0]
                     )
-                    self._feasibility_terms[job_id] = terms
-                elif self._feasibility_terms.get(job_id) is not terms:
+                elif self._terms[job_id] is not terms:
                     program.set_constraint_coefficients_from_arrays(handle, *terms)
-                    self._feasibility_terms[job_id] = terms
-        program.set_objective_from_arrays(cols, vals, maximize=True)
+                else:
+                    continue
+                self._terms[job_id] = terms
+        if self._layout[0] != job_ids:
+            self._layout = (
+                job_ids,
+                np.fromiter((self._rows[job_id] for job_id in job_ids), np.int64, len(job_ids)),
+            )
 
-    def _set_feasibility_rhs(self, required: dict) -> None:
-        """Set each job's minimum-throughput right-hand side for one candidate."""
-        for job_id, handle in self._feasibility.items():
-            self._program.set_constraint_bounds(handle, lower=required[job_id])
+    def throughputs(self, values: np.ndarray) -> np.ndarray:
+        """``throughput(m, X)`` per job, in job order, at a solution's variable values."""
+        starts, cols, vals = self.blocks
+        return np.add.reduceat(vals * values[cols], starts[:-1])
 
-    def _solve_candidate(self) -> Optional[Allocation]:
-        """Solve the current candidate; ``None`` when infeasible."""
-        try:
-            solution = self._program.solve()
-        except InfeasibleError:
-            return None
-        return self._variables.extract_allocation(solution)
+
+class ThroughputRequirementSession(IncrementalProgramSession):
+    """Base session of the minimum-scalar policies (makespan, finish-time fairness).
+
+    Both are ``min theta`` subject to ``throughput(m, X) >= r_m(theta)`` for
+    every job and ``X`` valid, with ``r_m`` decreasing in ``theta``
+    (:class:`RequirementCurves`; subclasses supply the curves through
+    :meth:`_requirements`).  Instead of bracketing ``theta`` blindly with one
+    feasibility LP per candidate, the session keeps **two** persistent
+    programs and lets every LP certify a bound on each side:
+
+    * the *scaling* program — ``max y`` subject to ``throughput(m, X) -
+      r_m(theta_k) * y >= 0`` over its own :class:`AllocationVariables`.  A
+      candidate ``theta_k`` is written into the ``y`` column
+      (:meth:`~repro.solver.lp.LinearProgram.set_column_coefficients_from_arrays`),
+      and one solve yields **(U)** a primal bound: the ``theta`` its own
+      allocation ``X_k`` achieves is achievable, so the optimum is ``<= U``;
+      and **(L)** a dual bound: with ``lambda >= 0`` the job rows'
+      multipliers, LP duality gives ``sum_m lambda_m r_m(theta_k) = 1`` and
+      ``y_k = max_X sum_m lambda_m throughput(m, X)``, hence for any ``theta``
+      that some valid ``X`` achieves
+
+          ``sum_m lambda_m r_m(theta) <= sum_m lambda_m throughput(m, X)
+          <= y_k * sum_m lambda_m r_m(theta_k)``  (weak duality).
+
+      The left side decreases in ``theta``, so its root ``L`` — a scalar
+      Newton, no LP — is a lower bound, tangent to the true value function at
+      ``theta_k``.  Makespan's curves are multiplicative (``r_m = steps_m /
+      M``), so ``L = U = M_k / y_k`` after one LP from any start;
+    * the *witness* program — rows ``throughput(m, X) >= r_m(U)``, objective
+      total throughput, which is what keeps the cluster busy.  It is solved
+      once per re-allocation, at the certified ``U``, and it alone extracts
+      an :class:`~repro.core.allocation.Allocation`.
+
+    The iteration is ``theta_{k+1} = L * (1 + tolerance / 4)`` — just right of
+    the tangent root, where a feasible solve closes the bracket — until ``U -
+    L <= relative_tolerance * U``.  *Safeguard:* a step that fails to halve
+    ``[L, U]`` (or duals that say nothing: ``L`` still at the a-priori floor)
+    is followed by a solve at the midpoint, which halves the bracket whatever
+    its duals are — ``y >= 1`` makes the midpoint achievable, ``y < 1`` not —
+    so the loop terminates like a bisection of the certified bracket even if
+    every dual bound were useless.  :attr:`last_bracket` exposes ``(L, U)`` of
+    the latest solve.
+
+    Why two programs: each keeps the basis that is optimal for *its own*
+    objective (the water-filling level / detection split of
+    :mod:`repro.core.water_filling`).  A witness solved on the scaling
+    program would hand the next scaling LP a total-throughput vertex, and the
+    other way round; apart, every solve after a program's first starts warm
+    and the scaling LPs of one re-allocation differ by one column.  Every
+    re-allocation starts from the curves' own ``start`` rather than from the
+    previous optimum, so the two bases are all the state a replayed history
+    (``ClusterScheduler.restore``) has to reproduce.  A
+    :class:`~repro.exceptions.SolverError` from either program propagates
+    (never read as "infeasible") and drops that program's live model only.
+    """
+
+    def __init__(self, policy: Policy, problem: PolicyProblem, relative_tolerance: float) -> None:
+        if not relative_tolerance > 0:
+            raise ConfigurationError("relative_tolerance must be positive")
+        super().__init__(policy, problem, LinearProgram(name=policy.display_name))
+        self._relative_tolerance = relative_tolerance
+        self._witness_rows = _JobThroughputRows(self._program, self._variables)
+        self._scaling_program = LinearProgram(name="throughput_scaling")
+        self._scaling_variables = AllocationVariables(
+            problem, self._variables.matrix, self._scaling_program
+        )
+        self._scaling_rows = _JobThroughputRows(self._scaling_program, self._scaling_variables)
+        self._scale = self._scaling_program.add_variable(name="y")
+        self._scaling_program.maximize({self._scale.index: 1.0})
+        self._bracket: Optional[Tuple[float, float]] = None
+
+    @property
+    def scaling_program(self) -> LinearProgram:
+        """The live ``max y`` program (exposed for tests and diagnostics)."""
+        return self._scaling_program
+
+    @property
+    def last_bracket(self) -> Optional[Tuple[float, float]]:
+        """``(L, U)`` certified by the latest solve: ``L <= optimum <= U``, ``U`` witnessed."""
+        return self._bracket
+
+    @abc.abstractmethod
+    def _requirements(self, problem: PolicyProblem) -> RequirementCurves:
+        """The policy's requirement curves for ``problem``, in the matrix's job order."""
+
+    def _prepare(self, problem: PolicyProblem) -> None:
+        self._sync(problem)
+        matrix = self._variables.matrix
+        scaling = self._scaling_variables
+        if scaling.problem is not problem or scaling.matrix is not matrix:
+            scaling.update_to(problem, matrix)
+        self._scaling_rows.align()
+        self._witness_rows.align()
+        # Among the allocations that meet the requirements the witness
+        # prefers higher total throughput, which keeps the cluster busy.
+        _starts, cols, vals = self._witness_rows.blocks
+        self._program.set_objective_from_arrays(cols, vals, maximize=True)
+
+    def _solve_scaling(self, required: np.ndarray) -> Tuple[float, np.ndarray, np.ndarray]:
+        """One scaling LP: ``(y, throughputs of its allocation, job-row multipliers)``."""
+        rows = self._scaling_rows
+        self._scaling_program.set_column_coefficients_from_arrays(
+            self._scale, rows.handles, -required
+        )
+        solution = self._scaling_program.solve()
+        # Maximizing against ``>=`` rows: the duals are ``<= 0`` (lp.Solution.row_duals).
+        weights = np.maximum(-solution.row_duals(rows.handles), 0.0)
+        return solution.objective_value, rows.throughputs(solution.values), weights
+
+    def _certify(self, requirements: RequirementCurves) -> Tuple[float, float]:
+        """Close ``[L, U]`` around the optimum to the policy's relative tolerance."""
+        tolerance = self._relative_tolerance
+        floor = requirements.floor
+        if not requirements.steps.any():
+            # Nothing is required of anybody: every allocation achieves the floor.
+            return floor, floor
+        lower, upper = floor, math.inf
+        candidate = requirements.start
+        for _ in range(_MAX_SCALING_SOLVES):
+            scale, throughputs, weights = self._solve_scaling(requirements.required(candidate))
+            width = upper - lower
+            upper = min(upper, requirements.achieved(throughputs))
+            if not math.isfinite(upper):
+                raise InfeasibleError(
+                    f"{self._program.name}: a job with steps left cannot make progress "
+                    "on any accelerator type"
+                )
+            root = requirements.dual_root(weights, scale, candidate)
+            lower = max(lower, root if scale >= 1.0 else max(root, candidate))
+            if upper - lower <= tolerance * upper:
+                return min(lower, upper), upper
+            if upper - lower > 0.5 * width or lower <= floor:
+                candidate = 0.5 * (lower + upper)
+            else:
+                candidate = lower * (1.0 + 0.25 * tolerance)
+        raise SolverError(
+            f"{self._program.name}: bracket [{lower:g}, {upper:g}] did not close "
+            f"in {_MAX_SCALING_SOLVES} scaling solves"
+        )
+
+    def _solve(self, problem: PolicyProblem) -> Allocation:
+        self._prepare(problem)
+        requirements = self._requirements(problem)
+        self._bracket = self._certify(requirements)
+        self._program.set_constraint_bounds_from_arrays(
+            self._witness_rows.handles, lower=requirements.required(self._bracket[1])
+        )
+        return self._variables.extract_allocation(self._program.solve())

@@ -43,6 +43,8 @@ from repro.core.effective_throughput import (
     isolated_reference_throughput,
     normalized_throughput_scale,
 )
+from repro.core.finish_time_fairness import FinishTimeFairnessPolicy, finish_time_fairness_rho
+from repro.core.makespan import MakespanPolicy
 from repro.core.policy import Policy
 from repro.core.problem import PolicyProblem
 from repro.core.registry import make_policy, parse_policy_spec
@@ -65,16 +67,14 @@ __all__ = [
 
 #: Relative tolerance for objective-tier comparisons.
 REL_TOL = 1e-4
-#: Bisection policies only locate their optimum to a relative tolerance.
-BISECTION_TOL = 5e-2
 #: Absolute tolerance on sorted water-filling level profiles: a few multiples
 #: of the procedure's own 1e-4 floor slack / 1e-3 improvement threshold.
 LEVEL_PROFILE_TOL = 5e-3
 
 #: Registry bases whose degenerate tier compares water-filling level profiles.
 _WATER_FILLING_BASES = ("max_min_fairness_water_filling", "hierarchical")
-#: Bases whose optimum is only located to bisection tolerance.
-_BISECTION_BASES = ("makespan", "finish_time_fairness")
+#: Policies that certify a scalar optimum to their own ``relative_tolerance``.
+_CERTIFIED_SCALAR_POLICIES = (MakespanPolicy, FinishTimeFairnessPolicy)
 
 
 def policy_objective_value(
@@ -128,8 +128,6 @@ def policy_objective_value(
             for j in problem.job_ids
         )
     if base == "finish_time_fairness":
-        from repro.core.finish_time_fairness import finish_time_fairness_rho
-
         num_jobs = problem.num_jobs
         return max(
             finish_time_fairness_rho(
@@ -235,7 +233,10 @@ def assert_session_equivalent(
     assert session_value is not None, (
         f"{spec}: allocations differ but policy has no objective evaluator"
     )
-    tolerance = BISECTION_TOL if base in _BISECTION_BASES else REL_TOL
+    tolerance = REL_TOL
+    if isinstance(policy, _CERTIFIED_SCALAR_POLICIES):
+        # Each side lies within its own certified bracket around the optimum.
+        tolerance = 2.0 * policy.relative_tolerance
     assert math.isclose(session_value, scratch_value, rel_tol=tolerance, abs_tol=1e-9), (
         f"{spec}: session objective {session_value} != scratch {scratch_value}"
     )

@@ -1,6 +1,5 @@
-"""Optimization substrate: LP/MILP modeling, fractional programs, bisection."""
+"""Optimization substrate: LP/MILP modeling on a live HiGHS model, fractional programs."""
 
-from repro.solver.bisection import BisectionResult, bisect_min_feasible
 from repro.solver.fractional import FractionalProgram, FractionalSolution
 from repro.solver.lp import LinearExpression, LinearProgram, Solution, Variable
 
@@ -11,6 +10,4 @@ __all__ = [
     "Solution",
     "FractionalProgram",
     "FractionalSolution",
-    "bisect_min_feasible",
-    "BisectionResult",
 ]

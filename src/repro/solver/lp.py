@@ -33,15 +33,17 @@ The mutation surface is
   (``(rows, cols, coeffs, lower, upper)`` triplets straight from
   throughput-matrix ndarrays) and are edited through
   :meth:`add_terms_to_constraint_from_arrays`,
-  :meth:`set_constraint_coefficients_from_arrays` and
-  :meth:`set_objective_from_arrays`.  The mapping / :class:`LinearExpression`
+  :meth:`set_constraint_coefficients_from_arrays`,
+  :meth:`set_column_coefficients_from_arrays` (one column across many rows)
+  and :meth:`set_objective_from_arrays`.  The mapping / :class:`LinearExpression`
   methods (``add_less_equal``, ``add_terms_to_constraint``, ...) are a
   convenience **boundary**: they convert their argument to arrays once, in
   first-occurrence term order, and store or delegate — no per-term dict
   survives the call, so callers never need to know the row format;
 * cached sparse assembly — the CSR constraint matrix is an ``np.concatenate``
   over the stored rows, cached until a structural edit, so a solve after a
-  right-hand-side-only edit (bisection policies) reuses it outright.
+  right-hand-side-only edit (a water-filling level sweep, a witness solve of
+  the makespan / finish-time-fairness sessions) reuses it outright.
 
 Pure LPs are solved by a **live HiGHS model** (:class:`_HighsBackend`, the
 incremental ``scipy.optimize._highspy`` API SciPy has vendored since 1.15):
@@ -52,7 +54,9 @@ one call that drops the basis, ``deleteRows``, is reserved for constraints
 that were really removed, with the basis carried across it (see
 :class:`_HighsBackend` for the contract and the HiGHS version it was checked
 on).  Every :class:`Solution` says whether it started from a basis
-(``warm_started``) and what it cost (``simplex_iterations``).  A warm solve
+(``warm_started``) and what it cost (``simplex_iterations``), and hands out
+the row duals of its solve on request (:meth:`Solution.row_duals`; a solve
+that does not ask pays nothing for them).  A warm solve
 returns an optimal vertex near the previous one, so where optima tie the
 vertex depends on the program's solve history; the objective never does.
 A failed edit or solver call raises
@@ -70,9 +74,21 @@ live model is dropped, so the next pure-LP solve passes the full model.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from dataclasses import dataclass, field
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 import scipy
@@ -317,6 +333,30 @@ class Solution:
     simplex_iterations: int = 0
     #: Whether HiGHS held a valid basis on entry to ``run()``.
     warm_started: bool = False
+    #: Reads this solve's row duals off the live model (``None``: a ``milp`` solve).
+    _duals_of: Optional[Callable[["Sequence[int] | np.ndarray"], np.ndarray]] = field(
+        default=None, repr=False, compare=False
+    )
+
+    def row_duals(self, handles: "Sequence[int] | np.ndarray") -> np.ndarray:
+        """Dual values of the constraints behind ``handles``, read on request.
+
+        Nothing is copied out of HiGHS until this is called, and it must be
+        called before the program is solved again (:class:`SolverError`
+        otherwise: the live model then holds another solve's duals).  Edits
+        made since the solve do not matter; a handle that was not a row of
+        that solve raises.
+
+        Sign convention, HiGHS' own and the same for both objective senses:
+        a row's dual is the rate at which the optimal objective *as stated*
+        changes per unit increase of the row's binding bound, and 0 for a row
+        that is not binding.  A binding ``>=`` row therefore has a dual
+        ``>= 0`` when minimizing and ``<= 0`` when maximizing (raising the
+        bound shrinks the feasible set), a binding ``<=`` row the opposite.
+        """
+        if self._duals_of is None:
+            raise SolverError("row duals exist for pure-LP solves only (this was a milp solve)")
+        return self._duals_of(handles)
 
     def value_of(self, variable: "Variable | LinearExpression") -> float:
         """Value of a variable or linear expression at the optimum."""
@@ -383,6 +423,32 @@ class _Row:
         self.indices = self.indices[keep]
         self.values = self.values[keep]
 
+    def set_coefficient(self, column: int, value: float) -> float:
+        """Set one column's coefficient; returns the coefficient it replaces.
+
+        A present column keeps its position, a new one is appended, and a
+        zero ``value`` drops the term (stored rows hold no zeros).
+        """
+        if len(self.indices) and self.indices[-1] == column:
+            slot = len(self.indices) - 1  # where a column edited before was appended
+        else:
+            slots = np.flatnonzero(self.indices == column)
+            if len(slots) == 0:
+                if value != 0.0:
+                    self.indices = np.append(self.indices, column)
+                    self.values = np.append(self.values, value)
+                return 0.0
+            slot = slots[0]
+        previous = float(self.values[slot])
+        if value == 0.0:
+            self.indices = np.delete(self.indices, slot)
+            self.values = np.delete(self.values, slot)
+        elif value != previous:
+            values = self.values.copy()
+            values[slot] = value
+            self.values = values
+        return previous
+
 
 class _Constraint(_Row):
     """One linear constraint: a stored row plus its two-sided bounds."""
@@ -435,7 +501,9 @@ class _HighsBackend:
       leave ``getBasis().valid`` set — HiGHS itself makes a new column
       non-basic at a finite bound and a new row basic — so new rows are
       appended, rewritten rows are edited **in place**, one ``changeCoeff``
-      per coefficient that differs from what HiGHS last saw, and bounds and
+      per coefficient that differs from what HiGHS last saw (a whole-row
+      rewrite is diffed against the terms journalled at its first edit, a
+      one-column edit carries its own before and after), and bounds and
       costs are pushed by difference;
     * ``deleteRows`` clears the basis unless every deleted row was basic, so
       it is called only for constraints that were really removed, and the
@@ -483,6 +551,9 @@ class _HighsBackend:
         self._col_cost = np.empty(0)
         self._maximize = False
         self._synced = False
+        #: Solves started on this model; a :class:`Solution` may read its row
+        #: duals only while its own solve is still the latest.
+        self._solves = 0
 
     # -- synchronisation -------------------------------------------------------
     def _pass_full_model(self, program: "LinearProgram") -> None:
@@ -582,6 +653,16 @@ class _HighsBackend:
         )
         if removed or program._hs_released:
             self._drop_rows_and_columns(program, removed)
+
+        # One-column edits first: a whole-row rewrite journalled after one
+        # captured the row as that edit left it, so its diff below is against
+        # the state this loop produces.
+        for (handle, column), (seen, now) in program._hs_coefficients.items():
+            row = self._row_of.get(handle)
+            if row is not None and handle in program._constraints and now != seen:
+                _ensure_highs_ok(
+                    highs.changeCoeff(row, column, now), "changeCoeff", program.name
+                )
 
         # Rewritten rows stay where they are: push the coefficients that
         # differ from the terms HiGHS holds (journalled at the first edit).
@@ -687,7 +768,25 @@ class _HighsBackend:
             self._maximize = program._maximize
 
     # -- solving ----------------------------------------------------------------
+    def _row_duals(
+        self, solve: int, name: str, handles: "Sequence[int] | np.ndarray"
+    ) -> np.ndarray:
+        """Duals of solve number ``solve``, by constraint handle (see :meth:`Solution.row_duals`)."""
+        if solve != self._solves:
+            raise SolverError(
+                f"{name}: row duals must be read before the program is solved again"
+            )
+        duals = np.asarray(self._highs.getSolution().row_dual, dtype=float)
+        try:
+            rows = [self._row_of[handle] for handle in np.asarray(handles).tolist()]
+        except KeyError as error:
+            raise SolverError(
+                f"{name}: constraint handle {error.args[0]} was not a row of that solve"
+            ) from None
+        return duals[rows]
+
     def solve(self, program: "LinearProgram") -> Solution:
+        self._solves += 1
         if not self._synced:
             self._pass_full_model(program)
         else:
@@ -711,6 +810,7 @@ class _HighsBackend:
             status="optimal",
             simplex_iterations=int(info.simplex_iteration_count),
             warm_started=warm_started,
+            _duals_of=functools.partial(self._row_duals, self._solves, program.name),
         )
 
 
@@ -745,10 +845,13 @@ class LinearProgram:
         self._cached_ids: List[int] = []
         # Edit journal consumed by the live HiGHS backend (warm starts):
         # removed handles, rewritten handles with the terms they had when
-        # HiGHS last saw them, and handles whose bounds moved.
+        # HiGHS last saw them, single (handle, column) coefficients with the
+        # value before their first edit and after their last, and handles
+        # whose bounds moved.
         self._backend: Optional[_HighsBackend] = None
         self._hs_removed: Set[int] = set()
         self._hs_dirty: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+        self._hs_coefficients: Dict[Tuple[int, int], Tuple[float, float]] = {}
         self._hs_bounds_dirty: Set[int] = set()
         self._hs_released: Set[int] = set()
         #: Times HiGHS refused the basis carried across a row deletion (the
@@ -1025,6 +1128,33 @@ class LinearProgram:
         """Replace a constraint's coefficients wholesale from arrays (bounds unchanged)."""
         self._edited(handle).set_terms(indices, values)
 
+    def set_column_coefficients_from_arrays(
+        self,
+        column: "Variable | int",
+        handles: "Sequence[int] | np.ndarray",
+        values: np.ndarray,
+    ) -> None:
+        """Set one column's coefficient in many constraints: ``values[k]`` in ``handles[k]``.
+
+        The transpose of :meth:`set_constraint_coefficients_from_arrays`, for a
+        column whose entries all move between two solves (the scaling column
+        of :class:`~repro.core.session.ThroughputRequirementSession`).  Each
+        row keeps its other terms and its place in the live model; the edit
+        is journalled per coefficient, so the next solve costs one
+        ``changeCoeff`` for every entry that really moved and keeps the basis.
+        A zero value drops the term from its row.
+        """
+        index = column.index if isinstance(column, Variable) else int(column)
+        handles = np.asarray(handles, dtype=np.int64)
+        values = np.broadcast_to(np.asarray(values, dtype=float), handles.shape)
+        journal = self._hs_coefficients
+        for handle, value in zip(handles.tolist(), values.tolist()):
+            previous = self._constraint(handle).set_coefficient(index, value)
+            if value != previous:
+                seen = journal.get((handle, index))
+                journal[handle, index] = (previous if seen is None else seen[0], value)
+        self._structure_revision += 1
+
     def remove_constraint(self, handle: int) -> None:
         """Delete one constraint by handle (no-op if already removed)."""
         if self._constraints.pop(handle, None) is not None:
@@ -1061,8 +1191,8 @@ class LinearProgram:
     ) -> None:
         """Update a constraint's bounds; passing ``None`` keeps the old value.
 
-        Bounds edits do not invalidate the cached constraint matrix — this is
-        what makes repeated feasibility solves (bisection policies) cheap.
+        Bounds edits do not invalidate the cached constraint matrix, and the
+        live model takes them as one ``changeRowBounds`` each.
         """
         constraint = self._constraint(handle)
         if lower is not None:
@@ -1257,6 +1387,7 @@ class LinearProgram:
     def _clear_journal(self) -> None:
         self._hs_removed.clear()
         self._hs_dirty.clear()
+        self._hs_coefficients.clear()
         self._hs_bounds_dirty.clear()
         self._hs_released.clear()
 

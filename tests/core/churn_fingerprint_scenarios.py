@@ -24,7 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 from pathlib import Path
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, Iterator, List, Tuple
 
 import numpy as np
 
@@ -33,7 +33,10 @@ from repro.core import make_policy
 from repro.core.allocation import Allocation
 from repro.core.allocation_engine import AllocationEngine
 from repro.core.effective_throughput import effective_throughputs, fastest_reference_throughput
+from repro.core.finish_time_fairness import finish_time_requirements
+from repro.core.makespan import makespan_requirements
 from repro.core.problem import PolicyProblem
+from repro.core.session import PolicySession
 from repro.workloads import ColocationModel, ThroughputOracle, TraceGenerator
 
 RECORDED = Path(__file__).parent / "data" / "churn_fingerprints.json"
@@ -92,18 +95,21 @@ def churn_problems(
     return steps
 
 
-def session_allocations(policy_spec: str, steps) -> List[Allocation]:
-    """One live session fed the churn sequence: the allocation after each step."""
+def session_solves(policy_spec: str, steps) -> Iterator[Tuple[PolicySession, Allocation]]:
+    """One live session fed the churn sequence: ``(session, allocation)`` after each step."""
     policy = make_policy(policy_spec)
     session = None
-    allocations = []
     for problem, deltas in steps:
         if session is None:
             session = policy.session(problem)
         else:
             session.apply(deltas)
-        allocations.append(session.solve(problem))
-    return allocations
+        yield session, session.solve(problem)
+
+
+def session_allocations(policy_spec: str, steps) -> List[Allocation]:
+    """One live session fed the churn sequence: the allocation after each step."""
+    return [allocation for _session, allocation in session_solves(policy_spec, steps)]
 
 
 def allocation_fingerprint(allocation: Allocation) -> Dict[str, List[float]]:
@@ -128,27 +134,27 @@ def allocation_from_fingerprint(problem: PolicyProblem, rows: Dict[str, List[flo
     )
 
 
-def bisection_requirements(
+def scalar_requirements(
     policy_spec: str, problem: PolicyProblem, value: float
 ) -> Dict[int, float]:
-    """Per-job minimum throughputs at a bisected makespan (or finish-time-fairness rho)."""
-    if policy_spec.split("+")[0] == "makespan":
-        return {job_id: problem.remaining_steps(job_id) / value for job_id in problem.job_ids}
+    """Per-job minimum throughputs at makespan (or finish-time-fairness rho) ``value``."""
     policy = make_policy(policy_spec)
-    finish = policy._isolated_finish_times(problem, policy.effective_matrix(problem))
-    return {
-        job_id: problem.remaining_steps(job_id) / (value * finish[job_id] - problem.elapsed(job_id))
-        for job_id in problem.job_ids
-    }
+    curves = (
+        makespan_requirements
+        if policy_spec.split("+")[0] == "makespan"
+        else finish_time_requirements
+    )(problem, policy.effective_matrix(problem))
+    return dict(zip(problem.job_ids, curves.required(value).tolist()))
 
 
 def policy_objective(policy_spec: str, problem: PolicyProblem, allocation: Allocation) -> float:
     """What the policy's program maximises, computed from the allocation alone.
 
     Two optimal vertices of one program differ in the allocation and agree
-    here.  For the bisection policies this is the objective of the witness LP
-    (total throughput); that both allocations witness the same bisected
-    scalar is checked with :func:`bisection_requirements`.
+    here.  For makespan and finish-time fairness this is the objective of the
+    witness LP (total throughput), which two solves share only if they
+    certified the same scalar; what their allocations must achieve is checked
+    with :func:`scalar_requirements`.
     """
     policy = make_policy(policy_spec)
     matrix = policy.effective_matrix(problem)

@@ -1,10 +1,10 @@
 """Tests for the monotone-feasibility bisection helper."""
 
 import pytest
+from bisection_oracle import BisectionResult, bisect_min_feasible
 from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import ConfigurationError, InfeasibleError
-from repro.solver import BisectionResult, bisect_min_feasible
 
 
 class TestBisection:

@@ -1,0 +1,332 @@
+"""Makespan and finish-time fairness: every solve ends in a certified bracket.
+
+:class:`~repro.core.session.ThroughputRequirementSession` replaces the blind
+bracket search by scaling LPs that each certify a bound on both sides.  The
+bisection it replaces (``bisection_oracle``: a throwaway feasibility program,
+textbook right-hand sides, tolerance 1e-6) is the independent answer: on
+generated problems — per-job and ``+ss``, fresh sessions and sessions that
+first lost one job and admitted another, with the shapes that broke the
+prototype on the way — the oracle's optimum lies inside ``[L, U]``, the
+bracket is as narrow as the policy promises, and the returned allocation is
+valid and achieves ``U``.
+"""
+
+import math
+from unittest import mock
+
+import numpy as np
+import pytest
+from bisection_oracle import bisected_optimum
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from repro.cluster import ClusterSpec
+from repro.core import PolicyProblem, ThroughputMatrix, build_throughput_matrix, make_policy
+from repro.core.effective_throughput import (
+    effective_throughput,
+    isolated_reference_throughput,
+)
+from repro.core.policy import AllocationVariables
+from repro.core.session import RequirementCurves
+from repro.exceptions import ConfigurationError, InfeasibleError
+from repro.solver.lp import LinearProgram
+from repro.workloads import Job, ThroughputOracle, default_job_type_table
+
+_ORACLE = ThroughputOracle()
+_JOB_TYPES = list(default_job_type_table().names)
+#: Slack on comparisons against an LP-derived number: HiGHS accepts primal and
+#: dual infeasibilities of 1e-7, the oracle stops at a relative 1e-6.
+_SOLVER_SLACK = 2e-6
+#: "<= 6 scaling LPs in any re-allocation" (the issue's bound; measured: 4).
+_MAX_SCALING_LPS = 6
+
+_SHAPES = ("plain", "late", "done", "wide", "crowded")
+
+
+@st.composite
+def _scenarios(draw):
+    """``(shape, space sharing, cluster, jobs, steps fractions, elapsed seconds)``."""
+    shape = draw(st.sampled_from(_SHAPES))
+    cluster = draw(
+        st.tuples(st.integers(1, 3), st.integers(0, 2), st.integers(0, 2)).filter(
+            lambda counts: sum(counts) >= 2
+        )
+    )
+    # One more job than a problem holds: the churned session starts on
+    # jobs[:-1] and re-solves on jobs[1:].
+    num_jobs = 2 * sum(cluster) if shape == "crowded" else draw(st.integers(2, 7))
+    jobs = []
+    for job_id in range(num_jobs + 1):
+        scale = draw(st.sampled_from([1, 1, 2, 4])) if shape == "wide" else 1
+        jobs.append(
+            Job(
+                job_id=job_id,
+                job_type=draw(st.sampled_from(_JOB_TYPES)),
+                total_steps=draw(st.floats(1e3, 1e6)),
+                scale_factor=scale,
+            )
+        )
+    fractions = [draw(st.floats(0.02, 1.0)) for _ in jobs]
+    elapsed = [draw(st.sampled_from([0.0, 600.0, 86_400.0, 3e5])) for _ in jobs]
+    lateness = draw(st.floats(100.0, 1e4))
+    return shape, draw(st.booleans()), cluster, jobs, fractions, elapsed, lateness
+
+
+def _problem(scenario, jobs):
+    shape, space_sharing, cluster, _all_jobs, fractions, elapsed, lateness = scenario
+    spec = ClusterSpec.from_counts({"v100": cluster[0], "p100": cluster[1], "k80": cluster[2]})
+    matrix = build_throughput_matrix(jobs, _ORACLE, space_sharing=space_sharing)
+    steps = {job.job_id: job.total_steps * fractions[job.job_id] for job in jobs}
+    waited = {job.job_id: elapsed[job.job_id] for job in jobs}
+    victim = jobs[1]  # present in both problems of a churned run
+    if shape == "done":
+        steps[victim.job_id] = 0.0
+    if shape == "late":
+        # elapsed = lateness x isolated remaining time: t / D = lateness / (lateness + 1) > 0.99.
+        isolated = isolated_reference_throughput(
+            matrix, spec, victim.job_id, num_jobs=len(jobs), scale_factor=victim.scale_factor
+        )
+        waited[victim.job_id] = lateness * steps[victim.job_id] / isolated
+    return PolicyProblem(
+        jobs={job.job_id: job for job in jobs},
+        throughputs=matrix,
+        cluster_spec=spec,
+        steps_remaining=steps,
+        time_elapsed=waited,
+    )
+
+
+def _achieved(base, policy, problem, allocation):
+    """max_m rho(m, X) / the makespan of ``allocation``, one job at a time."""
+    matrix = policy.effective_matrix(problem)
+    worst = 0.0
+    for job_id in problem.job_ids:
+        throughput = effective_throughput(matrix, allocation, job_id)
+        steps, elapsed = problem.remaining_steps(job_id), problem.elapsed(job_id)
+        finish = elapsed
+        if steps > 0:
+            finish += steps / throughput if throughput > 0 else math.inf
+        if base == "makespan":
+            worst = max(worst, finish - elapsed)
+            continue
+        isolated = isolated_reference_throughput(
+            matrix,
+            problem.cluster_spec,
+            job_id,
+            num_jobs=problem.num_jobs,
+            scale_factor=problem.scale_factor(job_id),
+        )
+        span = elapsed + steps / isolated
+        if span > 0:  # a job with neither steps nor history has no rho
+            worst = max(worst, finish / span)
+    return worst
+
+
+def _max_min_makespan(policy, problem):
+    """``1 / max_X min_m throughput(m, X) / steps_m`` as one epigraph LP."""
+    program = LinearProgram(name="max-min-oracle")
+    variables = AllocationVariables(problem, policy.effective_matrix(problem), program)
+    program.add_max_min_objective(
+        [
+            variables.effective_throughput_expression(job_id) * (1.0 / problem.remaining_steps(job_id))
+            for job_id in problem.job_ids
+            if problem.remaining_steps(job_id) > 0
+        ]
+    )
+    return 1.0 / program.solve().objective_value
+
+
+def _solve_counting_scaling_lps(session, problem):
+    solve = LinearProgram.solve
+    scaling = []
+
+    def counting(program, *args, **kwargs):
+        if program is session.scaling_program:
+            scaling.append(program)
+        return solve(program, *args, **kwargs)
+
+    with mock.patch.object(LinearProgram, "solve", counting):
+        allocation = session.solve(problem)
+    return allocation, len(scaling)
+
+
+@pytest.mark.parametrize("base", ["makespan", "finish_time_fairness"])
+@given(scenario=_scenarios(), churned=st.booleans())
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_certificate_brackets_the_bisection_oracle(base, scenario, churned):
+    _shape, space_sharing, _cluster, jobs, *_ = scenario
+    policy = make_policy(base + ("+ss" if space_sharing else ""))
+    problem = _problem(scenario, jobs[1:])
+    if churned:
+        # A warm session: both bases carried over, the departed job's columns recycled.
+        first = _problem(scenario, jobs[:-1])
+        session = policy.session(first)
+        session.solve(first)
+    else:
+        session = policy.session(problem)
+    allocation, scaling_lps = _solve_counting_scaling_lps(session, problem)
+    lower, upper = session.last_bracket
+
+    assert 1 <= scaling_lps <= _MAX_SCALING_LPS
+    assert 0.0 <= lower <= upper
+    assert upper - lower <= policy.relative_tolerance * upper
+    oracle = bisected_optimum(base, policy, problem, relative_tolerance=1e-6)
+    assert lower * (1 - _SOLVER_SLACK) <= oracle <= upper * (1 + _SOLVER_SLACK)
+    allocation.validate(problem.cluster_spec)
+    assert _achieved(base, policy, problem, allocation) <= upper * (1 + 1e-6)
+    if base == "makespan":
+        # Multiplicative requirements: one LP, and it is the max-min LP.
+        assert scaling_lps == 1
+        exact = _max_min_makespan(policy, problem)
+        assert lower == pytest.approx(exact, rel=1e-7)
+        assert upper == pytest.approx(exact, rel=1e-7)
+
+
+class TestRequirementCurves:
+    def _curves(self):
+        # Poles at 0, 1/3 and 0.995; job 3 has nothing left to do.
+        return RequirementCurves(
+            steps=np.array([100.0, 400.0, 10.0, 0.0]),
+            elapsed=np.array([0.0, 50.0, 1990.0, 30.0]),
+            reference=np.array([20.0, 100.0, 10.0, 0.0]),
+            start=1.0,
+        )
+
+    def test_requirements_and_floor(self):
+        curves = self._curves()
+        # At theta = 1 every budget is the reference time.
+        assert curves.required(1.0) == pytest.approx([5.0, 4.0, 1.0, 0.0])
+        # budget = theta * D - t: job 1 has D = 150, t = 50.
+        assert curves.required(0.999)[1] == pytest.approx(400.0 / (0.999 * 150.0 - 50.0))
+        # The finished job holds rho at t / D = 1 whatever it gets.
+        assert curves.floor == pytest.approx(1.0)
+        assert curves.achieved(np.array([50.0, 40.0, 10.0, 0.0])) == pytest.approx(1.0)
+        assert math.isinf(curves.achieved(np.array([50.0, 0.0, 10.0, 1.0])))
+        # Slower than required at theta = 1 for job 1 only: (50 + 400 / 2) / 150.
+        assert curves.achieved(np.array([5.0, 2.0, 1.0, 0.0])) == pytest.approx(250.0 / 150.0)
+
+    def test_dual_root_solves_the_tangent_equation_from_either_side(self):
+        curves = self._curves()
+        weights = np.array([0.3, 0.1, 2.0, 5.0])
+
+        def weighted(theta):
+            return float(np.dot(weights, curves.required(theta)))
+
+        for scale in (0.5, 0.97, 1.0, 1.4, 30.0):
+            root = curves.dual_root(weights, scale, 1.0)
+            assert root > 0.995  # right of the rightmost pole
+            assert weighted(root) == pytest.approx(scale * weighted(1.0), rel=1e-9)
+            assert (root > 1.0) == (scale < 1.0)
+
+    def test_makespan_root_is_exact_and_needs_one_step(self):
+        curves = RequirementCurves(
+            steps=np.array([3.0, 5.0]), elapsed=np.zeros(2), reference=np.ones(2), start=7.0
+        )
+        assert curves.floor == 0.0
+        assert curves.dual_root(np.array([0.2, 0.9]), 1.75, 7.0) == pytest.approx(4.0, rel=1e-14)
+
+    def test_duals_that_say_nothing_certify_nothing(self):
+        curves = self._curves()
+        assert curves.dual_root(np.zeros(4), 1.2, 1.0) == -math.inf
+        # Weight on the finished job only: it requires nothing at any theta.
+        assert curves.dual_root(np.array([0.0, 0.0, 0.0, 1.0]), 1.2, 1.0) == -math.inf
+        assert curves.dual_root(np.ones(4), 0.0, 1.0) == -math.inf
+
+
+def _contended_problem(num_jobs=9, seed=5, elapsed=True):
+    rng = np.random.default_rng(seed)
+    jobs = [
+        Job(job_id=i, job_type=_JOB_TYPES[int(rng.integers(len(_JOB_TYPES)))], total_steps=2e5)
+        for i in range(num_jobs)
+    ]
+    return PolicyProblem(
+        jobs={job.job_id: job for job in jobs},
+        throughputs=build_throughput_matrix(jobs, _ORACLE),
+        cluster_spec=ClusterSpec.from_counts({"v100": 1, "p100": 1, "k80": 1}),
+        steps_remaining={job.job_id: float(rng.uniform(2e4, 2e5)) for job in jobs},
+        time_elapsed={job.job_id: float(rng.uniform(0, 2e5)) if elapsed else 0.0 for job in jobs},
+    )
+
+
+@pytest.mark.parametrize("base", ["makespan", "finish_time_fairness"])
+def test_useless_duals_fall_back_to_bisecting_the_certified_bracket(base, monkeypatch):
+    """The safeguard: with no dual bound at all the loop is a bisection, and still certified.
+
+    Every scaling solve still yields the primal bound and says on which side
+    of its candidate the optimum lies, so midpoint steps halve ``[floor, U]``
+    until it is as narrow as promised — more LPs, same guarantee.
+    """
+    problem = _contended_problem()
+    policy = make_policy(base, relative_tolerance=1e-3)
+    informed = policy.session(problem)
+    _allocation, informed_lps = _solve_counting_scaling_lps(informed, problem)
+
+    monkeypatch.setattr(
+        RequirementCurves, "dual_root", lambda self, weights, scale, theta: -math.inf
+    )
+    blind = policy.session(problem)
+    allocation, blind_lps = _solve_counting_scaling_lps(blind, problem)
+    lower, upper = blind.last_bracket
+    assert upper - lower <= 1e-3 * upper
+    assert blind_lps > informed_lps
+    # Halving from [floor, U_0]: about log2(1 / tolerance) steps, plus log2(U_0 / optimum)
+    # for makespan, whose floor is 0 and whose start is the isolated allocation's makespan.
+    assert blind_lps <= 2 * math.ceil(math.log2(1.0 / 1e-3))
+    oracle = bisected_optimum(base, policy, problem, relative_tolerance=1e-6)
+    assert lower * (1 - _SOLVER_SLACK) <= oracle <= upper * (1 + _SOLVER_SLACK)
+    allocation.validate(problem.cluster_spec)
+    assert _achieved(base, policy, problem, allocation) <= upper * (1 + 1e-6)
+    # The informed run's bracket and the blind one's hold the same optimum.
+    assert max(lower, informed.last_bracket[0]) <= min(upper, informed.last_bracket[1]) * (
+        1 + _SOLVER_SLACK
+    )
+
+
+def test_tight_tolerance_is_honoured():
+    problem = _contended_problem()
+    policy = make_policy("finish_time_fairness", relative_tolerance=1e-7)
+    session = policy.session(problem)
+    allocation, scaling_lps = _solve_counting_scaling_lps(session, problem)
+    lower, upper = session.last_bracket
+    assert upper - lower <= 1e-7 * upper
+    assert scaling_lps <= 2 * _MAX_SCALING_LPS
+    assert _achieved("finish_time_fairness", policy, problem, allocation) <= upper * (1 + 1e-6)
+
+
+@pytest.mark.parametrize("base", ["makespan", "finish_time_fairness"])
+def test_non_positive_tolerance_is_rejected(base):
+    with pytest.raises(ConfigurationError, match="relative_tolerance must be positive"):
+        make_policy(base, relative_tolerance=0.0).session(_contended_problem())
+
+
+def test_a_job_that_cannot_run_anywhere_is_infeasible_not_a_wide_bracket(registry):
+    matrix = ThroughputMatrix(
+        registry, {(0,): np.array([[2.0, 1.0, 0.5]]), (1,): np.array([[0.0, 0.0, 0.0]])}
+    )
+    problem = PolicyProblem(
+        jobs={i: Job(job_id=i, job_type="x", total_steps=100.0) for i in range(2)},
+        throughputs=matrix,
+        cluster_spec=ClusterSpec.from_counts({"v100": 1, "p100": 1, "k80": 1}, registry=registry),
+    )
+    with pytest.raises(InfeasibleError, match="cannot make progress"):
+        make_policy("makespan").compute_allocation(problem)
+    with pytest.raises(InfeasibleError, match="zero isolated throughput"):
+        make_policy("finish_time_fairness").compute_allocation(problem)
+
+
+def test_nothing_left_to_train():
+    """No steps anywhere: makespan has no batch to finish, rho sits on its floor."""
+    base = _contended_problem(num_jobs=3)
+    problem = PolicyProblem(
+        jobs=base.jobs,
+        throughputs=base.throughputs,
+        cluster_spec=base.cluster_spec,
+        steps_remaining={job_id: 0.0 for job_id in base.jobs},
+        time_elapsed={job_id: 60.0 for job_id in base.jobs},
+    )
+    with pytest.raises(InfeasibleError, match="no job with steps left"):
+        make_policy("makespan").compute_allocation(problem)
+    session = make_policy("finish_time_fairness").session(problem)
+    allocation, scaling_lps = _solve_counting_scaling_lps(session, problem)
+    assert scaling_lps == 0
+    assert session.last_bracket == (1.0, 1.0)
+    allocation.validate(problem.cluster_spec)

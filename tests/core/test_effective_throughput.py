@@ -11,6 +11,7 @@ from repro.core.effective_throughput import (
     equal_share_reference_throughput,
     fastest_reference_throughput,
     isolated_reference_throughput,
+    isolated_reference_throughputs,
 )
 from repro.exceptions import ConfigurationError
 
@@ -112,6 +113,43 @@ class TestVectorisedAgainstScalar:
         )
         self._assert_equal_to_scalar(matrix, allocation)
         assert effective_throughputs(matrix, allocation)[0] == pytest.approx(4.0 + 2 * 1.5)
+
+
+    def test_isolated_references_of_all_jobs_at_once(self, registry):
+        """``isolated_reference_throughputs`` is the scalar reference, one pass over the jobs.
+
+        Small clusters (the 1/n slice is a time fraction below 1) and large
+        ones (the fraction is capped at 1), scale factors from 1 to 8.
+        """
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            num_jobs = int(rng.integers(1, 9))
+            matrix = ThroughputMatrix(
+                registry, {(j,): rng.uniform(0.0, 9.0, size=(1, 3)) for j in range(num_jobs)}
+            )
+            spec = ClusterSpec.from_counts(
+                dict(zip(("v100", "p100", "k80"), rng.integers(0, 12, size=3).tolist())),
+                registry=registry,
+            )
+            scales = rng.choice([1, 2, 4, 8], size=num_jobs)
+            vectorised = isolated_reference_throughputs(matrix, spec, scales)
+            assert vectorised.shape == (num_jobs,)
+            for position, job_id in enumerate(matrix.job_ids):
+                # Same products, summed in another order: a few ulps at most.
+                assert vectorised[position] == pytest.approx(
+                    isolated_reference_throughput(
+                        matrix, spec, job_id, num_jobs=num_jobs, scale_factor=int(scales[position])
+                    ),
+                    rel=1e-12,
+                    abs=0.0,
+                )
+
+    def test_isolated_references_reject_misaligned_or_non_positive_scales(self, registry, matrix):
+        spec = ClusterSpec.from_counts({"v100": 1}, registry=registry)
+        with pytest.raises(ConfigurationError, match="one scale factor per job"):
+            isolated_reference_throughputs(matrix, spec, np.ones(3))
+        with pytest.raises(ConfigurationError, match="must be positive"):
+            isolated_reference_throughputs(matrix, spec, np.array([1.0, 0.0]))
 
 
 class TestReferences:

@@ -18,21 +18,22 @@ from churn_fingerprint_scenarios import (
     UNIQUE_OPTIMUM_SPECS,
     allocation_fingerprint,
     allocation_from_fingerprint,
-    bisection_requirements,
     churn_fingerprints,
     churn_problems,
     load_recorded,
     policy_objective,
-    session_allocations,
+    scalar_requirements,
+    session_solves,
 )
 
 from repro.cluster import ClusterSpec
-from repro.core import AggregatedProblem, finish_time_fairness, makespan
+from repro.core import AggregatedProblem, make_policy
 from repro.core.effective_throughput import effective_throughputs
-from repro.core import make_policy
 from repro.core.policy import AllocationVariables
 from repro.core.problem import PolicyProblem
+from repro.core.session import ThroughputRequirementSession
 from repro.core.throughput_matrix import build_throughput_matrix
+from repro.harness.equivalence import policy_objective_value
 from repro.solver.lp import LinearProgram
 from repro.workloads import Job, ThroughputOracle, TraceGenerator, TraceGeneratorConfig
 
@@ -183,50 +184,41 @@ class TestRecordedChurnAllocations:
         )
 
     @pytest.mark.parametrize("policy_spec", SS_POLICY_SPECS)
-    def test_vertices_moved_since_the_cold_recording_are_ties(
-        self, oracle, monkeypatch, policy_spec
-    ):
+    def test_vertices_moved_since_the_cold_recording_are_ties(self, oracle, policy_spec):
         """Against the pre-warm-start recording: same objective, maybe another vertex.
 
         Per step the policy objective of the recorded allocation equals
-        today's to 1e-9, and for the bisection policies both allocations
-        witness today's bisected scalar (to the solver's feasibility
-        tolerance).  Specs with a unique optimum have not moved at all.
+        today's to 1e-9; specs with a unique optimum have not moved at all.
+        Makespan and finish-time fairness were recorded when their scalar was
+        bisected to within 1 % *above* the optimum and are certified today:
+        the scalar the recorded allocation achieves lies between today's lower
+        bound and 1 % above today's upper bound (today's is never worse), and
+        today's witness meets the requirements of today's scalar.
         """
-        bisected = []
-        for module in (makespan, finish_time_fairness):
-            original = module.bisect_min_feasible
-
-            def recording(*args, _original=original, **kwargs):
-                result = _original(*args, **kwargs)
-                bisected.append(result.value)
-                return result
-
-            monkeypatch.setattr(module, "bisect_min_feasible", recording)
         steps = churn_problems(oracle)
-        allocations = session_allocations(policy_spec, steps)
         recorded = load_recorded(RECORDED_COLD)[policy_spec]
-        if policy_spec in UNIQUE_OPTIMUM_SPECS:
-            _assert_rows_match(
-                [allocation_fingerprint(a) for a in allocations], recorded, policy_spec
-            )
-            return
-        assert len(allocations) == len(recorded)
-        matrix_of = make_policy(policy_spec).effective_matrix
-        for step, ((problem, _deltas), allocation, rows) in enumerate(
-            zip(steps, allocations, recorded)
+        assert len(steps) == len(recorded)
+        policy = make_policy(policy_spec)
+        solves = session_solves(policy_spec, steps)
+        for step, ((problem, _deltas), (session, allocation), rows) in enumerate(
+            zip(steps, solves, recorded, strict=True)
         ):
+            label = f"{policy_spec} step {step}"
+            if policy_spec in UNIQUE_OPTIMUM_SPECS:
+                _assert_rows_match([allocation_fingerprint(allocation)], [rows], label)
+                continue
             before = allocation_from_fingerprint(problem, rows)
             before.validate(problem.cluster_spec)
-            assert policy_objective(policy_spec, problem, before) == pytest.approx(
-                policy_objective(policy_spec, problem, allocation), rel=1e-9
-            ), f"{policy_spec} step {step}"
-            if not bisected:
+            if not isinstance(session, ThroughputRequirementSession):
+                assert policy_objective(policy_spec, problem, before) == pytest.approx(
+                    policy_objective(policy_spec, problem, allocation), rel=1e-9
+                ), label
                 continue
-            required = bisection_requirements(policy_spec, problem, bisected[step])
-            for witness in (before, allocation):
-                throughputs = effective_throughputs(matrix_of(problem), witness)
-                for job_id, minimum in required.items():
-                    assert throughputs[job_id] >= minimum * (1 - 1e-6), (
-                        f"{policy_spec} step {step} job {job_id}"
-                    )
+            lower, upper = session.last_bracket
+            assert upper - lower <= policy.relative_tolerance * upper, label
+            then = policy_objective_value(policy_spec, policy, problem, before)
+            assert lower * (1 - 1e-6) <= then <= upper * (1 + 1e-2), label
+            required = scalar_requirements(policy_spec, problem, upper)
+            throughputs = effective_throughputs(policy.effective_matrix(problem), allocation)
+            for job_id, minimum in required.items():
+                assert throughputs[job_id] >= minimum * (1 - 1e-6), f"{label} job {job_id}"

@@ -10,12 +10,16 @@ session-vs-scratch gate of the Figure 12 benchmark rests on.
 The water-filling family keeps *two* programs alive per session — the level
 program and the Appendix A.1 detection program — and the same sequence must
 find both warm from their second solve on, on the one pair of programs the
-session was opened with.
+session was opened with.  So do makespan and finish-time fairness (the
+scaling and the witness program), and their guard also bounds what a
+re-allocation may cost: two LPs for makespan, exactly; at most four and at
+most three on average for finish-time fairness, where the bracket search
+they replaced took about ten.
 """
 
 import numpy as np
 import pytest
-from churn_fingerprint_scenarios import churn_problems, session_allocations
+from churn_fingerprint_scenarios import churn_problems, session_allocations, session_solves
 
 from repro.core import WaterFillingAllocator, make_policy
 from repro.harness.equivalence import LEVEL_PROFILE_TOL, water_filling_level_profile
@@ -121,3 +125,49 @@ def test_water_filling_session_keeps_two_programs_warm(oracle, monkeypatch, poli
             atol=LEVEL_PROFILE_TOL,
             err_msg=f"step {step}",
         )
+
+
+@pytest.mark.parametrize(
+    "policy_spec",
+    ["makespan", "makespan+ss", "finish_time_fairness", "finish_time_fairness+ss"],
+)
+def test_scalar_session_solves_few_lps_on_two_warm_programs(oracle, monkeypatch, policy_spec):
+    """Two programs per session, warm after their first solve, a handful of LPs per event."""
+    built = []
+    init = LinearProgram.__init__
+
+    def counting_init(program, name="lp"):
+        built.append(name)
+        init(program, name=name)
+
+    solved = []
+    solve = LinearProgram.solve
+
+    def recording(program, *args, **kwargs):
+        solved.append((program, solve(program, *args, **kwargs)))
+        return solved[-1][1]
+
+    monkeypatch.setattr(LinearProgram, "__init__", counting_init)
+    monkeypatch.setattr(LinearProgram, "solve", recording)
+    steps = churn_problems(oracle)
+    policy = make_policy(policy_spec)
+    per_step = []
+    for session, _allocation in session_solves(policy_spec, steps):
+        per_step.append(len(solved) - sum(per_step))
+        lower, upper = session.last_bracket
+        assert upper - lower <= policy.relative_tolerance * upper
+    assert built == [policy.display_name, "throughput_scaling"]
+
+    witness, scaling = session.program, session.scaling_program
+    assert {id(program) for program, _ in solved} == {id(witness), id(scaling)}
+    for program in (witness, scaling):
+        flags = [solution.warm_started for owner, solution in solved if owner is program]
+        assert flags == [False] + [True] * (len(flags) - 1), program.name
+        assert program.basis_rejections == 0
+    # One witness LP per re-allocation; the rest are scaling LPs.
+    assert sum(owner is witness for owner, _ in solved) == len(steps)
+    if policy_spec.startswith("makespan"):
+        assert per_step == [2] * len(steps)
+    else:
+        assert max(per_step) <= 4
+        assert sum(per_step) <= 3 * len(steps)

@@ -192,6 +192,67 @@ class TestSnapshotRestoreMidChurn:
         assert _fingerprint(original.result()) == _fingerprint(twin.result())
 
 
+    @pytest.mark.parametrize("max_history", [None, 6])
+    def test_restored_finish_time_fairness_twin_re_solves_both_programs_from_the_same_bases(
+        self, oracle, small_spec, monkeypatch, max_history
+    ):
+        """``restore()`` rebuilds the scaling *and* the witness program's solver state.
+
+        A finish-time-fairness session keeps two live programs and starts
+        every re-allocation from the same candidate, so the two bases are all
+        a replayed history has to reproduce: every forward solve of the twin
+        agrees with the original's in program, warm-start flag and pivot
+        count — hence in the number of scaling LPs per re-allocation — not
+        just in outcome.  After a ``max_session_history`` re-base both start
+        over, in the twin as in the original: one cold solve per program.
+        """
+        from repro.solver.lp import LinearProgram
+
+        solved = []
+        solve = LinearProgram.solve
+
+        def recording(program, *args, **kwargs):
+            solution = solve(program, *args, **kwargs)
+            solved.append((program.name, solution.warm_started, solution.simplex_iterations))
+            return solution
+
+        monkeypatch.setattr(LinearProgram, "solve", recording)
+        config = SchedulerConfig(mode="continuous", max_session_history=max_history)
+
+        def loaded():
+            scheduler = _scheduler(
+                oracle, small_spec, policy="finish_time_fairness", config=config
+            )
+            for job in _trace(oracle, num_jobs=12, jobs_per_hour=6.0, seed=7).jobs:
+                scheduler.submit(job)
+            return scheduler
+
+        original = loaded()
+        for _ in range(10):
+            original.step()
+        snapshot = original.snapshot()
+        if max_history is not None:
+            assert original.result().num_policy_recomputations > max_history
+            assert len(snapshot.session_history) <= max_history
+        twin = _scheduler(
+            oracle, small_spec, policy="finish_time_fairness", config=config
+        ).restore(snapshot)
+
+        solved.clear()
+        original.run_until()
+        forward = list(solved)
+        solved.clear()
+        twin.run_until()
+        assert solved == forward
+        programs = {name for name, _warm, _iterations in forward}
+        assert programs == {"finish_time_fairness", "throughput_scaling"}
+        for name in programs:
+            flags = [warm for program, warm, _iterations in forward if program == name]
+            assert flags[0], f"{name}: the first solve after the snapshot starts from a basis"
+            assert (flags.count(False) == 0) if max_history is None else (flags.count(False) >= 1)
+        assert _fingerprint(original.result()) == _fingerprint(twin.result())
+
+
 class TestResolveTicks:
     def test_interval_requires_continuous_mode(self):
         with pytest.raises(ConfigurationError):

@@ -1,0 +1,158 @@
+"""``set_column_coefficients_from_arrays``: one column, many rows, journalled per coefficient.
+
+The edit must leave the stored rows in the one row format (unique columns, no
+zeros, other terms untouched), reach the live model as one ``changeCoeff`` per
+coefficient that really moved — rows stay in place, the basis survives — and
+compose with whole-row rewrites made before or after it in the same interval.
+"""
+
+import numpy as np
+import pytest
+
+from repro.exceptions import SolverError
+from repro.solver import LinearProgram
+
+
+def _scaling_program(requirements=(1.0, 2.0, 4.0)):
+    """max y  s.t.  x_k - r_k * y >= 0,  x_k <= 1,  sum x <= 2  — a tiny max-min LP."""
+    lp = LinearProgram(name="column-edit")
+    xs = [lp.add_variable(f"x{k}", upper=1.0) for k in range(len(requirements))]
+    y = lp.add_variable("y")
+    rows = [lp.add_greater_equal({x.index: 1.0}, 0.0) for x in xs]
+    total = lp.add_less_equal({x.index: 1.0 for x in xs}, 2.0)
+    lp.maximize({y.index: 1.0})
+    lp.set_column_coefficients_from_arrays(y, rows, -np.asarray(requirements))
+    return lp, xs, y, rows, total
+
+
+def _fresh_objective(requirements):
+    return _scaling_program(requirements)[0].solve().objective_value
+
+
+def _stored(lp, handle):
+    row = lp._constraints[handle]
+    return dict(zip(row.indices.tolist(), row.values.tolist()))
+
+
+class _Recorder:
+    def __init__(self, real, *methods):
+        self._real = real
+        self.calls = {method: [] for method in methods}
+
+    def __getattr__(self, name):
+        attribute = getattr(self._real, name)
+        if name not in self.calls:
+            return attribute
+
+        def recorded(*args):
+            self.calls[name].append(args)
+            return attribute(*args)
+
+        return recorded
+
+
+def test_stored_rows_keep_the_row_format():
+    lp, xs, y, rows, _total = _scaling_program()
+    # Appended behind the row's own term, which is untouched.
+    assert _stored(lp, rows[1]) == {xs[1].index: 1.0, y.index: -2.0}
+    assert lp._constraints[rows[1]].indices.tolist() == [xs[1].index, y.index]
+    # Replaced in place; a zero drops the term; an absent column stays absent.
+    lp.set_column_coefficients_from_arrays(y, rows, [-3.0, 0.0, -4.0])
+    assert _stored(lp, rows[0]) == {xs[0].index: 1.0, y.index: -3.0}
+    assert _stored(lp, rows[1]) == {xs[1].index: 1.0}
+    lp.set_column_coefficients_from_arrays(y, [rows[1]], [0.0])
+    assert _stored(lp, rows[1]) == {xs[1].index: 1.0}
+    # A column that is not the row's last term is found where it is.
+    lp.set_column_coefficients_from_arrays(xs[0], [rows[0]], [5.0])
+    assert lp._constraints[rows[0]].indices.tolist() == [xs[0].index, y.index]
+    assert _stored(lp, rows[0]) == {xs[0].index: 5.0, y.index: -3.0}
+    with pytest.raises(SolverError, match="unknown constraint handle"):
+        lp.set_column_coefficients_from_arrays(y, [10_000], [1.0])
+
+
+def test_arrays_handed_in_are_never_mutated():
+    """Edits replace a row's arrays: slices shared with a columnar block stay as they were."""
+    lp = LinearProgram()
+    columns = lp.add_variables_from_arrays(3)
+    cols = np.array([0, 1, 1, 2], dtype=np.int64)
+    coeffs = np.array([1.0, 2.0, 3.0, 4.0])
+    handles = lp.add_constraints_from_arrays(np.array([0, 0, 1, 1]), cols, coeffs, 0.0, 1.0)
+    lp.set_column_coefficients_from_arrays(int(columns[1]), handles, [7.0, 8.0])
+    assert coeffs.tolist() == [1.0, 2.0, 3.0, 4.0]
+    assert _stored(lp, int(handles[0])) == {0: 1.0, 1: 7.0}
+    assert _stored(lp, int(handles[1])) == {1: 8.0, 2: 4.0}
+
+
+def test_one_change_coeff_per_moved_coefficient_and_the_basis_is_kept():
+    lp, _xs, y, rows, _total = _scaling_program()
+    # x2 = 4y <= 1 binds before x0 + x1 + x2 = 7y <= 2 does: y = 1/4.
+    assert lp.solve().objective_value == pytest.approx(0.25)
+    recorder = _Recorder(
+        lp._backend._highs, "changeCoeff", "addRows", "deleteRows", "passModel", "setBasis"
+    )
+    lp._backend._highs = recorder
+    lp.set_column_coefficients_from_arrays(y, rows, [-1.0, -2.0, -2.0])  # only the last moves
+    solution = lp.solve()
+    assert solution.warm_started
+    assert solution.objective_value == pytest.approx(_fresh_objective((1.0, 2.0, 2.0)))
+    backend = lp._backend
+    assert recorder.calls["changeCoeff"] == [(backend._row_of[rows[2]], y.index, -2.0)]
+    assert not any(recorder.calls[name] for name in ("addRows", "deleteRows", "passModel", "setBasis"))
+
+    # There and back again between two solves: nothing moved, nothing is pushed.
+    recorder.calls["changeCoeff"].clear()
+    lp.set_column_coefficients_from_arrays(y, rows, [-9.0, -9.0, -9.0])
+    lp.set_column_coefficients_from_arrays(y, rows, [-1.0, -2.0, -2.0])
+    again = lp.solve()
+    assert recorder.calls["changeCoeff"] == []
+    assert (again.warm_started, again.simplex_iterations) == (True, 0)
+
+
+@pytest.mark.parametrize("rewrite_first", [True, False])
+def test_composes_with_a_whole_row_rewrite_in_the_same_interval(rewrite_first):
+    """Column edit and row rewrite of one row between two solves, in either order."""
+    lp, xs, y, rows, _total = _scaling_program()
+    lp.solve()
+
+    def rewrite():
+        # Row 0 becomes 2 * x0 - (its y term as the rewrite states it).
+        lp.set_constraint_coefficients_from_arrays(
+            rows[0], np.array([xs[0].index, y.index]), np.array([2.0, -1.5])
+        )
+
+    def edit_column():
+        lp.set_column_coefficients_from_arrays(y, rows, [-3.0, -1.0, -2.0])
+
+    for action in (rewrite, edit_column) if rewrite_first else (edit_column, rewrite):
+        action()
+    expected_y0 = -3.0 if rewrite_first else -1.5
+    assert _stored(lp, rows[0]) == {xs[0].index: 2.0, y.index: expected_y0}
+    solution = lp.solve()
+    assert solution.warm_started
+
+    fresh = LinearProgram()
+    fx = [fresh.add_variable(upper=1.0) for _ in xs]
+    fy = fresh.add_variable()
+    fresh.add_greater_equal({fx[0].index: 2.0, fy.index: expected_y0}, 0.0)
+    fresh.add_greater_equal({fx[1].index: 1.0, fy.index: -1.0}, 0.0)
+    fresh.add_greater_equal({fx[2].index: 1.0, fy.index: -2.0}, 0.0)
+    fresh.add_less_equal({x.index: 1.0 for x in fx}, 2.0)
+    fresh.maximize({fy.index: 1.0})
+    assert solution.objective_value == pytest.approx(fresh.solve().objective_value, rel=1e-12)
+    # And the live model really holds what the program stores: a cold pass agrees.
+    lp._backend = None
+    assert lp.solve().objective_value == pytest.approx(solution.objective_value, rel=1e-12)
+
+
+def test_rows_added_and_removed_in_the_same_interval():
+    lp, _xs, y, rows, total = _scaling_program()
+    lp.solve()
+    newcomer = lp.add_variable("x3", upper=1.0)
+    new_row = lp.add_greater_equal({newcomer.index: 1.0}, 0.0)
+    lp.add_terms_to_constraint(total, {newcomer.index: 1.0})
+    lp.remove_constraint(rows[0])
+    lp.set_column_coefficients_from_arrays(y, [rows[1], rows[2], new_row], [-1.0, -1.0, -0.5])
+    solution = lp.solve()
+    # x1 = x2 = y, x3 = y / 2, sum <= 2 (x0 idle): y = 4/5.
+    assert solution.objective_value == pytest.approx(0.8)
+    assert solution.row_duals([rows[1], rows[2], new_row]) == pytest.approx([-0.4, -0.4, -0.4])

@@ -7,12 +7,15 @@ the backend surfaces it as :class:`SolverError` instead of answering from a
 diverged model.
 """
 
+import re
+
 import numpy as np
 import pytest
 from scipy.optimize._highspy import _core as _highs_core
 
 from repro.cluster import ClusterSpec
 from repro.core import PolicyProblem, build_throughput_matrix, make_policy
+from repro.core.effective_throughput import effective_throughputs
 from repro.exceptions import SolverError
 from repro.harness.equivalence import LEVEL_PROFILE_TOL, water_filling_level_profile
 from repro.solver import LinearProgram
@@ -195,22 +198,53 @@ def _contended_problem(num_jobs=6, per_type=1):
     )
 
 
+@pytest.mark.parametrize("failing", ["scaling", "witness"])
 @pytest.mark.parametrize("spec", ["makespan", "finish_time_fairness"])
-def test_hard_failure_mid_bisection_is_not_infeasible(spec):
-    """``kError`` on one bisection candidate must raise, not loosen the optimum.
+def test_hard_failure_in_a_scalar_session_is_not_infeasible(spec, failing, monkeypatch):
+    """``kError`` on a scaling or a witness solve must raise, not loosen the optimum.
 
-    The third ``run`` of a solve is the first midpoint candidate (after the
-    two bracket ends); treating its failure as "infeasible" would silently
-    return a looser makespan / fairness ratio.
+    Reading the failure as "infeasible" would silently return a looser
+    makespan / fairness ratio (or none at all).  The session keeps two live
+    programs; the failure drops the live model of the one it hit and leaves
+    the other alone, and the next solve on the same session passes that one
+    model again, cold, and certifies what a fresh session certifies.
     """
     problem = _contended_problem()
-    session = make_policy(spec).session(problem)
+    policy = make_policy(spec)
+    session = policy.session(problem)
     session.solve(problem)
-    backend = session.program._backend
-    backend._highs = _ForcedError(backend._highs, "run", on_call=3)
-    with pytest.raises(SolverError, match="run failed"):
+    programs = {"scaling": session.scaling_program, "witness": session.program}
+    broken = programs.pop(failing)
+    (other,) = programs.values()
+    backend = broken._backend
+    backend._highs = _ForcedError(backend._highs, "run", on_call=1)
+    with pytest.raises(SolverError, match=f"{re.escape(broken.name)}: HiGHS run failed"):
         session.solve(problem)
-    assert backend._highs._calls == 3
+    assert backend._highs._calls == 1
+    assert broken._backend is None and other._backend is not None
+
+    passed = []
+    pass_full_model = _HighsBackend._pass_full_model
+
+    def recording(backend, program):
+        passed.append(program.name)
+        pass_full_model(backend, program)
+
+    monkeypatch.setattr(_HighsBackend, "_pass_full_model", recording)
+    recovered = session.solve(problem)
+    assert passed == [broken.name]
+    monkeypatch.undo()
+
+    fresh = policy.session(problem)
+    expected = fresh.solve(problem)
+    assert session.last_bracket == pytest.approx(fresh.last_bracket, rel=1e-9)
+    matrix = policy.effective_matrix(problem)
+    for allocation in (recovered, expected):
+        allocation.validate(problem.cluster_spec)
+    # Both witnesses maximize total throughput over the same requirements.
+    assert sum(effective_throughputs(matrix, recovered).values()) == pytest.approx(
+        sum(effective_throughputs(matrix, expected).values()), rel=1e-7
+    )
 
 
 def test_hard_failure_in_bottleneck_detection_is_not_a_bottleneck(monkeypatch):
