@@ -11,15 +11,18 @@ round durations it runs ``continuous`` mode (the event loop that re-solves at
 every arrival/completion instant) and ``ideal`` (its zero-overhead special
 case).  Shrinking rounds must converge onto the continuous result, and the
 allocation-staleness metric must fall monotonically with the re-allocation
-granularity — exactly zero for continuous mode.  Per-config JCTs and
-staleness land in ``BENCH_fig13.json`` (override with ``REPRO_BENCH_JSON``)
-for the CI perf-trajectory artifact.
+granularity — exactly zero for continuous mode.  Per-config JCTs, staleness
+and the wall time of the replay (total and per round — per event in the two
+fluid modes) land in ``BENCH_fig13.json`` (override with ``REPRO_BENCH_JSON``)
+for the CI perf-trajectory artifact; the file is committed, beside the wall
+times of the last commit whose rounds built one object per pick.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import time
 
 from conftest import scaled
 
@@ -29,6 +32,22 @@ from repro.simulator import SimulatorConfig
 #: Descending: each halving of the round duration is one step closer to the
 #: continuous limit.
 _ROUND_DURATIONS = [2880.0, 1440.0, 720.0, 360.0]
+#: ``(num_rounds, wall_seconds)`` of the same replays at the last commit whose
+#: rounds built one object per pick (3615035): medians of five runs on a
+#: scratch clone, alternating with the index-native code (whose medians then
+#: read 0.0429 / 0.0519 / 0.0683 / 0.0998 s for the four round durations —
+#: 65 instead of 94 us per 360 s round, at most six picks a round on this
+#: 2x3-GPU cluster — and 0.0393 / 0.0382 s for the two fluid modes, which run
+#: no round).  Written into the artifact beside the live numbers; only
+#: meaningful at ``BENCH_SCALE == 1``.
+_WALL_AT_PARENT = {
+    "2880.0": (195, 0.0438),
+    "1440.0": (387, 0.0588),
+    "720.0": (772, 0.0894),
+    "360.0": (1540, 0.1447),
+    "continuous": (35, 0.0386),
+    "ideal": (35, 0.0404),
+}
 
 
 def _run(oracle, bench_cluster, single_worker_generator):
@@ -38,10 +57,15 @@ def _run(oracle, bench_cluster, single_worker_generator):
     window = steady_state_job_ids(trace)
 
     def measure(config):
+        start = time.perf_counter()
         result = run_policy_on_trace(
             "max_min_fairness", trace, bench_cluster, oracle=oracle, config=config
         )
+        wall_seconds = time.perf_counter() - start
         return {
+            "num_rounds": result.num_rounds,
+            "wall_seconds": wall_seconds,
+            "wall_us_per_round": 1e6 * wall_seconds / result.num_rounds,
             "avg_jct_hours": result.average_jct_hours(window),
             "mean_staleness_seconds": result.mean_allocation_staleness_seconds(),
             "avg_time_to_first_allocation_seconds": (
@@ -67,6 +91,14 @@ def _write_artifact(by_round, continuous, ideal) -> str:
         "round": {str(duration): point for duration, point in by_round.items()},
         "continuous": continuous,
         "ideal": ideal,
+        "wall_at_parent": {
+            name: {
+                "num_rounds": num_rounds,
+                "wall_seconds": wall_seconds,
+                "wall_us_per_round": round(1e6 * wall_seconds / num_rounds, 1),
+            }
+            for name, (num_rounds, wall_seconds) in _WALL_AT_PARENT.items()
+        },
     }
     with open(path, "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)

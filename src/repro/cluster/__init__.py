@@ -10,7 +10,7 @@ from repro.cluster.accelerators import (
     default_registry,
 )
 from repro.cluster.cluster_spec import ClusterSpec
-from repro.cluster.placement import Placement, PlacementRequest, Placer
+from repro.cluster.placement import Placer
 from repro.cluster.worker import ClusterTopology, Server, Worker
 
 __all__ = [
@@ -26,6 +26,4 @@ __all__ = [
     "Server",
     "Worker",
     "Placer",
-    "Placement",
-    "PlacementRequest",
 ]

@@ -2,7 +2,7 @@
 
 from repro.scheduler.clock import Clock, VirtualClock, WallClock
 from repro.scheduler.lease import CheckpointStore, GavelIterator, Lease
-from repro.scheduler.mechanism import RoundScheduler, ScheduledCombination
+from repro.scheduler.mechanism import RoundPicks, RoundScheduler, ScheduledCombination
 from repro.scheduler.metrics import JobRecord, SimulationResult, cdf_points
 from repro.scheduler.priorities import PriorityTracker
 from repro.scheduler.service import (
@@ -21,6 +21,7 @@ __all__ = [
     "SchedulerSnapshot",
     "SchedulerStatus",
     "PriorityTracker",
+    "RoundPicks",
     "RoundScheduler",
     "ScheduledCombination",
     "Lease",

@@ -14,61 +14,89 @@ then combination — which is row order, because rows are the *sorted*
 combinations — then accelerator *name*, through a per-cluster name rank since
 registry column order is not alphabetical.  Only the greedy pick itself, which
 is inherently sequential (each pick consumes workers and marks jobs busy),
-stays a Python loop, over the pre-sorted index lists and with an early exit
-once every worker is taken.
+stays a Python loop over the pre-sorted index lists.  It has two exits: every
+worker is taken, or every job of the period's allocation is busy — from then
+on each remaining candidate would fail the disjointness test, so stopping
+changes nothing but the candidates walked (about half of them, when the
+cluster is larger than the job count).
+
+A round is *indices*, from here to the accounting loop: :class:`RoundPicks`
+holds the picked ``(row, column)`` cells of the tracker's arrays as parallel
+lists, and placement, validation, time accounting and the service's progress
+loop all read those.  :class:`ScheduledCombination` objects — combination,
+accelerator name, scale, priority — exist only for whoever iterates or indexes
+the picks (tests, tools, the scalar reference).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Iterator, List, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.cluster.cluster_spec import ClusterSpec
-from repro.cluster.placement import PlacementRequest
+from repro.core.throughput_matrix import JobCombination
 from repro.exceptions import SchedulingError
 from repro.scheduler.priorities import PriorityTracker
 
-__all__ = ["ScheduledCombination", "RoundScheduler", "scheduled_job_ids"]
-
-
-def scheduled_job_ids(scheduled: Sequence["ScheduledCombination"]) -> Tuple[int, ...]:
-    """Sorted ids of every job that received workers in one round.
-
-    The service core stamps each job's first-allocation time (the
-    time-to-first-allocation latency metric) from this set, so the mechanism
-    — not the accounting loop — defines what "allocated" means in round mode.
-    """
-    ids: Set[int] = set()
-    for item in scheduled:
-        ids.update(item.combination)
-    return tuple(sorted(ids))
+__all__ = ["ScheduledCombination", "RoundPicks", "RoundScheduler"]
 
 
 @dataclass(frozen=True)
-class ScheduledCombination(PlacementRequest):
-    """One job combination scheduled on one accelerator type for a round.
+class ScheduledCombination:
+    """One job combination scheduled on one accelerator type for a round."""
 
-    It *is* the round's placement request for that combination (the placer
-    takes the scheduled list as-is) plus the priority it was picked at.
+    combination: JobCombination
+    accelerator_name: str
+    scale_factor: int
+    priority: float
+
+
+@dataclass
+class RoundPicks:
+    """One round's picks, in pick order, as parallel index lists.
+
+    ``rows[i]`` / ``columns[i]`` address the picked cell in the tracker's
+    arrays (``combinations[rows[i]]`` on accelerator ``names[columns[i]]``),
+    ``scales[i]`` is the workers it occupies and ``priorities[i]`` the priority
+    it was picked at.  ``len()`` is the number of picks; iterating or indexing
+    materialises :class:`ScheduledCombination` views.
     """
 
-    priority: float
+    combinations: Sequence[JobCombination]
+    names: Sequence[str]
+    rows: List[int]
+    columns: List[int]
+    scales: List[int]
+    priorities: List[float]
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, index: int) -> ScheduledCombination:
+        return ScheduledCombination(
+            self.combinations[self.rows[index]],
+            self.names[self.columns[index]],
+            self.scales[index],
+            self.priorities[index],
+        )
+
+    def __iter__(self) -> Iterator[ScheduledCombination]:
+        return (self[index] for index in range(len(self)))
 
 
 class RoundScheduler:
     """Greedy highest-priority-first selection of combinations for one round."""
 
     def __init__(self, cluster_spec: ClusterSpec) -> None:
-        self._cluster_spec = cluster_spec
         self._names: Tuple[str, ...] = cluster_spec.registry.names
         self._capacity: List[int] = [cluster_spec.count(name) for name in self._names]
         # Algorithm 1's last tie-break is the accelerator *name*, and registry
         # column order (v100, p100, k80) is not alphabetical.
         self._name_rank: np.ndarray = np.argsort(np.argsort(self._names))
 
-    def schedule_round(self, tracker: PriorityTracker) -> List[ScheduledCombination]:
+    def schedule_round(self, tracker: PriorityTracker) -> RoundPicks:
         """Select the combinations to run in the upcoming round.
 
         Args:
@@ -76,8 +104,8 @@ class RoundScheduler:
                 per-combination worker demand and the time received so far.
 
         Returns:
-            Scheduled combinations (at most one per job), in pick order, whose
-            total worker demand per accelerator type fits the cluster.
+            The picks (at most one per job), in pick order, whose total worker
+            demand per accelerator type fits the cluster.
         """
         priorities = tracker.priorities()
         target = tracker.target
@@ -91,11 +119,14 @@ class RoundScheduler:
             (self._name_rank[columns], rows, -target[rows, columns], -priority)
         )
 
-        combinations, demand, names = tracker.combinations, tracker.demand, self._names
+        combinations, demand, num_jobs = tracker.combinations, tracker.demand, tracker.num_jobs
         remaining = list(self._capacity)
         idle_workers = sum(remaining)
-        scheduled: List[ScheduledCombination] = []
         busy_jobs: Set[int] = set()
+        picked_rows: List[int] = []
+        picked_columns: List[int] = []
+        picked_scales: List[int] = []
+        picked_priorities: List[float] = []
         for row, column, value in zip(
             rows[order].tolist(), columns[order].tolist(), priority[order].tolist()
         ):
@@ -104,24 +135,27 @@ class RoundScheduler:
                 continue
             remaining[column] -= scale
             busy_jobs.update(combination)
-            scheduled.append(ScheduledCombination(combination, names[column], scale, value))
+            picked_rows.append(row)
+            picked_columns.append(column)
+            picked_scales.append(scale)
+            picked_priorities.append(value)
             idle_workers -= scale
-            if idle_workers == 0:
+            if idle_workers == 0 or len(busy_jobs) == num_jobs:
                 break
-        return scheduled
+        return RoundPicks(
+            combinations, self._names, picked_rows, picked_columns, picked_scales, picked_priorities
+        )
 
-    def validate_round(self, scheduled: Sequence[ScheduledCombination]) -> None:
+    def validate_round(self, picks: RoundPicks) -> None:
         """Sanity-check a round: no job twice, no accelerator type oversubscribed."""
-        seen: Set[int] = set()
-        usage: Dict[str, int] = {}
-        for item in scheduled:
-            for job_id in item.combination:
-                if job_id in seen:
-                    raise SchedulingError(f"job {job_id} scheduled more than once in a round")
-                seen.add(job_id)
-            usage[item.accelerator_name] = usage.get(item.accelerator_name, 0) + item.scale_factor
-        for name, used in usage.items():
-            if used > self._cluster_spec.count(name):
-                raise SchedulingError(
-                    f"round oversubscribes {name}: {used} > {self._cluster_spec.count(name)}"
-                )
+        combinations = picks.combinations
+        jobs = [job_id for row in picks.rows for job_id in combinations[row]]
+        if len(set(jobs)) != len(jobs):
+            repeated = next(job_id for job_id in jobs if jobs.count(job_id) > 1)
+            raise SchedulingError(f"job {repeated} scheduled more than once in a round")
+        usage = [0] * len(self._capacity)
+        for column, scale in zip(picks.columns, picks.scales):
+            usage[column] += scale
+        for name, used, capacity in zip(self._names, usage, self._capacity):
+            if used > capacity:
+                raise SchedulingError(f"round oversubscribes {name}: {used} > {capacity}")

@@ -12,10 +12,14 @@ Data layout.  A tracker lives for one allocation period and holds that
 period's state densely: every array has one row per combination, in the
 allocation's *sorted* combination order (``combinations[row]``, inverse
 ``row_of``), and one column per accelerator type in registry order.
-``target`` (``X_opt``) and ``demand`` (workers a combination occupies) are
-fixed for the period; only ``time_received`` changes, by O(1) indexed adds.
-Fractions and priorities are whole-matrix expressions over those arrays that
-perform, per cell, the same IEEE operations as the scalar definition above.
+``target`` (``X_opt``), ``demand`` (workers a combination occupies) and
+``num_jobs`` are fixed for the period; only ``time_received`` changes, by one
+indexed add per round: :meth:`PriorityTracker.add_time` takes the round's
+picks as ``(rows, columns)`` index lists, exactly as Algorithm 1 produced them
+(:meth:`~PriorityTracker.record_time` is the same add for one cell addressed
+by combination and accelerator name).  Fractions and priorities are
+whole-matrix expressions over those arrays that perform, per cell, the same
+IEEE operations as the scalar definition above.
 """
 
 from __future__ import annotations
@@ -41,6 +45,8 @@ class PriorityTracker:
         target: ``X_opt`` as a read-only ``(n_combinations, n_types)`` array.
         demand: Workers each combination occupies when scheduled — the largest
             scale factor among its members, per row.
+        num_jobs: Distinct jobs over all rows: once that many are busy, a round
+            has nothing left to pick.
         time_received: Seconds received this period, same shape as ``target``.
     """
 
@@ -55,6 +61,7 @@ class PriorityTracker:
             max(allocation.scale_factor(job_id) for job_id in combination)
             for combination in self.combinations
         )
+        self.num_jobs: int = len(allocation.job_ids)
         self.time_received: np.ndarray = np.zeros(self.target.shape)
         self._wanted: np.ndarray = self.target > 0
 
@@ -74,15 +81,20 @@ class PriorityTracker:
             )
         return row
 
-    def record_time(self, combination: Sequence[int], accelerator_name: str, seconds: float) -> None:
-        """Record that ``combination`` ran on ``accelerator_name`` for ``seconds``."""
+    def add_time(self, rows: Sequence[int], columns: Sequence[int], seconds: float) -> None:
+        """Record that every cell ``(rows[i], columns[i])`` ran for ``seconds``: one round's picks."""
         # ``not (0 <= s < inf)`` also rejects NaN, which a ``s < 0`` guard lets
         # through — and one NaN makes the combination's priorities NaN, which
         # Algorithm 1 then skips forever without an error.
         if not (0 <= seconds < math.inf):
             raise SchedulingError(f"cannot record time {seconds}: need a finite value >= 0")
+        # Half the cost of ``time_received[rows, columns] += seconds`` on a round's worth of cells.
+        np.add.at(self.time_received, (rows, columns), seconds)
+
+    def record_time(self, combination: Sequence[int], accelerator_name: str, seconds: float) -> None:
+        """:meth:`add_time` for one cell, addressed by combination and accelerator name."""
         column = self._allocation.registry.index_of(accelerator_name)
-        self.time_received[self.row(combination), column] += seconds
+        self.add_time([self.row(combination)], [column], seconds)
 
     def snapshot_state(self) -> np.ndarray:
         """Copy of the time-received matrix (for checkpointing)."""

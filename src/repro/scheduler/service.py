@@ -39,6 +39,14 @@ Figure 13b).  Time comes from a pluggable
 a :class:`~repro.scheduler.clock.WallClock`.  The
 :class:`~repro.simulator.simulator.Simulator` is a thin trace-replay driver
 over this core (``submit`` every trace job, ``run_until`` the end).
+
+A round runs on indices.  Algorithm 1 returns the picked ``(row, column)``
+cells of the period's tracker arrays, the placer flags which picks sit on one
+server, time received is one indexed add, and the accounting loop resolves a
+row to its jobs through a *member table* built once per allocation period (see
+:meth:`ClusterScheduler._start_period`): no object per pick, no dictionary
+lookup per item, and ``_JobState`` / ``JobRecord`` remain the only copy of the
+state, so checkpointing does not know the table exists.
 """
 
 from __future__ import annotations
@@ -65,7 +73,7 @@ from repro.core.session import PolicyDelta, PolicySession, RebuildSession
 from repro.core.throughput_matrix import ThroughputMatrix, build_throughput_matrix
 from repro.exceptions import ConfigurationError, SchedulingError, UnknownJobError
 from repro.scheduler.clock import Clock, VirtualClock
-from repro.scheduler.mechanism import RoundScheduler, scheduled_job_ids
+from repro.scheduler.mechanism import RoundScheduler
 from repro.scheduler.metrics import JobRecord, SimulationResult
 from repro.scheduler.priorities import PriorityTracker
 from repro.workloads.colocation import ColocationModel
@@ -202,6 +210,13 @@ class _JobState:
     @property
     def steps_remaining(self) -> float:
         return max(0.0, self.job.total_steps - self.steps_done)
+
+
+#: One job of a tracker row, resolved for an allocation period: ``(job id,
+#: execution state, record, total steps, scale factor, throughputs)``.  The
+#: last is the job's true throughput *in this combination* per ``2 * column +
+#: consolidated`` (``None`` until a round first needs it).
+_Member = Tuple[int, _JobState, JobRecord, float, int, List[Optional[float]]]
 
 
 @dataclass(frozen=True)
@@ -375,9 +390,8 @@ class ClusterScheduler:
 
         self._allocation_stale = True
         self._tracker: Optional[PriorityTracker] = None
-        #: Execution throughputs of the current allocation period, keyed by
-        #: (combination, job id, accelerator, consolidated); see _start_period.
-        self._period_throughputs: Dict[Tuple[Tuple[int, ...], int, str, bool], float] = {}
+        #: Member table of the current allocation period; see _start_period.
+        self._members: List[Optional[Tuple[_Member, ...]]] = []
         self._engine = self._make_engine()
         self._session: Optional[PolicySession] = None
         #: (problem, deltas) consumed by the live session, in order; ``None``
@@ -1023,59 +1037,78 @@ class ClusterScheduler:
     def _start_period(self, allocation: Allocation) -> PriorityTracker:
         """Open an allocation period: a fresh tracker, and nothing cached from the last.
 
-        Everything that is constant between two re-allocations — the tracker's
-        dense target/demand arrays and the execution throughputs below — is
-        built at most once per period and dies with the tracker.
+        Everything that is constant between two re-allocations is built at most
+        once per period and dies with the tracker: the tracker's dense
+        target/demand arrays, and the *member table* — per tracker row, once a
+        round first picks it, one :data:`_Member` per job of the combination
+        (see :meth:`_row_members`).  The table is what lets a round's
+        accounting run on the picked ``(row, column)`` indices alone.  It holds
+        references into ``_active`` / ``_records``, which is safe because every
+        event that replaces or removes those objects (completion, cancel,
+        resize, policy swap, restore) also ends the period: it marks the
+        allocation stale or drops the tracker, and the next round comes here
+        before it reads the table.
         """
         self._tracker = PriorityTracker(allocation)
-        self._period_throughputs = {}
+        self._members = [None] * len(self._tracker.combinations)
         return self._tracker
 
-    def _execution_throughput(
-        self,
-        combination: Tuple[int, ...],
-        job_id: int,
-        accelerator_name: str,
-        consolidated: bool,
-    ) -> float:
-        """True throughput used to advance training progress."""
-        key = (combination, job_id, accelerator_name, consolidated)
-        throughput = self._period_throughputs.get(key)
-        if throughput is None:
-            # Deterministic in the jobs' (constant) types and scale factors.
+    def _row_members(self, tracker: PriorityTracker, row: int) -> Tuple[_Member, ...]:
+        """Resolve tracker row ``row`` to its jobs' live state, once per period."""
+        slots = 2 * len(self._cluster_spec.registry)
+        members: List[_Member] = []
+        for job_id in tracker.combinations[row]:
             state = self._active[job_id]
-            if len(combination) == 1:
-                throughput = self._oracle.throughput(
-                    state.job.job_type,
-                    accelerator_name,
-                    scale_factor=state.job.scale_factor,
-                    consolidated=consolidated,
+            throughputs: List[Optional[float]] = [None] * slots
+            members.append(
+                (
+                    job_id,
+                    state,
+                    self._records[job_id],
+                    state.job.total_steps,
+                    state.job.scale_factor,
+                    throughputs,
                 )
-            else:
-                other_id = combination[0] if combination[1] == job_id else combination[1]
-                other = self._active[other_id]
-                pair = self._colocation.colocated_throughputs(
-                    state.job.job_type, other.job.job_type, accelerator_name
-                )
-                throughput = pair.first if combination[0] == job_id else pair.second
-            self._period_throughputs[key] = throughput
-        if self._config.mode == "physical" and self._config.throughput_jitter_std > 0:
-            throughput *= max(
-                0.0, float(self._rng.normal(1.0, self._config.throughput_jitter_std))
             )
-        return throughput
+        self._members[row] = resolved = tuple(members)
+        return resolved
+
+    def _execution_throughput(
+        self, combination: Tuple[int, ...], job_id: int, accelerator_name: str, consolidated: bool
+    ) -> float:
+        """True throughput used to advance training progress.
+
+        Deterministic in the jobs' (constant) types and scale factors, so the
+        member table keeps it for the period.
+        """
+        state = self._active[job_id]
+        if len(combination) == 1:
+            return self._oracle.throughput(
+                state.job.job_type,
+                accelerator_name,
+                scale_factor=state.job.scale_factor,
+                consolidated=consolidated,
+            )
+        other_id = combination[0] if combination[1] == job_id else combination[1]
+        pair = self._colocation.colocated_throughputs(
+            state.job.job_type, self._active[other_id].job.job_type, accelerator_name
+        )
+        return pair.first if combination[0] == job_id else pair.second
 
     # -- internals: round-based stepping --------------------------------------------------------
     def _step_round(self) -> None:
         config = self._config
         round_duration = config.round_duration_seconds
-        physical = config.mode == "physical"
 
         if not self._active:
+            # Idle: jump to the next arrival, but never into or past the cap
+            # (the step guard's contract must hold for the jump inside the step).
             head = self._peek_pending()
             if head is not None:
-                self._clock.advance_to(head[0])
+                self._clock.advance_to(min(head[0], config.max_simulated_seconds))
         current_time = self._clock.now()
+        if current_time >= config.max_simulated_seconds:
+            return
         # Scheduled control events apply at the first round boundary at or
         # after their timestamp — before admission and the allocation solve.
         self._apply_due_control_events(current_time)
@@ -1090,26 +1123,28 @@ class ClusterScheduler:
             tracker = self._start_period(self._solve_allocation(current_time))
             self._allocation_stale = False
 
-        scheduled = self._round_scheduler.schedule_round(tracker)
-        self._round_scheduler.validate_round(scheduled)
-        placements = self._placer.place(scheduled)
-        consolidated_by_combination = {
-            placement.combination: placement.consolidated for placement in placements
-        }
+        # One round, on indices: Algorithm 1 picks (row, column) cells of the
+        # tracker's arrays, the placer says which picks sit on one server, and
+        # the loop below resolves a row to its jobs through the member table.
+        picks = self._round_scheduler.schedule_round(tracker)
+        self._round_scheduler.validate_round(picks)
+        rows, columns, scales = picks.rows, picks.columns, picks.scales
+        consolidated = self._placer.place(rows, columns, scales)
+        tracker.add_time(rows, columns, round_duration)
 
+        physical = config.mode == "physical"
+        jitter_std = config.throughput_jitter_std
+        checkpoint_overhead = min(config.checkpoint_overhead_seconds, round_duration)
         round_end = current_time + round_duration
         this_round = self._num_rounds
         completed_this_round: List[Tuple[int, float]] = []
-        records = self._records
-        registry = self._cluster_spec.registry
-        cost_per_hour = dict(zip(registry.names, registry.costs_per_hour()))
-        for job_id in scheduled_job_ids(scheduled):
-            if records[job_id].first_allocation_time is None:
-                records[job_id].first_allocation_time = current_time
-        for item in scheduled:
-            combination = item.combination
-            accelerator_name = item.accelerator_name
-            consolidated = consolidated_by_combination.get(combination, True)
+        names = picks.names
+        costs_per_hour = self._cluster_spec.registry.costs_per_hour()
+        table, busy_seconds, total_cost = self._members, self._busy_seconds, self._total_cost
+        for row, column, scale, on_one_server in zip(rows, columns, scales, consolidated):
+            members = table[row] or self._row_members(tracker, row)
+            accelerator_name = names[column]
+            slot = 2 * column + on_one_server
             # Worker-occupancy within the round: jobs that complete mid-round
             # release their accelerators at the completion instant, so
             # utilization and cost are prorated rather than charged a full
@@ -1118,35 +1153,42 @@ class ClusterScheduler:
             # (occupancy = max over the pair) but the freed half-slot is
             # billed to no one.
             occupancy_seconds = 0.0
-            for job_id in combination:
-                state = self._active[job_id]
+            for job_id, state, record, total_steps, job_scale, throughputs in members:
+                if record.first_allocation_time is None:
+                    record.first_allocation_time = current_time
+                throughput = throughputs[slot]
+                if throughput is None:
+                    throughput = throughputs[slot] = self._execution_throughput(
+                        tracker.combinations[row], job_id, accelerator_name, on_one_server
+                    )
                 overhead = 0.0
-                if physical and (
-                    state.last_round != this_round - 1
-                    or state.last_accelerator != accelerator_name
-                ):
-                    overhead = min(config.checkpoint_overhead_seconds, round_duration)
-                    records[job_id].preemptions += 1
-                usable = max(0.0, round_duration - overhead)
-                throughput = self._execution_throughput(
-                    combination, job_id, accelerator_name, consolidated
-                )
-                progress = throughput * usable
-                needed = state.steps_remaining
+                if physical:
+                    if (
+                        state.last_round != this_round - 1
+                        or state.last_accelerator != accelerator_name
+                    ):
+                        overhead = checkpoint_overhead
+                        record.preemptions += 1
+                    if jitter_std > 0:
+                        throughput *= max(0.0, float(self._rng.normal(1.0, jitter_std)))
+                progress = throughput * (round_duration - overhead)
+                needed = total_steps - state.steps_done
+                if not needed > 0.0:
+                    needed = 0.0
                 if throughput > 0 and progress >= needed:
                     finish = min(current_time + overhead + needed / throughput, round_end)
                     completed_this_round.append((job_id, finish))
-                    state.steps_done = state.job.total_steps
+                    steps_done = total_steps
                     used_seconds = finish - current_time
                 else:
-                    state.steps_done += progress
+                    steps_done = state.steps_done + progress
                     used_seconds = round_duration
+                state.steps_done = record.steps_done = steps_done
                 state.last_accelerator = accelerator_name
                 state.last_round = this_round
-                record = records[job_id]
-                record.steps_done = state.steps_done
-                record.accelerator_seconds[accelerator_name] = (
-                    record.accelerator_seconds.get(accelerator_name, 0.0) + used_seconds
+                accelerator_seconds = record.accelerator_seconds
+                accelerator_seconds[accelerator_name] = (
+                    accelerator_seconds.get(accelerator_name, 0.0) + used_seconds
                 )
                 if overhead > 0:
                     # Checkpoint/restore windows occupy the accelerator but
@@ -1156,24 +1198,20 @@ class ClusterScheduler:
                     overhead_used = min(overhead, used_seconds)
                     record.checkpoint_seconds += overhead_used
                     self._checkpoint_seconds[accelerator_name] += (
-                        overhead_used * item.scale_factor / len(combination)
+                        overhead_used * scale / len(members)
                     )
-                cost = (
-                    cost_per_hour[accelerator_name]
-                    * state.job.scale_factor
-                    * used_seconds
-                    / _SECONDS_PER_HOUR
-                )
-                if len(combination) > 1:
-                    cost /= len(combination)
+                cost = costs_per_hour[column] * job_scale * used_seconds / _SECONDS_PER_HOUR
+                if len(members) > 1:
+                    cost /= len(members)
                 record.cost_dollars += cost
-                self._total_cost += cost
-                occupancy_seconds = max(occupancy_seconds, used_seconds)
-            self._busy_seconds[accelerator_name] += item.scale_factor * occupancy_seconds
-            tracker.record_time(combination, accelerator_name, round_duration)
+                total_cost += cost
+                if used_seconds > occupancy_seconds:
+                    occupancy_seconds = used_seconds
+            busy_seconds[accelerator_name] += scale * occupancy_seconds
+        self._total_cost = total_cost
 
         for job_id, finish_time in completed_this_round:
-            records[job_id].completion_time = finish_time
+            self._records[job_id].completion_time = finish_time
             del self._active[job_id]
             start = _time.perf_counter()
             self._engine.remove_job(job_id)

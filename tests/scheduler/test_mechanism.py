@@ -6,7 +6,7 @@ import pytest
 from repro.cluster import ClusterSpec, ClusterTopology, Placer, default_registry
 from repro.core import Allocation
 from repro.exceptions import SchedulingError
-from repro.scheduler import PriorityTracker, RoundScheduler, ScheduledCombination
+from repro.scheduler import PriorityTracker, RoundPicks, RoundScheduler, ScheduledCombination
 
 
 @pytest.fixture
@@ -57,7 +57,7 @@ class TestRoundScheduling:
         spec = ClusterSpec.from_counts({"v100": 2, "p100": 0, "k80": 0}, registry=registry)
         tracker = _tracker(registry, {(0,): np.array([1.0, 0.0, 0.0])}, scale_factors={0: 4})
         assert tracker.demand == (4,)
-        assert RoundScheduler(spec).schedule_round(tracker) == []
+        assert list(RoundScheduler(spec).schedule_round(tracker)) == []
 
     def test_pair_occupies_its_larger_members_workers(self, registry):
         spec = ClusterSpec.from_counts({"v100": 3, "p100": 0, "k80": 0}, registry=registry)
@@ -78,13 +78,48 @@ class TestRoundScheduling:
         assert by_job[(0,)].priority == float("inf")
         assert by_job[(1,)].priority == pytest.approx(0.5)
 
-    def test_scheduled_combinations_are_the_placement_requests(self, registry):
+    def test_picks_are_the_placement_requests(self, registry):
+        """The placer takes the picks' index lists as they are; rows are its tie-break keys."""
         spec = ClusterSpec.from_counts({"v100": 4, "p100": 0, "k80": 0}, registry=registry)
         tracker = _tracker(registry, {(0,): np.array([1.0, 0.0, 0.0])}, scale_factors={0: 4})
-        scheduled = RoundScheduler(spec).schedule_round(tracker)
-        [placement] = Placer(ClusterTopology(spec)).place(scheduled)
-        assert placement.request is scheduled[0]
-        assert len(placement.worker_ids) == 4 and placement.consolidated
+        picks = RoundScheduler(spec).schedule_round(tracker)
+        assert (picks.rows, picks.columns, picks.scales) == ([0], [0], [4])
+        placer = Placer(ClusterTopology(spec))
+        assert placer.place(picks.rows, picks.columns, picks.scales) == [True]
+        [workers] = placer.worker_ids(picks.rows, picks.columns, picks.scales)
+        assert len(workers) == 4
+
+    def test_picks_materialise_scheduled_combinations_on_demand(self, registry):
+        spec = ClusterSpec.from_counts({"v100": 1, "p100": 1, "k80": 0}, registry=registry)
+        tracker = _tracker(
+            registry, {(0,): np.array([0.5, 0.0, 0.0]), (1, 2): np.array([0.0, 0.5, 0.0])}
+        )
+        picks = RoundScheduler(spec).schedule_round(tracker)
+        assert isinstance(picks, RoundPicks) and len(picks) == 2
+        assert [tracker.combinations[row] for row in picks.rows] == [(0,), (1, 2)]
+        assert list(picks) == [picks[0], picks[1]] == [
+            ScheduledCombination((0,), "v100", 1, float("inf")),
+            ScheduledCombination((1, 2), "p100", 1, float("inf")),
+        ]
+
+    def test_round_ends_once_every_job_is_busy(self, registry):
+        """The second exit: with all jobs placed no later candidate can be disjoint."""
+        spec = ClusterSpec.from_counts({"v100": 4, "p100": 4, "k80": 4}, registry=registry)
+        tracker = _tracker(registry, {(i,): np.full(3, 0.3) for i in range(2)})
+        assert tracker.num_jobs == 2
+        walked = []
+
+        class _Watched(tuple):
+            def __getitem__(self, row):
+                walked.append(row)
+                return tuple.__getitem__(self, row)
+
+        tracker.combinations = _Watched(tracker.combinations)
+        picks = RoundScheduler(spec).schedule_round(tracker)
+        # Candidates come row by row (all tie but for the row); job 1's cells on
+        # p100 and v100 are never looked at.
+        assert walked == [0, 0, 0, 1]
+        assert [item.combination for item in picks] == [(0,), (1,)]
 
     def test_accelerator_name_breaks_the_last_tie(self, registry):
         """Equal priority, target and combination: names order k80 < p100 < v100,
@@ -136,31 +171,34 @@ class TestRoundScheduling:
 
 
 class TestRoundValidation:
+    @staticmethod
+    def _picks(registry, scheduled):
+        """Picks holding ``(combination, accelerator name, scale)`` items, one row each."""
+        return RoundPicks(
+            combinations=[combination for combination, _, _ in scheduled],
+            names=registry.names,
+            rows=list(range(len(scheduled))),
+            columns=[registry.index_of(name) for _, name, _ in scheduled],
+            scales=[scale for _, _, scale in scheduled],
+            priorities=[1.0] * len(scheduled),
+        )
+
     def test_duplicate_job_detected(self, registry):
         spec = ClusterSpec.from_counts({"v100": 2}, registry=registry)
-        scheduled = [
-            ScheduledCombination(combination=(0,), accelerator_name="v100", scale_factor=1, priority=1.0),
-            ScheduledCombination(combination=(0, 1), accelerator_name="v100", scale_factor=1, priority=1.0),
-        ]
-        with pytest.raises(SchedulingError):
-            RoundScheduler(spec).validate_round(scheduled)
+        picks = self._picks(registry, [((0,), "v100", 1), ((0, 1), "v100", 1)])
+        with pytest.raises(SchedulingError, match="job 0 scheduled more than once"):
+            RoundScheduler(spec).validate_round(picks)
 
     def test_oversubscription_detected(self, registry):
         spec = ClusterSpec.from_counts({"v100": 1}, registry=registry)
-        scheduled = [
-            ScheduledCombination(combination=(0,), accelerator_name="v100", scale_factor=1, priority=1.0),
-            ScheduledCombination(combination=(1,), accelerator_name="v100", scale_factor=1, priority=1.0),
-        ]
-        with pytest.raises(SchedulingError):
-            RoundScheduler(spec).validate_round(scheduled)
+        picks = self._picks(registry, [((0,), "v100", 1), ((1,), "v100", 1)])
+        with pytest.raises(SchedulingError, match="oversubscribes v100: 2 > 1"):
+            RoundScheduler(spec).validate_round(picks)
 
     def test_valid_round_passes(self, registry):
         spec = ClusterSpec.from_counts({"v100": 2, "k80": 1}, registry=registry)
-        scheduled = [
-            ScheduledCombination(combination=(0,), accelerator_name="v100", scale_factor=2, priority=1.0),
-            ScheduledCombination(combination=(1, 2), accelerator_name="k80", scale_factor=1, priority=1.0),
-        ]
-        RoundScheduler(spec).validate_round(scheduled)
+        picks = self._picks(registry, [((0,), "v100", 2), ((1, 2), "k80", 1)])
+        RoundScheduler(spec).validate_round(picks)
 
 
 class TestLongRunConvergence:
@@ -234,6 +272,7 @@ class TestTieBreakDeterminism:
             combinations = tracker.combinations
             target = tracker.target
             demand = tracker.demand
+            num_jobs = tracker.num_jobs
 
             @staticmethod
             def priorities():

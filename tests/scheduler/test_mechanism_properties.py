@@ -7,7 +7,9 @@ towards the target allocation (the mechanism's fidelity claim, §7.5).
 
 The array implementation is also compared, cell for cell and pick for pick,
 with the scalar reference in ``reference_mechanism.py`` — same IEEE
-operations in the same order, so equality is exact, not approximate.
+operations in the same order, so equality is exact, not approximate — and the
+placer, flag for flag and worker for worker, with the list-of-ids placer in
+``reference_round.py``.
 """
 
 import math
@@ -16,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.cluster import ClusterSpec, default_registry
+from repro.cluster import ClusterSpec, ClusterTopology, Placer, default_registry
 from repro.core import Allocation
 from repro.scheduler import PriorityTracker, RoundScheduler
 
@@ -25,6 +27,7 @@ from reference_mechanism import (
     reference_priorities,
     reference_schedule_round,
 )
+from reference_round import reference_place
 
 _REGISTRY = default_registry()
 _ROUND = 360.0
@@ -141,9 +144,12 @@ _SECONDS = st.one_of(
 def _allocation_period(draw):
     """A random allocation period: targets, worker demand, capacity, time received so far.
 
-    Covers singleton and space-sharing rows, scale factors > 1, accelerator
-    types with zero capacity, the all-``inf`` first round (nothing received
-    yet) and arbitrary mid-period states.
+    Covers singleton and space-sharing rows, scale factors 1-8 (so requests
+    that fit one 4-worker server, fill it, or must span two), accelerator
+    types with zero capacity, a job whose own row is all zero (unless a pair
+    row runs it, it is never busy and the round cannot end on "every job is
+    busy"), the all-``inf`` first round (nothing received yet) and arbitrary
+    mid-period states.
     """
     num_jobs = draw(st.integers(1, 6))
     pairs = [(i, j) for i in range(num_jobs) for j in range(i + 1, num_jobs)]
@@ -153,9 +159,13 @@ def _allocation_period(draw):
         combination: np.array([draw(_TARGETS) for _ in range(3)])
         for combination in draw(st.permutations(combinations))
     }
-    scale_factors = {job: draw(st.sampled_from([1, 1, 1, 2, 4])) for job in range(num_jobs)}
+    if draw(st.booleans()):
+        entries[(draw(st.integers(0, num_jobs - 1)),)] = np.zeros(3)
+    scale_factors = {
+        job: draw(st.sampled_from([1, 1, 1, 2, 3, 4, 8])) for job in range(num_jobs)
+    }
     allocation = Allocation(_REGISTRY, entries, scale_factors=scale_factors)
-    counts = {name: draw(st.integers(0, 6)) for name in _REGISTRY.names}
+    counts = {name: draw(st.integers(0, 9)) for name in _REGISTRY.names}
     counts["p100"] = max(counts["p100"], 1 - counts["v100"] - counts["k80"])  # at least one worker
     cluster = ClusterSpec.from_counts(counts, registry=_REGISTRY)
     first_round = draw(st.booleans())
@@ -182,6 +192,16 @@ def _picks(scheduled):
         (item.combination, item.accelerator_name, item.scale_factor, item.priority)
         for item in scheduled
     ]
+
+
+def _assert_placed_like_the_reference(cluster, picks, expected):
+    """Consolidated flags *and* worker ids of ``picks`` equal the list-of-ids placer's."""
+    topology = ClusterTopology(cluster)
+    placer = Placer(topology)
+    placements = reference_place(topology, expected)
+    requests = (picks.rows, picks.columns, picks.scales)
+    assert placer.place(*requests) == [placement.consolidated for placement in placements]
+    assert placer.worker_ids(*requests) == [placement.worker_ids for placement in placements]
 
 
 class TestArrayMechanismMatchesScalarReference:
@@ -211,6 +231,7 @@ class TestArrayMechanismMatchesScalarReference:
             scheduled = scheduler.schedule_round(tracker)
             assert _picks(scheduled) == expected
             scheduler.validate_round(scheduled)
+            _assert_placed_like_the_reference(cluster, scheduled, expected)
             for combination, accelerator_name, _scale, _priority in expected:
                 received[combination][_REGISTRY.index_of(accelerator_name)] += _ROUND
                 tracker.record_time(combination, accelerator_name, _ROUND)
@@ -248,7 +269,7 @@ class TestArrayMechanismMatchesScalarReference:
                 return _dense(allocation, priorities)
 
         scheduled = RoundScheduler(cluster).schedule_round(_Poisoned(allocation))
-        assert _picks(scheduled) == reference_schedule_round(
-            allocation, priorities, scale_factors, cluster
-        )
+        expected = reference_schedule_round(allocation, priorities, scale_factors, cluster)
+        assert _picks(scheduled) == expected
         assert not any(math.isnan(item.priority) for item in scheduled)
+        _assert_placed_like_the_reference(cluster, scheduled, expected)

@@ -42,6 +42,20 @@ class TestTimeAccounting:
         tracker.record_time((0,), "v100", 360.0)
         assert tracker.time_received[tracker.row((0,)), 0] == pytest.approx(720.0)
 
+    def test_add_time_records_a_round_of_cells_at_once(self, allocation):
+        """The indexed add equals one ``record_time`` per cell, whatever the array's layout."""
+        by_cell, by_round = PriorityTracker(allocation), PriorityTracker(allocation)
+        by_round.restore_state(np.asfortranarray(by_round.time_received))
+        for _ in range(2):
+            by_round.add_time([2, 0, 1], [2, 0, 1], 360.0)
+            for combination, name in [((2,), "k80"), ((0,), "v100"), ((1,), "p100")]:
+                by_cell.record_time(combination, name, 360.0)
+        np.testing.assert_array_equal(by_round.time_received, np.diag([720.0] * 3))
+        np.testing.assert_array_equal(by_round.time_received, by_cell.time_received)
+        assert by_round.num_jobs == 3
+        with pytest.raises(SchedulingError):
+            by_round.add_time([0], [0], float("nan"))
+
     def test_negative_time_rejected(self, allocation):
         tracker = PriorityTracker(allocation)
         with pytest.raises(SchedulingError):

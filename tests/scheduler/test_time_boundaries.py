@@ -1,10 +1,13 @@
 """Regression tests for the service core's time-boundary semantics.
 
-Two bugs lived here:
+Three bugs lived here:
 
 * ``step()``/``run_until()`` guarded the simulation cap with ``>`` instead of
   ``>=``, so a round *starting* exactly at ``max_simulated_seconds`` still
   executed and the clock overshot the configured maximum by a full round;
+* ``_step_round`` jumped an idle scheduler to the next arrival without the
+  clamp ``_step_continuous`` applies, so a round could start (and a job be
+  admitted, allocated and run) *past* the cap when the arrival lay beyond it;
 * ``_admit_arrivals`` admits jobs up to ``_ARRIVAL_EPSILON`` before their
   nominal arrival time, and ``_build_problem`` used to hide the resulting
   inconsistency by clamping ``time_elapsed`` with ``max(0.0, ...)`` instead
@@ -108,6 +111,41 @@ class TestSimulationCapBoundary:
         assert result.num_rounds == 0
         assert result.records[0].steps_done == 0.0
         assert result.end_time == 720.0
+
+
+    @pytest.mark.parametrize("mode", ["round", "physical"])
+    def test_idle_jump_in_round_modes_stops_at_the_cap(self, oracle, small_spec, mode):
+        # Pre-fix: one step() jumped to the arrival at 5000, ran a round there
+        # (clock 5360, progress, first allocation at 5000) although no step
+        # may start at or past the cap.  Fluid modes always parked at the cap.
+        config = SchedulerConfig(
+            mode=mode, round_duration_seconds=360.0, max_simulated_seconds=1000.0
+        )
+        scheduler = _scheduler(oracle, small_spec, config)
+        scheduler.submit(_huge_job(job_id=0, arrival_time=5000.0))
+        assert scheduler.step()  # work remains: the job is still queued
+        assert scheduler.now == 1000.0
+        assert not scheduler.step()  # and the guard now refuses every further step
+        result = scheduler.result()
+        assert (result.end_time, result.num_rounds) == (1000.0, 0)
+        assert result.num_policy_recomputations == 0
+        record = result.records[0]
+        assert record.steps_done == 0.0 and record.first_allocation_time is None
+        assert scheduler.status().pending_job_ids == (0,)
+
+    @pytest.mark.parametrize("mode", ["round", "physical"])
+    def test_idle_jump_to_an_arrival_before_the_cap_still_runs_there(
+        self, oracle, small_spec, mode
+    ):
+        config = SchedulerConfig(
+            mode=mode, round_duration_seconds=360.0, max_simulated_seconds=1000.0
+        )
+        scheduler = _scheduler(oracle, small_spec, config)
+        scheduler.submit(_huge_job(job_id=0, arrival_time=900.0))
+        scheduler.run_until()
+        result = scheduler.result()
+        assert (result.end_time, result.num_rounds) == (1260.0, 1)
+        assert result.records[0].first_allocation_time == 900.0
 
 
 class TestEpsilonAdmission:
