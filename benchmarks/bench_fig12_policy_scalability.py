@@ -41,6 +41,11 @@ Also measures, under job churn:
   active-group count regardless of the job count.  The sweep covers plain
   LAS plus the iterative water-filling family (``max_min_fairness_water_filling``
   and ``hierarchical``), whose level loops run over group representatives.
+  That comparison times the cold path; the number a scheduler pays per
+  re-allocation is the *re-solve* on a kept session (``apply`` the deltas of
+  one departure and one arrival, ``solve`` the new snapshot), recorded beside
+  it as ``aggregated_resolve_seconds`` — not gated — with both series' values
+  at the last commit whose aggregated view was regrouped job by job per solve.
 
 The per-sweep timings are additionally written to ``BENCH_fig12.json``
 (override the path with ``REPRO_BENCH_JSON``); the file is committed, so the
@@ -132,6 +137,25 @@ _AGG_SPECS = {
     "LAS": "max_min_fairness",
     "WaterFilling": "max_min_fairness_water_filling",
     "Hierarchical": "hierarchical",
+}
+#: The two aggregated series at the commit before the aggregated view became
+#: an incrementally maintained index and its expansion a gather (e8757ec: every
+#: solve regrouped every job and wrote one row per member through a dict):
+#: medians of five runs of ``measure_aggregated_solve_runtime(spec, [512, 2048,
+#: 16384], per_job_max=0)`` on a scratch clone, alternating with the new code
+#: (whose medians then read 0.0051 / 0.0059 / 0.0375 s cold and 0.0018 / 0.0025
+#: / 0.0095 s per re-solve for LAS).
+#: Written into the artifact beside the live series; only meaningful at
+#: ``BENCH_SCALE == 1``.
+_AGG_SOLVE_AT_PARENT = {
+    "LAS": {"512": 0.0074, "2048": 0.0119, "16384": 0.1178},
+    "WaterFilling": {"512": 0.0088, "2048": 0.0194, "16384": 0.1133},
+    "Hierarchical": {"512": 0.0199, "2048": 0.0277, "16384": 0.1466},
+}
+_AGG_RESOLVE_AT_PARENT = {
+    "LAS": {"512": 0.0045, "2048": 0.0111, "16384": 0.0883},
+    "WaterFilling": {"512": 0.0070, "2048": 0.0142, "16384": 0.0901},
+    "Hierarchical": {"512": 0.0178, "2048": 0.0264, "16384": 0.1118},
 }
 #: Required aggregated-over-per-job session speedup at every measured count
 #: of 2048+ jobs where both legs ran (typically 30-60x for LAS and well over
@@ -244,9 +268,23 @@ def _write_artifact(runtimes, prep, churn, build, aggregated, detections) -> str
             for name, series in build.items()
         },
         "aggregated_solve_seconds": {
-            name: {str(n): point for n, point in series.items()}
+            name: {
+                str(n): {key: value for key, value in point.items() if key != "resolve"}
+                for n, point in series.items()
+            }
             for name, series in aggregated.items()
         },
+        "aggregated_solve_seconds_at_parent": _AGG_SOLVE_AT_PARENT,
+        # Per re-allocation on a kept session: apply + solve, mean over the
+        # harness's one-departure-one-arrival events.
+        "aggregated_resolve_seconds": {
+            name: {
+                str(n): {"resolve": point["resolve"], "lp_rows": point["lp_rows"]}
+                for n, point in series.items()
+            }
+            for name, series in aggregated.items()
+        },
+        "aggregated_resolve_seconds_at_parent": _AGG_RESOLVE_AT_PARENT,
         # Bottleneck detections of every water-filling / hierarchical solve
         # above, and how many needed the integer re-solve.
         "water_filling_detections": detections,
@@ -353,6 +391,7 @@ def bench_fig12_policy_scalability(benchmark, oracle):
                     f"{per_job / max(point['aggregated'], 1e-12):.1f}x"
                     if per_job is not None
                     else "-",
+                    f"{point['resolve']:.4f}",
                     str(point["lp_rows"]),
                     str(point["active_types"]),
                 ]
@@ -365,11 +404,12 @@ def bench_fig12_policy_scalability(benchmark, oracle):
                 "per-job (s)",
                 "aggregated (s)",
                 "speedup",
+                "re-solve (s)",
                 "LP rows",
                 "groups",
             ],
             agg_rows,
-            title="Type-aggregated solve: per-job session vs aggregated session",
+            title="Type-aggregated solve: per-job vs aggregated session, and a kept one's re-solve",
         )
     )
     for name in _AGG_SPECS:

@@ -6,9 +6,7 @@ from repro.core.aggregation import (
     AggregatedSession,
     AggregationKey,
     aggregation_key,
-    proportional_split,
     supports_type_aggregation,
-    weighted_member_split,
 )
 from repro.core.allocation import Allocation
 from repro.core.allocation_engine import AllocationEngine, PairThroughputCache
@@ -104,7 +102,5 @@ __all__ = [
     "AggregatedSession",
     "AggregationKey",
     "aggregation_key",
-    "proportional_split",
     "supports_type_aggregation",
-    "weighted_member_split",
 ]

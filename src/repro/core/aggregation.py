@@ -47,12 +47,24 @@ FIFO-internal entities degrade to singleton groups).
 Supported policy bases are listed in :data:`AGGREGATION_SUPPORTED_BASES`;
 policies whose objectives read *per-job* state that cannot be folded into
 the group key (e.g. SLO deadlines) are excluded.
+
+Cost.  The LP is small whatever the job count, and the code around it does
+not put the job count back: a view is built *from the previous one*
+(:meth:`AggregatedProblem.build`: the snapshots' jobs are diffed in C, only
+the groups a job left or joined are re-derived), and the expansion is one
+gather through the view's :class:`_JobIndex`.  What stays per job is C-level:
+two reductions per build and, when membership changed, the index.
+``tests/core/reference_aggregation.py`` is the per-job, per-member code this
+replaced, kept as the oracle: both agree bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from bisect import insort
+from dataclasses import dataclass, field, replace
+from itertools import chain, filterfalse
+from operator import attrgetter, itemgetter
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -70,8 +82,6 @@ __all__ = [
     "aggregation_key",
     "AGGREGATION_SUPPORTED_BASES",
     "supports_type_aggregation",
-    "proportional_split",
-    "weighted_member_split",
     "AggregatedProblem",
     "AggregatedSession",
 ]
@@ -101,6 +111,8 @@ AGGREGATION_SUPPORTED_BASES = frozenset(
     }
 )
 
+_TOTAL_STEPS = attrgetter("total_steps")
+
 
 def aggregation_key(job: Job) -> AggregationKey:
     """The group a job belongs to: ``(job_type, scale_factor, priority_weight)``."""
@@ -112,42 +124,69 @@ def supports_type_aggregation(base: str) -> bool:
     return base in AGGREGATION_SUPPORTED_BASES
 
 
-def proportional_split(total: float, weights: Sequence[float]) -> List[float]:
-    """Split ``total`` proportionally to non-negative ``weights``.
-
-    Equal weights yield an equal split; an all-zero weight vector falls back
-    to the equal split (no information to prefer one member).  The returned
-    shares always sum to ``total`` exactly up to floating round-off.
-    """
-    if len(weights) == 0:
+def _shares(size: int, weights: Optional[np.ndarray]) -> np.ndarray:
+    """How 1.0 divides among ``size`` members: by ``weights``, or equally (none, or all zero)."""
+    if size == 0:
         raise ConfigurationError("cannot split a total among zero members")
-    array = np.asarray(weights, dtype=float)
-    if np.any(array < 0) or not np.all(np.isfinite(array)):
-        raise ConfigurationError(f"split weights must be finite and >= 0, got {weights}")
-    mass = float(array.sum())
-    if mass <= 0.0:
-        return [total / len(array)] * len(array)
-    # Normalize before scaling: w/mass is exact for equal weights even in
-    # the subnormal range, whereas total*w can lose precision first.
-    return [total * float(w / mass) for w in array]
+    if weights is not None:
+        if np.any(weights < 0) or not np.all(np.isfinite(weights)):
+            raise ConfigurationError(f"split weights must be finite and >= 0, got {weights}")
+        mass = float(weights.sum())
+        if mass > 0.0:
+            # Normalize before scaling: w/mass is exact for equal weights even
+            # in the subnormal range.
+            return weights / mass
+    return np.full(size, 1.0 / size)
 
 
-def weighted_member_split(
-    total: float, member_ids: Sequence[int], weights: Optional[Mapping[int, float]]
-) -> Dict[int, float]:
-    """Per-member shares of ``total`` keyed by job id.
+@dataclass(frozen=True)
+class _JobIndex:
+    """The base problem's jobs as parallel sequences, in ascending job-id order.
 
-    ``weights`` maps job ids to split weights (missing ids weigh 1.0);
-    ``None`` means an equal split.  Used by :meth:`AggregatedProblem.expand`
-    and directly by the property-test suite.
+    What :meth:`AggregatedProblem.expand` gathers through; a function of the
+    group partition alone, so a view carries its predecessor's while no job
+    came or went.  Groups count in ascending-representative order (the order
+    of ``groups`` and of the aggregated problem's jobs).
     """
-    if weights is None:
-        shares = proportional_split(total, [1.0] * len(member_ids))
-    else:
-        shares = proportional_split(
-            total, [float(weights.get(job_id, 1.0)) for job_id in member_ids]
+
+    job_ids: Tuple[int, ...]
+    singles: Tuple[JobCombination, ...]  # (job_id,) per job: the expanded singleton rows
+    demand: Tuple[int, ...]  # scale factor per job (its representative's: the key bakes it)
+    scale_factors: Dict[int, int]  # ``demand`` keyed by job id
+    group_of: np.ndarray  # group ordinal per job
+    counts: np.ndarray  # members per group
+    equal_share: np.ndarray  # 1 / n_g per job
+    rep_positions: np.ndarray  # position of each group's representative in ``job_ids``
+    rep_singles: Tuple[JobCombination, ...]  # (representative,) per group
+
+    @classmethod
+    def of(cls, members: List[Tuple[int, ...]], rep_jobs: Mapping[int, Job]) -> "_JobIndex":
+        """Index the partition ``members`` (ascending representative, ascending inside)."""
+        counts = np.fromiter(map(len, members), np.intp, len(members))
+        group_major = np.fromiter(chain.from_iterable(members), np.int64, int(counts.sum()))
+        order = np.argsort(group_major)
+        ids = group_major[order]
+        group_of = np.repeat(np.arange(len(members)), counts)[order]
+        scales = np.fromiter(
+            (job.scale_factor for job in rep_jobs.values()), np.int64, len(members)
         )
-    return {job_id: share for job_id, share in zip(member_ids, shares)}
+        job_ids = tuple(ids.tolist())
+        demand = tuple(scales[group_of].tolist())
+        return cls(
+            job_ids=job_ids,
+            singles=tuple(zip(job_ids)),
+            demand=demand,
+            scale_factors=dict(zip(job_ids, demand)),
+            group_of=group_of,
+            counts=counts,
+            equal_share=(1.0 / counts)[group_of],
+            rep_positions=np.searchsorted(ids, np.fromiter(rep_jobs, np.int64, len(members))),
+            rep_singles=tuple(zip(rep_jobs)),
+        )
+
+    def group_members(self) -> List[np.ndarray]:
+        """Per group, its members' positions in ``job_ids``, ascending."""
+        return np.split(np.argsort(self.group_of, kind="stable"), np.cumsum(self.counts)[:-1])
 
 
 @dataclass(frozen=True)
@@ -158,14 +197,18 @@ class AggregatedProblem:
         base: The original one-row-per-job problem.
         problem: The aggregated problem (one representative per group,
             ``group_counts`` set) handed to the policy's inner session.
-        groups: Sorted member job ids per group key.
-        representatives: Representative (smallest) member id per group key.
+        groups: Sorted member job ids per group key, in ascending order of
+            the groups' representatives.
+        representatives: Representative (smallest) member id per group key,
+            in the same order.
     """
 
     base: PolicyProblem
     problem: PolicyProblem
     groups: Mapping[GroupKey, Tuple[int, ...]]
     representatives: Mapping[GroupKey, int]
+    _key_fn: Callable[[Job], GroupKey] = field(repr=False, compare=False)
+    _index: _JobIndex = field(repr=False, compare=False)
 
     @classmethod
     def build(
@@ -176,131 +219,197 @@ class AggregatedProblem:
     ) -> "AggregatedProblem":
         """Aggregate ``problem`` by ``key`` (default :func:`aggregation_key`).
 
-        ``previous`` (the view from the last solve) lets the builder reuse
-        the aggregated throughput matrix when the base matrix object and the
-        group membership are unchanged, which keeps the inner session's
-        structural diff trivial between churn events.  ``key`` is the owning
-        policy's :meth:`~repro.core.policy.Policy.aggregation_group_key`; any
-        refinement must still keep members interchangeable (same job type,
-        scale factor and priority weight).
+        ``key`` is the owning policy's
+        :meth:`~repro.core.policy.Policy.aggregation_group_key`, a pure
+        function of the job; any refinement must still keep members
+        interchangeable (same job type, scale factor and priority weight).
+
+        ``previous`` is the last solve's view under the same ``key``.  The
+        result is the same with or without it; with it, the work is what
+        changed: the two snapshots' ``jobs`` are diffed (a ``Job`` object
+        swapped under its id leaves and arrives), only the groups a job left
+        or joined are re-derived, and the aggregated matrix is carried over
+        while the representatives and their rows stand.  Every group's
+        ``steps_remaining`` / ``time_elapsed`` are reduced afresh: they move
+        between any two snapshots.  Groups stay in ascending-representative
+        order either way — the order of the aggregated ``jobs``, hence of the
+        LP's rows, hence what decides the vertex of a degenerate solve.
         """
         if problem.group_counts is not None:
             raise ConfigurationError(
                 "problem is already type-aggregated (group_counts is set)"
             )
         key_fn: Callable[[Job], GroupKey] = aggregation_key if key is None else key
-        groups: Dict[GroupKey, List[int]] = {}
-        for job_id in problem.job_ids:
-            groups.setdefault(key_fn(problem.jobs[job_id]), []).append(job_id)
-        frozen_groups: Dict[GroupKey, Tuple[int, ...]] = {
-            key_value: tuple(sorted(members)) for key_value, members in groups.items()
-        }
-        representatives = {key: members[0] for key, members in frozen_groups.items()}
-
-        if (
-            previous is not None
-            and previous.base.throughputs is problem.throughputs
-            and previous.groups == frozen_groups
-        ):
-            matrix = previous.problem.throughputs
+        jobs = problem.jobs
+        if previous is not None and previous._key_fn != key_fn:
+            previous = None
+        if previous is None:
+            groups: Dict[GroupKey, Tuple[int, ...]] = {}
+            left: Mapping[int, Job] = {}
+            joined = jobs
         else:
-            matrix = cls._aggregate_matrix(
-                problem.throughputs, problem.jobs, frozen_groups, representatives
-            )
+            groups = dict(previous.groups)
+            before = previous.base.jobs
+            joined = dict(filterfalse(before.items().__contains__, jobs.items()))
+            left = {
+                job_id: before[job_id]
+                for job_id in (before.keys() - jobs.keys()) | (joined.keys() & before.keys())
+            }
 
-        jobs: Dict[int, Job] = {}
-        steps_remaining: Dict[int, float] = {}
-        time_elapsed: Dict[int, float] = {}
-        group_counts: Dict[int, int] = {}
-        for key, members in frozen_groups.items():
-            rep = representatives[key]
-            count = len(members)
-            rep_job = problem.jobs[rep]
-            jobs[rep] = replace(
-                rep_job, priority_weight=rep_job.priority_weight * count
-            )
-            steps_remaining[rep] = sum(problem.remaining_steps(m) for m in members)
-            time_elapsed[rep] = max(problem.elapsed(m) for m in members)
-            group_counts[rep] = count
+        touched: Dict[GroupKey, List[int]] = {}
+
+        def members_of(group_key: GroupKey) -> List[int]:
+            members = touched.get(group_key)
+            if members is None:
+                members = touched[group_key] = list(groups.get(group_key, ()))
+            return members
+
+        for job_id, job in left.items():
+            try:
+                members_of(key_fn(job)).remove(job_id)
+            except ValueError:
+                raise ConfigurationError(
+                    f"job {job_id} is not in the group its key names: the aggregation "
+                    "key must be a pure function of the job"
+                ) from None
+        for job_id, job in joined.items():
+            insort(members_of(key_fn(job)), job_id)
+        reordered = False
+        for group_key, members in touched.items():
+            was = groups.get(group_key)
+            if members:
+                groups[group_key] = tuple(members)
+            else:
+                del groups[group_key]
+            reordered |= was is None or not members or was[0] != members[0]
+        if reordered:
+            # Member tuples are disjoint, so they order by their first id.
+            groups = dict(sorted(groups.items(), key=itemgetter(1)))
+
+        carried = {} if previous is None else previous.problem.jobs
+        rep_jobs: Dict[int, Job] = {}
+        for group_key, members in groups.items():
+            rep = members[0]
+            if group_key in touched:
+                rep_job = jobs[rep]
+                rep_jobs[rep] = replace(
+                    rep_job, priority_weight=rep_job.priority_weight * len(members)
+                )
+            else:
+                rep_jobs[rep] = carried[rep]
+        index = (
+            previous._index
+            if previous is not None and not touched
+            else _JobIndex.of(list(groups.values()), rep_jobs)
+        )
+
+        # Per group, in member order: the sum of steps left and the longest
+        # elapsed time, through C-level lookups into mappings made total.
+        steps = problem.steps_remaining
+        if len(steps) != len(jobs):
+            steps = {**dict(zip(jobs, map(_TOTAL_STEPS, jobs.values()))), **steps}
+        elapsed = problem.time_elapsed
+        if len(elapsed) != len(jobs):
+            elapsed = {**dict.fromkeys(jobs, 0.0), **elapsed}
+        steps_of, elapsed_of = steps.__getitem__, elapsed.__getitem__
 
         aggregated = PolicyProblem(
-            jobs=jobs,
-            throughputs=matrix,
+            jobs=rep_jobs,
+            throughputs=cls._aggregated_matrix(problem, previous, rep_jobs, index, bool(touched)),
             cluster_spec=problem.cluster_spec,
-            steps_remaining=steps_remaining,
-            time_elapsed=time_elapsed,
+            steps_remaining={
+                members[0]: float(sum(map(steps_of, members))) for members in groups.values()
+            },
+            time_elapsed={
+                members[0]: float(max(map(elapsed_of, members))) for members in groups.values()
+            },
             current_time=problem.current_time,
-            group_counts=group_counts,
+            group_counts=dict(zip(rep_jobs, index.counts.tolist())),
         )
         return cls(
             base=problem,
             problem=aggregated,
-            groups=frozen_groups,
-            representatives=representatives,
+            groups=groups,
+            representatives={group_key: members[0] for group_key, members in groups.items()},
+            _key_fn=key_fn,
+            _index=index,
         )
 
     @staticmethod
-    def _aggregate_matrix(
-        matrix: ThroughputMatrix,
-        jobs: Mapping[int, Job],
-        groups: Mapping[GroupKey, Tuple[int, ...]],
-        representatives: Mapping[GroupKey, int],
+    def _aggregated_matrix(
+        problem: PolicyProblem,
+        previous: Optional["AggregatedProblem"],
+        rep_jobs: Mapping[int, Job],
+        index: _JobIndex,
+        touched: bool,
     ) -> ThroughputMatrix:
-        """Collapse a per-job matrix to representative rows.
+        """Collapse the per-job matrix to representative rows — the last view's while still right.
 
         Singleton rows come from each representative (members share oracle
-        rows by construction of the key).  Pair rows are replicated at the
-        *job-type* level: colocation throughput depends only on the two job
-        types, so one canonical row per (sorted) type pair — taken from
-        whichever member pair the source matrix carries — is emitted for
-        every pair of single-worker groups with matching types: a sorted
-        ``(rep_g, rep_h)`` row for distinct groups, the duplicate ``(rep,
-        rep)`` row for a group with >= 2 members.  This makes the aggregated
-        matrix independent of *which* member pairs the source happened to
-        instantiate (the type-mode engine keeps only one representative pair
-        per type pair).
+        rows by construction of the key): without pair rows the last matrix
+        is right while the representatives and their rows are what they
+        were.  Pair rows also depend on which groups have two members and
+        which member pairs the source carries, so with them it is carried
+        over only for the same source matrix and partition.
+
+        Pair rows are replicated at the *job-type* level: colocation
+        throughput depends only on the two job types, so one canonical row
+        per (sorted) type pair — taken from whichever member pair the source
+        matrix carries — is emitted for every pair of single-worker groups
+        with matching types: a sorted ``(rep_g, rep_h)`` row for distinct
+        groups, the duplicate ``(rep, rep)`` row for a group with >= 2
+        members.  This makes the aggregated matrix independent of *which*
+        member pairs the source happened to instantiate (the type-mode engine
+        keeps only one representative pair per type pair).
         """
-        reps = sorted(representatives.values())
-        singles = np.vstack([matrix.isolated_throughputs(rep) for rep in reps])
-        type_of = {rep: jobs[rep].job_type for rep in reps}
+        matrix = problem.throughputs
+        reps = tuple(rep_jobs)
+        singles = matrix.singles_matrix()[1][index.rep_positions]
+        if previous is not None:
+            last = previous.problem.throughputs
+            paired = matrix.has_space_sharing() or last.has_space_sharing()
+            if (
+                last.job_ids == reps
+                and last.registry is matrix.registry
+                and np.array_equal(last.singles_matrix()[1], singles)
+                and (not paired or (matrix is previous.base.throughputs and not touched))
+            ):
+                return last
+        if not matrix.has_space_sharing():
+            return ThroughputMatrix.from_parts(matrix.registry, reps, singles)
+
+        jobs = problem.jobs
+        type_of = {rep: job.job_type for rep, job in rep_jobs.items()}
         # Canonical throughput row per sorted job-type pair, oriented so the
         # first half carries the lexicographically smaller type.
         canonical: Dict[Tuple[str, str], np.ndarray] = {}
-        for combination in matrix.combinations:
-            if len(combination) != 2:
-                continue
-            first, second = combination
+        for (first, second), row in zip(*matrix.pairs_matrix()):
             type_first = jobs[first].job_type
             type_second = jobs[second].job_type
             if type_first <= type_second:
-                type_pair = (type_first, type_second)
-                row = matrix.row(combination)
+                canonical.setdefault((type_first, type_second), row)
             else:
-                type_pair = (type_second, type_first)
-                row = matrix.row(combination)[::-1]
-            canonical.setdefault(type_pair, row)
+                canonical.setdefault((type_second, type_first), row[::-1])
         # Reps of single-worker groups per job type (pairs only ever involve
         # single-worker jobs; the key bakes scale_factor, so one member being
-        # single-worker means all are).
+        # single-worker means all are), ascending.
         pairable: Dict[str, List[int]] = {}
-        members_of_rep: Dict[int, int] = {}
-        for key, members in groups.items():
-            rep = representatives[key]
-            members_of_rep[rep] = len(members)
-            if int(jobs[rep].scale_factor) == 1:
+        for rep, job in rep_jobs.items():
+            if int(job.scale_factor) == 1:
                 pairable.setdefault(type_of[rep], []).append(rep)
+        members_of_rep = dict(zip(reps, index.counts.tolist()))
         pairs: Dict[JobCombination, np.ndarray] = {}
-        for (type_a, type_b), row in sorted(canonical.items(), key=lambda item: item[0]):
+        for (type_a, type_b), row in sorted(canonical.items(), key=itemgetter(0)):
             if type_a == type_b:
-                same_type = sorted(pairable.get(type_a, []))
+                same_type = pairable.get(type_a, [])
                 for position, rep_a in enumerate(same_type):
                     if members_of_rep[rep_a] >= 2:
                         pairs[(rep_a, rep_a)] = row
                     for rep_b in same_type[position + 1 :]:
                         pairs[(rep_a, rep_b)] = row
                 continue
-            for rep_a in sorted(pairable.get(type_a, [])):
-                for rep_b in sorted(pairable.get(type_b, [])):
+            for rep_a in pairable.get(type_a, []):
+                for rep_b in pairable.get(type_b, []):
                     low, high = sorted((rep_a, rep_b))
                     # Position 0 of the aggregated row must carry the group
                     # of the smaller representative.
@@ -322,58 +431,90 @@ class AggregatedProblem:
         ``weights`` (job id → weight, default equal) biases the split inside
         each group; the default equal split is the one proven optimal for the
         supported objectives and always yields a valid per-job allocation.
+
+        Array code: all singleton rows are one gather of the aggregated
+        matrix through the job index times a share column, a pair row the
+        same over the index pairs of its member lists, and one ``lexsort``
+        puts pair rows into sorted-combination order.
         """
-        entries: Dict[JobCombination, np.ndarray] = {}
+        index = self._index
+        combinations = aggregated.combinations
+        row_of = dict(zip(combinations, range(len(combinations))))
+        try:
+            single_rows = np.fromiter(
+                map(row_of.__getitem__, index.rep_singles), np.intp, len(index.rep_singles)
+            )
+        except KeyError as error:
+            raise ConfigurationError(
+                f"allocation has no row {error.args[0]} for a group representative: "
+                "it is not over this view's aggregated problem"
+            ) from None
+        num_jobs = len(index.job_ids)
+        paired = len(combinations) > len(single_rows)
+        by_group = index.group_members() if paired or weights is not None else []
+        weight: Optional[np.ndarray] = None
+        if weights is None:
+            share = index.equal_share
+        else:
+            weight = np.fromiter(
+                (weights.get(job_id, 1.0) for job_id in index.job_ids), float, num_jobs
+            )
+            share = np.empty(num_jobs)
+            for members in by_group:
+                share[members] = _shares(len(members), weight[members])
+        matrix = aggregated.matrix
+        rows = matrix[single_rows[index.group_of]] * share[:, None]
+        if not paired:
+            return Allocation.from_matrix(
+                aggregated.registry,
+                index.singles,
+                rows,
+                scale_factors=index.scale_factors,
+                job_ids=index.job_ids,
+                demand=index.demand,
+            )
 
-        def accumulate(key: JobCombination, values: np.ndarray) -> None:
-            if key in entries:
-                entries[key] = entries[key] + values
-            else:
-                entries[key] = values
-
-        rep_to_key = {rep: key for key, rep in self.representatives.items()}
-        for combination in aggregated.combinations:
-            row = aggregated.row(combination)
+        # Pair rows, as positions into the job index: ``low`` < ``high``.
+        ordinal = dict(zip(self.problem.jobs, range(len(by_group))))
+        lows: List[np.ndarray] = []
+        highs: List[np.ndarray] = []
+        blocks = [rows]
+        for combination, row in row_of.items():
             if len(combination) == 1:
-                members = self.groups[rep_to_key[combination[0]]]
-                shares = weighted_member_split(1.0, members, weights)
-                for member, share in shares.items():
-                    accumulate((member,), row * share)
                 continue
-            first, second = combination
-            if first == second:
-                members = self.groups[rep_to_key[first]]
-                pair_ids = [
-                    (members[i], members[j])
-                    for i in range(len(members))
-                    for j in range(i + 1, len(members))
-                ]
-                pair_weights = (
-                    None
-                    if weights is None
-                    else [
-                        float(weights.get(a, 1.0)) * float(weights.get(b, 1.0))
-                        for a, b in pair_ids
-                    ]
+            first, second = (by_group[ordinal[rep]] for rep in combination)
+            if combination[0] == combination[1]:
+                upper, lower = np.triu_indices(len(first), 1)
+                low, high = first[upper], first[lower]
+                pair_share = _shares(
+                    len(low), None if weight is None else weight[low] * weight[high]
                 )
-                shares = proportional_split(
-                    1.0, pair_weights if pair_weights is not None else [1.0] * len(pair_ids)
-                )
-                for (a, b), share in zip(pair_ids, shares):
-                    accumulate((a, b), row * share)
-                continue
-            members_first = self.groups[rep_to_key[first]]
-            members_second = self.groups[rep_to_key[second]]
-            shares_first = weighted_member_split(1.0, members_first, weights)
-            shares_second = weighted_member_split(1.0, members_second, weights)
-            for member_a, share_a in shares_first.items():
-                for member_b, share_b in shares_second.items():
-                    accumulate(
-                        tuple(sorted((member_a, member_b))), row * (share_a * share_b)
-                    )
-
-        return Allocation(
-            aggregated.registry, entries, scale_factors=self.base.scale_factors()
+            else:
+                left = np.repeat(first, len(second))
+                right = np.tile(second, len(first))
+                low, high = np.minimum(left, right), np.maximum(left, right)
+                pair_share = share[left] * share[right]
+            lows.append(low)
+            highs.append(high)
+            blocks.append(pair_share[:, None] * matrix[row])
+        low, high = np.concatenate(lows), np.concatenate(highs)
+        # Sorted-combination order: by first job, a singleton before its pairs.
+        order = np.lexsort(
+            (
+                np.concatenate((np.full(num_jobs, -1), high)),
+                np.concatenate((np.arange(num_jobs), low)),
+            )
+        )
+        ids, scales = np.asarray(index.job_ids), np.asarray(index.demand)
+        unsorted = index.singles + tuple(zip(ids[low].tolist(), ids[high].tolist()))
+        demand = np.concatenate((scales, np.maximum(scales[low], scales[high])))
+        return Allocation.from_matrix(
+            aggregated.registry,
+            tuple(map(unsorted.__getitem__, order.tolist())),
+            np.concatenate(blocks)[order],
+            scale_factors=index.scale_factors,
+            job_ids=index.job_ids,
+            demand=tuple(demand[order].tolist()),
         )
 
 
@@ -381,14 +522,15 @@ class AggregatedSession(PolicySession):
     """Session adapter running a policy's own session over the aggregated view.
 
     ``Policy.session`` returns this wrapper when ``policy.aggregation ==
-    "type"`` and the problem is not yet aggregated.  Each solve rebuilds the
-    :class:`AggregatedProblem` view from the per-job snapshot (an ``O(n)``
-    scan — the LP itself only sees the type-level rows), feeds it to the
-    policy's inner incremental session, and expands the group-total solution
-    back to per-job shares.  Deltas — including
-    :class:`~repro.core.session.TypeCountChanged` — are advisory, exactly as
-    for per-job sessions: the view diff against the snapshot is what drives
-    the inner session's updates.
+    "type"`` and the problem is not yet aggregated.  Each solve derives the
+    :class:`AggregatedProblem` view of the per-job snapshot from the last
+    solve's view (the work is the jobs that came or went and the groups they
+    touched — see :meth:`AggregatedProblem.build`), feeds it to the policy's
+    inner incremental session — the LP only ever sees the type-level rows —
+    and expands the group-total solution to per-job shares in one gather.
+    Deltas — including :class:`~repro.core.session.TypeCountChanged` — are
+    advisory, exactly as for per-job sessions: the snapshot is the truth, and
+    the view diff against it is what drives the inner session's updates.
     """
 
     def __init__(self, policy: Policy, problem: PolicyProblem) -> None:

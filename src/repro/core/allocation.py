@@ -48,7 +48,10 @@ class Allocation:
         combinations = tuple(sorted(rows))
         matrix = np.array([rows[combination] for combination in combinations], dtype=float)
         self._adopt(
-            registry, combinations, matrix.reshape(len(rows), len(registry)), scale_factors
+            registry,
+            combinations,
+            matrix.reshape(len(rows), len(registry)),
+            dict(scale_factors or {}),
         )
 
     def _adopt(
@@ -57,18 +60,22 @@ class Allocation:
         combinations: Tuple[JobCombination, ...],
         matrix: np.ndarray,
         scale_factors: Optional[Mapping[int, int]],
+        job_ids: Optional[Tuple[int, ...]] = None,
+        demand: Optional[Tuple[int, ...]] = None,
     ) -> None:
         matrix.flags.writeable = False
         self._registry = registry
         self._combinations = combinations
         self._matrix = matrix
-        self._entries: Dict[JobCombination, np.ndarray] = dict(zip(combinations, matrix))
-        self._scale_factors: Dict[int, int] = dict(scale_factors or {})
-        self._job_ids: Tuple[int, ...] = tuple(
-            sorted({job_id for combination in combinations for job_id in combination})
-        )
+        self._scale_factors: Mapping[int, int] = scale_factors or {}
+        # Everything below is derived from the three above on first use; a
+        # builder that already holds one (the type-aggregated expansion) passes it.
+        self._job_ids = job_ids
+        self._demand = demand
+        #: Row of each combination in ``_matrix``.
+        self._rows: Optional[Dict[JobCombination, int]] = None
         #: Per-job sums over the rows containing the job, aligned with
-        #: ``_job_ids``; built on first use (see :meth:`_job_rows`).
+        #: ``job_ids`` (see :meth:`_job_rows`).
         self._job_row_sums: Optional[np.ndarray] = None
 
     # -- constructors -------------------------------------------------------------
@@ -79,12 +86,17 @@ class Allocation:
         combinations: Tuple[JobCombination, ...],
         matrix: np.ndarray,
         scale_factors: Optional[Mapping[int, int]] = None,
+        job_ids: Optional[Tuple[int, ...]] = None,
+        demand: Optional[Tuple[int, ...]] = None,
     ) -> "Allocation":
         """Array-backed constructor: ``matrix[r]`` is the row of ``combinations[r]``.
 
         ``combinations`` must already be normalised (each a sorted tuple of
         ints) and sorted — e.g. ``ThroughputMatrix.dense_rows().combinations``
-        — and ``matrix`` is adopted, not copied: it becomes read-only.
+        — and ``matrix`` and ``scale_factors`` are adopted, not copied: the
+        array becomes read-only, the mapping must not change afterwards.
+        ``job_ids`` and ``demand`` are what :attr:`job_ids` and :attr:`demand`
+        would derive, for a caller that holds them already.
         """
         if matrix.shape != (len(combinations), len(registry)):
             raise AllocationError(
@@ -92,7 +104,7 @@ class Allocation:
                 f"({len(combinations)}, {len(registry)})"
             )
         allocation = cls.__new__(cls)
-        allocation._adopt(registry, tuple(combinations), matrix, scale_factors)
+        allocation._adopt(registry, tuple(combinations), matrix, scale_factors, job_ids, demand)
         return allocation
 
     @classmethod
@@ -127,23 +139,43 @@ class Allocation:
 
     @property
     def job_ids(self) -> Tuple[int, ...]:
+        """Every job of any row, sorted."""
+        if self._job_ids is None:
+            self._job_ids = tuple(
+                sorted({job_id for combination in self._combinations for job_id in combination})
+            )
         return self._job_ids
 
     def scale_factor(self, job_id: int) -> int:
         """Workers requested by ``job_id`` (1 when not recorded)."""
         return int(self._scale_factors.get(job_id, 1))
 
+    @property
+    def demand(self) -> Tuple[int, ...]:
+        """Workers each row occupies when scheduled: the largest scale factor among its jobs."""
+        if self._demand is None:
+            self._demand = tuple(
+                max(self.scale_factor(job_id) for job_id in combination)
+                for combination in self._combinations
+            )
+        return self._demand
+
+    def _row_index(self, key: JobCombination) -> Optional[int]:
+        if self._rows is None:
+            self._rows = dict(zip(self._combinations, range(len(self._combinations))))
+        return self._rows.get(key)
+
     def has_row(self, combination: Sequence[int]) -> bool:
         """Whether this allocation has an entry for the given combination."""
-        key = tuple(sorted(int(j) for j in combination))
-        return key in self._entries
+        return self._row_index(tuple(sorted(int(j) for j in combination))) is not None
 
     # -- values ---------------------------------------------------------------------
     def row(self, combination: Sequence[int]) -> np.ndarray:
         key = tuple(sorted(int(j) for j in combination))
-        if key not in self._entries:
+        index = self._row_index(key)
+        if index is None:
             raise UnknownJobError(f"combination {key} is not part of this allocation")
-        return self._entries[key].copy()
+        return self._matrix[index].copy()
 
     def value(self, combination: Sequence[int], accelerator_name: str) -> float:
         return float(self.row(combination)[self._registry.index_of(accelerator_name)])
@@ -155,22 +187,23 @@ class Allocation:
         one per queried job.  A same-group ``(j, j)`` row counts once.
         """
         if self._job_row_sums is None:
-            position = {job_id: index for index, job_id in enumerate(self._job_ids)}
+            position = {job_id: index for index, job_id in enumerate(self.job_ids)}
             rows: List[int] = []
             owners: List[int] = []
             for row, combination in enumerate(self._combinations):
                 for job_id in dict.fromkeys(combination):
                     rows.append(row)
                     owners.append(position[job_id])
-            sums = np.zeros((len(self._job_ids), len(self._registry)))
+            sums = np.zeros((len(position), len(self._registry)))
             np.add.at(sums, owners, self._matrix[rows])
             self._job_row_sums = sums
         return self._job_row_sums
 
     def job_row(self, job_id: int) -> np.ndarray:
         """Per-accelerator time fractions of ``job_id`` summed over all rows containing it."""
-        index = bisect_left(self._job_ids, job_id)
-        if index == len(self._job_ids) or self._job_ids[index] != job_id:
+        job_ids = self.job_ids
+        index = bisect_left(job_ids, job_id)
+        if index == len(job_ids) or job_ids[index] != job_id:
             return np.zeros(len(self._registry))
         return self._job_rows()[index].copy()
 
@@ -181,14 +214,13 @@ class Allocation:
     def worker_usage(self) -> np.ndarray:
         """Expected worker usage per accelerator type (left side of constraint (3))."""
         usage = np.zeros(len(self._registry))
-        for combination, values in self._entries.items():
-            scale = max(self.scale_factor(job_id) for job_id in combination)
+        for values, scale in zip(self._matrix, self.demand):
             usage += values * scale
         return usage
 
     def as_dict(self) -> Dict[JobCombination, np.ndarray]:
         """A copy of the raw entries."""
-        return {combination: values.copy() for combination, values in self._entries.items()}
+        return dict(zip(self._combinations, self._matrix.copy()))
 
     # -- validation -------------------------------------------------------------------
     def validate(self, cluster_spec: ClusterSpec, tolerance: float = _VALIDATION_TOLERANCE) -> None:
@@ -213,7 +245,7 @@ class Allocation:
         if over.any():
             index = int(np.argmax(over))
             raise AllocationError(
-                f"job {self._job_ids[index]} is allocated a total time fraction of "
+                f"job {self.job_ids[index]} is allocated a total time fraction of "
                 f"{totals[index]:.4f} > 1"
             )
         usage = self.worker_usage()
@@ -245,11 +277,15 @@ class Allocation:
             self._combinations,
             np.clip(self._matrix, 0.0, upper),
             scale_factors=self._scale_factors,
+            job_ids=self._job_ids,
+            demand=self._demand,
         )
 
     def __repr__(self) -> str:
-        lines = [f"Allocation({len(self._entries)} rows, accelerators={list(self._registry.names)})"]
-        for combination in self._combinations:
-            values = ", ".join(f"{v:.3f}" for v in self._entries[combination])
+        lines = [
+            f"Allocation({len(self._combinations)} rows, accelerators={list(self._registry.names)})"
+        ]
+        for combination, row in zip(self._combinations, self._matrix):
+            values = ", ".join(f"{v:.3f}" for v in row)
             lines.append(f"  {combination}: [{values}]")
         return "\n".join(lines)

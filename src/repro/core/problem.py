@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -86,8 +87,9 @@ class PolicyProblem:
                     )
 
     # -- convenience accessors -------------------------------------------------
-    @property
+    @cached_property
     def job_ids(self) -> Tuple[int, ...]:
+        """The job ids, sorted (``jobs`` is never edited after construction)."""
         return tuple(sorted(self.jobs))
 
     @property

@@ -9,7 +9,7 @@ active jobs grows.
 from __future__ import annotations
 
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -40,6 +40,9 @@ __all__ = [
     "measure_aggregated_solve_runtime",
     "steady_state_job_ids",
 ]
+
+#: Events per point of the ``"resolve"`` series of :func:`measure_aggregated_solve_runtime`.
+RESOLVE_EVENTS = 20
 
 
 @dataclass
@@ -342,11 +345,20 @@ def measure_aggregated_solve_runtime(
     * ``"aggregated"`` — the same spec in ``aggregation="type"`` mode, whose
       inner LP carries one row per active *type* group.
 
+    * ``"resolve"`` — what the aggregated session costs once it exists, which
+      is what a scheduler pays per re-allocation: the session of the
+      ``"aggregated"`` leg is kept, and the mean of ``session.apply(deltas);
+      session.solve(problem)`` is taken over :data:`RESOLVE_EVENTS` events per seed,
+      each one departure (the oldest job) plus one arrival, on snapshots that
+      carry ``steps_remaining`` / ``time_elapsed`` for every job as the
+      service's do.
+
     Matrix preparation runs through an :class:`AllocationEngine` per leg and
     is excluded from the timings.  Alongside the seconds, each point reports
-    ``"lp_rows"`` (the aggregated session's inner row count) and
-    ``"active_types"`` (concurrent aggregation groups) so callers can gate
-    the LP size on the type count rather than the job count.
+    ``"lp_rows"`` (the aggregated session's inner row count, over the cold
+    solve and every re-solve) and ``"active_types"`` (concurrent aggregation
+    groups) so callers can gate the LP size on the type count rather than the
+    job count.
     """
     oracle = oracle if oracle is not None else ThroughputOracle()
     per_job_policy = make_policy(spec)
@@ -360,6 +372,8 @@ def measure_aggregated_solve_runtime(
         )
         run_per_job = per_job_max is None or num_jobs <= per_job_max
         aggregated_total = 0.0
+        resolve_total = 0.0
+        resolve_events = 0
         per_job_total = 0.0
         lp_rows = 0
         active_types = 0
@@ -390,6 +404,31 @@ def measure_aggregated_solve_runtime(
                 active_types, len(engine_type.group_counts), len(session.view.groups)
             )
 
+            arrivals = generator.generate_static(num_jobs=RESOLVE_EVENTS, seed=seed + 1).jobs
+            active = dict(jobs)
+            engine_type.drain_deltas()  # the initial arrivals: the session was built from them
+            for departing, arrival in zip(list(active.values())[:RESOLVE_EVENTS], arrivals):
+                arriving = replace(arrival, job_id=num_jobs + arrival.job_id)
+                engine_type.remove_job(departing.job_id)
+                del active[departing.job_id]
+                engine_type.add_job(arriving)
+                active[arriving.job_id] = arriving
+                problem = PolicyProblem(
+                    jobs=dict(active),
+                    throughputs=engine_type.matrix(),
+                    cluster_spec=cluster_spec,
+                    steps_remaining={job_id: job.total_steps for job_id, job in active.items()},
+                    time_elapsed=dict.fromkeys(active, 0.0),
+                )
+                deltas = engine_type.drain_deltas()
+                start = _time.perf_counter()
+                session.apply(deltas)
+                session.solve(problem)
+                resolve_total += _time.perf_counter() - start
+                resolve_events += 1
+                lp_rows = max(lp_rows, session.view.problem.throughputs.num_rows())
+                active_types = max(active_types, len(session.view.groups))
+
             if run_per_job:
                 engine_job = AllocationEngine(
                     oracle, space_sharing=per_job_policy.space_sharing
@@ -406,6 +445,7 @@ def measure_aggregated_solve_runtime(
                 per_job_total += _time.perf_counter() - start
         results[int(num_jobs)] = {
             "aggregated": aggregated_total / len(seeds),
+            "resolve": resolve_total / max(1, resolve_events),
             "per_job": per_job_total / len(seeds) if run_per_job else None,
             "lp_rows": int(lp_rows),
             "active_types": int(active_types),

@@ -53,14 +53,11 @@ class PriorityTracker:
     def __init__(self, allocation: Allocation) -> None:
         self._allocation = allocation
         self.combinations: Tuple[JobCombination, ...] = allocation.combinations
-        self.row_of: Dict[JobCombination, int] = {
-            combination: row for row, combination in enumerate(self.combinations)
-        }
-        self.target: np.ndarray = allocation.matrix
-        self.demand: Tuple[int, ...] = tuple(
-            max(allocation.scale_factor(job_id) for job_id in combination)
-            for combination in self.combinations
+        self.row_of: Dict[JobCombination, int] = dict(
+            zip(self.combinations, range(len(self.combinations)))
         )
+        self.target: np.ndarray = allocation.matrix
+        self.demand: Tuple[int, ...] = allocation.demand
         self.num_jobs: int = len(allocation.job_ids)
         self.time_received: np.ndarray = np.zeros(self.target.shape)
         self._wanted: np.ndarray = self.target > 0

@@ -1090,10 +1090,11 @@ class ClusterScheduler:
                 consolidated=consolidated,
             )
         other_id = combination[0] if combination[1] == job_id else combination[1]
-        pair = self._colocation.colocated_throughputs(
+        # Asked with this job's type first, so ``first`` is this job's rate
+        # whichever position of the combination it holds.
+        return self._colocation.colocated_throughputs(
             state.job.job_type, self._active[other_id].job.job_type, accelerator_name
-        )
-        return pair.first if combination[0] == job_id else pair.second
+        ).first
 
     # -- internals: round-based stepping --------------------------------------------------------
     def _step_round(self) -> None:

@@ -16,15 +16,10 @@ the per-job level loop.
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
+from reference_aggregation import proportional_split, weighted_member_split
 
 from repro.cluster import ClusterSpec
-from repro.core import (
-    AggregatedProblem,
-    PolicyProblem,
-    make_policy,
-    proportional_split,
-    weighted_member_split,
-)
+from repro.core import AggregatedProblem, PolicyProblem, make_policy
 from repro.core.throughput_matrix import build_throughput_matrix
 from repro.harness.equivalence import LEVEL_PROFILE_TOL, water_filling_level_profile
 from repro.workloads import Job, ThroughputOracle

@@ -6,6 +6,7 @@ from repro.cluster import ClusterSpec
 from repro.exceptions import ConfigurationError
 from repro.harness import (
     LoadSweepPoint,
+    measure_aggregated_solve_runtime,
     measure_lp_build_runtime,
     measure_policy_runtime,
     measure_policy_solve_under_churn,
@@ -127,3 +128,11 @@ class TestFigure12Series:
         )
         assert set(churn[8]) == {"scratch", "session"}
         assert all(seconds > 0 for seconds in churn[8].values())
+
+    def test_aggregated_point_times_cold_solve_and_kept_session_resolve(self, oracle):
+        # 12 jobs: fewer than the harness's events, so the mean is over the 12 that ran.
+        series = measure_aggregated_solve_runtime("max_min_fairness", [12, 40], oracle=oracle)
+        for point in series.values():
+            assert point["aggregated"] > 0 and point["per_job"] > 0
+            assert 0 < point["resolve"] < point["aggregated"] * 10
+            assert 0 < point["lp_rows"] <= point["active_types"]

@@ -136,10 +136,10 @@ def _execution_throughput(
     else:
         other_id = combination[0] if combination[1] == job_id else combination[1]
         other = scheduler._active[other_id]
-        pair = scheduler._colocation.colocated_throughputs(
+        # Own type first: ``first`` is this job's rate in either position.
+        throughput = scheduler._colocation.colocated_throughputs(
             state.job.job_type, other.job.job_type, accelerator_name
-        )
-        throughput = pair.first if combination[0] == job_id else pair.second
+        ).first
     config = scheduler._config
     if config.mode == "physical" and config.throughput_jitter_std > 0:
         throughput *= max(0.0, float(scheduler._rng.normal(1.0, config.throughput_jitter_std)))
