@@ -31,6 +31,13 @@ completion and estimate refinement appends a
 hands the batch to ``session.apply(...)`` so the policy layer can edit its
 live solver program instead of rebuilding it.
 
+The singleton and pair rows are kept as two key-sorted blocks
+(:class:`_SortedRows`) that events *edit* — a departure masks its rows out, an
+arrival inserts its rows at their sorted positions — and
+:meth:`AllocationEngine.matrix` hands them to
+:meth:`~repro.core.throughput_matrix.ThroughputMatrix.from_trusted_blocks`:
+each row is validated once, when it first enters a block, not on every event.
+
 The produced matrix is exactly equivalent to a from-scratch
 :func:`~repro.core.throughput_matrix.build_throughput_matrix` over the same
 active set; the equivalence tests in ``tests/core/test_allocation_engine.py``
@@ -39,7 +46,9 @@ assert this after arbitrary arrival/completion sequences.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from bisect import bisect_left
+from itertools import compress
+from typing import Dict, FrozenSet, Generic, Iterable, List, Optional, Set, Tuple, TypeVar
 
 import numpy as np
 
@@ -156,6 +165,75 @@ class PairThroughputCache:
         return len(stale)
 
 
+_Key = TypeVar("_Key", int, JobCombination)
+
+
+class _SortedRows(Generic[_Key]):
+    """Rows keyed by job id (or pair), also kept as one key-sorted block.
+
+    The mapping is the truth; edits since the last :meth:`block` are buffered
+    and applied there in one pass — removed rows masked out, added rows
+    inserted at their sorted positions — so a block is edited, not re-stacked
+    from every row.  A returned block is never written to again, so a matrix
+    adopting it stays valid after later edits.  Rows are validated (shape, no
+    negative throughput) once, in one batch, when they first enter a block.
+    """
+
+    def __init__(self, shape: Tuple[int, ...]) -> None:
+        self._shape = shape
+        self._rows: Dict[_Key, np.ndarray] = {}
+        self._keys: List[_Key] = []
+        self._block = np.zeros((0, *shape))
+        self._added: Dict[_Key, np.ndarray] = {}
+        self._removed: Set[_Key] = set()
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __setitem__(self, key: _Key, row: np.ndarray) -> None:
+        if key in self._rows:
+            self.pop(key)
+        self._rows[key] = self._added[key] = row
+
+    def pop(self, key: _Key) -> None:
+        if self._rows.pop(key, None) is not None and self._added.pop(key, None) is None:
+            self._removed.add(key)  # in the block: mask it out at the next block()
+
+    def clear(self) -> None:
+        self._rows.clear()
+        self._keys = []
+        self._block = np.zeros((0, *self._shape))
+        self._added.clear()
+        self._removed.clear()
+
+    def block(self) -> Tuple[List[_Key], np.ndarray]:
+        """Keys in ascending order and the row-aligned block."""
+        keys, block = self._keys, self._block
+        if self._removed:
+            keep = np.ones(len(keys), dtype=bool)
+            keep[[bisect_left(keys, key) for key in self._removed]] = False
+            keys, block = list(compress(keys, keep.tolist())), block[keep]
+            self._removed.clear()
+        if self._added:
+            new = sorted(self._added)
+            rows = np.array([self._added[key] for key in new], dtype=float)
+            if rows.shape[1:] != self._shape or np.any(rows < 0):
+                raise ConfigurationError(
+                    f"rows {new} must have shape {self._shape} and no negative throughput"
+                )
+            at = np.fromiter((bisect_left(keys, key) for key in new), np.intp, len(new))
+            at += np.arange(len(new))  # positions in the merged block
+            merged = np.empty((len(keys) + len(new), *self._shape))
+            fresh = np.zeros(len(merged), dtype=bool)
+            fresh[at] = True
+            merged[at] = rows
+            merged[~fresh] = block
+            keys, block = sorted(keys + new), merged  # two sorted runs: one merge
+            self._added.clear()
+        self._keys, self._block = keys, block
+        return keys, block
+
+
 class AllocationEngine:
     """Maintains the policy-input :class:`ThroughputMatrix` incrementally.
 
@@ -191,10 +269,11 @@ class AllocationEngine:
             self._cache = PairThroughputCache(
                 model, tuple(oracle.registry.names), threshold=colocation_threshold
             )
+        num_types = len(oracle.registry)
         self._jobs: Dict[int, Job] = {}
         self._single_worker: Dict[int, Job] = {}
-        self._singles: Dict[int, np.ndarray] = {}
-        self._pairs: Dict[JobCombination, np.ndarray] = {}
+        self._singles: _SortedRows[int] = _SortedRows((num_types,))
+        self._pairs: _SortedRows[JobCombination] = _SortedRows((2, num_types))
         self._pair_rows_by_job: Dict[int, Set[JobCombination]] = {}
         #: Active-type histogram (group key -> member count), maintained in
         #: both modes; drives the ``TypeCountChanged`` delta stream.
@@ -285,7 +364,7 @@ class AllocationEngine:
 
     def _remove_pair_row(self, combination: JobCombination) -> None:
         """Drop one pair row from the store and the per-job row index."""
-        self._pairs.pop(combination, None)
+        self._pairs.pop(combination)
         for job_id in dict.fromkeys(combination):
             rows = self._pair_rows_by_job.get(job_id)
             if rows is not None:
@@ -376,9 +455,9 @@ class AllocationEngine:
         self._matrix = None
         job = self._jobs.pop(job_id)
         self._single_worker.pop(job_id, None)
-        del self._singles[job_id]
+        self._singles.pop(job_id)
         for combination in self._pair_rows_by_job.pop(job_id, set()):
-            self._pairs.pop(combination, None)
+            self._pairs.pop(combination)
             for other_id in combination:
                 if other_id != job_id:
                     partner_rows = self._pair_rows_by_job.get(other_id)
@@ -408,7 +487,7 @@ class AllocationEngine:
     def _drop_pair_rows_of(self, job_id: int) -> None:
         """Remove every pair row containing ``job_id`` (the job itself stays)."""
         for combination in self._pair_rows_by_job.pop(job_id, set()):
-            self._pairs.pop(combination, None)
+            self._pairs.pop(combination)
             for other_id in combination:
                 if other_id != job_id:
                     partner_rows = self._pair_rows_by_job.get(other_id)
@@ -467,6 +546,8 @@ class AllocationEngine:
         When the colocation model advertises a changed ``version`` (an
         estimator refined by ``observe()``), the affected pair rows are
         recomputed so the refinement reaches this and later allocations.
+        A rebuild costs the rows added or removed since the last one plus a
+        C-level pass over the two blocks; no row is re-validated.
         """
         self._sync_model_version()
         if self._matrix is None:
@@ -474,9 +555,9 @@ class AllocationEngine:
                 raise ConfigurationError(
                     "cannot build a throughput matrix for zero active jobs"
                 )
-            job_ids = sorted(self._singles)
-            singles = np.vstack([self._singles[job_id] for job_id in job_ids])
-            self._matrix = ThroughputMatrix.from_parts(
-                self._oracle.registry, job_ids, singles, dict(self._pairs)
+            job_ids, singles = self._singles.block()
+            pair_ids, pairs = self._pairs.block()
+            self._matrix = ThroughputMatrix.from_trusted_blocks(
+                self._oracle.registry, tuple(job_ids), singles, tuple(pair_ids), pairs
             )
         return self._matrix

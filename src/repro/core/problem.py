@@ -50,31 +50,32 @@ class PolicyProblem:
     def __post_init__(self) -> None:
         if not self.jobs:
             raise ConfigurationError("policy problem must contain at least one job")
+        # Runs once per re-allocation over every active job: comparisons of
+        # key views and one comprehension, no Python loop per job.
         matrix_jobs = set(self.throughputs.job_ids)
-        problem_jobs = set(self.jobs)
-        if matrix_jobs != problem_jobs:
+        problem_jobs = self.jobs.keys()
+        if problem_jobs != matrix_jobs:
             raise ConfigurationError(
                 "throughput matrix jobs and problem jobs differ: "
                 f"matrix-only={sorted(matrix_jobs - problem_jobs)}, "
                 f"problem-only={sorted(problem_jobs - matrix_jobs)}"
             )
-        for job_id, job in self.jobs.items():
-            if job_id != job.job_id:
-                raise ConfigurationError(
-                    f"jobs mapping key {job_id} does not match job id {job.job_id}"
-                )
+        if [job.job_id for job in self.jobs.values()] != list(problem_jobs):
+            job_id, job = next(item for item in self.jobs.items() if item[0] != item[1].job_id)
+            raise ConfigurationError(
+                f"jobs mapping key {job_id} does not match job id {job.job_id}"
+            )
         for label, mapping in (
             ("steps_remaining", self.steps_remaining),
             ("time_elapsed", self.time_elapsed),
         ):
-            stale = set(mapping) - problem_jobs
-            if stale:
+            if not problem_jobs >= mapping.keys():
                 raise ConfigurationError(
                     f"{label} references job ids that are not in the problem: "
-                    f"{sorted(stale)}"
+                    f"{sorted(mapping.keys() - problem_jobs)}"
                 )
         if self.group_counts is not None:
-            stale = set(self.group_counts) - problem_jobs
+            stale = self.group_counts.keys() - problem_jobs
             if stale:
                 raise ConfigurationError(
                     "group_counts references job ids that are not in the problem: "

@@ -14,13 +14,17 @@ construction, and the dense block makes the singleton-only transformations
 (:meth:`ThroughputMatrix.restrict_to_singletons`,
 :meth:`ThroughputMatrix.heterogeneity_agnostic`) vectorized copies.
 :meth:`ThroughputMatrix.from_parts` exposes the dense fast path to builders
-that already hold the block (the allocation engine, the oracle's batched
-singleton rows).
+that already hold the block (the oracle's batched singleton rows, the
+aggregated view), and :meth:`ThroughputMatrix.from_trusted_blocks` adopts the
+sorted singleton and pair blocks the allocation engine keeps across events
+without re-validating them.  Everything derived from the blocks — the row
+list, the per-job index, the pair mapping — is built on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -91,6 +95,17 @@ def _normalize_combination(combination: Sequence[int]) -> JobCombination:
     return ordered
 
 
+def _check_members(job_ids: Tuple[int, ...], members: np.ndarray) -> None:
+    """Raise unless every job of a multi-job row (``members``) has a singleton row."""
+    ids = np.asarray(job_ids, dtype=np.int64)
+    positions = np.minimum(np.searchsorted(ids, members), len(ids) - 1)
+    missing = members[ids[positions] != members]
+    if len(missing):
+        raise ConfigurationError(
+            f"job {int(missing[0])} appears in a pair row but has no singleton row"
+        )
+
+
 class ThroughputMatrix:
     """Per-combination, per-accelerator throughputs for a set of active jobs."""
 
@@ -126,6 +141,7 @@ class ThroughputMatrix:
             else np.zeros((0, len(registry)))
         )
         self._init_from_parts(registry, tuple(job_ids), dense, pairs)
+        _check_members(self._job_ids, np.fromiter(chain.from_iterable(pairs), np.int64))
 
     @classmethod
     def from_parts(
@@ -154,7 +170,8 @@ class ThroughputMatrix:
             raise ConfigurationError("from_parts job_ids must be sorted and unique")
         if np.any(singles < 0):
             raise ConfigurationError("singleton block contains negative throughputs")
-        pair_entries: Dict[JobCombination, np.ndarray] = {}
+        # ``None``: every multi-job row is in the pair block, mapped on first use.
+        pair_entries: Optional[Dict[JobCombination, np.ndarray]] = None
         pair_block: Optional[np.ndarray] = None
         pair_ids: Tuple[JobCombination, ...] = ()
         pair_items = sorted((pairs or {}).items())
@@ -179,10 +196,8 @@ class ThroughputMatrix:
             if np.any(pair_block < 0):
                 raise ConfigurationError("pair rows contain negative throughputs")
             pair_ids = tuple(combination for combination, _ in pair_items)
-            pair_entries = {
-                combination: pair_block[index] for index, combination in enumerate(pair_ids)
-            }
         else:
+            pair_entries = {}
             for combination, values in pair_items:
                 array = np.asarray(values, dtype=float)
                 if array.shape != (len(combination), len(registry)) or len(combination) < 2:
@@ -200,6 +215,32 @@ class ThroughputMatrix:
         )
         if pair_block is not None:
             matrix._pair_endpoints = endpoints
+            _check_members(job_ids, endpoints.ravel())
+        else:
+            _check_members(job_ids, np.fromiter(chain.from_iterable(pair_entries), np.int64))
+        return matrix
+
+    @classmethod
+    def from_trusted_blocks(
+        cls,
+        registry: AcceleratorRegistry,
+        job_ids: Tuple[int, ...],
+        singles: np.ndarray,
+        pair_ids: Tuple[JobCombination, ...],
+        pair_block: np.ndarray,
+    ) -> "ThroughputMatrix":
+        """Adopt blocks whose rows were validated when they entered them.
+
+        ``job_ids`` is sorted and unique with ``singles`` row-aligned;
+        ``pair_ids`` is sorted, each a normalized pair of ``job_ids`` members,
+        with ``pair_block`` of shape ``(len(pair_ids), 2, num_accelerators)``
+        aligned; no throughput is negative.  Nothing is checked or copied —
+        this is the allocation engine's per-event path, whose rows were checked
+        as they entered its blocks — so the caller must never write to the
+        arrays again.
+        """
+        matrix = cls.__new__(cls)
+        matrix._init_from_parts(registry, job_ids, singles, None, pair_ids, pair_block)
         return matrix
 
     def _init_from_parts(
@@ -207,60 +248,67 @@ class ThroughputMatrix:
         registry: AcceleratorRegistry,
         job_ids: Tuple[int, ...],
         singles: np.ndarray,
-        pairs: Dict[JobCombination, np.ndarray],
+        pairs: Optional[Dict[JobCombination, np.ndarray]],
         pair_ids: Optional[Tuple[JobCombination, ...]] = None,
         pair_block: Optional[np.ndarray] = None,
     ) -> None:
+        """Adopt the parts; derived state is built on first use.
+
+        ``pairs`` maps every multi-job row, or is ``None`` when ``pair_block``
+        holds them all (then :meth:`_pair_dict` derives the mapping).
+        """
         if len(job_ids) == 0:
             raise ConfigurationError("throughput matrix must contain at least one row")
         self._registry = registry
-        self._singles_ids = job_ids
-        self._singles_index = {job_id: row for row, job_id in enumerate(job_ids)}
+        self._job_ids: Tuple[int, ...] = job_ids
         self._singles = singles
         self._pairs = pairs
-        if pair_ids and pair_block is not None and len(pair_ids) == len(pairs):
-            # from_parts validated the stacked block; check membership in bulk.
-            endpoints = np.asarray(pair_ids, dtype=np.int64)
-            job_ids_array = np.asarray(job_ids, dtype=np.int64)
-            positions = np.searchsorted(job_ids_array, endpoints)
-            valid = (positions < len(job_ids_array)) & (
-                job_ids_array[np.minimum(positions, len(job_ids_array) - 1)] == endpoints
-            )
-            if not valid.all():
-                missing = int(endpoints[~valid][0])
-                raise ConfigurationError(
-                    f"job {missing} appears in a pair row but has no singleton row"
-                )
-        else:
-            pair_ids, pair_block = None, None
-            known = set(job_ids)
-            for combination in pairs:
-                for job_id in combination:
-                    if job_id not in known:
-                        raise ConfigurationError(
-                            f"job {job_id} appears in a pair row but has no singleton row"
-                        )
-        self._pair_ids: Optional[Tuple[JobCombination, ...]] = pair_ids
+        #: The pair block and its (sorted) combinations; the block is ``None``
+        #: until :meth:`_pair_parts` stacks it from ``pairs``.
+        self._pair_ids: Tuple[JobCombination, ...] = (
+            pair_ids if pair_ids is not None and pair_block is not None else ()
+        )
         self._pair_block: Optional[np.ndarray] = pair_block
         #: Sorted (first, second) job-id endpoints of the pair block, cached
         #: for vectorized merged-row assembly in :meth:`dense_rows`.
         self._pair_endpoints: Optional[np.ndarray] = None
         self._pair_index_map: Optional[Dict[JobCombination, int]] = None
-        self._combinations: List[JobCombination] = sorted(
-            [(job_id,) for job_id in job_ids] + list(pairs)
-        )
-        self._job_ids: Tuple[int, ...] = job_ids
+        self._singles_index: Optional[Dict[int, int]] = None
+        self._combinations: Optional[Tuple[JobCombination, ...]] = None
         #: Lazily built per-job row index (a per-member Python pass that large
         #: matrices only pay when the dict-path accessors actually need it).
         self._rows_by_job: Optional[Dict[int, List[Tuple[JobCombination, int]]]] = None
         self._dense_rows: Optional[DenseRows] = None
+
+    def _pair_dict(self) -> Dict[JobCombination, np.ndarray]:
+        """Every multi-job row by combination (views into the pair block)."""
+        if self._pairs is None:  # then the block holds every multi-job row
+            self._pairs = dict(zip(*self._pair_parts()))
+        return self._pairs
+
+    def _num_multi(self) -> int:
+        """Number of multi-job rows."""
+        return len(self._pair_ids) if self._pairs is None else len(self._pairs)
+
+    def _combination_tuple(self) -> Tuple[JobCombination, ...]:
+        if self._combinations is None:
+            singles = list(zip(self._job_ids))
+            multi = self._pair_ids if self._pairs is None else list(self._pairs)
+            # Two sorted runs when the pairs come from the block: one merge.
+            self._combinations = tuple(sorted(singles + list(multi)) if multi else singles)
+        return self._combinations
+
+    def _single_row(self, job_id: int) -> Optional[int]:
+        if self._singles_index is None:
+            self._singles_index = dict(zip(self._job_ids, range(len(self._job_ids))))
+        return self._singles_index.get(job_id)
 
     def _rows_by_job_map(self) -> Dict[int, List[Tuple[JobCombination, int]]]:
         if self._rows_by_job is None:
             rows_by_job: Dict[int, List[Tuple[JobCombination, int]]] = {
                 job_id: [] for job_id in self._job_ids
             }
-            for combination in self._combinations:
+            for combination in self._combination_tuple():
                 for position, job_id in enumerate(combination):
                     rows_by_job[job_id].append((combination, position))
             self._rows_by_job = rows_by_job
@@ -274,7 +322,7 @@ class ThroughputMatrix:
     @property
     def combinations(self) -> Tuple[JobCombination, ...]:
         """All rows, sorted; singletons first within the natural tuple order."""
-        return tuple(self._combinations)
+        return self._combination_tuple()
 
     @property
     def job_ids(self) -> Tuple[int, ...]:
@@ -286,11 +334,11 @@ class ThroughputMatrix:
         return len(self._registry)
 
     def num_rows(self) -> int:
-        return len(self._combinations)
+        return len(self._job_ids) + self._num_multi()
 
     def has_space_sharing(self) -> bool:
         """Whether any row contains more than one job."""
-        return bool(self._pairs)
+        return self._num_multi() > 0
 
     def rows_containing(self, job_id: int) -> Tuple[Tuple[JobCombination, int], ...]:
         """Rows in which ``job_id`` participates, with its position in each row."""
@@ -302,11 +350,12 @@ class ThroughputMatrix:
     # -- dense blocks ------------------------------------------------------------
     def _pair_parts(self) -> Tuple[Tuple[JobCombination, ...], np.ndarray]:
         """Sorted 2-job combinations and their stacked ``(n, 2, types)`` block."""
-        if self._pair_block is None:
-            pair_ids = tuple(c for c in sorted(self._pairs) if len(c) == 2)
+        if self._pair_block is None:  # then ``pairs`` maps every multi-job row
+            pairs = self._pair_dict()
+            pair_ids = tuple(c for c in sorted(pairs) if len(c) == 2)
             self._pair_ids = pair_ids
             self._pair_block = (
-                np.stack([self._pairs[c] for c in pair_ids])
+                np.stack([pairs[c] for c in pair_ids])
                 if pair_ids
                 else np.zeros((0, 2, len(self._registry)))
             )
@@ -341,13 +390,31 @@ class ThroughputMatrix:
         This is what LP assembly consumes: flat ndarrays
         covering all rows at once, instead of per-row Python objects.
         """
+        if self._dense_rows is None and not self._num_multi():
+            # Singletons only: row k is job k's one member, in job order.
+            count = len(self._job_ids)
+            index = np.arange(count, dtype=np.int64)
+            job_ids = np.asarray(self._job_ids, dtype=np.int64)
+            self._dense_rows = DenseRows(
+                combinations=self._combination_tuple(),
+                sizes=np.ones(count, dtype=np.int64),
+                offsets=np.arange(count + 1, dtype=np.int64),
+                values=self._singles.copy(),
+                member_jobs=job_ids,
+                member_ordinals=index,
+                member_rows=index,
+                runnable=self._singles > 0,
+                job_ids=job_ids,
+                members_by_job=index,
+                job_starts=np.arange(count + 1, dtype=np.int64),
+            )
         if self._dense_rows is None:
-            combinations = tuple(self._combinations)
+            combinations = self._combination_tuple()
             num_rows = len(combinations)
             num_types = len(self._registry)
             job_ids = np.asarray(self._job_ids, dtype=np.int64)
-            pair_ids, pair_block = self._pair_parts() if self._pairs else ((), None)
-            if len(pair_ids) == len(self._pairs):
+            pair_ids, pair_block = self._pair_parts() if self._num_multi() else ((), None)
+            if len(pair_ids) == self._num_multi():
                 # Every multi-job row is a pair: compute the sorted merge of
                 # singleton and pair rows arithmetically (a singleton ``(j,)``
                 # is preceded by the pairs whose first job is ``< j``, a pair
@@ -410,7 +477,7 @@ class ThroughputMatrix:
                     values[pair_offsets] = pair_block[:, 0]
                     values[pair_offsets + 1] = pair_block[:, 1]
                 for row in np.flatnonzero(sizes > 2):
-                    values[offsets[row] : offsets[row + 1]] = self._pairs[combinations[row]]
+                    values[offsets[row] : offsets[row + 1]] = self._pair_dict()[combinations[row]]
             member_ordinals = np.searchsorted(job_ids, member_jobs)
             member_rows = np.repeat(np.arange(num_rows, dtype=np.int64), sizes)
             runnable = np.logical_or.reduceat(values > 0, offsets[:-1], axis=0)
@@ -437,13 +504,13 @@ class ThroughputMatrix:
     def _row_array(self, combination: JobCombination) -> np.ndarray:
         """Internal view of a normalized combination's row (do not mutate)."""
         if len(combination) == 1:
-            index = self._singles_index.get(combination[0])
+            index = self._single_row(combination[0])
             if index is None:
                 raise UnknownJobError(
                     f"combination {combination} is not in this throughput matrix"
                 )
             return self._singles[index : index + 1]
-        row = self._pairs.get(combination)
+        row = self._pair_dict().get(combination)
         if row is None:
             raise UnknownJobError(f"combination {combination} is not in this throughput matrix")
         return row
@@ -464,7 +531,7 @@ class ThroughputMatrix:
 
     def isolated_throughputs(self, job_id: int) -> np.ndarray:
         """The singleton-row throughput vector of ``job_id`` (one entry per accelerator)."""
-        index = self._singles_index.get(job_id)
+        index = self._single_row(job_id)
         if index is None:
             raise UnknownJobError(f"job {job_id} has no singleton row")
         return self._singles[index].copy()
@@ -475,7 +542,7 @@ class ThroughputMatrix:
 
     def restrict_to_singletons(self) -> "ThroughputMatrix":
         """A copy of this matrix containing only the singleton rows."""
-        return ThroughputMatrix.from_parts(self._registry, self._singles_ids, self._singles.copy())
+        return ThroughputMatrix.from_parts(self._registry, self._job_ids, self._singles.copy())
 
     def heterogeneity_agnostic(self) -> "ThroughputMatrix":
         """Replace every throughput by the job's mean across accelerators.
@@ -498,17 +565,17 @@ class ThroughputMatrix:
         pairs: Dict[JobCombination, np.ndarray] = {}
         pair_ids: Tuple[JobCombination, ...] = ()
         pair_block: Optional[np.ndarray] = None
-        if self._pairs:
+        if self._num_multi():
             pair_ids, block = self._pair_parts()
             pair_block = flatten(block)
             pairs = {c: pair_block[i] for i, c in enumerate(pair_ids)}
-            for combination, values in self._pairs.items():
+            for combination, values in self._pair_dict().items():
                 if len(combination) > 2:
                     pairs[combination] = flatten(values)
         matrix = ThroughputMatrix.__new__(ThroughputMatrix)
         matrix._init_from_parts(
             self._registry,
-            self._singles_ids,
+            self._job_ids,
             flattened_singles,
             pairs,
             pair_ids=pair_ids,

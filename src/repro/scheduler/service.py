@@ -13,12 +13,9 @@ through an event API instead of a closed trace loop:
 * :meth:`~ClusterScheduler.resize` — grow or shrink the cluster mid-run;
 * :meth:`~ClusterScheduler.swap_policy` — hot-swap the scheduling policy,
   rebuilding the policy session from the live engine state;
-* :meth:`~ClusterScheduler.schedule_cancel` /
-  :meth:`~ClusterScheduler.schedule_resize` /
-  :meth:`~ClusterScheduler.schedule_swap_policy` — queue any of the above on
-  the central control-event heap for a future instant; in ``continuous`` mode
-  the event fires (and triggers an incremental re-allocation) exactly at its
-  timestamp, in the round modes at the first round boundary at or after it;
+* ``schedule_cancel`` / ``schedule_resize`` / ``schedule_swap_policy`` — queue
+  any of the above on the control-event heap for a future instant: it fires
+  exactly then in ``continuous`` mode, at the next round boundary otherwise;
 * :meth:`~ClusterScheduler.step` / :meth:`~ClusterScheduler.run_until` —
   advance the scheduler by one event or until a time horizon;
 * :meth:`~ClusterScheduler.status` / :meth:`~ClusterScheduler.result` —
@@ -44,9 +41,11 @@ A round runs on indices.  Algorithm 1 returns the picked ``(row, column)``
 cells of the period's tracker arrays, the placer flags which picks sit on one
 server, time received is one indexed add, and the accounting loop resolves a
 row to its jobs through a *member table* built once per allocation period (see
-:meth:`ClusterScheduler._start_period`): no object per pick, no dictionary
-lookup per item, and ``_JobState`` / ``JobRecord`` remain the only copy of the
-state, so checkpointing does not know the table exists.
+:meth:`ClusterScheduler._start_period`).  A fluid event runs on arrays: one
+bulk read of the active jobs feeds the problem snapshot and the accounting,
+and the results are written back in bulk (see
+:meth:`ClusterScheduler._step_continuous`).  Either way ``_JobState`` /
+``JobRecord`` remain the only copy of the state, so checkpointing is unchanged.
 """
 
 from __future__ import annotations
@@ -56,7 +55,7 @@ import heapq
 import math
 import time as _time
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
 
@@ -65,7 +64,10 @@ from repro.cluster.placement import Placer
 from repro.cluster.worker import ClusterTopology
 from repro.core.allocation import Allocation
 from repro.core.allocation_engine import AllocationEngine
-from repro.core.effective_throughput import effective_throughputs, isolated_reference_throughput
+from repro.core.effective_throughput import (
+    effective_throughput_vector,
+    isolated_reference_throughput,
+)
 from repro.core.policy import Policy
 from repro.core.problem import PolicyProblem
 from repro.core.registry import make_policy
@@ -139,19 +141,14 @@ class SchedulerConfig:
             :class:`~repro.workloads.colocation.ColocationModel` query
             interface; when set, space-sharing policies see *estimated*
             colocated throughputs while execution still uses the true model.
-        max_session_history: When set, the pinned session solve history (what
+        max_session_history: When set, the session solve history (what
             :meth:`ClusterScheduler.snapshot` captures for bit-exact resume)
-            is bounded: once it reaches this many entries the scheduler
-            re-bases onto a *cold* policy session at the next allocation
-            recomputation, dropping the history.  This bounds checkpoint
-            memory on long runs at the cost of one cold solve per re-base.
-            The run remains fully deterministic and snapshot/restore remains
-            bit-exact *for that run*, but because the warm solver state is
-            discarded at each boundary, a cold re-solve may select a
-            different (equally optimal) allocation than the warm program
-            would have — so schedules can differ from an unbounded-history
-            run when a policy's LP has multiple optima.  ``None`` (the
-            default) keeps the full history.
+            is bounded: at this many entries the next recomputation re-bases
+            onto a *cold* session, bounding checkpoint memory at one cold solve
+            per re-base.  Runs stay deterministic and restores bit-exact *for
+            that run*, but a cold solve may pick a different optimal vertex, so
+            schedules can differ from an unbounded run.  ``None`` (default)
+            keeps the full history.
     """
 
     round_duration_seconds: float = 360.0
@@ -207,16 +204,23 @@ class _JobState:
     #: job resumes without checkpoint overhead only from the previous round.
     last_round: int = -1
 
-    @property
-    def steps_remaining(self) -> float:
-        return max(0.0, self.job.total_steps - self.steps_done)
-
 
 #: One job of a tracker row, resolved for an allocation period: ``(job id,
 #: execution state, record, total steps, scale factor, throughputs)``.  The
 #: last is the job's true throughput *in this combination* per ``2 * column +
 #: consolidated`` (``None`` until a round first needs it).
 _Member = Tuple[int, _JobState, JobRecord, float, int, List[Optional[float]]]
+
+
+class _ActiveJobs(NamedTuple):
+    """The per-event bulk read of the active jobs, in admission (``_active``) order."""
+
+    ids: List[int]
+    states: List[_JobState]
+    total_steps: np.ndarray
+    steps_done: np.ndarray
+    steps_remaining: np.ndarray
+    scale_factors: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -519,13 +523,8 @@ class ClusterScheduler:
         without it.
         """
         if job_id in self._active:
-            del self._active[job_id]
-            start = _time.perf_counter()
-            self._engine.remove_job(job_id)
-            self._matrix_seconds += _time.perf_counter() - start
-            self._records[job_id].cancelled = True
+            self._retire(job_id, self._clock.now(), cancelled=True)
             self._allocation_stale = True
-            self._note_churn(self._clock.now())
         elif job_id in self._pending_ids:
             self._pending_ids.discard(job_id)
             self._cancelled_pending.add(job_id)
@@ -536,6 +535,22 @@ class ClusterScheduler:
             )
         else:
             raise UnknownJobError(f"job {job_id} was never submitted")
+
+    def _retire(self, job_id: int, at: float, cancelled: bool = False) -> None:
+        """An active job leaves at ``at``, completed or cancelled: the one exit path.
+
+        It leaves the active set and the engine (timed as matrix preparation),
+        and the churn is noted for the next solve.
+        """
+        if cancelled:
+            self._records[job_id].cancelled = True
+        else:
+            self._records[job_id].completion_time = at
+        del self._active[job_id]
+        start = _time.perf_counter()
+        self._engine.remove_job(job_id)
+        self._matrix_seconds += _time.perf_counter() - start
+        self._note_churn(at)
 
     def _note_churn(self, occurred_at: float) -> None:
         """Record a churn event awaiting incorporation into a policy solve.
@@ -692,9 +707,7 @@ class ClusterScheduler:
         strictly before ``max_simulated_seconds``, so a round starting
         exactly at the cap does not execute (and overshoot it).
         """
-        if not self.has_work:
-            return False
-        if self._clock.now() >= self._config.max_simulated_seconds:
+        if not self.has_work or self._clock.now() >= self._config.max_simulated_seconds:
             return False
         if self._config.mode in ("ideal", "continuous"):
             self._step_continuous()
@@ -705,25 +718,17 @@ class ClusterScheduler:
     def run_until(self, until: float = math.inf) -> "ClusterScheduler":
         """Advance until ``until`` (scheduler time), the work runs out, or the cap hits.
 
-        Steps are atomic: a step that starts before ``until`` runs to its
-        end, so the clock overshoots — by up to one round in
-        ``round``/``physical`` mode, and up to the span to the next
-        arrival/completion/control-event/tick in ``ideal``/``continuous``
-        mode (fluid allocations only change at event boundaries, so there is
-        no meaningful intermediate state to stop at).  Online interventions
-        issued after ``run_until(t)`` therefore take effect at the first
-        event boundary at or after ``t``; events queued via
-        ``schedule_*`` fire at their own timestamps instead.  A step never
-        *starts* at or past ``max_simulated_seconds``, so the cap is
-        overshot by at most the tail of the last step that began before it.
-        With the default horizon this drains every submitted job — exactly
-        the trace-replay loop the simulator runs.
+        Steps are atomic, so the clock overshoots ``until`` by up to one round
+        (round modes) or the span to the next event (fluid modes, whose
+        allocations only change at event boundaries).  Interventions issued
+        after ``run_until(t)`` take effect at the first event boundary at or
+        after ``t``; ``schedule_*`` events fire at their own timestamps.  No
+        step *starts* at or past ``max_simulated_seconds``.  With the default
+        horizon this drains every submitted job — the simulator's replay loop.
         """
         while self.has_work:
             now = self._clock.now()
-            if now >= self._config.max_simulated_seconds:
-                break
-            if now >= until:
+            if now >= self._config.max_simulated_seconds or now >= until:
                 break
             if not self._active:
                 head = self._peek_pending()
@@ -765,18 +770,13 @@ class ClusterScheduler:
     def _capacity_worker_seconds(self, end_time: float) -> Dict[str, float]:
         """Integrate per-type capacity over the (piecewise-constant) epoch history."""
         names = self._cluster_spec.registry.names
-        capacity = {name: 0.0 for name in names}
-        for index, (start, spec) in enumerate(self._capacity_epochs):
-            next_start = (
-                self._capacity_epochs[index + 1][0]
-                if index + 1 < len(self._capacity_epochs)
-                else end_time
-            )
-            span = max(0.0, min(next_start, end_time) - start)
-            if span <= 0:
-                continue
-            for name in names:
-                capacity[name] += spec.count(name) * span
+        capacity = dict.fromkeys(names, 0.0)
+        ends = [start for start, _ in self._capacity_epochs[1:]] + [end_time]
+        for (start, spec), end in zip(self._capacity_epochs, ends):
+            span = min(end, end_time) - start
+            if span > 0:
+                for name in names:
+                    capacity[name] += spec.count(name) * span
         return capacity
 
     def _isolated_durations(self) -> Dict[int, float]:
@@ -818,14 +818,8 @@ class ClusterScheduler:
             event_heap=sorted(self._event_heap),
             event_seq=self._event_seq,
             active=[
-                (
-                    state.job,
-                    state.admitted_at,
-                    state.steps_done,
-                    state.last_accelerator,
-                    state.last_round,
-                )
-                for state in self._active.values()
+                (s.job, s.admitted_at, s.steps_done, s.last_accelerator, s.last_round)
+                for s in self._active.values()
             ],
             records={job_id: record.copy() for job_id, record in self._records.items()},
             busy_seconds=dict(self._busy_seconds),
@@ -868,16 +862,7 @@ class ClusterScheduler:
         self._event_heap = list(snapshot.event_heap)
         heapq.heapify(self._event_heap)
         self._event_seq = snapshot.event_seq
-        self._active = {
-            job.job_id: _JobState(
-                job=job,
-                admitted_at=admitted_at,
-                steps_done=steps_done,
-                last_accelerator=last_accelerator,
-                last_round=last_round,
-            )
-            for job, admitted_at, steps_done, last_accelerator, last_round in snapshot.active
-        }
+        self._active = {entry[0].job_id: _JobState(*entry) for entry in snapshot.active}
         self._records = {job_id: record.copy() for job_id, record in snapshot.records.items()}
         self._busy_seconds = dict(snapshot.busy_seconds)
         self._checkpoint_seconds = dict(snapshot.checkpoint_seconds)
@@ -905,15 +890,11 @@ class ClusterScheduler:
     ) -> None:
         """Reconstruct the policy session's solver state by replaying its history.
 
-        A warm solver program is a function of the exact sequence of problem
-        snapshots and deltas it consumed; replaying that sequence rebuilds an
-        identical program (and identical warm-start state), so solves after a
-        restore match the uninterrupted run bit for bit.  This includes the
-        water-filling/hierarchical sessions, whose replay re-executes every
-        level loop to reconstruct the live level-loop program.  Only the
-        genuinely stateless :class:`~repro.core.session.RebuildSession`
-        baselines skip the replay — they recompute from scratch per solve
-        anyway, so there is no solver state to reconstruct.
+        A warm program is a function of the problem snapshots and deltas it
+        consumed, so replaying them rebuilds it — warm-start state included,
+        water filling's level loops too — and solves after a restore match the
+        uninterrupted run bit for bit.  The stateless
+        :class:`~repro.core.session.RebuildSession` baselines skip the replay.
         """
         self._session = None
         self._session_history = list(history)
@@ -941,12 +922,10 @@ class ClusterScheduler:
     def _admit_arrivals(self, current_time: float) -> bool:
         """Move every job whose arrival time has come into the active set.
 
-        The pending-heap comparison allows an ``_ARRIVAL_EPSILON`` of float
-        slack, so a job can be admitted marginally *before* its nominal
-        arrival time.  The true admission instant is recorded as
-        ``max(arrival_time, current_time)`` and the clock is nudged up to the
-        latest such instant, so every later ``now() - admitted_at`` elapsed
-        time is non-negative by construction — no clamping downstream.
+        The heap comparison allows ``_ARRIVAL_EPSILON`` of slack, so a job may
+        be admitted marginally before its nominal arrival; the admission
+        instant is recorded as ``max(arrival_time, current_time)`` and the
+        clock nudged up to the latest one, so elapsed times are never negative.
         Callers must re-read the clock after admission.
         """
         admitted = False
@@ -975,30 +954,42 @@ class ClusterScheduler:
             self._clock.advance_to(latest_admission)
         return admitted
 
-    def _build_problem(self, current_time: float, matrix: ThroughputMatrix) -> PolicyProblem:
-        jobs = {job_id: state.job for job_id, state in self._active.items()}
-        steps_remaining = {
-            job_id: state.steps_remaining for job_id, state in self._active.items()
-        }
-        # Time in service since the recorded admission instant.  Admission
-        # guarantees current_time >= admitted_at, so no clamp is needed — a
-        # negative value here would be a real time-accounting bug and must
-        # not be masked.
-        elapsed = {
-            job_id: current_time - state.admitted_at
-            for job_id, state in self._active.items()
-        }
+    def _read_active(self) -> _ActiveJobs:
+        """One bulk read of the active jobs: one comprehension per attribute."""
+        states = list(self._active.values())
+        count = len(states)
+        total_steps = np.fromiter([state.job.total_steps for state in states], float, count)
+        steps_done = np.fromiter([state.steps_done for state in states], float, count)
+        return _ActiveJobs(
+            ids=list(self._active),
+            states=states,
+            total_steps=total_steps,
+            steps_done=steps_done,
+            steps_remaining=np.maximum(total_steps - steps_done, 0.0),
+            scale_factors=np.fromiter([state.job.scale_factor for state in states], float, count),
+        )
+
+    def _build_problem(
+        self, current_time: float, matrix: ThroughputMatrix, active: _ActiveJobs
+    ) -> PolicyProblem:
+        entries = list(zip(active.ids, active.states))
         return PolicyProblem(
-            jobs=jobs,
+            jobs={job_id: state.job for job_id, state in entries},
             throughputs=matrix,
             cluster_spec=self._cluster_spec,
-            steps_remaining=steps_remaining,
-            time_elapsed=elapsed,
+            steps_remaining=dict(zip(active.ids, active.steps_remaining.tolist())),
+            # Time in service since the recorded admission instant.  Admission
+            # guarantees current_time >= admitted_at, so no clamp is needed — a
+            # negative value here would be a real time-accounting bug and must
+            # not be masked.
+            time_elapsed={job_id: current_time - state.admitted_at for job_id, state in entries},
             current_time=current_time,
         )
 
-    def _solve_allocation(self, current_time: float) -> Allocation:
-        """One allocation recomputation through the long-lived policy session."""
+    def _solve_allocation(
+        self, current_time: float, active: Optional[_ActiveJobs] = None
+    ) -> Allocation:
+        """One recomputation through the live session; ``active``: the caller's bulk read."""
         if (
             self._config.max_session_history is not None
             and self._session is not None
@@ -1011,7 +1002,9 @@ class ClusterScheduler:
         start = _time.perf_counter()
         matrix = self._engine.matrix()
         self._matrix_seconds += _time.perf_counter() - start
-        problem = self._build_problem(current_time, matrix)
+        problem = self._build_problem(
+            current_time, matrix, active if active is not None else self._read_active()
+        )
         deltas = self._engine.drain_deltas()
         start = _time.perf_counter()
         if self._session is None:
@@ -1037,17 +1030,13 @@ class ClusterScheduler:
     def _start_period(self, allocation: Allocation) -> PriorityTracker:
         """Open an allocation period: a fresh tracker, and nothing cached from the last.
 
-        Everything that is constant between two re-allocations is built at most
-        once per period and dies with the tracker: the tracker's dense
-        target/demand arrays, and the *member table* — per tracker row, once a
-        round first picks it, one :data:`_Member` per job of the combination
-        (see :meth:`_row_members`).  The table is what lets a round's
-        accounting run on the picked ``(row, column)`` indices alone.  It holds
-        references into ``_active`` / ``_records``, which is safe because every
-        event that replaces or removes those objects (completion, cancel,
-        resize, policy swap, restore) also ends the period: it marks the
-        allocation stale or drops the tracker, and the next round comes here
-        before it reads the table.
+        What is constant between re-allocations is built at most once per
+        period and dies with the tracker: its dense arrays, and the *member
+        table* — per tracker row, once a round first picks it, one
+        :data:`_Member` per job (see :meth:`_row_members`), which lets a
+        round's accounting run on ``(row, column)`` indices alone.  It points
+        into ``_active`` / ``_records``; every event that replaces or removes
+        those objects also ends the period, so the table is never stale.
         """
         self._tracker = PriorityTracker(allocation)
         self._members = [None] * len(self._tracker.combinations)
@@ -1212,12 +1201,7 @@ class ClusterScheduler:
         self._total_cost = total_cost
 
         for job_id, finish_time in completed_this_round:
-            self._records[job_id].completion_time = finish_time
-            del self._active[job_id]
-            start = _time.perf_counter()
-            self._engine.remove_job(job_id)
-            self._matrix_seconds += _time.perf_counter() - start
-            self._note_churn(finish_time)
+            self._retire(job_id, finish_time)
         if completed_this_round:
             self._allocation_stale = True
 
@@ -1240,12 +1224,16 @@ class ClusterScheduler:
         """One fluid event: fire due events, re-solve, progress to the next event.
 
         This is the central event loop of ``continuous`` mode: the next event
-        is the earliest of (a) the next arrival, (b) the earliest completion
-        at the current fluid rates, (c) the next queued control event
-        (scheduled cancel/resize/policy swap), and (d) the next periodic
-        re-solve tick.  Every event boundary triggers an incremental
-        re-allocation through the live policy session.  ``ideal`` mode is
-        exactly this loop with an empty control heap and no ticks.
+        is the earliest of the next arrival, the earliest completion at the
+        current fluid rates, the next queued control event and the next
+        re-solve tick, and every event re-allocates through the live policy
+        session.  ``ideal`` mode is this loop with no control events or ticks.
+
+        Outside the solve an event is a fixed number of numpy calls over one
+        per-job x per-type block; per job there is only the bulk read and the
+        write-back (one attribute access each — no lookup, no branch), plus a
+        first allocation or a completion when one happens; with pair rows, one
+        Python pass over the rows splits their shares.
         """
         if not self._active:
             # Idle: jump to whichever comes first — the next arrival or the
@@ -1266,63 +1254,74 @@ class ClusterScheduler:
         if not self._active:
             return
 
-        allocation = self._solve_allocation(current_time)
+        active = self._read_active()
+        allocation = self._solve_allocation(current_time, active)
         matrix = self._session.problem.throughputs
 
-        throughputs = effective_throughputs(matrix, allocation)
-        for job_id, throughput in throughputs.items():
-            if throughput > 0 and self._records[job_id].first_allocation_time is None:
-                self._records[job_id].first_allocation_time = current_time
+        # The rest of the event is numpy over the bulk read, in admission
+        # order: the order the run-level sums have always been accumulated in.
+        ids = np.fromiter(active.ids, np.int64, len(active.ids))
+        job_ids = matrix.dense_rows().job_ids  # the active jobs, ascending
+        position = np.searchsorted(job_ids, ids)
+        rates = effective_throughput_vector(matrix, allocation)[position]
+        moving = rates > 0
+        records = list(map(self._records.__getitem__, active.ids))
+        firsts = [record.first_allocation_time is None for record in records]
+        unset = np.fromiter(firsts, bool, len(records)) & moving
+        for index in unset.nonzero()[0].tolist():
+            records[index].first_allocation_time = current_time
         # Time to the next event.
         head = self._peek_pending()
         next_arrival = head[0] if head is not None else math.inf
-        earliest_completion = math.inf
-        for job_id, state in self._active.items():
-            throughput = throughputs[job_id]
-            if throughput > 0:
-                earliest_completion = min(
-                    earliest_completion, current_time + state.steps_remaining / throughput
-                )
+        to_finish = np.full(len(rates), math.inf)
+        np.divide(active.steps_remaining, rates, out=to_finish, where=moving)
+        earliest_completion = current_time + np.minimum.reduce(to_finish).item()
         control = self._peek_control_event()
         next_control = control[0] if control is not None else math.inf
-        next_event = min(
-            next_arrival,
-            earliest_completion,
-            next_control,
-            self._next_resolve_tick(current_time),
-        )
+        tick = self._next_resolve_tick(current_time)
+        next_event = min(next_arrival, earliest_completion, next_control, tick)
         if not math.isfinite(next_event):
             raise SchedulingError(
                 f"{self._config.mode} execution stalled: no job can make progress"
             )
         dt = max(0.0, next_event - current_time)
 
-        names = self._cluster_spec.registry.names
-        for job_id, state in list(self._active.items()):
-            throughput = throughputs[job_id]
-            state.steps_done += throughput * dt
-            record = self._records[job_id]
-            record.steps_done = state.steps_done
-            job_row = allocation.job_row(job_id)
-            for column, name in enumerate(names):
-                worker_seconds = job_row[column] * dt * state.job.scale_factor
-                self._busy_seconds[name] += worker_seconds
-                cost = (
-                    self._cluster_spec.registry.get(name).cost_per_hour
-                    * worker_seconds
-                    / _SECONDS_PER_HOUR
-                )
-                record.cost_dollars += cost
-                self._total_cost += cost
-            if state.steps_remaining <= 1e-6:
-                record.completion_time = current_time + dt
-                del self._active[job_id]
-                start = _time.perf_counter()
-                self._engine.remove_job(job_id)
-                self._matrix_seconds += _time.perf_counter() - start
-                # Incorporated by the solve at the very next event boundary,
-                # i.e. at the completion instant itself — zero staleness.
-                self._note_churn(record.completion_time)
+        steps_done = active.steps_done + rates * dt
+        for state, record, progress in zip(active.states, records, steps_done.tolist()):
+            state.steps_done = record.steps_done = progress
+        # Each job is billed its share of its rows (a pair's time is split
+        # between its members); a row occupies ``demand`` devices once,
+        # whoever is in it — the rule of the round loop.
+        share_ids, shares = allocation.job_shares()
+        if share_ids.shape == job_ids.shape and (share_ids == job_ids).all():
+            billed = shares[position]
+        else:  # a job in no row is billed nothing
+            at = np.minimum(np.searchsorted(share_ids, ids), len(share_ids) - 1)
+            billed = np.where((share_ids[at] == ids)[:, None], shares[at], 0.0)
+        worker_seconds = (billed * dt) * active.scale_factors[:, None]
+        registry = self._cluster_spec.registry
+        costs = np.asarray(registry.costs_per_hour()) * worker_seconds / _SECONDS_PER_HOUR
+        if shares is allocation.matrix:  # every row a singleton: rows are jobs
+            occupancy = worker_seconds
+        else:
+            demand = np.asarray(allocation.demand, dtype=float)
+            occupancy = (allocation.matrix * dt) * demand[:, None]
+        # Running sums, added in the order the per-item loop added them
+        # (``accumulate`` is sequential, so the floats are the loop's).
+        busy, names = self._busy_seconds, registry.names
+        sums = np.concatenate(([[busy[name] for name in names]], occupancy))
+        busy.update(zip(names, np.add.accumulate(sums)[-1].tolist()))
+        sums = np.concatenate(([self._total_cost], costs.ravel()))
+        self._total_cost = np.add.accumulate(sums)[-1].item()
+        totals = np.fromiter([record.cost_dollars for record in records], float, len(records))
+        for column in costs.T:
+            totals = totals + column
+        for record, cost in zip(records, totals.tolist()):
+            record.cost_dollars = cost
+        for index in (active.total_steps - steps_done <= 1e-6).nonzero()[0].tolist():
+            # Incorporated by the solve at the very next event boundary, i.e.
+            # at the completion instant itself — zero staleness.
+            self._retire(active.ids[index], current_time + dt)
 
         self._clock.advance_to(next_event)
         self._num_rounds += 1

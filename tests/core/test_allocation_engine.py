@@ -249,3 +249,47 @@ class TestPairThroughputCache:
         # 8 jobs of 2 types -> 28 job pairs but only 3 distinct type pairs.
         assert cache.misses == 3
         assert cache.hits == 28 - 3
+
+
+class TestSortedBlocks:
+    """``matrix()`` adopts blocks that ``add_job`` / ``remove_job`` edit between calls."""
+
+    def test_batched_edits_match_from_scratch(self, oracle):
+        jobs = _jobs(oracle, 24, seed=3)
+        engine = AllocationEngine(oracle, space_sharing=True)
+        active = {}
+        rng = np.random.default_rng(5)
+        earlier = []
+        for start in range(0, len(jobs), 4):
+            for job in jobs[start : start + 4]:  # several arrivals per matrix() call
+                engine.add_job(job)
+                active[job.job_id] = job
+            # Departures, possibly of a job added since the last matrix(); an
+            # odd id is re-added at once, so its rows leave and come back.
+            for victim in rng.choice(sorted(active), size=2, replace=False).tolist():
+                engine.remove_job(victim)
+                if victim % 2:
+                    engine.add_job(active[victim])
+                else:
+                    del active[victim]
+            matrix = engine.matrix()
+            _assert_matrices_equal(
+                matrix, build_throughput_matrix(list(active.values()), oracle, space_sharing=True)
+            )
+            earlier.append((matrix, {c: matrix.row(c) for c in matrix.combinations}))
+        # A matrix handed out earlier still reads what it read then.
+        for matrix, rows in earlier:
+            for combination, row in rows.items():
+                np.testing.assert_array_equal(matrix.row(combination), row)
+
+    def test_rows_are_validated_when_they_enter_the_block(self, monkeypatch):
+        oracle = ThroughputOracle()
+        engine = AllocationEngine(oracle)
+        engine.add_job(Job(job_id=0, job_type="resnet50-bs64", total_steps=1000.0))
+        engine.matrix()
+        monkeypatch.setattr(
+            oracle, "throughput_vector", lambda *args, **kwargs: np.array([1.0, -1.0, 1.0])
+        )
+        engine.add_job(Job(job_id=1, job_type="a3c-bs4", total_steps=1000.0))
+        with pytest.raises(ConfigurationError, match="negative"):
+            engine.matrix()

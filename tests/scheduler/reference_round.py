@@ -227,7 +227,7 @@ def _reference_step_round(self: ClusterScheduler) -> Optional[ReferenceRound]:
                 self, combination, job_id, accelerator_name, consolidated
             )
             progress = throughput * usable
-            needed = state.steps_remaining
+            needed = max(0.0, state.job.total_steps - state.steps_done)
             if throughput > 0 and progress >= needed:
                 finish = min(current_time + overhead + needed / throughput, round_end)
                 completed_this_round.append((job_id, finish))
