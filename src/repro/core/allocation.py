@@ -8,7 +8,6 @@ spend running on that type between allocation recomputations.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import chain
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -207,27 +206,6 @@ class Allocation:
         if index == len(job_ids) or job_ids[index] != job_id:
             return np.zeros(len(self._registry))
         return self._job_rows()[index].copy()
-
-    def job_shares(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``(job ids, shares)``: each job's part of its rows, per accelerator type.
-
-        Row ``k`` of ``shares`` belongs to ``job_ids[k]`` (ascending) and sums,
-        over the rows containing that job in row order, the row's fractions
-        divided by its member count — a space-sharing pair's time is split
-        between its two jobs, so this is what a job is billed for.  When every
-        row is a singleton the shares are :attr:`matrix` itself and the ids are
-        read off the combinations without a Python loop.
-        """
-        combinations = self._combinations
-        members = np.fromiter(chain.from_iterable(combinations), np.int64)
-        if len(members) == len(combinations):
-            return members, self._matrix
-        sizes = np.fromiter(map(len, combinations), np.intp, len(combinations))
-        rows = np.repeat(np.arange(len(combinations)), sizes)
-        job_ids, owners = np.unique(members, return_inverse=True)
-        shares = np.zeros((len(job_ids), len(self._registry)))
-        np.add.at(shares, owners, self._matrix[rows] / sizes[rows, None])
-        return job_ids, shares
 
     def job_total(self, job_id: int) -> float:
         """Total time fraction job ``job_id`` receives across all rows and types."""

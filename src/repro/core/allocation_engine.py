@@ -411,10 +411,14 @@ class AllocationEngine:
     def add_job(self, job: Job) -> None:
         """Add one job: its singleton row plus the pair rows the mode needs.
 
-        ``"job"`` mode inserts pair rows against every active single-worker
-        job (O(active jobs) per arrival); ``"type"`` mode keeps only one
-        representative member pair per beneficial type pair, so the insert
-        loop is O(active types) and the histogram bump is O(1).
+        The singleton row is the oracle's ``throughput_vector``, the singleton
+        case of :func:`~repro.workloads.colocation.member_throughputs`.  Pairs
+        join single-worker jobs only, so its pair case never needs a scale
+        factor or a placement.  ``"job"`` mode inserts pair rows
+        against every active single-worker job (O(active jobs) per arrival);
+        ``"type"`` mode keeps only one representative member pair per
+        beneficial type pair, so the insert loop is O(active types) and the
+        histogram bump is O(1).
         """
         if job.job_id in self._jobs:
             raise ConfigurationError(f"job {job.job_id} is already tracked by the engine")

@@ -30,7 +30,6 @@ from repro.exceptions import ConfigurationError
 __all__ = [
     "effective_throughput",
     "effective_throughputs",
-    "effective_throughput_vector",
     "equal_share_reference_throughput",
     "isolated_reference_throughput",
     "isolated_reference_throughputs",
@@ -61,12 +60,6 @@ def effective_throughputs(matrix: ThroughputMatrix, allocation: Allocation) -> D
     One pass over the matrix's columnar view instead of one walk per job;
     equal to the scalar function up to floating-point summation order.
     """
-    totals = effective_throughput_vector(matrix, allocation)
-    return dict(zip(matrix.dense_rows().job_ids.tolist(), totals.tolist()))
-
-
-def effective_throughput_vector(matrix: ThroughputMatrix, allocation: Allocation) -> np.ndarray:
-    """:func:`effective_throughputs` as an array in ``matrix.dense_rows().job_ids`` order."""
     dense = matrix.dense_rows()
     if allocation.combinations == dense.combinations:
         shares = allocation.matrix
@@ -78,10 +71,9 @@ def effective_throughput_vector(matrix: ThroughputMatrix, allocation: Allocation
             covered = row_of.get(combination)
             if covered is not None:
                 shares[row] = allocation.matrix[covered]
-    if len(dense.member_rows) == len(dense.job_ids):  # singletons only: row k is job k
-        return (dense.values * shares).sum(axis=1)
     per_member = (dense.values * shares[dense.member_rows]).sum(axis=1)
-    return np.bincount(dense.member_ordinals, weights=per_member, minlength=len(dense.job_ids))
+    totals = np.bincount(dense.member_ordinals, weights=per_member, minlength=len(dense.job_ids))
+    return dict(zip(dense.job_ids.tolist(), totals.tolist()))
 
 
 def equal_share_reference_throughput(

@@ -15,7 +15,8 @@ through an event API instead of a closed trace loop:
   rebuilding the policy session from the live engine state;
 * ``schedule_cancel`` / ``schedule_resize`` / ``schedule_swap_policy`` — queue
   any of the above on the control-event heap for a future instant: it fires
-  exactly then in ``continuous`` mode, at the next round boundary otherwise;
+  exactly then in the fluid modes or while the scheduler is idle, at the next
+  round boundary otherwise;
 * :meth:`~ClusterScheduler.step` / :meth:`~ClusterScheduler.run_until` —
   advance the scheduler by one event or until a time horizon;
 * :meth:`~ClusterScheduler.status` / :meth:`~ClusterScheduler.result` —
@@ -28,24 +29,23 @@ round mechanism; ``continuous`` replaces the round boundary with a central
 event heap — arrivals, completions, scheduled cancels/resizes/policy swaps
 and optional periodic re-solve ticks — where every event triggers an
 incremental re-allocation through the live policy session (Firmament-style
-event-driven scheduling); ``ideal`` is the zero-overhead special case of that
-same event loop (no control events, no ticks — the fluid baseline of
-Figure 13b).  Time comes from a pluggable
+event-driven scheduling); ``ideal`` is the same event loop without re-solve
+ticks — the fluid baseline of Figure 13b.  Time comes from a pluggable
 :class:`~repro.scheduler.clock.Clock`: the simulator drives a
 :class:`~repro.scheduler.clock.VirtualClock`, a live deployment would plug in
 a :class:`~repro.scheduler.clock.WallClock`.  The
 :class:`~repro.simulator.simulator.Simulator` is a thin trace-replay driver
 over this core (``submit`` every trace job, ``run_until`` the end).
 
-A round runs on indices.  Algorithm 1 returns the picked ``(row, column)``
-cells of the period's tracker arrays, the placer flags which picks sit on one
-server, time received is one indexed add, and the accounting loop resolves a
-row to its jobs through a *member table* built once per allocation period (see
-:meth:`ClusterScheduler._start_period`).  A fluid event runs on arrays: one
-bulk read of the active jobs feeds the problem snapshot and the accounting,
-and the results are written back in bulk (see
-:meth:`ClusterScheduler._step_continuous`).  Either way ``_JobState`` /
-``JobRecord`` remain the only copy of the state, so checkpointing is unchanged.
+Every mode runs one :meth:`~ClusterScheduler.step`: wake, fire due control
+events, admit, solve, then the mode's *executor* runs the event.  The round
+executor works on indices: Algorithm 1's ``(row, column)`` picks, placement
+flags, and accounting through a *member table* built once per allocation
+period (see :meth:`ClusterScheduler._start_period`).  The fluid executor
+integrates ``X * T`` to the next event over one bulk read of the active jobs.
+Both run every row at the rule the policies planned with,
+:func:`~repro.workloads.colocation.member_throughputs` on the true models, and
+``_JobState`` / ``JobRecord`` remain the only copy of the state.
 """
 
 from __future__ import annotations
@@ -55,7 +55,8 @@ import heapq
 import math
 import time as _time
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, NamedTuple, Optional, Set, Tuple
+from itertools import chain
+from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
 
@@ -64,10 +65,7 @@ from repro.cluster.placement import Placer
 from repro.cluster.worker import ClusterTopology
 from repro.core.allocation import Allocation
 from repro.core.allocation_engine import AllocationEngine
-from repro.core.effective_throughput import (
-    effective_throughput_vector,
-    isolated_reference_throughput,
-)
+from repro.core.effective_throughput import isolated_reference_throughput
 from repro.core.policy import Policy
 from repro.core.problem import PolicyProblem
 from repro.core.registry import make_policy
@@ -78,7 +76,7 @@ from repro.scheduler.clock import Clock, VirtualClock
 from repro.scheduler.mechanism import RoundScheduler
 from repro.scheduler.metrics import JobRecord, SimulationResult
 from repro.scheduler.priorities import PriorityTracker
-from repro.workloads.colocation import ColocationModel
+from repro.workloads.colocation import ColocationModel, member_throughputs
 from repro.workloads.job import Job
 from repro.workloads.throughputs import ThroughputOracle
 
@@ -91,6 +89,7 @@ __all__ = [
 
 _SECONDS_PER_HOUR = 3600.0
 _ARRIVAL_EPSILON = 1e-9
+_FLUID_MODES = ("ideal", "continuous")
 
 
 @dataclass(frozen=True)
@@ -104,10 +103,10 @@ class SchedulerConfig:
             (event-driven: a central event heap of arrivals, completions,
             scheduled control events and optional periodic re-solve ticks,
             each triggering an incremental re-allocation at event granularity
-            instead of at round boundaries), ``"ideal"`` (the zero-overhead
-            special case of the continuous event loop: jobs progress fluidly
-            at exactly their allocation's effective throughput — the baseline
-            of Figure 13b) or ``"physical"`` (``round`` plus per-preemption
+            instead of at round boundaries), ``"ideal"`` (the continuous event
+            loop without re-solve ticks: jobs progress fluidly at exactly
+            their allocation's effective throughput — the baseline of Figure
+            13b) or ``"physical"`` (``round`` plus per-preemption
             checkpoint overhead and seeded throughput jitter, standing in for
             the paper's 48-GPU cluster).
         resolve_interval_seconds: Continuous mode only: when set, the event
@@ -203,13 +202,41 @@ class _JobState:
     #: ``num_rounds`` index of the last round this job ran in (-1: never); a
     #: job resumes without checkpoint overhead only from the previous round.
     last_round: int = -1
+    #: Its rate-table row alone, looked up once (its type and scale are constant).
+    alone: int = -1
 
 
-#: One job of a tracker row, resolved for an allocation period: ``(job id,
-#: execution state, record, total steps, scale factor, throughputs)``.  The
-#: last is the job's true throughput *in this combination* per ``2 * column +
-#: consolidated`` (``None`` until a round first needs it).
-_Member = Tuple[int, _JobState, JobRecord, float, int, List[Optional[float]]]
+#: One job of a tracker row for an allocation period: ``(state, record, total steps,
+#: scale factor, rates)``; ``rates[consolidated]`` is its rate in this row per type.
+_Member = Tuple[_JobState, JobRecord, float, int, Tuple[List[float], ...]]
+#: ``(job type, partner's job type or None, scale factor)``.
+_RateKey = Tuple[str, Optional[str], int]
+
+
+class _RateTable(Dict[_RateKey, int]):
+    """Memo: a :data:`_RateKey`'s index into ``rows``, its ``[consolidated][type]`` rates.
+
+    ``packed`` repeats each row's consolidated rates as one block, grown by
+    doubling, for the fluid executor's ``take``.  The round executor reads
+    single floats off ``rows`` per pick: a list read and float arithmetic cost
+    about a third of a numpy scalar read and ``float64`` arithmetic.
+    """
+
+    def __init__(self, model: ColocationModel, names: Tuple[str, ...]) -> None:
+        self._model, self._names = model, names
+        self.rows: List[Tuple[List[float], ...]] = []
+        self.packed = np.zeros((16, len(names)))
+
+    def __missing__(self, key: _RateKey) -> int:
+        job_type, partner, scale = key
+        rates = (member_throughputs(self._model, job_type, partner, self._names, scale, packed)
+                 for packed in (False, True))
+        self.rows.append(tuple(rate.tolist() for rate in rates))
+        self[key] = row = len(self.rows) - 1
+        if row == len(self.packed):
+            self.packed = np.concatenate((self.packed, np.zeros_like(self.packed)))
+        self.packed[row] = self.rows[row][1]
+        return row
 
 
 class _ActiveJobs(NamedTuple):
@@ -221,6 +248,7 @@ class _ActiveJobs(NamedTuple):
     steps_done: np.ndarray
     steps_remaining: np.ndarray
     scale_factors: np.ndarray
+    alone: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -371,12 +399,8 @@ class ClusterScheduler:
         self._active: Dict[int, _JobState] = {}
         self._records: Dict[int, JobRecord] = {}
 
-        self._busy_seconds: Dict[str, float] = {
-            name: 0.0 for name in self._cluster_spec.registry.names
-        }
-        self._checkpoint_seconds: Dict[str, float] = {
-            name: 0.0 for name in self._cluster_spec.registry.names
-        }
+        self._busy_seconds = dict.fromkeys(self._cluster_spec.registry.names, 0.0)
+        self._checkpoint_seconds = dict.fromkeys(self._cluster_spec.registry.names, 0.0)
         self._total_cost = 0.0
         self._num_rounds = 0
         self._recomputations = 0
@@ -396,6 +420,8 @@ class ClusterScheduler:
         self._tracker: Optional[PriorityTracker] = None
         #: Member table of the current allocation period; see _start_period.
         self._members: List[Optional[Tuple[_Member, ...]]] = []
+        #: Execution rates per (job type, partner type, scale factor); see _RateTable.
+        self._rate_table = _RateTable(self._colocation, tuple(cluster_spec.registry.names))
         self._engine = self._make_engine()
         self._session: Optional[PolicySession] = None
         #: (problem, deltas) consumed by the live session, in order; ``None``
@@ -406,9 +432,7 @@ class ClusterScheduler:
     # -- construction helpers ---------------------------------------------------------
     def _set_cluster(self, cluster_spec: ClusterSpec) -> None:
         self._cluster_spec = cluster_spec
-        self._topology = ClusterTopology(
-            cluster_spec, workers_per_server=self._workers_per_server
-        )
+        self._topology = ClusterTopology(cluster_spec, workers_per_server=self._workers_per_server)
         self._placer = Placer(self._topology)
         self._round_scheduler = RoundScheduler(cluster_spec)
 
@@ -422,10 +446,7 @@ class ClusterScheduler:
         """
         if self._config.aggregation != "type" or policy.aggregation == "type":
             return
-        from repro.core.aggregation import (
-            AGGREGATION_SUPPORTED_BASES,
-            supports_type_aggregation,
-        )
+        from repro.core.aggregation import AGGREGATION_SUPPORTED_BASES, supports_type_aggregation
 
         if not supports_type_aggregation(policy.name):
             raise ConfigurationError(
@@ -524,7 +545,6 @@ class ClusterScheduler:
         """
         if job_id in self._active:
             self._retire(job_id, self._clock.now(), cancelled=True)
-            self._allocation_stale = True
         elif job_id in self._pending_ids:
             self._pending_ids.discard(job_id)
             self._cancelled_pending.add(job_id)
@@ -540,7 +560,7 @@ class ClusterScheduler:
         """An active job leaves at ``at``, completed or cancelled: the one exit path.
 
         It leaves the active set and the engine (timed as matrix preparation),
-        and the churn is noted for the next solve.
+        the churn is noted for the next solve and the allocation is stale.
         """
         if cancelled:
             self._records[job_id].cancelled = True
@@ -551,13 +571,13 @@ class ClusterScheduler:
         self._engine.remove_job(job_id)
         self._matrix_seconds += _time.perf_counter() - start
         self._note_churn(at)
+        self._allocation_stale = True
 
     def _note_churn(self, occurred_at: float) -> None:
         """Record a churn event awaiting incorporation into a policy solve.
 
-        The next fresh solve at time ``T`` adds ``T - occurred_at`` to the
-        allocation-staleness integral — the latency between the cluster state
-        changing and the in-effect allocation reflecting it.
+        The next solve at time ``T`` adds ``T - occurred_at`` to the
+        allocation-staleness integral.
         """
         self._stale_event_times.append(occurred_at)
 
@@ -572,9 +592,10 @@ class ClusterScheduler:
     def schedule_cancel(self, job_id: int, at: float) -> None:
         """Queue a :meth:`cancel` of ``job_id`` for scheduler time ``at``.
 
-        In ``continuous`` mode the cancellation fires exactly at ``at`` (the
-        event heap wakes the loop there); in the round modes it applies at
-        the first round boundary at or after ``at``.  A job that has already
+        In the fluid modes, and in any mode while the scheduler is idle, the
+        cancellation fires exactly at ``at`` (the event heap wakes the loop
+        there); while jobs run in the round modes it applies at the first
+        round boundary at or after ``at``.  A job that has already
         completed or been cancelled when the event fires is skipped silently
         — completion times are not known when the event is scheduled.
         """
@@ -590,10 +611,7 @@ class ClusterScheduler:
         """Queue a :meth:`swap_policy` to ``policy`` for scheduler time ``at``."""
         self._schedule_event(at, "swap_policy", policy)
 
-    def _peek_control_event(self) -> Optional[Tuple[float, int, str, object]]:
-        return self._event_heap[0] if self._event_heap else None
-
-    def _apply_due_control_events(self, current_time: float) -> bool:
+    def _apply_due_control_events(self, current_time: float) -> None:
         """Fire every queued control event with timestamp <= ``current_time``.
 
         Events fire in (time, sequence) order.  Cancels of jobs that already
@@ -601,7 +619,6 @@ class ClusterScheduler:
         unconditionally and mark the allocation stale through their
         respective methods.
         """
-        applied = False
         while self._event_heap and self._event_heap[0][0] <= current_time:
             when, _seq, kind, payload = heapq.heappop(self._event_heap)
             notes_before = len(self._stale_event_times)
@@ -621,8 +638,6 @@ class ClusterScheduler:
                 # staleness must count from the *scheduled* timestamp — in
                 # round mode the gap to the firing boundary is real latency.
                 self._stale_event_times[-1] = when
-            applied = True
-        return applied
 
     # -- event API: cluster and policy churn ------------------------------------------------
     def resize(self, cluster: "ClusterSpec | Mapping[str, int]") -> ClusterSpec:
@@ -697,45 +712,61 @@ class ClusterScheduler:
     def step(self) -> bool:
         """Process one scheduling event; returns whether work remains.
 
-        In ``round``/``physical`` mode an event is one scheduling round
-        (admission, allocation recomputation if stale, Algorithm 1 selection,
-        placement, execution, accounting); in ``ideal``/``continuous`` mode
-        it is the span to the next event — arrival, completion, scheduled
-        control event or re-solve tick — at fluid progress rates.
-
-        The simulation cap is inclusive-exclusive: a step may only *start*
-        strictly before ``max_simulated_seconds``, so a round starting
-        exactly at the cap does not execute (and overshoot it).
+        Wake if idle (:meth:`_next_wake`), fire due control events, admit,
+        solve (fluid modes: every event; round modes: when stale), run the
+        mode's executor (:meth:`_run_round` / :meth:`_run_fluid`), retire its
+        completions.  A step may only *start* strictly before
+        ``max_simulated_seconds``; one starting at it does not run.
         """
-        if not self.has_work or self._clock.now() >= self._config.max_simulated_seconds:
+        cap = self._config.max_simulated_seconds
+        if not self.has_work or self._clock.now() >= cap:
             return False
-        if self._config.mode in ("ideal", "continuous"):
-            self._step_continuous()
+        if not self._active:
+            self._clock.advance_to(min(self._next_wake(), cap))
+        if self._clock.now() >= cap:
+            return self.has_work
+        self._apply_due_control_events(self._clock.now())
+        self._admit_arrivals(self._clock.now())
+        current_time = self._clock.now()
+        if not self._active:
+            return self.has_work
+        if self._config.mode in _FLUID_MODES:
+            active = self._read_active()
+            allocation = self._solve_allocation(current_time, active)
+            end, finished = self._run_fluid(current_time, active, allocation)
         else:
-            self._step_round()
+            if self._allocation_stale or self._tracker is None:
+                self._start_period(self._solve_allocation(current_time, self._read_active()))
+            end, finished = self._run_round(current_time)
+        for job_id, finish_time in finished:
+            self._retire(job_id, finish_time)
+        self._clock.advance_to(end)
+        self._num_rounds += 1
         return self.has_work
+
+    def _next_wake(self) -> float:
+        """Earliest of the next arrival and the next queued control event (``inf``: neither)."""
+        head, events = self._peek_pending(), self._event_heap
+        return min(head[0] if head else math.inf, events[0][0] if events else math.inf)
 
     def run_until(self, until: float = math.inf) -> "ClusterScheduler":
         """Advance until ``until`` (scheduler time), the work runs out, or the cap hits.
 
-        Steps are atomic, so the clock overshoots ``until`` by up to one round
-        (round modes) or the span to the next event (fluid modes, whose
-        allocations only change at event boundaries).  Interventions issued
+        Steps are atomic, so while jobs run the clock overshoots ``until`` by
+        up to one round (round modes) or the span to the next event (fluid
+        modes, whose allocations only change at event boundaries); an idle
+        scheduler stops at ``until`` in every mode.  Interventions issued
         after ``run_until(t)`` take effect at the first event boundary at or
-        after ``t``; ``schedule_*`` events fire at their own timestamps.  No
-        step *starts* at or past ``max_simulated_seconds``.  With the default
-        horizon this drains every submitted job — the simulator's replay loop.
+        after ``t``.  No step *starts* at or past ``max_simulated_seconds``.
+        With the default horizon this drains every submitted job — the
+        simulator's replay loop.
         """
         while self.has_work:
             now = self._clock.now()
             if now >= self._config.max_simulated_seconds or now >= until:
                 break
-            if not self._active:
-                head = self._peek_pending()
-                control = self._peek_control_event()
-                next_control = control[0] if control is not None else math.inf
-                if head is not None and head[0] >= until and next_control >= until:
-                    break  # idle gap: the next arrival/event is beyond the horizon
+            if not self._active and self._next_wake() >= until:
+                break  # idle gap: the next arrival/event is beyond the horizon
             self.step()
         if math.isfinite(until):
             # The clamp mirrors the step guard: the clock never parks past the
@@ -747,7 +778,7 @@ class ClusterScheduler:
     def result(self) -> SimulationResult:
         """Aggregate metrics for everything executed so far."""
         end_time = self._clock.now()
-        fluid = self._config.mode in ("ideal", "continuous")
+        fluid = self._config.mode in _FLUID_MODES
         suffix = f" ({self._config.mode})" if fluid else ""
         checkpoint = {} if fluid else dict(self._checkpoint_seconds)
         return SimulationResult(
@@ -862,7 +893,7 @@ class ClusterScheduler:
         self._event_heap = list(snapshot.event_heap)
         heapq.heapify(self._event_heap)
         self._event_seq = snapshot.event_seq
-        self._active = {entry[0].job_id: _JobState(*entry) for entry in snapshot.active}
+        self._active = {entry[0].job_id: self._job_state(*entry) for entry in snapshot.active}
         self._records = {job_id: record.copy() for job_id, record in snapshot.records.items()}
         self._busy_seconds = dict(snapshot.busy_seconds)
         self._checkpoint_seconds = dict(snapshot.checkpoint_seconds)
@@ -919,16 +950,16 @@ class ClusterScheduler:
             return entry
         return None
 
-    def _admit_arrivals(self, current_time: float) -> bool:
+    def _admit_arrivals(self, current_time: float) -> None:
         """Move every job whose arrival time has come into the active set.
 
-        The heap comparison allows ``_ARRIVAL_EPSILON`` of slack, so a job may
-        be admitted marginally before its nominal arrival; the admission
-        instant is recorded as ``max(arrival_time, current_time)`` and the
-        clock nudged up to the latest one, so elapsed times are never negative.
-        Callers must re-read the clock after admission.
+        An admission makes the allocation stale.  The heap comparison allows
+        ``_ARRIVAL_EPSILON`` of slack, so a job may be admitted marginally
+        before its nominal arrival; the admission instant is recorded as
+        ``max(arrival_time, current_time)`` and the clock nudged up to the
+        latest one, so elapsed times are never negative.  Callers must
+        re-read the clock after admission.
         """
-        admitted = False
         latest_admission = current_time
         while True:
             head = self._peek_pending()
@@ -939,7 +970,7 @@ class ClusterScheduler:
             self._pending_ids.discard(job.job_id)
             admitted_at = max(job.arrival_time, current_time)
             latest_admission = max(latest_admission, admitted_at)
-            self._active[job.job_id] = _JobState(job=job, admitted_at=admitted_at)
+            self._active[job.job_id] = self._job_state(job, admitted_at)
             # Staleness counts from the *effective* arrival (the heap key): a
             # job waiting in the pending queue for a round boundary is
             # unincorporated churn from the moment it became visible.
@@ -947,12 +978,11 @@ class ClusterScheduler:
             start = _time.perf_counter()
             self._engine.add_job(job)
             self._matrix_seconds += _time.perf_counter() - start
-            admitted = True
+            self._allocation_stale = True
         if latest_admission > current_time:
             # An epsilon-early admission: advance (<= _ARRIVAL_EPSILON) so the
             # solve that follows sees current_time >= every admission instant.
             self._clock.advance_to(latest_admission)
-        return admitted
 
     def _read_active(self) -> _ActiveJobs:
         """One bulk read of the active jobs: one comprehension per attribute."""
@@ -967,6 +997,7 @@ class ClusterScheduler:
             steps_done=steps_done,
             steps_remaining=np.maximum(total_steps - steps_done, 0.0),
             scale_factors=np.fromiter([state.job.scale_factor for state in states], float, count),
+            alone=np.fromiter([state.alone for state in states], np.intp, count),
         )
 
     def _build_problem(
@@ -986,9 +1017,7 @@ class ClusterScheduler:
             current_time=current_time,
         )
 
-    def _solve_allocation(
-        self, current_time: float, active: Optional[_ActiveJobs] = None
-    ) -> Allocation:
+    def _solve_allocation(self, current_time: float, active: _ActiveJobs) -> Allocation:
         """One recomputation through the live session; ``active``: the caller's bulk read."""
         if (
             self._config.max_session_history is not None
@@ -1002,9 +1031,7 @@ class ClusterScheduler:
         start = _time.perf_counter()
         matrix = self._engine.matrix()
         self._matrix_seconds += _time.perf_counter() - start
-        problem = self._build_problem(
-            current_time, matrix, active if active is not None else self._read_active()
-        )
+        problem = self._build_problem(current_time, matrix, active)
         deltas = self._engine.drain_deltas()
         start = _time.perf_counter()
         if self._session is None:
@@ -1028,94 +1055,52 @@ class ClusterScheduler:
         return allocation
 
     def _start_period(self, allocation: Allocation) -> PriorityTracker:
-        """Open an allocation period: a fresh tracker, and nothing cached from the last.
+        """Open a period on a fresh allocation: a new tracker, nothing cached from the last.
 
-        What is constant between re-allocations is built at most once per
-        period and dies with the tracker: its dense arrays, and the *member
-        table* — per tracker row, once a round first picks it, one
-        :data:`_Member` per job (see :meth:`_row_members`), which lets a
-        round's accounting run on ``(row, column)`` indices alone.  It points
-        into ``_active`` / ``_records``; every event that replaces or removes
-        those objects also ends the period, so the table is never stale.
+        What is constant between re-allocations dies with the tracker: its
+        dense arrays, and the *member table* — per tracker row, once a round
+        first picks it, one :data:`_Member` per job (see :meth:`_row_members`).
+        It points into ``_active`` / ``_records``; every event that replaces
+        or removes those objects also ends the period, so it is never stale.
         """
-        self._tracker = PriorityTracker(allocation)
+        self._tracker, self._allocation_stale = PriorityTracker(allocation), False
         self._members = [None] * len(self._tracker.combinations)
         return self._tracker
 
     def _row_members(self, tracker: PriorityTracker, row: int) -> Tuple[_Member, ...]:
         """Resolve tracker row ``row`` to its jobs' live state, once per period."""
-        slots = 2 * len(self._cluster_spec.registry)
+        combination, table = tracker.combinations[row], self._rate_table
         members: List[_Member] = []
-        for job_id in tracker.combinations[row]:
+        for job_id, key in zip(combination, self._rate_keys(combination)):
             state = self._active[job_id]
-            throughputs: List[Optional[float]] = [None] * slots
-            members.append(
-                (
-                    job_id,
-                    state,
-                    self._records[job_id],
-                    state.job.total_steps,
-                    state.job.scale_factor,
-                    throughputs,
-                )
-            )
+            job, rates = state.job, table.rows[table[key]]
+            members.append((state, self._records[job_id], job.total_steps, job.scale_factor, rates))
         self._members[row] = resolved = tuple(members)
         return resolved
 
-    def _execution_throughput(
-        self, combination: Tuple[int, ...], job_id: int, accelerator_name: str, consolidated: bool
-    ) -> float:
-        """True throughput used to advance training progress.
+    def _rate_keys(self, combination: Tuple[int, ...]) -> List[_RateKey]:
+        """Per member of an allocation row (a singleton or a pair), its rate-table key."""
+        jobs = [self._active[job_id].job for job_id in combination]
+        partners = [None if len(jobs) == 1 else job.job_type for job in reversed(jobs)]
+        return [(job.job_type, partner, job.scale_factor) for job, partner in zip(jobs, partners)]
 
-        Deterministic in the jobs' (constant) types and scale factors, so the
-        member table keeps it for the period.
+    def _job_state(self, job: Job, *progress: Any) -> _JobState:
+        """An admitted (or restored) job's state, with its rate-table row alone."""
+        alone = self._rate_table[job.job_type, None, job.scale_factor]
+        return _JobState(job, *progress, alone=alone)
+
+    # -- internals: the round executor (round, physical) ------------------------------------------
+    def _run_round(self, current_time: float) -> Tuple[float, List[Tuple[int, float]]]:
+        """One round of the period; returns ``(round end, [(job id, finish time)])``.
+
+        On indices: Algorithm 1 picks ``(row, column)`` cells of the tracker's
+        arrays, the placer says which picks sit on one server, and the
+        accounting loop resolves a row to its jobs through the member table.
+        ``physical`` adds checkpoint overhead and throughput jitter.
         """
-        state = self._active[job_id]
-        if len(combination) == 1:
-            return self._oracle.throughput(
-                state.job.job_type,
-                accelerator_name,
-                scale_factor=state.job.scale_factor,
-                consolidated=consolidated,
-            )
-        other_id = combination[0] if combination[1] == job_id else combination[1]
-        # Asked with this job's type first, so ``first`` is this job's rate
-        # whichever position of the combination it holds.
-        return self._colocation.colocated_throughputs(
-            state.job.job_type, self._active[other_id].job.job_type, accelerator_name
-        ).first
-
-    # -- internals: round-based stepping --------------------------------------------------------
-    def _step_round(self) -> None:
         config = self._config
         round_duration = config.round_duration_seconds
-
-        if not self._active:
-            # Idle: jump to the next arrival, but never into or past the cap
-            # (the step guard's contract must hold for the jump inside the step).
-            head = self._peek_pending()
-            if head is not None:
-                self._clock.advance_to(min(head[0], config.max_simulated_seconds))
-        current_time = self._clock.now()
-        if current_time >= config.max_simulated_seconds:
-            return
-        # Scheduled control events apply at the first round boundary at or
-        # after their timestamp — before admission and the allocation solve.
-        self._apply_due_control_events(current_time)
-        if self._admit_arrivals(current_time):
-            self._allocation_stale = True
-        current_time = self._clock.now()
-        if not self._active:
-            return
-
         tracker = self._tracker
-        if self._allocation_stale or tracker is None:
-            tracker = self._start_period(self._solve_allocation(current_time))
-            self._allocation_stale = False
-
-        # One round, on indices: Algorithm 1 picks (row, column) cells of the
-        # tracker's arrays, the placer says which picks sit on one server, and
-        # the loop below resolves a row to its jobs through the member table.
         picks = self._round_scheduler.schedule_round(tracker)
         self._round_scheduler.validate_round(picks)
         rows, columns, scales = picks.rows, picks.columns, picks.scales
@@ -1127,30 +1112,23 @@ class ClusterScheduler:
         checkpoint_overhead = min(config.checkpoint_overhead_seconds, round_duration)
         round_end = current_time + round_duration
         this_round = self._num_rounds
-        completed_this_round: List[Tuple[int, float]] = []
+        finished: List[Tuple[int, float]] = []
         names = picks.names
         costs_per_hour = self._cluster_spec.registry.costs_per_hour()
         table, busy_seconds, total_cost = self._members, self._busy_seconds, self._total_cost
         for row, column, scale, on_one_server in zip(rows, columns, scales, consolidated):
             members = table[row] or self._row_members(tracker, row)
             accelerator_name = names[column]
-            slot = 2 * column + on_one_server
-            # Worker-occupancy within the round: jobs that complete mid-round
-            # release their accelerators at the completion instant, so
-            # utilization and cost are prorated rather than charged a full
-            # round.  Cost is job-attributable: when one job of a pair
-            # finishes early, the surviving job keeps the device busy
-            # (occupancy = max over the pair) but the freed half-slot is
-            # billed to no one.
+            # A job completing mid-round releases its accelerator then, so
+            # utilization and cost are prorated.  Cost is job-attributable:
+            # when one job of a pair finishes early, the survivor keeps the
+            # device busy (occupancy = max over the pair) but the freed
+            # half-slot is billed to no one.
             occupancy_seconds = 0.0
-            for job_id, state, record, total_steps, job_scale, throughputs in members:
+            for state, record, total_steps, job_scale, rates in members:
                 if record.first_allocation_time is None:
                     record.first_allocation_time = current_time
-                throughput = throughputs[slot]
-                if throughput is None:
-                    throughput = throughputs[slot] = self._execution_throughput(
-                        tracker.combinations[row], job_id, accelerator_name, on_one_server
-                    )
+                throughput = rates[on_one_server][column]
                 overhead = 0.0
                 if physical:
                     if (
@@ -1167,7 +1145,7 @@ class ClusterScheduler:
                     needed = 0.0
                 if throughput > 0 and progress >= needed:
                     finish = min(current_time + overhead + needed / throughput, round_end)
-                    completed_this_round.append((job_id, finish))
+                    finished.append((state.job.job_id, finish))
                     steps_done = total_steps
                     used_seconds = finish - current_time
                 else:
@@ -1176,15 +1154,12 @@ class ClusterScheduler:
                 state.steps_done = record.steps_done = steps_done
                 state.last_accelerator = accelerator_name
                 state.last_round = this_round
-                accelerator_seconds = record.accelerator_seconds
-                accelerator_seconds[accelerator_name] = (
-                    accelerator_seconds.get(accelerator_name, 0.0) + used_seconds
+                record.accelerator_seconds[accelerator_name] = (
+                    record.accelerator_seconds.get(accelerator_name, 0.0) + used_seconds
                 )
                 if overhead > 0:
-                    # Checkpoint/restore windows occupy the accelerator but
-                    # produce no training progress; they are billed like
-                    # productive time (the device is held) and accounted
-                    # separately so cost/utilization can be decomposed.
+                    # A checkpoint window holds the device without progress:
+                    # billed like productive time, and also accounted apart.
                     overhead_used = min(overhead, used_seconds)
                     record.checkpoint_seconds += overhead_used
                     self._checkpoint_seconds[accelerator_name] += (
@@ -1199,87 +1174,61 @@ class ClusterScheduler:
                     occupancy_seconds = used_seconds
             busy_seconds[accelerator_name] += scale * occupancy_seconds
         self._total_cost = total_cost
+        return round_end, finished
 
-        for job_id, finish_time in completed_this_round:
-            self._retire(job_id, finish_time)
-        if completed_this_round:
-            self._allocation_stale = True
-
-        self._clock.advance_to(round_end)
-        self._num_rounds += 1
-
-    # -- internals: continuous (event-driven fluid) stepping --------------------------------------
+    # -- internals: the fluid executor (continuous, ideal) ---------------------------------------
     def _next_resolve_tick(self, current_time: float) -> float:
-        """Next grid-aligned periodic re-solve instant strictly after ``current_time``.
-
-        The grid (multiples of ``resolve_interval_seconds``) is a pure
-        function of the clock, so the tick schedule needs no snapshot state.
-        """
+        """Next multiple of ``resolve_interval_seconds`` after ``current_time`` (needs no state)."""
         interval = self._config.resolve_interval_seconds
         if interval is None:
             return math.inf
         return (math.floor(current_time / interval) + 1) * interval
 
-    def _step_continuous(self) -> None:
-        """One fluid event: fire due events, re-solve, progress to the next event.
+    def _run_fluid(
+        self, current_time: float, active: _ActiveJobs, allocation: Allocation
+    ) -> Tuple[float, List[Tuple[int, float]]]:
+        """``X * T`` integrated to the next event; returns ``(its time, [(job id, finish)])``.
 
-        This is the central event loop of ``continuous`` mode: the next event
-        is the earliest of the next arrival, the earliest completion at the
-        current fluid rates, the next queued control event and the next
-        re-solve tick, and every event re-allocates through the live policy
-        session.  ``ideal`` mode is this loop with no control events or ticks.
-
-        Outside the solve an event is a fixed number of numpy calls over one
-        per-job x per-type block; per job there is only the bulk read and the
-        write-back (one attribute access each — no lookup, no branch), plus a
-        first allocation or a completion when one happens; with pair rows, one
-        Python pass over the rows splits their shares.
+        The next event is the earliest of the next arrival or control event,
+        the earliest completion and the next re-solve tick.  Numpy over one
+        per-job x per-type block, in admission order (the run-level sums' order).
         """
-        if not self._active:
-            # Idle: jump to whichever comes first — the next arrival or the
-            # next queued control event — but never into or past the cap;
-            # the step guard's "no step starts at or past the cap" contract
-            # must hold for the jump inside the step too.
-            head = self._peek_pending()
-            control = self._peek_control_event()
-            targets = [entry[0] for entry in (head, control) if entry is not None]
-            if targets:
-                self._clock.advance_to(min(min(targets), self._config.max_simulated_seconds))
-        current_time = self._clock.now()
-        if current_time >= self._config.max_simulated_seconds:
-            return
-        self._apply_due_control_events(current_time)
-        self._admit_arrivals(current_time)
-        current_time = self._clock.now()
-        if not self._active:
-            return
-
-        active = self._read_active()
-        allocation = self._solve_allocation(current_time, active)
-        matrix = self._session.problem.throughputs
-
-        # The rest of the event is numpy over the bulk read, in admission
-        # order: the order the run-level sums have always been accumulated in.
+        # Section 3.1's effective throughput at the rate rule's (packed) rates; each
+        # job is billed its share of its rows (a pair's is split, no row pays nothing).
+        table, combinations, matrix = self._rate_table, allocation.combinations, allocation.matrix
         ids = np.fromiter(active.ids, np.int64, len(active.ids))
-        job_ids = matrix.dense_rows().job_ids  # the active jobs, ascending
+        job_ids = np.sort(ids)
+        members = np.fromiter(chain.from_iterable(combinations), np.int64)
+        paired = len(members) > len(combinations)
         position = np.searchsorted(job_ids, ids)
-        rates = effective_throughput_vector(matrix, allocation)[position]
+        if not paired and np.array_equal(members, job_ids):  # row k is job k, alone
+            billed = matrix[position]
+            rates = (table.packed.take(active.alone, axis=0) * billed).sum(axis=1)
+        else:  # per member: its row's fractions, its part of them to bill, its rates
+            sizes = np.fromiter(map(len, combinations), np.intp, len(combinations))
+            rows = np.repeat(np.arange(len(combinations)), sizes)
+            ordinals, starts = np.searchsorted(job_ids, members), np.cumsum(sizes) - sizes
+            kinds = active.alone[np.argsort(ids)][ordinals]
+            for row in np.flatnonzero((sizes > 1) & matrix.any(axis=1)).tolist():
+                at = starts[row]
+                kinds[at:at + 2] = [table[key] for key in self._rate_keys(combinations[row])]
+            per_member = (table.packed.take(kinds, axis=0) * matrix[rows]).sum(axis=1)
+            rates = np.bincount(ordinals, weights=per_member, minlength=len(job_ids))[position]
+            billed = np.zeros((len(job_ids), matrix.shape[1]))
+            np.add.at(billed, ordinals, matrix[rows] / sizes[rows, None])
+            billed = billed[position]
         moving = rates > 0
         records = list(map(self._records.__getitem__, active.ids))
         firsts = [record.first_allocation_time is None for record in records]
         unset = np.fromiter(firsts, bool, len(records)) & moving
         for index in unset.nonzero()[0].tolist():
             records[index].first_allocation_time = current_time
-        # Time to the next event.
-        head = self._peek_pending()
-        next_arrival = head[0] if head is not None else math.inf
         to_finish = np.full(len(rates), math.inf)
         np.divide(active.steps_remaining, rates, out=to_finish, where=moving)
         earliest_completion = current_time + np.minimum.reduce(to_finish).item()
-        control = self._peek_control_event()
-        next_control = control[0] if control is not None else math.inf
-        tick = self._next_resolve_tick(current_time)
-        next_event = min(next_arrival, earliest_completion, next_control, tick)
+        next_event = min(
+            self._next_wake(), earliest_completion, self._next_resolve_tick(current_time)
+        )
         if not math.isfinite(next_event):
             raise SchedulingError(
                 f"{self._config.mode} execution stalled: no job can make progress"
@@ -1289,23 +1238,14 @@ class ClusterScheduler:
         steps_done = active.steps_done + rates * dt
         for state, record, progress in zip(active.states, records, steps_done.tolist()):
             state.steps_done = record.steps_done = progress
-        # Each job is billed its share of its rows (a pair's time is split
-        # between its members); a row occupies ``demand`` devices once,
-        # whoever is in it — the rule of the round loop.
-        share_ids, shares = allocation.job_shares()
-        if share_ids.shape == job_ids.shape and (share_ids == job_ids).all():
-            billed = shares[position]
-        else:  # a job in no row is billed nothing
-            at = np.minimum(np.searchsorted(share_ids, ids), len(share_ids) - 1)
-            billed = np.where((share_ids[at] == ids)[:, None], shares[at], 0.0)
         worker_seconds = (billed * dt) * active.scale_factors[:, None]
         registry = self._cluster_spec.registry
         costs = np.asarray(registry.costs_per_hour()) * worker_seconds / _SECONDS_PER_HOUR
-        if shares is allocation.matrix:  # every row a singleton: rows are jobs
+        # A row occupies ``demand`` devices once, whoever is in it — the round executor's rule.
+        if not paired:  # every row a singleton: rows are jobs
             occupancy = worker_seconds
         else:
-            demand = np.asarray(allocation.demand, dtype=float)
-            occupancy = (allocation.matrix * dt) * demand[:, None]
+            occupancy = (matrix * dt) * np.asarray(allocation.demand, dtype=float)[:, None]
         # Running sums, added in the order the per-item loop added them
         # (``accumulate`` is sequential, so the floats are the loop's).
         busy, names = self._busy_seconds, registry.names
@@ -1318,10 +1258,8 @@ class ClusterScheduler:
             totals = totals + column
         for record, cost in zip(records, totals.tolist()):
             record.cost_dollars = cost
-        for index in (active.total_steps - steps_done <= 1e-6).nonzero()[0].tolist():
-            # Incorporated by the solve at the very next event boundary, i.e.
-            # at the completion instant itself — zero staleness.
-            self._retire(active.ids[index], current_time + dt)
+        # A completion is incorporated by the solve at the very next event
+        # boundary, i.e. at the completion instant itself — zero staleness.
+        done = (active.total_steps - steps_done <= 1e-6).nonzero()[0].tolist()
+        return next_event, [(active.ids[index], current_time + dt) for index in done]
 
-        self._clock.advance_to(next_event)
-        self._num_rounds += 1

@@ -31,7 +31,43 @@ from repro.exceptions import ConfigurationError
 from repro.workloads.job_table import JobTypeTable, default_job_type_table
 from repro.workloads.throughputs import ThroughputOracle
 
-__all__ = ["ColocationModel", "ColocatedThroughputs", "beneficial_pair_row"]
+__all__ = ["ColocationModel", "ColocatedThroughputs", "beneficial_pair_row", "member_throughputs"]
+
+
+def member_throughputs(
+    model: "ColocationModel",
+    job_type: str,
+    partner_type: Optional[str],
+    accelerator_names: Sequence[str],
+    scale_factor: int = 1,
+    consolidated: bool = True,
+) -> np.ndarray:
+    """Steps/second of one member of an allocation row, one entry per accelerator name.
+
+    This is the one rate rule: every execution mode runs with it, and
+    policies plan with it — pair rows through :func:`beneficial_pair_row`,
+    singleton rows through the oracle's memoized ``throughput_vector``, which
+    is this function's singleton case.
+
+    * A singleton (``partner_type`` is ``None``) runs at
+      ``model.oracle.throughput_vector(job_type, scale_factor, consolidated)``:
+      the oracle's throughput for its scale factor and placement, in registry
+      order (so ``accelerator_names`` must be the oracle registry's names).
+    * A pair member runs at ``model.colocated_throughputs(job_type,
+      partner_type, name).first``: asked with its own type first, so
+      ``first`` is its rate in either position of the pair.
+
+    Pair rows only ever join two *single-worker* jobs (see
+    :meth:`~repro.core.allocation_engine.AllocationEngine.add_job`), so a pair
+    member runs on one device and ``scale_factor`` and ``consolidated`` do not
+    apply to it.  ``model`` may be any object exposing the
+    :class:`ColocationModel` query interface and an ``oracle``, e.g. a
+    throughput estimator.
+    """
+    if partner_type is None:
+        return model.oracle.throughput_vector(job_type, scale_factor, consolidated)
+    pair = [model.colocated_throughputs(job_type, partner_type, name) for name in accelerator_names]
+    return np.array([rates.first for rates in pair])
 
 
 def beneficial_pair_row(
@@ -43,29 +79,27 @@ def beneficial_pair_row(
 ) -> Optional[np.ndarray]:
     """Colocated-throughput row for a *type* pair, or ``None`` if never beneficial.
 
-    Row ``[0]`` holds ``job_type_a``'s absolute throughputs and row ``[1]``
-    ``job_type_b``'s, one column per accelerator name.  A column is filled
-    only when the pair fits in memory there *and* its combined normalized
-    throughput reaches ``threshold``; if no column qualifies the pair carries
-    no information for space-sharing policies and ``None`` is returned.
+    Row ``[k]`` holds member ``k``'s :func:`member_throughputs` (``job_type_a``
+    first), masked to the columns where the pair fits in memory (both rates
+    positive) *and* its combined normalized throughput reaches ``threshold``;
+    if no column qualifies the pair carries no information for space-sharing
+    policies and ``None`` is returned.
 
-    ``model`` may be any object exposing the :class:`ColocationModel` query
-    interface (e.g. a throughput estimator).  Because the result depends only
-    on the two job *types* (never on job ids), it is the natural unit to
-    memoize across allocation recomputations.
+    Because the result depends only on the two job *types* (never on job
+    ids), it is the natural unit to memoize across allocation recomputations.
     """
-    values = np.zeros((2, len(accelerator_names)))
-    beneficial = False
-    for column, name in enumerate(accelerator_names):
-        pair = model.colocated_throughputs(job_type_a, job_type_b, name)
-        if not pair.feasible:
-            continue
-        combined = model.combined_normalized_throughput(job_type_a, job_type_b, name)
-        if combined >= threshold:
-            beneficial = True
-            values[0, column] = pair.first
-            values[1, column] = pair.second
-    return values if beneficial else None
+    rates = np.array(
+        [
+            member_throughputs(model, job_type_a, job_type_b, accelerator_names),
+            member_throughputs(model, job_type_b, job_type_a, accelerator_names),
+        ]
+    )
+    keep = [
+        bool(rates[0, column] > 0.0 and rates[1, column] > 0.0)
+        and model.combined_normalized_throughput(job_type_a, job_type_b, name) >= threshold
+        for column, name in enumerate(accelerator_names)
+    ]
+    return np.where(keep, rates, 0.0) if any(keep) else None
 
 
 @dataclass(frozen=True)
@@ -126,7 +160,7 @@ class ColocationModel:
         spec_other = self._oracle.spec(other_job_type)
         slack = self._DEVICE_SLACK.get(accelerator_name, 1.0)
         penalty = self._strength * spec_other.compute_intensity * slack
-        return float(np.clip(1.0 - penalty, 0.05, 1.0))
+        return min(max(1.0 - penalty, 0.05), 1.0)
 
     def colocated_throughputs(
         self,

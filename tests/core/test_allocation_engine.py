@@ -74,18 +74,24 @@ class TestIncrementalEquivalence:
             )
             _assert_matrices_equal(engine.matrix(), reference)
 
-    def test_multi_worker_jobs_get_no_pair_rows(self, oracle):
+    @pytest.mark.parametrize("aggregation", ["job", "type"])
+    def test_multi_worker_jobs_get_no_pair_rows(self, oracle, aggregation):
+        """Pairs join single-worker jobs only: the rate rule's pair case has no scale factor."""
         jobs = [
             Job(job_id=0, job_type="resnet50-bs64", total_steps=1000.0),
             Job(job_id=1, job_type="a3c-bs4", total_steps=1000.0, scale_factor=4),
             Job(job_id=2, job_type="a3c-bs4", total_steps=1000.0),
+            Job(job_id=3, job_type="a3c-bs4", total_steps=1000.0, scale_factor=2),
         ]
-        engine = AllocationEngine(oracle, space_sharing=True)
+        engine = AllocationEngine(oracle, space_sharing=True, aggregation=aggregation)
         engine.add_jobs(jobs)
-        reference = build_throughput_matrix(jobs, oracle, space_sharing=True)
-        _assert_matrices_equal(engine.matrix(), reference)
-        for combination in engine.matrix().combinations:
-            assert 1 not in combination or combination == (1,)
+        if aggregation == "job":
+            reference = build_throughput_matrix(jobs, oracle, space_sharing=True)
+            _assert_matrices_equal(engine.matrix(), reference)
+        combinations = engine.matrix().combinations
+        assert (0, 2) in combinations  # the single-worker jobs do pair up
+        for combination in combinations:
+            assert len(combination) == 1 or not {1, 3} & set(combination)
 
     def test_custom_threshold_respected(self, oracle, model):
         jobs = _jobs(oracle, 10)

@@ -1,16 +1,21 @@
 """Scalar reference of one fluid event: the per-job loop ``continuous`` mode replaced.
 
-This is ``ClusterScheduler._step_continuous`` as it stood before the event moved
-onto arrays — per job per accelerator type a ``job_row``-style lookup, a
-registry lookup for the price and three dictionary updates — kept as the
-differential oracle of ``test_continuous_equivalence.py``.  It differs from that
-code in one place on purpose, the *pair fix*: a space-sharing pair row used to be
-charged once per member (busy time and cost both counted twice).  Here, as in
-the round loop, a row occupies ``demand`` devices once whoever is in it, and
-each member is billed the row's fraction divided by the row's size.  State is
-reached through the scheduler passed in, and completions skip the wall-clock
-timing of the engine call.  Do not optimise it: its value is that it does every
-step per item, in the obvious order.
+This is the fluid step as it stood before the event moved onto arrays — per
+job per accelerator type a ``job_row``-style lookup, a registry lookup for the
+price and three dictionary updates — kept as the differential oracle of
+``test_continuous_equivalence.py``.  It differs from that code in two places on
+purpose.  The *pair fix*: a space-sharing pair row used to be charged once per
+member (busy time and cost both counted twice).  Here, as in the round loop, a
+row occupies ``demand`` devices once whoever is in it, and each member is billed
+the row's fraction divided by the row's size.  The *rate fix*: rates used to be
+read off the session's planned matrix, where a type-aggregated allocation's
+expanded member pairs have no row and so ran at zero.  Here every member of every
+allocation row is asked of the models, from the definition: alone, the oracle's
+throughput at the job's scale factor; in a pair, the colocation model's
+``first`` with the job's own type first.  State is reached through the
+scheduler passed in, and completions skip the wall-clock timing of the engine
+call.  Do not optimise it: its value is that it does every step per item, in
+the obvious order.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ from __future__ import annotations
 import math
 from typing import Dict, List
 
-from repro.core.effective_throughput import effective_throughputs
 from repro.exceptions import SchedulingError
 from repro.scheduler import ClusterScheduler
 
@@ -36,13 +40,20 @@ def reference_step(scheduler: ClusterScheduler) -> bool:
     return scheduler.has_work
 
 
+def _next_wake(self: ClusterScheduler) -> float:
+    """The idle wake, written out from its definition (``inf``: nothing to wake for).
+
+    The earliest of the next pending arrival (skipping jobs cancelled while
+    pending) and the next queued control event.  Not the scheduler's own
+    ``_next_wake``, so the rule under test is not on both sides of the comparison.
+    """
+    arrivals = [at for at, _seq, job in self._pending if job.job_id not in self._cancelled_pending]
+    return min(arrivals + [entry[0] for entry in self._event_heap], default=math.inf)
+
+
 def _reference_step_continuous(self: ClusterScheduler) -> None:
     if not self._active:
-        head = self._peek_pending()
-        control = self._peek_control_event()
-        targets = [entry[0] for entry in (head, control) if entry is not None]
-        if targets:
-            self._clock.advance_to(min(min(targets), self._config.max_simulated_seconds))
+        self._clock.advance_to(min(_next_wake(self), self._config.max_simulated_seconds))
     current_time = self._clock.now()
     if current_time >= self._config.max_simulated_seconds:
         return
@@ -52,16 +63,32 @@ def _reference_step_continuous(self: ClusterScheduler) -> None:
     if not self._active:
         return
 
-    allocation = self._solve_allocation(current_time)
-    matrix = self._session.problem.throughputs
+    allocation = self._solve_allocation(current_time, self._read_active())
 
-    throughputs = effective_throughputs(matrix, allocation)
+    names = self._cluster_spec.registry.names
+    # The rate fix: sum_k sum_j T[k, j, m] * X[k, j], each T asked of the models.
+    throughputs = {job_id: 0.0 for job_id in self._active}
+    for combination, fractions in zip(allocation.combinations, allocation.matrix):
+        for job_id in combination:
+            job = self._active[job_id].job
+            partner = [other for other in combination if other != job_id]
+            rate = 0.0
+            for column, name in enumerate(names):
+                if partner:
+                    other = self._active[partner[0]].job
+                    member = self._colocation.colocated_throughputs(
+                        job.job_type, other.job_type, name
+                    ).first
+                else:
+                    member = self._oracle.throughput(
+                        job.job_type, name, scale_factor=job.scale_factor
+                    )
+                rate += member * fractions[column]
+            throughputs[job_id] += rate
     for job_id, throughput in throughputs.items():
         if throughput > 0 and self._records[job_id].first_allocation_time is None:
             self._records[job_id].first_allocation_time = current_time
-    # Time to the next event.
-    head = self._peek_pending()
-    next_arrival = head[0] if head is not None else math.inf
+    # Time to the next event: the next arrival or control event, a completion or a tick.
     earliest_completion = math.inf
     for job_id, state in self._active.items():
         throughput = throughputs[job_id]
@@ -70,19 +97,13 @@ def _reference_step_continuous(self: ClusterScheduler) -> None:
             earliest_completion = min(
                 earliest_completion, current_time + steps_remaining / throughput
             )
-    control = self._peek_control_event()
-    next_control = control[0] if control is not None else math.inf
     next_event = min(
-        next_arrival,
-        earliest_completion,
-        next_control,
-        self._next_resolve_tick(current_time),
+        _next_wake(self), earliest_completion, self._next_resolve_tick(current_time)
     )
     if not math.isfinite(next_event):
         raise SchedulingError(f"{self._config.mode} execution stalled: no job can make progress")
     dt = max(0.0, next_event - current_time)
 
-    names = self._cluster_spec.registry.names
     # The pair fix, part one: the rows each job is billed for, in row order.
     rows_of: Dict[int, List[int]] = {}
     for row, combination in enumerate(allocation.combinations):

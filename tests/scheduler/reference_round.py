@@ -1,20 +1,22 @@
 """Scalar reference of one scheduling round: selection, placement and accounting.
 
-This is the per-item code ``repro.cluster.placement`` and
-``ClusterScheduler._step_round`` shipped before the round moved onto
-``(row, column)`` indices and the per-period member table — one request object
-and one worker-id list per pick, every job looked up by id in ``_active`` /
-``_records`` for every item — kept verbatim as the differential oracle of
-``test_round_equivalence.py``.  The differences are deliberate and few: state is
-reached through the scheduler passed in, selection is the scalar Algorithm 1
-of ``reference_mechanism.py``, throughputs are asked of the oracle every time
-(the period cache only ever saved calls), and the idle jump is clamped to the
-simulation cap (the bug fixed with the move).  Do not optimise it: its value is
-that it holds no index and no table that could go stale.
+This is the per-item code ``repro.cluster.placement`` and the round step
+shipped before the round moved onto ``(row, column)`` indices and the
+per-period member table — one request object and one worker-id list per pick,
+every job looked up by id in ``_active`` / ``_records`` for every item — kept
+verbatim as the differential oracle of ``test_round_equivalence.py``.  The
+differences are deliberate and few: state is reached through the scheduler
+passed in, selection is the scalar Algorithm 1 of ``reference_mechanism.py``,
+throughputs are asked of the oracle every time (the period cache only ever
+saved calls), and the idle jump is clamped to the simulation cap (the bug fixed
+with the move) and wakes at a queued control event too (the one wake rule of
+every mode).  Do not optimise it: its value is that it holds no index and no
+table that could go stale.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.cluster import ClusterTopology
@@ -159,28 +161,36 @@ def reference_step(scheduler: ClusterScheduler) -> Optional[ReferenceRound]:
     return _reference_step_round(scheduler)
 
 
+def _next_wake(self: ClusterScheduler) -> float:
+    """The idle wake, written out from its definition (``inf``: nothing to wake for).
+
+    The earliest of the next pending arrival (skipping jobs cancelled while
+    pending) and the next queued control event.  Not the scheduler's own
+    ``_next_wake``, so the rule under test is not on both sides of the comparison.
+    """
+    arrivals = [at for at, _seq, job in self._pending if job.job_id not in self._cancelled_pending]
+    return min(arrivals + [entry[0] for entry in self._event_heap], default=math.inf)
+
+
 def _reference_step_round(self: ClusterScheduler) -> Optional[ReferenceRound]:
     config = self._config
     round_duration = config.round_duration_seconds
     physical = config.mode == "physical"
 
     if not self._active:
-        head = self._peek_pending()
-        if head is not None:
-            self._clock.advance_to(min(head[0], config.max_simulated_seconds))
+        self._clock.advance_to(min(_next_wake(self), config.max_simulated_seconds))
     current_time = self._clock.now()
     if current_time >= config.max_simulated_seconds:
         return None
     self._apply_due_control_events(current_time)
-    if self._admit_arrivals(current_time):
-        self._allocation_stale = True
+    self._admit_arrivals(current_time)
     current_time = self._clock.now()
     if not self._active:
         return None
 
     tracker = self._tracker
     if self._allocation_stale or tracker is None:
-        tracker = self._start_period(self._solve_allocation(current_time))
+        tracker = self._start_period(self._solve_allocation(current_time, self._read_active()))
         self._allocation_stale = False
 
     allocation = tracker.allocation

@@ -92,6 +92,12 @@ _SCENARIOS = {
         None,
     ),
     "ideal": ("max_min_fairness+ss", SchedulerConfig(mode="ideal"), _trace(seed=4), None),
+    "aggregated_space_sharing": (
+        "max_min_fairness+ss",
+        SchedulerConfig(mode="continuous", aggregation="type"),
+        _trace(num_jobs=12, seed=3),
+        None,
+    ),
 }
 
 _COUNTS = {"v100": 2, "p100": 2, "k80": 2}
@@ -120,7 +126,11 @@ def _state(scheduler):
         "num_rounds": scheduler._num_rounds,
         "recomputations": scheduler._recomputations,
         "cluster": scheduler.cluster_spec,
-        "active": [(job_id, dict(vars(state))) for job_id, state in scheduler._active.items()],
+        # ``alone`` indexes the scheduler's own rate table: compare the rates it names.
+        "active": [
+            (job_id, dict(vars(state), alone=scheduler._rate_table.rows[state.alone]))
+            for job_id, state in scheduler._active.items()
+        ],
         "records": {job_id: dict(vars(record)) for job_id, record in scheduler._records.items()},
         "total_cost": scheduler._total_cost,
         "stale_event_times": list(scheduler._stale_event_times),
@@ -173,7 +183,7 @@ class TestFluidEventMatchesScalarReference:
         real, twin = _twins(name)
         with _recorded_allocations() as allocations:
             assert _run_both(real, twin) > 10
-        if name in ("space_sharing", "churn", "ideal"):
+        if name in ("space_sharing", "churn", "ideal", "aggregated_space_sharing"):
             assert _shared_rows(allocations) > 0, "no pair row ever ran: the scenario is vacuous"
         if name == "churn":
             assert any(record.cancelled for record in real.result().records.values())

@@ -76,7 +76,11 @@ def _state(scheduler):
         "num_rounds": scheduler._num_rounds,
         "recomputations": scheduler._recomputations,
         "allocation_stale": scheduler._allocation_stale,
-        "active": {job_id: dict(vars(state)) for job_id, state in scheduler._active.items()},
+        # ``alone`` indexes the scheduler's own rate table: compare the rates it names.
+        "active": {
+            job_id: dict(vars(state), alone=scheduler._rate_table.rows[state.alone])
+            for job_id, state in scheduler._active.items()
+        },
         "records": {job_id: dict(vars(record)) for job_id, record in scheduler._records.items()},
         "busy_seconds": dict(scheduler._busy_seconds),
         "checkpoint_seconds": dict(scheduler._checkpoint_seconds),

@@ -1,13 +1,17 @@
 """Regression tests for the service core's time-boundary semantics.
 
-Three bugs lived here:
+Four bugs lived here:
 
 * ``step()``/``run_until()`` guarded the simulation cap with ``>`` instead of
   ``>=``, so a round *starting* exactly at ``max_simulated_seconds`` still
   executed and the clock overshot the configured maximum by a full round;
-* ``_step_round`` jumped an idle scheduler to the next arrival without the
-  clamp ``_step_continuous`` applies, so a round could start (and a job be
+* the round modes jumped an idle scheduler to the next arrival without the
+  clamp the fluid modes applied, so a round could start (and a job be
   admitted, allocated and run) *past* the cap when the arrival lay beyond it;
+* the round modes also woke an idle scheduler at the next arrival only, so a
+  control event queued inside the idle gap applied at the arrival, and
+  ``run_until(t)`` with that event before ``t`` and the arrival after it ran
+  a round past ``t``;
 * ``_admit_arrivals`` admits jobs up to ``_ARRIVAL_EPSILON`` before their
   nominal arrival time, and ``_build_problem`` used to hide the resulting
   inconsistency by clamping ``time_elapsed`` with ``max(0.0, ...)`` instead
@@ -146,6 +150,30 @@ class TestSimulationCapBoundary:
         result = scheduler.result()
         assert (result.end_time, result.num_rounds) == (1260.0, 1)
         assert result.records[0].first_allocation_time == 900.0
+
+
+class TestIdleWake:
+    """An idle scheduler wakes at the next arrival or control event, whichever is first."""
+
+    @pytest.mark.parametrize("mode", ["round", "physical", "continuous", "ideal"])
+    def test_run_until_stops_at_the_horizon_past_an_idle_control_event(
+        self, oracle, small_spec, mode
+    ):
+        # Pre-fix, the round modes woke at the arrival (1000), applied the
+        # resize there, admitted the job and ran a round to 1360.
+        config = SchedulerConfig(mode=mode, round_duration_seconds=360.0)
+        scheduler = _scheduler(oracle, small_spec, config)
+        scheduler.submit(_huge_job(job_id=0, arrival_time=1000.0))
+        scheduler.schedule_resize({"v100": +1}, 500.0)
+        scheduler.run_until(800.0)
+        result = scheduler.result()
+        assert (scheduler.now, result.num_rounds) == (800.0, 0)
+        assert scheduler.status().pending_job_ids == (0,)
+        # The resize applied at its own timestamp.
+        assert scheduler.cluster_spec.count("v100") == 3
+        assert result.capacity_worker_seconds["v100"] == 2 * 500.0 + 3 * 300.0
+        scheduler.step()  # the next wake is the arrival
+        assert scheduler.result().records[0].first_allocation_time == 1000.0
 
 
 class TestEpsilonAdmission:
