@@ -109,6 +109,7 @@ active *groups*.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Set, Tuple
@@ -318,8 +319,8 @@ class _DetectionProgram:
         program = self.program
         job_ids, rows, indicators, counts = self._layout()
         size = len(job_ids)
-        level_vec = np.fromiter((levels.get(job_id, 0.0) for job_id in job_ids), float, count=size)
-        in_play = np.fromiter((job_id in candidates for job_id in job_ids), float, count=size)
+        level_vec = np.fromiter(map(levels.get, job_ids, itertools.repeat(0.0)), float, size)
+        in_play = np.fromiter(map(candidates.__contains__, job_ids), float, size)
         program.set_constraint_bounds_from_arrays(rows, lower=level_vec - _EPSILON * counts)
         program.set_variable_bounds_from_arrays(indicators, 0.0, in_play)
         z = program.solve().values[indicators]
@@ -327,7 +328,7 @@ class _DetectionProgram:
         decisive = float(z[~chosen].sum()) < 1.0 - _Z_TOLERANCE
         if not decisive:
             chosen = program.solve(integer_columns=indicators).values[indicators] > 0.5
-        return {job_ids[position] for position in np.flatnonzero(chosen)}, not decisive
+        return {job_ids[position] for position in np.flatnonzero(chosen).tolist()}, not decisive
 
 
 class _LevelLoopProgram:
@@ -344,7 +345,9 @@ class _LevelLoopProgram:
     def __init__(self, program: LinearProgram, variables: AllocationVariables) -> None:
         self._program = program
         self._variables = variables
+        # Every level LP maximizes ``t``: the objective is set once, here.
         self._epigraph = program.add_variable(name="water_level_t", lower=-math.inf)
+        program.maximize({self._epigraph.index: 1.0})
         self._problem: Optional[PolicyProblem] = None
         #: job id -> constraint handle of the floor / level rows.
         self._floors: Dict[int, int] = {}
@@ -506,35 +509,31 @@ class _LevelLoopProgram:
         weights: Mapping[int, float],
         levels: Mapping[int, float],
         frozen: Set[int],
+        counts: np.ndarray,
     ) -> None:
-        """Point the live program at one level LP: bound sweeps + weight edits."""
+        """Point the live program at one level LP (``counts``: group counts in job order)."""
         program = self._program
         job_ids, floor_handles, level_handles = self._handles()
-        floor_lowers = np.fromiter(
-            (
-                levels.get(job_id, 0.0) - _EPSILON * self._group_count(job_id)
-                for job_id in job_ids
-            ),
-            dtype=float,
-            count=len(job_ids),
+        size = len(job_ids)
+        level_vec = np.fromiter(map(levels.__getitem__, job_ids), float, size)
+        program.set_constraint_bounds_from_arrays(floor_handles, level_vec - _EPSILON * counts)
+        weight_of = [weights.get(job_id, 0.0) for job_id in job_ids]
+        in_play = (np.array(weight_of, dtype=float) > 0) & ~np.fromiter(
+            map(frozen.__contains__, job_ids), bool, size
         )
-        program.set_constraint_bounds_from_arrays(floor_handles, lower=floor_lowers)
-        level_lowers = np.empty(len(job_ids))
-        for position, job_id in enumerate(job_ids):
-            weight = weights.get(job_id, 0.0)
-            in_play = job_id not in frozen and weight > 0
-            if in_play and self._level_weights.get(job_id) != weight:
+        for position in np.flatnonzero(in_play).tolist():
+            job_id, weight = job_ids[position], weight_of[position]
+            if self._level_weights.get(job_id) != weight:
                 cols, vals = self._terms[job_id]
                 program.set_constraint_coefficients_from_arrays(
                     self._level_rows[job_id],
-                    np.append(cols, self._epigraph.index),
-                    np.append(vals * self._norms[job_id], -weight),
+                    np.concatenate((cols, (self._epigraph.index,))),
+                    np.concatenate((vals * self._norms[job_id], (-weight,))),
                 )
                 self._level_weights[job_id] = weight
-            level_lowers[position] = levels.get(job_id, 0.0) if in_play else -math.inf
-        program.set_constraint_bounds_from_arrays(level_handles, lower=level_lowers)
-        program.set_variable_bounds(self._epigraph, -math.inf, None)
-        program.maximize({self._epigraph.index: 1.0})
+        program.set_constraint_bounds_from_arrays(
+            level_handles, lower=np.where(in_play, level_vec, -math.inf)
+        )
 
     def _solve_level(self) -> Tuple[Solution, float]:
         """Solve the current level LP: ``(solution, t*)``.
@@ -570,6 +569,7 @@ class _LevelLoopProgram:
         if all(weight <= 0 for weight in weights.values()):
             raise ConfigurationError("water filling requires at least one positive job weight")
 
+        counts = np.fromiter(map(self._group_count, job_ids), float, len(job_ids))
         levels: Dict[int, float] = {job_id: 0.0 for job_id in job_ids}
         frozen: Set[int] = set()
         bottleneck_order: List[Set[int]] = []
@@ -585,7 +585,7 @@ class _LevelLoopProgram:
             }
             if not active:
                 break
-            self._begin_iteration(weights, levels, frozen)
+            self._begin_iteration(weights, levels, frozen, counts)
             solution, t_star = self._solve_level()
             for job_id in sorted(active):
                 levels[job_id] = levels[job_id] + weights[job_id] * t_star

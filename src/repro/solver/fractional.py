@@ -267,11 +267,6 @@ class FractionalProgram:
             _RatioConstraint(*_expression_terms(expression), ">=", float(rhs))
         )
 
-    def add_equal(self, expression: "Mapping[int, float] | LinearExpression", rhs: float) -> int:
-        return self._append_constraint(
-            _RatioConstraint(*_expression_terms(expression), "==", float(rhs))
-        )
-
     def remove_constraint(self, handle: int) -> None:
         """Delete one constraint by handle (no-op if already removed)."""
         if self._constraints.pop(handle, None) is not None:
@@ -323,8 +318,9 @@ class FractionalProgram:
             self.name, rows, cols, coeffs, lower, upper
         )
         handles = np.empty(num_rows, dtype=np.int64)
-        for ordinal in range(num_rows):
-            low, high = float(lower_arr[ordinal]), float(upper_arr[ordinal])
+        lows = np.broadcast_to(lower_arr, (num_rows,)).tolist()
+        highs = np.broadcast_to(upper_arr, (num_rows,)).tolist()
+        for ordinal, (low, high) in enumerate(zip(lows, highs)):
             if math.isinf(low) and low < 0 and math.isfinite(high):
                 sense, rhs = "<=", high
             elif math.isfinite(low) and math.isinf(high) and high > 0:

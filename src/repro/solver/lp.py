@@ -8,7 +8,7 @@ policies need:
 * linear ``<=`` / ``>=`` / ``==`` constraints expressed as sparse coefficient
   maps,
 * linear objectives (maximize or minimize),
-* epigraph helpers for max-min / min-max objectives.
+* an epigraph helper for max-min objectives.
 
 Programs are **mutable**: policy sessions keep one program alive across
 allocation recomputations and edit it in place instead of rebuilding it.
@@ -40,6 +40,9 @@ The mutation surface is
   convenience **boundary**: they convert their argument to arrays once, in
   first-occurrence term order, and store or delegate — no per-term dict
   survives the call, so callers never need to know the row format;
+* row bounds in arrays — every row owns a *slot* in two float buffers (a
+  removed row's slot is recycled), so a bulk right-hand-side sweep
+  (:meth:`set_constraint_bounds_from_arrays`) is one indexed write;
 * cached sparse assembly — the CSR constraint matrix is an ``np.concatenate``
   over the stored rows, cached until a structural edit, so a solve after a
   right-hand-side-only edit (a water-filling level sweep, a witness solve of
@@ -49,46 +52,26 @@ Pure LPs are solved by a **live HiGHS model** (:class:`_HighsBackend`, the
 incremental ``scipy.optimize._highspy`` API SciPy has vendored since 1.15):
 the first solve passes the full model, every later solve replays only the
 edits journalled since the previous one, each through the HiGHS call that
-keeps the incumbent basis — rows are appended or rewritten in place, and the
-one call that drops the basis, ``deleteRows``, is reserved for constraints
-that were really removed, with the basis carried across it (see
-:class:`_HighsBackend` for the contract and the HiGHS version it was checked
-on).  Every :class:`Solution` says whether it started from a basis
-(``warm_started``) and what it cost (``simplex_iterations``), and hands out
-the row duals of its solve on request (:meth:`Solution.row_duals`; a solve
-that does not ask pays nothing for them).  A warm solve
-returns an optimal vertex near the previous one, so where optima tie the
-vertex depends on the program's solve history; the objective never does.
-A failed edit or solver call raises
+keeps the incumbent basis.  Rows are appended or rewritten in place, only
+really-removed rows are deleted (with the basis carried across), and bounds
+and costs — of rows and columns alike — are pushed *by difference* against a
+mirror of what HiGHS holds, so a sweep that writes a bound back unchanged
+costs no HiGHS call.  A warm solve returns an optimal vertex near the previous
+one, so where optima tie the vertex depends on the program's solve history;
+the objective never does.  A failed edit or solver call raises
 :class:`~repro.exceptions.SolverError` and drops the live model, so the next
-solve passes the full model again (the cold rebuild) instead of answering
-for a diverged one.  Integers go to :func:`scipy.optimize.milp`
-(``_solve_milp``), the only path that runs them, and it is reached in two
-ways only: the program declares integer variables (nothing in ``src/`` does),
-or a ``solve(integer_columns=...)`` call makes some columns integer for that
-one solve — the fallback of the water-filling bottleneck detection when its
-LP relaxation is not decisive (:mod:`repro.core.water_filling`), which the
-level loop counts in ``WaterFillingResult.milp_fallbacks``.  Either way the
-live model is dropped, so the next pure-LP solve passes the full model.
+solve passes the full model again.  Integers go to :func:`scipy.optimize.milp`
+(see :meth:`LinearProgram.solve` for the two ways in), which drops the live
+model too.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-    Union,
-)
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 import scipy
@@ -114,10 +97,27 @@ _Coefficients = Union[Mapping[int, float], "LinearExpression"]
 def _nonzero_terms(
     indices: np.ndarray, values: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    nonzero = values != 0.0
-    if nonzero.all():
+    if values.all():
         return indices, values
+    nonzero = values != 0.0
     return indices[nonzero], values[nonzero]
+
+
+def _has_duplicates(keys: np.ndarray) -> bool:
+    """Whether ``keys`` repeats a value: a set for an edit's few terms, one sort for a block."""
+    if len(keys) <= 64:
+        return len(set(keys.tolist())) < len(keys)
+    ordered = np.sort(keys)
+    return bool((ordered[1:] == ordered[:-1]).any())
+
+
+def _coalesce(keys: np.ndarray, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(first positions, summed values)`` of each distinct key, in first-occurrence order."""
+    _unique, first_pos, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    summed = np.zeros(len(first_pos))
+    np.add.at(summed, inverse, values)
+    order = np.argsort(first_pos, kind="stable")
+    return first_pos[order], summed[order]
 
 
 def _row_terms(
@@ -134,16 +134,26 @@ def _row_terms(
     indices, values = _nonzero_terms(
         np.asarray(indices, dtype=np.int64), np.asarray(values, dtype=float)
     )
-    if len(indices) > 1:
-        unique, first_pos, inverse = np.unique(
-            indices, return_index=True, return_inverse=True
-        )
-        if len(unique) != len(indices):
-            summed = np.zeros(len(unique))
-            np.add.at(summed, inverse, values)
-            order = np.argsort(first_pos, kind="stable")
-            return indices[first_pos[order]], summed[order]
+    if len(indices) > 1 and _has_duplicates(indices):
+        first_pos, summed = _coalesce(indices, values)
+        return indices[first_pos], summed
     return indices, values
+
+
+def _positions(row: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """Where each of ``columns`` sits in ``row`` (unique indices), -1 where absent.
+
+    An edit's few terms are compared with the row directly, one ``k x n``
+    boolean block; only a large edit pays for sorting the row.
+    """
+    if not len(row):
+        return np.full(len(columns), -1, dtype=np.int64)
+    if len(columns) * len(row) <= 4096:
+        hits = row == columns[:, None]
+        return np.where(hits.any(axis=1), hits.argmax(axis=1), -1)
+    order = np.argsort(row)
+    found = order[np.searchsorted(row, columns, sorter=order).clip(max=len(row) - 1)]
+    return np.where(row[found] == columns, found, -1)
 
 
 def _columnar_rows(
@@ -159,48 +169,37 @@ def _columnar_rows(
     Shared by :meth:`LinearProgram.add_constraints_from_arrays` and its
     :class:`~repro.solver.fractional.FractionalProgram` twin so the
     validation rules cannot drift.  Returns the (zero-filtered) triplet, the
-    broadcast per-row bounds, the per-row boundaries into the triplet, and
-    the row count.
+    bounds as float arrays that broadcast to one entry per row, the per-row
+    boundaries into the triplet, and the row count.
     """
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
     coeffs = np.asarray(coeffs, dtype=float)
     if not (rows.shape == cols.shape == coeffs.shape) or rows.ndim != 1:
         raise SolverError(f"{name}: rows/cols/coeffs must be 1-d arrays of one shape")
-    num_rows: Optional[int] = None
-    for bound in (lower, upper):
-        size = np.asarray(bound).size
-        if size > 1:
-            if num_rows is not None and num_rows != size:
-                raise SolverError(f"{name}: lower/upper bound lengths disagree")
-            num_rows = size
-    if num_rows is None:
-        num_rows = int(rows[-1]) + 1 if len(rows) else 0
-    lower_arr = np.broadcast_to(np.asarray(lower, dtype=float), (num_rows,))
-    upper_arr = np.broadcast_to(np.asarray(upper, dtype=float), (num_rows,))
+    lower_arr = np.asarray(lower, dtype=float)
+    upper_arr = np.asarray(upper, dtype=float)
+    sizes = {bound.size for bound in (lower_arr, upper_arr) if bound.size > 1}
+    if len(sizes) > 1:
+        raise SolverError(f"{name}: lower/upper bound lengths disagree")
+    num_rows = sizes.pop() if sizes else int(rows[-1]) + 1 if len(rows) else 0
     if len(rows):
-        if np.any(np.diff(rows) < 0):
+        if (rows[1:] < rows[:-1]).any():
             raise SolverError(f"{name}: rows must be grouped in non-decreasing order")
         if rows[0] < 0 or rows[-1] >= num_rows:
             raise SolverError(f"{name}: row ordinal out of range")
-    nonzero = coeffs != 0.0
-    if not nonzero.all():
+    if not coeffs.all():
+        nonzero = coeffs != 0.0
         rows, cols, coeffs = rows[nonzero], cols[nonzero], coeffs[nonzero]
-    if len(cols):
+    if len(cols) > 1:
         # Coalesce duplicate (row, column) entries by summation — a
         # same-group pair row of a type-aggregated problem legitimately
         # contributes one entry per membership, but HiGHS rejects rows with
         # repeated column indices, so each stored row must hold unique columns.
         keys = rows * (np.int64(cols.max()) + 1) + cols
-        unique_keys, first_pos, inverse = np.unique(
-            keys, return_index=True, return_inverse=True
-        )
-        if len(unique_keys) != len(keys):
-            summed = np.zeros(len(unique_keys))
-            np.add.at(summed, inverse, coeffs)
-            order = np.argsort(first_pos, kind="stable")
-            keep = first_pos[order]
-            rows, cols, coeffs = rows[keep], cols[keep], summed[order]
+        if _has_duplicates(keys):
+            keep, coeffs = _coalesce(keys, coeffs)
+            rows, cols = rows[keep], cols[keep]
     boundaries = np.searchsorted(rows, np.arange(num_rows + 1, dtype=np.int64))
     return rows, cols, coeffs, lower_arr, upper_arr, boundaries, num_rows
 
@@ -406,22 +405,26 @@ class _Row:
     def add_terms(self, indices: np.ndarray, values: np.ndarray) -> None:
         """Accumulate terms: present columns sum in place, new ones append in order."""
         indices, values = _row_terms(indices, values)
-        present = np.isin(indices, self.indices)
+        positions = _positions(self.indices, indices)
+        present = positions >= 0
         if present.any():
-            order = np.argsort(self.indices)
-            slots = order[np.searchsorted(self.indices, indices[present], sorter=order)]
             summed = self.values.copy()
-            summed[slots] += values[present]
+            summed[positions[present]] += values[present]
             self.indices, self.values = _nonzero_terms(self.indices, summed)
             indices, values = indices[~present], values[~present]
-        self.indices = np.concatenate([self.indices, indices])
-        self.values = np.concatenate([self.values, values])
+        if len(indices):
+            self.indices = np.concatenate([self.indices, indices])
+            self.values = np.concatenate([self.values, values])
 
     def remove_columns(self, columns: Iterable[int]) -> None:
         """Drop the given columns' terms (absent columns are ignored)."""
-        keep = ~np.isin(self.indices, np.asarray(list(columns), dtype=np.int64))
-        self.indices = self.indices[keep]
-        self.values = self.values[keep]
+        positions = _positions(self.indices, np.array(list(columns), dtype=np.int64))
+        hits = positions[positions >= 0]
+        if len(hits):
+            keep = np.ones(len(self.indices), dtype=bool)
+            keep[hits] = False
+            self.indices = self.indices[keep]
+            self.values = self.values[keep]
 
     def set_coefficient(self, column: int, value: float) -> float:
         """Set one column's coefficient; returns the coefficient it replaces.
@@ -451,16 +454,14 @@ class _Row:
 
 
 class _Constraint(_Row):
-    """One linear constraint: a stored row plus its two-sided bounds."""
+    """One linear constraint: a stored row plus the slot of its two-sided bounds
+    in the program's row-bound buffers (:meth:`LinearProgram._reserve_rows`)."""
 
-    __slots__ = ("lower", "upper")
+    __slots__ = ("slot",)
 
-    def __init__(
-        self, indices: np.ndarray, values: np.ndarray, lower: float, upper: float
-    ) -> None:
+    def __init__(self, indices: np.ndarray, values: np.ndarray, slot: int) -> None:
         super().__init__(indices, values)
-        self.lower = lower
-        self.upper = upper
+        self.slot = slot
 
 
 def _ensure_highs_ok(status: object, action: str, name: str) -> None:
@@ -477,6 +478,10 @@ def _ensure_highs_ok(status: object, action: str, name: str) -> None:
 
 _DUAL_SIMPLEX = int(_highs_core.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
 _PRIMAL_SIMPLEX = int(_highs_core.simplex_constants.SimplexStrategy.kSimplexStrategyPrimal)
+
+
+def _sense(maximize: bool) -> object:
+    return _highs_core.ObjSense.kMaximize if maximize else _highs_core.ObjSense.kMinimize
 
 
 def _nonbasic_status(lower: float, upper: float) -> object:
@@ -512,6 +517,17 @@ class _HighsBackend:
       column non-basic, as an *alien* basis — one HiGHS checks and repairs (a
       deleted tight row leaves one basic variable too many).
 
+    Which record feeds which call: the program's journal holds the handles
+    added since the last sync (``addRows`` for those still present), the
+    removed handles (``deleteRows``), the released columns (their statuses in
+    the re-installed basis), the one-column edits and rewritten rows
+    (``changeCoeff``), and a flag for "a row bound was written".  Bounds are
+    then diffed against mirrors of what HiGHS holds: ``_row_lower`` /
+    ``_row_upper`` in HiGHS row order, gathered from the program's bound
+    buffers through ``_row_slots`` (``changeRowBounds``, when the flag is set),
+    and ``_col_lower`` / ``_col_upper`` / ``_col_cost`` (``changeColsBounds``
+    / ``changeColsCost``, every sync).
+
     ``setBasis`` is a hint.  If HiGHS rejects it the solve simply starts
     without a basis; the rejection is counted in
     :attr:`LinearProgram.basis_rejections` and never raised.
@@ -537,15 +553,16 @@ class _HighsBackend:
     def __init__(self) -> None:
         self._highs = _highs_core._Highs()
         for option, value in (("output_flag", False), ("random_seed", 0)):
-            _ensure_highs_ok(
-                self._highs.setOptionValue(option, value),
-                f"setOptionValue({option!r})",
-                "_HighsBackend",
-            )
+            status = self._highs.setOptionValue(option, value)
+            _ensure_highs_ok(status, f"setOptionValue({option!r})", "_HighsBackend")
+        #: HiGHS row -> constraint handle / program bound slot, and back.
         self._row_handles: List[int] = []
+        self._row_slots = np.empty(0, dtype=np.int64)
         self._row_of: Dict[int, int] = {}
-        #: Column bounds, costs and sense as HiGHS last saw them: a later sync
-        #: pushes only the columns that differ from this mirror.
+        #: Row bounds (by HiGHS row), column bounds, costs and sense as HiGHS
+        #: last saw them: a later sync pushes only what differs from the mirror.
+        self._row_lower = np.empty(0)
+        self._row_upper = np.empty(0)
         self._col_lower = np.empty(0)
         self._col_upper = np.empty(0)
         self._col_cost = np.empty(0)
@@ -566,13 +583,9 @@ class _HighsBackend:
         self._col_lower = lp.col_lower_ = np.array(program._lower)
         self._col_upper = lp.col_upper_ = np.array(program._upper)
         self._maximize = program._maximize
-        lp.row_lower_ = row_lower
-        lp.row_upper_ = row_upper
-        lp.sense_ = (
-            _highs_core.ObjSense.kMaximize
-            if program._maximize
-            else _highs_core.ObjSense.kMinimize
-        )
+        self._row_lower = lp.row_lower_ = row_lower
+        self._row_upper = lp.row_upper_ = row_upper
+        lp.sense_ = _sense(program._maximize)
         a = _highs_core.HighsSparseMatrix()
         a.format_ = _highs_core.MatrixFormat.kRowwise
         a.num_col_ = num_vars
@@ -582,7 +595,8 @@ class _HighsBackend:
         a.value_ = matrix.data.astype(float)
         lp.a_matrix_ = a
         _ensure_highs_ok(self._highs.passModel(lp), "passModel", program.name)
-        self._row_handles = list(program._cached_ids)
+        self._row_handles = list(program._constraints)  # the assembly's row order
+        self._row_slots = program._cached_slots
         self._row_of = {handle: row for row, handle in enumerate(self._row_handles)}
         self._synced = True
 
@@ -600,22 +614,28 @@ class _HighsBackend:
             _ensure_highs_ok(
                 highs.deleteRows(len(rows), np.array(rows, np.int32)), "deleteRows", program.name
             )
-            deleted = set(rows)
-            self._row_handles = [
-                handle for row, handle in enumerate(self._row_handles) if row not in deleted
-            ]
-            self._row_of = {handle: row for row, handle in enumerate(self._row_handles)}
-            basis.row_status = [
-                status for row, status in enumerate(basis.row_status) if row not in deleted
-            ]
+            # Rows before the first deleted one keep their place: renumber the rest.
+            first = rows[0]
+            keep = np.ones(len(self._row_handles), dtype=bool)
+            keep[rows] = False
+            for row in rows:
+                del self._row_of[self._row_handles[row]]
+            tail = list(itertools.compress(self._row_handles[first:], keep[first:].tolist()))
+            self._row_handles[first:] = tail
+            self._row_of.update(zip(tail, itertools.count(first)))
+            self._row_slots = self._row_slots[keep]
+            self._row_lower, self._row_upper = self._row_lower[keep], self._row_upper[keep]
+            if basis.valid:
+                basis.row_status = list(itertools.compress(basis.row_status, keep.tolist()))
         if not basis.valid:
             return
-        col_status = basis.col_status
-        for column in program._hs_released:
-            col_status[column] = _nonbasic_status(
-                program._lower_buf[column], program._upper_buf[column]
-            )
-        basis.col_status = col_status
+        if program._hs_released:
+            col_status = basis.col_status
+            for column in program._hs_released:
+                col_status[column] = _nonbasic_status(
+                    program._lower_buf[column], program._upper_buf[column]
+                )
+            basis.col_status = col_status
         # Alien: HiGHS checks the basis and repairs a count mismatch (a deleted
         # tight row leaves one basic variable too many) or a singularity.
         basis.alien = True
@@ -629,23 +649,16 @@ class _HighsBackend:
         num_cols = len(cost)
         extra = num_cols - len(self._col_cost)
         if extra > 0:
-            no_index = np.empty(0, np.int32)
+            new_lower, new_upper, no_index = lower[-extra:], upper[-extra:], np.empty(0, np.int32)
             _ensure_highs_ok(
                 highs.addCols(
-                    extra,
-                    np.zeros(extra),
-                    lower[-extra:],
-                    upper[-extra:],
-                    0,
-                    no_index,
-                    no_index,
-                    np.empty(0),
+                    extra, np.zeros(extra), new_lower, new_upper, 0, no_index, no_index, np.empty(0)
                 ),
                 "addCols",
                 program.name,
             )
-            self._col_lower = np.concatenate([self._col_lower, lower[-extra:]])
-            self._col_upper = np.concatenate([self._col_upper, upper[-extra:]])
+            self._col_lower = np.concatenate([self._col_lower, new_lower])
+            self._col_upper = np.concatenate([self._col_upper, new_upper])
             self._col_cost = np.concatenate([self._col_cost, np.zeros(extra)])
 
         removed = sorted(
@@ -675,69 +688,68 @@ class _HighsBackend:
             before[old_indices] = old_values
             after = np.zeros(num_cols)
             after[constraint.indices] = constraint.values
-            moved = np.flatnonzero(before != after)
+            (moved,) = (before != after).nonzero()
             for column, value in zip(moved.tolist(), after[moved].tolist()):
                 _ensure_highs_ok(
                     highs.changeCoeff(row, column, value), "changeCoeff", program.name
                 )
 
-        add = sorted(h for h in program._constraints if h not in self._row_of)
+        constraints = program._constraints
+        add = [handle for handle in program._hs_added if handle in constraints]
         # Which simplex: an edit that only deleted rows leaves the incumbent
         # point feasible and takes the deleted rows' multipliers out of the
         # duals — the primal simplex's case.  Any other edit (new rows, moved
-        # right-hand sides) costs primal feasibility at most: the dual's.
+        # right-hand sides — journalled even when the bound comes back
+        # unchanged) costs primal feasibility at most: the dual's.
         only_deleted = bool(removed) and not add and not program._hs_bounds_dirty
+        strategy = _PRIMAL_SIMPLEX if only_deleted else _DUAL_SIMPLEX
         _ensure_highs_ok(
-            highs.setOptionValue(
-                "simplex_strategy", _PRIMAL_SIMPLEX if only_deleted else _DUAL_SIMPLEX
-            ),
-            "setOptionValue('simplex_strategy')",
-            program.name,
+            highs.setOptionValue("simplex_strategy", strategy), "setOptionValue", program.name
         )
         if add:
-            added = [program._constraints[h] for h in add]
+            added = [constraints[h] for h in add]
             counts = np.fromiter((len(c.indices) for c in added), np.int64, count=len(add))
             starts = np.zeros(len(add) + 1, np.int64)
             np.cumsum(counts, out=starts[1:])
             indices = np.concatenate([c.indices for c in added])
             values = np.concatenate([c.values for c in added])
-            lowers = np.fromiter((c.lower for c in added), float, count=len(add))
-            uppers = np.fromiter((c.upper for c in added), float, count=len(add))
+            slots = np.fromiter((c.slot for c in added), np.int64, count=len(add))
+            lowers = program._row_lower_buf[slots]
+            uppers = program._row_upper_buf[slots]
             # An unchecked rejection here would silently desynchronise the
             # HiGHS model from the program (constraints that exist
             # Python-side but not solver-side) — the PR 6 bug.
             _ensure_highs_ok(
                 highs.addRows(
-                    len(add),
-                    lowers,
-                    uppers,
-                    int(counts.sum()),
-                    starts[:-1].astype(np.int32),
-                    indices.astype(np.int32),
-                    values.astype(float),
+                    len(add), lowers, uppers, int(counts.sum()), starts[:-1].astype(np.int32),
+                    indices.astype(np.int32), values.astype(float),
                 ),
                 "addRows",
                 program.name,
             )
             base = len(self._row_handles)
             self._row_handles.extend(add)
-            for offset, handle in enumerate(add):
-                self._row_of[handle] = base + offset
+            self._row_of.update(zip(add, range(base, base + len(add))))
+            self._row_slots = np.concatenate([self._row_slots, slots])
+            self._row_lower = np.concatenate([self._row_lower, lowers])
+            self._row_upper = np.concatenate([self._row_upper, uppers])
 
-        for handle in program._hs_bounds_dirty:
-            row = self._row_of.get(handle)
-            constraint = program._constraints.get(handle)
-            if row is not None and constraint is not None:
+        # Rows and columns are pushed by difference against what HiGHS last
+        # saw: bounds are written in bulk sweeps that mostly re-send what is
+        # there (rows) or through numpy views all over the program (columns),
+        # so the mirror is the one record that is both cheap and complete.
+        if program._hs_bounds_dirty:
+            row_lower = program._row_lower_buf[self._row_slots]
+            row_upper = program._row_upper_buf[self._row_slots]
+            (moved,) = ((row_lower != self._row_lower) | (row_upper != self._row_upper)).nonzero()
+            for row, low, high in zip(
+                moved.tolist(), row_lower[moved].tolist(), row_upper[moved].tolist()
+            ):
                 _ensure_highs_ok(
-                    highs.changeRowBounds(row, constraint.lower, constraint.upper),
-                    "changeRowBounds",
-                    program.name,
+                    highs.changeRowBounds(row, low, high), "changeRowBounds", program.name
                 )
-
-        # Columns are journalled by difference against what HiGHS last saw:
-        # bounds are written through numpy views all over the program, so the
-        # mirror is the one record that cannot miss a write.
-        moved = np.flatnonzero((lower != self._col_lower) | (upper != self._col_upper))
+            self._row_lower, self._row_upper = row_lower, row_upper
+        (moved,) = ((lower != self._col_lower) | (upper != self._col_upper)).nonzero()
         if len(moved):
             _ensure_highs_ok(
                 highs.changeColsBounds(
@@ -747,7 +759,7 @@ class _HighsBackend:
                 program.name,
             )
             self._col_lower, self._col_upper = lower, upper
-        moved = np.flatnonzero(cost != self._col_cost)
+        (moved,) = (cost != self._col_cost).nonzero()
         if len(moved):
             _ensure_highs_ok(
                 highs.changeColsCost(len(moved), moved.astype(np.int32), cost[moved]),
@@ -757,11 +769,7 @@ class _HighsBackend:
             self._col_cost = cost
         if program._maximize != self._maximize:
             _ensure_highs_ok(
-                highs.changeObjectiveSense(
-                    _highs_core.ObjSense.kMaximize
-                    if program._maximize
-                    else _highs_core.ObjSense.kMinimize
-                ),
+                highs.changeObjectiveSense(_sense(program._maximize)),
                 "changeObjectiveSense",
                 program.name,
             )
@@ -803,12 +811,13 @@ class _HighsBackend:
             ):
                 raise InfeasibleError(message)
             raise SolverError(message)
-        info = self._highs.getInfo()
+        # Two scalar reads: ``getInfo()`` would copy every info field.
+        _status, iterations = self._highs.getInfoValue("simplex_iteration_count")
         return Solution(
             values=np.asarray(self._highs.getSolution().col_value, dtype=float),
-            objective_value=float(info.objective_function_value) + program._objective_constant,
+            objective_value=self._highs.getObjectiveValue() + program._objective_constant,
             status="optimal",
-            simplex_iterations=int(info.simplex_iteration_count),
+            simplex_iterations=int(iterations),
             warm_started=warm_started,
             _duals_of=functools.partial(self._row_duals, self._solves, program.name),
         )
@@ -828,6 +837,13 @@ class LinearProgram:
         self._names: List[str] = []
         self._constraints: Dict[int, _Constraint] = {}
         self._next_constraint_id = 0
+        # Row bounds live in two buffers indexed by each row's slot; a removed
+        # row's slot is recycled, so the buffers never outgrow the most rows
+        # the program held at once (handles, by contrast, only ever grow).
+        self._num_slots = 0
+        self._row_lower_buf = np.empty(0)
+        self._row_upper_buf = np.empty(0)
+        self._free_slots: List[int] = []
         # Objective coefficients, stored densely (index -> cost); kept at least
         # as long as the variable vector, padded with zeros on access.
         self._objective_vec: np.ndarray = np.zeros(0)
@@ -842,17 +858,19 @@ class LinearProgram:
         self._structure_revision = 0
         self._cached_key: Optional[Tuple[int, int]] = None
         self._cached_matrix: Optional[sparse.csr_matrix] = None
-        self._cached_ids: List[int] = []
+        self._cached_slots = np.empty(0, dtype=np.int64)
         # Edit journal consumed by the live HiGHS backend (warm starts):
-        # removed handles, rewritten handles with the terms they had when
-        # HiGHS last saw them, single (handle, column) coefficients with the
-        # value before their first edit and after their last, and handles
-        # whose bounds moved.
+        # handles added (in creation order) and removed, rewritten handles
+        # with the terms they had when HiGHS last saw them, single (handle,
+        # column) coefficients with the value before their first edit and
+        # after their last, released columns, and whether any row bound was
+        # written (the bounds themselves are diffed, see _HighsBackend).
         self._backend: Optional[_HighsBackend] = None
+        self._hs_added: List[int] = []
         self._hs_removed: Set[int] = set()
         self._hs_dirty: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         self._hs_coefficients: Dict[Tuple[int, int], Tuple[float, float]] = {}
-        self._hs_bounds_dirty: Set[int] = set()
+        self._hs_bounds_dirty = False
         self._hs_released: Set[int] = set()
         #: Times HiGHS refused the basis carried across a row deletion (the
         #: solve then started cold; see :class:`_HighsBackend`).
@@ -875,20 +893,34 @@ class LinearProgram:
     def num_variables(self) -> int:
         return self._num_vars
 
+    def _grow(self, attributes: Tuple[str, ...], used: int, needed: int) -> None:
+        """Grow the named buffers (amortized doubling) to hold ``needed`` entries."""
+        capacity = len(getattr(self, attributes[0]))
+        if needed > capacity:
+            new_capacity = max(needed, 2 * capacity, 64)
+            for attribute in attributes:
+                old = getattr(self, attribute)
+                grown = np.empty(new_capacity, dtype=old.dtype)
+                grown[:used] = old[:used]
+                setattr(self, attribute, grown)
+
     def _grow_variables(self, extra: int) -> int:
         """Reserve ``extra`` new columns; returns the first new index."""
         base = self._num_vars
-        needed = base + extra
-        capacity = len(self._lower_buf)
-        if needed > capacity:
-            new_capacity = max(needed, 2 * capacity, 64)
-            for attribute in ("_lower_buf", "_upper_buf", "_integer_buf"):
-                old = getattr(self, attribute)
-                grown = np.empty(new_capacity, dtype=old.dtype)
-                grown[:base] = old[:base]
-                setattr(self, attribute, grown)
-        self._num_vars = needed
+        self._grow(("_lower_buf", "_upper_buf", "_integer_buf"), base, base + extra)
+        self._num_vars = base + extra
         return base
+
+    def _reserve_rows(self, count: int) -> List[int]:
+        """Bound slots for ``count`` new rows: recycled ones first (LIFO), then fresh."""
+        free = self._free_slots
+        slots = [free.pop() for _ in range(min(len(free), count))]
+        if len(slots) < count:
+            base = self._num_slots
+            self._num_slots = base + count - len(slots)
+            self._grow(("_row_lower_buf", "_row_upper_buf"), base, self._num_slots)
+            slots.extend(range(base, self._num_slots))
+        return slots
 
     def add_variable(
         self,
@@ -979,8 +1011,8 @@ class LinearProgram:
     ) -> None:
         """Replace many variables' bounds at once (never dirties the matrix cache)."""
         indices = np.asarray(indices, dtype=np.int64)
-        self._lower_buf[indices] = np.broadcast_to(np.asarray(lower, dtype=float), indices.shape)
-        self._upper_buf[indices] = np.broadcast_to(np.asarray(upper, dtype=float), indices.shape)
+        self._lower_buf[indices] = lower
+        self._upper_buf[indices] = upper
 
     def set_variable_bounds(
         self, variable: "Variable | int", lower: float, upper: Optional[float] = None
@@ -1024,18 +1056,13 @@ class LinearProgram:
 
         Tagged variables must only be referenced by same-tagged constraints
         and the objective (which callers are expected to rebuild after the
-        clear) — the epigraph-variable pattern of the max-min / min-max
-        helpers satisfies this by construction.
+        clear) — the epigraph-variable pattern of the max-min helper
+        satisfies this by construction.
         """
-        removed = False
         for constraint_id in self._tagged_constraints.pop(tag, []):
-            if self._constraints.pop(constraint_id, None) is not None:
-                removed = True
-                self._hs_removed.add(constraint_id)
+            self.remove_constraint(constraint_id)
         for index in self._tagged_variables.pop(tag, []):
             self.release_variable(index)
-        if removed:
-            self._structure_revision += 1
 
     # -- constraints ------------------------------------------------------------------
     def _append_constraint(
@@ -1043,7 +1070,11 @@ class LinearProgram:
     ) -> int:
         constraint_id = self._next_constraint_id
         self._next_constraint_id += 1
-        self._constraints[constraint_id] = _Constraint(indices, values, lower, upper)
+        slot = self._reserve_rows(1)[0]
+        self._row_lower_buf[slot] = lower
+        self._row_upper_buf[slot] = upper
+        self._constraints[constraint_id] = _Constraint(indices, values, slot)
+        self._hs_added.append(constraint_id)
         if self._active_tag is not None:
             self._tagged_constraints.setdefault(self._active_tag, []).append(constraint_id)
         self._structure_revision += 1
@@ -1058,12 +1089,6 @@ class LinearProgram:
         """Add ``expression >= rhs``; returns the constraint handle."""
         indices, values, constant = _expression_terms(expression)
         return self._append_constraint(indices, values, float(rhs) - constant, math.inf)
-
-    def add_equal(self, expression: "_Coefficients", rhs: float) -> int:
-        """Add ``expression == rhs``; returns the constraint handle."""
-        indices, values, constant = _expression_terms(expression)
-        bound = float(rhs) - constant
-        return self._append_constraint(indices, values, bound, bound)
 
     def add_constraints_from_arrays(
         self,
@@ -1090,14 +1115,17 @@ class LinearProgram:
         )
         first_handle = self._next_constraint_id
         self._next_constraint_id += num_rows
+        slots = self._reserve_rows(num_rows)
+        self._row_lower_buf[slots] = lower_arr
+        self._row_upper_buf[slots] = upper_arr
         constraints = self._constraints
-        lower_list = lower_arr.tolist()
-        upper_list = upper_arr.tolist()
-        for ordinal in range(num_rows):
-            start, end = boundaries[ordinal], boundaries[ordinal + 1]
+        starts = boundaries.tolist()
+        for ordinal, slot in enumerate(slots):
+            start, end = starts[ordinal], starts[ordinal + 1]
             constraints[first_handle + ordinal] = _Constraint(
-                cols[start:end], coeffs[start:end], lower_list[ordinal], upper_list[ordinal]
+                cols[start:end], coeffs[start:end], slot
             )
+        self._hs_added.extend(range(first_handle, first_handle + num_rows))
         handles = np.arange(first_handle, first_handle + num_rows, dtype=np.int64)
         if self._active_tag is not None:
             self._tagged_constraints.setdefault(self._active_tag, []).extend(handles.tolist())
@@ -1156,8 +1184,10 @@ class LinearProgram:
         self._structure_revision += 1
 
     def remove_constraint(self, handle: int) -> None:
-        """Delete one constraint by handle (no-op if already removed)."""
-        if self._constraints.pop(handle, None) is not None:
+        """Delete one constraint by handle (no-op if already removed), recycling its slot."""
+        constraint = self._constraints.pop(handle, None)
+        if constraint is not None:
+            self._free_slots.append(constraint.slot)
             self._structure_revision += 1
             self._hs_removed.add(handle)
 
@@ -1192,14 +1222,15 @@ class LinearProgram:
         """Update a constraint's bounds; passing ``None`` keeps the old value.
 
         Bounds edits do not invalidate the cached constraint matrix, and the
-        live model takes them as one ``changeRowBounds`` each.
+        live model takes them by difference: one ``changeRowBounds`` per row
+        whose bounds differ from what HiGHS holds at the next solve.
         """
-        constraint = self._constraint(handle)
+        slot = self._constraint(handle).slot
         if lower is not None:
-            constraint.lower = float(lower)
+            self._row_lower_buf[slot] = float(lower)
         if upper is not None:
-            constraint.upper = float(upper)
-        self._hs_bounds_dirty.add(handle)
+            self._row_upper_buf[slot] = float(upper)
+        self._hs_bounds_dirty = True
 
     def set_constraint_bounds_from_arrays(
         self,
@@ -1214,26 +1245,21 @@ class LinearProgram:
         never dirties the cached constraint matrix, which is what makes
         whole-program right-hand-side sweeps (every water-filling floor bumped
         to its new level, saturated rows relaxed) cost one bound pass plus a
-        warm re-solve.
+        warm re-solve: one indexed write per side here, and at the next solve
+        a ``changeRowBounds`` only for the rows that really moved.
         """
-        handles = np.asarray(handles, dtype=np.int64)
-        lower_arr = (
-            None
-            if lower is None
-            else np.broadcast_to(np.asarray(lower, dtype=float), handles.shape)
-        )
-        upper_arr = (
-            None
-            if upper is None
-            else np.broadcast_to(np.asarray(upper, dtype=float), handles.shape)
-        )
-        for position, handle in enumerate(handles.tolist()):
-            constraint = self._constraint(handle)
-            if lower_arr is not None:
-                constraint.lower = float(lower_arr[position])
-            if upper_arr is not None:
-                constraint.upper = float(upper_arr[position])
-            self._hs_bounds_dirty.add(handle)
+        constraints = self._constraints
+        handles = np.asarray(handles, dtype=np.int64).tolist()
+        try:
+            slots = [constraints[handle].slot for handle in handles]
+        except KeyError as error:
+            raise SolverError(f"{self.name}: unknown constraint handle {error.args[0]}") from None
+        if lower is not None:
+            self._row_lower_buf[slots] = lower
+        if upper is not None:
+            self._row_upper_buf[slots] = upper
+        if slots:
+            self._hs_bounds_dirty = True
 
     def _constraint(self, handle: int) -> _Constraint:
         try:
@@ -1289,54 +1315,29 @@ class LinearProgram:
         self.maximize({epigraph.index: 1.0})
         return epigraph
 
-    def add_min_max_objective(self, expressions: Sequence["_Coefficients"]) -> Variable:
-        """Minimize ``max_k expressions[k]`` via an epigraph variable."""
-        epigraph = self.add_variable(name="min_max_t", lower=-math.inf)
-        for expression in expressions:
-            indices, values, constant = _expression_terms(expression)
-            # expr <= t  <=>  expr - t <= -constant
-            self._append_constraint(
-                *_row_terms(np.append(indices, epigraph.index), np.append(values, -1.0)),
-                -math.inf,
-                -constant,
-            )
-        self.minimize({epigraph.index: 1.0})
-        return epigraph
-
     # -- solving --------------------------------------------------------------------------
     def _assembled(self) -> Tuple[Optional[sparse.csr_matrix], np.ndarray, np.ndarray]:
         """Constraint matrix plus per-row bounds, cached between structural edits.
 
-        The CSR matrix is cached on ``(structure revision, num variables)``;
-        row bounds are re-read every call so right-hand-side edits take
-        effect without an assembly.
+        The CSR matrix is cached on ``(structure revision, num variables)``,
+        together with the rows' bound slots; row bounds are gathered from the
+        bound buffers every call so right-hand-side edits take effect without
+        an assembly.
         """
         key = (self._structure_revision, self.num_variables())
         if key != self._cached_key:
-            ids = list(self._constraints)
             stored = list(self._constraints.values())
-            if stored:
-                counts = np.fromiter((len(c.indices) for c in stored), np.int64, count=len(ids))
-                rows = np.repeat(np.arange(len(ids)), counts)
-                cols = np.concatenate([c.indices for c in stored])
-                data = np.concatenate([c.values for c in stored])
-            else:
-                rows = np.empty(0, np.int64)
-                cols = np.empty(0, np.int64)
-                data = np.empty(0)
+            self._cached_slots = np.fromiter((c.slot for c in stored), np.int64, count=len(stored))
+            counts = np.fromiter((len(c.indices) for c in stored), np.int64, count=len(stored))
+            rows = np.repeat(np.arange(len(stored)), counts)
+            cols = np.concatenate([c.indices for c in stored] or [np.empty(0, np.int64)])
+            data = np.concatenate([c.values for c in stored] or [np.empty(0)])
             self._cached_matrix = sparse.csr_matrix(
-                (data, (rows, cols)), shape=(len(ids), self.num_variables())
+                (data, (rows, cols)), shape=(len(stored), self.num_variables())
             )
-            self._cached_ids = ids
             self._cached_key = key
-        num_rows = len(self._cached_ids)
-        lowers = np.fromiter(
-            (self._constraints[i].lower for i in self._cached_ids), dtype=float, count=num_rows
-        )
-        uppers = np.fromiter(
-            (self._constraints[i].upper for i in self._cached_ids), dtype=float, count=num_rows
-        )
-        return self._cached_matrix, lowers, uppers
+        slots = self._cached_slots
+        return self._cached_matrix, self._row_lower_buf[slots], self._row_upper_buf[slots]
 
     def _objective_dense(self) -> np.ndarray:
         """Objective coefficients in the program's own sense (no sign flip)."""
@@ -1344,10 +1345,6 @@ class LinearProgram:
         stored = self._objective_vec
         c[: min(len(stored), len(c))] = stored[: len(c)]
         return c
-
-    def _objective_vector(self) -> np.ndarray:
-        c = self._objective_dense()
-        return -c if self._maximize else c
 
     def solve(self, integer_columns: Optional[np.ndarray] = None) -> Solution:
         """Solve the program, raising on infeasibility or solver failure.
@@ -1385,10 +1382,11 @@ class LinearProgram:
             raise SolverError(f"{self.name}: HiGHS backend failed: {error!r}") from error
 
     def _clear_journal(self) -> None:
+        self._hs_added.clear()
         self._hs_removed.clear()
         self._hs_dirty.clear()
         self._hs_coefficients.clear()
-        self._hs_bounds_dirty.clear()
+        self._hs_bounds_dirty = False
         self._hs_released.clear()
 
     def _solve_milp(self, integrality: np.ndarray) -> Solution:
@@ -1401,7 +1399,7 @@ class LinearProgram:
         if self._constraints:
             constraints.append(LinearConstraint(*self._assembled()))
         result = milp(
-            c=self._objective_vector(),
+            c=-self._objective_dense() if self._maximize else self._objective_dense(),
             constraints=constraints,
             bounds=ScipyBounds(np.array(self._lower), np.array(self._upper)),
             integrality=integrality.astype(int),

@@ -160,7 +160,7 @@ class TestValidityScaffold:
         row = program._constraints[handle]
         pair_columns = variables._row_vars[(0, 0)]
         assert row.values[np.isin(row.indices, pair_columns)].tolist() == [2.0] * 3
-        assert row.upper == 3.0
+        assert program._row_upper_buf[row.slot] == 3.0
 
 
 def _assert_rows_match(actual, recorded, label):

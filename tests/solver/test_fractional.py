@@ -52,7 +52,8 @@ class TestFractionalProgram:
         program = FractionalProgram()
         x = program.add_variable("x")
         y = program.add_variable("y")
-        program.add_equal(x * 1.0 + y * 1.0, 1.0)
+        # Equal bounds select the '==' sense.
+        program.add_constraints_from_arrays([0, 0], [x.index, y.index], [1.0, 1.0], 1.0, 1.0)
         program.set_ratio_objective(x * 2.0 + y * 1.0, x * 1.0 + y * 1.0)
         solution = program.solve()
         assert solution.value_of(x) + solution.value_of(y) == pytest.approx(1.0, abs=1e-6)

@@ -63,7 +63,8 @@ class TestLinearProgram:
         lp = LinearProgram()
         x = lp.add_variable("x")
         y = lp.add_variable("y")
-        lp.add_equal(x + y, 10.0)
+        # An equality row is a row with equal bounds.
+        lp.add_constraints_from_arrays([0, 0], [x.index, y.index], [1.0, 1.0], 10.0, 10.0)
         lp.maximize(x - y)
         solution = lp.solve()
         assert solution.value_of(x) + solution.value_of(y) == pytest.approx(10.0)
@@ -103,7 +104,11 @@ class TestLinearProgram:
         x = lp.add_variable("x")
         y = lp.add_variable("y")
         lp.add_greater_equal(x + y, 2.0)
-        lp.add_min_max_objective([x * 1.0, y * 1.0])
+        # The epigraph spelled out: x <= t, y <= t, minimize t.
+        t = lp.add_variable("t", lower=-math.inf)
+        lp.add_less_equal(x - t, 0.0)
+        lp.add_less_equal(y - t, 0.0)
+        lp.minimize(t)
         assert lp.solve().objective_value == pytest.approx(1.0, abs=1e-6)
 
     def test_milp_integer_variable(self):
@@ -131,7 +136,7 @@ class TestLinearProgram:
         x = lp.add_variable("x")
         lp.add_less_equal(x, 1.0)
         lp.add_greater_equal(x, 0.1)
-        lp.add_equal(x, 0.5)
+        lp.add_constraints_from_arrays([0], [x.index], [1.0], 0.5, 0.5)
         assert lp.num_constraints() == 3
 
     def test_unbounded_reports_solver_error(self):

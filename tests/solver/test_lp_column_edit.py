@@ -4,6 +4,9 @@ The edit must leave the stored rows in the one row format (unique columns, no
 zeros, other terms untouched), reach the live model as one ``changeCoeff`` per
 coefficient that really moved — rows stay in place, the basis survives — and
 compose with whole-row rewrites made before or after it in the same interval.
+Row bounds reach the live model the same way, by difference: one
+``changeRowBounds`` per row that really moved, while the simplex choice still
+counts every journalled bound write.
 """
 
 import numpy as np
@@ -11,6 +14,7 @@ import pytest
 
 from repro.exceptions import SolverError
 from repro.solver import LinearProgram
+from repro.solver.lp import _DUAL_SIMPLEX, _PRIMAL_SIMPLEX
 
 
 def _scaling_program(requirements=(1.0, 2.0, 4.0)):
@@ -156,3 +160,60 @@ def test_rows_added_and_removed_in_the_same_interval():
     # x1 = x2 = y, x3 = y / 2, sum <= 2 (x0 idle): y = 4/5.
     assert solution.objective_value == pytest.approx(0.8)
     assert solution.row_duals([rows[1], rows[2], new_row]) == pytest.approx([-0.4, -0.4, -0.4])
+
+
+def _bound_recorder(lp):
+    recorder = _Recorder(lp._backend._highs, "changeRowBounds", "setOptionValue")
+    lp._backend._highs = recorder
+    return recorder
+
+
+def _strategies(recorder):
+    return [value for option, value in recorder.calls["setOptionValue"] if option == "simplex_strategy"]
+
+
+def test_a_bound_sweep_pushes_only_the_rows_that_moved():
+    lp, _xs, _y, rows, total = _scaling_program(requirements=(1.0, 2.0, 4.0, 8.0, 3.0))
+    handles = [*rows, total]
+    lower = [0.0] * len(rows) + [-np.inf]
+    upper = [np.inf] * len(rows) + [2.0]
+    lp.solve()
+    recorder = _bound_recorder(lp)
+
+    # Every row's current bounds sent again: HiGHS already holds them.
+    lp.set_constraint_bounds_from_arrays(handles, lower=lower, upper=upper)
+    lp.solve()
+    assert recorder.calls["changeRowBounds"] == []
+
+    # Two of six rows move, one of them there and back again: one push.
+    lp.set_constraint_bounds_from_arrays([rows[1], rows[3]], lower=[-1.0, -5.0])
+    lp.set_constraint_bounds(rows[3], lower=0.0)
+    lp.set_constraint_bounds_from_arrays(handles, upper=[*upper[:-1], 3.0])
+    solution = lp.solve()
+    backend = lp._backend
+    assert sorted(recorder.calls["changeRowBounds"]) == [
+        (backend._row_of[rows[1]], -1.0, np.inf),
+        (backend._row_of[total], -np.inf, 3.0),
+    ]
+    assert solution.warm_started
+    fresh, *_ = _scaling_program(requirements=(1.0, 2.0, 4.0, 8.0, 3.0))  # same handles
+    fresh.set_constraint_bounds(rows[1], lower=-1.0)
+    fresh.set_constraint_bounds(total, upper=3.0)
+    assert solution.objective_value == pytest.approx(fresh.solve().objective_value, rel=1e-12)
+
+
+def test_deleting_rows_alone_runs_the_primal_simplex_and_a_no_op_sweep_the_dual():
+    lp, _xs, _y, rows, _total = _scaling_program(requirements=(1.0, 2.0, 4.0, 8.0))
+    lp.solve()
+    recorder = _bound_recorder(lp)
+    lp.remove_constraint(rows[0])
+    lp.remove_constraint(rows[2])
+    lp.solve()
+    assert _strategies(recorder) == [_PRIMAL_SIMPLEX]
+
+    # A journalled bound write selects the dual simplex even when it moved nothing.
+    lp.remove_constraint(rows[1])
+    lp.set_constraint_bounds_from_arrays([rows[3]], lower=0.0)
+    lp.solve()
+    assert _strategies(recorder) == [_PRIMAL_SIMPLEX, _DUAL_SIMPLEX]
+    assert recorder.calls["changeRowBounds"] == []

@@ -128,7 +128,8 @@ class _CallCounter:
 
 
 def test_a_solve_that_does_not_ask_pays_nothing():
-    """Per solve: one ``getBasis``, ``run``, ``getModelStatus``, ``getInfo``, ``getSolution``.
+    """Per solve: one ``getBasis``, ``run``, ``getModelStatus``, two scalar info reads
+    and one ``getSolution``.
 
     That is the call list of a bound-edit re-solve before duals existed; the
     duals cost one more ``getSolution`` on the solve that asks, at the time it
@@ -147,7 +148,8 @@ def test_a_solve_that_does_not_ask_pays_nothing():
         "getBasis": 1,
         "run": 1,
         "getModelStatus": 1,
-        "getInfo": 1,
+        "getInfoValue": 1,
+        "getObjectiveValue": 1,
         "getSolution": 1,
     }
     solution.row_duals([wide])

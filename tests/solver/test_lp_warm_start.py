@@ -2,19 +2,36 @@
 
 A :class:`~repro.solver.lp.LinearProgram` that has been solved once re-solves
 from the basis the previous solve left, whatever was edited in between: rows
-added, removed or rewritten, columns added, bounds moved.  The property test
-drives random edit sequences against a freshly built twin of the same
-program: equal optimum after every solve, and ``warm_started`` on every solve
-that follows an optimal one.
+added, removed (several at once) or rewritten, terms added to or dropped from
+a row, columns added or released and recycled, bounds moved or swept back
+unchanged.  The property test drives random edit sequences against a freshly
+built twin of the same program: equal optimum after every solve,
+``warm_started`` on every solve that follows an optimal one, and a live model
+that holds exactly the program — row bounds in the backend's row order, column
+bounds, costs and the matrix, as HiGHS' own ``getLp()`` reports them.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import sparse
 
 from repro.solver import LinearProgram
+from repro.solver.lp import _highs_core
 
-_EDITS = ("add_row", "remove_row", "rewrite_row", "add_column", "column_bound", "row_bound")
+_EDITS = (
+    "add_row",
+    "remove_row",
+    "remove_rows",
+    "rewrite_row",
+    "add_terms",
+    "remove_terms",
+    "add_column",
+    "recycle_column",
+    "column_bound",
+    "row_bound",
+    "bound_sweep",
+)
 _coefficient = st.floats(-2.0, 3.0).map(lambda value: round(value, 2))
 
 
@@ -54,39 +71,101 @@ class _Twin:
             self.costs.append(data.draw(st.sampled_from([0.5, 1.0, 3.0])))
             self.columns.append(self.live.add_variable(upper=self.uppers[-1]).index)
             self._set_objective(self.live, self.columns)
+        elif edit == "recycle_column":
+            # Scrub the column from every row, release it, and hand its index
+            # straight back to a new variable at the same position.
+            position = data.draw(positions)
+            column = self.columns[position]
+            for handle, (coefficients, _upper) in self.rows.items():
+                if coefficients.pop(position, None) is not None:
+                    self.live.remove_terms_from_constraint(handle, [column])
+            self.live.release_variable(column)
+            self.uppers[position] = data.draw(st.sampled_from([0.5, 1.0, 2.0]))
+            self.costs[position] = data.draw(st.sampled_from([0.5, 1.0, 3.0]))
+            self.columns[position] = self.live.add_variable(upper=self.uppers[position]).index
+            assert self.columns[position] == column
+            self._set_objective(self.live, self.columns)
         elif edit == "column_bound":
             position = data.draw(positions)
             self.uppers[position] = data.draw(st.sampled_from([0.0, 0.5, 1.5]))
             self.live.set_variable_bounds(self.columns[position], 0.0, self.uppers[position])
-        elif edit == "add_row" or not self.rows:
+        elif edit == "bound_sweep" and self.rows:
+            # Every row's bounds written back, a few of them moved.
+            handles = sorted(self.rows)
+            uppers = [self.rows[handle][1] for handle in handles]
+            for index in data.draw(st.lists(st.integers(0, len(handles) - 1), max_size=2)):
+                uppers[index] = data.draw(st.sampled_from([0.0, 0.5, 4.0]))
+            self.live.set_constraint_bounds_from_arrays(handles, upper=uppers)
+            for handle, upper in zip(handles, uppers):
+                self.rows[handle] = (self.rows[handle][0], upper)
+        elif edit in ("add_row", "bound_sweep") or not self.rows:
             # Right-hand sides stay non-negative: x = 0 is always feasible.
             coefficients, upper = data.draw(row), data.draw(st.sampled_from([0.0, 1.0, 2.5]))
             self.rows[self.live.add_less_equal(self._live_terms(coefficients), upper)] = (
                 coefficients,
                 upper,
             )
+        elif edit == "remove_rows":
+            for handle in data.draw(st.lists(st.sampled_from(sorted(self.rows)), unique=True)):
+                self.live.remove_constraint(handle)
+                del self.rows[handle]
         else:
             handle = data.draw(st.sampled_from(sorted(self.rows)))
+            coefficients, upper = self.rows[handle]
             if edit == "remove_row":
                 self.live.remove_constraint(handle)
                 del self.rows[handle]
             elif edit == "rewrite_row":
                 coefficients = data.draw(row)
                 self.live.set_constraint_coefficients(handle, self._live_terms(coefficients))
-                self.rows[handle] = (coefficients, self.rows[handle][1])
+                self.rows[handle] = (coefficients, upper)
+            elif edit == "add_terms":
+                added = data.draw(row)
+                self.live.add_terms_to_constraint_from_arrays(
+                    handle,
+                    np.array([self.columns[position] for position in added]),
+                    np.array(list(added.values())),
+                )
+                for position, value in added.items():
+                    coefficients[position] = coefficients.get(position, 0.0) + value
+            elif edit == "remove_terms":
+                dropped = data.draw(st.lists(positions, unique=True))
+                self.live.remove_terms_from_constraint(
+                    handle, [self.columns[position] for position in dropped]
+                )
+                for position in dropped:
+                    coefficients.pop(position, None)
             else:
                 upper = data.draw(st.sampled_from([0.0, 0.5, 4.0]))
                 self.live.set_constraint_bounds(handle, upper=upper)
-                self.rows[handle] = (self.rows[handle][0], upper)
+                self.rows[handle] = (coefficients, upper)
 
 
-@settings(max_examples=60, deadline=None)
+def _assert_live_model_is_the_program(program):
+    """HiGHS' ``getLp()`` equals the program, row for row in the backend's row order."""
+    backend = program._backend
+    assert backend._row_handles == list(program._constraints)
+    held = backend._highs.getLp()
+    slots = [program._constraints[handle].slot for handle in backend._row_handles]
+    np.testing.assert_array_equal(held.row_lower_, program._row_lower_buf[slots])
+    np.testing.assert_array_equal(held.row_upper_, program._row_upper_buf[slots])
+    np.testing.assert_array_equal(held.col_lower_, program._lower)
+    np.testing.assert_array_equal(held.col_upper_, program._upper)
+    np.testing.assert_array_equal(held.col_cost_, program._objective_dense())
+    a = held.a_matrix_
+    layout = sparse.csc_matrix if a.format_ == _highs_core.MatrixFormat.kColwise else sparse.csr_matrix
+    matrix = layout((a.value_, a.index_, a.start_), shape=(held.num_row_, held.num_col_))
+    np.testing.assert_array_equal(matrix.toarray(), program._assembled()[0].toarray())
+
+
+@settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_edit_sequences_keep_the_optimum_and_the_basis(data):
     twin = _Twin(uppers=[1.0, 2.0, 1.0, 0.5], costs=[1.0, 2.0, 0.5, 3.0])
     for _ in range(3):
         twin.apply("add_row", data)
     assert not twin.live.solve().warm_started
+    _assert_live_model_is_the_program(twin.live)
     for batch in data.draw(
         st.lists(st.lists(st.sampled_from(_EDITS), min_size=1, max_size=4), min_size=1, max_size=8)
     ):
@@ -96,6 +175,7 @@ def test_edit_sequences_keep_the_optimum_and_the_basis(data):
         # Bounded columns and a feasible origin: every solve is optimal, so
         # every later one must find the basis the previous one left.
         assert solution.warm_started
+        _assert_live_model_is_the_program(twin.live)
         assert solution.objective_value == pytest.approx(
             twin.fresh().solve().objective_value, rel=1e-9, abs=1e-9
         )
