@@ -38,17 +38,13 @@ cross-module invariants no single file can witness:
 
 Violations can be suppressed per line with a ``repro: noqa[REP0xx] --
 rationale`` comment; unused or rationale-free suppressions are themselves violations
-(**REP000**).  Run the checker with ``python -m repro.analysis <paths>``;
+(**REP000**).  Run the checker with ``python -m repro.analysis <paths>``: one
+in-process pass over the given paths, reported as text or JSON;
 configuration lives in ``[tool.repro.analysis]`` in ``pyproject.toml``.
-The CLI also speaks SARIF (``--format sarif``), supports adopting a legacy
-corpus via ``--baseline``, parallelizes parsing with ``--jobs``, and caches
-per-file results by content hash with ``--cache``.
 """
 
 from __future__ import annotations
 
-from repro.analysis.baseline import BaselineComparison, compare_baseline, load_baseline, write_baseline
-from repro.analysis.cache import ResultCache
 from repro.analysis.config import (
     AnalysisConfig,
     LayerSpec,
@@ -56,9 +52,9 @@ from repro.analysis.config import (
     find_project_root,
     load_config,
 )
-from repro.analysis.engine import FileReport, FileResult, analyze_file, analyze_paths, scan_file
+from repro.analysis.engine import FileReport, analyze_file, analyze_paths
 from repro.analysis.project import ModuleSummary, ProjectContext
-from repro.analysis.reporting import render_json, render_sarif, render_text
+from repro.analysis.reporting import render_json, render_text
 from repro.analysis.rules import RULE_CLASSES, all_rule_codes, iter_rule_classes
 from repro.analysis.rules.base import ProjectRule, Rule
 from repro.analysis.suppressions import Suppression, scan_suppressions
@@ -66,15 +62,12 @@ from repro.analysis.violations import Violation
 
 __all__ = [
     "AnalysisConfig",
-    "BaselineComparison",
     "FileReport",
-    "FileResult",
     "LayerSpec",
     "ModuleSummary",
     "ProjectContext",
     "ProjectRule",
     "RULE_CLASSES",
-    "ResultCache",
     "Rule",
     "RuleSettings",
     "Suppression",
@@ -82,15 +75,10 @@ __all__ = [
     "all_rule_codes",
     "analyze_file",
     "analyze_paths",
-    "compare_baseline",
     "find_project_root",
     "iter_rule_classes",
-    "load_baseline",
     "load_config",
     "render_json",
-    "render_sarif",
     "render_text",
-    "scan_file",
     "scan_suppressions",
-    "write_baseline",
 ]

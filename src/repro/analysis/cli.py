@@ -1,8 +1,7 @@
 """``python -m repro.analysis`` — the static checker's command line.
 
 Exit codes follow lint convention: 0 clean, 1 violations found, 2 usage or
-configuration error.  With ``--baseline`` in compare mode, only violations
-*not* absorbed by the baseline count as findings.
+configuration error.
 """
 
 from __future__ import annotations
@@ -13,11 +12,9 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.analysis.baseline import compare_baseline, load_baseline, write_baseline
-from repro.analysis.cache import ResultCache
 from repro.analysis.config import find_project_root, load_config
 from repro.analysis.engine import analyze_paths
-from repro.analysis.reporting import render_json, render_sarif, render_text
+from repro.analysis.reporting import render_json, render_text
 from repro.analysis.rules import RULE_CLASSES
 from repro.analysis.rules.base import ProjectRule
 from repro.analysis.violations import SUPPRESSION_CODE
@@ -25,7 +22,7 @@ from repro.exceptions import ConfigurationError
 
 __all__ = ["build_parser", "main"]
 
-_RENDERERS = {"text": render_text, "json": render_json, "sarif": render_sarif}
+_RENDERERS = {"text": render_text, "json": render_json}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -41,7 +38,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format",
-        choices=("text", "json", "sarif"),
+        choices=("text", "json"),
         default="text",
         help="report format (default: text)",
     )
@@ -67,34 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=Path,
         help="project root for relative paths and rule scoping "
         "(default: nearest ancestor with a pyproject.toml)",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        type=Path,
-        help="baseline file: compare against it (default mode) or rewrite it "
-        "with --baseline-mode write",
-    )
-    parser.add_argument(
-        "--baseline-mode",
-        choices=("compare", "write"),
-        default="compare",
-        help="compare: report only violations not in the baseline; "
-        "write: snapshot current violations as the new baseline",
-    )
-    parser.add_argument(
-        "--jobs",
-        metavar="N",
-        type=int,
-        default=1,
-        help="worker processes for the per-file phase (default: 1)",
-    )
-    parser.add_argument(
-        "--cache",
-        metavar="FILE",
-        type=Path,
-        help="persist per-file results keyed by content hash; unchanged "
-        "files are not re-parsed on the next run",
     )
     parser.add_argument(
         "--list-rules",
@@ -132,10 +101,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(_list_rules())
         return 0
 
-    if options.jobs < 1:
-        print("error: --jobs must be >= 1", file=sys.stderr)
-        return 2
-
     paths = [Path(raw) for raw in options.paths]
     missing = [path for path in paths if not path.exists()]
     if missing:
@@ -161,35 +126,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             config = dataclasses.replace(
                 config, ignore=config.ignore | _parse_codes(options.ignore, known)
             )
-        cache = ResultCache(options.cache, config) if options.cache is not None else None
-        violations, files_scanned = analyze_paths(
-            paths, config, jobs=options.jobs, cache=cache
-        )
-
-        if options.baseline is not None and options.baseline_mode == "write":
-            write_baseline(options.baseline, violations)
-            print(
-                f"baseline: wrote {len(violations)} finding"
-                f"{'s' if len(violations) != 1 else ''} to {options.baseline}",
-                file=sys.stderr,
-            )
-            return 0
-        if options.baseline is not None:
-            comparison = compare_baseline(violations, load_baseline(options.baseline))
-            if comparison.suppressed_count:
-                print(
-                    f"baseline: absorbed {comparison.suppressed_count} known "
-                    f"finding{'s' if comparison.suppressed_count != 1 else ''}",
-                    file=sys.stderr,
-                )
-            for fingerprint, count in comparison.stale:
-                path_, code, message = fingerprint
-                print(
-                    f"baseline: stale entry ({count}x) no longer observed: "
-                    f"{path_}: {code} {message} — rewrite with --baseline-mode write",
-                    file=sys.stderr,
-                )
-            violations = comparison.new_violations
+        violations, files_scanned = analyze_paths(paths, config)
     except ConfigurationError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

@@ -17,8 +17,6 @@ typo cannot silently disable a gate.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import tomllib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -114,35 +112,6 @@ class AnalysisConfig:
                     if len(prefix) > best_length:
                         best, best_length = layer.name, len(prefix)
         return best
-
-    def fingerprint(self) -> str:
-        """Stable digest of everything that affects analysis results.
-
-        Used (with each file's content hash) as the result-cache key, so any
-        config change — scoping, rule options, layer DAG — invalidates cached
-        results without manual cache management.
-        """
-        payload = {
-            "exclude": sorted(self.exclude),
-            "select": sorted(self.select) if self.select is not None else None,
-            "ignore": sorted(self.ignore),
-            "rules": {
-                code: {
-                    "enabled": settings.enabled,
-                    "include": list(settings.include) if settings.include is not None else None,
-                    "exclude": list(settings.exclude) if settings.exclude is not None else None,
-                    "options": {key: repr(value) for key, value in sorted(settings.options.items())},
-                }
-                for code, settings in sorted(self.rules.items())
-            },
-            "layers": {
-                name: {"modules": list(spec.modules), "imports": list(spec.imports)}
-                for name, spec in sorted(self.layers.items())
-            },
-        }
-        return hashlib.sha256(
-            json.dumps(payload, sort_keys=True).encode("utf-8")
-        ).hexdigest()
 
     def code_enabled(self, code: str) -> bool:
         """select/ignore/per-rule-enabled resolution for one rule code."""

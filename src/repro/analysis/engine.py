@@ -1,13 +1,12 @@
 """File scanner and orchestrator: parse, dispatch rules, apply suppressions.
 
-The engine owns everything rule-agnostic, in two phases:
+The engine owns everything rule-agnostic, in two phases of one in-process
+pass:
 
 * the **per-file phase** parses each file once, dispatches AST nodes to the
-  per-file rule instances in a single walk, and extracts the picklable
+  per-file rule instances in a single walk, and extracts the
   :class:`~repro.analysis.project.ModuleSummary` the cross-module rules
-  need.  This phase parallelizes (``jobs``) and caches (content-hash keyed
-  :class:`~repro.analysis.cache.ResultCache`) because each file is
-  independent.
+  need;
 * the **project phase** aggregates the summaries into a
   :class:`~repro.analysis.project.ProjectContext` and runs every enabled
   :class:`~repro.analysis.rules.base.ProjectRule` over it.
@@ -23,10 +22,9 @@ from __future__ import annotations
 
 import ast
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple, Type
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Type
 
 from repro.analysis.config import AnalysisConfig, path_matches
 from repro.analysis.context import FileContext, build_parent_map, collect_import_aliases
@@ -36,38 +34,22 @@ from repro.analysis.rules.base import ProjectRule, Rule, handler_node_types
 from repro.analysis.suppressions import Suppression, scan_suppressions
 from repro.analysis.violations import PARSE_ERROR_CODE, SUPPRESSION_CODE, Violation
 
-if TYPE_CHECKING:
-    from repro.analysis.cache import ResultCache
-
 __all__ = [
     "FileReport",
-    "FileResult",
     "analyze_file",
     "analyze_paths",
-    "iter_python_files",
-    "scan_file",
 ]
 
 
 @dataclass
 class FileReport:
-    """Outcome of scanning one file (suppressions already applied)."""
+    """Outcome of scanning one file.
 
-    path: str
-    violations: List[Violation] = field(default_factory=list)
-    suppressions: List[Suppression] = field(default_factory=list)
-
-
-@dataclass
-class FileResult:
-    """Raw per-file phase output, before suppression accounting.
-
-    Everything here is plain data so results cross the multiprocessing
-    boundary and round-trip through the on-disk cache: the *unsuppressed*
-    per-file violations, the suppression comments found, the whole-program
-    summary (``None`` when the file did not parse), and the line →
-    enclosing-statement-start map used to honor suppressions written on the
-    first line of a wrapped statement.
+    :func:`analyze_file` returns ``violations`` with suppressions applied;
+    between the two phases they are the raw per-file findings.  ``summary``
+    is the whole-program digest (``None`` when the file did not parse) and
+    ``statement_starts`` maps continuation lines to the first line of their
+    statement, where a suppression covering them is written.
     """
 
     path: str
@@ -146,28 +128,28 @@ def _statement_start_map(tree: ast.Module) -> Dict[int, int]:
     return {line: start for line, start in mapping.items() if line != start}
 
 
-def scan_file(
+def _scan_file(
     path: Path, config: AnalysisConfig, rel_path: Optional[str] = None
-) -> FileResult:
+) -> FileReport:
     """Per-file phase for one file: parse, run per-file rules, summarize."""
     rel = rel_path if rel_path is not None else _relative_path(path, config.root)
-    result = FileResult(path=rel)
+    report = FileReport(path=rel)
     try:
         source = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as error:
-        result.violations.append(
+        report.violations.append(
             Violation(rel, 1, 1, PARSE_ERROR_CODE, f"cannot read file: {error}")
         )
-        return result
+        return report
     lines = source.splitlines()
-    result.suppressions = scan_suppressions(lines)
+    report.suppressions = scan_suppressions(lines)
     try:
         tree = ast.parse(source, filename=str(path))
     except SyntaxError as error:
-        result.violations.append(
+        report.violations.append(
             Violation(rel, error.lineno or 1, 1, PARSE_ERROR_CODE, f"syntax error: {error.msg}")
         )
-        return result
+        return report
 
     context = FileContext(
         path=path,
@@ -182,14 +164,14 @@ def scan_file(
     _dispatch(tree, rules)
     for rule in rules:
         rule.finish()
-    result.violations = [violation for rule in rules for violation in rule.violations]
-    result.summary = summarize_module(rel, tree)
-    result.statement_starts = _statement_start_map(tree)
-    return result
+    report.violations = [violation for rule in rules for violation in rule.violations]
+    report.summary = summarize_module(rel, tree)
+    report.statement_starts = _statement_start_map(tree)
+    return report
 
 
 def _suppression_violations(
-    result: FileResult, active_codes: Iterable[str], config: AnalysisConfig
+    report: FileReport, active_codes: Iterable[str], config: AnalysisConfig
 ) -> List[Violation]:
     if not config.code_enabled(SUPPRESSION_CODE):
         return []
@@ -198,10 +180,10 @@ def _suppression_violations(
 
     def emit(line: int, message: str) -> None:
         found.append(
-            Violation(path=result.path, line=line, col=1, code=SUPPRESSION_CODE, message=message)
+            Violation(path=report.path, line=line, col=1, code=SUPPRESSION_CODE, message=message)
         )
 
-    for suppression in result.suppressions:
+    for suppression in report.suppressions:
         if suppression.blanket:
             emit(
                 suppression.line,
@@ -228,29 +210,29 @@ def _suppression_violations(
 
 
 def _finalize_file(
-    result: FileResult,
+    report: FileReport,
     extra_violations: Sequence[Violation],
     active_codes: Iterable[str],
     config: AnalysisConfig,
 ) -> List[Violation]:
     """Apply suppressions to a file's (per-file + project) violations."""
     suppressions_by_line = {
-        suppression.line: suppression for suppression in result.suppressions
+        suppression.line: suppression for suppression in report.suppressions
     }
     kept: List[Violation] = []
-    for violation in (*result.violations, *extra_violations):
+    for violation in (*report.violations, *extra_violations):
         suppression = suppressions_by_line.get(violation.line)
         if suppression is None:
             # Violations on a continuation line inherit the suppression on the
             # first line of their enclosing statement.
-            start = result.statement_starts.get(violation.line)
+            start = report.statement_starts.get(violation.line)
             if start is not None:
                 suppression = suppressions_by_line.get(start)
         if suppression is not None and suppression.suppresses(violation.code):
             suppression.mark_used(violation.code)
             continue
         kept.append(violation)
-    kept.extend(_suppression_violations(result, active_codes, config))
+    kept.extend(_suppression_violations(report, active_codes, config))
     return sorted(kept, key=Violation.sort_key)
 
 
@@ -262,19 +244,14 @@ def analyze_file(
     Whole-program (``ProjectRule``) checks need the full corpus and only run
     in :func:`analyze_paths`.
     """
-    result = scan_file(path, config, rel_path)
-    if result.summary is None:  # unreadable or unparsable: report as-is
-        return FileReport(
-            path=result.path,
-            violations=list(result.violations),
-            suppressions=result.suppressions,
-        )
-    active = [rule_class.code for rule_class in _active_rules(config, result.path)]
-    violations = _finalize_file(result, (), active, config)
-    return FileReport(path=result.path, violations=violations, suppressions=result.suppressions)
+    report = _scan_file(path, config, rel_path)
+    if report.summary is not None:  # unreadable or unparsable: report as-is
+        active = [rule_class.code for rule_class in _active_rules(config, report.path)]
+        report.violations = _finalize_file(report, (), active, config)
+    return report
 
 
-def iter_python_files(paths: Sequence[Path], config: AnalysisConfig) -> List[Path]:
+def _iter_python_files(paths: Sequence[Path], config: AnalysisConfig) -> List[Path]:
     """Expand path arguments into a sorted, de-duplicated list of .py files.
 
     Config excludes apply when *expanding directories*; a file passed
@@ -310,47 +287,8 @@ def iter_python_files(paths: Sequence[Path], config: AnalysisConfig) -> List[Pat
     return collected
 
 
-def _scan_one(task: Tuple[str, str, AnalysisConfig]) -> FileResult:
-    """Worker entry point for parallel scanning (must stay module-level)."""
-    path, rel, config = task
-    return scan_file(Path(path), config, rel)
-
-
-def _scan_files(
-    files: Sequence[Path],
-    config: AnalysisConfig,
-    jobs: int,
-    cache: "Optional[ResultCache]",
-) -> List[FileResult]:
-    rels = [_relative_path(path, config.root) for path in files]
-    results: Dict[int, FileResult] = {}
-    misses: List[Tuple[int, Path, str]] = []
-    if cache is not None:
-        for index, (path, rel) in enumerate(zip(files, rels)):
-            hit = cache.get(path, rel)
-            if hit is not None:
-                results[index] = hit
-            else:
-                misses.append((index, path, rel))
-    else:
-        misses = [(index, path, rel) for index, (path, rel) in enumerate(zip(files, rels))]
-
-    if misses:
-        if jobs > 1 and len(misses) > 1:
-            tasks = [(str(path), rel, config) for _index, path, rel in misses]
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                fresh = list(pool.map(_scan_one, tasks, chunksize=8))
-        else:
-            fresh = [scan_file(path, config, rel) for _index, path, rel in misses]
-        for (index, path, _rel), result in zip(misses, fresh):
-            results[index] = result
-            if cache is not None:
-                cache.put(path, result)
-    return [results[index] for index in range(len(files))]
-
-
 def _project_violations(
-    results: Sequence[FileResult], config: AnalysisConfig
+    reports: Sequence[FileReport], config: AnalysisConfig
 ) -> Tuple[Dict[str, List[Violation]], Dict[str, List[str]]]:
     """Run project rules; returns violations and applicable codes per path."""
     rule_classes = _active_project_rules(config)
@@ -359,7 +297,7 @@ def _project_violations(
     if not rule_classes:
         return by_path, codes_by_path
     project = ProjectContext(
-        [result.summary for result in results if result.summary is not None]
+        [report.summary for report in reports if report.summary is not None]
     )
     scoped_cache: Dict[Tuple[str, str], bool] = {}
 
@@ -382,40 +320,32 @@ def _project_violations(
         for violation in rule.violations:
             if scoped(rule_class, violation.path):
                 by_path.setdefault(violation.path, []).append(violation)
-    for result in results:
-        codes_by_path[result.path] = [
-            rule_class.code for rule_class in rule_classes if scoped(rule_class, result.path)
+    for report in reports:
+        codes_by_path[report.path] = [
+            rule_class.code for rule_class in rule_classes if scoped(rule_class, report.path)
         ]
     return by_path, codes_by_path
 
 
 def analyze_paths(
-    paths: Sequence[Path],
-    config: AnalysisConfig,
-    *,
-    jobs: int = 1,
-    cache: "Optional[ResultCache]" = None,
+    paths: Sequence[Path], config: AnalysisConfig
 ) -> Tuple[List[Violation], int]:
     """Scan files/directories; returns (sorted violations, files scanned).
 
-    Runs both phases: per-file rules over every expanded file (parallelized
-    across ``jobs`` worker processes, short-circuited by ``cache`` hits for
-    files whose content and config are unchanged), then the whole-program
-    rules over the aggregated project context.
+    Runs both phases: per-file rules over every expanded file, then the
+    whole-program rules over the aggregated project context.
     """
-    files = iter_python_files(paths, config)
-    results = _scan_files(files, config, max(1, jobs), cache)
-    project_by_path, project_codes = _project_violations(results, config)
+    files = _iter_python_files(paths, config)
+    reports = [_scan_file(path, config) for path in files]
+    project_by_path, project_codes = _project_violations(reports, config)
     violations: List[Violation] = []
-    for result in results:
-        if result.summary is None:
-            violations.extend(result.violations)
+    for report in reports:
+        if report.summary is None:
+            violations.extend(report.violations)
             continue
-        active = [rule_class.code for rule_class in _active_rules(config, result.path)]
-        active.extend(project_codes.get(result.path, ()))
+        active = [rule_class.code for rule_class in _active_rules(config, report.path)]
+        active.extend(project_codes.get(report.path, ()))
         violations.extend(
-            _finalize_file(result, project_by_path.get(result.path, ()), active, config)
+            _finalize_file(report, project_by_path.get(report.path, ()), active, config)
         )
-    if cache is not None:
-        cache.save()
     return sorted(violations, key=Violation.sort_key), len(files)

@@ -1,13 +1,11 @@
 """Whole-program context for cross-module (``ProjectRule``) analysis.
 
 The per-file phase extracts one :class:`ModuleSummary` per scanned file — a
-small, picklable digest of everything the cross-module rules need: the
-module's imports (with ``TYPE_CHECKING``/deferred markers), its literal
-``__all__``, class summaries (bases, dataclass fields, ``self._*``
-assignments), ``Union`` type aliases, ``isinstance``/``match`` dispatch
-chains, and every externally-resolvable dotted reference.  Because summaries
-are plain data they survive both the multiprocessing boundary (``--jobs N``)
-and the on-disk result cache.
+small digest of everything the cross-module rules need: the module's imports
+(with ``TYPE_CHECKING``/deferred markers), its literal ``__all__``, class
+summaries (bases, dataclass fields, ``self._*`` assignments), ``Union`` type
+aliases, ``isinstance``/``match`` dispatch chains, and every
+externally-resolvable dotted reference.
 
 :class:`ProjectContext` then aggregates the summaries in one pass: a module
 table keyed by dotted name, a symbol resolver that chases re-export chains
@@ -21,7 +19,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 __all__ = [
     "ClassSummary",
@@ -31,8 +29,6 @@ __all__ = [
     "ProjectContext",
     "module_name_for",
     "summarize_module",
-    "summary_from_dict",
-    "summary_to_dict",
 ]
 
 #: Path components stripped when deriving a dotted module name ("src" layout).
@@ -532,87 +528,6 @@ class _SummaryExtractor:
 def summarize_module(rel_path: str, tree: ast.Module) -> ModuleSummary:
     """Extract the whole-program digest for one parsed file."""
     return _SummaryExtractor(rel_path, module_name_for(rel_path), tree).run()
-
-
-# -- (de)serialization for the result cache --------------------------------------------
-
-
-def summary_to_dict(summary: ModuleSummary) -> Dict[str, Any]:
-    """Plain-JSON form of a summary (tuples become lists)."""
-    return {
-        "rel_path": summary.rel_path,
-        "module": summary.module,
-        "imports": [
-            [record.target, list(record.names), record.line, record.type_checking, record.deferred]
-            for record in summary.imports
-        ],
-        "dunder_all": list(summary.dunder_all) if summary.dunder_all is not None else None,
-        "dunder_all_line": summary.dunder_all_line,
-        "classes": [
-            [
-                cls.name,
-                cls.line,
-                list(cls.bases),
-                cls.is_dataclass,
-                list(cls.dataclass_fields),
-                [[attr, line] for attr, line in cls.self_attrs],
-            ]
-            for cls in summary.classes
-        ],
-        "unions": {name: list(members) for name, members in summary.unions.items()},
-        "dispatches": [
-            [site.scope, site.line, site.col, site.subject, list(site.tested), site.has_fallback, site.kind]
-            for site in summary.dispatches
-        ],
-        "references": list(summary.references),
-    }
-
-
-def summary_from_dict(payload: Mapping[str, Any]) -> ModuleSummary:
-    """Inverse of :func:`summary_to_dict`."""
-    return ModuleSummary(
-        rel_path=payload["rel_path"],
-        module=payload["module"],
-        imports=tuple(
-            ImportRecord(
-                target=target,
-                names=tuple(names),
-                line=line,
-                type_checking=type_checking,
-                deferred=deferred,
-            )
-            for target, names, line, type_checking, deferred in payload["imports"]
-        ),
-        dunder_all=(
-            tuple(payload["dunder_all"]) if payload["dunder_all"] is not None else None
-        ),
-        dunder_all_line=payload["dunder_all_line"],
-        classes=tuple(
-            ClassSummary(
-                name=name,
-                line=line,
-                bases=tuple(bases),
-                is_dataclass=is_dataclass,
-                dataclass_fields=tuple(fields),
-                self_attrs=tuple((attr, attr_line) for attr, attr_line in self_attrs),
-            )
-            for name, line, bases, is_dataclass, fields, self_attrs in payload["classes"]
-        ),
-        unions={name: tuple(members) for name, members in payload["unions"].items()},
-        dispatches=tuple(
-            DispatchSite(
-                scope=scope,
-                line=line,
-                col=col,
-                subject=subject,
-                tested=tuple(tested),
-                has_fallback=has_fallback,
-                kind=kind,
-            )
-            for scope, line, col, subject, tested, has_fallback, kind in payload["dispatches"]
-        ),
-        references=tuple(payload["references"]),
-    )
 
 
 class ProjectContext:

@@ -1,15 +1,14 @@
-"""Violation reporters: text, JSON, and SARIF 2.1.0 for code scanning."""
+"""Violation reporters: flake8-style text and stable JSON."""
 
 from __future__ import annotations
 
 import json
 from collections import Counter
-from typing import Any, Dict, List, Sequence
+from typing import List, Sequence
 
-from repro.analysis.rules import RULE_CLASSES
-from repro.analysis.violations import PARSE_ERROR_CODE, SUPPRESSION_CODE, Violation
+from repro.analysis.violations import Violation
 
-__all__ = ["render_json", "render_sarif", "render_text"]
+__all__ = ["render_json", "render_text"]
 
 
 def render_text(violations: Sequence[Violation], files_scanned: int) -> str:
@@ -42,90 +41,6 @@ def render_json(violations: Sequence[Violation], files_scanned: int) -> str:
                 "message": violation.message,
             }
             for violation in violations
-        ],
-    }
-    return json.dumps(document, indent=2, sort_keys=True)
-
-
-#: Engine-emitted codes that have no registered rule class but still appear
-#: in reports (and therefore must appear in the SARIF rule metadata).
-_ENGINE_CODES = {
-    SUPPRESSION_CODE: (
-        "suppression-hygiene",
-        "unused, blanket, or rationale-free `repro: noqa` suppression",
-    ),
-    PARSE_ERROR_CODE: ("parse-error", "file could not be read or parsed as Python"),
-}
-
-
-def _sarif_rules() -> List[Dict[str, Any]]:
-    """The ``tool.driver.rules`` array: every code a result could reference."""
-    rules: List[Dict[str, Any]] = []
-    for code, (name, summary) in sorted(_ENGINE_CODES.items()):
-        rules.append(
-            {"id": code, "name": name, "shortDescription": {"text": summary}}
-        )
-    for code, rule_class in sorted(RULE_CLASSES.items()):
-        rules.append(
-            {
-                "id": code,
-                "name": rule_class.name,
-                "shortDescription": {"text": rule_class.summary},
-                "helpUri": "https://github.com/repro/repro#static-analysis",
-            }
-        )
-    return rules
-
-
-def render_sarif(violations: Sequence[Violation], files_scanned: int) -> str:
-    """SARIF 2.1.0 log, suitable for GitHub code-scanning upload.
-
-    Result paths are emitted project-root-relative (SARIF's recommended
-    portable form); every ``ruleId`` resolves into ``tool.driver.rules`` via
-    ``ruleIndex`` so viewers can show rule metadata inline.
-    """
-    rules = _sarif_rules()
-    rule_index = {rule["id"]: index for index, rule in enumerate(rules)}
-    results: List[Dict[str, Any]] = []
-    for violation in violations:
-        results.append(
-            {
-                "ruleId": violation.code,
-                "ruleIndex": rule_index.get(violation.code, -1),
-                "level": "error",
-                "message": {"text": f"{violation.code} {violation.message}"},
-                "locations": [
-                    {
-                        "physicalLocation": {
-                            "artifactLocation": {
-                                "uri": violation.path,
-                                "uriBaseId": "PROJECTROOT",
-                            },
-                            "region": {
-                                "startLine": violation.line,
-                                "startColumn": violation.col,
-                            },
-                        }
-                    }
-                ],
-            }
-        )
-    document = {
-        "$schema": "https://json.schemastore.org/sarif-2.1.0.json",
-        "version": "2.1.0",
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "repro-analysis",
-                        "informationUri": "https://github.com/repro/repro",
-                        "rules": rules,
-                    }
-                },
-                "columnKind": "unicodeCodePoints",
-                "properties": {"filesScanned": files_scanned},
-                "results": results,
-            }
         ],
     }
     return json.dumps(document, indent=2, sort_keys=True)

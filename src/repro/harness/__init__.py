@@ -5,9 +5,8 @@ from repro.harness.equivalence import (
     assert_session_equivalent,
     churn_events,
     policy_objective_value,
-    run_aggregated_churn_equivalence,
+    run_churn_equivalence,
     run_scheduler_mode_equivalence,
-    run_session_churn_equivalence,
     water_filling_level_profile,
 )
 from repro.harness.experiments import (
@@ -28,9 +27,8 @@ __all__ = [
     "assert_session_equivalent",
     "churn_events",
     "policy_objective_value",
-    "run_aggregated_churn_equivalence",
+    "run_churn_equivalence",
     "run_scheduler_mode_equivalence",
-    "run_session_churn_equivalence",
     "water_filling_level_profile",
     "run_policy_on_trace",
     "run_load_sweep",

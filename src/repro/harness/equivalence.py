@@ -19,11 +19,12 @@ objective evaluators that used to live ad hoc in the test suite:
   water-filling procedure, which is mathematically unique — must match, not
   just the minimum.
 
-:func:`run_session_churn_equivalence` packages the whole protocol (a
-deterministic randomized churn trace through an
+:func:`run_churn_equivalence` packages the whole protocol (a deterministic
+randomized churn trace through an
 :class:`~repro.core.allocation_engine.AllocationEngine`, one long-lived
-session on one side, a fresh ``RebuildSession`` per step on the other) so
-the registry-wide test is a one-liner per policy spec.
+session on one side — per job or type-aggregated — and a fresh per-job
+``RebuildSession`` per step on the other) so each registry-wide test is a
+one-liner per policy spec.
 """
 
 from __future__ import annotations
@@ -60,8 +61,7 @@ __all__ = [
     "assert_session_equivalent",
     "assert_aggregation_equivalent",
     "churn_events",
-    "run_session_churn_equivalence",
-    "run_aggregated_churn_equivalence",
+    "run_churn_equivalence",
     "run_scheduler_mode_equivalence",
 ]
 
@@ -373,65 +373,129 @@ def _assert_delta_stream_consistent(
     )
 
 
-def run_session_churn_equivalence(
+def run_churn_equivalence(
     spec: str,
     oracle: ThroughputOracle,
     cluster: ClusterSpec,
+    aggregation: str = "job",
     num_initial: int = 8,
     num_events: int = 10,
     seed: int = 11,
     min_steps: int = 5,
 ) -> Dict[str, int]:
-    """Drive ``spec`` through a churn trace; session must match fresh rebuilds.
+    """Drive ``spec`` through a churn trace; its session must match fresh rebuilds.
 
-    One long-lived session (fed the engine's delta stream) is compared at
-    every step against a *fresh* :class:`~repro.core.session.RebuildSession`
-    solving the identical problem snapshot.  Separate policy instances back
-    the two sides so seeded randomized policies draw identically.  Returns
-    ``{"steps": ..., "exact": ...}`` step counters (asserting along the way).
+    One long-lived session of ``make_policy(spec, aggregation=aggregation)``,
+    fed its engine's delta stream, is compared at every step against a
+    *fresh* per-job :class:`~repro.core.session.RebuildSession` on the same
+    jobs; separate policy instances back the two sides so seeded randomized
+    policies draw identically.  Every drained delta batch must agree with the
+    active set and advertise the engine's group histogram.
+
+    * ``aggregation="job"``: both sides solve one problem snapshot and must
+      satisfy :func:`assert_session_equivalent`.
+    * ``aggregation="type"``: the session is an
+      :class:`~repro.core.aggregation.AggregatedSession` on a type-mode
+      engine, the reference reads a second, per-job engine, and every step
+      must satisfy :func:`assert_aggregation_equivalent` on the per-job
+      snapshot.
+
+    Returns step counters (``"steps"``; ``"exact"`` for ``"job"``) and, for
+    ``"type"``, LP-size evidence: ``max_inner_rows`` is the largest row count
+    of the session's inner matrix and ``max_active_types`` the largest
+    concurrent group count, so callers can assert the LP scales with types.
     """
-    session_policy = make_policy(spec)
-    scratch_policy = make_policy(spec)
-    engine = AllocationEngine(oracle, space_sharing=session_policy.space_sharing)
+    from repro.core.aggregation import AggregatedSession
+
+    aggregated = aggregation == "type"
+    session_policy = make_policy(spec, aggregation=aggregation)
+    reference_policy = make_policy(spec)
+    engine = AllocationEngine(
+        oracle, space_sharing=session_policy.space_sharing, aggregation=aggregation
+    )
+    engines = [engine]
+    if aggregated:
+        engines.append(AllocationEngine(oracle, space_sharing=reference_policy.space_sharing))
+    reference_engine = engines[-1]
     active: Dict[int, Job] = {}
     session = None
-    steps = 0
-    exact_steps = 0
-    for action, job in churn_events(oracle, num_initial=num_initial, num_events=num_events, seed=seed):
+    counters = {"steps": 0, "exact": 0, "max_inner_rows": 0, "max_active_types": 0}
+    for action, job in churn_events(
+        oracle, num_initial=num_initial, num_events=num_events, seed=seed
+    ):
+        for each in engines:
+            if action == "add":
+                each.add_job(job)
+            else:
+                each.remove_job(job.job_id)
         if action == "add":
-            engine.add_job(job)
             active[job.job_id] = job
         else:
-            engine.remove_job(job.job_id)
             del active[job.job_id]
         if len(active) < 2:
             continue
-        problem = PolicyProblem(
-            jobs=dict(active),
-            throughputs=engine.matrix(),
-            cluster_spec=cluster,
-            steps_remaining={
+        timing = {
+            "steps_remaining": {
                 job_id: job.total_steps * (0.25 + 0.75 * ((job_id % 4) / 4))
                 for job_id, job in active.items()
             },
-            time_elapsed={job_id: 1800.0 * (job_id % 3) for job_id in active},
-            current_time=3600.0,
+            "time_elapsed": {job_id: 1800.0 * (job_id % 3) for job_id in active},
+            "current_time": 3600.0,
+        }
+        problem = PolicyProblem(
+            jobs=dict(active), throughputs=engine.matrix(), cluster_spec=cluster, **timing
         )
+        reference_problem = problem
+        if aggregated:
+            reference_problem = PolicyProblem(
+                jobs=dict(active),
+                throughputs=reference_engine.matrix(),
+                cluster_spec=cluster,
+                **timing,
+            )
+            reference_engine.drain_deltas()
         deltas = engine.drain_deltas()
-        _assert_delta_stream_consistent(spec, summarize_deltas(deltas), set(active))
+        summary = summarize_deltas(deltas)
+        _assert_delta_stream_consistent(spec, summary, set(active))
+        for key, advertised in summary.group_counts:
+            actual = engine.group_counts.get(key, 0)
+            assert actual == advertised, (
+                f"{spec}: delta stream advertises group {key!r} at count "
+                f"{advertised} but the engine histogram says {actual}"
+            )
         if session is None:
             session = session_policy.session(problem)
+            assert isinstance(session, AggregatedSession) == aggregated, type(session).__name__
         else:
             session.apply(deltas)
-        session_allocation = session.solve(problem)
-        scratch_allocation = RebuildSession(scratch_policy, problem).solve(problem)
-        if assert_session_equivalent(
-            spec, scratch_policy, problem, session_allocation, scratch_allocation
-        ):
-            exact_steps += 1
-        steps += 1
+        allocation = session.solve(problem)
+        reference = RebuildSession(reference_policy, reference_problem).solve(
+            reference_problem
+        )
+        if isinstance(session, AggregatedSession):
+            assert_aggregation_equivalent(
+                spec,
+                reference_policy,
+                reference_problem,
+                allocation,
+                reference,
+                group_key=session_policy.aggregation_group_key,
+            )
+            counters["max_inner_rows"] = max(
+                counters["max_inner_rows"], session.view.problem.throughputs.num_rows()
+            )
+            # Policies may refine the engine's type histogram (the hierarchical
+            # key appends the entity), so the group-count evidence is the larger
+            # of the engine histogram and the session's actual group partition.
+            counters["max_active_types"] = max(
+                counters["max_active_types"], len(engine.group_counts), len(session.view.groups)
+            )
+        elif assert_session_equivalent(spec, reference_policy, problem, allocation, reference):
+            counters["exact"] += 1
+        counters["steps"] += 1
+    steps = counters["steps"]
     assert steps >= min_steps, f"{spec}: churn trace produced only {steps} comparisons"
-    return {"steps": steps, "exact": exact_steps}
+    return counters
 
 
 def run_scheduler_mode_equivalence(
@@ -508,108 +572,3 @@ def run_scheduler_mode_equivalence(
     )
     cancel_events = sum(1 for index in range(len(jobs)) if index % 4 == 2)
     return {"jobs": len(jobs), "cancel_events": cancel_events}
-
-
-def run_aggregated_churn_equivalence(
-    spec: str,
-    oracle: ThroughputOracle,
-    cluster: ClusterSpec,
-    num_initial: int = 8,
-    num_events: int = 10,
-    seed: int = 11,
-    min_steps: int = 5,
-) -> Dict[str, int]:
-    """Drive ``spec`` in ``aggregation="type"`` mode against the per-job baseline.
-
-    Two engines consume the same churn trace: a ``"job"``-mode engine feeding
-    a fresh per-job :class:`~repro.core.session.RebuildSession` each step (the
-    reference), and a ``"type"``-mode engine feeding one long-lived
-    :class:`~repro.core.aggregation.AggregatedSession` via its delta stream
-    (the production path).  Every step must satisfy
-    :func:`assert_aggregation_equivalent` on the full per-job snapshot.
-
-    Returns step counters plus LP-size evidence: ``max_inner_rows`` is the
-    largest row count of the aggregated session's inner matrix and
-    ``max_active_types`` the largest concurrent group count, so callers can
-    assert the LP scales with types, not jobs.
-    """
-    from repro.core.aggregation import AggregatedSession
-
-    aggregated_policy = make_policy(spec, aggregation="type")
-    baseline_policy = make_policy(spec)
-    engine_full = AllocationEngine(oracle, space_sharing=baseline_policy.space_sharing)
-    engine_type = AllocationEngine(
-        oracle, space_sharing=aggregated_policy.space_sharing, aggregation="type"
-    )
-    active: Dict[int, Job] = {}
-    session: Optional[AggregatedSession] = None
-    steps = 0
-    max_inner_rows = 0
-    max_active_types = 0
-    for action, job in churn_events(
-        oracle, num_initial=num_initial, num_events=num_events, seed=seed
-    ):
-        if action == "add":
-            engine_full.add_job(job)
-            engine_type.add_job(job)
-            active[job.job_id] = job
-        else:
-            engine_full.remove_job(job.job_id)
-            engine_type.remove_job(job.job_id)
-            del active[job.job_id]
-        if len(active) < 2:
-            continue
-        timing = {
-            "steps_remaining": {
-                job_id: job.total_steps * (0.25 + 0.75 * ((job_id % 4) / 4))
-                for job_id, job in active.items()
-            },
-            "time_elapsed": {job_id: 1800.0 * (job_id % 3) for job_id in active},
-            "current_time": 3600.0,
-        }
-        baseline_problem = PolicyProblem(
-            jobs=dict(active), throughputs=engine_full.matrix(), cluster_spec=cluster, **timing
-        )
-        aggregated_problem = PolicyProblem(
-            jobs=dict(active), throughputs=engine_type.matrix(), cluster_spec=cluster, **timing
-        )
-        engine_full.drain_deltas()
-        deltas = engine_type.drain_deltas()
-        summary = summarize_deltas(deltas)
-        for key, advertised in summary.group_counts:
-            actual = engine_type.group_counts.get(key, 0)
-            assert actual == advertised, (
-                f"{spec}: delta stream advertises group {key!r} at count "
-                f"{advertised} but the engine histogram says {actual}"
-            )
-        if session is None:
-            session = aggregated_policy.session(aggregated_problem)
-            assert isinstance(session, AggregatedSession), type(session).__name__
-        else:
-            session.apply(deltas)
-        aggregated_allocation = session.solve(aggregated_problem)
-        baseline_allocation = RebuildSession(baseline_policy, baseline_problem).solve(
-            baseline_problem
-        )
-        assert_aggregation_equivalent(
-            spec,
-            baseline_policy,
-            baseline_problem,
-            aggregated_allocation,
-            baseline_allocation,
-            group_key=aggregated_policy.aggregation_group_key,
-        )
-        max_inner_rows = max(max_inner_rows, session.view.problem.throughputs.num_rows())
-        # Policies may refine the engine's type histogram (the hierarchical
-        # key appends the entity), so the group-count evidence is the larger
-        # of the engine histogram and the session's actual group partition.
-        max_active_types = max(
-            max_active_types, len(engine_type.group_counts), len(session.view.groups)
-        )
-        steps += 1
-    assert steps >= min_steps, f"{spec}: churn trace produced only {steps} comparisons"
-    return {
-        "steps": steps,
-        "max_inner_rows": max_inner_rows,
-        "max_active_types": max_active_types,
-    }

@@ -370,13 +370,12 @@ class ClusterScheduler:
         workers_per_server: int = 4,
         clock: Optional[Clock] = None,
     ) -> None:
-        self._policy = make_policy(policy) if isinstance(policy, str) else policy
+        self._config = config if config is not None else SchedulerConfig()
+        self._policy = self._adopt_policy(policy)
         self._oracle = oracle if oracle is not None else ThroughputOracle()
         self._colocation = (
             colocation_model if colocation_model is not None else ColocationModel(self._oracle)
         )
-        self._config = config if config is not None else SchedulerConfig()
-        self._apply_aggregation_mode(self._policy)
         self._workers_per_server = workers_per_server
         self._clock = clock if clock is not None else VirtualClock()
         self._rng = np.random.default_rng(self._config.seed)
@@ -436,24 +435,55 @@ class ClusterScheduler:
         self._placer = Placer(self._topology)
         self._round_scheduler = RoundScheduler(cluster_spec)
 
-    def _apply_aggregation_mode(self, policy: Policy) -> None:
-        """Reconcile the config's ``aggregation`` mode onto ``policy``.
+    def _checked_policy(self, policy: "Policy | str") -> Policy:
+        """The policy ``policy`` names, checked against the config; changes nothing.
 
-        A policy already built with ``aggregation="type"`` (via
-        :func:`~repro.core.registry.make_policy`) keeps its mode; otherwise a
-        ``"type"`` config switches the policy over, rejecting bases whose
-        objectives cannot be aggregated.
+        A spec string is built through :func:`~repro.core.registry.make_policy`
+        (unknown specs raise there).  Under a ``"type"`` config a policy not
+        already built with ``aggregation="type"`` must have a base whose
+        objective can be aggregated.
         """
-        if self._config.aggregation != "type" or policy.aggregation == "type":
-            return
         from repro.core.aggregation import AGGREGATION_SUPPORTED_BASES, supports_type_aggregation
 
-        if not supports_type_aggregation(policy.name):
+        checked = make_policy(policy) if isinstance(policy, str) else policy
+        if (
+            self._config.aggregation == "type"
+            and checked.aggregation != "type"
+            and not supports_type_aggregation(checked.name)
+        ):
             raise ConfigurationError(
-                f"policy {policy.name!r} does not support aggregation='type'; "
+                f"policy {checked.name!r} does not support aggregation='type'; "
                 f"supported bases: {sorted(AGGREGATION_SUPPORTED_BASES)}"
             )
-        policy.aggregation = "type"
+        return checked
+
+    def _adopt_policy(self, policy: "Policy | str") -> Policy:
+        """:meth:`_checked_policy`, switched over to the config's aggregation mode."""
+        adopted = self._checked_policy(policy)
+        if self._config.aggregation == "type":
+            adopted.aggregation = "type"
+        return adopted
+
+    def _check_resize(self, cluster: "ClusterSpec | Mapping[str, int]") -> None:
+        """Reject a resize that names accelerator types this cluster does not have.
+
+        A full :class:`ClusterSpec` must keep the registry's type names; a
+        delta mapping may only name existing types.  Whether a delta drives a
+        count negative depends on the capacity when it applies, so
+        :meth:`resize` checks that itself.
+        """
+        names = self._cluster_spec.registry.names
+        if isinstance(cluster, ClusterSpec):
+            if tuple(cluster.registry.names) != tuple(names):
+                raise ConfigurationError(
+                    "resize cannot change the set of accelerator types mid-run"
+                )
+        else:
+            unknown = set(cluster) - set(names)
+            if unknown:
+                raise ConfigurationError(
+                    f"resize deltas reference unknown accelerator types {sorted(unknown)}"
+                )
 
     def _make_engine(self) -> AllocationEngine:
         """Incremental matrix engine; policies see the estimator when one is set."""
@@ -523,10 +553,12 @@ class ClusterScheduler:
         Arrival times in the past (relative to the scheduler clock) are
         admitted at the next step; future arrival times make the job wait, so
         a trace replay is just ``submit`` for every job followed by
-        :meth:`run_until`.
+        :meth:`run_until`.  A job type the oracle does not know raises
+        :class:`~repro.exceptions.UnknownJobError` here, not at admission.
         """
         if job.job_id in self._records:
             raise ConfigurationError(f"job {job.job_id} was already submitted")
+        self._oracle.spec(job.job_type)
         self._records[job.job_id] = JobRecord(job=job)
         # The heap key is the *effective* arrival: a nominal arrival time in
         # the past is clamped to the submit instant, since the scheduler
@@ -604,11 +636,24 @@ class ClusterScheduler:
         self._schedule_event(at, "cancel", job_id)
 
     def schedule_resize(self, cluster: "ClusterSpec | Mapping[str, int]", at: float) -> None:
-        """Queue a :meth:`resize` (full spec or per-type deltas) for time ``at``."""
+        """Queue a :meth:`resize` (full spec or per-type deltas) for time ``at``.
+
+        Unknown accelerator names and a spec with other type names raise
+        :class:`~repro.exceptions.ConfigurationError` here.  A delta that
+        drives a count negative depends on the capacity when the event fires,
+        so that one still raises from the step that fires it.
+        """
+        self._check_resize(cluster)
         self._schedule_event(at, "resize", cluster)
 
     def schedule_swap_policy(self, policy: "Policy | str", at: float) -> None:
-        """Queue a :meth:`swap_policy` to ``policy`` for scheduler time ``at``."""
+        """Queue a :meth:`swap_policy` to ``policy`` for scheduler time ``at``.
+
+        The policy is checked as :meth:`swap_policy` checks it (an unknown
+        spec, or a base the config's ``aggregation="type"`` cannot run,
+        raises :class:`~repro.exceptions.ConfigurationError` here).
+        """
+        self._checked_policy(policy)
         self._schedule_event(at, "swap_policy", policy)
 
     def _apply_due_control_events(self, current_time: float) -> None:
@@ -649,6 +694,7 @@ class ClusterScheduler:
         recomputed and capacity accounting switches to the new counts from the
         current instant.
         """
+        self._check_resize(cluster)
         if isinstance(cluster, ClusterSpec):
             new_spec = cluster
         else:
@@ -656,16 +702,7 @@ class ClusterScheduler:
                 name: self._cluster_spec.count(name) + int(cluster.get(name, 0))
                 for name in self._cluster_spec.registry.names
             }
-            unknown = set(cluster) - set(self._cluster_spec.registry.names)
-            if unknown:
-                raise ConfigurationError(
-                    f"resize deltas reference unknown accelerator types {sorted(unknown)}"
-                )
             new_spec = ClusterSpec.from_counts(counts, registry=self._cluster_spec.registry)
-        if tuple(new_spec.registry.names) != tuple(self._cluster_spec.registry.names):
-            raise ConfigurationError(
-                "resize cannot change the set of accelerator types mid-run"
-            )
         self._set_cluster(new_spec)
         self._capacity_epochs.append((self._clock.now(), new_spec))
         # The current allocation period targeted the old capacity; start a
@@ -684,8 +721,7 @@ class ClusterScheduler:
         the new row structure.  Either way a fresh session is opened at the
         next allocation recomputation, which starts a new allocation period.
         """
-        new_policy = make_policy(policy) if isinstance(policy, str) else policy
-        self._apply_aggregation_mode(new_policy)
+        new_policy = self._adopt_policy(policy)
         old_policy, self._policy = self._policy, new_policy
         if (
             new_policy.space_sharing != old_policy.space_sharing

@@ -242,15 +242,6 @@ class LinearExpression:
         self.constant = float(constant)
 
     @classmethod
-    def from_terms(cls, terms: Iterable[Tuple["Variable | int", float]], constant: float = 0.0) -> "LinearExpression":
-        """Build an expression from ``(variable, coefficient)`` pairs."""
-        coefficients: Dict[int, float] = {}
-        for variable, coefficient in terms:
-            index = variable.index if isinstance(variable, Variable) else int(variable)
-            coefficients[index] = coefficients.get(index, 0.0) + float(coefficient)
-        return cls(coefficients, constant)
-
-    @classmethod
     def from_arrays(
         cls, indices: np.ndarray, values: np.ndarray, constant: float = 0.0
     ) -> "LinearExpression":
@@ -1292,9 +1283,6 @@ class LinearProgram:
 
     def maximize(self, expression: "_Coefficients") -> None:
         self.set_objective(expression, maximize=True)
-
-    def minimize(self, expression: "_Coefficients") -> None:
-        self.set_objective(expression, maximize=False)
 
     # -- epigraph helpers -----------------------------------------------------------------
     def add_max_min_objective(self, expressions: Sequence["_Coefficients"]) -> Variable:

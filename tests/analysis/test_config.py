@@ -204,11 +204,3 @@ class TestLayers:
         root = self.layered(tmp_path, "a = { modules = [], imports = [] }\n")
         with pytest.raises(ConfigurationError):
             load_config(root)
-
-    def test_layers_affect_fingerprint(self, tmp_path: Path) -> None:
-        plain = AnalysisConfig(root=tmp_path)
-        layered = AnalysisConfig(
-            root=tmp_path,
-            layers={"a": LayerSpec(name="a", modules=("app",), imports=())},
-        )
-        assert plain.fingerprint() != layered.fingerprint()

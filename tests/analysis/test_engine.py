@@ -5,7 +5,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from repro.analysis import AnalysisConfig, RuleSettings, analyze_file, analyze_paths
-from repro.analysis.engine import iter_python_files
+from repro.analysis.engine import _iter_python_files
 from repro.analysis.rules import RULE_CLASSES
 from repro.analysis.violations import PARSE_ERROR_CODE, SUPPRESSION_CODE
 
@@ -97,7 +97,7 @@ def test_iter_python_files_expands_and_excludes(tmp_path: Path) -> None:
     (tmp_path / "notes.txt").write_text("")
 
     config = AnalysisConfig(root=tmp_path, exclude=("__pycache__", "vendored/"))
-    found = iter_python_files([tmp_path], config)
+    found = _iter_python_files([tmp_path], config)
     assert [path.name for path in found] == ["a.py"]
 
 
@@ -106,7 +106,7 @@ def test_explicit_file_bypasses_excludes(tmp_path: Path) -> None:
     excluded_dir.mkdir()
     target = write(excluded_dir, "third_party.py", "")
     config = AnalysisConfig(root=tmp_path, exclude=("vendored/",))
-    assert iter_python_files([target], config) == [target]
+    assert _iter_python_files([target], config) == [target]
 
 
 def test_analyze_paths_aggregates(tmp_path: Path) -> None:
@@ -165,3 +165,134 @@ def test_project_rule_violation_is_suppressible(tmp_path: Path) -> None:
     )
     violations, _files = analyze_paths([tmp_path], config)
     assert violations == []
+
+
+def test_blanket_suppression_flagged_and_suppresses_nothing(tmp_path: Path) -> None:
+    target = write(tmp_path, "blanket.py", "def f(xs=[]):  # repro: noqa\n    return xs\n")
+    report = analyze_file(target, everywhere(tmp_path))
+    assert codes(report) == [SUPPRESSION_CODE, "REP006"]
+    assert "blanket" in report.violations[0].message
+
+
+def test_rationale_free_suppression_flagged_but_applied(tmp_path: Path) -> None:
+    target = write(
+        tmp_path, "terse.py", "def f(xs=[]):  # repro: noqa[REP006]\n    return xs\n"
+    )
+    report = analyze_file(target, everywhere(tmp_path))
+    assert codes(report) == [SUPPRESSION_CODE]
+    assert "rationale" in report.violations[0].message
+
+
+def test_malformed_code_in_suppression_flagged(tmp_path: Path) -> None:
+    target = write(
+        tmp_path, "typo.py", "def f(xs=[]):  # repro: noqa[REP06] -- typo\n    return xs\n"
+    )
+    report = analyze_file(target, everywhere(tmp_path))
+    assert codes(report) == [SUPPRESSION_CODE, "REP006"]
+    assert "malformed rule code `REP06`" in report.violations[0].message
+
+
+def test_unknown_code_in_suppression_flagged(tmp_path: Path) -> None:
+    target = write(
+        tmp_path, "ghost.py", "def f(x):  # repro: noqa[REP077] -- ghost\n    return x\n"
+    )
+    report = analyze_file(target, everywhere(tmp_path))
+    assert codes(report) == [SUPPRESSION_CODE]
+    assert "unknown rule code `REP077`" in report.violations[0].message
+
+
+def test_ignoring_rep000_turns_off_suppression_hygiene(tmp_path: Path) -> None:
+    target = write(tmp_path, "blanket.py", "def f(xs=[]):  # repro: noqa\n    return xs\n")
+    config = everywhere(tmp_path, ignore=frozenset({SUPPRESSION_CODE}))
+    assert codes(analyze_file(target, config)) == ["REP006"]
+
+
+def test_undecodable_file_reports_rep999(tmp_path: Path) -> None:
+    target = tmp_path / "binary.py"
+    target.write_bytes(b"\xff\xfe\x00")
+    report = analyze_file(target, everywhere(tmp_path))
+    assert codes(report) == [PARSE_ERROR_CODE]
+    assert "cannot read file" in report.violations[0].message
+    assert report.summary is None
+
+
+def test_parsed_file_report_carries_summary_and_statement_starts(tmp_path: Path) -> None:
+    target = write(tmp_path, "wrapped.py", MULTILINE)
+    report = analyze_file(target, everywhere(tmp_path))
+    assert report.path == "wrapped.py"
+    assert report.summary is not None
+    # Lines 4-6 continue the statement that starts on line 3.
+    assert report.statement_starts == {4: 3, 5: 3, 6: 3}
+
+
+def test_unparsable_file_report_has_no_summary(tmp_path: Path) -> None:
+    bad = write(tmp_path, "broken.py", "def f(:\n")
+    report = analyze_file(bad, everywhere(tmp_path))
+    assert report.summary is None
+    assert report.statement_starts == {}
+
+
+def test_analyze_file_uses_given_relative_path(tmp_path: Path) -> None:
+    target = write(tmp_path, "bad.py", "def f(xs=[]):\n    return xs\n")
+    report = analyze_file(target, everywhere(tmp_path), rel_path="pkg/renamed.py")
+    assert report.path == "pkg/renamed.py"
+    assert [violation.path for violation in report.violations] == ["pkg/renamed.py"]
+
+
+def test_file_outside_root_reported_relative_to_it(tmp_path: Path) -> None:
+    root = tmp_path / "project"
+    root.mkdir()
+    outside = write(tmp_path, "stray.py", "def f(xs=[]):\n    return xs\n")
+    violations, files_scanned = analyze_paths([outside], everywhere(root))
+    assert files_scanned == 1
+    assert [violation.path for violation in violations] == ["../stray.py"]
+
+
+def test_analyze_paths_sees_edits_between_runs(tmp_path: Path) -> None:
+    """Every call re-reads the files: nothing from an earlier run is reused."""
+    write(tmp_path, "one.py", "def f(xs=[]):\n    return xs\n")
+    write(tmp_path, "two.py", "def g(y):\n    return y\n")
+    config = everywhere(tmp_path)
+    before, _ = analyze_paths([tmp_path], config)
+    assert [violation.path for violation in before] == ["one.py"]
+
+    write(tmp_path, "one.py", "def f(xs=None):\n    return xs\n")
+    write(tmp_path, "two.py", "def g(ys={}):\n    return ys\n")
+    after, _ = analyze_paths([tmp_path], config)
+    assert [violation.path for violation in after] == ["two.py"]
+
+
+def test_analyze_paths_repeated_runs_are_identical(tmp_path: Path) -> None:
+    write(tmp_path, "one.py", "import time\n\n\ndef f(xs=[]):\n    return time.time(), xs\n")
+    write(tmp_path, "two.py", "def g(y):  # repro: noqa[REP006] -- stale\n    return y\n")
+    write(tmp_path, "three.py", "def h(:\n")
+    config = everywhere(tmp_path)
+    first = analyze_paths([tmp_path], config)
+    assert analyze_paths([tmp_path], config) == first
+    assert first[1] == 3
+
+
+def test_analyze_paths_scans_overlapping_arguments_once(tmp_path: Path) -> None:
+    target = write(tmp_path, "one.py", "def f(xs=[]):\n    return xs\n")
+    violations, files_scanned = analyze_paths(
+        [tmp_path, target, tmp_path], everywhere(tmp_path)
+    )
+    assert files_scanned == 1
+    assert [violation.code for violation in violations] == ["REP006"]
+
+
+def test_unparsable_file_does_not_stop_project_rules(tmp_path: Path) -> None:
+    (tmp_path / "pyproject.toml").write_text(
+        '[tool.repro.analysis]\nselect = ["REP013"]\n\n'
+        "[tool.repro.analysis.REP013]\ninclude = []\n"
+    )
+    write(tmp_path, "mod.py", '__all__ = ["dead"]\n\n\ndef dead() -> None: ...\n')
+    write(tmp_path, "broken.py", "def f(:\n")
+    from repro.analysis import load_config
+
+    violations, files_scanned = analyze_paths([tmp_path], load_config(tmp_path))
+    assert files_scanned == 2
+    assert [(violation.path, violation.code) for violation in violations] == [
+        ("broken.py", PARSE_ERROR_CODE),
+        ("mod.py", "REP013"),
+    ]

@@ -24,8 +24,6 @@ from repro.analysis.project import (
     ProjectContext,
     module_name_for,
     summarize_module,
-    summary_from_dict,
-    summary_to_dict,
 )
 from repro.analysis.rules import RULE_CLASSES, ProjectRule, Rule
 from repro.analysis.rules.base import AnyRuleClass
@@ -139,27 +137,6 @@ class TestSummaryExtraction:
         assert chain.tested == ("pkg.deltas.Added", "pkg.deltas.Removed")
         assert not chain.has_fallback
         assert by_kind["match"].has_fallback
-
-    def test_round_trip_through_dict(self) -> None:
-        summary = summarize(
-            "src/pkg/mod.py",
-            """\
-            from pkg.other import helper
-
-            __all__ = ["Widget"]
-
-            class Widget:
-                def __init__(self) -> None:
-                    self._state = helper()
-
-            def fold(w):
-                if isinstance(w, Widget):
-                    return w
-                elif isinstance(w, helper):
-                    return None
-            """,
-        )
-        assert summary_from_dict(summary_to_dict(summary)) == summary
 
 
 class TestProjectContext:

@@ -26,7 +26,7 @@ from repro.core import (
 )
 from repro.core.throughput_matrix import build_throughput_matrix
 from repro.exceptions import ConfigurationError
-from repro.harness import run_aggregated_churn_equivalence
+from repro.harness import run_churn_equivalence
 from repro.workloads import Job, ThroughputOracle, TraceGenerator
 
 #: Variant suffixes crossed with every supported base (mirrors test_session).
@@ -225,7 +225,7 @@ class TestTypeModeEngine:
 class TestChurnEquivalence:
     @pytest.mark.parametrize("spec", _SUPPORTED_SPECS)
     def test_registry_wide_aggregated_equivalence(self, spec, oracle, cluster):
-        stats = run_aggregated_churn_equivalence(spec, oracle, cluster)
+        stats = run_churn_equivalence(spec, oracle, cluster, aggregation="type")
         assert stats["steps"] >= 5
         # LP size evidence: inner rows bounded by a function of active types,
         # never by the job count (types + all type pairs incl. same-type).

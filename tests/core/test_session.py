@@ -3,7 +3,7 @@
 Every registry policy — in every ``+ss`` / ``@agnostic`` variant its
 constructor accepts, water-filling and hierarchical included — is driven
 through the shared churn harness
-(:func:`repro.harness.run_session_churn_equivalence`): one long-lived
+(:func:`repro.harness.run_churn_equivalence`): one long-lived
 session fed the engine's delta stream, compared at every step against a
 fresh :class:`~repro.core.session.RebuildSession` on the identical problem
 snapshot.  The comparison protocol (exact rows when the optima are unique,
@@ -31,7 +31,7 @@ from repro.core.session import RebuildSession
 from repro.core.water_filling import WaterFillingSession
 from repro.estimator import ThroughputEstimator
 from repro.exceptions import ConfigurationError
-from repro.harness import assert_session_equivalent, run_session_churn_equivalence
+from repro.harness import assert_session_equivalent, run_churn_equivalence
 from repro.workloads import ColocatedThroughputs, ColocationModel, ThroughputOracle, TraceGenerator
 
 #: Variant suffixes every base spec is probed with.
@@ -72,7 +72,7 @@ def cluster(oracle):
 class TestSessionMatchesScratch:
     @pytest.mark.parametrize("spec", _ALL_SPECS)
     def test_randomized_churn_equivalence(self, spec, oracle, cluster):
-        counters = run_session_churn_equivalence(spec, oracle, cluster)
+        counters = run_churn_equivalence(spec, oracle, cluster)
         assert counters["steps"] >= 5
 
     def test_variant_sweep_covers_the_whole_registry(self):

@@ -395,6 +395,50 @@ class TestControlEventAPI:
         with pytest.raises(ConfigurationError):
             scheduler.schedule_resize({"v100": +1}, at=when)
 
+    def test_resize_with_unknown_accelerator_rejected_when_queued(self, oracle, small_spec):
+        scheduler = _scheduler(oracle, small_spec)
+        with pytest.raises(ConfigurationError, match="unknown accelerator"):
+            scheduler.schedule_resize({"a100": 1}, at=3600.0)
+        assert scheduler.status().num_queued_events == 0
+
+    def test_resize_to_other_accelerator_types_rejected_when_queued(self, oracle, small_spec):
+        scheduler = _scheduler(oracle, small_spec)
+        narrower = ClusterSpec.from_counts(
+            {"v100": 2, "k80": 2}, registry=small_spec.registry.subset(["v100", "k80"])
+        )
+        with pytest.raises(ConfigurationError, match="set of accelerator types"):
+            scheduler.schedule_resize(narrower, at=3600.0)
+        assert scheduler.status().num_queued_events == 0
+
+    def test_unknown_policy_rejected_when_queued(self, oracle, small_spec):
+        scheduler = _scheduler(oracle, small_spec)
+        with pytest.raises(ConfigurationError, match="unknown policy"):
+            scheduler.schedule_swap_policy("no_such_policy", at=3600.0)
+        assert scheduler.status().num_queued_events == 0
+
+    def test_swap_to_policy_type_aggregation_cannot_run_rejected_when_queued(
+        self, oracle, small_spec
+    ):
+        config = SchedulerConfig(mode="continuous", aggregation="type")
+        scheduler = _scheduler(oracle, small_spec, config=config)
+        with pytest.raises(ConfigurationError, match="aggregation='type'"):
+            scheduler.schedule_swap_policy("fifo", at=3600.0)
+        with pytest.raises(ConfigurationError, match="aggregation='type'"):
+            scheduler.schedule_swap_policy(make_policy("fifo"), at=3600.0)
+        assert scheduler.status().num_queued_events == 0
+
+    def test_negative_resize_delta_still_raises_when_it_fires(self, oracle, small_spec):
+        """The count a delta lands on depends on the capacity at fire time."""
+        scheduler = _scheduler(oracle, small_spec)
+        scheduler.schedule_resize({"v100": -1}, at=100.0)
+        scheduler.schedule_resize({"v100": -2}, at=200.0)
+        scheduler.submit(
+            Job(job_id=0, job_type="resnet18-bs64", total_steps=1e9, arrival_time=0.0)
+        )
+        with pytest.raises(ConfigurationError):
+            scheduler.run_until()
+        assert scheduler.cluster_spec.count("v100") == 1
+
     def test_queued_events_visible_in_status_and_drained(self, oracle, small_spec):
         config = SchedulerConfig(mode="continuous", max_simulated_seconds=5_000_000.0)
         scheduler = _scheduler(oracle, small_spec, config=config)

@@ -117,6 +117,19 @@ class TestSubmitCancel:
         with pytest.raises(ConfigurationError):
             scheduler.submit(job)
 
+    def test_unknown_job_type_rejected_at_submit(self, oracle, small_spec):
+        scheduler = _scheduler(oracle, small_spec)
+        ghost = Job(job_id=0, job_type="no-such-model", total_steps=1000.0, arrival_time=2226.0)
+        with pytest.raises(UnknownJobError):
+            scheduler.submit(ghost)
+        # Nothing was queued or recorded: the run and its result ignore the job.
+        scheduler.submit(
+            Job(job_id=1, job_type="resnet18-bs64", total_steps=1000.0, arrival_time=0.0)
+        )
+        scheduler.run_until()
+        assert set(scheduler.result().records) == {1}
+        assert scheduler.result().records[1].completed
+
     def test_cancel_unknown_job_rejected(self, oracle, small_spec):
         scheduler = _scheduler(oracle, small_spec)
         with pytest.raises(UnknownJobError):

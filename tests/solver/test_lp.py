@@ -26,11 +26,12 @@ class TestLinearExpression:
         assert expression.coefficients == {0: 2.0}
         assert expression.constant == -1.0
 
-    def test_from_terms_merges_duplicates(self):
+    def test_addition_merges_duplicates(self):
         lp = LinearProgram()
         x = lp.add_variable("x")
-        expression = LinearExpression.from_terms([(x, 1.0), (x, 2.0)], constant=5.0)
+        expression = LinearExpression({x.index: 1.0}) + LinearExpression({x.index: 2.0}, 5.0)
         assert expression.coefficients == {0: 3.0}
+        assert expression.constant == 5.0
 
     def test_value_evaluates_assignment(self):
         lp = LinearProgram()
@@ -56,7 +57,7 @@ class TestLinearProgram:
         lp = LinearProgram()
         x = lp.add_variable("x")
         lp.add_greater_equal(x * 3.0, 6.0)
-        lp.minimize(x)
+        lp.set_objective(x, maximize=False)
         assert lp.solve().objective_value == pytest.approx(2.0)
 
     def test_equality_constraint(self):
@@ -79,7 +80,7 @@ class TestLinearProgram:
         lp = LinearProgram()
         x = lp.add_variable("x", upper=1.0)
         lp.add_greater_equal(x, 2.0)
-        lp.minimize(x)
+        lp.set_objective(x, maximize=False)
         with pytest.raises(InfeasibleError):
             lp.solve()
 
@@ -108,7 +109,7 @@ class TestLinearProgram:
         t = lp.add_variable("t", lower=-math.inf)
         lp.add_less_equal(x - t, 0.0)
         lp.add_less_equal(y - t, 0.0)
-        lp.minimize(t)
+        lp.set_objective(t, maximize=False)
         assert lp.solve().objective_value == pytest.approx(1.0, abs=1e-6)
 
     def test_milp_integer_variable(self):
@@ -126,9 +127,9 @@ class TestLinearProgram:
         values = [3.0, 4.0, 5.0]
         weights = [2.0, 3.0, 4.0]
         lp.add_less_equal(
-            LinearExpression.from_terms(zip(items, weights)), 5.0
+            LinearExpression({item.index: w for item, w in zip(items, weights)}), 5.0
         )
-        lp.maximize(LinearExpression.from_terms(zip(items, values)))
+        lp.maximize(LinearExpression({item.index: v for item, v in zip(items, values)}))
         assert lp.solve().objective_value == pytest.approx(7.0)
 
     def test_num_constraints_counts_all(self):
@@ -155,9 +156,7 @@ class TestLinearProgram:
         """Property: max-min over c_i * x_i with sum(x) <= C is c_min-limited."""
         lp = LinearProgram()
         variables = lp.add_variables(len(coefficients))
-        lp.add_less_equal(
-            LinearExpression.from_terms((v, 1.0) for v in variables), capacity
-        )
+        lp.add_less_equal(LinearExpression({v.index: 1.0 for v in variables}), capacity)
         lp.add_max_min_objective([v * c for v, c in zip(variables, coefficients)])
         solution = lp.solve()
         # The optimum equals capacity / sum(1/c_i): verify against closed form.

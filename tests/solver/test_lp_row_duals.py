@@ -44,7 +44,7 @@ def test_hand_solved_maximization():
 def test_hand_solved_minimization_and_the_binding_lower_bound():
     """Minimizing, the binding ``>=`` row has dual +1; maximizing it would be ``<= 0``."""
     lp, (x, y), (wide, cap, floor) = _program()
-    lp.minimize(x + y)
+    lp.set_objective(x + y, maximize=False)
     solution = lp.solve()
     assert solution.objective_value == pytest.approx(0.5)
     assert solution.row_duals([wide, cap, floor]) == pytest.approx([0.0, 0.0, 1.0])

@@ -180,7 +180,7 @@ def test_only_moved_columns_are_pushed_to_the_live_model():
         calls.clear()
     lp.solve()  # nothing moved: nothing is pushed
     assert not any(recorder.calls.values())
-    lp.minimize(x * 2.0 + y + z * 3.0)
+    lp.set_objective(x * 2.0 + y + z * 3.0, maximize=False)
     assert lp.solve().objective_value == pytest.approx(0.0)
     assert len(recorder.calls["changeObjectiveSense"]) == 1
     assert recorder.calls["changeColsBounds"] == recorder.calls["changeColsCost"] == []
