@@ -20,21 +20,13 @@ codebase has already paid for cannot be silently reintroduced:
 * **REP007** — cross-module reach-in to private solver/session internals
   (``._highs``/``._program``), bypassing the mutation-handle API.
 * **REP008** — ``__all__`` vs public-name consistency.
+* **REP009** — ``heapq.heappush`` in ``scheduler/`` without a monotone
+  sequence tiebreak.
 
-On top of the per-file pack, a whole-program phase aggregates every scanned
-file into a :class:`~repro.analysis.project.ProjectContext` and checks the
-cross-module invariants no single file can witness:
-
-* **REP010** — import layering against the ``[tool.repro.analysis.layers]``
-  DAG (``solver → core → scheduler → {simulator, harness, cli}``; the
-  ``analysis`` package imports no runtime modules).
-* **REP011** — delta-dispatch exhaustiveness: ``isinstance``/``match``
-  dispatch over :class:`~repro.core.session.PolicyDelta` variants must cover
-  every registered variant or carry an explicit fallback.
-* **REP012** — snapshot-field coverage: mutable ``ClusterScheduler`` state
-  must be captured by ``SchedulerSnapshot`` or declared soft state.
-* **REP013** — dead exports: ``__all__`` names never used outside their
-  defining module.
+Invariants no single file can show (import layering, exhaustive delta
+summaries, snapshot coverage, live exports) are direct tier-1 tests
+instead: ``tests/test_repo_invariants.py`` and the delta-summary and
+snapshot-coverage tests beside their subjects.
 
 Violations can be suppressed per line with a ``repro: noqa[REP0xx] --
 rationale`` comment; unused or rationale-free suppressions are themselves violations
@@ -47,26 +39,20 @@ from __future__ import annotations
 
 from repro.analysis.config import (
     AnalysisConfig,
-    LayerSpec,
     RuleSettings,
     find_project_root,
     load_config,
 )
 from repro.analysis.engine import FileReport, analyze_file, analyze_paths
-from repro.analysis.project import ModuleSummary, ProjectContext
 from repro.analysis.reporting import render_json, render_text
 from repro.analysis.rules import RULE_CLASSES, all_rule_codes, iter_rule_classes
-from repro.analysis.rules.base import ProjectRule, Rule
+from repro.analysis.rules.base import Rule
 from repro.analysis.suppressions import Suppression, scan_suppressions
 from repro.analysis.violations import Violation
 
 __all__ = [
     "AnalysisConfig",
     "FileReport",
-    "LayerSpec",
-    "ModuleSummary",
-    "ProjectContext",
-    "ProjectRule",
     "RULE_CLASSES",
     "Rule",
     "RuleSettings",

@@ -16,7 +16,6 @@ from repro.analysis.config import find_project_root, load_config
 from repro.analysis.engine import analyze_paths
 from repro.analysis.reporting import render_json, render_text
 from repro.analysis.rules import RULE_CLASSES
-from repro.analysis.rules.base import ProjectRule
 from repro.analysis.violations import SUPPRESSION_CODE
 from repro.exceptions import ConfigurationError
 
@@ -84,8 +83,7 @@ def _parse_codes(raw: str, known: Sequence[str]) -> frozenset[str]:
 def _list_rules() -> str:
     lines = [f"{SUPPRESSION_CODE} suppression-hygiene  unused/blanket/rationale-free noqa"]
     for code, rule_class in sorted(RULE_CLASSES.items()):
-        kind = " [project]" if issubclass(rule_class, ProjectRule) else ""
-        lines.append(f"{code} {rule_class.name}{kind}  {rule_class.summary}")
+        lines.append(f"{code} {rule_class.name}  {rule_class.summary}")
     return "\n".join(lines)
 
 

@@ -20,14 +20,13 @@ from __future__ import annotations
 import tomllib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, FrozenSet, Mapping, Optional, Sequence, Tuple
 
 from repro.exceptions import ConfigurationError
 
 __all__ = [
     "DEFAULT_EXCLUDE",
     "AnalysisConfig",
-    "LayerSpec",
     "RuleSettings",
     "find_project_root",
     "load_config",
@@ -45,7 +44,7 @@ DEFAULT_EXCLUDE: Tuple[str, ...] = (
     "dist",
 )
 
-_GLOBAL_KEYS = frozenset({"exclude", "select", "ignore", "layers"})
+_GLOBAL_KEYS = frozenset({"exclude", "select", "ignore"})
 _RULE_RESERVED_KEYS = frozenset({"enabled", "include", "exclude"})
 
 
@@ -61,20 +60,6 @@ def path_matches(rel_path: str, prefixes: Sequence[str]) -> bool:
         if rel_path == cleaned or rel_path.startswith(cleaned + "/"):
             return True
     return False
-
-
-@dataclass(frozen=True)
-class LayerSpec:
-    """One architectural layer: its module prefixes and the layers it may import.
-
-    ``modules`` are dotted module-name prefixes (longest prefix wins when a
-    module matches several layers); ``imports`` names the *other* layers this
-    layer is allowed to depend on (its own layer is always allowed).
-    """
-
-    name: str
-    modules: Tuple[str, ...]
-    imports: Tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -96,22 +81,9 @@ class AnalysisConfig:
     select: Optional[FrozenSet[str]] = None
     ignore: FrozenSet[str] = frozenset()
     rules: Mapping[str, RuleSettings] = field(default_factory=dict)
-    #: layer name → spec, from ``[tool.repro.analysis.layers]`` (REP010).
-    layers: Mapping[str, LayerSpec] = field(default_factory=dict)
 
     def rule_settings(self, code: str) -> RuleSettings:
         return self.rules.get(code, _DEFAULT_SETTINGS)
-
-    def layer_of(self, module: str) -> Optional[str]:
-        """Layer owning a dotted module name, by longest declared prefix."""
-        best: Optional[str] = None
-        best_length = -1
-        for layer in self.layers.values():
-            for prefix in layer.modules:
-                if module == prefix or module.startswith(prefix + "."):
-                    if len(prefix) > best_length:
-                        best, best_length = layer.name, len(prefix)
-        return best
 
     def code_enabled(self, code: str) -> bool:
         """select/ignore/per-rule-enabled resolution for one rule code."""
@@ -179,74 +151,6 @@ def _parse_rule_table(code: str, table: Mapping[str, Any]) -> RuleSettings:
     return RuleSettings(enabled=enabled, include=include, exclude=exclude, options=options)
 
 
-def _parse_layers(raw: Any) -> Dict[str, LayerSpec]:
-    """Parse and validate the ``[tool.repro.analysis.layers]`` DAG."""
-    if not isinstance(raw, Mapping):
-        raise ConfigurationError("[tool.repro.analysis.layers] must be a table")
-    layers: Dict[str, LayerSpec] = {}
-    for name, spec in raw.items():
-        if not isinstance(spec, Mapping):
-            raise ConfigurationError(
-                f"[tool.repro.analysis.layers] {name!r} must be a table with "
-                "`modules` and `imports` lists"
-            )
-        unknown = set(spec) - {"modules", "imports"}
-        if unknown:
-            raise ConfigurationError(
-                f"[tool.repro.analysis.layers] {name!r} has unknown keys "
-                f"{sorted(unknown)}; expected `modules` and `imports`"
-            )
-        modules = _string_tuple(
-            spec.get("modules", []), where=f"layers.{name} modules"
-        )
-        imports = _string_tuple(
-            spec.get("imports", []), where=f"layers.{name} imports"
-        )
-        if not modules:
-            raise ConfigurationError(f"layers.{name} declares no modules")
-        layers[name] = LayerSpec(name=name, modules=modules, imports=imports)
-
-    seen_prefixes: Dict[str, str] = {}
-    for name, layer in layers.items():
-        for dependency in layer.imports:
-            if dependency not in layers:
-                raise ConfigurationError(
-                    f"layers.{name} imports undeclared layer {dependency!r}"
-                )
-            if dependency == name:
-                raise ConfigurationError(f"layers.{name} imports itself")
-        for prefix in layer.modules:
-            owner = seen_prefixes.setdefault(prefix, name)
-            if owner != name:
-                raise ConfigurationError(
-                    f"module prefix {prefix!r} is claimed by both layers "
-                    f"{owner!r} and {name!r}"
-                )
-
-    # The allowed-imports relation must be a DAG: a cycle would make the
-    # layering vacuous, so reject it at load time (Kahn's algorithm).
-    in_degree = {name: 0 for name in layers}
-    for layer in layers.values():
-        for dependency in layer.imports:
-            in_degree[layer.name] += 1
-    ready: List[str] = sorted(name for name, degree in in_degree.items() if degree == 0)
-    ordered = 0
-    while ready:
-        current = ready.pop()
-        ordered += 1
-        for layer in sorted(layers.values(), key=lambda spec: spec.name):
-            if current in layer.imports:
-                in_degree[layer.name] -= 1
-                if in_degree[layer.name] == 0:
-                    ready.append(layer.name)
-    if ordered != len(layers):
-        cyclic = sorted(name for name, degree in in_degree.items() if degree > 0)
-        raise ConfigurationError(
-            f"[tool.repro.analysis.layers] import relation has a cycle through {cyclic}"
-        )
-    return layers
-
-
 def load_config(root: Path, pyproject: Optional[Path] = None) -> AnalysisConfig:
     """Build an :class:`AnalysisConfig` from ``pyproject.toml`` under ``root``.
 
@@ -276,7 +180,6 @@ def load_config(root: Path, pyproject: Optional[Path] = None) -> AnalysisConfig:
     select: Optional[FrozenSet[str]] = None
     ignore: FrozenSet[str] = frozenset()
     rules: dict[str, RuleSettings] = {}
-    layers: Dict[str, LayerSpec] = {}
     for key, value in table.items():
         if key == "exclude":
             exclude = DEFAULT_EXCLUDE + _string_tuple(value, where="[tool.repro.analysis] exclude")
@@ -284,8 +187,6 @@ def load_config(root: Path, pyproject: Optional[Path] = None) -> AnalysisConfig:
             select = frozenset(_string_tuple(value, where="[tool.repro.analysis] select"))
         elif key == "ignore":
             ignore = frozenset(_string_tuple(value, where="[tool.repro.analysis] ignore"))
-        elif key == "layers":
-            layers = _parse_layers(value)
         elif key.upper().startswith("REP") and isinstance(value, Mapping):
             rules[key.upper()] = _parse_rule_table(key.upper(), value)
         else:
@@ -293,6 +194,4 @@ def load_config(root: Path, pyproject: Optional[Path] = None) -> AnalysisConfig:
                 f"[tool.repro.analysis] unknown key {key!r}; "
                 f"expected {sorted(_GLOBAL_KEYS)} or a REP0xx rule table"
             )
-    return AnalysisConfig(
-        root=root, exclude=exclude, select=select, ignore=ignore, rules=rules, layers=layers
-    )
+    return AnalysisConfig(root=root, exclude=exclude, select=select, ignore=ignore, rules=rules)

@@ -1,21 +1,12 @@
 """File scanner and orchestrator: parse, dispatch rules, apply suppressions.
 
-The engine owns everything rule-agnostic, in two phases of one in-process
-pass:
-
-* the **per-file phase** parses each file once, dispatches AST nodes to the
-  per-file rule instances in a single walk, and extracts the
-  :class:`~repro.analysis.project.ModuleSummary` the cross-module rules
-  need;
-* the **project phase** aggregates the summaries into a
-  :class:`~repro.analysis.project.ProjectContext` and runs every enabled
-  :class:`~repro.analysis.rules.base.ProjectRule` over it.
-
-Suppressions apply uniformly to both phases at the end: a violation on a
-line with a matching ``repro: noqa`` comment — or whose enclosing multi-line
-statement *starts* on such a line — is swallowed and the suppression marked
-used; suppressions that are blanket, rationale-free, malformed, or unused
-come back out as ``REP000`` violations.
+The engine owns everything rule-agnostic.  It parses each file once and
+dispatches AST nodes to the rule instances in a single walk; then it
+applies suppressions: a violation on a line with a matching ``repro: noqa``
+comment — or whose enclosing multi-line statement *starts* on such a line —
+is swallowed and the suppression marked used; suppressions that are
+blanket, rationale-free, malformed, or unused come back out as ``REP000``
+violations.
 """
 
 from __future__ import annotations
@@ -28,9 +19,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Type
 
 from repro.analysis.config import AnalysisConfig, path_matches
 from repro.analysis.context import FileContext, build_parent_map, collect_import_aliases
-from repro.analysis.project import ModuleSummary, ProjectContext, summarize_module
 from repro.analysis.rules import RULE_CLASSES
-from repro.analysis.rules.base import ProjectRule, Rule, handler_node_types
+from repro.analysis.rules.base import Rule, handler_node_types
 from repro.analysis.suppressions import Suppression, scan_suppressions
 from repro.analysis.violations import PARSE_ERROR_CODE, SUPPRESSION_CODE, Violation
 
@@ -45,17 +35,14 @@ __all__ = [
 class FileReport:
     """Outcome of scanning one file.
 
-    :func:`analyze_file` returns ``violations`` with suppressions applied;
-    between the two phases they are the raw per-file findings.  ``summary``
-    is the whole-program digest (``None`` when the file did not parse) and
-    ``statement_starts`` maps continuation lines to the first line of their
-    statement, where a suppression covering them is written.
+    ``violations`` have suppressions applied; ``statement_starts`` maps
+    continuation lines to the first line of their statement, where a
+    suppression covering them is written.
     """
 
     path: str
     violations: List[Violation] = field(default_factory=list)
     suppressions: List[Suppression] = field(default_factory=list)
-    summary: Optional[ModuleSummary] = None
     statement_starts: Dict[int, int] = field(default_factory=dict)
 
 
@@ -69,8 +56,6 @@ def _relative_path(path: Path, root: Path) -> str:
 def _active_rules(config: AnalysisConfig, rel_path: str) -> List[Type[Rule]]:
     active: List[Type[Rule]] = []
     for code, rule_class in RULE_CLASSES.items():
-        if issubclass(rule_class, ProjectRule):
-            continue
         if not config.code_enabled(code):
             continue
         if not config.scoped(
@@ -79,14 +64,6 @@ def _active_rules(config: AnalysisConfig, rel_path: str) -> List[Type[Rule]]:
             continue
         active.append(rule_class)
     return active
-
-
-def _active_project_rules(config: AnalysisConfig) -> List[Type[ProjectRule]]:
-    return [
-        rule_class
-        for code, rule_class in RULE_CLASSES.items()
-        if issubclass(rule_class, ProjectRule) and config.code_enabled(code)
-    ]
 
 
 def _dispatch(tree: ast.Module, rules: Sequence[Rule]) -> None:
@@ -128,48 +105,6 @@ def _statement_start_map(tree: ast.Module) -> Dict[int, int]:
     return {line: start for line, start in mapping.items() if line != start}
 
 
-def _scan_file(
-    path: Path, config: AnalysisConfig, rel_path: Optional[str] = None
-) -> FileReport:
-    """Per-file phase for one file: parse, run per-file rules, summarize."""
-    rel = rel_path if rel_path is not None else _relative_path(path, config.root)
-    report = FileReport(path=rel)
-    try:
-        source = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as error:
-        report.violations.append(
-            Violation(rel, 1, 1, PARSE_ERROR_CODE, f"cannot read file: {error}")
-        )
-        return report
-    lines = source.splitlines()
-    report.suppressions = scan_suppressions(lines)
-    try:
-        tree = ast.parse(source, filename=str(path))
-    except SyntaxError as error:
-        report.violations.append(
-            Violation(rel, error.lineno or 1, 1, PARSE_ERROR_CODE, f"syntax error: {error.msg}")
-        )
-        return report
-
-    context = FileContext(
-        path=path,
-        rel_path=rel,
-        lines=lines,
-        tree=tree,
-        config=config,
-        parents=build_parent_map(tree),
-        aliases=collect_import_aliases(tree),
-    )
-    rules = [rule_class(context) for rule_class in _active_rules(config, rel)]
-    _dispatch(tree, rules)
-    for rule in rules:
-        rule.finish()
-    report.violations = [violation for rule in rules for violation in rule.violations]
-    report.summary = summarize_module(rel, tree)
-    report.statement_starts = _statement_start_map(tree)
-    return report
-
-
 def _suppression_violations(
     report: FileReport, active_codes: Iterable[str], config: AnalysisConfig
 ) -> List[Violation]:
@@ -209,18 +144,18 @@ def _suppression_violations(
     return found
 
 
-def _finalize_file(
+def _apply_suppressions(
     report: FileReport,
-    extra_violations: Sequence[Violation],
+    violations: Iterable[Violation],
     active_codes: Iterable[str],
     config: AnalysisConfig,
 ) -> List[Violation]:
-    """Apply suppressions to a file's (per-file + project) violations."""
+    """The file's violations minus the suppressed ones, plus REP000 findings."""
     suppressions_by_line = {
         suppression.line: suppression for suppression in report.suppressions
     }
     kept: List[Violation] = []
-    for violation in (*report.violations, *extra_violations):
+    for violation in violations:
         suppression = suppressions_by_line.get(violation.line)
         if suppression is None:
             # Violations on a continuation line inherit the suppression on the
@@ -237,17 +172,52 @@ def _finalize_file(
 
 
 def analyze_file(
-    path: Path, config: AnalysisConfig, rel_path: str | None = None
+    path: Path, config: AnalysisConfig, rel_path: Optional[str] = None
 ) -> FileReport:
-    """Scan one file in isolation (per-file rules only, suppressions applied).
+    """Scan one file: parse, run the active rules, apply suppressions.
 
-    Whole-program (``ProjectRule``) checks need the full corpus and only run
-    in :func:`analyze_paths`.
+    An unreadable or unparsable file is reported as one ``REP999``
+    violation, with no rules run and no suppressions applied.
     """
-    report = _scan_file(path, config, rel_path)
-    if report.summary is not None:  # unreadable or unparsable: report as-is
-        active = [rule_class.code for rule_class in _active_rules(config, report.path)]
-        report.violations = _finalize_file(report, (), active, config)
+    rel = rel_path if rel_path is not None else _relative_path(path, config.root)
+    report = FileReport(path=rel)
+    try:
+        source = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as error:
+        report.violations.append(
+            Violation(rel, 1, 1, PARSE_ERROR_CODE, f"cannot read file: {error}")
+        )
+        return report
+    lines = source.splitlines()
+    report.suppressions = scan_suppressions(lines)
+    try:
+        tree = ast.parse(source, filename=str(path))
+    except SyntaxError as error:
+        report.violations.append(
+            Violation(rel, error.lineno or 1, 1, PARSE_ERROR_CODE, f"syntax error: {error.msg}")
+        )
+        return report
+
+    context = FileContext(
+        path=path,
+        rel_path=rel,
+        lines=lines,
+        tree=tree,
+        config=config,
+        parents=build_parent_map(tree),
+        aliases=collect_import_aliases(tree),
+    )
+    rules = [rule_class(context) for rule_class in _active_rules(config, rel)]
+    _dispatch(tree, rules)
+    for rule in rules:
+        rule.finish()
+    report.statement_starts = _statement_start_map(tree)
+    report.violations = _apply_suppressions(
+        report,
+        [violation for rule in rules for violation in rule.violations],
+        [rule.code for rule in rules],
+        config,
+    )
     return report
 
 
@@ -287,65 +257,12 @@ def _iter_python_files(paths: Sequence[Path], config: AnalysisConfig) -> List[Pa
     return collected
 
 
-def _project_violations(
-    reports: Sequence[FileReport], config: AnalysisConfig
-) -> Tuple[Dict[str, List[Violation]], Dict[str, List[str]]]:
-    """Run project rules; returns violations and applicable codes per path."""
-    rule_classes = _active_project_rules(config)
-    by_path: Dict[str, List[Violation]] = {}
-    codes_by_path: Dict[str, List[str]] = {}
-    if not rule_classes:
-        return by_path, codes_by_path
-    project = ProjectContext(
-        [report.summary for report in reports if report.summary is not None]
-    )
-    scoped_cache: Dict[Tuple[str, str], bool] = {}
-
-    def scoped(rule_class: Type[ProjectRule], rel_path: str) -> bool:
-        key = (rule_class.code, rel_path)
-        cached = scoped_cache.get(key)
-        if cached is None:
-            cached = config.scoped(
-                rule_class.code,
-                rel_path,
-                rule_class.default_include,
-                rule_class.default_exclude,
-            )
-            scoped_cache[key] = cached
-        return cached
-
-    for rule_class in rule_classes:
-        rule = rule_class(config)
-        rule.check(project)
-        for violation in rule.violations:
-            if scoped(rule_class, violation.path):
-                by_path.setdefault(violation.path, []).append(violation)
-    for report in reports:
-        codes_by_path[report.path] = [
-            rule_class.code for rule_class in rule_classes if scoped(rule_class, report.path)
-        ]
-    return by_path, codes_by_path
-
-
 def analyze_paths(
     paths: Sequence[Path], config: AnalysisConfig
 ) -> Tuple[List[Violation], int]:
-    """Scan files/directories; returns (sorted violations, files scanned).
-
-    Runs both phases: per-file rules over every expanded file, then the
-    whole-program rules over the aggregated project context.
-    """
+    """Scan files/directories; returns (sorted violations, files scanned)."""
     files = _iter_python_files(paths, config)
-    reports = [_scan_file(path, config) for path in files]
-    project_by_path, project_codes = _project_violations(reports, config)
-    violations: List[Violation] = []
-    for report in reports:
-        if report.summary is None:
-            violations.extend(report.violations)
-            continue
-        active = [rule_class.code for rule_class in _active_rules(config, report.path)]
-        active.extend(project_codes.get(report.path, ()))
-        violations.extend(
-            _finalize_file(report, project_by_path.get(report.path, ()), active, config)
-        )
+    violations = [
+        violation for path in files for violation in analyze_file(path, config).violations
+    ]
     return sorted(violations, key=Violation.sort_key), len(files)

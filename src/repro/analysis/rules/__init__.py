@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from repro.analysis.rules.base import (
     RULE_CLASSES,
-    ProjectRule,
     Rule,
     all_rule_codes,
     iter_rule_classes,
@@ -30,16 +29,9 @@ from repro.analysis.rules.solver_discipline import (
     IgnoredSolverStatusRule,
     PrivateInternalReachInRule,
 )
-from repro.analysis.rules.whole_program import (
-    DeadExportRule,
-    DeltaDispatchExhaustivenessRule,
-    ImportLayeringRule,
-    SnapshotFieldCoverageRule,
-)
 
 __all__ = [
     "RULE_CLASSES",
-    "ProjectRule",
     "Rule",
     "all_rule_codes",
     "iter_rule_classes",

@@ -1,38 +1,24 @@
-"""Rule base classes and the ``REP0xx`` registry.
+"""Rule base class and the ``REP0xx`` registry.
 
-Two rule kinds share one registry:
-
-* a per-file :class:`Rule` has ``visit_<NodeType>`` methods; the engine
-  instantiates one rule object per file and dispatches matching AST nodes to
-  it in a single tree walk.  Rules that need whole-scope context (dataflow
-  over a function body, module-level name accounting) register for the scope
-  node (``visit_Module``/``visit_FunctionDef``) and walk the subtree
-  themselves.
-* a whole-program :class:`ProjectRule` runs once per analysis over the
-  :class:`~repro.analysis.project.ProjectContext` aggregated from every
-  scanned file, and may report violations in any of them (import layering,
-  cross-module exhaustiveness, dead exports).
-
-Both kinds register through :func:`register` and share the configuration,
+A :class:`Rule` has ``visit_<NodeType>`` methods; the engine instantiates one
+rule object per file and dispatches matching AST nodes to it in a single
+tree walk.  Rules that need whole-scope context (dataflow over a function
+body, module-level name accounting) register for the scope node
+(``visit_Module``/``visit_FunctionDef``) and walk the subtree themselves.
+Rules register through :func:`register` and share the configuration,
 ``--select``/``--ignore`` and suppression machinery.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import TYPE_CHECKING, Any, Callable, ClassVar, Dict, Iterator, List, Mapping, Sequence, Tuple, Type, Union
+from typing import Callable, ClassVar, Dict, Iterator, List, Sequence, Tuple, Type
 
 from repro.analysis.context import FileContext
 from repro.analysis.violations import Violation
 
-if TYPE_CHECKING:
-    from repro.analysis.config import AnalysisConfig
-    from repro.analysis.project import ProjectContext
-
 __all__ = [
     "RULE_CLASSES",
-    "AnyRuleClass",
-    "ProjectRule",
     "Rule",
     "all_rule_codes",
     "handler_node_types",
@@ -73,42 +59,8 @@ class Rule:
         """Hook called once after the tree walk completes."""
 
 
-class ProjectRule:
-    """One cross-module invariant, checked once over the whole program.
-
-    Subclasses override :meth:`check`; ``default_include``/``default_exclude``
-    scope which *reported* paths the rule may flag (the context it reads is
-    always the full scanned corpus).
-    """
-
-    code: ClassVar[str] = ""
-    name: ClassVar[str] = ""
-    summary: ClassVar[str] = ""
-    default_include: ClassVar[Tuple[str, ...]] = ()
-    default_exclude: ClassVar[Tuple[str, ...]] = ()
-
-    def __init__(self, config: "AnalysisConfig") -> None:
-        self.config = config
-        self.violations: List[Violation] = []
-
-    def option(self, key: str, default: Any) -> Any:
-        """Rule-specific option with the pyproject override applied."""
-        return self.config.rule_settings(self.code).options.get(key, default)
-
-    def report(self, rel_path: str, line: int, col: int, message: str) -> None:
-        self.violations.append(
-            Violation(path=rel_path, line=line, col=col, code=self.code, message=message)
-        )
-
-    def check(self, project: "ProjectContext") -> None:
-        """Inspect the project context and :meth:`report` violations."""
-        raise NotImplementedError
-
-
-AnyRuleClass = Union[Type[Rule], Type[ProjectRule]]
-
-#: code → rule class (per-file and project rules), in registration order.
-RULE_CLASSES: Dict[str, AnyRuleClass] = {}
+#: code → rule class, in registration order.
+RULE_CLASSES: Dict[str, Type[Rule]] = {}
 
 #: rule class → node-type names it handles, computed once per class (the
 #: engine's dispatch previously re-derived this with ``dir()`` per file).
@@ -128,8 +80,8 @@ def handler_node_types(rule_class: Type[Rule]) -> Tuple[str, ...]:
     return cached
 
 
-def register(rule_class: AnyRuleClass) -> AnyRuleClass:
-    """Class decorator adding a (per-file or project) rule to the registry."""
+def register(rule_class: Type[Rule]) -> Type[Rule]:
+    """Class decorator adding a rule to the registry."""
     if not rule_class.code:
         raise ValueError(f"rule {rule_class.__name__} has no code")
     if rule_class.code in RULE_CLASSES:
@@ -138,7 +90,7 @@ def register(rule_class: AnyRuleClass) -> AnyRuleClass:
     return rule_class
 
 
-def iter_rule_classes() -> Iterator[AnyRuleClass]:
+def iter_rule_classes() -> Iterator[Type[Rule]]:
     yield from RULE_CLASSES.values()
 
 

@@ -618,6 +618,9 @@ class ClusterScheduler:
         when = float(at)
         if not math.isfinite(when) or when < 0:
             raise ConfigurationError(f"control-event time must be finite and >= 0, got {at!r}")
+        # Like submit()'s arrivals: the scheduler cannot see (or incorporate)
+        # an event before it is scheduled, so a past time is the current one.
+        when = max(when, self._clock.now())
         heapq.heappush(self._event_heap, (when, self._event_seq, kind, payload))
         self._event_seq += 1
 
@@ -629,7 +632,9 @@ class ClusterScheduler:
         there); while jobs run in the round modes it applies at the first
         round boundary at or after ``at``.  A job that has already
         completed or been cancelled when the event fires is skipped silently
-        — completion times are not known when the event is scheduled.
+        — completion times are not known when the event is scheduled.  An
+        ``at`` in the past is clamped to the current scheduler time, as
+        :meth:`submit` clamps arrivals.
         """
         if job_id not in self._records:
             raise UnknownJobError(f"job {job_id} was never submitted")
@@ -641,7 +646,9 @@ class ClusterScheduler:
         Unknown accelerator names and a spec with other type names raise
         :class:`~repro.exceptions.ConfigurationError` here.  A delta that
         drives a count negative depends on the capacity when the event fires,
-        so that one still raises from the step that fires it.
+        so that one still raises from the step that fires it.  An ``at`` in
+        the past is clamped to the current scheduler time, as :meth:`submit`
+        clamps arrivals.
         """
         self._check_resize(cluster)
         self._schedule_event(at, "resize", cluster)
@@ -651,7 +658,9 @@ class ClusterScheduler:
 
         The policy is checked as :meth:`swap_policy` checks it (an unknown
         spec, or a base the config's ``aggregation="type"`` cannot run,
-        raises :class:`~repro.exceptions.ConfigurationError` here).
+        raises :class:`~repro.exceptions.ConfigurationError` here).  An ``at``
+        in the past is clamped to the current scheduler time, as
+        :meth:`submit` clamps arrivals.
         """
         self._checked_policy(policy)
         self._schedule_event(at, "swap_policy", policy)
@@ -937,13 +946,14 @@ class ClusterScheduler:
         self._num_rounds = snapshot.num_rounds
         self._recomputations = snapshot.recomputations
         self._policy_seconds = snapshot.policy_seconds
-        self._matrix_seconds = snapshot.matrix_seconds
         self._stale_event_times = list(snapshot.stale_event_times)
         self._staleness_integral = snapshot.staleness_integral
         self._staleness_events = snapshot.staleness_events
         self._rng = np.random.default_rng(self._config.seed)
         self._rng.bit_generator.state = copy.deepcopy(snapshot.rng_state)
         self._rebuild_engine()
+        # Set after the rebuild, which times itself: rebuilding is not run time.
+        self._matrix_seconds = snapshot.matrix_seconds
         self._replay_session(snapshot.session_history)
         if snapshot.tracker_allocation is not None and snapshot.tracker_state is not None:
             self._start_period(snapshot.tracker_allocation).restore_state(snapshot.tracker_state)

@@ -59,21 +59,23 @@ class Job:
             raise ConfigurationError(
                 f"total_steps must be positive and finite, got {self.total_steps}"
             )
-        if self.arrival_time < 0:
+        if not (self.arrival_time >= 0) or not math.isfinite(self.arrival_time):
             raise ConfigurationError(
-                f"arrival_time must be non-negative, got {self.arrival_time}"
+                f"arrival_time must be non-negative and finite, got {self.arrival_time}"
             )
         if self.scale_factor < 1 or int(self.scale_factor) != self.scale_factor:
             raise ConfigurationError(
                 f"scale_factor must be a positive integer, got {self.scale_factor}"
             )
-        if self.priority_weight <= 0:
+        if not (self.priority_weight > 0) or not math.isfinite(self.priority_weight):
             raise ConfigurationError(
-                f"priority_weight must be positive, got {self.priority_weight}"
+                f"priority_weight must be positive and finite, got {self.priority_weight}"
             )
-        if self.slo_seconds is not None and self.slo_seconds <= 0:
+        if self.slo_seconds is not None and (
+            not (self.slo_seconds > 0) or not math.isfinite(self.slo_seconds)
+        ):
             raise ConfigurationError(
-                f"slo_seconds must be positive when set, got {self.slo_seconds}"
+                f"slo_seconds must be positive and finite when set, got {self.slo_seconds}"
             )
 
     # -- convenience ----------------------------------------------------------

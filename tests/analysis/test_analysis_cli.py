@@ -99,16 +99,6 @@ def test_build_parser_defaults() -> None:
     assert options.format == "text"
 
 
-def test_list_rules_tags_project_rules(capsys) -> None:
-    assert main(["--list-rules"]) == 0
-    tagged = {
-        line.split()[0]
-        for line in capsys.readouterr().out.splitlines()
-        if "[project]" in line
-    }
-    assert tagged == {"REP010", "REP011", "REP012", "REP013"}
-
-
 @pytest.mark.parametrize(
     "option",
     [

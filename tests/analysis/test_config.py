@@ -9,7 +9,6 @@ import pytest
 from repro.analysis.config import (
     DEFAULT_EXCLUDE,
     AnalysisConfig,
-    LayerSpec,
     RuleSettings,
     find_project_root,
     load_config,
@@ -142,65 +141,3 @@ def test_find_project_root_absent(tmp_path: Path) -> None:
     # May walk up to a real repo above tmp_path or find nothing; either way
     # it must not claim tmp_path itself, which has no pyproject.toml.
     assert find_project_root(nested) != tmp_path
-
-
-class TestLayers:
-    def layered(self, tmp_path: Path, body: str) -> Path:
-        return write_pyproject(
-            tmp_path, "[tool.repro.analysis.layers]\n" + body
-        ).parent
-
-    def test_layers_parsed_into_specs(self, tmp_path: Path) -> None:
-        root = self.layered(
-            tmp_path,
-            'low = { modules = ["app.low"], imports = [] }\n'
-            'high = { modules = ["app.high"], imports = ["low"] }\n',
-        )
-        config = load_config(root)
-        assert config.layers["high"] == LayerSpec(
-            name="high", modules=("app.high",), imports=("low",)
-        )
-
-    def test_layer_of_uses_longest_prefix(self, tmp_path: Path) -> None:
-        root = self.layered(
-            tmp_path,
-            'outer = { modules = ["app"], imports = [] }\n'
-            'inner = { modules = ["app.core"], imports = ["outer"] }\n',
-        )
-        config = load_config(root)
-        assert config.layer_of("app.core.engine") == "inner"
-        assert config.layer_of("app.other") == "outer"
-        assert config.layer_of("elsewhere") is None
-
-    def test_cycle_rejected(self, tmp_path: Path) -> None:
-        root = self.layered(
-            tmp_path,
-            'a = { modules = ["app.a"], imports = ["b"] }\n'
-            'b = { modules = ["app.b"], imports = ["a"] }\n',
-        )
-        with pytest.raises(ConfigurationError):
-            load_config(root)
-
-    def test_self_import_rejected(self, tmp_path: Path) -> None:
-        root = self.layered(tmp_path, 'a = { modules = ["app.a"], imports = ["a"] }\n')
-        with pytest.raises(ConfigurationError):
-            load_config(root)
-
-    def test_undeclared_dependency_rejected(self, tmp_path: Path) -> None:
-        root = self.layered(tmp_path, 'a = { modules = ["app.a"], imports = ["ghost"] }\n')
-        with pytest.raises(ConfigurationError):
-            load_config(root)
-
-    def test_duplicate_module_prefix_rejected(self, tmp_path: Path) -> None:
-        root = self.layered(
-            tmp_path,
-            'a = { modules = ["app.shared"], imports = [] }\n'
-            'b = { modules = ["app.shared"], imports = [] }\n',
-        )
-        with pytest.raises(ConfigurationError):
-            load_config(root)
-
-    def test_layerless_layer_rejected(self, tmp_path: Path) -> None:
-        root = self.layered(tmp_path, "a = { modules = [], imports = [] }\n")
-        with pytest.raises(ConfigurationError):
-            load_config(root)

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.analysis import AnalysisConfig, RuleSettings, analyze_file, analyze_paths
+from repro.analysis import AnalysisConfig, FileReport, RuleSettings, analyze_file, analyze_paths
 from repro.analysis.engine import _iter_python_files
-from repro.analysis.rules import RULE_CLASSES
+from repro.analysis.rules import RULE_CLASSES, Rule
 from repro.analysis.violations import PARSE_ERROR_CODE, SUPPRESSION_CODE
 
 
@@ -144,29 +144,6 @@ def test_suppression_on_interior_line_does_not_match(tmp_path: Path) -> None:
     assert sorted(codes(report)) == [SUPPRESSION_CODE, "REP002"]
 
 
-def test_project_rule_violation_is_suppressible(tmp_path: Path) -> None:
-    """Suppressions apply to whole-program findings too (REP013 here)."""
-    (tmp_path / "pyproject.toml").write_text(
-        '[tool.repro.analysis]\nselect = ["REP013"]\n\n'
-        "[tool.repro.analysis.REP013]\ninclude = []\n"
-    )
-    write(tmp_path, "mod.py", '__all__ = ["dead"]\n\n\ndef dead() -> None: ...\n')
-    from repro.analysis import load_config
-
-    config = load_config(tmp_path)
-    violations, _files = analyze_paths([tmp_path], config)
-    assert [violation.code for violation in violations] == ["REP013"]
-
-    write(
-        tmp_path,
-        "mod.py",
-        '__all__ = ["dead"]  # repro: noqa[REP013] -- external entry point\n'
-        "\n\ndef dead() -> None: ...\n",
-    )
-    violations, _files = analyze_paths([tmp_path], config)
-    assert violations == []
-
-
 def test_blanket_suppression_flagged_and_suppresses_nothing(tmp_path: Path) -> None:
     target = write(tmp_path, "blanket.py", "def f(xs=[]):  # repro: noqa\n    return xs\n")
     report = analyze_file(target, everywhere(tmp_path))
@@ -213,22 +190,20 @@ def test_undecodable_file_reports_rep999(tmp_path: Path) -> None:
     report = analyze_file(target, everywhere(tmp_path))
     assert codes(report) == [PARSE_ERROR_CODE]
     assert "cannot read file" in report.violations[0].message
-    assert report.summary is None
 
 
-def test_parsed_file_report_carries_summary_and_statement_starts(tmp_path: Path) -> None:
+def test_parsed_file_report_carries_statement_starts(tmp_path: Path) -> None:
     target = write(tmp_path, "wrapped.py", MULTILINE)
     report = analyze_file(target, everywhere(tmp_path))
     assert report.path == "wrapped.py"
-    assert report.summary is not None
     # Lines 4-6 continue the statement that starts on line 3.
     assert report.statement_starts == {4: 3, 5: 3, 6: 3}
 
 
-def test_unparsable_file_report_has_no_summary(tmp_path: Path) -> None:
-    bad = write(tmp_path, "broken.py", "def f(:\n")
+def test_unparsable_file_reports_only_the_parse_error(tmp_path: Path) -> None:
+    bad = write(tmp_path, "broken.py", "def f(xs=[]):  # repro: noqa[REP005] -- stale\n    (\n")
     report = analyze_file(bad, everywhere(tmp_path))
-    assert report.summary is None
+    assert codes(report) == [PARSE_ERROR_CODE]
     assert report.statement_starts == {}
 
 
@@ -281,18 +256,26 @@ def test_analyze_paths_scans_overlapping_arguments_once(tmp_path: Path) -> None:
     assert [violation.code for violation in violations] == ["REP006"]
 
 
-def test_unparsable_file_does_not_stop_project_rules(tmp_path: Path) -> None:
-    (tmp_path / "pyproject.toml").write_text(
-        '[tool.repro.analysis]\nselect = ["REP013"]\n\n'
-        "[tool.repro.analysis.REP013]\ninclude = []\n"
-    )
-    write(tmp_path, "mod.py", '__all__ = ["dead"]\n\n\ndef dead() -> None: ...\n')
+def test_unparsable_file_does_not_stop_the_scan(tmp_path: Path) -> None:
     write(tmp_path, "broken.py", "def f(:\n")
-    from repro.analysis import load_config
-
-    violations, files_scanned = analyze_paths([tmp_path], load_config(tmp_path))
+    write(tmp_path, "mod.py", "def f(xs=[]):\n    return xs\n")
+    violations, files_scanned = analyze_paths([tmp_path], everywhere(tmp_path))
     assert files_scanned == 2
     assert [(violation.path, violation.code) for violation in violations] == [
         ("broken.py", PARSE_ERROR_CODE),
-        ("mod.py", "REP013"),
+        ("mod.py", "REP006"),
     ]
+
+
+class TestRuleRegistry:
+    def test_registry_entries_are_rule_classes(self) -> None:
+        for code, rule_class in RULE_CLASSES.items():
+            assert issubclass(rule_class, Rule)
+            assert rule_class.code == code
+
+    def test_analyze_file_returns_file_report(self, tmp_path: Path) -> None:
+        target = tmp_path / "m.py"
+        target.write_text("X = 1\n")
+        report = analyze_file(target, AnalysisConfig(root=tmp_path))
+        assert isinstance(report, FileReport)
+        assert report.path == "m.py"

@@ -1,34 +1,26 @@
 """Golden tests driving the fixture corpus through the analysis engine.
 
-Every per-file rule has at least one known-bad and one known-good fixture
+Every rule has at least one known-bad and one known-good fixture
 under ``fixtures/``.  Expected violations are annotated in the fixture
 source itself with ``# expect[REP0xx]`` markers on the offending line, so
 each fixture is self-documenting; the driver asserts exact agreement (code
 and line, as a multiset) and — the part that guards the *rules* — that
 disabling a rule makes its fixture findings disappear.
-
-Whole-program rules (REP010+) get *directory* fixtures under
-``fixtures/projects/``: each ``*_bad``/``*_good`` directory is a miniature
-project with its own ``pyproject.toml`` (layer DAG, rule options) and is
-driven through :func:`analyze_paths`, the only entry point that runs the
-cross-module phase.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import re
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from repro.analysis import AnalysisConfig, RuleSettings, analyze_file, analyze_paths, load_config
+from repro.analysis import AnalysisConfig, RuleSettings, analyze_file
 from repro.analysis.rules import RULE_CLASSES
 from repro.analysis.violations import SUPPRESSION_CODE
 
 FIXTURES = Path(__file__).parent / "fixtures"
-PROJECT_FIXTURES = FIXTURES / "projects"
 
 _EXPECT = re.compile(r"expect\[(REP\d{3})\]")
 
@@ -87,63 +79,12 @@ def test_bad_fixture_goes_quiet_when_rules_disabled(path: Path) -> None:
     assert not remaining & codes
 
 
-def all_project_fixtures(suffix: str) -> list[Path]:
-    found = sorted(
-        path for path in PROJECT_FIXTURES.glob(f"*_{suffix}") if path.is_dir()
-    )
-    assert found, f"no projects/*_{suffix} fixtures found"
-    return found
-
-
-def project_markers(project: Path) -> Counter:
-    expected: Counter = Counter()
-    for path in sorted(project.rglob("*.py")):
-        rel = path.relative_to(project).as_posix()
-        for (code, lineno), count in expected_markers(path).items():
-            expected[(code, rel, lineno)] += count
-    return expected
-
-
-def project_violations(project: Path, ignore: frozenset = frozenset()) -> Counter:
-    config = load_config(project)
-    if ignore:
-        config = dataclasses.replace(config, ignore=config.ignore | ignore)
-    violations, _files = analyze_paths([project], config)
-    return Counter(
-        (violation.code, violation.path, violation.line) for violation in violations
-    )
-
-
-@pytest.mark.parametrize("project", all_project_fixtures("bad"), ids=lambda p: p.name)
-def test_bad_project_fixture_matches_markers(project: Path) -> None:
-    expected = project_markers(project)
-    assert expected, f"{project.name} has no expect[...] markers"
-    assert project_violations(project) == expected
-
-
-@pytest.mark.parametrize("project", all_project_fixtures("good"), ids=lambda p: p.name)
-def test_good_project_fixture_is_clean(project: Path) -> None:
-    assert project_violations(project) == Counter()
-
-
-@pytest.mark.parametrize("project", all_project_fixtures("bad"), ids=lambda p: p.name)
-def test_bad_project_fixture_goes_quiet_when_rules_disabled(project: Path) -> None:
-    codes = {code for code, _rel, _line in project_markers(project)}
-    remaining = {
-        code
-        for code, _rel, _line in project_violations(project, ignore=frozenset(codes))
-    }
-    assert not remaining & codes
-
-
 @pytest.mark.parametrize("code", sorted(RULE_CLASSES), ids=str)
 def test_every_rule_has_fixture_coverage(code: str) -> None:
     """Each registered rule is exercised by at least one bad-fixture marker."""
     covered = set()
     for path in all_fixtures("bad"):
         covered |= _codes_in(path)
-    for project in all_project_fixtures("bad"):
-        covered |= {code for code, _rel, _line in project_markers(project)}
     assert code in covered
 
 

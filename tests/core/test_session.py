@@ -13,6 +13,8 @@ sorted level profile — to solver tolerance otherwise) lives in
 used to be copied around here.
 """
 
+import typing
+
 import numpy as np
 import pytest
 
@@ -27,12 +29,18 @@ from repro.core import (
     make_policy,
     parse_policy_spec,
 )
-from repro.core.session import RebuildSession
+from repro.core.session import PolicyDelta, RebuildSession, TypeCountChanged, summarize_deltas
 from repro.core.water_filling import WaterFillingSession
 from repro.estimator import ThroughputEstimator
 from repro.exceptions import ConfigurationError
 from repro.harness import assert_session_equivalent, run_churn_equivalence
-from repro.workloads import ColocatedThroughputs, ColocationModel, ThroughputOracle, TraceGenerator
+from repro.workloads import (
+    ColocatedThroughputs,
+    ColocationModel,
+    Job,
+    ThroughputOracle,
+    TraceGenerator,
+)
 
 #: Variant suffixes every base spec is probed with.
 _VARIANT_SUFFIXES = ("", "+ss", "@agnostic", "+ss@agnostic")
@@ -212,3 +220,18 @@ class TestSessionMatchesScratch:
             np.testing.assert_allclose(
                 first.row(combination), second.row(combination), atol=1e-9
             )
+
+
+#: One instance of every ``PolicyDelta`` kind; a new kind needs an entry here.
+_DELTA_SAMPLES = {
+    JobAdded: JobAdded(Job(job_id=3, job_type="resnet18-bs64", total_steps=100.0)),
+    JobRemoved: JobRemoved(job_id=3),
+    EstimateRefined: EstimateRefined(job_types=("resnet18-bs64",)),
+    TypeCountChanged: TypeCountChanged(key=("resnet18-bs64", 1), count=2),
+}
+
+
+@pytest.mark.parametrize("kind", typing.get_args(PolicyDelta), ids=lambda kind: kind.__name__)
+def test_delta_summary_reflects_every_delta_kind(kind):
+    """``summarize_deltas`` is the one dispatch over delta kinds: none may fall through."""
+    assert summarize_deltas([_DELTA_SAMPLES[kind]]) != summarize_deltas([])

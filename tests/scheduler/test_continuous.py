@@ -382,6 +382,32 @@ class TestLatencyMetrics:
         scheduler = _scheduler(oracle, small_spec)
         assert scheduler.result().mean_allocation_staleness_seconds() == 0.0
 
+    @pytest.mark.parametrize("mode", ["round", "continuous"])
+    @pytest.mark.parametrize("kind", ["cancel", "resize", "swap_policy"])
+    def test_past_dated_event_runs_as_if_scheduled_now(self, oracle, small_spec, kind, mode):
+        """An event dated before now is scheduled now: it adds no staleness lag."""
+        trace = _trace(oracle, num_jobs=8)
+
+        def run(past):
+            scheduler = _scheduler(oracle, small_spec, config=SchedulerConfig(mode=mode))
+            for job in trace.jobs:
+                scheduler.submit(job)
+            scheduler.run_until(20_000.0)
+            at = 0.0 if past else scheduler.now
+            if kind == "cancel":
+                scheduler.schedule_cancel(scheduler.status().active_job_ids[0], at=at)
+            elif kind == "resize":
+                scheduler.schedule_resize({"v100": 1}, at=at)
+            else:
+                scheduler.schedule_swap_policy("max_total_throughput", at=at)
+            scheduler.run_until()
+            return scheduler.result()
+
+        past = run(past=True)
+        assert _fingerprint(past) == _fingerprint(run(past=False))
+        if mode == "continuous":
+            assert past.allocation_staleness_integral == 0.0
+
 
 class TestControlEventAPI:
     def test_schedule_cancel_unknown_job_rejected(self, oracle, small_spec):

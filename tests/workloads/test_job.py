@@ -1,5 +1,7 @@
 """Tests for the Job model."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -45,6 +47,13 @@ class TestJobValidation:
     def test_non_positive_slo_rejected(self):
         with pytest.raises(ConfigurationError):
             Job(job_id=0, job_type="x", total_steps=1.0, slo_seconds=0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("field", ["arrival_time", "priority_weight", "slo_seconds"])
+    def test_non_finite_value_rejected(self, field, value):
+        """A NaN or infinite weight starves every job; a NaN arrival poisons the JCT."""
+        with pytest.raises(ConfigurationError, match=field):
+            Job(job_id=0, job_type="x", total_steps=1.0, **{field: value})
 
 
 class TestJobTransforms:
