@@ -49,9 +49,9 @@ class JobRecord:
         """An independent record: the frozen ``job`` is shared, the seconds map is not.
 
         Copies the instance dict instead of going through
-        :func:`dataclasses.replace`: a snapshot copies every record of the run,
-        and ``replace`` (field introspection plus ``__init__``) was nine tenths
-        of ``ClusterScheduler.snapshot()``.
+        :func:`dataclasses.replace` (field introspection plus ``__init__``),
+        several times slower; snapshots and results copy every live job's
+        record.
         """
         clone = object.__new__(JobRecord)
         clone.__dict__.update(self.__dict__)

@@ -56,7 +56,7 @@ import math
 import time as _time
 from dataclasses import dataclass
 from itertools import chain
-from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
 
@@ -251,6 +251,22 @@ class _ActiveJobs(NamedTuple):
     alone: np.ndarray
 
 
+def _records_view(records: Dict[int, JobRecord], live: Iterable[int]) -> Dict[int, JobRecord]:
+    """``records`` at this instant: the ``live`` (pending or active) jobs' records copied.
+
+    The rest are shared.  A record is never written after its job leaves: it
+    is created at submission, written by the two executors while its job is
+    active, and last written on the way out — ``_retire``, or
+    :meth:`~ClusterScheduler.cancel` of a pending job.  So the record of a
+    completed or cancelled job is final, and a snapshot, a restore or a
+    result costs one copy per live job, not per job of the run.
+    """
+    view = dict(records)
+    for job_id in live:
+        view[job_id] = records[job_id].copy()
+    return view
+
+
 @dataclass(frozen=True)
 class SchedulerStatus:
     """Point-in-time view of a :class:`ClusterScheduler`."""
@@ -291,7 +307,12 @@ class SchedulerSnapshot:
     LP re-solve per past allocation recomputation (the round execution
     between recomputations, which dominates a run, is not replayed).
     Snapshots are plain in-memory data tied to the policy/oracle objects of
-    the run that produced them.
+    the run that produced them.  ``records`` holds a copy of each pending or
+    active job's record and *shares* the records of completed and cancelled
+    jobs with the scheduler (and with other snapshots and results): those
+    never change again, and are read-only for every holder.  A snapshot
+    therefore costs O(live jobs) record copies; a restore copies the same
+    records and replays the solves since the last policy swap.
     """
 
     time: float
@@ -396,6 +417,8 @@ class ClusterScheduler:
         self._event_heap: List[Tuple[float, int, str, object]] = []
         self._event_seq = 0
         self._active: Dict[int, _JobState] = {}
+        #: Every submitted job's record, written only while the job is pending
+        #: or active: snapshots and results share the rest (_records_view).
         self._records: Dict[int, JobRecord] = {}
 
         self._busy_seconds = dict.fromkeys(self._cluster_spec.registry.names, 0.0)
@@ -821,14 +844,19 @@ class ClusterScheduler:
 
     # -- results ---------------------------------------------------------------------------
     def result(self) -> SimulationResult:
-        """Aggregate metrics for everything executed so far."""
+        """Aggregate metrics for everything executed so far: a point-in-time view.
+
+        Later steps change neither the result nor its ``records``: the
+        records of pending and active jobs are copies, those of jobs that
+        left are shared and final (read-only).
+        """
         end_time = self._clock.now()
         fluid = self._config.mode in _FLUID_MODES
         suffix = f" ({self._config.mode})" if fluid else ""
         checkpoint = {} if fluid else dict(self._checkpoint_seconds)
         return SimulationResult(
             policy_name=f"{self._policy.display_name}{suffix}",
-            records=self._records,
+            records=_records_view(self._records, chain(self._active, self._pending_ids)),
             end_time=end_time,
             num_rounds=self._num_rounds,
             busy_worker_seconds=dict(self._busy_seconds),
@@ -897,7 +925,7 @@ class ClusterScheduler:
                 (s.job, s.admitted_at, s.steps_done, s.last_accelerator, s.last_round)
                 for s in self._active.values()
             ],
-            records={job_id: record.copy() for job_id, record in self._records.items()},
+            records=_records_view(self._records, chain(self._active, self._pending_ids)),
             busy_seconds=dict(self._busy_seconds),
             checkpoint_seconds=dict(self._checkpoint_seconds),
             total_cost=self._total_cost,
@@ -911,7 +939,7 @@ class ClusterScheduler:
             staleness_events=self._staleness_events,
             tracker_allocation=tracker.allocation if tracker is not None else None,
             tracker_state=tracker.snapshot_state() if tracker is not None else None,
-            rng_state=copy.deepcopy(self._rng.bit_generator.state),
+            rng_state=self._rng.bit_generator.state,  # a fresh dict per read
             session_history=list(self._session_history),
         )
 
@@ -939,7 +967,7 @@ class ClusterScheduler:
         heapq.heapify(self._event_heap)
         self._event_seq = snapshot.event_seq
         self._active = {entry[0].job_id: self._job_state(*entry) for entry in snapshot.active}
-        self._records = {job_id: record.copy() for job_id, record in snapshot.records.items()}
+        self._records = _records_view(snapshot.records, chain(self._active, self._pending_ids))
         self._busy_seconds = dict(snapshot.busy_seconds)
         self._checkpoint_seconds = dict(snapshot.checkpoint_seconds)
         self._total_cost = snapshot.total_cost
@@ -950,7 +978,7 @@ class ClusterScheduler:
         self._staleness_integral = snapshot.staleness_integral
         self._staleness_events = snapshot.staleness_events
         self._rng = np.random.default_rng(self._config.seed)
-        self._rng.bit_generator.state = copy.deepcopy(snapshot.rng_state)
+        self._rng.bit_generator.state = snapshot.rng_state  # the setter copies the values
         self._rebuild_engine()
         # Set after the rebuild, which times itself: rebuilding is not run time.
         self._matrix_seconds = snapshot.matrix_seconds
