@@ -6,11 +6,12 @@ still make progress.  ``MinCostWithSLOsPolicy`` adds per-job deadline
 constraints ``throughput(m, X) >= num_steps_m / SLO_m`` so that jobs with
 tight SLOs are moved onto faster (more expensive) accelerators.
 
-Both are linear-fractional programs, solved through the Charnes–Cooper
-reduction in :mod:`repro.solver.fractional`.  Their sessions keep the
-fractional program's variables and validity constraints alive across
-allocation recomputations, rebuilding only the ratio objective (and the
-minimum-progress / SLO constraints) each round.
+Both are linear-fractional programs, solved by Dinkelbach's method in
+:mod:`repro.solver.fractional`: a few warm re-solves of one ordinary LP in
+which only the objective changes.  Their sessions keep the program's
+variables and validity constraints alive across allocation recomputations,
+rebuilding only the ratio objective (and the minimum-progress / SLO rows)
+each round; the Dinkelbach iteration starts from the previous round's ratio.
 """
 
 from __future__ import annotations

@@ -23,14 +23,13 @@ from __future__ import annotations
 
 import abc
 import math
-from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.allocation import Allocation
 from repro.core.problem import PolicyProblem
 from repro.core.throughput_matrix import DenseRows, JobCombination, ThroughputMatrix
-from repro.solver.fractional import FractionalProgram, FractionalSolution
 from repro.solver.lp import LinearExpression, LinearProgram, Solution, Variable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -38,9 +37,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.workloads.job import Job
 
 __all__ = ["Policy", "OptimizationPolicy", "AllocationVariables"]
-
-_Program = Union[LinearProgram, FractionalProgram]
-_ProgramSolution = Union[Solution, FractionalSolution]
 
 
 class Policy(abc.ABC):
@@ -169,7 +165,7 @@ class AllocationVariables:
         self,
         problem: PolicyProblem,
         matrix: ThroughputMatrix,
-        program: _Program,
+        program: LinearProgram,
     ) -> None:
         self._problem = problem
         self._matrix = matrix
@@ -626,7 +622,7 @@ class AllocationVariables:
         coeffs = self._row_scales(dense)[:, None] * np.asarray(costs, dtype=float)[None, :]
         return LinearExpression.from_arrays(self._var_matrix.ravel(), coeffs.ravel())
 
-    def extract_allocation(self, solution: _ProgramSolution) -> Allocation:
+    def extract_allocation(self, solution: Solution) -> Allocation:
         """Read the optimal variable values back into an :class:`Allocation`."""
         shares = solution.values[self._var_matrix]
         # Clean up LP round-off.  Group-total rows of a type-aggregated

@@ -59,7 +59,7 @@ import numpy as np
 from repro.cluster.cluster_spec import ClusterSpec
 from repro.core.allocation import Allocation
 from repro.core.effective_throughput import isolated_reference_throughputs
-from repro.core.policy import AllocationVariables, OptimizationPolicy, Policy, _Program
+from repro.core.policy import AllocationVariables, OptimizationPolicy, Policy
 from repro.core.problem import PolicyProblem
 from repro.core.throughput_matrix import ThroughputMatrix
 from repro.exceptions import ConfigurationError, InfeasibleError, SolverError
@@ -286,7 +286,7 @@ class IncrementalProgramSession(PolicySession):
     memoizes its matrix, so an unchanged cluster hits this path).
     """
 
-    def __init__(self, policy: Policy, problem: PolicyProblem, program: _Program) -> None:
+    def __init__(self, policy: Policy, problem: PolicyProblem, program: LinearProgram) -> None:
         super().__init__(policy, problem)
         self._program = program
         self._variables = AllocationVariables(
@@ -296,7 +296,7 @@ class IncrementalProgramSession(PolicySession):
         self._problem_seen = problem
 
     @property
-    def program(self) -> _Program:
+    def program(self) -> LinearProgram:
         """The live solver program (exposed for tests and diagnostics)."""
         return self._program
 

@@ -1,6 +1,10 @@
-"""Optimization substrate: LP/MILP modeling on a live HiGHS model, fractional programs."""
+"""Optimization substrate: LP/MILP modeling on a live HiGHS model.
 
-from repro.solver.fractional import FractionalProgram, FractionalSolution
+:class:`FractionalProgram` is a :class:`LinearProgram` with a ratio objective,
+solved by Dinkelbach's method on the same live model.
+"""
+
+from repro.solver.fractional import FractionalProgram
 from repro.solver.lp import LinearExpression, LinearProgram, Solution, Variable
 
 __all__ = [
@@ -9,5 +13,4 @@ __all__ = [
     "Variable",
     "Solution",
     "FractionalProgram",
-    "FractionalSolution",
 ]

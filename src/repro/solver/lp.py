@@ -156,54 +156,6 @@ def _positions(row: np.ndarray, columns: np.ndarray) -> np.ndarray:
     return np.where(row[found] == columns, found, -1)
 
 
-def _columnar_rows(
-    name: str,
-    rows: np.ndarray,
-    cols: np.ndarray,
-    coeffs: np.ndarray,
-    lower: "float | np.ndarray",
-    upper: "float | np.ndarray",
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
-    """Validate and slice a columnar ``(rows, cols, coeffs, lower, upper)`` block.
-
-    Shared by :meth:`LinearProgram.add_constraints_from_arrays` and its
-    :class:`~repro.solver.fractional.FractionalProgram` twin so the
-    validation rules cannot drift.  Returns the (zero-filtered) triplet, the
-    bounds as float arrays that broadcast to one entry per row, the per-row
-    boundaries into the triplet, and the row count.
-    """
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    coeffs = np.asarray(coeffs, dtype=float)
-    if not (rows.shape == cols.shape == coeffs.shape) or rows.ndim != 1:
-        raise SolverError(f"{name}: rows/cols/coeffs must be 1-d arrays of one shape")
-    lower_arr = np.asarray(lower, dtype=float)
-    upper_arr = np.asarray(upper, dtype=float)
-    sizes = {bound.size for bound in (lower_arr, upper_arr) if bound.size > 1}
-    if len(sizes) > 1:
-        raise SolverError(f"{name}: lower/upper bound lengths disagree")
-    num_rows = sizes.pop() if sizes else int(rows[-1]) + 1 if len(rows) else 0
-    if len(rows):
-        if (rows[1:] < rows[:-1]).any():
-            raise SolverError(f"{name}: rows must be grouped in non-decreasing order")
-        if rows[0] < 0 or rows[-1] >= num_rows:
-            raise SolverError(f"{name}: row ordinal out of range")
-    if not coeffs.all():
-        nonzero = coeffs != 0.0
-        rows, cols, coeffs = rows[nonzero], cols[nonzero], coeffs[nonzero]
-    if len(cols) > 1:
-        # Coalesce duplicate (row, column) entries by summation — a
-        # same-group pair row of a type-aggregated problem legitimately
-        # contributes one entry per membership, but HiGHS rejects rows with
-        # repeated column indices, so each stored row must hold unique columns.
-        keys = rows * (np.int64(cols.max()) + 1) + cols
-        if _has_duplicates(keys):
-            keep, coeffs = _coalesce(keys, coeffs)
-            rows, cols = rows[keep], cols[keep]
-    boundaries = np.searchsorted(rows, np.arange(num_rows + 1, dtype=np.int64))
-    return rows, cols, coeffs, lower_arr, upper_arr, boundaries, num_rows
-
-
 @dataclass(frozen=True)
 class Variable:
     """Handle to a single decision variable inside a :class:`LinearProgram`."""
@@ -373,21 +325,22 @@ def _expression_terms(expression: "_Coefficients | Variable") -> Tuple[np.ndarra
     return (*_nonzero_terms(indices, values), constant)
 
 
-class _Row:
-    """One stored row: parallel ``(indices, values)`` arrays — the only row format.
+class _Constraint:
+    """One stored row: parallel ``(indices, values)`` arrays — the only row format —
+    plus the slot of its two-sided bounds in the program's row-bound buffers
+    (:meth:`LinearProgram._reserve_rows`).
 
     The arrays hold unique column indices and no zeros (see
     :func:`_row_terms`).  Edits replace the arrays, never mutate them in
     place, so slices handed in by the columnar API can be shared safely.
-    Shared by :class:`_Constraint` and the ratio constraints of
-    :mod:`repro.solver.fractional` so the edit algebra cannot drift.
     """
 
-    __slots__ = ("indices", "values")
+    __slots__ = ("indices", "values", "slot")
 
-    def __init__(self, indices: np.ndarray, values: np.ndarray) -> None:
+    def __init__(self, indices: np.ndarray, values: np.ndarray, slot: int) -> None:
         self.indices = indices
         self.values = values
+        self.slot = slot
 
     def set_terms(self, indices: np.ndarray, values: np.ndarray) -> None:
         """Replace the row's terms wholesale."""
@@ -442,17 +395,6 @@ class _Row:
             values[slot] = value
             self.values = values
         return previous
-
-
-class _Constraint(_Row):
-    """One linear constraint: a stored row plus the slot of its two-sided bounds
-    in the program's row-bound buffers (:meth:`LinearProgram._reserve_rows`)."""
-
-    __slots__ = ("slot",)
-
-    def __init__(self, indices: np.ndarray, values: np.ndarray, slot: int) -> None:
-        super().__init__(indices, values)
-        self.slot = slot
 
 
 def _ensure_highs_ok(status: object, action: str, name: str) -> None:
@@ -1101,9 +1043,36 @@ class LinearProgram:
         and duplicate ``(row, column)`` entries summed.  Returns the new
         constraint handles, in row order.
         """
-        rows, cols, coeffs, lower_arr, upper_arr, boundaries, num_rows = _columnar_rows(
-            self.name, rows, cols, coeffs, lower, upper
-        )
+        name = self.name
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        coeffs = np.asarray(coeffs, dtype=float)
+        if not (rows.shape == cols.shape == coeffs.shape) or rows.ndim != 1:
+            raise SolverError(f"{name}: rows/cols/coeffs must be 1-d arrays of one shape")
+        lower_arr = np.asarray(lower, dtype=float)
+        upper_arr = np.asarray(upper, dtype=float)
+        sizes = {bound.size for bound in (lower_arr, upper_arr) if bound.size > 1}
+        if len(sizes) > 1:
+            raise SolverError(f"{name}: lower/upper bound lengths disagree")
+        num_rows = sizes.pop() if sizes else int(rows[-1]) + 1 if len(rows) else 0
+        if len(rows):
+            if (rows[1:] < rows[:-1]).any():
+                raise SolverError(f"{name}: rows must be grouped in non-decreasing order")
+            if rows[0] < 0 or rows[-1] >= num_rows:
+                raise SolverError(f"{name}: row ordinal out of range")
+        if not coeffs.all():
+            nonzero = coeffs != 0.0
+            rows, cols, coeffs = rows[nonzero], cols[nonzero], coeffs[nonzero]
+        if len(cols) > 1:
+            # Coalesce duplicate (row, column) entries by summation — a
+            # same-group pair row of a type-aggregated problem legitimately
+            # contributes one entry per membership, but HiGHS rejects rows with
+            # repeated column indices, so each stored row must hold unique columns.
+            keys = rows * (np.int64(cols.max()) + 1) + cols
+            if _has_duplicates(keys):
+                keep, coeffs = _coalesce(keys, coeffs)
+                rows, cols = rows[keep], cols[keep]
+        boundaries = np.searchsorted(rows, np.arange(num_rows + 1, dtype=np.int64))
         first_handle = self._next_constraint_id
         self._next_constraint_id += num_rows
         slots = self._reserve_rows(num_rows)

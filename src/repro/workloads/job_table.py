@@ -22,6 +22,7 @@ the paper, which is what the heterogeneity-aware policies exploit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -44,16 +45,20 @@ class JobTypeSpec:
     unconsolidated_scaling: float
 
     def __post_init__(self) -> None:
-        if self.base_k80_throughput <= 0:
-            raise ConfigurationError(
-                f"{self.name}: base_k80_throughput must be positive"
-            )
+        for key in ("base_k80_throughput", "memory_gb"):
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigurationError(f"{self.name}: {key} must be positive and finite")
+        for accelerator_name, speedup in self.speedups.items():
+            # 0 is legal: it marks the type as unable to run on that accelerator.
+            if not (math.isfinite(speedup) and speedup >= 0):
+                raise ConfigurationError(
+                    f"{self.name}: speedup on {accelerator_name!r} must be finite and >= 0"
+                )
         if not 0.0 < self.compute_intensity <= 1.0:
             raise ConfigurationError(
                 f"{self.name}: compute_intensity must be in (0, 1]"
             )
-        if self.memory_gb <= 0:
-            raise ConfigurationError(f"{self.name}: memory_gb must be positive")
         for key in ("consolidated_scaling", "unconsolidated_scaling"):
             value = getattr(self, key)
             if not 0.0 < value <= 1.0:

@@ -14,12 +14,20 @@ session was opened with.  So do makespan and finish-time fairness (the
 scaling and the witness program), and their guard also bounds what a
 re-allocation may cost: two LPs for makespan, exactly; at most four and at
 most three on average for finish-time fairness, where the bracket search
-they replaced took about ten.
+they replaced took about ten.  Min cost and min cost with space sharing
+solve their ratio by Dinkelbach's method on one program: every LP after the
+session's first is warm, and a re-allocation takes one to five of them, two
+on average, where the iteration starts from the previous ratio.
 """
 
 import numpy as np
 import pytest
-from churn_fingerprint_scenarios import churn_problems, session_allocations, session_solves
+from churn_fingerprint_scenarios import (
+    churn_problems,
+    policy_objective,
+    session_allocations,
+    session_solves,
+)
 
 from repro.core import WaterFillingAllocator, make_policy
 from repro.harness.equivalence import LEVEL_PROFILE_TOL, water_filling_level_profile
@@ -171,3 +179,23 @@ def test_scalar_session_solves_few_lps_on_two_warm_programs(oracle, monkeypatch,
     else:
         assert max(per_step) <= 4
         assert sum(per_step) <= 3 * len(steps)
+
+
+@pytest.mark.parametrize("policy_spec", ["min_cost", "min_cost+ss"])
+def test_dinkelbach_session_re_solves_warm_in_few_lps(oracle, solutions, policy_spec):
+    steps = churn_problems(oracle, num_events=12)
+    per_step, live = [], []
+    for (problem, _deltas), (_session, allocation) in zip(steps, session_solves(policy_spec, steps)):
+        per_step.append(len(solutions) - sum(per_step))
+        live.append(policy_objective(policy_spec, problem, allocation))
+    assert [solution.warm_started for solution in solutions] == [False] + [True] * (
+        len(solutions) - 1
+    )
+    assert max(per_step[1:]) <= 5, per_step
+    assert sum(per_step) <= 2.5 * len(steps), per_step
+    # The ratio is the cold one-shot optimum, whatever vertex the history picked.
+    for step, (problem, _deltas) in enumerate(steps):
+        cold = make_policy(policy_spec).session(problem).solve(problem)
+        assert live[step] == pytest.approx(
+            policy_objective(policy_spec, problem, cold), rel=1e-9
+        ), step

@@ -136,9 +136,13 @@ class TestSnapshotRestoreMidChurn:
         assert again.event_heap == snapshot.event_heap
         assert again.event_seq == snapshot.event_seq
 
-    @pytest.mark.parametrize("max_history", [None, 6])
+    @pytest.mark.parametrize(
+        "max_history, policy",
+        [(None, "max_min_fairness"), (6, "max_min_fairness"), (None, "min_cost")],
+        ids=["None", "6", "min_cost"],
+    )
     def test_restored_twin_re_solves_from_the_same_basis(
-        self, oracle, small_spec, monkeypatch, max_history
+        self, oracle, small_spec, monkeypatch, max_history, policy
     ):
         """``restore()`` rebuilds the solver state the next vertex depends on.
 
@@ -146,7 +150,10 @@ class TestSnapshotRestoreMidChurn:
         nearest its previous basis, so a restored run only matches byte for
         byte if the replayed history leaves HiGHS the very basis the original
         held: forward solves must agree in warm-start flag and pivot count,
-        not just in outcome.  With ``max_session_history`` the history — and
+        not just in outcome.  Min cost carries one more piece of state, the
+        ratio its Dinkelbach iteration starts from (see
+        :mod:`repro.solver.fractional`): the replay must rebuild it too, or
+        the twin would take other steps to the same ratio.  With ``max_session_history`` the history — and
         the basis — are dropped every so many re-allocations, in the original
         as in the twin: the snapshot is taken after such a re-base, the
         restore stays bit-exact *for that run*, and every later re-base
@@ -166,7 +173,7 @@ class TestSnapshotRestoreMidChurn:
         config = SchedulerConfig(mode="continuous", max_session_history=max_history)
 
         def loaded():
-            scheduler = _scheduler(oracle, small_spec, config=config)
+            scheduler = _scheduler(oracle, small_spec, policy, config=config)
             for job in _trace(oracle, num_jobs=12, jobs_per_hour=6.0, seed=7).jobs:
                 scheduler.submit(job)
             return scheduler
@@ -178,7 +185,7 @@ class TestSnapshotRestoreMidChurn:
         if max_history is not None:
             assert original.result().num_policy_recomputations > max_history
             assert len(snapshot.session_history) <= max_history
-        twin = _scheduler(oracle, small_spec, config=config).restore(snapshot)
+        twin = _scheduler(oracle, small_spec, policy, config=config).restore(snapshot)
 
         solved.clear()
         original.run_until()

@@ -143,14 +143,6 @@ class TestFractionalColumnar:
         assert a.objective_value == pytest.approx(b.objective_value)
         assert np.allclose(a.values, b.values)
 
-    def test_bulk_constraints_reject_two_sided_rows(self):
-        program = FractionalProgram()
-        program.add_variables_from_arrays(1, lower=0.0, upper=1.0)
-        with pytest.raises(SolverError):
-            program.add_constraints_from_arrays(
-                np.array([0]), np.array([0]), np.array([1.0]), np.array([0.2]), np.array([0.8])
-            )
-
     def test_bulk_constraints_reject_out_of_range_rows(self):
         """Both program types share the ordinal-range check (no silent drops)."""
         for program in (FractionalProgram(), LinearProgram()):
@@ -163,28 +155,3 @@ class TestFractionalColumnar:
                     -math.inf,
                     np.array([1.0, 1.0]),  # two bounds, three row ordinals
                 )
-
-    def test_bulk_constraint_senses(self):
-        program = FractionalProgram()
-        v = program.add_variables_from_arrays(1, lower=0.0, upper=1.0)
-        handles = program.add_constraints_from_arrays(
-            np.array([0, 1, 2]),
-            np.array([0, 0, 0]),
-            np.array([1.0, 1.0, 1.0]),
-            np.array([-math.inf, 0.25, 0.5]),
-            np.array([0.75, math.inf, 0.5]),
-        )
-        senses = [program._constraints[int(h)].sense for h in handles]
-        assert senses == ["<=", ">=", "=="]
-
-    def test_mirrors_into_live_charnes_cooper(self):
-        program = FractionalProgram()
-        v = program.add_variables_from_arrays(2, lower=0.0, upper=1.0)
-        program.set_ratio_objective({int(v[0]): 1.0}, {int(v[0]): 1.0, int(v[1]): 1.0})
-        program.solve()  # builds the CC mirror
-        handles = program.add_constraints_from_arrays(
-            np.array([0]), v[:1], np.array([1.0]), -math.inf, np.array([0.5])
-        )
-        assert int(handles[0]) in program._cc_rows
-        solution = program.solve()
-        assert solution.values[0] <= 0.5 + 1e-9

@@ -151,7 +151,7 @@ class TestRowFormat:
         y = fp.add_variable("y", upper=1.0)
         handle = fp.add_less_equal({x.index: 1.0, y.index: 1.0}, 1.5)
         fp.set_ratio_objective(x + y * 1.0, x * 1.0 + y * 2.0 + 0.1)
-        fp.solve()  # build the Charnes-Cooper mirror, then edit through it
+        fp.solve()  # pass the live model, then edit through it
         fp.add_terms_to_constraint(handle, {y.index: 1.0})
         fp.remove_terms_from_constraint(handle, [x.index])
         constraint = fp._constraints[handle]

@@ -1,5 +1,7 @@
 """Tests for the Table 2 job-type table."""
 
+import math
+
 import pytest
 
 from repro.exceptions import ConfigurationError, UnknownJobError
@@ -106,6 +108,29 @@ class TestSpecValidation:
     def test_rejects_non_positive_base_throughput(self):
         with pytest.raises(ConfigurationError):
             self._spec(base_k80_throughput=0.0)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"base_k80_throughput": math.nan},
+            {"base_k80_throughput": math.inf},
+            {"memory_gb": math.nan},
+            {"memory_gb": math.inf},
+            {"speedups": {"v100": math.nan, "p100": 1.5}},
+            {"speedups": {"v100": math.inf, "p100": 1.5}},
+            {"speedups": {"v100": 2.0, "p100": -1.0}},
+        ],
+        ids=["nan-base", "inf-base", "nan-memory", "inf-memory", "nan-speedup", "inf-speedup",
+             "negative-speedup"],
+    )
+    def test_rejects_non_finite_or_negative_calibration(self, overrides):
+        """Such a spec used to pass construction and stall a continuous run (or fail deep
+        in the throughput matrix): no job of the run could make progress."""
+        with pytest.raises(ConfigurationError):
+            self._spec(**overrides)
+
+    def test_zero_speedup_marks_the_type_unrunnable(self):
+        assert self._spec(speedups={"v100": 0.0, "p100": 1.5}).speedup("v100") == 0.0
 
     def test_rejects_out_of_range_compute_intensity(self):
         with pytest.raises(ConfigurationError):
