@@ -18,14 +18,16 @@ that already hold the block (the oracle's batched singleton rows, the
 aggregated view), and :meth:`ThroughputMatrix.from_trusted_blocks` adopts the
 sorted singleton and pair blocks the allocation engine keeps across events
 without re-validating them.  Everything derived from the blocks — the row
-list, the per-job index, the pair mapping — is built on first use.
+list, the columnar view, the pair mapping — is built on first use, and
+:meth:`ThroughputMatrix.uncached` gives the same blocks without any of it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -273,12 +275,23 @@ class ThroughputMatrix:
         #: for vectorized merged-row assembly in :meth:`dense_rows`.
         self._pair_endpoints: Optional[np.ndarray] = None
         self._pair_index_map: Optional[Dict[JobCombination, int]] = None
-        self._singles_index: Optional[Dict[int, int]] = None
         self._combinations: Optional[Tuple[JobCombination, ...]] = None
-        #: Lazily built per-job row index (a per-member Python pass that large
-        #: matrices only pay when the dict-path accessors actually need it).
-        self._rows_by_job: Optional[Dict[int, List[Tuple[JobCombination, int]]]] = None
         self._dense_rows: Optional[DenseRows] = None
+
+    def uncached(self) -> "ThroughputMatrix":
+        """A new matrix over this one's parts (the same arrays), with none of its caches.
+
+        Equal to this matrix row for row; what it derives, it derives again.
+        """
+        matrix = ThroughputMatrix.__new__(ThroughputMatrix)
+        if self._pair_block is not None and len(self._pair_ids) == self._num_multi():
+            pairs, pair_ids, pair_block = None, self._pair_ids, self._pair_block
+        else:  # no block yet, or a row of three or more jobs: ``pairs`` is the part
+            pairs, pair_ids, pair_block = self._pairs, None, None
+        matrix._init_from_parts(
+            self._registry, self._job_ids, self._singles, pairs, pair_ids, pair_block
+        )
+        return matrix
 
     def _pair_dict(self) -> Dict[JobCombination, np.ndarray]:
         """Every multi-job row by combination (views into the pair block)."""
@@ -299,20 +312,11 @@ class ThroughputMatrix:
         return self._combinations
 
     def _single_row(self, job_id: int) -> Optional[int]:
-        if self._singles_index is None:
-            self._singles_index = dict(zip(self._job_ids, range(len(self._job_ids))))
-        return self._singles_index.get(job_id)
-
-    def _rows_by_job_map(self) -> Dict[int, List[Tuple[JobCombination, int]]]:
-        if self._rows_by_job is None:
-            rows_by_job: Dict[int, List[Tuple[JobCombination, int]]] = {
-                job_id: [] for job_id in self._job_ids
-            }
-            for combination in self._combination_tuple():
-                for position, job_id in enumerate(combination):
-                    rows_by_job[job_id].append((combination, position))
-            self._rows_by_job = rows_by_job
-        return self._rows_by_job
+        """Index of ``job_id`` in the (sorted) singleton block, ``None`` if absent."""
+        index = bisect_left(self._job_ids, job_id)
+        if index < len(self._job_ids) and self._job_ids[index] == job_id:
+            return index
+        return None
 
     # -- structure -------------------------------------------------------------
     @property
@@ -341,11 +345,21 @@ class ThroughputMatrix:
         return self._num_multi() > 0
 
     def rows_containing(self, job_id: int) -> Tuple[Tuple[JobCombination, int], ...]:
-        """Rows in which ``job_id`` participates, with its position in each row."""
-        rows_by_job = self._rows_by_job_map()
-        if job_id not in rows_by_job:
+        """Rows in which ``job_id`` participates, with its position in each row.
+
+        Read off :meth:`dense_rows`, which groups the members by job in row order.
+        """
+        ordinal = self._single_row(job_id)
+        if ordinal is None:
             raise UnknownJobError(f"job {job_id} is not in this throughput matrix")
-        return tuple(rows_by_job[job_id])
+        dense = self.dense_rows()
+        members = dense.members_by_job[dense.job_starts[ordinal] : dense.job_starts[ordinal + 1]]
+        rows = dense.member_rows[members]
+        combinations = dense.combinations
+        return tuple(
+            (combinations[row], position)
+            for row, position in zip(rows.tolist(), (members - dense.offsets[rows]).tolist())
+        )
 
     # -- dense blocks ------------------------------------------------------------
     def _pair_parts(self) -> Tuple[Tuple[JobCombination, ...], np.ndarray]:
@@ -393,12 +407,13 @@ class ThroughputMatrix:
         if self._dense_rows is None and not self._num_multi():
             # Singletons only: row k is job k's one member, in job order.
             count = len(self._job_ids)
-            index = np.arange(count, dtype=np.int64)
+            bounds = np.arange(count + 1, dtype=np.int64)
+            index = bounds[:-1]
             job_ids = np.asarray(self._job_ids, dtype=np.int64)
             self._dense_rows = DenseRows(
                 combinations=self._combination_tuple(),
                 sizes=np.ones(count, dtype=np.int64),
-                offsets=np.arange(count + 1, dtype=np.int64),
+                offsets=bounds,
                 values=self._singles.copy(),
                 member_jobs=job_ids,
                 member_ordinals=index,
@@ -406,7 +421,7 @@ class ThroughputMatrix:
                 runnable=self._singles > 0,
                 job_ids=job_ids,
                 members_by_job=index,
-                job_starts=np.arange(count + 1, dtype=np.int64),
+                job_starts=bounds,
             )
         if self._dense_rows is None:
             combinations = self._combination_tuple()

@@ -24,6 +24,7 @@ from repro.core import available_policies, make_policy
 from repro.exceptions import ConfigurationError, UnknownJobError
 from repro.harness import run_scheduler_mode_equivalence, steady_state_job_ids
 from repro.scheduler import ClusterScheduler, SchedulerConfig
+from repro.scheduler.solve_log import logged_problems
 from repro.workloads import Job, ThroughputOracle, TraceGenerator
 
 
@@ -298,7 +299,8 @@ class TestResolveTicks:
         assert ticked.completion_rate() == 1.0
         # Grid alignment: some solves land exactly on multiples of the
         # interval (pure function of the clock — no snapshot state needed).
-        times = [problem.current_time for problem, _ in scheduler._session_history]
+        solves = logged_problems(scheduler._session_history)
+        times = [problem.current_time for problem, _ in solves]
         on_grid = [
             t for t in times if t > 0 and math.isclose(t % interval, 0.0, abs_tol=1e-6)
         ]

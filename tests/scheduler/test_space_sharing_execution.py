@@ -27,6 +27,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.cluster import ClusterSpec
 from repro.estimator import ThroughputEstimator
 from repro.scheduler import ClusterScheduler, RoundScheduler, SchedulerConfig
+from repro.scheduler.solve_log import logged_problems
 from repro.workloads import ColocationModel, Job, ThroughputOracle, TraceGenerator
 
 _ORACLE = ThroughputOracle()
@@ -68,7 +69,8 @@ def _members(combination, jobs):
 
 def _planned(scheduler, combination, position, column):
     """The rate the solve planned member ``position`` with, or ``None`` if it has no row."""
-    matrix = scheduler._session_history[-1][0].throughputs
+    *_, (problem, _) = logged_problems(scheduler._session_history)
+    matrix = problem.throughputs
     if combination not in matrix.combinations:
         return None
     return matrix.row(combination)[position][column]
@@ -185,7 +187,8 @@ def _pairs_run_at_planned_rates(jobs, counts, mode="round", aggregation="job", *
             start = scheduler.now
             scheduler.step()
             if fluid:
-                active = scheduler._session_history[-1][0].jobs
+                *_, (problem, _) = logged_problems(scheduler._session_history)
+                active = problem.jobs
                 before = {job_id: before[job_id] for job_id in active}
                 cells += _fluid_cells(
                     scheduler, by_id, allocations[-1], before, scheduler.now - start

@@ -27,6 +27,7 @@ import pytest
 from repro.cluster import ClusterSpec
 from repro.core import make_policy
 from repro.scheduler import ClusterScheduler, SchedulerConfig
+from repro.scheduler.solve_log import logged_problems
 from repro.workloads import Job, ThroughputOracle
 
 
@@ -193,7 +194,7 @@ class TestEpsilonAdmission:
         scheduler.submit(_huge_job(job_id=1, arrival_time=arrival))
         scheduler.step()  # round at 0: job 0 only
         scheduler.step()  # round at 360: admits job 1 epsilon-early
-        problem, _ = scheduler._session_history[-1]
+        *_, (problem, _) = logged_problems(scheduler._session_history)
         assert 1 in problem.jobs
         assert problem.current_time >= arrival
         assert all(value >= 0.0 for value in problem.time_elapsed.values())
@@ -224,7 +225,7 @@ class TestEpsilonAdmission:
             )
         scheduler.run_until(3600.0)
         assert scheduler._session_history, "no solves recorded"
-        for problem, _ in scheduler._session_history:
+        for problem, _ in logged_problems(scheduler._session_history):
             for job_id, elapsed in problem.time_elapsed.items():
                 assert elapsed >= 0.0, (
                     f"job {job_id} saw negative elapsed {elapsed} at "
@@ -244,7 +245,7 @@ class TestEpsilonAdmission:
         scheduler.submit(_huge_job(job_id=0, arrival_time=0.0))
         scheduler.submit(_huge_job(job_id=1, arrival_time=500.0))
         scheduler.run_until(1440.0)
-        problem, _ = scheduler._session_history[-1]
+        *_, (problem, _) = logged_problems(scheduler._session_history)
         now = problem.current_time
         assert problem.time_elapsed[0] == pytest.approx(now)
         # Job 1 arrived at 500 but was admitted at the first round boundary
