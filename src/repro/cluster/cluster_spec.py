@@ -31,6 +31,9 @@ class ClusterSpec:
     registry: AcceleratorRegistry
     counts: Mapping[str, int]
 
+    def __deepcopy__(self, memo: dict) -> "ClusterSpec":
+        return self  # immutable: a deep copy (a policy-session clone) shares it
+
     def __post_init__(self) -> None:
         for name, count in self.counts.items():
             if name not in self.registry:

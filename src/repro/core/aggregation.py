@@ -64,7 +64,7 @@ from bisect import insort
 from dataclasses import dataclass, field, replace
 from itertools import chain, filterfalse
 from operator import attrgetter, itemgetter
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -74,6 +74,7 @@ from repro.core.problem import PolicyProblem
 from repro.core.session import PolicySession
 from repro.core.throughput_matrix import JobCombination, ThroughputMatrix
 from repro.exceptions import ConfigurationError
+from repro.solver.lp import LinearProgram
 from repro.workloads.job import Job
 
 __all__ = [
@@ -209,6 +210,9 @@ class AggregatedProblem:
     representatives: Mapping[GroupKey, int]
     _key_fn: Callable[[Job], GroupKey] = field(repr=False, compare=False)
     _index: _JobIndex = field(repr=False, compare=False)
+
+    def __deepcopy__(self, memo: dict) -> "AggregatedProblem":
+        return self  # immutable: a deep copy (a policy-session clone) shares it
 
     @classmethod
     def build(
@@ -547,6 +551,9 @@ class AggregatedSession(PolicySession):
     def inner(self) -> PolicySession:
         """The inner per-representative session (for LP-size diagnostics)."""
         return self._inner
+
+    def programs(self) -> Iterator[LinearProgram]:
+        return self._inner.programs()
 
     def _refresh_view(self, problem: PolicyProblem) -> None:
         if problem is not self._view.base or self._pending:

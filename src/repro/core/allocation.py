@@ -30,6 +30,9 @@ class Allocation:
     views or sums over it.
     """
 
+    def __deepcopy__(self, memo: dict) -> "Allocation":
+        return self  # immutable: a deep copy (a policy-session clone) shares it
+
     def __init__(
         self,
         registry: AcceleratorRegistry,

@@ -13,6 +13,7 @@
 
 from __future__ import annotations
 
+import copy
 import math
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -62,6 +63,21 @@ class GandivaPolicy(Policy):
             raise ConfigurationError("packing_trials must be non-negative")
         self._packing_trials = packing_trials
         self._rng = np.random.default_rng(seed)
+
+    def checkpoint_state(self) -> object:
+        """The packing generator's state: every packing advances it."""
+        return self._rng.bit_generator.state  # a fresh dict per read
+
+    def restored(self, state: object) -> "GandivaPolicy":
+        """A private copy whose packing generator resumes at ``state``.
+
+        Schedulers restored from one snapshot, and the scheduler that took
+        it, then draw their packings from generators of their own.
+        """
+        twin = copy.copy(self)
+        twin._rng = np.random.default_rng(0)
+        twin._rng.bit_generator.state = state
+        return twin
 
     def compute_allocation(self, problem: PolicyProblem) -> Allocation:
         full_matrix = problem.throughputs

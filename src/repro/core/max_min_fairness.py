@@ -29,6 +29,7 @@ the optimal *value* may be relied on.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Dict, List
 
@@ -84,6 +85,13 @@ class MaxMinFairnessPolicy(OptimizationPolicy):
         program.add_max_min_objective(expressions)
 
 
+def _normalized_scale(
+    policy: MaxMinFairnessPolicy, problem: PolicyProblem, matrix: ThroughputMatrix, job_id: int
+) -> float:
+    # Late-bound on purpose: the policy method is the override point.
+    return policy.normalized_throughput_scale(problem, matrix, job_id)
+
+
 class MaxMinFairnessSession(IncrementalProgramSession):
     """Stateful LAS solver with a persistent epigraph formulation.
 
@@ -97,12 +105,9 @@ class MaxMinFairnessSession(IncrementalProgramSession):
         self._epigraph = self._program.add_variable(name="max_min_t", lower=-math.inf)
         self._program.maximize({self._epigraph.index: 1.0})
         self._constraints: Dict[int, int] = {}
-        # Late-bound on purpose: the policy method is the override point.
-        self._scales = NormalizationCache(
-            lambda problem, matrix, job_id: policy.normalized_throughput_scale(
-                problem, matrix, job_id
-            )
-        )
+        # Held through the policy, not the session: a session clone follows
+        # it to its own policy, and no cycle keeps a dropped session alive.
+        self._scales = NormalizationCache(functools.partial(_normalized_scale, policy))
 
     def _prepare(self, problem: PolicyProblem) -> None:
         """Align the epigraph rows ``t <= scale_m * throughput(m, X)``.

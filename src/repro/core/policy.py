@@ -140,6 +140,19 @@ class Policy(abc.ABC):
     def compute_allocation(self, problem: PolicyProblem) -> Allocation:
         """Compute the target allocation for the given problem."""
 
+    def checkpoint_state(self) -> object:
+        """What running this policy changes in it, as a snapshot keeps it (``None``: nothing)."""
+        return None
+
+    def restored(self, state: object) -> "Policy":
+        """The policy a scheduler restored from a snapshot runs.
+
+        ``state`` is what :meth:`checkpoint_state` returned at the snapshot.
+        A policy that running does not change is shared as it is; one that
+        it does returns a private copy holding ``state``.
+        """
+        return self
+
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.display_name!r})"
 

@@ -47,6 +47,9 @@ class PolicyProblem:
     current_time: float = 0.0
     group_counts: Optional[Mapping[int, int]] = None
 
+    def __deepcopy__(self, memo: dict) -> "PolicyProblem":
+        return self  # immutable: a deep copy (a policy-session clone) shares it
+
     def __post_init__(self) -> None:
         if not self.jobs:
             raise ConfigurationError("policy problem must contain at least one job")

@@ -50,6 +50,7 @@ scaling LP, finish-time fairness in one to three.
 from __future__ import annotations
 
 import abc
+import copy
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
@@ -217,6 +218,26 @@ class PolicySession(abc.ABC):
     def policy(self) -> Policy:
         return self._policy
 
+    def programs(self) -> Iterator[LinearProgram]:
+        """The solver programs this session keeps alive across solves (none by default)."""
+        return iter(())
+
+    def clone(self, policy: Policy) -> "PolicySession":
+        """A copy of this session's solver state that answers to ``policy``.
+
+        The mutable state is copied: the programs
+        (a live model as its call journal, without HiGHS: see
+        :meth:`~repro.solver.lp.LinearProgram.rebuild_model`), the
+        :class:`~repro.core.policy.AllocationVariables`, the caches and
+        Dinkelbach's ratio.  The immutable inputs are shared — jobs, problems,
+        throughput matrices, cluster specs, allocations and aggregated views
+        copy as themselves — so identity tests such as
+        :class:`NormalizationCache`'s ``seen[1] is cluster`` pass on the copy
+        exactly as they would have on this session.  Every reference to this
+        session's policy points at ``policy`` in the copy.
+        """
+        return copy.deepcopy(self, {id(self._policy): policy})
+
     @property
     def problem(self) -> PolicyProblem:
         """The most recent problem snapshot this session has seen."""
@@ -299,6 +320,9 @@ class IncrementalProgramSession(PolicySession):
     def program(self) -> LinearProgram:
         """The live solver program (exposed for tests and diagnostics)."""
         return self._program
+
+    def programs(self) -> Iterator[LinearProgram]:
+        yield self._program
 
     @property
     def variables(self) -> AllocationVariables:
@@ -673,8 +697,9 @@ class ThroughputRequirementSession(IncrementalProgramSession):
     other way round; apart, every solve after a program's first starts warm
     and the scaling LPs of one re-allocation differ by one column.  Every
     re-allocation starts from the curves' own ``start`` rather than from the
-    previous optimum, so the two bases are all the state a replayed history
-    (``ClusterScheduler.restore``) has to reproduce.  A
+    previous optimum, so besides the two programs the session carries no
+    state from one re-allocation to the next but the two bases (which a
+    restored program's rebuilt model holds, see ``ClusterScheduler.restore``).  A
     :class:`~repro.exceptions.SolverError` from either program propagates
     (never read as "infeasible") and drops that program's live model only.
     """
@@ -698,6 +723,9 @@ class ThroughputRequirementSession(IncrementalProgramSession):
     def scaling_program(self) -> LinearProgram:
         """The live ``max y`` program (exposed for tests and diagnostics)."""
         return self._scaling_program
+
+    def programs(self) -> Iterator[LinearProgram]:
+        yield from (self._program, self._scaling_program)
 
     @property
     def last_bracket(self) -> Optional[Tuple[float, float]]:

@@ -18,8 +18,7 @@ that already hold the block (the oracle's batched singleton rows, the
 aggregated view), and :meth:`ThroughputMatrix.from_trusted_blocks` adopts the
 sorted singleton and pair blocks the allocation engine keeps across events
 without re-validating them.  Everything derived from the blocks — the row
-list, the columnar view, the pair mapping — is built on first use, and
-:meth:`ThroughputMatrix.uncached` gives the same blocks without any of it.
+list, the columnar view, the pair mapping — is built on first use.
 """
 
 from __future__ import annotations
@@ -110,6 +109,9 @@ def _check_members(job_ids: Tuple[int, ...], members: np.ndarray) -> None:
 
 class ThroughputMatrix:
     """Per-combination, per-accelerator throughputs for a set of active jobs."""
+
+    def __deepcopy__(self, memo: dict) -> "ThroughputMatrix":
+        return self  # immutable: a deep copy (a policy-session clone) shares it
 
     def __init__(
         self,
@@ -277,21 +279,6 @@ class ThroughputMatrix:
         self._pair_index_map: Optional[Dict[JobCombination, int]] = None
         self._combinations: Optional[Tuple[JobCombination, ...]] = None
         self._dense_rows: Optional[DenseRows] = None
-
-    def uncached(self) -> "ThroughputMatrix":
-        """A new matrix over this one's parts (the same arrays), with none of its caches.
-
-        Equal to this matrix row for row; what it derives, it derives again.
-        """
-        matrix = ThroughputMatrix.__new__(ThroughputMatrix)
-        if self._pair_block is not None and len(self._pair_ids) == self._num_multi():
-            pairs, pair_ids, pair_block = None, self._pair_ids, self._pair_block
-        else:  # no block yet, or a row of three or more jobs: ``pairs`` is the part
-            pairs, pair_ids, pair_block = self._pairs, None, None
-        matrix._init_from_parts(
-            self._registry, self._job_ids, self._singles, pairs, pair_ids, pair_block
-        )
-        return matrix
 
     def _pair_dict(self) -> Dict[JobCombination, np.ndarray]:
         """Every multi-job row by combination (views into the pair block)."""

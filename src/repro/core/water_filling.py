@@ -112,7 +112,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
 
@@ -702,6 +702,9 @@ class WaterFillingSession(IncrementalProgramSession):
     def detection_program(self) -> LinearProgram:
         """The live Appendix A.1 program (exposed for tests and diagnostics)."""
         return self._loop.detection.program
+
+    def programs(self) -> Iterator[LinearProgram]:
+        yield from (self._program, self._loop.detection.program)
 
     def _prepare(self, problem: PolicyProblem) -> None:
         self._sync(problem)

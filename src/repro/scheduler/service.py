@@ -50,13 +50,12 @@ Both run every row at the rule the policies planned with,
 
 from __future__ import annotations
 
-import copy
 import heapq
 import math
 import time as _time
 from dataclasses import dataclass
 from itertools import chain
-from typing import Any, Dict, Iterable, List, Mapping, NamedTuple, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -69,14 +68,13 @@ from repro.core.effective_throughput import isolated_reference_throughput
 from repro.core.policy import Policy
 from repro.core.problem import PolicyProblem
 from repro.core.registry import make_policy
-from repro.core.session import PolicySession, RebuildSession
+from repro.core.session import PolicySession
 from repro.core.throughput_matrix import ThroughputMatrix, build_throughput_matrix
 from repro.exceptions import ConfigurationError, SchedulingError, UnknownJobError
 from repro.scheduler.clock import Clock, VirtualClock
 from repro.scheduler.mechanism import RoundScheduler
 from repro.scheduler.metrics import JobRecord, SimulationResult
 from repro.scheduler.priorities import PriorityTracker
-from repro.scheduler.solve_log import LogEntry, log_solve, logged_problems
 from repro.workloads.colocation import ColocationModel, member_throughputs
 from repro.workloads.job import Job
 from repro.workloads.throughputs import ThroughputOracle
@@ -141,14 +139,14 @@ class SchedulerConfig:
             :class:`~repro.workloads.colocation.ColocationModel` query
             interface; when set, space-sharing policies see *estimated*
             colocated throughputs while execution still uses the true model.
-        max_session_history: When set, the session solve history (what
-            :meth:`ClusterScheduler.snapshot` captures for bit-exact resume)
-            is bounded: at this many entries the next recomputation re-bases
-            onto a *cold* session, bounding checkpoint memory at one cold solve
-            per re-base.  Runs stay deterministic and restores bit-exact *for
-            that run*, but a cold solve may pick a different optimal vertex, so
-            schedules can differ from an unbounded run.  ``None`` (default)
-            keeps the full history.
+        max_session_history: When set, the live policy session is bounded
+            to this many solves: the next recomputation re-bases onto a *cold*
+            session, which bounds what a snapshot's session checkpoint carries
+            (each live model's call journal grows by one solve per solve).
+            Runs stay deterministic and restores bit-exact *for that run*, but
+            a cold solve may pick a different optimal vertex, so schedules can
+            differ from an unbounded run.  ``None`` (default) keeps one session
+            until the policy is swapped.
     """
 
     round_duration_seconds: float = 360.0
@@ -292,36 +290,54 @@ class SchedulerStatus:
         return bool(self.active_job_ids) or bool(self.pending_job_ids)
 
 
+class _SessionPin:
+    """A snapshot's policy session: pinned live, copied before it next changes.
+
+    ``state`` is the scheduler's live session itself (or ``None``) until the
+    scheduler next solves; that solve first replaces it with a clone without
+    a HiGHS model (:meth:`~repro.core.session.PolicySession.clone`), so the
+    pin keeps the session as the snapshot saw it.  ``solves`` counts the
+    solves the session had made.  Snapshots taken with no solve between them
+    share one pin.
+    """
+
+    __slots__ = ("state", "solves")
+
+    def __init__(self, state: Optional[PolicySession], solves: int) -> None:
+        self.state = state
+        self.solves = solves
+
+
 @dataclass
 class SchedulerSnapshot:
     """In-process checkpoint of a :class:`ClusterScheduler`.
 
     Captures the full logical execution state — time, job queues and
     progress, accounting, the current allocation period (target allocation
-    plus time received) and the jitter-RNG state.  Live solver internals
-    (the policy session's program and warm-started backend) cannot be copied
-    directly, so the snapshot instead pins the session's *solve history* —
-    the sequence of problem snapshots and engine deltas it consumed — and
-    :meth:`ClusterScheduler.restore` replays that sequence into a fresh
-    session.  Replay reconstructs the exact solver state, so a resumed run
-    makes bit-identical decisions to an uninterrupted one; its cost is one
-    LP re-solve per past allocation recomputation (the round execution
-    between recomputations, which dominates a run, is not replayed).
-    Snapshots are plain in-memory data tied to the policy/oracle objects of
-    the run that produced them.  ``records`` holds a copy of each pending or
-    active job's record and *shares* the records of completed and cancelled
-    jobs with the scheduler (and with other snapshots and results): those
-    never change again, and are read-only for every holder.  A snapshot
-    therefore costs O(live jobs) record copies; a restore copies the same
-    records and replays the solves since the last policy swap.
+    plus time received), the jitter-RNG state and what running the policy
+    changed in it (``policy_state``: Gandiva's packing generator).  Snapshots
+    are plain in-memory data tied to the policy/oracle objects of the run
+    that produced them.  ``records`` holds a copy of each pending or active
+    job's record and *shares* the records of completed and cancelled jobs
+    with the scheduler (and with other snapshots and results): those never
+    change again, and are read-only for every holder.
 
-    ``session_history`` is the scheduler's solve log
-    (:mod:`repro.scheduler.solve_log`), shared entry by entry: entries are
-    never changed.  Its newest entry is the last solve's problem; each older
-    one is a :class:`~repro.scheduler.solve_log.SolvedProblem`, the jobs, two
-    float arrays, the time, the cluster object and an uncached matrix over
-    the solved one's arrays — about 4.4 KB a solve at 60 active jobs, against
-    27 KB for a whole problem with its matrix caches.
+    The policy session is checkpointed in two parts.  Its Python side — the
+    programs, allocation variables, caches, Dinkelbach's ratio — is *pinned*
+    (``session``): ``snapshot()`` copies nothing, and the scheduler's first
+    solve after a snapshot pays one clone of the session before it changes
+    it.  Its HiGHS side is each live model's call journal (see
+    :class:`~repro.solver.lp.LinearProgram`), which the clone carries as it
+    was.  :meth:`ClusterScheduler.restore` clones the pinned session again,
+    bound to the restoring scheduler's policy, and gives every program a
+    fresh HiGHS model that receives its journal's calls: the model holds the
+    same LP, basis and last solution as the original's did, so a resumed run
+    makes bit-identical decisions to an uninterrupted one, and a restore
+    solves no LP.  A snapshot costs O(live jobs) record copies; a restore
+    the same copies, one session clone and one replay of the HiGHS calls
+    since the session was created.
+
+    ``session_history`` has one entry per solve the pinned session made.
     """
 
     time: float
@@ -353,31 +369,13 @@ class SchedulerSnapshot:
     tracker_allocation: Optional[Allocation]
     tracker_state: Optional[np.ndarray]
     rng_state: dict
-    session_history: List[LogEntry]
+    policy_state: object
+    session: _SessionPin
 
-    def compact(self, max_history: int = 1) -> "SchedulerSnapshot":
-        """Re-base the pinned solve history onto a cold session.
-
-        Returns a copy of this snapshot keeping only the last ``max_history``
-        history entries, with the first kept entry marked session-creating.
-        :meth:`ClusterScheduler.restore` then replays at most ``max_history``
-        solves (instead of one per past allocation recomputation) into a
-        *fresh* session seeded from that entry's problem, rebuilt in full.
-        Sessions are self-sufficient given a snapshot, so the restored run is
-        always valid and deterministic; what is given up is bit-exact parity
-        with the uninterrupted run — the cold session may select a different
-        (equally optimal) allocation than the warm program would have when a
-        policy's LP has multiple optimal vertices, so forward schedules can
-        diverge.  Restores from an *uncompacted* snapshot remain bit-exact.
-        """
-        if max_history < 1:
-            raise ConfigurationError("max_history must be at least 1")
-        kept = list(self.session_history[-max_history:])
-        if kept:
-            kept[0] = (kept[0][0], None)
-        compacted = copy.copy(self)
-        compacted.session_history = kept
-        return compacted
+    @property
+    def session_history(self) -> Sequence[int]:
+        """One entry per solve the pinned session made."""
+        return range(self.session.solves)
 
 
 class ClusterScheduler:
@@ -455,10 +453,11 @@ class ClusterScheduler:
         self._rate_table = _RateTable(self._colocation, tuple(cluster_spec.registry.names))
         self._engine = self._make_engine()
         self._session: Optional[PolicySession] = None
-        #: The solve log (repro.scheduler.solve_log): what the live session
-        #: consumed, in order.  Kept so snapshots can reconstruct the
-        #: session's exact solver state by replay.
-        self._session_history: List[LogEntry] = []
+        #: Solves the live session has made (max_session_history counts them).
+        self._session_solves = 0
+        #: The last snapshot's pin while it still holds the live session: the
+        #: next solve clones the session into it first (see _SessionPin).
+        self._pin: Optional[_SessionPin] = None
 
     # -- construction helpers ---------------------------------------------------------
     def _set_cluster(self, cluster_spec: ClusterSpec) -> None:
@@ -769,8 +768,7 @@ class ClusterScheduler:
             or new_policy.aggregation != old_policy.aggregation
         ):
             self._rebuild_engine()
-        self._session = None
-        self._session_history = []
+        self._session, self._session_solves = None, 0
         self._allocation_stale = True
         self._tracker = None
         self._note_churn(self._clock.now())
@@ -916,6 +914,9 @@ class ClusterScheduler:
     def snapshot(self) -> SchedulerSnapshot:
         """Checkpoint the full logical state (see :class:`SchedulerSnapshot`)."""
         tracker = self._tracker
+        pin = self._pin
+        if pin is None or pin.state is not self._session:
+            pin = self._pin = _SessionPin(self._session, self._session_solves)
         pending = [
             entry
             for entry in sorted(self._pending)
@@ -949,7 +950,8 @@ class ClusterScheduler:
             tracker_allocation=tracker.allocation if tracker is not None else None,
             tracker_state=tracker.snapshot_state() if tracker is not None else None,
             rng_state=self._rng.bit_generator.state,  # a fresh dict per read
-            session_history=list(self._session_history),
+            policy_state=self._policy.checkpoint_state(),
+            session=pin,
         )
 
     def restore(self, snapshot: SchedulerSnapshot) -> "ClusterScheduler":
@@ -963,7 +965,8 @@ class ClusterScheduler:
         """
         if not isinstance(self._clock, VirtualClock):
             raise ConfigurationError("restore() requires a VirtualClock")
-        self._policy = snapshot.policy
+        # Before the session is cloned, which binds it to this policy.
+        self._policy = snapshot.policy.restored(snapshot.policy_state)
         self._set_cluster(snapshot.cluster_spec)
         self._capacity_epochs = list(snapshot.capacity_epochs)
         self._clock = VirtualClock(start=snapshot.time)
@@ -991,7 +994,7 @@ class ClusterScheduler:
         self._rebuild_engine()
         # Set after the rebuild, which times itself: rebuilding is not run time.
         self._matrix_seconds = snapshot.matrix_seconds
-        self._replay_session(snapshot.session_history)
+        self._restore_session(snapshot.session)
         if snapshot.tracker_allocation is not None and snapshot.tracker_state is not None:
             self._start_period(snapshot.tracker_allocation).restore_state(snapshot.tracker_state)
         else:
@@ -999,26 +1002,22 @@ class ClusterScheduler:
         self._allocation_stale = snapshot.allocation_stale
         return self
 
-    def _replay_session(self, history: List[LogEntry]) -> None:
-        """Reconstruct the policy session's solver state by replaying its history.
+    def _restore_session(self, pin: _SessionPin) -> None:
+        """The pinned session, cloned onto this scheduler's policy, its models rebuilt.
 
-        A warm program is a function of the problem snapshots and deltas it
-        consumed, so replaying them (the problems rebuilt from the log by
-        :func:`logged_problems`) rebuilds it — warm-start state included,
-        water filling's level loops too — and solves after a restore match the
-        uninterrupted run bit for bit.  The stateless
-        :class:`~repro.core.session.RebuildSession` baselines skip the replay.
+        A warm program's next vertex depends on its solve history, which its
+        HiGHS model's basis carries: each model is rebuilt by replaying the
+        calls it received (:meth:`~repro.solver.lp.LinearProgram.rebuild_model`),
+        so solves after a restore match the uninterrupted run bit for bit.
+        The pin itself is left as it is, so a snapshot restores any number of
+        times.
         """
-        self._session = None
-        self._session_history = list(history)
-        for problem, deltas in logged_problems(history):
-            if self._session is None:
-                self._session = self._policy.session(problem)
-                if isinstance(self._session, RebuildSession):
-                    return
-            else:
-                self._session.apply(deltas)
-            self._session.solve(problem)
+        self._pin = None
+        self._session_solves = pin.solves
+        self._session = None if pin.state is None else pin.state.clone(self._policy)
+        if self._session is not None:
+            for program in self._session.programs():
+                program.rebuild_model()
 
     # -- internals: admission -----------------------------------------------------------------
     def _peek_pending(self) -> Optional[Tuple[float, int, Job]]:
@@ -1101,22 +1100,26 @@ class ClusterScheduler:
 
     def _solve_allocation(self, current_time: float, active: _ActiveJobs) -> Allocation:
         """One recomputation through the live session; ``active``: the caller's bulk read."""
+        pin, self._pin = self._pin, None
+        if pin is not None and pin.state is not None and pin.state is self._session:
+            # The first solve since a snapshot: keep the session as the
+            # snapshot saw it before anything below changes it.
+            pin.state = pin.state.clone(pin.state.policy)
         if (
             self._config.max_session_history is not None
             and self._session is not None
-            and len(self._session_history) >= self._config.max_session_history
+            and self._session_solves >= self._config.max_session_history
         ):
-            # Bounded-history mode: re-base onto a cold session so checkpoint
-            # memory (and restore-replay cost) cannot grow with run length.
-            self._session = None
-            self._session_history = []
+            # Bounded-history mode: re-base onto a cold session so the call
+            # journals a checkpoint carries (and a restore replays) cannot
+            # grow with run length.
+            self._session, self._session_solves = None, 0
         start = _time.perf_counter()
         matrix = self._engine.matrix()
         self._matrix_seconds += _time.perf_counter() - start
         problem = self._build_problem(current_time, matrix, active)
         deltas = self._engine.drain_deltas()
         start = _time.perf_counter()
-        creating = self._session is None
         try:
             if self._session is None:
                 self._session = self._policy.session(problem)
@@ -1124,11 +1127,11 @@ class ClusterScheduler:
                 self._session.apply(deltas)
             allocation = self._session.solve(problem)
         except BaseException:
-            # A session that failed part-way cannot be replayed: the next
-            # solve starts cold, as a max_session_history re-base does.
-            self._session, self._session_history = None, []
+            # A session that failed part-way is in no state to go on from:
+            # the next solve starts cold, as a max_session_history re-base does.
+            self._session, self._session_solves = None, 0
             raise
-        log_solve(self._session_history, problem, None if creating else deltas)
+        self._session_solves += 1
         self._policy_seconds += _time.perf_counter() - start
         self._recomputations += 1
         # This solve incorporates every churn event noted since the previous

@@ -63,15 +63,24 @@ the objective never does.  A failed edit or solver call raises
 solve passes the full model again.  Integers go to :func:`scipy.optimize.milp`
 (see :meth:`LinearProgram.solve` for the two ways in), which drops the live
 model too.
+
+Every call a live model receives is journalled, so a deep copy of a program
+carries its model as that call journal and :meth:`LinearProgram.rebuild_model`
+gives the copy a model of its own that received the same calls — the same LP,
+basis and last solution — which is how a restored scheduler's programs go on
+warm exactly where the original's were.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
+)
 
 import numpy as np
 import scipy
@@ -426,6 +435,100 @@ def _nonbasic_status(lower: float, upper: float) -> object:
     return _highs_core.HighsBasisStatus.kZero
 
 
+def _highs_lp(
+    num_col: int,
+    cost: np.ndarray,
+    lower: np.ndarray,
+    upper: np.ndarray,
+    row_lower: np.ndarray,
+    row_upper: np.ndarray,
+    maximize: bool,
+    start: np.ndarray,
+    index: np.ndarray,
+    value: np.ndarray,
+) -> object:
+    """The ``HighsLp`` of a row-wise model: what ``passModel`` takes."""
+    lp = _highs_core.HighsLp()
+    lp.num_col_ = num_col
+    lp.num_row_ = len(row_lower)
+    lp.col_cost_ = cost
+    lp.col_lower_ = lower
+    lp.col_upper_ = upper
+    lp.row_lower_ = row_lower
+    lp.row_upper_ = row_upper
+    lp.sense_ = _sense(maximize)
+    a = _highs_core.HighsSparseMatrix()
+    a.format_ = _highs_core.MatrixFormat.kRowwise
+    a.num_col_ = num_col
+    a.num_row_ = len(row_lower)
+    a.start_ = start
+    a.index_ = index
+    a.value_ = value
+    lp.a_matrix_ = a
+    return lp
+
+
+_NO_INDEX = np.empty(0, np.int32)
+_NO_VALUE = np.empty(0)
+
+
+def _make_call(highs: Any, entry: Tuple[Any, ...], name: str) -> object:
+    """Send journal entry ``(action, *arguments)`` to ``highs``; an error raises.
+
+    The one place a journalled call is made, live and on a replay alike.
+    Entries keep their arguments compact — no counts, no empty arrays, the
+    sense as a bool, a sync's ``changeCoeff`` / ``changeRowBounds`` loop as
+    parallel arrays — and this expands them.  ``setBasis`` is a hint: its
+    status is returned, for the caller to count a rejection.
+    """
+    action, arguments = entry[0], entry[1:]
+    if action == "run":
+        _ensure_highs_ok(highs.run(), action, name)
+    elif action in ("changeCoeff", "changeRowBounds"):
+        method = getattr(highs, action)
+        for call in zip(*(column.tolist() for column in arguments)):
+            _ensure_highs_ok(method(*call), action, name)
+    elif action in ("changeColsBounds", "changeColsCost"):
+        columns = arguments[0]
+        _ensure_highs_ok(getattr(highs, action)(len(columns), *arguments), action, name)
+    elif action == "addRows":
+        lower, upper, starts, index, value = arguments
+        _ensure_highs_ok(
+            highs.addRows(len(lower), lower, upper, len(index), starts, index, value),
+            action,
+            name,
+        )
+    elif action == "addCols":
+        lower, upper = arguments
+        count = len(lower)
+        _ensure_highs_ok(
+            highs.addCols(count, np.zeros(count), lower, upper, 0, _NO_INDEX, _NO_INDEX, _NO_VALUE),
+            action,
+            name,
+        )
+    elif action == "deleteRows":
+        (rows,) = arguments
+        _ensure_highs_ok(highs.deleteRows(len(rows), rows), action, name)
+    elif action == "setBasis":
+        return highs.setBasis(*arguments)
+    elif action == "changeObjectiveSense":
+        _ensure_highs_ok(highs.changeObjectiveSense(_sense(*arguments)), action, name)
+    elif action == "passModel":
+        _ensure_highs_ok(highs.passModel(_highs_lp(*arguments)), action, name)
+    else:
+        _ensure_highs_ok(highs.setOptionValue(*arguments), action, name)
+    return None
+
+
+#: Entries every model receives in the same form, shared by every journal.
+_OPTIONS = (("setOptionValue", "output_flag", False), ("setOptionValue", "random_seed", 0))
+_STRATEGY = {
+    strategy: ("setOptionValue", "simplex_strategy", strategy)
+    for strategy in (_DUAL_SIMPLEX, _PRIMAL_SIMPLEX)
+}
+_RUN = ("run",)
+
+
 class _HighsBackend:
     """A live HiGHS instance mirroring one :class:`LinearProgram`.
 
@@ -479,21 +582,34 @@ class _HighsBackend:
     optimum is not unique (LAS, makespan, finish-time fairness and total
     throughput all have ties) the two differ in the allocation, never in the
     objective: the vertex a live program returns is a function of its solve
-    history.  ``ClusterScheduler.restore`` replays that history, which is how
-    a restored run reproduces the original's vertices.
+    history.
+
+    **The call journal.**  Every state-changing call the model receives is
+    appended to ``_journal`` as ``(method name, *arguments)`` (see
+    :func:`_make_call`): the options, the full model, each edit, each
+    ``setBasis`` and each ``run``.  A sync's ``changeCoeff`` loop and its
+    ``changeRowBounds`` loop are one entry each, in parallel arrays.  The
+    journal owns its arrays: each is made for its entry (a gather, a cast, a
+    copy of a slice) and written by nobody; only a full model's are shared,
+    with the mirrors, and those are read-only.  A deep copy of the backend
+    copies the mirrors and the journal but no model; :meth:`rebuild` gives
+    it a fresh ``_Highs`` that receives the journal's calls in order, which
+    leaves it holding the original's LP, basis and last solution.
     """
 
     def __init__(self) -> None:
         self._highs = _highs_core._Highs()
-        for option, value in (("output_flag", False), ("random_seed", 0)):
-            status = self._highs.setOptionValue(option, value)
-            _ensure_highs_ok(status, f"setOptionValue({option!r})", "_HighsBackend")
+        #: Every state-changing call made on ``_highs``, in order (entries are never changed).
+        self._journal: List[Tuple[object, ...]] = []
+        for entry in _OPTIONS:
+            self._call(entry, "_HighsBackend")
         #: HiGHS row -> constraint handle / program bound slot, and back.
         self._row_handles: List[int] = []
         self._row_slots = np.empty(0, dtype=np.int64)
         self._row_of: Dict[int, int] = {}
         #: Row bounds (by HiGHS row), column bounds, costs and sense as HiGHS
         #: last saw them: a later sync pushes only what differs from the mirror.
+        #: The arrays are replaced, never written in place.
         self._row_lower = np.empty(0)
         self._row_upper = np.empty(0)
         self._col_lower = np.empty(0)
@@ -505,29 +621,55 @@ class _HighsBackend:
         #: duals only while its own solve is still the latest.
         self._solves = 0
 
+    def __deepcopy__(self, memo: Dict[int, object]) -> "_HighsBackend":
+        """The mirrors and the journal, without a model: :meth:`rebuild` makes one.
+
+        The journal's entries and the mirror arrays are shared: neither is
+        ever written in place.
+        """
+        clone = _HighsBackend.__new__(_HighsBackend)
+        vars(clone).update(
+            vars(self),
+            _highs=None,
+            _journal=list(self._journal),
+            _row_handles=list(self._row_handles),
+            _row_of=dict(self._row_of),
+        )
+        return clone
+
+    def rebuild(self) -> None:
+        """A fresh ``_Highs`` that receives every journalled call, in order."""
+        self._highs = highs = _highs_core._Highs()
+        for entry in self._journal:
+            _make_call(highs, entry, "_HighsBackend.rebuild")
+
+    def _call(self, entry: Tuple[object, ...], name: str) -> object:
+        """Journal ``entry`` and make its call on the model (see :func:`_make_call`)."""
+        self._journal.append(entry)
+        return _make_call(self._highs, entry, name)
+
     # -- synchronisation -------------------------------------------------------
     def _pass_full_model(self, program: "LinearProgram") -> None:
         matrix, row_lower, row_upper = program._assembled()
-        num_vars = program.num_variables()
-        lp = _highs_core.HighsLp()
-        lp.num_col_ = num_vars
-        lp.num_row_ = matrix.shape[0]
-        self._col_cost = lp.col_cost_ = program._objective_dense()
-        self._col_lower = lp.col_lower_ = np.array(program._lower)
-        self._col_upper = lp.col_upper_ = np.array(program._upper)
+        model = (
+            program._objective_dense(),
+            np.array(program._lower),
+            np.array(program._upper),
+            row_lower,
+            row_upper,
+            matrix.indptr.astype(np.int32),
+            matrix.indices.astype(np.int32),
+            matrix.data.astype(float),
+        )
+        for array in model:  # the journal shares these with the mirrors
+            array.setflags(write=False)
+        self._col_cost, self._col_lower, self._col_upper = model[:3]
+        self._row_lower, self._row_upper = model[3:5]
         self._maximize = program._maximize
-        self._row_lower = lp.row_lower_ = row_lower
-        self._row_upper = lp.row_upper_ = row_upper
-        lp.sense_ = _sense(program._maximize)
-        a = _highs_core.HighsSparseMatrix()
-        a.format_ = _highs_core.MatrixFormat.kRowwise
-        a.num_col_ = num_vars
-        a.num_row_ = matrix.shape[0]
-        a.start_ = matrix.indptr.astype(np.int32)
-        a.index_ = matrix.indices.astype(np.int32)
-        a.value_ = matrix.data.astype(float)
-        lp.a_matrix_ = a
-        _ensure_highs_ok(self._highs.passModel(lp), "passModel", program.name)
+        self._call(
+            ("passModel", program.num_variables(), *model[:5], program._maximize, *model[5:]),
+            program.name,
+        )
         self._row_handles = list(program._constraints)  # the assembly's row order
         self._row_slots = program._cached_slots
         self._row_of = {handle: row for row, handle in enumerate(self._row_handles)}
@@ -544,9 +686,7 @@ class _HighsBackend:
         highs = self._highs
         basis = highs.getBasis()
         if rows:
-            _ensure_highs_ok(
-                highs.deleteRows(len(rows), np.array(rows, np.int32)), "deleteRows", program.name
-            )
+            self._call(("deleteRows", np.array(rows, np.int32)), program.name)
             # Rows before the first deleted one keep their place: renumber the rest.
             first = rows[0]
             keep = np.ones(len(self._row_handles), dtype=bool)
@@ -572,24 +712,19 @@ class _HighsBackend:
         # Alien: HiGHS checks the basis and repairs a count mismatch (a deleted
         # tight row leaves one basic variable too many) or a singularity.
         basis.alien = True
-        if highs.setBasis(basis) == _highs_core.HighsStatus.kError:
+        # The journal keeps HiGHS' own basis object: one byte per status.
+        if self._call(("setBasis", basis), program.name) == _highs_core.HighsStatus.kError:
             program.basis_rejections += 1
 
     def _apply_edits(self, program: "LinearProgram") -> None:
-        highs = self._highs
+        name = program.name
         lower, upper = np.array(program._lower), np.array(program._upper)
         cost = program._objective_dense()
         num_cols = len(cost)
         extra = num_cols - len(self._col_cost)
         if extra > 0:
-            new_lower, new_upper, no_index = lower[-extra:], upper[-extra:], np.empty(0, np.int32)
-            _ensure_highs_ok(
-                highs.addCols(
-                    extra, np.zeros(extra), new_lower, new_upper, 0, no_index, no_index, np.empty(0)
-                ),
-                "addCols",
-                program.name,
-            )
+            new_lower, new_upper = lower[-extra:].copy(), upper[-extra:].copy()
+            self._call(("addCols", new_lower, new_upper), name)
             self._col_lower = np.concatenate([self._col_lower, new_lower])
             self._col_upper = np.concatenate([self._col_upper, new_upper])
             self._col_cost = np.concatenate([self._col_cost, np.zeros(extra)])
@@ -600,15 +735,18 @@ class _HighsBackend:
         if removed or program._hs_released:
             self._drop_rows_and_columns(program, removed)
 
-        # One-column edits first: a whole-row rewrite journalled after one
-        # captured the row as that edit left it, so its diff below is against
-        # the state this loop produces.
+        # One entry for the sync's changeCoeff calls.  One-column edits come
+        # first: a whole-row rewrite journalled after one captured the row as
+        # that edit left it, so its diff below is against the state they produce.
+        rows: List[int] = []
+        columns: List[int] = []
+        values: List[float] = []
         for (handle, column), (seen, now) in program._hs_coefficients.items():
             row = self._row_of.get(handle)
             if row is not None and handle in program._constraints and now != seen:
-                _ensure_highs_ok(
-                    highs.changeCoeff(row, column, now), "changeCoeff", program.name
-                )
+                rows.append(row)
+                columns.append(column)
+                values.append(now)
 
         # Rewritten rows stay where they are: push the coefficients that
         # differ from the terms HiGHS holds (journalled at the first edit).
@@ -622,10 +760,11 @@ class _HighsBackend:
             after = np.zeros(num_cols)
             after[constraint.indices] = constraint.values
             (moved,) = (before != after).nonzero()
-            for column, value in zip(moved.tolist(), after[moved].tolist()):
-                _ensure_highs_ok(
-                    highs.changeCoeff(row, column, value), "changeCoeff", program.name
-                )
+            rows.extend(itertools.repeat(row, len(moved)))
+            columns.extend(moved.tolist())
+            values.extend(after[moved].tolist())
+        if rows:
+            self._call(("changeCoeff", np.array(rows), np.array(columns), np.array(values)), name)
 
         constraints = program._constraints
         add = [handle for handle in program._hs_added if handle in constraints]
@@ -635,30 +774,27 @@ class _HighsBackend:
         # right-hand sides — journalled even when the bound comes back
         # unchanged) costs primal feasibility at most: the dual's.
         only_deleted = bool(removed) and not add and not program._hs_bounds_dirty
-        strategy = _PRIMAL_SIMPLEX if only_deleted else _DUAL_SIMPLEX
-        _ensure_highs_ok(
-            highs.setOptionValue("simplex_strategy", strategy), "setOptionValue", program.name
-        )
+        self._call(_STRATEGY[_PRIMAL_SIMPLEX if only_deleted else _DUAL_SIMPLEX], name)
         if add:
             added = [constraints[h] for h in add]
             counts = np.fromiter((len(c.indices) for c in added), np.int64, count=len(add))
             starts = np.zeros(len(add) + 1, np.int64)
             np.cumsum(counts, out=starts[1:])
-            indices = np.concatenate([c.indices for c in added])
-            values = np.concatenate([c.values for c in added])
             slots = np.fromiter((c.slot for c in added), np.int64, count=len(add))
-            lowers = program._row_lower_buf[slots]
-            uppers = program._row_upper_buf[slots]
+            lowers, uppers = program._row_lower_buf[slots], program._row_upper_buf[slots]
             # An unchecked rejection here would silently desynchronise the
             # HiGHS model from the program (constraints that exist
             # Python-side but not solver-side) — the PR 6 bug.
-            _ensure_highs_ok(
-                highs.addRows(
-                    len(add), lowers, uppers, int(counts.sum()), starts[:-1].astype(np.int32),
-                    indices.astype(np.int32), values.astype(float),
+            self._call(
+                (
+                    "addRows",
+                    lowers,
+                    uppers,
+                    starts[:-1].astype(np.int32),
+                    np.concatenate([c.indices for c in added]).astype(np.int32),
+                    np.concatenate([c.values for c in added]).astype(float),
                 ),
-                "addRows",
-                program.name,
+                name,
             )
             base = len(self._row_handles)
             self._row_handles.extend(add)
@@ -675,37 +811,21 @@ class _HighsBackend:
             row_lower = program._row_lower_buf[self._row_slots]
             row_upper = program._row_upper_buf[self._row_slots]
             (moved,) = ((row_lower != self._row_lower) | (row_upper != self._row_upper)).nonzero()
-            for row, low, high in zip(
-                moved.tolist(), row_lower[moved].tolist(), row_upper[moved].tolist()
-            ):
-                _ensure_highs_ok(
-                    highs.changeRowBounds(row, low, high), "changeRowBounds", program.name
-                )
+            if len(moved):
+                self._call(("changeRowBounds", moved, row_lower[moved], row_upper[moved]), name)
             self._row_lower, self._row_upper = row_lower, row_upper
         (moved,) = ((lower != self._col_lower) | (upper != self._col_upper)).nonzero()
         if len(moved):
-            _ensure_highs_ok(
-                highs.changeColsBounds(
-                    len(moved), moved.astype(np.int32), lower[moved], upper[moved]
-                ),
-                "changeColsBounds",
-                program.name,
+            self._call(
+                ("changeColsBounds", moved.astype(np.int32), lower[moved], upper[moved]), name
             )
             self._col_lower, self._col_upper = lower, upper
         (moved,) = (cost != self._col_cost).nonzero()
         if len(moved):
-            _ensure_highs_ok(
-                highs.changeColsCost(len(moved), moved.astype(np.int32), cost[moved]),
-                "changeColsCost",
-                program.name,
-            )
+            self._call(("changeColsCost", moved.astype(np.int32), cost[moved]), name)
             self._col_cost = cost
         if program._maximize != self._maximize:
-            _ensure_highs_ok(
-                highs.changeObjectiveSense(_sense(program._maximize)),
-                "changeObjectiveSense",
-                program.name,
-            )
+            self._call(("changeObjectiveSense", program._maximize), name)
             self._maximize = program._maximize
 
     # -- solving ----------------------------------------------------------------
@@ -734,7 +854,7 @@ class _HighsBackend:
             self._apply_edits(program)
         program._clear_journal()
         warm_started = bool(self._highs.getBasis().valid)
-        _ensure_highs_ok(self._highs.run(), "run", program.name)
+        self._call(_RUN, program.name)
         status = self._highs.getModelStatus()
         if status != _highs_core.HighsModelStatus.kOptimal:
             message = f"{program.name}: HiGHS status {status}"
@@ -808,6 +928,40 @@ class LinearProgram:
         #: Times HiGHS refused the basis carried across a row deletion (the
         #: solve then started cold; see :class:`_HighsBackend`).
         self.basis_rejections = 0
+
+    def __deepcopy__(self, memo: Dict[int, object]) -> "LinearProgram":
+        """An independent copy of the program; a live model is copied without HiGHS.
+
+        The copy's backend holds the mirrors and the call journal but no
+        ``_Highs`` until :meth:`rebuild_model`.  Stored rows are copied as new
+        row objects over the same arrays, which edits replace and never write;
+        so is the cached assembly.
+        """
+        clone = copy.copy(self)
+        memo[id(self)] = clone
+        state = vars(clone)
+        for name, value in vars(self).items():
+            if name == "_constraints":
+                state[name] = {
+                    handle: _Constraint(row.indices, row.values, row.slot)
+                    for handle, row in value.items()
+                }
+            elif name == "_names":
+                state[name] = list(value)
+            elif name not in ("_cached_matrix", "_cached_slots"):
+                state[name] = copy.deepcopy(value, memo)
+        return clone
+
+    def rebuild_model(self) -> None:
+        """Give a copied program its live model back, as the original's was.
+
+        A fresh ``_Highs`` receives every call the original's model received
+        since it was created (the backend's journal), so it holds the same
+        LP, basis and last solution, and the next solve goes on warm from
+        there.  A program without a live model has nothing to rebuild.
+        """
+        if self._backend is not None:
+            self._backend.rebuild()
 
     # -- variables -----------------------------------------------------------------
     @property

@@ -50,6 +50,9 @@ class Job:
     entity_id: Optional[int] = None
     duration_seconds_on_reference: Optional[float] = None
 
+    def __deepcopy__(self, memo: dict) -> "Job":
+        return self  # immutable: a deep copy (a policy-session clone) shares it
+
     def __post_init__(self) -> None:
         if self.job_id < 0:
             raise ConfigurationError(f"job_id must be non-negative, got {self.job_id}")

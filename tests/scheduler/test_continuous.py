@@ -24,8 +24,9 @@ from repro.core import available_policies, make_policy
 from repro.exceptions import ConfigurationError, UnknownJobError
 from repro.harness import run_scheduler_mode_equivalence, steady_state_job_ids
 from repro.scheduler import ClusterScheduler, SchedulerConfig
-from repro.scheduler.solve_log import logged_problems
 from repro.workloads import Job, ThroughputOracle, TraceGenerator
+
+from solved_problems import solved_problems
 
 
 @pytest.fixture(scope="module")
@@ -149,11 +150,11 @@ class TestSnapshotRestoreMidChurn:
 
         The LAS optimum is not unique and a live program returns the vertex
         nearest its previous basis, so a restored run only matches byte for
-        byte if the replayed history leaves HiGHS the very basis the original
+        byte if the rebuilt model holds the very basis the original
         held: forward solves must agree in warm-start flag and pivot count,
         not just in outcome.  Min cost carries one more piece of state, the
         ratio its Dinkelbach iteration starts from (see
-        :mod:`repro.solver.fractional`): the replay must rebuild it too, or
+        :mod:`repro.solver.fractional`): the session clone must carry it too, or
         the twin would take other steps to the same ratio.  With ``max_session_history`` the history — and
         the basis — are dropped every so many re-allocations, in the original
         as in the twin: the snapshot is taken after such a re-base, the
@@ -208,7 +209,7 @@ class TestSnapshotRestoreMidChurn:
 
         A finish-time-fairness session keeps two live programs and starts
         every re-allocation from the same candidate, so the two bases are all
-        a replayed history has to reproduce: every forward solve of the twin
+        a restore has to reproduce: every forward solve of the twin
         agrees with the original's in program, warm-start flag and pivot
         count — hence in the number of scaling LPs per re-allocation — not
         just in outcome.  After a ``max_session_history`` re-base both start
@@ -291,7 +292,9 @@ class TestResolveTicks:
         for sched in (scheduler, baseline):
             for job in trace.jobs:
                 sched.submit(job)
-            sched.run_until()
+        with solved_problems() as solves:
+            scheduler.run_until()
+        baseline.run_until()
         ticked = scheduler.result()
         untouched = baseline.result()
         # Ticks insert extra event boundaries without losing any work.
@@ -299,8 +302,7 @@ class TestResolveTicks:
         assert ticked.completion_rate() == 1.0
         # Grid alignment: some solves land exactly on multiples of the
         # interval (pure function of the clock — no snapshot state needed).
-        solves = logged_problems(scheduler._session_history)
-        times = [problem.current_time for problem, _ in solves]
+        times = [problem.current_time for problem in solves]
         on_grid = [
             t for t in times if t > 0 and math.isclose(t % interval, 0.0, abs_tol=1e-6)
         ]

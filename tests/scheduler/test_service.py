@@ -400,7 +400,7 @@ class TestAggregatedScheduling:
     def test_aggregated_water_filling_snapshot_restore_is_deterministic(
         self, oracle, small_spec, policy, mode
     ):
-        """Aggregated level-loop sessions replay byte-for-byte from a snapshot."""
+        """Aggregated level-loop sessions restore byte-for-byte from a snapshot."""
         from repro.core.aggregation import AggregatedSession
 
         trace = _trace(oracle, num_jobs=10)
@@ -572,11 +572,11 @@ class TestSnapshotRestore:
     def test_swap_to_water_filling_snapshot_restore_is_byte_deterministic(
         self, oracle, small_spec
     ):
-        """swap_policy -> snapshot -> restore replays the water-filling session.
+        """swap_policy -> snapshot -> restore rebuilds the water-filling session.
 
-        Before water filling became sessionful its RebuildSession hit the
-        replay skip in ``ClusterScheduler._replay_session``; now the pinned
-        solve history must reconstruct the live level-loop program so the
+        Before water filling became sessionful its RebuildSession kept no
+        solver state; now the restore must rebuild the live level-loop
+        programs (their HiGHS models from their call journals) so the
         restored run matches the uninterrupted one byte for byte.
         """
         trace = _trace(oracle, num_jobs=10)
@@ -842,7 +842,7 @@ def test_restored_hierarchical_twin_re_solves_both_programs_from_the_same_bases(
 
     A water-filling session keeps two live programs, and which of several
     tying jobs a detection picks depends on the basis it starts from.  The
-    replayed history must therefore leave both programs of the twin where the
+    rebuilt models must therefore leave both programs of the twin where the
     original's are: every forward solve agrees in program, warm-start flag
     and pivot count, not just in outcome.  After a ``max_session_history``
     re-base both start over, in the twin as in the original: one cold solve

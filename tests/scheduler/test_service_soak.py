@@ -1,10 +1,10 @@
-"""Soak and snapshot-compaction tests for the ClusterScheduler service.
+"""Soak and bounded-session-history tests for the ClusterScheduler service.
 
 The soak scenario drives one long-lived scheduler through hundreds of
 submits, cancels, resizes and policy swaps and asserts that nothing grows
 without bound: the engine's matrix rows track the active set, the live LP's
 columns are recycled (the released-variable pool drains back into new rows
-instead of the program growing), and the pinned session solve history stays
+instead of the program growing), and the live session's solve count stays
 within the configured cap.
 
 Jobs are deliberately short (a few rounds each) so completions — and with
@@ -106,7 +106,7 @@ class TestSoakChurn:
             if event % 60 == 45:
                 scheduler.swap_policy(swaps[(event // 60) % len(swaps)])
             engine_rows_seen.append(scheduler._engine.num_rows())
-            history_seen.append(len(scheduler._session_history))
+            history_seen.append(scheduler._session_solves)
             session = scheduler._session
             if isinstance(session, IncrementalProgramSession):
                 num_vars_seen.append(session.program.num_variables())
@@ -207,7 +207,7 @@ class TestContinuousSoak:
                 in_flight += 1
             engine_rows_seen.append(scheduler._engine.num_rows())
             heap_seen.append(scheduler.status().num_queued_events)
-            history_seen.append(len(scheduler._session_history))
+            history_seen.append(scheduler._session_solves)
 
         assert next_job > 100, "soak should have cycled through much of the job list"
         max_rows = max_active + max_active * (max_active - 1) // 2
@@ -261,7 +261,7 @@ class TestWaterFillingSoak:
                 next_job += 1
                 in_flight += 1
             engine_rows_seen.append(scheduler._engine.num_rows())
-            history_seen.append(len(scheduler._session_history))
+            history_seen.append(scheduler._session_solves)
             session = scheduler._session
             if isinstance(session, IncrementalProgramSession):
                 num_vars_seen.append(session.program.num_variables())
@@ -279,11 +279,12 @@ class TestWaterFillingSoak:
 
     @pytest.mark.parametrize("spec", ["max_min_fairness_water_filling", "hierarchical"])
     def test_mid_churn_snapshot_restores_deterministically(self, oracle, soak_jobs, spec):
-        """A snapshot between rounds replays the level-loop session byte-exactly.
+        """A snapshot between rounds restores the level-loop session byte-exactly.
 
-        The restored scheduler rebuilds the warm program by replaying the
-        pinned solve history — including every level-loop edit sequence — so
-        its forward run must match the uninterrupted one exactly.
+        The restored scheduler clones the pinned session and rebuilds both
+        warm programs from their HiGHS call journals — every level-loop edit
+        sequence included — so its forward run must match the uninterrupted
+        one exactly.
         """
         cluster = ClusterSpec.from_counts({"v100": 2, "p100": 2, "k80": 2})
         config = SchedulerConfig(round_duration_seconds=360.0, seed=0)
@@ -308,62 +309,74 @@ class TestWaterFillingSoak:
         assert _result_fingerprint(resumed.result()) == reference
 
 
-class TestSnapshotCompaction:
-    def test_compact_validates_and_truncates(self, oracle, soak_jobs):
-        spec = ClusterSpec.from_counts({"v100": 1, "p100": 1, "k80": 1})
-        scheduler = ClusterScheduler(
-            make_policy("max_min_fairness"), spec, oracle=oracle
-        )
-        for job in soak_jobs[:6]:
-            scheduler.submit(job)
-        for _ in range(8):
-            scheduler.step()
-        snapshot = scheduler.snapshot()
-        assert len(snapshot.session_history) > 2
+class TestBoundedSessionHistory:
+    def test_bound_validates_and_caps_the_pinned_session(self, oracle, soak_jobs):
+        """A snapshot's session has made at most ``max_session_history`` solves."""
         with pytest.raises(ConfigurationError):
-            snapshot.compact(0)
-        compacted = snapshot.compact(2)
-        assert len(compacted.session_history) == 2
-        assert compacted.session_history[0][1] is None
-        # The original snapshot is untouched.
-        assert len(snapshot.session_history) > 2
+            SchedulerConfig(max_session_history=0)
+        spec = ClusterSpec.from_counts({"v100": 1, "p100": 1, "k80": 1})
+
+        def stepped(max_history):
+            scheduler = ClusterScheduler(
+                make_policy("max_min_fairness"),
+                spec,
+                oracle=oracle,
+                config=SchedulerConfig(max_session_history=max_history),
+            )
+            for job in soak_jobs[:6]:
+                scheduler.submit(job)
+            for _ in range(8):
+                scheduler.step()
+            return scheduler
+
+        unbounded = stepped(None).snapshot()
+        assert len(unbounded.session_history) > 2
+        bounded = stepped(2)
+        snapshot = bounded.snapshot()
+        assert 1 <= len(snapshot.session_history) <= 2
+        solves = len(snapshot.session_history)
+        bounded.run_until(math.inf)
+        # Later solves and re-bases leave the snapshot untouched.
+        assert len(snapshot.session_history) == solves
 
     @pytest.mark.parametrize("policy", ["max_min_fairness+ss", "fifo"])
-    def test_compacted_snapshot_restores_to_same_forward_results(
+    def test_bounded_history_snapshot_restores_to_same_forward_results(
         self, oracle, soak_jobs, policy
     ):
-        """Full-history and compacted restores produce identical forward runs.
+        """Restores from an unbounded and a one-solve-bounded run agree exactly.
 
-        Compaction only guarantees a *valid, deterministic* restore (see
-        ``SchedulerSnapshot.compact``): a cold session may in general select
-        a different equally-optimal vertex than the warm one.  These
-        scenarios are ones where the optimum is unique, so the forward runs
-        must agree exactly — guarding the replay plumbing itself.
+        With ``max_session_history=1`` every solve starts a cold session, so
+        a restore carries one solve's state; a cold session may in general
+        select a different equally-optimal vertex than the warm one (see
+        ``SchedulerConfig.max_session_history``).  These scenarios are ones
+        where the optimum is unique, so the forward runs must agree exactly —
+        guarding the checkpoint plumbing of a freshly created session.
         """
         spec = ClusterSpec.from_counts({"v100": 2, "p100": 2, "k80": 2})
 
-        def fresh():
+        def fresh(max_history):
             return ClusterScheduler(
                 make_policy(policy),
                 spec,
                 oracle=oracle,
-                config=SchedulerConfig(round_duration_seconds=360.0),
+                config=SchedulerConfig(
+                    round_duration_seconds=360.0, max_session_history=max_history
+                ),
             )
 
-        scheduler = fresh()
-        for job in soak_jobs[:10]:
-            scheduler.submit(job)
-        for _ in range(4):
-            scheduler.step()
-        snapshot = scheduler.snapshot()
-        compacted = snapshot.compact(1)
-
-        full_restore = fresh().restore(snapshot)
-        compact_restore = fresh().restore(compacted)
-        full_restore.run_until(math.inf)
-        compact_restore.run_until(math.inf)
+        restored = []
+        for max_history in (None, 1):
+            scheduler = fresh(max_history)
+            for job in soak_jobs[:10]:
+                scheduler.submit(job)
+            for _ in range(4):
+                scheduler.step()
+            snapshot = scheduler.snapshot()
+            assert max_history is None or len(snapshot.session_history) == 1
+            restored.append(fresh(max_history).restore(snapshot).run_until(math.inf))
+        full_restore, bounded_restore = restored
         assert _result_fingerprint(full_restore.result()) == _result_fingerprint(
-            compact_restore.result()
+            bounded_restore.result()
         )
 
     def test_bounded_history_run_matches_results_shape(self, oracle, soak_jobs):
@@ -386,7 +399,7 @@ class TestSnapshotCompaction:
 
         bounded = run(4)
         unbounded = run(None)
-        assert len(bounded._session_history) <= 4
+        assert bounded._session_solves <= 4
         # Every job still completes, and in this unique-optimum scenario the
         # bounded run's schedule matches the unbounded one exactly (in
         # general a cold re-base may pick a different equally-optimal

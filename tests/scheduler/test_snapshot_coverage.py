@@ -4,7 +4,9 @@ After a short churn run in each mode × aggregation, every ``_``-prefixed
 attribute of the live scheduler must be either captured by a
 :class:`~repro.scheduler.service.SchedulerSnapshot` field or declared soft
 state, and a :meth:`~repro.scheduler.ClusterScheduler.restore` on a fresh
-instance must reproduce every captured attribute by value.  State added to
+instance must reproduce every captured attribute by value.  The policy
+session is compared by its logical content (see ``checkpoints.py``): per
+program its rows, bounds, objective and HiGHS call journal.  State added to
 the scheduler without extending the snapshot is the bug class that silently
 breaks restore determinism.
 """
@@ -19,17 +21,26 @@ from repro.scheduler import ClusterScheduler, SchedulerConfig
 from repro.scheduler.service import SchedulerSnapshot
 from repro.workloads import ThroughputOracle, TraceGenerator
 
+from checkpoints import session_content
+
 #: Soft state: run-scoped collaborators that ``restore()`` rebuilds from the
-#: snapshot's policy/oracle/config plus replay, rather than copying.
+#: snapshot's policy/oracle/config rather than copying, and the pin the next
+#: solve clones the session into (a snapshot's own business).
 SOFT_STATE = frozenset(
     {
         "_oracle", "_colocation", "_config", "_workers_per_server", "_topology",
-        "_placer", "_round_scheduler", "_engine", "_session", "_pending_ids",
-        "_cancelled_pending", "_members", "_rate_table",
+        "_placer", "_round_scheduler", "_engine", "_pending_ids",
+        "_cancelled_pending", "_members", "_rate_table", "_pin",
     }
 )
 #: State captured under a different snapshot field name.
-CAPTURED_AS = {"_clock": "time", "_rng": "rng_state", "_tracker": "tracker_allocation"}
+CAPTURED_AS = {
+    "_clock": "time",
+    "_rng": "rng_state",
+    "_tracker": "tracker_allocation",
+    "_session": "session",
+    "_session_solves": "session",
+}
 
 _SNAPSHOT_FIELDS = frozenset(field.name for field in dataclasses.fields(SchedulerSnapshot))
 
@@ -75,6 +86,8 @@ def _view(scheduler, name):
         return sorted(entry for entry in value if entry[2].job_id not in cancelled)
     if name == "_event_heap":
         return sorted(value)
+    if name == "_session":
+        return session_content(value)
     if name == "_active":  # ``alone`` indexes the soft rate table: compare its rates
         rows = scheduler._rate_table.rows
         return {

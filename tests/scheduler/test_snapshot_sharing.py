@@ -5,10 +5,14 @@ only while the job is pending or active; once it completes or is cancelled the
 record is final.  ``snapshot()``, ``restore()`` and ``result()`` therefore copy
 the live jobs' records and share the rest.  These tests pin the invariant that
 makes the sharing safe, the isolation it must keep under every write path, and
-its cost: snapshot memory grows with the live jobs, not with the run.
+its cost: snapshot memory grows with the live jobs, not with the run.  A
+snapshot's policy-session checkpoint is compared by its logical content (see
+``checkpoints.py``), since the scheduler swaps the live session it pins for a
+clone at its next solve.
 """
 
 import copy
+import dataclasses
 import math
 import tracemalloc
 
@@ -20,6 +24,8 @@ from repro.core import make_policy
 from repro.exceptions import SchedulingError
 from repro.scheduler import ClusterScheduler, SchedulerConfig
 from repro.workloads import Job, ThroughputOracle, TraceGenerator
+
+from checkpoints import checkpoint_content
 
 SPEC = ClusterSpec.from_counts({"v100": 2, "p100": 2, "k80": 2})
 
@@ -144,7 +150,14 @@ def test_snapshot_is_isolated_under_every_write_path(oracle, mode, aggregation):
     scheduler.run_until(25_000.0)
 
     snapshot = scheduler.snapshot()
-    frozen = copy.deepcopy(snapshot)
+    content = checkpoint_content(snapshot)
+    assert content[0] > 0 and content[1] is not None
+
+    def logical(snapshot):
+        """Everything but the session checkpoint, which ``content`` stands for."""
+        return dataclasses.replace(snapshot, session=None)
+
+    frozen = copy.deepcopy(logical(snapshot))
     status = scheduler.status()
     left, live = _left(scheduler), set(status.active_job_ids) | set(status.pending_job_ids)
     assert status.completed_job_ids and status.cancelled_job_ids
@@ -163,6 +176,11 @@ def test_snapshot_is_isolated_under_every_write_path(oracle, mode, aggregation):
     scheduler.cancel(late[1].job_id)
     scheduler.run_until()
     assert set(status.active_job_ids) <= set(scheduler.status().completed_job_ids)
+    # The live session went on from the pinned one: its journals extend the pinned ones.
+    programs = zip(snapshot.session.state.programs(), scheduler._session.programs())
+    for pinned_program, live_program in programs:
+        kept, grown = pinned_program._backend._journal, live_program._backend._journal
+        assert len(grown) > len(kept) and all(a is b for a, b in zip(kept, grown))
     # Roll back and run again.
     scheduler.restore(snapshot)
     assert_shares_finished(scheduler.result().records)
@@ -174,7 +192,8 @@ def test_snapshot_is_isolated_under_every_write_path(oracle, mode, aggregation):
         twin.run_until()
         assert twin.result().average_jct_hours() == scheduler.result().average_jct_hours()
 
-    _assert_same(snapshot, frozen)
+    _assert_same(logical(snapshot), frozen)
+    assert checkpoint_content(snapshot) == content
 
 
 def _with_finished(oracle, finished):

@@ -27,8 +27,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.cluster import ClusterSpec
 from repro.estimator import ThroughputEstimator
 from repro.scheduler import ClusterScheduler, RoundScheduler, SchedulerConfig
-from repro.scheduler.solve_log import logged_problems
 from repro.workloads import ColocationModel, Job, ThroughputOracle, TraceGenerator
+
+from solved_problems import solved_problems
 
 _ORACLE = ThroughputOracle()
 _MODEL = ColocationModel(_ORACLE)
@@ -67,9 +68,8 @@ def _members(combination, jobs):
     return [(0, first, second), (1, second, first)]
 
 
-def _planned(scheduler, combination, position, column):
-    """The rate the solve planned member ``position`` with, or ``None`` if it has no row."""
-    *_, (problem, _) = logged_problems(scheduler._session_history)
+def _planned(problem, combination, position, column):
+    """The rate ``problem``'s solve planned member ``position`` with, or ``None`` if it has no row."""
     matrix = problem.throughputs
     if combination not in matrix.combinations:
         return None
@@ -123,7 +123,7 @@ def _recorded(owner, name):
         yield seen
 
 
-def _round_cells(scheduler, jobs, picks, before):
+def _round_cells(scheduler, problem, jobs, picks, before):
     """Per member of every pick: ``(combination, position, planned rate, rule rate)``.
 
     Checks that the member advanced at the rule's rate for the whole round.
@@ -137,12 +137,12 @@ def _round_cells(scheduler, jobs, picks, before):
             rule = _rule(job, partner, names[column])
             executed = (records[job.job_id].steps_done - before[job.job_id]) / _ROUND
             assert executed == pytest.approx(rule, rel=1e-9), (combination, column, position)
-            planned = _planned(scheduler, combination, position, column)
+            planned = _planned(problem, combination, position, column)
             cells.append((combination, position, planned, rule))
     return cells
 
 
-def _fluid_cells(scheduler, jobs, allocation, before, dt):
+def _fluid_cells(scheduler, problem, jobs, allocation, before, dt):
     """Per member of every row, per type it runs on: ``(combination, position, planned, rule)``.
 
     Checks that every job advanced at ``sum X * rule`` over its rows for the event.
@@ -157,7 +157,7 @@ def _fluid_cells(scheduler, jobs, allocation, before, dt):
                 if fractions[column] > 0:
                     rule = _rule(job, partner, name)
                     expected[job.job_id] += rule * fractions[column]
-                    planned = _planned(scheduler, combination, position, column)
+                    planned = _planned(problem, combination, position, column)
                     cells.append((combination, position, planned, rule))
     for job_id, rate in expected.items():
         executed = (records[job_id].steps_done - before[job_id]) / dt
@@ -181,20 +181,19 @@ def _pairs_run_at_planned_rates(jobs, counts, mode="round", aggregation="job", *
     cells = []
     with _recorded(RoundScheduler, "schedule_round") as rounds, _recorded(
         ClusterScheduler, "_solve_allocation"
-    ) as allocations:
+    ) as allocations, solved_problems() as problems:
         for _ in range(len(jobs) if fluid else 4):
             before = {job_id: r.steps_done for job_id, r in scheduler.result().records.items()}
             start = scheduler.now
             scheduler.step()
             if fluid:
-                *_, (problem, _) = logged_problems(scheduler._session_history)
-                active = problem.jobs
+                active = problems[-1].jobs
                 before = {job_id: before[job_id] for job_id in active}
                 cells += _fluid_cells(
-                    scheduler, by_id, allocations[-1], before, scheduler.now - start
+                    scheduler, problems[-1], by_id, allocations[-1], before, scheduler.now - start
                 )
             else:
-                cells += _round_cells(scheduler, by_id, rounds[-1], before)
+                cells += _round_cells(scheduler, problems[-1], by_id, rounds[-1], before)
     for _combination, _position, planned, rule in cells:
         if config.get("estimator") is None and planned is not None and planned > 0:
             assert planned == rule

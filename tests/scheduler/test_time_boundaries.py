@@ -27,8 +27,9 @@ import pytest
 from repro.cluster import ClusterSpec
 from repro.core import make_policy
 from repro.scheduler import ClusterScheduler, SchedulerConfig
-from repro.scheduler.solve_log import logged_problems
 from repro.workloads import Job, ThroughputOracle
+
+from solved_problems import solved_problems
 
 
 @pytest.fixture(scope="module")
@@ -192,9 +193,10 @@ class TestEpsilonAdmission:
         scheduler = _scheduler(oracle, small_spec, config)
         scheduler.submit(_huge_job(job_id=0, arrival_time=0.0))
         scheduler.submit(_huge_job(job_id=1, arrival_time=arrival))
-        scheduler.step()  # round at 0: job 0 only
-        scheduler.step()  # round at 360: admits job 1 epsilon-early
-        *_, (problem, _) = logged_problems(scheduler._session_history)
+        with solved_problems() as problems:
+            scheduler.step()  # round at 0: job 0 only
+            scheduler.step()  # round at 360: admits job 1 epsilon-early
+        problem = problems[-1]
         assert 1 in problem.jobs
         assert problem.current_time >= arrival
         assert all(value >= 0.0 for value in problem.time_elapsed.values())
@@ -223,9 +225,10 @@ class TestEpsilonAdmission:
                     arrival_time=index * 360.0 + 1e-10,
                 )
             )
-        scheduler.run_until(3600.0)
-        assert scheduler._session_history, "no solves recorded"
-        for problem, _ in logged_problems(scheduler._session_history):
+        with solved_problems() as problems:
+            scheduler.run_until(3600.0)
+        assert problems, "no solves recorded"
+        for problem in problems:
             for job_id, elapsed in problem.time_elapsed.items():
                 assert elapsed >= 0.0, (
                     f"job {job_id} saw negative elapsed {elapsed} at "
@@ -244,8 +247,9 @@ class TestEpsilonAdmission:
         scheduler = _scheduler(oracle, small_spec, config)
         scheduler.submit(_huge_job(job_id=0, arrival_time=0.0))
         scheduler.submit(_huge_job(job_id=1, arrival_time=500.0))
-        scheduler.run_until(1440.0)
-        *_, (problem, _) = logged_problems(scheduler._session_history)
+        with solved_problems() as problems:
+            scheduler.run_until(1440.0)
+        problem = problems[-1]
         now = problem.current_time
         assert problem.time_elapsed[0] == pytest.approx(now)
         # Job 1 arrived at 500 but was admitted at the first round boundary
