@@ -37,7 +37,7 @@ import numpy as np
 
 from repro.core.allocation import Allocation
 from repro.core.effective_throughput import normalized_throughput_scale
-from repro.core.policy import AllocationVariables, OptimizationPolicy
+from repro.core.policy import AllocationVariables, OptimizationPolicy, rows_with_column_of
 from repro.core.problem import PolicyProblem
 from repro.core.session import IncrementalProgramSession, NormalizationCache, PolicySession
 from repro.core.throughput_matrix import ThroughputMatrix
@@ -113,54 +113,58 @@ class MaxMinFairnessSession(IncrementalProgramSession):
         """Align the epigraph rows ``t <= scale_m * throughput(m, X)``.
 
         A from-scratch alignment (first solve, or every job changed) emits
-        all rows in one columnar call; incremental alignment edits only the
-        jobs whose cached terms or normalization inputs moved.
+        all rows in one columnar call; an incremental one removes the rows of
+        departed jobs in one call, adds the rows of new jobs in one and
+        rewrites, in one, the rows of the jobs whose cached terms or
+        normalization inputs moved — each in the matrix's job order.
         """
         self._sync(problem)
         program = self._program
         variables = self._variables
-        epigraph_index = self._epigraph.index
-        active = set(variables.matrix.job_ids)
-        for job_id in list(self._constraints):
-            if job_id not in active:
-                program.remove_constraint(self._constraints.pop(job_id))
+        epigraph = self._epigraph.index
+        departed = sorted(self._constraints.keys() - problem.jobs.keys())
+        if departed:
+            program.remove_constraints([self._constraints.pop(job_id) for job_id in departed])
+            for job_id in departed:
                 self._scales.discard(job_id)
         if not self._constraints:
             job_ids, starts, cols, vals = variables.effective_throughput_blocks()
-            num_jobs = len(job_ids)
             self._scales.clear()
             scale_of = {
                 job_id: scale for job_id, _terms, scale in self._scales.refresh(problem, variables)
             }
-            scales = np.fromiter(
-                (scale_of[job_id] for job_id in job_ids.tolist()), dtype=float, count=num_jobs
-            )
+            scales = np.fromiter(map(scale_of.__getitem__, job_ids.tolist()), float, len(job_ids))
             # t - scale * expr <= 0, the epigraph term last in each row.
             handles = program.add_constraints_from_arrays(
                 *variables.rows_with_column(
-                    starts, cols, -vals * np.repeat(scales, np.diff(starts)), epigraph_index, 1.0
+                    starts, cols, -vals * np.repeat(scales, np.diff(starts)), epigraph, 1.0
                 ),
                 -math.inf,
-                np.zeros(num_jobs),
+                np.zeros(len(job_ids)),
             )
             self._constraints = dict(zip(job_ids.tolist(), handles.tolist()))
             return
-        for job_id, (cols, vals), scale in self._scales.refresh(problem, variables):
-            row_cols = np.append(cols, epigraph_index)
-            row_vals = np.append(-vals * scale, 1.0)
-            handle = self._constraints.get(job_id)
-            if handle is None:
-                self._constraints[job_id] = int(
-                    program.add_constraints_from_arrays(
-                        np.zeros(len(row_cols), dtype=np.int64),
-                        row_cols,
-                        row_vals,
-                        -math.inf,
-                        np.zeros(1),
-                    )[0]
+        changed = self._scales.refresh(problem, variables)
+        added = [entry for entry in changed if entry[0] not in self._constraints]
+        rewritten = [entry for entry in changed if entry[0] in self._constraints]
+        for new, rows in ((True, added), (False, rewritten)):
+            if not rows:
+                continue
+            triplet = rows_with_column_of(
+                [(cols, vals * -scale) for _job_id, (cols, vals), scale in rows],
+                epigraph,
+                1.0,
+            )
+            job_ids = [job_id for job_id, _terms, _scale in rows]
+            if new:
+                handles = program.add_constraints_from_arrays(
+                    *triplet, -math.inf, np.zeros(len(rows))
                 )
+                self._constraints.update(zip(job_ids, handles.tolist()))
             else:
-                program.set_constraint_coefficients_from_arrays(handle, row_cols, row_vals)
+                program.set_constraints_coefficients_from_arrays(
+                    [self._constraints[job_id] for job_id in job_ids], *triplet
+                )
 
     def _solve(self, problem: PolicyProblem) -> Allocation:
         self._prepare(problem)

@@ -23,20 +23,22 @@ from __future__ import annotations
 
 import abc
 import math
-from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
+from bisect import bisect_left
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.core.allocation import Allocation
 from repro.core.problem import PolicyProblem
-from repro.core.throughput_matrix import DenseRows, JobCombination, ThroughputMatrix
+from repro.core.throughput_matrix import DenseRows, ThroughputMatrix
+from repro.exceptions import UnknownJobError
 from repro.solver.lp import LinearExpression, LinearProgram, Solution, Variable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.session import PolicySession
     from repro.workloads.job import Job
 
-__all__ = ["Policy", "OptimizationPolicy", "AllocationVariables"]
+__all__ = ["Policy", "OptimizationPolicy", "AllocationVariables", "rows_with_column_of"]
 
 
 class Policy(abc.ABC):
@@ -157,6 +159,60 @@ class Policy(abc.ABC):
         return f"{type(self).__name__}(name={self.display_name!r})"
 
 
+#: Row keys pack a combination of at most two job ids below ``2**31`` into one
+#: int64: ``first << 32``, plus ``second + 1`` for a pair, which orders keys
+#: the way the matrix orders its (sorted) rows.
+_KEY_SHIFT = 32
+
+
+def _packed_keys(dense: DenseRows) -> Optional[np.ndarray]:
+    """The rows' packed keys, in row order; ``None`` where a row does not fit the packing."""
+    if dense.job_ids[-1] >= 1 << (_KEY_SHIFT - 1):
+        return None
+    if len(dense.member_jobs) == len(dense.sizes):  # singletons only
+        return dense.job_ids << _KEY_SHIFT
+    if dense.sizes.max() > 2:
+        return None
+    starts = dense.offsets[:-1]
+    keys = dense.member_jobs[starts] << _KEY_SHIFT
+    pairs = np.flatnonzero(dense.sizes == 2)
+    keys[pairs] += dense.member_jobs[starts[pairs] + 1] + 1
+    return keys
+
+
+def _member_positions(dense: DenseRows, rows: np.ndarray) -> np.ndarray:
+    """Flat member positions of ``rows``, row by row."""
+    if len(dense.member_jobs) == len(dense.sizes):  # singletons only: member = row
+        return rows
+    sizes = dense.sizes[rows]
+    ends = np.cumsum(sizes)
+    return np.repeat(dense.offsets[rows] - ends + sizes, sizes) + np.arange(ends[-1])
+
+
+def _member_mask(dense: DenseRows, row_mask: np.ndarray) -> np.ndarray:
+    """``row_mask`` extended to every member of its rows."""
+    if len(dense.member_jobs) == len(dense.sizes):
+        return row_mask
+    return np.repeat(row_mask, dense.sizes)
+
+
+def rows_with_column_of(
+    rows: Sequence[Tuple[np.ndarray, np.ndarray]], column: int, value: float
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One row per ``(cols, coeffs)`` of ``rows``, each ending in ``value * x[column]``.
+
+    The ``(rows, cols, coeffs)`` triplet ``add_constraints_from_arrays``
+    takes, for the few rows an event rewrites: one concatenation, where
+    :meth:`AllocationVariables.rows_with_column` scatters whole blocks.
+    """
+    extra_col, extra_coeff = np.array([column]), np.array([value])
+    return (
+        np.repeat(np.arange(len(rows)), [len(cols) + 1 for cols, _coeffs in rows]),
+        np.concatenate([part for cols, _coeffs in rows for part in (cols, extra_col)]),
+        np.concatenate([part for _cols, coeffs in rows for part in (coeffs, extra_coeff)]),
+    )
+
+
 class AllocationVariables:
     """Decision variables ``X[combination, accelerator]`` plus validity constraints.
 
@@ -166,12 +222,14 @@ class AllocationVariables:
     estimate refinement translate into targeted variable/constraint edits on
     the owning program instead of a rebuild.  Per-job effective-throughput
     expressions are cached and invalidated only when one of the job's rows
-    changes, which is what policy sessions lean on to rebuild objectives
-    cheaply.
+    changes, and :meth:`touched_since` names the jobs an update touched, so
+    policy sessions re-derive and rewrite what an event changed and nothing
+    else.
 
     Every row family is emitted as one ndarray block through the program's
     columnar API — one bulk variable allocation, one constraint block per
-    validity family — straight from :meth:`ThroughputMatrix.dense_rows`.
+    validity family — straight from :meth:`ThroughputMatrix.dense_rows`, and
+    an update edits each family with one batched call.
     """
 
     def __init__(
@@ -188,17 +246,20 @@ class AllocationVariables:
         #: variable upper bounds the row's group-size cap, so one variable
         #: carries a group-*total* allocation.
         self._counts: Dict[int, int] = dict(problem.group_counts or {})
-        #: Per-combination variable-index arrays (one column index per type).
-        self._row_vars: Dict[JobCombination, np.ndarray] = {}
         self._num_columns = len(matrix.registry)
         self._job_constraints: Dict[int, int] = {}
         self._capacity_constraints: List[int] = []
-        self._row_values: Dict[JobCombination, np.ndarray] = {}
         self._throughput_cache: Dict[int, LinearExpression] = {}
         self._throughput_terms_cache: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         #: (num_rows, num_columns) variable-index matrix, row-aligned with
-        #: ``matrix.dense_rows()``, for the whole-program columnar builders.
+        #: ``matrix.dense_rows()``: row ``r``'s variables and, through the
+        #: dense rows, its values.
         self._var_matrix: np.ndarray
+        #: The rows' packed keys (:func:`_packed_keys`), ``None`` if they do not fit.
+        self._keys = _packed_keys(matrix.dense_rows())
+        #: Updates applied so far, and the jobs the latest one touched.
+        self.revision = 0
+        self._touched: Set[int] = set()
         self._create_rows()
 
     # -- group-count helpers ---------------------------------------------------------
@@ -206,21 +267,20 @@ class AllocationVariables:
         """Group size behind ``job_id`` (1 in ordinary per-job problems)."""
         return self._counts.get(job_id, 1)
 
-    def _row_cap(self, combination: JobCombination) -> float:
-        """Upper bound for one row's variables: min group size over its jobs."""
+    def _job_counts(self, job_ids: np.ndarray) -> np.ndarray:
+        """Group sizes of ``job_ids`` as floats (1 in ordinary per-job problems)."""
         if not self._counts:
-            return 1.0
-        return float(min(self._counts.get(job_id, 1) for job_id in set(combination)))
+            return np.ones(len(job_ids))
+        counts = self._counts
+        return np.fromiter(
+            (counts.get(job_id, 1) for job_id in job_ids.tolist()), dtype=float, count=len(job_ids)
+        )
 
-    def _row_caps_vector(self, dense: DenseRows) -> np.ndarray:
-        """Per-row variable caps for the columnar path, aligned to ``dense``."""
+    def _row_caps(self, dense: DenseRows) -> np.ndarray:
+        """Per-row variable caps, aligned to ``dense``: min group size over the row's jobs."""
         if not self._counts:
             return np.ones(len(dense.combinations))
-        counts_by_ordinal = np.fromiter(
-            (self._counts.get(job_id, 1) for job_id in dense.job_ids.tolist()),
-            dtype=float,
-            count=len(dense.job_ids),
-        )
+        counts_by_ordinal = self._job_counts(dense.job_ids)
         return np.minimum.reduceat(
             counts_by_ordinal[dense.member_ordinals], dense.offsets[:-1]
         )
@@ -240,154 +300,150 @@ class AllocationVariables:
         program = self._program
         dense = self._matrix.dense_rows()
         num_columns = self._num_columns
-        combinations = dense.combinations
-        num_rows = len(combinations)
-        caps = self._row_caps_vector(dense)
-        flat = program.add_variables_from_arrays(
+        num_rows = len(dense.combinations)
+        caps = self._row_caps(dense)
+        var_matrix = program.add_variables_from_arrays(
             num_rows * num_columns,
             lower=0.0,
             upper=(dense.runnable.astype(float) * caps[:, None]).ravel(),
             name="x",
-        )
-        var_matrix = flat.reshape(num_rows, num_columns)
+        ).reshape(num_rows, num_columns)
         self._var_matrix = var_matrix
-        offsets = dense.offsets
-        values = dense.values
-        row_vars = self._row_vars
-        row_values = self._row_values
-        for ordinal, combination in enumerate(combinations):
-            row_vars[combination] = var_matrix[ordinal]
-            row_values[combination] = values[offsets[ordinal] : offsets[ordinal + 1]]
 
         # (2) one row per job: coefficient 1 on every variable of every row
         # containing the job, emitted in rows-containing x column order (a
         # same-group pair row contributes two members, i.e. coefficient 2
         # after sparse assembly sums the duplicates); the right-hand side is
         # the job's group size (1 in ordinary per-job problems).
-        member_rows_grouped = dense.member_rows[dense.members_by_job]
-        job_cols = var_matrix[member_rows_grouped]
+        job_cols = var_matrix[dense.member_rows[dense.members_by_job]]
         counts = np.diff(dense.job_starts) * num_columns
         num_jobs = len(dense.job_ids)
-        rhs = (
-            np.fromiter(
-                (self._counts.get(job_id, 1) for job_id in dense.job_ids.tolist()),
-                dtype=float,
-                count=num_jobs,
-            )
-            if self._counts
-            else np.ones(num_jobs)
-        )
         handles = program.add_constraints_from_arrays(
             np.repeat(np.arange(num_jobs, dtype=np.int64), counts),
             job_cols.ravel(),
             np.ones(job_cols.size),
             -math.inf,
-            rhs,
+            self._job_counts(dense.job_ids),
         )
-        self._job_constraints = dict(
-            zip(dense.job_ids.tolist(), (int(handle) for handle in handles))
-        )
+        self._job_constraints = dict(zip(dense.job_ids.tolist(), handles.tolist()))
 
         # (3) one row per worker type, scale-factor coefficients per matrix row.
         row_scales = self._row_scales(dense)
         capacity = self._problem.cluster_spec.counts_vector()
-        capacity_handles = program.add_constraints_from_arrays(
+        self._capacity_constraints = program.add_constraints_from_arrays(
             np.repeat(np.arange(num_columns, dtype=np.int64), num_rows),
             var_matrix.T.ravel(),
             np.tile(row_scales, num_columns),
             -math.inf,
             np.asarray(capacity, dtype=float),
-        )
-        self._capacity_constraints = [int(handle) for handle in capacity_handles]
-
-    def _invalidate_job(self, job_id: int) -> None:
-        self._throughput_cache.pop(job_id, None)
-        self._throughput_terms_cache.pop(job_id, None)
+        ).tolist()
 
     # -- incremental resynchronisation ---------------------------------------------
     def update_to(self, problem: PolicyProblem, matrix: ThroughputMatrix) -> None:
         """Re-align variables and validity constraints with a new snapshot.
 
-        Only the difference against the previous matrix is applied: new
-        combinations gain variables and constraint terms (appended as whole
-        row blocks in one columnar call), vanished ones are
-        scrubbed and their variables released back to the program, and
-        persisting rows whose throughput values changed (estimate
-        refinements) get their runnable bounds refreshed.  Cached throughput
-        expressions of every affected job are invalidated.
+        Rows of the two snapshots are matched by integer keys (``searchsorted``
+        over the sorted key arrays), so an update costs the rows that changed:
+        vanished and new rows are one batched edit per constraint family,
+        persisting rows whose values changed (estimate refinements) get their
+        runnable bounds refreshed.  Edits reach the program in the order a
+        row-by-row diff would make them, so the live model receives the same
+        calls.  Jobs whose rows changed lose their cached terms; they, the
+        departed jobs and those whose group size moved are
+        :meth:`touched_since`'s answer.
         """
+        program = self._program
         previous_cluster = self._problem.cluster_spec
         previous_counts = self._counts
         self._problem = problem
         self._counts = dict(problem.group_counts or {})
         changed_counts = {
             job_id
-            for job_id in set(previous_counts) | set(self._counts)
+            for job_id in previous_counts.keys() | self._counts.keys()
             if previous_counts.get(job_id, 1) != self._counts.get(job_id, 1)
         }
         if problem.cluster_spec is not previous_cluster:
-            capacity = problem.cluster_spec.counts_vector()
-            for column, handle in enumerate(self._capacity_constraints):
-                self._program.set_constraint_bounds(handle, upper=float(capacity[column]))
-        # Both snapshots list their rows sorted, so the rows present in both
-        # line up once each side is masked down to them.
+            program.set_constraint_bounds_from_arrays(
+                self._capacity_constraints, upper=problem.cluster_spec.counts_vector()
+            )
         old_dense = self._matrix.dense_rows()
         new_dense = matrix.dense_rows()
-        new_combinations = set(new_dense.combinations)
-        stays = np.fromiter(
-            (combination in new_combinations for combination in old_dense.combinations),
-            dtype=bool,
-            count=len(old_dense.combinations),
-        )
-        stayed = np.fromiter(
-            (combination in self._row_vars for combination in new_dense.combinations),
-            dtype=bool,
-            count=len(new_dense.combinations),
-        )
-
-        # Sorted: removal order decides variable-recycling order, which decides
-        # the column layout later inserts reuse.
-        for row in np.flatnonzero(~stays).tolist():
-            self._remove_combination(old_dense.combinations[row])
+        old_keys, new_keys = self._keys, _packed_keys(new_dense)
+        self._keys = new_keys
+        if old_keys is None or new_keys is None:
+            ranks = {
+                combination: rank
+                for rank, combination in enumerate(
+                    sorted(set(old_dense.combinations) | set(new_dense.combinations))
+                )
+            }
+            old_keys, new_keys = (
+                np.fromiter(map(ranks.__getitem__, combinations), np.int64, len(combinations))
+                for combinations in (old_dense.combinations, new_dense.combinations)
+            )
+        # Where each old row sits among the new ones, and whether it is there.
+        where = np.searchsorted(new_keys, old_keys)
+        stays = new_keys.take(where, mode="clip") == old_keys
+        kept = where[stays]
+        invalidated: Set[int] = set()
+        old_vars, old_values = self._var_matrix, old_dense.values
+        if len(kept) < len(old_keys):
+            gone_jobs = self._remove_rows(old_dense, np.flatnonzero(~stays))
+            invalidated.update(gone_jobs)
+            old_vars, old_values = old_vars[stays], old_values[_member_mask(old_dense, stays)]
+            departed = [job_id for job_id in gone_jobs if job_id not in problem.jobs]
+            if departed:
+                # Jobs that vanished entirely: drop their (now vacuous) constraints.
+                program.remove_constraints(
+                    [self._job_constraints.pop(job_id) for job_id in departed]
+                )
+        var_matrix = np.empty((len(new_keys), self._num_columns), dtype=np.int64)
+        var_matrix[kept] = old_vars
+        new_values, stayed = new_dense.values, None
+        if len(kept) < len(new_keys):
+            stayed = np.zeros(len(new_keys), dtype=bool)
+            stayed[kept] = True
+            new_values = new_values[_member_mask(new_dense, stayed)]
 
         # Persisting rows: one stacked comparison finds the rows whose values
         # changed (refined pair estimates).
-        stayed_members = np.repeat(stayed, new_dense.sizes)
-        differs = (
-            old_dense.values[np.repeat(stays, old_dense.sizes)]
-            != new_dense.values[stayed_members]
-        ).any(axis=1)
-        for row in np.unique(new_dense.member_rows[stayed_members][differs]).tolist():
-            combination = new_dense.combinations[row]
-            self._row_values[combination] = new_dense.values[
-                new_dense.offsets[row] : new_dense.offsets[row + 1]
-            ]
-            self._program.set_variable_bounds_from_arrays(
-                self._row_vars[combination],
+        differs = old_values != new_values
+        if np.count_nonzero(differs):
+            member_rows = new_dense.member_rows
+            if stayed is not None:
+                member_rows = member_rows[_member_mask(new_dense, stayed)]
+            rows = np.unique(member_rows[differs.any(axis=1)])
+            program.set_variable_bounds_from_arrays(
+                var_matrix[rows].ravel(),
                 0.0,
-                new_dense.runnable[row].astype(float) * self._row_cap(combination),
+                (new_dense.runnable[rows] * self._row_caps(new_dense)[rows, None]).ravel(),
             )
-            for job_id in combination:
-                self._invalidate_job(job_id)
+            invalidated.update(new_dense.member_jobs[_member_positions(new_dense, rows)].tolist())
 
         self._matrix = matrix
-        var_matrix = np.empty((len(stayed), self._num_columns), dtype=np.int64)
-        var_matrix[stayed] = self._var_matrix[stays]
-        added = [new_dense.combinations[row] for row in np.flatnonzero(~stayed).tolist()]
-        if added:
-            var_matrix[~stayed] = self._insert_combinations(added)
+        if stayed is not None:
+            added = np.flatnonzero(~stayed)
+            var_matrix[added] = self._insert_rows(new_dense, added, invalidated)
         self._var_matrix = var_matrix
-
-        # Jobs that vanished entirely: drop their (now vacuous) constraints.
-        active_jobs = set(matrix.job_ids)
-        for job_id in list(self._job_constraints):
-            if job_id not in active_jobs:
-                self._program.remove_constraint(self._job_constraints.pop(job_id))
-                self._invalidate_job(job_id)
+        for job_id in sorted(invalidated):
+            self._throughput_cache.pop(job_id, None)
+            self._throughput_terms_cache.pop(job_id, None)
         if changed_counts:
             self._resync_counts(changed_counts)
+        self.revision += 1
+        self._touched = invalidated | changed_counts
 
-    def _resync_counts(self, changed_jobs: set) -> None:
+    def touched_since(self, revision: int) -> Optional[Set[int]]:
+        """Jobs whose terms, rows or group size moved since :attr:`revision` was ``revision``.
+
+        Departed jobs included.  Only the latest :meth:`update_to` is kept:
+        ``None`` for an older revision means "look at every job".
+        """
+        if revision == self.revision:
+            return set()
+        return self._touched if revision == self.revision - 1 else None
+
+    def _resync_counts(self, changed_jobs: Set[int]) -> None:
         """Refresh rhs/bounds after aggregation-group sizes moved.
 
         Per-job validity right-hand sides of the affected representatives are
@@ -395,109 +451,95 @@ class AllocationVariables:
         row touching one of them are recomputed (rows inserted this update
         already used the new counts).
         """
-        touched_rows: Dict[JobCombination, None] = {}
-        for job_id in sorted(changed_jobs):
-            handle = self._job_constraints.get(job_id)
-            if handle is not None:
-                self._program.set_constraint_bounds(
-                    handle, upper=float(self.job_count(job_id))
-                )
-            if job_id in self._matrix.job_ids:
-                for combination, _position in self._matrix.rows_containing(job_id):
-                    touched_rows.setdefault(combination)
-        for combination in touched_rows:
-            indices = self._row_vars.get(combination)
-            if indices is None:
-                continue
-            runnable = (self._row_values[combination] > 0).any(axis=0)
-            self._program.set_variable_bounds_from_arrays(
-                indices, 0.0, runnable.astype(float) * self._row_cap(combination)
-            )
+        present = [job_id for job_id in sorted(changed_jobs) if job_id in self._job_constraints]
+        if not present:
+            return
+        program = self._program
+        counts = self._counts
+        program.set_constraint_bounds_from_arrays(
+            [self._job_constraints[job_id] for job_id in present],
+            upper=[float(counts.get(job_id, 1)) for job_id in present],
+        )
+        dense = self._matrix.dense_rows()
+        rows = np.unique(dense.member_rows[np.isin(dense.member_jobs, present)]).tolist()
+        caps = [min(counts.get(job_id, 1) for job_id in dense.combinations[row]) for row in rows]
+        program.set_variable_bounds_from_arrays(
+            self._var_matrix[rows].ravel(),
+            0.0,
+            (dense.runnable[rows] * np.array(caps, dtype=float)[:, None]).ravel(),
+        )
 
-    def _insert_combinations(self, combinations: Sequence[JobCombination]) -> np.ndarray:
-        """Batch insert of new matrix rows (sorted), one columnar call per family.
+    def _remove_rows(self, dense: DenseRows, rows: np.ndarray) -> List[int]:
+        """Scrub old rows ``rows`` (sorted) from the program; returns their jobs.
 
-        Bulk allocation consumes the recycled-index pool in removal order, so
-        the column layout is a deterministic function of the churn sequence.
-        Returns the new rows' variable indices, one row per combination.
+        One edit drops their variables from the job and capacity rows, in the
+        order a row-by-row removal touches them (the first row's jobs, the
+        capacity rows, the later rows' other jobs); one call releases the
+        variables row by row, the order later inserts recycle them in.
+        """
+        variables = self._var_matrix[rows].ravel()
+        members = dense.member_jobs[_member_positions(dense, rows)].tolist()
+        jobs = list(dict.fromkeys(members))
+        first = len(set(members[: dense.sizes[rows[0]]]))
+        handles = [self._job_constraints[job_id] for job_id in jobs]
+        self._program.remove_terms_from_constraints(
+            handles[:first] + self._capacity_constraints + handles[first:], variables
+        )
+        self._program.release_variables(variables)
+        return jobs
+
+    def _insert_rows(self, dense: DenseRows, rows: np.ndarray, invalidated: Set[int]) -> np.ndarray:
+        """Insert new matrix rows ``rows`` (sorted); returns their variables, row by row.
+
+        One edit appends to the capacity rows and then to the existing jobs'
+        rows, one block adds the rows of new jobs, jobs in first-occurrence
+        order over the new rows.  The rows' jobs are added to ``invalidated``.
         """
         program = self._program
-        dense = self._matrix.dense_rows()
         num_columns = self._num_columns
-        num_new = len(combinations)
-        ordinal_of = {c: r for r, c in enumerate(dense.combinations)}
-        rows = np.fromiter(
-            (ordinal_of[combination] for combination in combinations),
-            dtype=np.int64,
-            count=num_new,
-        )
-        runnable = dense.runnable[rows]
-        caps = self._row_caps_vector(dense)[rows]
+        num_new = len(rows)
+        upper = dense.runnable[rows]
+        if self._counts:
+            upper = upper * self._row_caps(dense)[rows, None]
         var_new = program.add_variables_from_arrays(
-            num_new * num_columns,
-            lower=0.0,
-            upper=(runnable.astype(float) * caps[:, None]).ravel(),
-            name="x",
+            num_new * num_columns, lower=0.0, upper=upper.ravel(), name="x"
         ).reshape(num_new, num_columns)
-        offsets = dense.offsets
-        for position, combination in enumerate(combinations):
-            self._row_vars[combination] = var_new[position]
-            row = rows[position]
-            self._row_values[combination] = dense.values[offsets[row] : offsets[row + 1]]
-        row_scales = np.fromiter(
-            (
-                float(max(self._problem.scale_factor(job_id) for job_id in combination))
-                for combination in combinations
-            ),
-            dtype=float,
-            count=num_new,
+        sizes = dense.sizes[rows].tolist()
+        member_jobs = dense.member_jobs[_member_positions(dense, rows)].tolist()
+        var_rows = var_new.tolist()
+        scale_of = self._problem.scale_factor
+        # Per job, in first-occurrence order: the columns of the new rows it is in.
+        job_cols: Dict[int, List[int]] = {}
+        row_scales: List[float] = []
+        start = 0
+        for position, size in enumerate(sizes):
+            members = member_jobs[start : start + size]
+            start += size
+            row_scales.append(float(max(map(scale_of, members))))
+            for job_id in members:
+                job_cols.setdefault(job_id, []).extend(var_rows[position])
+        existing = [job_id for job_id in job_cols if job_id in self._job_constraints]
+        new_jobs = [job_id for job_id in job_cols if job_id not in self._job_constraints]
+        # Capacity rows first, then the existing jobs' rows, in one edit.
+        lengths = [len(job_cols[job_id]) for job_id in existing]
+        program.add_terms_to_constraints_from_arrays(
+            self._capacity_constraints + [self._job_constraints[j] for j in existing],
+            np.repeat(np.arange(num_columns + len(existing)), [num_new] * num_columns + lengths),
+            var_new.T.ravel().tolist() + [col for job_id in existing for col in job_cols[job_id]],
+            row_scales * num_columns + [1.0] * sum(lengths),
         )
-        for column in range(num_columns):
-            program.add_terms_to_constraint_from_arrays(
-                self._capacity_constraints[column], var_new[:, column], row_scales
-            )
-        # Job constraints: group the new rows per job in first-occurrence
-        # order, which fixes the order of new-constraint handles.
-        rows_by_job: Dict[int, List[int]] = {}
-        for position, combination in enumerate(combinations):
-            for job_id in combination:
-                rows_by_job.setdefault(job_id, []).append(position)
-        new_jobs: List[Tuple[int, np.ndarray]] = []
-        for job_id, positions in rows_by_job.items():
-            cols = var_new[positions].ravel()
-            handle = self._job_constraints.get(job_id)
-            if handle is None:
-                new_jobs.append((job_id, cols))
-            else:
-                program.add_terms_to_constraint_from_arrays(handle, cols, np.ones(len(cols)))
-            self._invalidate_job(job_id)
         if new_jobs:
-            lengths = [len(cols) for _, cols in new_jobs]
+            lengths = [len(job_cols[job_id]) for job_id in new_jobs]
             handles = program.add_constraints_from_arrays(
-                np.repeat(np.arange(len(new_jobs), dtype=np.int64), lengths),
-                np.concatenate([cols for _, cols in new_jobs]),
-                np.ones(int(np.sum(lengths))),
+                np.repeat(np.arange(len(new_jobs)), lengths),
+                [col for job_id in new_jobs for col in job_cols[job_id]],
+                np.ones(sum(lengths)),
                 -math.inf,
-                np.asarray([float(self.job_count(job_id)) for job_id, _ in new_jobs]),
+                self._job_counts(np.asarray(new_jobs)) if self._counts else 1.0,
             )
-            for (job_id, _), handle in zip(new_jobs, handles):
-                self._job_constraints[job_id] = int(handle)
+            self._job_constraints.update(zip(new_jobs, handles.tolist()))
+        invalidated.update(job_cols)
         return var_new
-
-    def _remove_combination(self, combination: JobCombination) -> None:
-        indices = self._row_vars.pop(combination)
-        index_list = indices.tolist()
-        for job_id in dict.fromkeys(combination):
-            handle = self._job_constraints.get(job_id)
-            if handle is not None:
-                self._program.remove_terms_from_constraint(handle, index_list)
-            self._invalidate_job(job_id)
-        for column, index in enumerate(index_list):
-            self._program.remove_terms_from_constraint(
-                self._capacity_constraints[column], [index]
-            )
-            self._program.release_variable(index)
-        del self._row_values[combination]
 
     # -- accessors -------------------------------------------------------------------
     @property
@@ -515,7 +557,11 @@ class AllocationVariables:
             if isinstance(accelerator, int)
             else self._matrix.registry.index_of(accelerator)
         )
-        index = int(self._row_vars[key][column])
+        combinations = self._matrix.combinations
+        row = bisect_left(combinations, key)
+        if row == len(combinations) or combinations[row] != key:
+            raise UnknownJobError(f"combination {key} is not a row of this problem")
+        index = int(self._var_matrix[row, column])
         return Variable(index=index, name=f"x[{key},{self._matrix.registry.names[column]}]")
 
     def effective_throughput_terms(self, job_id: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -529,12 +575,16 @@ class AllocationVariables:
         """
         cached = self._throughput_terms_cache.get(job_id)
         if cached is None:
-            rows = self._matrix.rows_containing(job_id)
-            cols = np.concatenate([self._row_vars[combination] for combination, _ in rows])
-            vals = np.concatenate(
-                [self._row_values[combination][position] for combination, position in rows]
+            job_ids = self._matrix.job_ids
+            ordinal = bisect_left(job_ids, job_id)
+            if ordinal == len(job_ids) or job_ids[ordinal] != job_id:
+                raise UnknownJobError(f"job {job_id} is not in this throughput matrix")
+            dense = self._matrix.dense_rows()
+            members = dense.members_by_job[dense.job_starts[ordinal] : dense.job_starts[ordinal + 1]]
+            cached = (
+                self._var_matrix[dense.member_rows[members]].ravel(),
+                dense.values[members].ravel(),
             )
-            cached = (cols, vals)
             self._throughput_terms_cache[job_id] = cached
         return cached
 
@@ -618,11 +668,6 @@ class AllocationVariables:
             self._throughput_cache[job_id] = cached
         return cached
 
-    def total_time_expression(self, combination: Sequence[int]) -> LinearExpression:
-        """Total time fraction allocated to one combination across all accelerator types."""
-        key = tuple(sorted(int(j) for j in combination))
-        return LinearExpression.from_arrays(self._row_vars[key], np.ones(self._num_columns))
-
     def cost_expression(self) -> LinearExpression:
         """Time-averaged dollar cost of the allocation.
 
@@ -641,7 +686,7 @@ class AllocationVariables:
         # Clean up LP round-off.  Group-total rows of a type-aggregated
         # problem may legitimately sit above 1, so only the lower bound is
         # enforced there.
-        np.clip(shares, 0.0, None if self._counts else 1.0, out=shares)
+        shares.clip(0.0, None if self._counts else 1.0, out=shares)
         return Allocation.from_matrix(
             self._matrix.registry,
             self._matrix.dense_rows().combinations,

@@ -53,6 +53,7 @@ import abc
 import copy
 import math
 from dataclasses import dataclass
+from itertools import filterfalse
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
@@ -301,10 +302,16 @@ class IncrementalProgramSession(PolicySession):
     """Shared machinery for sessions that keep a solver program alive.
 
     Owns an :class:`~repro.core.policy.AllocationVariables` bound to a
-    mutable program and re-synchronises it lazily: a solve skips the
-    structural diff entirely when the snapshot's throughput matrix is the
-    *same object* as last time and no deltas arrived (the allocation engine
-    memoizes its matrix, so an unchanged cluster hits this path).
+    mutable program and re-synchronises it lazily: a solve calls
+    :meth:`~repro.core.policy.AllocationVariables.update_to` only when the
+    snapshot or its throughput matrix is a new object or deltas arrived, and
+    an update costs the rows the event changed — the two snapshots' rows are
+    matched by integer keys, and each constraint family is edited in one
+    batched call.  What a session builds on top (epigraph, level or
+    throughput rows) follows through
+    :meth:`~repro.core.policy.AllocationVariables.touched_since` and
+    :class:`NormalizationCache`, so it too visits only the jobs the event
+    touched.
     """
 
     def __init__(self, policy: Policy, problem: PolicyProblem, program: LinearProgram) -> None:
@@ -350,11 +357,19 @@ class NormalizationCache:
     reads the job's own matrix row, the cluster, and the job's scale factor
     and priority weight.  A session's :class:`AllocationVariables` hands out
     the *same* throughput-terms tuple until one of the job's rows changes, so
-    the tuple's identity stands for the row and ``compute`` runs again only
+    the tuple's identity stands for the row, and ``compute`` runs again only
     when it, the cluster or one of the two job attributes differs from the
     last :meth:`refresh` — the one skip rule of the LAS session and the
     water-filling level loop (whose detection rows reuse the level rows'
     factors).
+
+    A refresh visits only the jobs whose inputs can have moved since the
+    last one: those the variables' updates touched
+    (:meth:`~repro.core.policy.AllocationVariables.touched_since`) and those
+    whose :class:`~repro.workloads.job.Job` object changed (one C-level
+    comparison of the two job mappings).  It visits every job when the
+    cluster changed, when the variables are not the last refresh's, or when
+    their history does not reach back to it.
     """
 
     def __init__(
@@ -363,43 +378,60 @@ class NormalizationCache:
         self._compute = compute
         #: job id -> (terms tuple, cluster, scale factor, priority weight).
         self._inputs: Dict[int, Tuple[object, ClusterSpec, int, float]] = {}
+        #: ``(variables, their revision, problem)`` of the last refresh.
+        self._seen: Optional[Tuple[AllocationVariables, int, PolicyProblem]] = None
 
     def refresh(
         self, problem: PolicyProblem, variables: AllocationVariables
-    ) -> Iterator[Tuple[int, Tuple[np.ndarray, np.ndarray], float]]:
-        """Yield ``(job id, terms, factor)`` of every job that is new or whose inputs moved.
+    ) -> List[Tuple[int, Tuple[np.ndarray, np.ndarray], float]]:
+        """``(job id, terms, factor)`` of every job that is new or whose inputs moved.
 
-        Jobs come in the matrix's job order; an unchanged snapshot yields
-        nothing and calls ``compute`` for nobody.
+        Jobs come in the matrix's job order; an unchanged snapshot returns
+        nothing and calls ``compute`` for nobody.  All or nothing: if a
+        ``compute`` raises, no factor of this refresh is recorded.
         """
         matrix = variables.matrix
-        terms_of = variables.effective_throughput_terms
         cluster = problem.cluster_spec
         jobs = problem.jobs
         inputs = self._inputs
-        for job_id in matrix.job_ids:
-            terms = terms_of(job_id)
+        seen = self._seen
+        candidates: Optional[Iterable[int]] = None
+        if seen is not None and seen[0] is variables:
+            before = seen[2].cluster_spec
+            if before is cluster or before == cluster:
+                candidates = variables.touched_since(seen[1])
+        if candidates is not None:
+            if jobs is not seen[2].jobs:
+                moved = filterfalse(seen[2].jobs.items().__contains__, jobs.items())
+                candidates = candidates.union(job_id for job_id, _job in moved)
+            candidates = sorted(job_id for job_id in candidates if job_id in jobs)
+        changed = []
+        for job_id in matrix.job_ids if candidates is None else candidates:
+            terms = variables.effective_throughput_terms(job_id)
             job = jobs[job_id]
-            seen = inputs.get(job_id)
+            held = inputs.get(job_id)
             if (
-                seen is not None
-                and seen[0] is terms
-                and (seen[1] is cluster or seen[1] == cluster)
-                and seen[2] == job.scale_factor
-                and seen[3] == job.priority_weight
+                held is not None
+                and held[0] is terms
+                and (held[1] is cluster or held[1] == cluster)
+                and held[2] == job.scale_factor
+                and held[3] == job.priority_weight
             ):
                 continue
-            scale = self._compute(problem, matrix, job_id)
+            changed.append((job_id, terms, self._compute(problem, matrix, job_id), job))
+        for job_id, terms, _scale, job in changed:
             inputs[job_id] = (terms, cluster, job.scale_factor, job.priority_weight)
-            yield job_id, terms, scale
+        self._seen = (variables, variables.revision, problem)
+        return [(job_id, terms, scale) for job_id, terms, scale, _job in changed]
 
     def discard(self, job_id: int) -> None:
         """Forget a departed job."""
         self._inputs.pop(job_id, None)
 
     def clear(self) -> None:
-        """Forget everybody: the next :meth:`refresh` yields every job."""
+        """Forget everybody: the next :meth:`refresh` returns every job."""
         self._inputs.clear()
+        self._seen = None
 
 
 class IncrementalLPSession(IncrementalProgramSession):
@@ -575,6 +607,8 @@ class _JobThroughputRows:
         self._variables = variables
         self._rows: Dict[int, int] = {}
         self._terms: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+        #: The variables' revision at the last :meth:`align`.
+        self._revision = variables.revision
         #: ``(job order, row handles)`` of the last :meth:`align`.
         self._layout: Tuple[Tuple[int, ...], np.ndarray] = ((), np.empty(0, dtype=np.int64))
         #: ``(starts, cols, vals)`` of the last :meth:`align`: job ``k`` of the
@@ -590,20 +624,24 @@ class _JobThroughputRows:
         """Re-align the rows with the variables' current snapshot (after ``update_to``).
 
         Departed jobs lose their row, new jobs gain one (lower bound 0 until
-        the caller sets it), persisting rows are rewritten only when their
-        terms moved.  A from-scratch alignment emits every row in one
-        columnar call.
+        the caller sets it), and persisting rows are rewritten only when
+        their terms moved — looking only at the jobs the variables' updates
+        touched since the last alignment.  Each kind of edit is one call; a
+        from-scratch alignment emits every row in one columnar call.
         """
         program = self._program
         variables = self._variables
         job_ids = variables.matrix.job_ids
-        active = set(job_ids)
-        for job_id in list(self._rows):
-            if job_id not in active:
-                program.remove_constraint(self._rows.pop(job_id))
+        jobs = variables.problem.jobs
+        gone = self._rows.keys() - jobs.keys()
+        if gone:
+            program.remove_constraints([self._rows.pop(job_id) for job_id in sorted(gone)])
+            for job_id in gone:
                 del self._terms[job_id]
         ids, starts, cols, vals = variables.effective_throughput_blocks()
         self.blocks = (starts, cols, vals)
+        touched = variables.touched_since(self._revision)
+        self._revision = variables.revision
         if not self._rows:
             handles = program.add_constraints_from_arrays(
                 np.repeat(np.arange(len(ids), dtype=np.int64), np.diff(starts)),
@@ -612,29 +650,40 @@ class _JobThroughputRows:
                 np.zeros(len(ids)),
                 math.inf,
             )
-            for position, job_id in enumerate(job_ids):
-                self._rows[job_id] = int(handles[position])
-                self._terms[job_id] = variables.effective_throughput_terms(job_id)
+            self._rows = dict(zip(job_ids, handles.tolist()))
+            self._terms = {job_id: variables.effective_throughput_terms(job_id) for job_id in job_ids}
         else:
-            for job_id in job_ids:
+            added: List[int] = []
+            rewritten: List[int] = []
+            for job_id in (
+                job_ids if touched is None else sorted(job_id for job_id in touched if job_id in jobs)
+            ):
                 terms = variables.effective_throughput_terms(job_id)
-                handle = self._rows.get(job_id)
-                if handle is None:
-                    row_cols, row_vals = terms
-                    self._rows[job_id] = int(
-                        program.add_constraints_from_arrays(
-                            np.zeros(len(row_cols), dtype=np.int64),
-                            row_cols,
-                            row_vals,
-                            np.zeros(1),
-                            math.inf,
-                        )[0]
-                    )
+                if job_id not in self._rows:
+                    added.append(job_id)
                 elif self._terms[job_id] is not terms:
-                    program.set_constraint_coefficients_from_arrays(handle, *terms)
+                    rewritten.append(job_id)
                 else:
                     continue
                 self._terms[job_id] = terms
+            for edited, is_new in ((added, True), (rewritten, False)):
+                if not edited:
+                    continue
+                lengths = [len(self._terms[job_id][0]) for job_id in edited]
+                triplet = (
+                    np.repeat(np.arange(len(edited)), lengths),
+                    np.concatenate([self._terms[job_id][0] for job_id in edited]),
+                    np.concatenate([self._terms[job_id][1] for job_id in edited]),
+                )
+                if is_new:
+                    handles = program.add_constraints_from_arrays(
+                        *triplet, np.zeros(len(edited)), math.inf
+                    )
+                    self._rows.update(zip(edited, handles.tolist()))
+                else:
+                    program.set_constraints_coefficients_from_arrays(
+                        [self._rows[job_id] for job_id in edited], *triplet
+                    )
         if self._layout[0] != job_ids:
             self._layout = (
                 job_ids,

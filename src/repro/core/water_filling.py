@@ -74,7 +74,8 @@ built columnar and canonically ordered once and then moved to every new
 snapshot by the same ``update_to`` diff the level program gets.  A departed
 job's row is removed before its ``z`` column is released (the column pool is
 shared with the ``x`` columns), a persisting row is rewritten only when its
-terms, norm or group count changed, and a detection is two bound sweeps —
+terms, norm or group count changed (only the jobs its update touched or the
+level program re-normed are looked at), and a detection is two bound sweeps —
 row lower bounds to ``L - eps * n_g``, ``z`` upper bounds to the in-play
 mask — plus one warm solve.  What is a requirement, not a style choice, is
 that the programs are *separate*: a detection solved on the level program
@@ -194,26 +195,45 @@ class _DetectionProgram:
         ] = None
 
     def align(
-        self, problem: PolicyProblem, matrix: ThroughputMatrix, norms: Mapping[int, float]
+        self,
+        problem: PolicyProblem,
+        matrix: ThroughputMatrix,
+        norms: Mapping[int, float],
+        renormed: Optional[Set[int]],
     ) -> None:
-        """Follow the level program to ``problem``; ``norms`` are its rows' factors."""
+        """Follow the level program to ``problem``; ``norms`` are its rows' factors.
+
+        ``renormed`` names the jobs whose factor the level program re-derived
+        (``None``: any may have moved).  Only they and the jobs this
+        program's own update touched are looked at.
+        """
         program = self.program
         variables = self._variables
+        revision = variables.revision
         if variables.problem is not problem or variables.matrix is not matrix:
             variables.update_to(problem, matrix)
-        active = set(matrix.job_ids)
-        for job_id in list(self._rows):
-            if job_id not in active:
-                # Row first: the column pool is shared with the ``x`` columns,
-                # so the coefficient must be gone before the index is recycled.
-                program.remove_constraint(self._rows.pop(job_id))
-                program.release_variable(self._indicators.pop(job_id))
+        gone = self._rows.keys() - problem.jobs.keys()
+        if gone:
+            departed = [job_id for job_id in self._rows if job_id in gone]
+            # Rows first: the column pool is shared with the ``x`` columns,
+            # so the coefficients must be gone before the indices are recycled.
+            program.remove_constraints([self._rows.pop(job_id) for job_id in departed])
+            program.release_variables([self._indicators.pop(job_id) for job_id in departed])
+            for job_id in departed:
                 del self._encoded[job_id]
-                self._layout_cache = None
+            self._layout_cache = None
         if not self._rows:
             self._build_all(problem, norms)
         else:
-            for job_id in matrix.job_ids:
+            touched = variables.touched_since(revision)
+            candidates = (
+                matrix.job_ids
+                if touched is None or renormed is None
+                else sorted(job_id for job_id in touched | renormed if job_id in problem.jobs)
+            )
+            added: List[int] = []
+            rewritten: List[int] = []
+            for job_id in candidates:
                 encoded = (
                     variables.effective_throughput_terms(job_id),
                     norms[job_id],
@@ -221,70 +241,59 @@ class _DetectionProgram:
                 )
                 previous = self._encoded.get(job_id)
                 if previous is None:
-                    self._indicators[job_id] = program.add_variable(name="z", upper=0.0).index
-                    row_cols, row_vals = self._job_row(job_id, *encoded)
-                    self._rows[job_id] = int(
-                        program.add_constraints_from_arrays(
-                            np.zeros(len(row_cols), dtype=np.int64),
-                            row_cols,
-                            row_vals,
-                            -math.inf,
-                            math.inf,
-                        )[0]
-                    )
-                    self._layout_cache = None
+                    added.append(job_id)
                 elif previous[0] is encoded[0] and previous[1:] == encoded[1:]:
                     continue
                 else:
-                    program.set_constraint_coefficients_from_arrays(
-                        self._rows[job_id], *self._job_row(job_id, *encoded)
-                    )
+                    rewritten.append(job_id)
                     if previous[2] != encoded[2]:
                         self._layout_cache = None
                 self._encoded[job_id] = encoded
+            if added:
+                indicators = program.add_variables_from_arrays(len(added), upper=0.0, name="z")
+                self._indicators.update(zip(added, indicators.tolist()))
+                handles = program.add_constraints_from_arrays(
+                    *self._job_rows(added), -math.inf, math.inf
+                )
+                self._rows.update(zip(added, handles.tolist()))
+                self._layout_cache = None
+            if rewritten:
+                program.set_constraints_coefficients_from_arrays(
+                    [self._rows[job_id] for job_id in rewritten], *self._job_rows(rewritten)
+                )
         _job_ids, _rows, indicators, _counts = self._layout()
         program.set_objective_from_arrays(indicators, np.ones(len(indicators)), maximize=True)
 
-    def _job_row(
-        self, job_id: int, terms: Tuple[np.ndarray, np.ndarray], norm: float, count: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """One job's row as ``(columns, coefficients)``, the indicator term last."""
-        cols, vals = terms
-        return (
-            np.append(cols, self._indicators[job_id]),
-            np.append(vals * norm, -(_IMPROVEMENT + _EPSILON) * count),
+    def _job_rows(self, job_ids: List[int]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The rows of ``job_ids`` as they are encoded, each ending in its indicator term."""
+        encoded = [self._encoded[job_id] for job_id in job_ids]
+        starts = np.cumsum([0] + [len(terms[0]) for terms, _norm, _count in encoded])
+        norms = np.fromiter((norm for _terms, norm, _count in encoded), float, len(encoded))
+        counts = np.fromiter((count for _terms, _norm, count in encoded), float, len(encoded))
+        return self._variables.rows_with_column(
+            starts,
+            np.concatenate([terms[0] for terms, _norm, _count in encoded]),
+            np.concatenate([terms[1] for terms, _norm, _count in encoded])
+            * np.repeat(norms, np.diff(starts)),
+            np.fromiter(map(self._indicators.__getitem__, job_ids), np.int64, len(job_ids)),
+            -(_IMPROVEMENT + _EPSILON) * counts,
         )
 
     def _build_all(self, problem: PolicyProblem, norms: Mapping[int, float]) -> None:
         """From-scratch columnar build, canonically ordered: one call per family."""
         program = self.program
         variables = self._variables
-        job_ids, starts, cols, vals = variables.effective_throughput_blocks()
-        jobs = job_ids.tolist()
-        norm_vec = np.fromiter((norms[job_id] for job_id in jobs), float, count=len(jobs))
-        counts = np.fromiter(
-            (problem.group_count(job_id) for job_id in jobs), np.int64, count=len(jobs)
-        )
+        jobs = variables.effective_throughput_blocks()[0].tolist()  # primes the terms cache
         indicators = program.add_variables_from_arrays(len(jobs), upper=0.0, name="z")
-        handles = program.add_constraints_from_arrays(
-            *variables.rows_with_column(
-                starts,
-                cols,
-                vals * np.repeat(norm_vec, np.diff(starts)),
-                indicators,
-                -(_IMPROVEMENT + _EPSILON) * counts,
-            ),
-            -math.inf,
-            math.inf,
-        )
-        for position, job_id in enumerate(jobs):
-            self._rows[job_id] = int(handles[position])
-            self._indicators[job_id] = int(indicators[position])
+        self._indicators.update(zip(jobs, indicators.tolist()))
+        for job_id in jobs:
             self._encoded[job_id] = (
                 variables.effective_throughput_terms(job_id),
                 norms[job_id],
-                int(counts[position]),
+                problem.group_count(job_id),
             )
+        handles = program.add_constraints_from_arrays(*self._job_rows(jobs), -math.inf, math.inf)
+        self._rows.update(zip(jobs, handles.tolist()))
         self._layout_cache = None
 
     def _layout(self) -> Tuple[Tuple[int, ...], np.ndarray, np.ndarray, np.ndarray]:
@@ -363,6 +372,9 @@ class _LevelLoopProgram:
         self._level_weights: Dict[int, float] = {}
         #: Handle arrays aligned with the matrix's job order (rebuilt lazily).
         self._handle_cache: Optional[Tuple[Tuple[int, ...], np.ndarray, np.ndarray]] = None
+        #: Whether the last :meth:`align` ran to the end (else the next one
+        #: cannot tell the detection program which norms moved).
+        self._aligned = True
         self.detection = _DetectionProgram(variables.problem, variables.matrix)
 
     # -- structural alignment ---------------------------------------------------------
@@ -373,32 +385,68 @@ class _LevelLoopProgram:
         synchronised (``update_to``): vanished jobs lose both rows, new jobs
         gain them, and persisting jobs whose cached throughput terms or
         normalization factor moved (estimate refinements, cluster resizes)
-        get their coefficients rewritten in place.  The detection program
-        then follows with the same diff.
+        get their coefficients rewritten in place — one call per kind of
+        edit, over the jobs the :class:`NormalizationCache` refresh returns.
+        The detection program then follows with the same diff, told which
+        norms moved.
         """
         self._problem = problem
         variables = self._variables
-        matrix = variables.matrix
         program = self._program
-        active = set(matrix.job_ids)
-        for job_id in list(self._floors):
-            if job_id not in active:
-                program.remove_constraint(self._floors.pop(job_id))
-                program.remove_constraint(self._level_rows.pop(job_id))
+        complete, self._aligned = self._aligned, False
+        gone = self._floors.keys() - problem.jobs.keys()
+        if gone:
+            departed = [job_id for job_id in self._floors if job_id in gone]
+            program.remove_constraints(
+                [
+                    handle
+                    for job_id in departed
+                    for handle in (self._floors.pop(job_id), self._level_rows.pop(job_id))
+                ]
+            )
+            for job_id in departed:
                 self._terms.pop(job_id, None)
                 self._norms.pop(job_id, None)
                 self._scales.discard(job_id)
                 self._level_weights.pop(job_id, None)
-                self._handle_cache = None
+            self._handle_cache = None
+        renormed: Optional[Set[int]] = None
         if not self._floors:
             self._build_all(problem)
         else:
-            for job_id, terms, norm in self._scales.refresh(problem, variables):
+            added: List[int] = []
+            rewritten: List[int] = []
+            changed = self._scales.refresh(problem, variables)
+            for job_id, terms, norm in changed:
                 if job_id not in self._floors:
-                    self._add_job_rows(job_id, terms, norm)
+                    added.append(job_id)
+                    self._level_weights[job_id] = 1.0
                 elif self._terms.get(job_id) is not terms or self._norms.get(job_id) != norm:
-                    self._rewrite_job_rows(job_id, terms, norm)
-        self.detection.align(problem, matrix, self._norms)
+                    rewritten.append(job_id)
+                else:
+                    continue
+                self._terms[job_id] = terms
+                self._norms[job_id] = norm
+            if added:
+                handles = program.add_constraints_from_arrays(
+                    *self._rows_of(added, floors=True), -math.inf, math.inf
+                ).tolist()
+                self._floors.update(zip(added, handles[::2]))
+                self._level_rows.update(zip(added, handles[1::2]))
+                self._handle_cache = None
+            if rewritten:
+                program.set_constraints_coefficients_from_arrays(
+                    [
+                        handle
+                        for job_id in rewritten
+                        for handle in (self._floors[job_id], self._level_rows[job_id])
+                    ],
+                    *self._rows_of(rewritten, floors=True),
+                )
+            if complete:
+                renormed = {job_id for job_id, _terms, _norm in changed}
+        self.detection.align(problem, variables.matrix, self._norms, renormed)
+        self._aligned = True
 
     def _build_all(self, problem: PolicyProblem) -> None:
         """From-scratch columnar build: one call per row family, LAS-style."""
@@ -436,47 +484,33 @@ class _LevelLoopProgram:
             self._level_weights[job_id] = 1.0
         self._handle_cache = None
 
-    def _add_job_rows(
-        self, job_id: int, terms: Tuple[np.ndarray, np.ndarray], norm: float
-    ) -> None:
-        program = self._program
-        cols, vals = terms
-        coeffs = vals * norm
-        self._floors[job_id] = int(
-            program.add_constraints_from_arrays(
-                np.zeros(len(cols), dtype=np.int64), cols, coeffs, -math.inf, math.inf
-            )[0]
-        )
-        row_cols = np.append(cols, self._epigraph.index)
-        row_vals = np.append(coeffs, -1.0)
-        self._level_rows[job_id] = int(
-            program.add_constraints_from_arrays(
-                np.zeros(len(row_cols), dtype=np.int64),
-                row_cols,
-                row_vals,
-                -math.inf,
-                math.inf,
-            )[0]
-        )
-        self._terms[job_id] = terms
-        self._norms[job_id] = norm
-        self._level_weights[job_id] = 1.0
-        self._handle_cache = None
+    def _rows_of(
+        self, job_ids: List[int], floors: bool
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The level rows of ``job_ids`` as encoded, each after its floor row if ``floors``.
 
-    def _rewrite_job_rows(
-        self, job_id: int, terms: Tuple[np.ndarray, np.ndarray], norm: float
-    ) -> None:
-        program = self._program
-        cols, vals = terms
-        coeffs = vals * norm
-        program.set_constraint_coefficients_from_arrays(self._floors[job_id], cols, coeffs)
-        program.set_constraint_coefficients_from_arrays(
-            self._level_rows[job_id],
-            np.append(cols, self._epigraph.index),
-            np.append(coeffs, -self._level_weights.get(job_id, 1.0)),
+        A level row is the floor row's terms plus ``-w_m`` on the epigraph
+        column, ``w_m`` the weight in ``_level_weights``.
+        """
+        epigraph = np.array([self._epigraph.index])
+        cols: List[np.ndarray] = []
+        coeffs: List[np.ndarray] = []
+        lengths: List[int] = []
+        for job_id in job_ids:
+            job_cols, job_vals = self._terms[job_id]
+            job_coeffs = job_vals * self._norms[job_id]
+            if floors:
+                cols.append(job_cols)
+                coeffs.append(job_coeffs)
+                lengths.append(len(job_cols))
+            cols += (job_cols, epigraph)
+            coeffs += (job_coeffs, np.array([-self._level_weights.get(job_id, 1.0)]))
+            lengths.append(len(job_cols) + 1)
+        return (
+            np.repeat(np.arange(len(lengths)), lengths),
+            np.concatenate(cols),
+            np.concatenate(coeffs),
         )
-        self._terms[job_id] = terms
-        self._norms[job_id] = norm
 
     def _handles(self) -> Tuple[Tuple[int, ...], np.ndarray, np.ndarray]:
         """``(job order, floor handles, level-row handles)`` for bulk edits."""
@@ -521,16 +555,17 @@ class _LevelLoopProgram:
         in_play = (np.array(weight_of, dtype=float) > 0) & ~np.fromiter(
             map(frozen.__contains__, job_ids), bool, size
         )
+        reweighted = []
         for position in np.flatnonzero(in_play).tolist():
             job_id, weight = job_ids[position], weight_of[position]
             if self._level_weights.get(job_id) != weight:
-                cols, vals = self._terms[job_id]
-                program.set_constraint_coefficients_from_arrays(
-                    self._level_rows[job_id],
-                    np.concatenate((cols, (self._epigraph.index,))),
-                    np.concatenate((vals * self._norms[job_id], (-weight,))),
-                )
                 self._level_weights[job_id] = weight
+                reweighted.append(job_id)
+        if reweighted:
+            program.set_constraints_coefficients_from_arrays(
+                [self._level_rows[job_id] for job_id in reweighted],
+                *self._rows_of(reweighted, floors=False),
+            )
         program.set_constraint_bounds_from_arrays(
             level_handles, lower=np.where(in_play, level_vec, -math.inf)
         )

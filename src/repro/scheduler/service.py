@@ -162,25 +162,30 @@ class SchedulerConfig:
     max_session_history: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.round_duration_seconds <= 0:
-            raise ConfigurationError("round_duration_seconds must be positive")
         if self.mode not in ("round", "ideal", "physical", "continuous"):
             raise ConfigurationError(f"unknown simulator mode {self.mode!r}")
-        if self.resolve_interval_seconds is not None:
-            if self.mode != "continuous":
-                raise ConfigurationError(
-                    "resolve_interval_seconds requires mode='continuous'"
-                )
-            if self.resolve_interval_seconds <= 0:
-                raise ConfigurationError("resolve_interval_seconds must be positive")
+        if self.resolve_interval_seconds is not None and self.mode != "continuous":
+            raise ConfigurationError("resolve_interval_seconds requires mode='continuous'")
+        # Every number must be finite: a NaN passes any ``<`` check unnoticed
+        # and an infinity silently turns a cap or a step off.
+        for name, positive in (
+            ("round_duration_seconds", True),
+            ("resolve_interval_seconds", True),
+            ("max_simulated_seconds", True),
+            ("checkpoint_overhead_seconds", False),
+            ("throughput_jitter_std", False),
+            ("colocation_threshold", False),
+        ):
+            value = getattr(self, name)
+            if value is not None and not (
+                math.isfinite(value) and (value > 0 if positive else value >= 0)
+            ):
+                bound = "positive" if positive else "non-negative"
+                raise ConfigurationError(f"{name} must be finite and {bound}, got {value!r}")
         if self.aggregation not in ("job", "type"):
             raise ConfigurationError(
                 f"unknown aggregation mode {self.aggregation!r}; expected 'job' or 'type'"
             )
-        if self.checkpoint_overhead_seconds < 0:
-            raise ConfigurationError("checkpoint_overhead_seconds must be non-negative")
-        if self.throughput_jitter_std < 0:
-            raise ConfigurationError("throughput_jitter_std must be non-negative")
         if self.max_session_history is not None and self.max_session_history < 1:
             raise ConfigurationError("max_session_history must be at least 1")
 

@@ -103,6 +103,13 @@ __all__ = ["Variable", "LinearExpression", "LinearProgram", "Solution"]
 _Coefficients = Union[Mapping[int, float], "LinearExpression"]
 
 
+def _check_finite(values: np.ndarray, name: str) -> None:
+    """Raise unless every coefficient is finite: HiGHS would read a NaN or an infinity as a number."""
+    finite = np.isfinite(values)
+    if np.count_nonzero(finite) < finite.size:
+        raise SolverError(f"{name}: non-finite coefficient {values[~finite][0]!r}")
+
+
 def _nonzero_terms(
     indices: np.ndarray, values: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -147,22 +154,6 @@ def _row_terms(
         first_pos, summed = _coalesce(indices, values)
         return indices[first_pos], summed
     return indices, values
-
-
-def _positions(row: np.ndarray, columns: np.ndarray) -> np.ndarray:
-    """Where each of ``columns`` sits in ``row`` (unique indices), -1 where absent.
-
-    An edit's few terms are compared with the row directly, one ``k x n``
-    boolean block; only a large edit pays for sorting the row.
-    """
-    if not len(row):
-        return np.full(len(columns), -1, dtype=np.int64)
-    if len(columns) * len(row) <= 4096:
-        hits = row == columns[:, None]
-        return np.where(hits.any(axis=1), hits.argmax(axis=1), -1)
-    order = np.argsort(row)
-    found = order[np.searchsorted(row, columns, sorter=order).clip(max=len(row) - 1)]
-    return np.where(row[found] == columns, found, -1)
 
 
 @dataclass(frozen=True)
@@ -331,6 +322,7 @@ def _expression_terms(expression: "_Coefficients | Variable") -> Tuple[np.ndarra
     count = len(mapping)
     indices = np.fromiter(mapping.keys(), dtype=np.int64, count=count)
     values = np.fromiter(mapping.values(), dtype=float, count=count)
+    _check_finite(values, "expression")
     return (*_nonzero_terms(indices, values), constant)
 
 
@@ -350,34 +342,6 @@ class _Constraint:
         self.indices = indices
         self.values = values
         self.slot = slot
-
-    def set_terms(self, indices: np.ndarray, values: np.ndarray) -> None:
-        """Replace the row's terms wholesale."""
-        self.indices, self.values = _row_terms(indices, values)
-
-    def add_terms(self, indices: np.ndarray, values: np.ndarray) -> None:
-        """Accumulate terms: present columns sum in place, new ones append in order."""
-        indices, values = _row_terms(indices, values)
-        positions = _positions(self.indices, indices)
-        present = positions >= 0
-        if present.any():
-            summed = self.values.copy()
-            summed[positions[present]] += values[present]
-            self.indices, self.values = _nonzero_terms(self.indices, summed)
-            indices, values = indices[~present], values[~present]
-        if len(indices):
-            self.indices = np.concatenate([self.indices, indices])
-            self.values = np.concatenate([self.values, values])
-
-    def remove_columns(self, columns: Iterable[int]) -> None:
-        """Drop the given columns' terms (absent columns are ignored)."""
-        positions = _positions(self.indices, np.array(list(columns), dtype=np.int64))
-        hits = positions[positions >= 0]
-        if len(hits):
-            keep = np.ones(len(self.indices), dtype=bool)
-            keep[hits] = False
-            self.indices = self.indices[keep]
-            self.values = self.values[keep]
 
     def set_coefficient(self, column: int, value: float) -> float:
         """Set one column's coefficient; returns the coefficient it replaces.
@@ -519,6 +483,9 @@ def _make_call(highs: Any, entry: Tuple[Any, ...], name: str) -> object:
         _ensure_highs_ok(highs.setOptionValue(*arguments), action, name)
     return None
 
+
+#: Row blocks up to this many entries (and rows) are checked without numpy.
+_SMALL_BLOCK = 64
 
 #: Entries every model receives in the same form, shared by every journal.
 _OPTIONS = (("setOptionValue", "output_flag", False), ("setOptionValue", "random_seed", 0))
@@ -1066,29 +1033,21 @@ class LinearProgram:
         name strings are created — every variable shares ``name``.
         """
         count = int(count)
-        lower_arr = np.broadcast_to(np.asarray(lower, dtype=float), (count,))
-        if upper is None:
-            upper_arr = np.broadcast_to(np.asarray(math.inf), (count,))
-        else:
-            upper_arr = np.broadcast_to(np.asarray(upper, dtype=float), (count,))
-        indices = np.empty(count, dtype=np.int64)
-        recycled = min(len(self._free_variables), count)
-        for position in range(recycled):
-            index = self._free_variables.pop()
-            indices[position] = index
-            self._lower_buf[index] = lower_arr[position]
-            self._upper_buf[index] = upper_arr[position]
-            self._integer_buf[index] = bool(integer)
+        free = self._free_variables
+        recycled = [free.pop() for _ in range(min(len(free), count))]
+        grown = count - len(recycled)
+        for index in recycled:
             self._names[index] = name
-        grown = count - recycled
+        base = self._grow_variables(grown)
         if grown > 0:
-            base = self._grow_variables(grown)
-            indices[recycled:] = np.arange(base, base + grown, dtype=np.int64)
-            self._lower_buf[base : base + grown] = lower_arr[recycled:]
-            self._upper_buf[base : base + grown] = upper_arr[recycled:]
-            self._integer_buf[base : base + grown] = bool(integer)
             self._names.extend([name] * grown)
             self._structure_revision += 1
+        indices = np.concatenate(
+            (np.array(recycled, dtype=np.int64), np.arange(base, base + grown, dtype=np.int64))
+        )
+        self._lower_buf[indices] = lower
+        self._upper_buf[indices] = math.inf if upper is None else upper
+        self._integer_buf[indices] = bool(integer)
         if self._active_tag is not None:
             self._tagged_variables.setdefault(self._active_tag, []).extend(indices.tolist())
         return indices
@@ -1122,11 +1081,17 @@ class LinearProgram:
         the objective before releasing, otherwise a later
         :meth:`add_variable` reusing the index inherits those terms.
         """
-        index = variable.index if isinstance(variable, Variable) else int(variable)
-        self.fix_variable(index, 0.0)
-        self._integer[index] = False
-        self._free_variables.append(index)
-        self._hs_released.add(index)
+        self.release_variables([variable.index if isinstance(variable, Variable) else int(variable)])
+
+    def release_variables(self, indices: "Sequence[int] | np.ndarray") -> None:
+        """:meth:`release_variable` for many columns, recycled in the order given."""
+        indices = np.asarray(indices, dtype=np.int64)
+        self._lower_buf[indices] = 0.0
+        self._upper_buf[indices] = 0.0
+        self._integer_buf[indices] = False
+        released = indices.tolist()
+        self._free_variables.extend(released)
+        self._hs_released.update(released)
 
     # -- tag scopes --------------------------------------------------------------------
     def begin_tag(self, tag: str) -> None:
@@ -1197,43 +1162,20 @@ class LinearProgram:
         and duplicate ``(row, column)`` entries summed.  Returns the new
         constraint handles, in row order.
         """
-        name = self.name
         rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        coeffs = np.asarray(coeffs, dtype=float)
-        if not (rows.shape == cols.shape == coeffs.shape) or rows.ndim != 1:
-            raise SolverError(f"{name}: rows/cols/coeffs must be 1-d arrays of one shape")
         lower_arr = np.asarray(lower, dtype=float)
         upper_arr = np.asarray(upper, dtype=float)
         sizes = {bound.size for bound in (lower_arr, upper_arr) if bound.size > 1}
         if len(sizes) > 1:
-            raise SolverError(f"{name}: lower/upper bound lengths disagree")
-        num_rows = sizes.pop() if sizes else int(rows[-1]) + 1 if len(rows) else 0
-        if len(rows):
-            if (rows[1:] < rows[:-1]).any():
-                raise SolverError(f"{name}: rows must be grouped in non-decreasing order")
-            if rows[0] < 0 or rows[-1] >= num_rows:
-                raise SolverError(f"{name}: row ordinal out of range")
-        if not coeffs.all():
-            nonzero = coeffs != 0.0
-            rows, cols, coeffs = rows[nonzero], cols[nonzero], coeffs[nonzero]
-        if len(cols) > 1:
-            # Coalesce duplicate (row, column) entries by summation — a
-            # same-group pair row of a type-aggregated problem legitimately
-            # contributes one entry per membership, but HiGHS rejects rows with
-            # repeated column indices, so each stored row must hold unique columns.
-            keys = rows * (np.int64(cols.max()) + 1) + cols
-            if _has_duplicates(keys):
-                keep, coeffs = _coalesce(keys, coeffs)
-                rows, cols = rows[keep], cols[keep]
-        boundaries = np.searchsorted(rows, np.arange(num_rows + 1, dtype=np.int64))
+            raise SolverError(f"{self.name}: lower/upper bound lengths disagree")
+        num_rows = sizes.pop() if sizes else int(rows[-1]) + 1 if rows.size else 0
+        cols, coeffs, starts = self._row_block(num_rows, rows, cols, coeffs)
         first_handle = self._next_constraint_id
         self._next_constraint_id += num_rows
         slots = self._reserve_rows(num_rows)
         self._row_lower_buf[slots] = lower_arr
         self._row_upper_buf[slots] = upper_arr
         constraints = self._constraints
-        starts = boundaries.tolist()
         for ordinal, slot in enumerate(slots):
             start, end = starts[ordinal], starts[ordinal + 1]
             constraints[first_handle + ordinal] = _Constraint(
@@ -1247,12 +1189,71 @@ class LinearProgram:
             self._structure_revision += 1
         return handles
 
-    def _edited(self, handle: int) -> _Constraint:
-        """The constraint behind ``handle``, journalled as structurally edited."""
-        constraint = self._constraint(handle)
+    def _row_block(
+        self, num_rows: int, rows: np.ndarray, cols: np.ndarray, coeffs: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, List[int]]:
+        """A ``(rows, cols, coeffs)`` triplet in the stored row format: ``(cols, coeffs, starts)``.
+
+        ``rows`` holds per-entry row ordinals ``0..num_rows-1`` grouped in
+        non-decreasing order; row ``k``'s terms come back as
+        ``cols[starts[k]:starts[k + 1]]``.  A non-finite coefficient raises;
+        zeros are dropped and duplicate ``(row, column)`` entries summed at
+        their first occurrence.  The one entry point of every columnar row
+        write: new rows, and the batched edits of existing ones.
+        """
+        name = self.name
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        coeffs = np.asarray(coeffs, dtype=float)
+        if not (rows.shape == cols.shape == coeffs.shape) or rows.ndim != 1:
+            raise SolverError(f"{name}: rows/cols/coeffs must be 1-d arrays of one shape")
+        if len(rows) <= _SMALL_BLOCK and num_rows <= _SMALL_BLOCK:
+            # An event's edit: checked in plain Python, which beats numpy's
+            # per-call cost on a few entries; only zeros or repeated columns
+            # take it on to the general path.
+            ordinals, values = rows.tolist(), coeffs.tolist()
+            if ordinals and (ordinals[0] < 0 or ordinals[-1] >= num_rows):
+                raise SolverError(f"{name}: row ordinal out of range")
+            if any(row > after for row, after in zip(ordinals, ordinals[1:])):
+                raise SolverError(f"{name}: rows must be grouped in non-decreasing order")
+            if not all(map(math.isfinite, values)):
+                _check_finite(coeffs, name)
+            if all(values) and len(set(zip(ordinals, cols.tolist()))) == len(ordinals):
+                starts = [0] * (num_rows + 1)
+                for row in ordinals:
+                    starts[row + 1] += 1
+                return cols, coeffs, list(itertools.accumulate(starts))
+        if len(rows):
+            if num_rows == 1 and rows.any() or rows[0] < 0 or rows[-1] >= num_rows:
+                raise SolverError(f"{name}: row ordinal out of range")
+            if num_rows > 1 and (rows[1:] < rows[:-1]).any():
+                raise SolverError(f"{name}: rows must be grouped in non-decreasing order")
+        _check_finite(coeffs, name)
+        if not coeffs.all():
+            nonzero = coeffs != 0.0
+            rows, cols, coeffs = rows[nonzero], cols[nonzero], coeffs[nonzero]
+        if len(cols) > 1:
+            # Coalesce duplicate (row, column) entries by summation — a
+            # same-group pair row of a type-aggregated problem legitimately
+            # contributes one entry per membership, but HiGHS rejects rows with
+            # repeated column indices, so each stored row must hold unique columns.
+            keys = cols if num_rows == 1 else rows * (np.int64(cols.max()) + 1) + cols
+            if _has_duplicates(keys):
+                keep, coeffs = _coalesce(keys, coeffs)
+                rows, cols = rows[keep], cols[keep]
+        if num_rows == 1:
+            return cols, coeffs, [0, len(cols)]
+        return cols, coeffs, np.searchsorted(rows, np.arange(num_rows + 1)).tolist()
+
+    def _edited(self, handles: "Sequence[int] | np.ndarray") -> List[_Constraint]:
+        """The constraints behind ``handles``, journalled as structurally edited in that order."""
+        handles = np.asarray(handles, dtype=np.int64).tolist()
+        constraints = [self._constraint(handle) for handle in handles]
+        dirty = self._hs_dirty
+        for handle, constraint in zip(handles, constraints):
+            dirty.setdefault(handle, (constraint.indices, constraint.values))
         self._structure_revision += 1
-        self._hs_dirty.setdefault(handle, (constraint.indices, constraint.values))
-        return constraint
+        return constraints
 
     def add_terms_to_constraint_from_arrays(
         self, handle: int, indices: np.ndarray, values: np.ndarray
@@ -1262,13 +1263,63 @@ class LinearProgram:
         Columns already in the row sum in place (their position is kept);
         new columns are appended in order.
         """
-        self._edited(handle).add_terms(indices, values)
+        self.add_terms_to_constraints_from_arrays(
+            [handle], np.zeros(len(indices), dtype=np.int64), indices, values
+        )
+
+    def add_terms_to_constraints_from_arrays(
+        self,
+        handles: Sequence[int],
+        rows: np.ndarray,
+        cols: np.ndarray,
+        coeffs: np.ndarray,
+    ) -> None:
+        """:meth:`add_terms_to_constraint_from_arrays` for many rows in one call.
+
+        Row ordinal ``k`` of the ``(rows, cols, coeffs)`` triplet (as
+        :meth:`add_constraints_from_arrays` takes it) accumulates onto
+        ``handles[k]``, and the rows are journalled as edited in that order.
+        """
+        cols, coeffs, starts = self._row_block(len(handles), rows, cols, coeffs)
+        incoming = np.zeros(self._num_vars, dtype=bool)
+        incoming[cols] = True
+        for ordinal, row in enumerate(self._edited(handles)):
+            start, end = starts[ordinal], starts[ordinal + 1]
+            if start == end:
+                continue
+            indices = np.concatenate((row.indices, cols[start:end]))
+            values = np.concatenate((row.values, coeffs[start:end]))
+            if np.count_nonzero(incoming[row.indices]):
+                # Columns the row holds already sum in place (zero sums drop).
+                first, summed = _coalesce(indices, values)
+                indices, values = _nonzero_terms(indices[first], summed)
+            row.indices, row.values = indices, values
 
     def set_constraint_coefficients_from_arrays(
         self, handle: int, indices: np.ndarray, values: np.ndarray
     ) -> None:
         """Replace a constraint's coefficients wholesale from arrays (bounds unchanged)."""
-        self._edited(handle).set_terms(indices, values)
+        self.set_constraints_coefficients_from_arrays(
+            [handle], np.zeros(len(indices), dtype=np.int64), indices, values
+        )
+
+    def set_constraints_coefficients_from_arrays(
+        self,
+        handles: Sequence[int],
+        rows: np.ndarray,
+        cols: np.ndarray,
+        coeffs: np.ndarray,
+    ) -> None:
+        """Replace the coefficients of many rows in one call (bounds unchanged).
+
+        Row ordinal ``k`` of the ``(rows, cols, coeffs)`` triplet becomes the
+        terms of ``handles[k]``; the rows are journalled as edited in that
+        order, so the next solve rewrites them in place in that order.
+        """
+        cols, coeffs, starts = self._row_block(len(handles), rows, cols, coeffs)
+        for ordinal, row in enumerate(self._edited(handles)):
+            start, end = starts[ordinal], starts[ordinal + 1]
+            row.indices, row.values = cols[start:end], coeffs[start:end]
 
     def set_column_coefficients_from_arrays(
         self,
@@ -1289,6 +1340,7 @@ class LinearProgram:
         index = column.index if isinstance(column, Variable) else int(column)
         handles = np.asarray(handles, dtype=np.int64)
         values = np.broadcast_to(np.asarray(values, dtype=float), handles.shape)
+        _check_finite(values, self.name)
         journal = self._hs_coefficients
         for handle, value in zip(handles.tolist(), values.tolist()):
             previous = self._constraint(handle).set_coefficient(index, value)
@@ -1299,11 +1351,17 @@ class LinearProgram:
 
     def remove_constraint(self, handle: int) -> None:
         """Delete one constraint by handle (no-op if already removed), recycling its slot."""
-        constraint = self._constraints.pop(handle, None)
-        if constraint is not None:
-            self._free_slots.append(constraint.slot)
-            self._structure_revision += 1
-            self._hs_removed.add(handle)
+        self.remove_constraints([handle])
+
+    def remove_constraints(self, handles: "Sequence[int] | np.ndarray") -> None:
+        """:meth:`remove_constraint` for many handles; slots are recycled in the order given."""
+        constraints = self._constraints
+        for handle in np.asarray(handles, dtype=np.int64).tolist():
+            constraint = constraints.pop(handle, None)
+            if constraint is not None:
+                self._free_slots.append(constraint.slot)
+                self._hs_removed.add(handle)
+        self._structure_revision += 1
 
     def add_terms_to_constraint(self, handle: int, terms: Mapping[int, float]) -> None:
         """Accumulate coefficients onto an existing constraint."""
@@ -1312,7 +1370,23 @@ class LinearProgram:
 
     def remove_terms_from_constraint(self, handle: int, indices: Iterable[int]) -> None:
         """Drop the given variables' coefficients from an existing constraint."""
-        self._edited(handle).remove_columns(indices)
+        self.remove_terms_from_constraints([handle], list(indices))
+
+    def remove_terms_from_constraints(
+        self, handles: Sequence[int], columns: "Sequence[int] | np.ndarray"
+    ) -> None:
+        """Drop ``columns``' terms from every row of ``handles`` in one call.
+
+        Columns a row does not hold are ignored; the rows are journalled as
+        edited in ``handles`` order.
+        """
+        doomed = np.zeros(self._num_vars, dtype=bool)
+        doomed[np.asarray(columns, dtype=np.int64)] = True
+        for row in self._edited(handles):
+            hits = doomed[row.indices]
+            if np.count_nonzero(hits):
+                keep = ~hits
+                row.indices, row.values = row.indices[keep], row.values[keep]
 
     def set_constraint_coefficients(self, handle: int, expression: "_Coefficients") -> None:
         """Replace a constraint's coefficients (bounds unchanged).
@@ -1398,8 +1472,10 @@ class LinearProgram:
         constant: float = 0.0,
     ) -> None:
         """Columnar objective: accumulate ``values`` at ``indices`` (duplicates sum)."""
+        values = np.asarray(values, dtype=float)
+        _check_finite(values, self.name)
         vec = np.zeros(self.num_variables())
-        np.add.at(vec, np.asarray(indices, dtype=np.int64), np.asarray(values, dtype=float))
+        np.add.at(vec, np.asarray(indices, dtype=np.int64), values)
         self._objective_vec = vec
         self._objective_constant = float(constant)
         self._maximize = maximize
@@ -1473,7 +1549,7 @@ class LinearProgram:
         if integer_columns is not None:
             integrality = integrality.copy()
             integrality[integer_columns] = True
-        if integrality.any():
+        if np.count_nonzero(integrality):
             return self._solve_milp(integrality)
         if self._backend is None:
             self._backend = _HighsBackend()

@@ -17,11 +17,19 @@ Two recordings, both made by :func:`churn_fingerprints` for every spec in
   assembly bit-identical on this sequence).  It is never re-recorded: tests
   compare against it by *objective*, which no tie-break can move, and
   :data:`UNIQUE_OPTIMUM_SPECS` still match it bit for bit.
+
+``churn_call_counts.json`` pins, per spec and per HiGHS model in creation
+order, how many calls of each kind the live models receive over the
+sequence (:func:`counting_highs`).  Counts, unlike call digests, do not
+depend on the HiGHS build, so an LP-layer refactor that claims to send the
+same calls must reproduce this file; re-record with ``--record-calls`` only
+when the calls are meant to change.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Tuple
@@ -37,10 +45,19 @@ from repro.core.finish_time_fairness import finish_time_requirements
 from repro.core.makespan import makespan_requirements
 from repro.core.problem import PolicyProblem
 from repro.core.session import PolicySession
+from repro.solver import lp
 from repro.workloads import ColocationModel, ThroughputOracle, TraceGenerator
 
 RECORDED = Path(__file__).parent / "data" / "churn_fingerprints.json"
 RECORDED_COLD = Path(__file__).parent / "data" / "churn_fingerprints_cold.json"
+RECORDED_CALLS = Path(__file__).parent / "data" / "churn_call_counts.json"
+
+#: Every ``_Highs`` method the LP layer drives a live model through.
+HIGHS_CALLS = (
+    "passModel", "addCols", "addRows", "deleteRows", "changeCoeff", "changeRowBounds",
+    "changeColsBounds", "changeColsCost", "changeObjectiveSense", "setBasis", "run",
+    "setOptionValue",
+)
 
 #: Every LP/fractional-program policy from the registry, with space sharing.
 SS_POLICY_SPECS = [
@@ -58,6 +75,17 @@ SS_POLICY_SPECS = [
 
 #: Specs whose optimum is unique on this sequence: no basis can move them.
 UNIQUE_OPTIMUM_SPECS = ["fifo+ss", "shortest_job_first+ss"]
+
+#: ``(spec, aggregation)`` runs whose HiGHS call counts are pinned: the
+#: ``+ss`` specs above, plus plain LAS, the water-filling family and
+#: type-aggregated sessions, so every incremental session kind is covered.
+CALL_COUNT_CASES = [(spec, "job") for spec in SS_POLICY_SPECS] + [
+    ("max_min_fairness", "job"),
+    ("max_min_fairness_water_filling+ss", "job"),
+    ("hierarchical+ss", "job"),
+    ("max_min_fairness+ss", "type"),
+    ("hierarchical+ss", "type"),
+]
 
 
 def load_recorded(path: Path = RECORDED) -> Dict[str, Any]:
@@ -95,9 +123,11 @@ def churn_problems(
     return steps
 
 
-def session_solves(policy_spec: str, steps) -> Iterator[Tuple[PolicySession, Allocation]]:
+def session_solves(
+    policy_spec: str, steps, aggregation: str = "job"
+) -> Iterator[Tuple[PolicySession, Allocation]]:
     """One live session fed the churn sequence: ``(session, allocation)`` after each step."""
-    policy = make_policy(policy_spec)
+    policy = make_policy(policy_spec, aggregation=aggregation)
     session = None
     for problem, deltas in steps:
         if session is None:
@@ -110,6 +140,49 @@ def session_solves(policy_spec: str, steps) -> Iterator[Tuple[PolicySession, All
 def session_allocations(policy_spec: str, steps) -> List[Allocation]:
     """One live session fed the churn sequence: the allocation after each step."""
     return [allocation for _session, allocation in session_solves(policy_spec, steps)]
+
+
+@contextlib.contextmanager
+def counting_highs() -> Iterator[List[Dict[str, int]]]:
+    """Count the calls of every HiGHS model created inside the block.
+
+    Yields a list that receives one ``{call kind: count}`` dict per model,
+    in creation order; each element of a ``changeCoeff`` or
+    ``changeRowBounds`` loop counts as one call.
+    """
+    models: List[Dict[str, int]] = []
+    base = lp._highs_core._Highs
+
+    class Counting(base):  # type: ignore[misc, valid-type]
+        def __init__(self) -> None:
+            super().__init__()
+            self.counts: Dict[str, int] = {}
+            models.append(self.counts)
+
+    for name in HIGHS_CALLS:
+        def counted(self, *args, _name=name, _real=getattr(base, name)):
+            self.counts[_name] = self.counts.get(_name, 0) + 1
+            return _real(self, *args)
+
+        setattr(Counting, name, counted)
+    lp._highs_core._Highs = Counting
+    try:
+        yield models
+    finally:
+        lp._highs_core._Highs = base
+
+
+def call_count_key(policy_spec: str, aggregation: str) -> str:
+    """The recording's key of one :data:`CALL_COUNT_CASES` entry."""
+    return policy_spec if aggregation == "job" else f"{policy_spec} aggregation={aggregation}"
+
+
+def churn_call_counts(policy_spec: str, steps, aggregation: str = "job") -> List[Dict[str, int]]:
+    """Per HiGHS model, in creation order: its calls by kind over the churn sequence."""
+    with counting_highs() as models:
+        for _solved in session_solves(policy_spec, steps, aggregation):
+            pass
+    return [dict(sorted(counts.items())) for counts in models]
 
 
 def allocation_fingerprint(allocation: Allocation) -> Dict[str, List[float]]:
@@ -187,12 +260,26 @@ def policy_objective(policy_spec: str, problem: PolicyProblem, allocation: Alloc
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--record", action="store_true", help=f"rewrite {RECORDED.name}")
-    if not parser.parse_args().record:
-        parser.error("nothing to do without --record")
+    parser.add_argument(
+        "--record-calls", action="store_true", help=f"rewrite {RECORDED_CALLS.name}"
+    )
+    arguments = parser.parse_args()
+    if not (arguments.record or arguments.record_calls):
+        parser.error("nothing to do without --record or --record-calls")
     steps = churn_problems(ThroughputOracle())
-    recording = {spec: churn_fingerprints(spec, steps) for spec in SS_POLICY_SPECS}
-    RECORDED.write_text(json.dumps(recording, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"recorded {len(recording)} specs x {len(steps)} steps into {RECORDED}")
+    recordings = []
+    if arguments.record:
+        recordings.append(
+            (RECORDED, {spec: churn_fingerprints(spec, steps) for spec in SS_POLICY_SPECS})
+        )
+    if arguments.record_calls:
+        recordings.append((RECORDED_CALLS, {
+            call_count_key(spec, aggregation): churn_call_counts(spec, steps, aggregation)
+            for spec, aggregation in CALL_COUNT_CASES
+        }))
+    for path, recording in recordings:
+        path.write_text(json.dumps(recording, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+        print(f"recorded {len(recording)} runs x {len(steps)} steps into {path}")
 
 
 if __name__ == "__main__":

@@ -1,0 +1,153 @@
+"""A re-allocation's policy-side sync costs its event, not the live set.
+
+A live LAS session is fed one arrival and then one departure at two sizes of
+the active set.  Three things are counted per event: visits of
+``AllocationVariables.effective_throughput_terms`` (what the normalization
+refresh looks at), normalization computes, and the outermost
+``LinearProgram`` edit calls the sync makes.  Without space sharing an event
+touches one job's rows, and type-aggregated it moves one group's size, so
+the counts must not depend on the size; with space sharing per job they
+follow the rows that contain the event's job: every job sharing a row with
+it is visited and re-normalized once, and each edit family is still one call.
+"""
+
+import functools
+
+import pytest
+
+from repro.cluster import ClusterSpec
+from repro.core import make_policy
+from repro.core.allocation_engine import AllocationEngine
+from repro.core.max_min_fairness import MaxMinFairnessPolicy
+from repro.core.policy import AllocationVariables
+from repro.core.problem import PolicyProblem
+from repro.solver.lp import LinearProgram
+from repro.workloads import ColocationModel, Job, ThroughputOracle
+
+#: Single-worker types: the two heavy ones pair with the light ``a3c`` only,
+#: so a heavy job shares rows with a quarter of the others, not with all.
+_JOB_TYPES = ("resnet50-bs128", "cyclegan-bs1", "a3c-bs4", "transformer-bs256")
+
+#: Every public ``LinearProgram`` method that edits a program.
+_EDITS = sorted(
+    name for name in vars(LinearProgram) if name.startswith(("add_", "remove_", "set_", "release_"))
+)
+
+
+@pytest.fixture(scope="module")
+def oracle():
+    return ThroughputOracle()
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    """Per-kind call counters; LP edits count only when not made by another edit."""
+    seen = {"visits": 0, "computes": 0, "edits": 0}
+    depth = [0]
+
+    def counting(kind, function):
+        @functools.wraps(function)
+        def wrapper(*args, **kwargs):
+            if kind != "edits" or depth[0] == 0:
+                seen[kind] += 1
+            depth[0] += kind == "edits"
+            try:
+                return function(*args, **kwargs)
+            finally:
+                depth[0] -= kind == "edits"
+
+        return wrapper
+
+    monkeypatch.setattr(
+        AllocationVariables,
+        "effective_throughput_terms",
+        counting("visits", AllocationVariables.effective_throughput_terms),
+    )
+    monkeypatch.setattr(
+        MaxMinFairnessPolicy,
+        "normalized_throughput_scale",
+        counting("computes", MaxMinFairnessPolicy.normalized_throughput_scale),
+    )
+    for name in _EDITS:
+        monkeypatch.setattr(LinearProgram, name, counting("edits", getattr(LinearProgram, name)))
+    return seen
+
+
+def _event_counts(oracle, counts, size, space_sharing, aggregation):
+    """Counters of one arrival and of one departure on a live session of ``size`` jobs.
+
+    Returns ``(arrival counts, departure counts, rows with the arriving job,
+    rows with the departing job)``; the row counts are of the per-job matrix.
+    """
+    # ``size / 4`` aggregation groups of four (type and priority weight): the
+    # newcomer joins group 0, the job that leaves is no group's first member.
+    groups = size // 4
+    jobs = [
+        Job(
+            job_id=job_id,
+            job_type=_JOB_TYPES[job_id % groups % len(_JOB_TYPES)],
+            total_steps=1e5,
+            priority_weight=1.0 + job_id % groups,
+        )
+        for job_id in range(size + 1)
+    ]
+    engine = AllocationEngine(
+        oracle,
+        space_sharing=space_sharing,
+        colocation_model=ColocationModel(oracle),
+        aggregation=aggregation,
+    )
+    spec = ClusterSpec.from_counts({"v100": 8, "p100": 8, "k80": 8})
+    active = {job.job_id: job for job in jobs[:size]}
+    engine.add_jobs(jobs[:size])
+
+    def problem():
+        return PolicyProblem(jobs=dict(active), throughputs=engine.matrix(), cluster_spec=spec)
+
+    session = make_policy(
+        "max_min_fairness+ss" if space_sharing else "max_min_fairness", aggregation=aggregation
+    ).session(problem())
+    session.solve()
+    engine.drain_deltas()
+    observed = []
+    for arriving, leaving in ((jobs[size], None), (None, jobs[groups + 1])):
+        if arriving is not None:
+            engine.add_job(arriving)
+            active[arriving.job_id] = arriving
+        else:
+            rows = len(engine.matrix().rows_containing(leaving.job_id))
+            engine.remove_job(leaving.job_id)
+            del active[leaving.job_id]
+        snapshot = problem()
+        if arriving is not None:
+            rows = len(snapshot.throughputs.rows_containing(arriving.job_id))
+        session.apply(engine.drain_deltas())
+        for kind in counts:
+            counts[kind] = 0
+        session.solve(snapshot)
+        observed.append((dict(counts), rows))
+    (arrival, arrival_rows), (departure, departure_rows) = observed
+    return arrival, departure, arrival_rows, departure_rows
+
+
+@pytest.mark.parametrize(
+    ("space_sharing", "aggregation"), [(False, "job"), (False, "type"), (True, "type")]
+)
+def test_event_costs_the_same_at_any_size(oracle, counts, space_sharing, aggregation):
+    """One job's rows per event, or (aggregated) one group's size: the same at 20 and 80 jobs."""
+    small = _event_counts(oracle, counts, 20, space_sharing, aggregation)
+    large = _event_counts(oracle, counts, 80, space_sharing, aggregation)
+    assert small[:2] == large[:2]
+    assert small[0]["visits"] <= 1 and small[1]["visits"] <= 1
+
+
+def test_with_space_sharing_an_event_costs_the_rows_of_its_job(oracle, counts):
+    """Per job: the event's job and its partners are visited, each edit family is one call."""
+    small, large = (_event_counts(oracle, counts, size, True, "job") for size in (20, 80))
+    for arrival, departure, arrival_rows, departure_rows in (small, large):
+        # An arrival touches the new job and each partner (one pair row each);
+        # a departure touches each former partner.
+        assert arrival["visits"] == arrival["computes"] == arrival_rows
+        assert departure["visits"] == departure["computes"] == departure_rows - 1
+    assert large[2] > small[2] > 1
+    assert (small[0]["edits"], small[1]["edits"]) == (large[0]["edits"], large[1]["edits"])

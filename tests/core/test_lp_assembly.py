@@ -13,11 +13,15 @@ made before the basis survived row edits by objective (see
 import numpy as np
 import pytest
 from churn_fingerprint_scenarios import (
+    CALL_COUNT_CASES,
+    RECORDED_CALLS,
     RECORDED_COLD,
     SS_POLICY_SPECS,
     UNIQUE_OPTIMUM_SPECS,
     allocation_fingerprint,
     allocation_from_fingerprint,
+    call_count_key,
+    churn_call_counts,
     churn_fingerprints,
     churn_problems,
     load_recorded,
@@ -158,7 +162,7 @@ class TestValidityScaffold:
         # is bounded by the group size.
         handle = variables._job_constraints[0]
         row = program._constraints[handle]
-        pair_columns = variables._row_vars[(0, 0)]
+        pair_columns = [variables.variable((0, 0), column).index for column in range(3)]
         assert row.values[np.isin(row.indices, pair_columns)].tolist() == [2.0] * 3
         assert program._row_upper_buf[row.slot] == 3.0
 
@@ -175,6 +179,17 @@ def _assert_rows_match(actual, recorded, label):
 
 
 class TestRecordedChurnAllocations:
+    @pytest.mark.parametrize(("policy_spec", "aggregation"), CALL_COUNT_CASES)
+    def test_churn_call_counts_match_recording(self, oracle, policy_spec, aggregation):
+        """Every live HiGHS model receives as many calls of each kind as recorded.
+
+        Counts do not depend on the HiGHS build, so an LP-layer or session
+        refactor that claims an unchanged call stream is held to it here.
+        """
+        assert churn_call_counts(policy_spec, churn_problems(oracle), aggregation) == (
+            load_recorded(RECORDED_CALLS)[call_count_key(policy_spec, aggregation)]
+        )
+
     @pytest.mark.parametrize("policy_spec", SS_POLICY_SPECS)
     def test_churn_allocations_match_recording(self, oracle, policy_spec):
         _assert_rows_match(

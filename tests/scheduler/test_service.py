@@ -109,6 +109,31 @@ class TestTraceReplayParity:
         assert SimulatorConfig is SchedulerConfig
 
 
+class TestSchedulerConfig:
+    @pytest.mark.parametrize(
+        ("field", "value", "mode"),
+        [
+            ("checkpoint_overhead_seconds", math.nan, "physical"),
+            ("checkpoint_overhead_seconds", math.inf, "physical"),
+            ("max_simulated_seconds", math.nan, "round"),
+            ("max_simulated_seconds", math.inf, "round"),
+            ("max_simulated_seconds", -1.0, "round"),
+            ("max_simulated_seconds", 0.0, "continuous"),
+            ("resolve_interval_seconds", math.nan, "continuous"),
+            ("resolve_interval_seconds", math.inf, "continuous"),
+            ("round_duration_seconds", math.nan, "round"),
+            ("round_duration_seconds", math.inf, "round"),
+            ("throughput_jitter_std", math.nan, "physical"),
+            ("colocation_threshold", math.nan, "round"),
+            ("colocation_threshold", -1.0, "round"),
+        ],
+    )
+    def test_non_finite_or_out_of_range_numbers_rejected(self, field, value, mode):
+        """Each of these used to be accepted, and failed late, wrongly or never."""
+        with pytest.raises(ConfigurationError, match=field):
+            SchedulerConfig(mode=mode, **{field: value})
+
+
 class TestSubmitCancel:
     def test_duplicate_submit_rejected(self, oracle, small_spec):
         scheduler = _scheduler(oracle, small_spec)

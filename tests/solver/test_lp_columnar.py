@@ -155,3 +155,61 @@ class TestFractionalColumnar:
                     -math.inf,
                     np.array([1.0, 1.0]),  # two bounds, three row ordinals
                 )
+
+
+def _two_variable_program():
+    """``max x + y`` s.t. ``x + y <= 1``, ``x <= 1``: optimum 1."""
+    program = LinearProgram()
+    program.add_variables_from_arrays(2, upper=1.0)
+    handles = program.add_constraints_from_arrays([0, 0, 1], [0, 1, 0], [1.0, 1.0, 1.0], -math.inf, 1.0)
+    program.set_objective_from_arrays([0, 1], [1.0, 1.0], maximize=True)
+    return program, handles.tolist()
+
+
+#: Every way a coefficient enters a program, each handed a NaN or an infinity.
+_NON_FINITE_EDITS = {
+    "new rows": lambda program, handles, bad: program.add_constraints_from_arrays(
+        [0, 0], [0, 1], [bad, 1.0], -math.inf, 1.0
+    ),
+    "batched rewrite": lambda program, handles, bad: (
+        program.set_constraints_coefficients_from_arrays(handles, [0, 0, 1], [0, 1, 0], [1.0, 1.0, bad])
+    ),
+    "batched terms": lambda program, handles, bad: program.add_terms_to_constraints_from_arrays(
+        handles, [0, 1], [1, 1], [bad, 1.0]
+    ),
+    "one row": lambda program, handles, bad: program.set_constraint_coefficients_from_arrays(
+        handles[0], [0, 1], [bad, 1.0]
+    ),
+    "column": lambda program, handles, bad: program.set_column_coefficients_from_arrays(
+        0, handles, [1.0, bad]
+    ),
+    "objective": lambda program, handles, bad: program.set_objective_from_arrays(
+        [0, 1], [bad, 1.0], maximize=True
+    ),
+    "mapping": lambda program, handles, bad: program.add_less_equal({0: bad, 1: 1.0}, 1.0),
+}
+
+
+class TestNonFiniteCoefficients:
+    """NaN and infinite coefficients are refused before they reach the program.
+
+    HiGHS would take them as numbers: ``nan * x + y <= 1`` under ``max x + y``
+    "solved" to ``x = y = 1``, and a NaN objective term came back optimal with
+    a NaN objective.  Cold (no live model yet) and warm (edits between two
+    solves of one live model) alike, the refused edit leaves the program as it
+    was, so the next solve answers for the unedited program.
+    """
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("edit", sorted(_NON_FINITE_EDITS))
+    def test_refused_and_program_unchanged(self, edit, bad, warm):
+        program, handles = _two_variable_program()
+        if warm:
+            assert program.solve().objective_value == pytest.approx(1.0)
+        with pytest.raises(SolverError, match="non-finite coefficient"):
+            _NON_FINITE_EDITS[edit](program, handles, bad)
+        assert program.num_constraints() == 2
+        solution = program.solve()
+        assert solution.objective_value == pytest.approx(1.0)
+        assert solution.values.sum() == pytest.approx(1.0)
