@@ -51,20 +51,23 @@ the group key (e.g. SLO deadlines) are excluded.
 Cost.  The LP is small whatever the job count, and the code around it does
 not put the job count back: a view is built *from the previous one*
 (:meth:`AggregatedProblem.build`: the snapshots' jobs are diffed in C, only
-the groups a job left or joined are re-derived), and the expansion is one
-gather through the view's :class:`_JobIndex`.  What stays per job is C-level:
-two reductions per build and, when membership changed, the index.
+the groups a job left or joined are re-derived, and those jobs are spliced
+into the last view's :class:`_JobIndex`), and the expansion is one gather
+through that index.  What stays per job is C-level: the diff, the copies a
+splice makes and the gather.  The per-group steps left and elapsed times are
+reduced only if a policy reads them.
 ``tests/core/reference_aggregation.py`` is the per-job, per-member code this
 replaced, kept as the oracle: both agree bit for bit.
 """
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field, replace
-from itertools import chain, filterfalse
+from functools import partial
+from itertools import chain, filterfalse, repeat
 from operator import attrgetter, itemgetter
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, KeysView, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -115,6 +118,10 @@ AGGREGATION_SUPPORTED_BASES = frozenset(
 _TOTAL_STEPS = attrgetter("total_steps")
 
 
+def _no_time(job: Job) -> float:
+    return 0.0
+
+
 def aggregation_key(job: Job) -> AggregationKey:
     """The group a job belongs to: ``(job_type, scale_factor, priority_weight)``."""
     return (job.job_type, int(job.scale_factor), float(job.priority_weight))
@@ -146,8 +153,9 @@ class _JobIndex:
 
     What :meth:`AggregatedProblem.expand` gathers through; a function of the
     group partition alone, so a view carries its predecessor's while no job
-    came or went.  Groups count in ascending-representative order (the order
-    of ``groups`` and of the aggregated problem's jobs).
+    came or went, and splices the jobs that did into it otherwise
+    (:meth:`spliced`).  Groups count in ascending-representative order (the
+    order of ``groups`` and of the aggregated problem's jobs).
     """
 
     job_ids: Tuple[int, ...]
@@ -166,28 +174,127 @@ class _JobIndex:
         counts = np.fromiter(map(len, members), np.intp, len(members))
         group_major = np.fromiter(chain.from_iterable(members), np.int64, int(counts.sum()))
         order = np.argsort(group_major)
-        ids = group_major[order]
         group_of = np.repeat(np.arange(len(members)), counts)[order]
         scales = np.fromiter(
             (job.scale_factor for job in rep_jobs.values()), np.int64, len(members)
         )
-        job_ids = tuple(ids.tolist())
+        job_ids = tuple(group_major[order].tolist())
         demand = tuple(scales[group_of].tolist())
+        return cls._assemble(
+            job_ids, tuple(zip(job_ids)), demand, dict(zip(job_ids, demand)), group_of, counts,
+            rep_jobs,
+        )
+
+    def spliced(
+        self,
+        left: Iterable[int],
+        joined: Mapping[int, GroupKey],
+        before: Iterable[GroupKey],
+        groups: Mapping[GroupKey, Tuple[int, ...]],
+        rep_jobs: Mapping[int, Job],
+    ) -> "_JobIndex":
+        """This index with the jobs ``left`` taken out and those ``joined`` put in.
+
+        ``before`` is this index's group keys in order, ``groups`` and
+        ``rep_jobs`` the new partition; ``joined`` maps each arriving job to
+        its group key.  The Python work is the event's jobs, a bisection
+        each, and one step per group; the rest is C-level copies of the
+        per-job sequences.
+        """
+        ordinal = dict(zip(groups, range(len(groups))))
+        remap = np.fromiter(map(ordinal.get, before, repeat(-1)), np.intp)
+        job_ids, singles, demand = list(self.job_ids), list(self.singles), list(self.demand)
+        group_of, scale_factors = remap[self.group_of].tolist(), dict(self.scale_factors)
+        removed = sorted((bisect_left(self.job_ids, job_id) for job_id in left), reverse=True)
+        for position in removed:
+            del scale_factors[job_ids[position]]
+            del job_ids[position], singles[position], demand[position], group_of[position]
+        reps = list(rep_jobs.values())
+        for job_id, group_key in sorted(joined.items()):
+            group = ordinal[group_key]
+            position, scale = bisect_left(job_ids, job_id), int(reps[group].scale_factor)
+            job_ids.insert(position, job_id)
+            singles.insert(position, (job_id,))
+            demand.insert(position, scale)
+            group_of.insert(position, group)
+            scale_factors[job_id] = scale
+        return self._assemble(
+            tuple(job_ids), tuple(singles), tuple(demand), scale_factors,
+            np.fromiter(group_of, np.intp, len(group_of)),
+            np.fromiter(map(len, groups.values()), np.intp, len(groups)), rep_jobs,
+        )
+
+    @classmethod
+    def _assemble(
+        cls,
+        job_ids: Tuple[int, ...],
+        singles: Tuple[JobCombination, ...],
+        demand: Tuple[int, ...],
+        scale_factors: Dict[int, int],
+        group_of: np.ndarray,
+        counts: np.ndarray,
+        rep_jobs: Mapping[int, Job],
+    ) -> "_JobIndex":
+        """The index of the per-job sequences and the partition's counts and representatives."""
         return cls(
             job_ids=job_ids,
-            singles=tuple(zip(job_ids)),
+            singles=singles,
             demand=demand,
-            scale_factors=dict(zip(job_ids, demand)),
+            scale_factors=scale_factors,
             group_of=group_of,
             counts=counts,
             equal_share=(1.0 / counts)[group_of],
-            rep_positions=np.searchsorted(ids, np.fromiter(rep_jobs, np.int64, len(members))),
+            rep_positions=np.fromiter(
+                map(bisect_left, repeat(job_ids, len(rep_jobs)), rep_jobs), np.intp, len(rep_jobs)
+            ),
             rep_singles=tuple(zip(rep_jobs)),
         )
 
     def group_members(self) -> List[np.ndarray]:
         """Per group, its members' positions in ``job_ids``, ascending."""
         return np.split(np.argsort(self.group_of, kind="stable"), np.cumsum(self.counts)[:-1])
+
+
+class _Deferred(Mapping[int, float]):
+    """A mapping over the keys of ``keys`` whose values ``compute`` makes on the first read.
+
+    ``keys()`` is ``keys``' own view, so a comparison of key sets stays in C.
+    """
+
+    def __init__(self, keys: Mapping[int, object], compute: Callable[[], Dict[int, float]]) -> None:
+        self._keys, self._compute = keys, compute
+        self._values: Optional[Dict[int, float]] = None
+
+    def __getitem__(self, key: int) -> float:
+        if self._values is None:
+            self._values = self._compute()
+        return self._values[key]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._keys)
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def keys(self) -> KeysView[int]:
+        return self._keys.keys()
+
+
+def _per_group(
+    groups: Mapping[GroupKey, Tuple[int, ...]],
+    reduce: Callable[[Iterable[float]], float],
+    values: Mapping[int, float],
+    jobs: Mapping[int, Job],
+    default: Callable[[Job], float],
+) -> Dict[int, float]:
+    """Per group, keyed by its representative: ``reduce`` over its members' values, in order.
+
+    A job ``values`` lacks has the value ``default`` gives it.
+    """
+    if len(values) != len(jobs):
+        values = {**dict(zip(jobs, map(default, jobs.values()))), **values}
+    value_of = values.__getitem__
+    return {members[0]: float(reduce(map(value_of, members))) for members in groups.values()}
 
 
 @dataclass(frozen=True)
@@ -232,12 +339,15 @@ class AggregatedProblem:
         result is the same with or without it; with it, the work is what
         changed: the two snapshots' ``jobs`` are diffed (a ``Job`` object
         swapped under its id leaves and arrives), only the groups a job left
-        or joined are re-derived, and the aggregated matrix is carried over
-        while the representatives and their rows stand.  Every group's
-        ``steps_remaining`` / ``time_elapsed`` are reduced afresh: they move
-        between any two snapshots.  Groups stay in ascending-representative
-        order either way — the order of the aggregated ``jobs``, hence of the
-        LP's rows, hence what decides the vertex of a degenerate solve.
+        or joined are re-derived, those jobs are spliced into the last job
+        index, and the aggregated matrix is carried over while the
+        representatives and their rows stand.  Each group's
+        ``steps_remaining`` / ``time_elapsed`` are reduced from this snapshot
+        when first read (they move between any two snapshots, and the
+        supported policies do not read them).  Groups stay in
+        ascending-representative order either way — the order of the
+        aggregated ``jobs``, hence of the LP's rows, hence what decides the
+        vertex of a degenerate solve.
         """
         if problem.group_counts is not None:
             raise ConfigurationError(
@@ -301,32 +411,26 @@ class AggregatedProblem:
                 )
             else:
                 rep_jobs[rep] = carried[rep]
-        index = (
-            previous._index
-            if previous is not None and not touched
-            else _JobIndex.of(list(groups.values()), rep_jobs)
-        )
-
-        # Per group, in member order: the sum of steps left and the longest
-        # elapsed time, through C-level lookups into mappings made total.
-        steps = problem.steps_remaining
-        if len(steps) != len(jobs):
-            steps = {**dict(zip(jobs, map(_TOTAL_STEPS, jobs.values()))), **steps}
-        elapsed = problem.time_elapsed
-        if len(elapsed) != len(jobs):
-            elapsed = {**dict.fromkeys(jobs, 0.0), **elapsed}
-        steps_of, elapsed_of = steps.__getitem__, elapsed.__getitem__
+        if previous is None:
+            index = _JobIndex.of(list(groups.values()), rep_jobs)
+        elif touched:
+            joined_keys = {job_id: key_fn(job) for job_id, job in joined.items()}
+            index = previous._index.spliced(left, joined_keys, previous.groups, groups, rep_jobs)
+        else:
+            index = previous._index
 
         aggregated = PolicyProblem(
             jobs=rep_jobs,
             throughputs=cls._aggregated_matrix(problem, previous, rep_jobs, index, bool(touched)),
             cluster_spec=problem.cluster_spec,
-            steps_remaining={
-                members[0]: float(sum(map(steps_of, members))) for members in groups.values()
-            },
-            time_elapsed={
-                members[0]: float(max(map(elapsed_of, members))) for members in groups.values()
-            },
+            # Per group: the sum of steps left and the longest elapsed time, when first read.
+            steps_remaining=_Deferred(
+                rep_jobs,
+                partial(_per_group, groups, sum, problem.steps_remaining, jobs, _TOTAL_STEPS),
+            ),
+            time_elapsed=_Deferred(
+                rep_jobs, partial(_per_group, groups, max, problem.time_elapsed, jobs, _no_time)
+            ),
             current_time=problem.current_time,
             group_counts=dict(zip(rep_jobs, index.counts.tolist())),
         )

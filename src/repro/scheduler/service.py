@@ -40,8 +40,8 @@ over this core (``submit`` every trace job, ``run_until`` the end).
 Every mode runs one :meth:`~ClusterScheduler.step`: wake, fire due control
 events, admit, solve, then the mode's *executor* runs the event.  The round
 executor works on indices: Algorithm 1's ``(row, column)`` picks, placement
-flags, and accounting through a *member table* built once per allocation
-period (see :meth:`ClusterScheduler._start_period`).  The fluid executor
+flags, and accounting through a *member table* whose entries live as long as
+their jobs (see :class:`_MemberTable`).  The fluid executor
 integrates ``X * T`` to the next event over one bulk read of the active jobs.
 Both run every row at the rule the policies planned with,
 :func:`~repro.workloads.colocation.member_throughputs` on the true models, and
@@ -55,7 +55,9 @@ import math
 import time as _time
 from dataclasses import dataclass
 from itertools import chain
-from typing import Any, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import (
+    Any, Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple
+)
 
 import numpy as np
 
@@ -69,7 +71,7 @@ from repro.core.policy import Policy
 from repro.core.problem import PolicyProblem
 from repro.core.registry import make_policy
 from repro.core.session import PolicySession
-from repro.core.throughput_matrix import ThroughputMatrix, build_throughput_matrix
+from repro.core.throughput_matrix import JobCombination, ThroughputMatrix, build_throughput_matrix
 from repro.exceptions import ConfigurationError, SchedulingError, UnknownJobError
 from repro.scheduler.clock import Clock, VirtualClock
 from repro.scheduler.mechanism import RoundScheduler
@@ -210,8 +212,8 @@ class _JobState:
     alone: int = -1
 
 
-#: One job of a tracker row for an allocation period: ``(state, record, total steps,
-#: scale factor, rates)``; ``rates[consolidated]`` is its rate in this row per type.
+#: One job of an allocation row: ``(state, record, total steps, scale factor, rates)``;
+#: ``rates[consolidated]`` is its rate in this row per type.
 _Member = Tuple[_JobState, JobRecord, float, int, Tuple[List[float], ...]]
 #: ``(job type, partner's job type or None, scale factor)``.
 _RateKey = Tuple[str, Optional[str], int]
@@ -241,6 +243,46 @@ class _RateTable(Dict[_RateKey, int]):
             self.packed = np.concatenate((self.packed, np.zeros_like(self.packed)))
         self.packed[row] = self.rows[row][1]
         return row
+
+
+class _MemberTable(Dict[JobCombination, Tuple[_Member, ...]]):
+    """Memo: an allocation row's :data:`_Member` per job, keyed by the row's combination.
+
+    A row is resolved the first time a round picks it and its entry lives as
+    long as its jobs: allocation periods, resizes and policy swaps replace
+    none of the objects it points at, and :meth:`drop` evicts a job's rows when
+    it leaves.  Whatever replaces ``_active`` / ``_records`` (``restore``)
+    starts a new table.  ``period`` holds the entries of the current period's
+    tracker rows, each looked up once (:meth:`row`): a round reads a list by
+    index, not a dictionary by tuple.
+    """
+
+    def __init__(self, resolve: Callable[[JobCombination], Tuple[_Member, ...]]) -> None:
+        self._resolve = resolve
+        #: Per job, the rows it is resolved in.
+        self._rows_of: Dict[int, List[JobCombination]] = {}
+        self._combinations: Tuple[JobCombination, ...] = ()
+        self.period: List[Optional[Tuple[_Member, ...]]] = []
+
+    def start_period(self, combinations: Tuple[JobCombination, ...]) -> None:
+        """A new period over tracker rows ``combinations``: none looked up yet."""
+        self._combinations, self.period = combinations, [None] * len(combinations)
+
+    def row(self, row: int) -> Tuple[_Member, ...]:
+        """The entry of tracker row ``row``, kept in ``period``."""
+        self.period[row] = members = self[self._combinations[row]]
+        return members
+
+    def __missing__(self, combination: JobCombination) -> Tuple[_Member, ...]:
+        self[combination] = members = self._resolve(combination)
+        for job_id in combination:
+            self._rows_of.setdefault(job_id, []).append(combination)
+        return members
+
+    def drop(self, job_id: int) -> None:
+        """Forget every row ``job_id`` is in (it left the scheduler)."""
+        for combination in self._rows_of.pop(job_id, ()):
+            self.pop(combination, None)
 
 
 class _ActiveJobs(NamedTuple):
@@ -452,8 +494,7 @@ class ClusterScheduler:
 
         self._allocation_stale = True
         self._tracker: Optional[PriorityTracker] = None
-        #: Member table of the current allocation period; see _start_period.
-        self._members: List[Optional[Tuple[_Member, ...]]] = []
+        self._members = _MemberTable(self._row_members)
         #: Execution rates per (job type, partner type, scale factor); see _RateTable.
         self._rate_table = _RateTable(self._colocation, tuple(cluster_spec.registry.names))
         self._engine = self._make_engine()
@@ -627,14 +668,16 @@ class ClusterScheduler:
     def _retire(self, job_id: int, at: float, cancelled: bool = False) -> None:
         """An active job leaves at ``at``, completed or cancelled: the one exit path.
 
-        It leaves the active set and the engine (timed as matrix preparation),
-        the churn is noted for the next solve and the allocation is stale.
+        It leaves the active set, the member table and the engine (timed as
+        matrix preparation), the churn is noted for the next solve and the
+        allocation is stale.
         """
         if cancelled:
             self._records[job_id].cancelled = True
         else:
             self._records[job_id].completion_time = at
         del self._active[job_id]
+        self._members.drop(job_id)
         start = _time.perf_counter()
         self._engine.remove_job(job_id)
         self._matrix_seconds += _time.perf_counter() - start
@@ -985,6 +1028,7 @@ class ClusterScheduler:
         self._event_seq = snapshot.event_seq
         self._active = {entry[0].job_id: self._job_state(*entry) for entry in snapshot.active}
         self._records = _records_view(snapshot.records, chain(self._active, self._pending_ids))
+        self._members = _MemberTable(self._row_members)
         self._busy_seconds = dict(snapshot.busy_seconds)
         self._checkpoint_seconds = dict(snapshot.checkpoint_seconds)
         self._total_cost = snapshot.total_cost
@@ -1151,28 +1195,26 @@ class ClusterScheduler:
         return allocation
 
     def _start_period(self, allocation: Allocation) -> PriorityTracker:
-        """Open a period on a fresh allocation: a new tracker, nothing cached from the last.
+        """Open a period on a fresh allocation: a new tracker and its dense arrays.
 
-        What is constant between re-allocations dies with the tracker: its
-        dense arrays, and the *member table* — per tracker row, once a round
-        first picks it, one :data:`_Member` per job (see :meth:`_row_members`).
-        It points into ``_active`` / ``_records``; every event that replaces
-        or removes those objects also ends the period, so it is never stale.
+        Only the tracker and the member table's row view are period-scoped.
+        The table's entries outlive them (see :class:`_MemberTable`): a row
+        the new allocation shares with the last, the same combination, keeps
+        its entry.
         """
         self._tracker, self._allocation_stale = PriorityTracker(allocation), False
-        self._members = [None] * len(self._tracker.combinations)
+        self._members.start_period(self._tracker.combinations)
         return self._tracker
 
-    def _row_members(self, tracker: PriorityTracker, row: int) -> Tuple[_Member, ...]:
-        """Resolve tracker row ``row`` to its jobs' live state, once per period."""
-        combination, table = tracker.combinations[row], self._rate_table
+    def _row_members(self, combination: JobCombination) -> Tuple[_Member, ...]:
+        """Resolve an allocation row to its jobs' live state: the member table's miss."""
+        table = self._rate_table
         members: List[_Member] = []
         for job_id, key in zip(combination, self._rate_keys(combination)):
             state = self._active[job_id]
             job, rates = state.job, table.rows[table[key]]
             members.append((state, self._records[job_id], job.total_steps, job.scale_factor, rates))
-        self._members[row] = resolved = tuple(members)
-        return resolved
+        return tuple(members)
 
     def _rate_keys(self, combination: Tuple[int, ...]) -> List[_RateKey]:
         """Per member of an allocation row (a singleton or a pair), its rate-table key."""
@@ -1212,8 +1254,9 @@ class ClusterScheduler:
         names = picks.names
         costs_per_hour = self._cluster_spec.registry.costs_per_hour()
         table, busy_seconds, total_cost = self._members, self._busy_seconds, self._total_cost
+        period = table.period
         for row, column, scale, on_one_server in zip(rows, columns, scales, consolidated):
-            members = table[row] or self._row_members(tracker, row)
+            members = period[row] or table.row(row)
             accelerator_name = names[column]
             # A job completing mid-round releases its accelerator then, so
             # utilization and cost are prorated.  Cost is job-attributable:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+from dataclasses import replace
 from pathlib import Path
 from typing import Any, Dict, Optional
 
@@ -61,15 +62,20 @@ def load_recorded(path: Path = RECORDED) -> Dict[str, Any]:
 
 
 def run_scenario(
-    name: str, until: float = float("inf"), policy: Optional[str] = None
+    name: str,
+    until: float = float("inf"),
+    policy: Optional[str] = None,
+    aggregation: Optional[str] = None,
 ) -> ClusterScheduler:
     """A scheduler that has replayed scenario ``name`` up to ``until``.
 
-    ``policy`` replaces the scenario's own policy spec (same trace, cluster
-    and scheduler configuration).
+    ``policy`` replaces the scenario's own policy spec and ``aggregation`` its
+    configuration's aggregation mode (same trace and cluster).
     """
     recorded_policy, config, per_type, multi_worker = SCENARIOS[name]
     policy = recorded_policy if policy is None else policy
+    if aggregation is not None:
+        config = replace(config, aggregation=aggregation)
     oracle = ThroughputOracle()
     generator = TraceGenerator(oracle, TraceGeneratorConfig(multi_worker=multi_worker))
     trace = generator.generate_continuous(num_jobs=14, jobs_per_hour=6.0, seed=5)

@@ -1,22 +1,24 @@
 """The index-native round against the scalar round it replaced.
 
 ``ClusterScheduler.step()`` runs a round on ``(row, column)`` indices and a
-per-period member table holding references into ``_active`` / ``_records``;
-``reference_round.py`` is the per-item code it replaced, which looks every job
-up by id for every item.  A scheduler stepped by the first and a twin stepped by
-the second must agree after every round: the picks, the consolidated flags and
-the concrete workers of the round, and every field of the state the round
-wrote — bit for bit, because both perform the same IEEE operations in the same
-order (and, in ``physical`` mode, the same jitter draws in the same order).
+member table holding references into ``_active`` / ``_records``, whose entries
+live as long as their jobs; ``reference_round.py`` is the per-item code it
+replaced, which looks every job up by id for every item.  A scheduler stepped
+by the first and a twin stepped by the second must agree after every round:
+the picks, the consolidated flags and the concrete workers of the round, and
+every field of the state the round wrote — bit for bit, because both perform
+the same IEEE operations in the same order (and, in ``physical`` mode, the
+same jitter draws in the same order).
 
-Three groups: random job sets and clusters in ``round``, ``physical`` and
-``+ss``; the lifetime of the member table across every event that replaces the
-objects it points at (cancel, resize, policy swap, restore), over the three
-fingerprint scenarios; and a count showing that a step constructs no per-item
-object.
+Three groups: random job sets and clusters in ``round``, ``physical``, ``+ss``
+and type-aggregated ``round``; the lifetime of the member table across every
+intervention (cancel, resize, policy swap, restore), over the three
+fingerprint scenarios per-job and type-aggregated; and a count showing that a
+step constructs no per-item object.
 """
 
 import contextlib
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -44,7 +46,12 @@ _MODES = {
         ),
     ),
     "space_sharing": ("max_min_fairness+ss", SchedulerConfig(mode="round")),
+    # The LP over groups of interchangeable jobs, expanded to per-job rows.
+    "type": ("max_min_fairness", SchedulerConfig(mode="round", aggregation="type")),
 }
+
+#: The aggregation modes the member-table lifetime tests run every scenario in.
+_AGGREGATIONS = ["job", "type"]
 
 
 @contextlib.contextmanager
@@ -180,14 +187,14 @@ class TestRoundMatchesScalarReference:
         assert not real.has_work
 
 
-def _mid_period(name, rounds):
+def _mid_period(name, rounds, aggregation):
     """Scenario ``name`` and its reference twin, stopped with a period under way.
 
-    The member table is populated (rounds have run this period), the
-    allocation is not stale, and at least three jobs are active, so the next
-    round would run off the table if nothing intervened.
+    The member table is populated (rounds have run), the allocation is not
+    stale, and at least three jobs are active, so the next round would run
+    off the table if nothing intervened.
     """
-    real, twin = run_scenario(name, until=0.0), run_scenario(name, until=0.0)
+    real, twin = (run_scenario(name, until=0.0, aggregation=aggregation) for _ in range(2))
     while not (
         real.now >= 20_000.0
         and not real._allocation_stale
@@ -198,41 +205,72 @@ def _mid_period(name, rounds):
     return real, twin
 
 
+#: ``fifo`` cannot run type-aggregated.
+_SWAP_TO = {"job": "fifo", "type": "max_total_throughput"}
+
+#: name -> (intervention, whether a member-table row survives it: ``(row, cancelled job)``).
 _INTERVENTIONS = {
-    "cancel": lambda scheduler: scheduler.cancel(min(scheduler._active)),
-    "resize": lambda scheduler: scheduler.resize({"v100": -1, "k80": +1}),
-    "swap_policy": lambda scheduler: scheduler.swap_policy("fifo"),
-    "restore_rollback": lambda scheduler: scheduler.restore(scheduler.snapshot()),
+    "cancel": (
+        lambda scheduler: scheduler.cancel(min(scheduler._active)),
+        lambda combination, cancelled: cancelled not in combination,
+    ),
+    "resize": (
+        lambda scheduler: scheduler.resize({"v100": -1, "k80": +1}),
+        lambda *_: True,
+    ),
+    "swap_policy": (
+        lambda scheduler: scheduler.swap_policy(_SWAP_TO[scheduler._config.aggregation]),
+        lambda *_: True,
+    ),
+    "restore_rollback": (
+        lambda scheduler: scheduler.restore(scheduler.snapshot()),
+        lambda *_: False,
+    ),
 }
 
 
 class TestMemberTableLifetime:
-    """The table points into ``_active`` / ``_records``; whatever replaces those ends the period."""
+    """The table points into ``_active`` / ``_records``: its rows live as long as their jobs."""
 
+    @pytest.mark.parametrize("aggregation", _AGGREGATIONS)
     @pytest.mark.parametrize("intervention", sorted(_INTERVENTIONS))
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
-    def test_next_round_runs_on_live_objects(self, name, intervention):
-        """Same intervention on both; the reference holds no table, so it cannot be stale."""
+    def test_next_round_runs_on_live_objects(self, name, intervention, aggregation):
+        """Same intervention on both; the reference holds no table, so it cannot be stale.
+
+        A cancel drops the rows of its job, a restore every row (it replaces
+        the objects they point at); a resize or a policy swap drops none.
+        """
+        intervene, survives = _INTERVENTIONS[intervention]
         with _recorded_rounds() as rounds:
-            real, twin = _mid_period(name, rounds)
+            real, twin = _mid_period(name, rounds, aggregation)
+            table, cancelled = dict(real._members), min(real._active)
             for scheduler in (real, twin):
-                _INTERVENTIONS[intervention](scheduler)
+                intervene(scheduler)
+            kept = {row for row in table if survives(row, cancelled)}
+            assert real._members.keys() == kept
+            assert all(real._members[row] is table[row] for row in kept)
             assert _state(real) == _state(twin)
             assert _run_both(real, twin, rounds) > 10
         assert not real.has_work
         # The rest of the run was written into the objects results are read from.
         for job_id, record in real.result().records.items():
             assert record.completed or record.cancelled, job_id
+        # Every job left, and took its rows with it.
+        assert not real._members
 
+    @pytest.mark.parametrize("aggregation", _AGGREGATIONS)
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
-    def test_restore_onto_a_fresh_scheduler(self, name):
+    def test_restore_onto_a_fresh_scheduler(self, name, aggregation):
         policy, config, _per_type, _multi = SCENARIOS[name]
         with _recorded_rounds() as rounds:
-            original, twin = _mid_period(name, rounds)
+            original, twin = _mid_period(name, rounds, aggregation)
             checkpoint = original.snapshot()
-            resumed = ClusterScheduler(policy, checkpoint.cluster_spec, config=config)
+            resumed = ClusterScheduler(
+                policy, checkpoint.cluster_spec, config=replace(config, aggregation=aggregation)
+            )
             resumed.restore(checkpoint)
-            assert not any(resumed._members)  # rebuilt lazily, row by row, as rounds pick them
+            assert not any(resumed._members)  # resolved lazily, row by row, as rounds pick them
             assert _state(resumed) == _state(twin)
             assert _run_both(resumed, twin, rounds) > 10
         # The scheduler the snapshot came from was not touched by its copy's run.
@@ -240,11 +278,12 @@ class TestMemberTableLifetime:
         original.run_until()
         assert _state(original) == _state(resumed)
 
+    @pytest.mark.parametrize("aggregation", _AGGREGATIONS)
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
-    def test_rollback_discards_rounds_run_after_the_snapshot(self, name):
+    def test_rollback_discards_rounds_run_after_the_snapshot(self, name, aggregation):
         """Rounds after the snapshot wrote through the old table; the rollback must not see them."""
         with _recorded_rounds() as rounds:
-            real, twin = _mid_period(name, rounds)
+            real, twin = _mid_period(name, rounds, aggregation)
             checkpoint = real.snapshot()
             for _ in range(3):
                 real.step()
@@ -252,10 +291,11 @@ class TestMemberTableLifetime:
             assert _state(real) == _state(twin)
             assert _run_both(real, twin, rounds) > 10
 
-    def test_snapshot_does_not_read_the_table(self):
+    @pytest.mark.parametrize("aggregation", _AGGREGATIONS)
+    def test_snapshot_does_not_read_the_table(self, aggregation):
         """``snapshot()`` gained no per-job work: it never looks at the table."""
         with _recorded_rounds() as rounds:
-            real, _twin = _mid_period("round", rounds)
+            real, _twin = _mid_period("round", rounds, aggregation)
         real._members = None  # any read of it would raise
         real.snapshot()
 
