@@ -4,7 +4,8 @@ The water-filling procedure raises every job's weighted normalized effective
 throughput at an equal rate until some job *bottlenecks* (its throughput
 cannot be increased without decreasing another job's), freezes the
 bottlenecked jobs, redistributes their weight according to the per-entity
-policy, and repeats.  Two optimization problems are solved per iteration:
+policy, and repeats.  Two optimization problems are solved per iteration
+(the second only while more than one job is in play, see below):
 
 1. an LP that maximizes the minimum weighted *increase* in normalized
    throughput across the jobs still in play, subject to nobody dropping below
@@ -33,6 +34,13 @@ policy, and repeats.  Two optimization problems are solved per iteration:
    branching used to, and the level profile is the same either way up to
    ``delta``.
 
+   With a single job in play the second problem is not solved at all: the
+   level LP has just maximized that job alone, under the same floors the
+   detection keeps for everybody else, so its row admits ``z_m <= eps /
+   (delta + eps)`` (about 0.09) at most; the relaxation is then decisive at
+   the empty set whatever its vertex, and it cannot be infeasible.  The job
+   freezes without an LP (:meth:`_LevelLoopProgram.run`).
+
 Persistent-program level loop
 -----------------------------
 
@@ -56,15 +64,22 @@ persistent rows over its normalized-throughput terms
   max-min objective ``t = min_m (n_m - level_m) / w_m`` over the jobs still
   in play.  Freezing a saturated (or zero-weight) job relaxes its row to
   ``-inf`` — again a right-hand-side edit — and a weight change from
-  hierarchical redistribution rewrites that job's level row in place (the
-  cached throughput terms with the new ``-w_m`` epigraph coefficient; only
-  rows whose weight actually moved are touched).
+  hierarchical redistribution is a one-column edit of the epigraph column
+  (:meth:`~repro.solver.lp.LinearProgram.set_column_coefficients_from_arrays`):
+  only the ``-w_m`` coefficients of the rows whose weight actually moved are
+  written, and the rest of each row is left as it is.  The edit is
+  journalled as a row rewrite (``as_rewrite``), so the live model receives
+  its coefficients where it would receive the rows' rewrites, among the
+  capacity rows an event edited before them.
 
 A level iteration is then: one bound sweep, one warm-started re-solve of the
 live program, an analytic level bump (``level_m += w_m * t*`` for the jobs in
 play — ``t*`` is the LP's unique optimal value, so the loop's trajectory
 never depends on which degenerate vertex the solver returned), and a
-bottleneck check.
+bottleneck check.  The loop keeps its state — levels, weights, the in-play
+mask — in arrays in the matrix's job order, and each
+:meth:`_LevelLoopProgram.align` looks up the rows' bound slots once, so the
+sweeps are array writes.
 
 Bottleneck detection is solved on a **second persistent program**
 (:class:`_DetectionProgram`, owned by the level loop): per job one row
@@ -89,11 +104,12 @@ vertices where a from-scratch run starts cold.  The level profile is the same
 either way (:meth:`_LevelLoopProgram._solve_level`); the vertex of the last
 iteration, which becomes the allocation, and the pick among tying jobs need
 not be.  Measured on the end-to-end benchmark's hierarchical workload (28
-jobs, 43 re-allocations): 219 of 220 detections enter HiGHS with a valid
-basis and cost 4 simplex iterations in the median, 5.8 in the mean (3 and
-8.9 cold) — the saving over a fresh program per detection is construction
-(a ``LinearProgram``, its variables, a HiGHS instance and a ``passModel``,
-220 times), not pivots.  A failed solve drops that program's live model
+jobs, 43 re-allocations, 220 iterations at seed 7): the 190 iterations with
+more than one job in play solve a detection, 189 of which enter HiGHS with a
+valid basis and cost 4 simplex iterations in the median, 6.2 in the mean —
+the saving over a fresh program per detection is construction (a
+``LinearProgram``, its variables, a HiGHS instance and a ``passModel``, 190
+times), not pivots.  A failed solve drops that program's live model
 (:meth:`~repro.solver.lp.LinearProgram.solve`), and since every sweep
 rewrites every bound it owns, the next run on the same session starts from a
 full model pass and nothing of the aborted one.
@@ -145,7 +161,8 @@ _Redistribute = Callable[[Mapping[int, float], Set[int]], Dict[int, float]]
 class WaterFillingResult:
     """Outcome of the water-filling procedure.
 
-    ``detection_solves`` counts bottleneck detections (one per iteration),
+    ``detection_solves`` counts bottleneck detection LPs (one per iteration
+    with more than one job in play; a lone job freezes without one),
     ``milp_fallbacks`` those whose LP relaxation was not decisive and were
     re-solved with integer indicators, and ``infeasible_detections`` those
     the solver reported infeasible — each of which froze every job still in
@@ -189,7 +206,7 @@ class _DetectionProgram:
         #: What each row encodes: ``(terms, norm, group count)`` — the terms
         #: tuple by identity, as handed out by *this* program's variables.
         self._encoded: Dict[int, Tuple[Tuple[np.ndarray, np.ndarray], float, int]] = {}
-        #: ``(job order, row handles, indicator columns, group counts)``, rebuilt lazily.
+        #: ``(job order, row bound slots, indicator columns, group counts)``, rebuilt lazily.
         self._layout_cache: Optional[
             Tuple[Tuple[int, ...], np.ndarray, np.ndarray, np.ndarray]
         ] = None
@@ -297,47 +314,43 @@ class _DetectionProgram:
         self._layout_cache = None
 
     def _layout(self) -> Tuple[Tuple[int, ...], np.ndarray, np.ndarray, np.ndarray]:
-        """``(job order, row handles, indicator columns, group counts)`` for the sweeps."""
+        """``(job order, row bound slots, indicator columns, group counts)`` for the sweeps."""
         job_ids = self._variables.matrix.job_ids
         if self._layout_cache is None or self._layout_cache[0] != job_ids:
             size = len(job_ids)
             self._layout_cache = (
                 job_ids,
-                np.fromiter((self._rows[job_id] for job_id in job_ids), np.int64, count=size),
-                np.fromiter(
-                    (self._indicators[job_id] for job_id in job_ids), np.int64, count=size
+                self.program.constraint_slots(
+                    np.fromiter(map(self._rows.__getitem__, job_ids), np.int64, count=size)
                 ),
+                np.fromiter(map(self._indicators.__getitem__, job_ids), np.int64, count=size),
                 np.fromiter(
                     (self._encoded[job_id][2] for job_id in job_ids), float, count=size
                 ),
             )
         return self._layout_cache
 
-    def find_improvable(
-        self, levels: Mapping[int, float], candidates: Set[int]
-    ) -> Tuple[Set[int], bool]:
-        """A maximum set of ``candidates`` that can all gain ``delta`` at once.
+    def find_improvable(self, levels: np.ndarray, in_play: np.ndarray) -> Tuple[np.ndarray, bool]:
+        """A maximum set of the jobs in play that can all gain ``delta`` at once.
 
-        Points the rows at ``levels`` and the indicators at ``candidates``
-        (1 at most for a candidate, 0 for the rest), re-solves and applies the
-        decisive-LP rule (``_Z_TOLERANCE`` on both comparisons).  Returns the
-        set plus whether the integer fallback was needed; raises
-        :class:`InfeasibleError` when even "nobody drops below its level" has
-        no solution.
+        ``levels`` and the boolean ``in_play`` mask are in the matrix's job
+        order.  Points the rows at ``levels`` and the indicators at the mask
+        (1 at most for a job in play, 0 for the rest), re-solves and applies
+        the decisive-LP rule (``_Z_TOLERANCE`` on both comparisons).  Returns
+        the set as a mask in the same order plus whether the integer fallback
+        was needed; raises :class:`InfeasibleError` when even "nobody drops
+        below its level" has no solution.
         """
         program = self.program
-        job_ids, rows, indicators, counts = self._layout()
-        size = len(job_ids)
-        level_vec = np.fromiter(map(levels.get, job_ids, itertools.repeat(0.0)), float, size)
-        in_play = np.fromiter(map(candidates.__contains__, job_ids), float, size)
-        program.set_constraint_bounds_from_arrays(rows, lower=level_vec - _EPSILON * counts)
+        _job_ids, slots, indicators, counts = self._layout()
+        program.set_constraint_bounds_at_slots(slots, lower=levels - _EPSILON * counts)
         program.set_variable_bounds_from_arrays(indicators, 0.0, in_play)
         z = program.solve().values[indicators]
         chosen = z >= 1.0 - _Z_TOLERANCE
         decisive = float(z[~chosen].sum()) < 1.0 - _Z_TOLERANCE
         if not decisive:
             chosen = program.solve(integer_columns=indicators).values[indicators] > 0.5
-        return {job_ids[position] for position in np.flatnonzero(chosen).tolist()}, not decisive
+        return chosen, not decisive
 
 
 class _LevelLoopProgram:
@@ -349,7 +362,17 @@ class _LevelLoopProgram:
     :class:`_DetectionProgram` it owns.  One :meth:`run` call executes the
     complete level loop of Section 4.3 through right-hand-side sweeps and
     warm re-solves of the two live programs.
+
+    The loop's state lives in arrays in the matrix's job order: levels,
+    weights and the in-play mask per run, and per :meth:`align` the layout
+    of the rows — their bound slots, the level rows' handles, the group
+    counts and the weight each level row encodes — so an iteration is a few
+    array writes.
     """
+
+    #: Whether an iteration with one job in play skips its detection LP (see
+    #: :meth:`run`); the equivalence tests switch it off to compare.
+    _ELIDE_LONE_DETECTION = True
 
     def __init__(self, program: LinearProgram, variables: AllocationVariables) -> None:
         self._program = program
@@ -368,10 +391,16 @@ class _LevelLoopProgram:
         #: job id -> normalization factor currently encoded in the rows.
         self._norms: Dict[int, float] = {}
         self._scales = NormalizationCache(_norm)
-        #: job id -> weight currently encoded as the level row's -w_m * t term.
-        self._level_weights: Dict[int, float] = {}
-        #: Handle arrays aligned with the matrix's job order (rebuilt lazily).
-        self._handle_cache: Optional[Tuple[Tuple[int, ...], np.ndarray, np.ndarray]] = None
+        #: The layout, in the matrix's job order as of the last :meth:`align`:
+        #: the floor and level rows' bound slots, the level rows' handles,
+        #: the group counts, and the weight ``w_m`` each level row encodes as
+        #: its ``-w_m * t`` term (written in place as iterations reweight).
+        self._job_order: Tuple[int, ...] = ()
+        self._floor_slots = np.empty(0, dtype=np.int64)
+        self._level_slots = np.empty(0, dtype=np.int64)
+        self._level_handles = np.empty(0, dtype=np.int64)
+        self._counts = np.empty(0)
+        self._weights = np.empty(0)
         #: Whether the last :meth:`align` ran to the end (else the next one
         #: cannot tell the detection program which norms moved).
         self._aligned = True
@@ -387,13 +416,14 @@ class _LevelLoopProgram:
         normalization factor moved (estimate refinements, cluster resizes)
         get their coefficients rewritten in place — one call per kind of
         edit, over the jobs the :class:`NormalizationCache` refresh returns.
-        The detection program then follows with the same diff, told which
-        norms moved.
+        The layout then follows the matrix's job order, and the detection
+        program follows with the same diff, told which norms moved.
         """
         self._problem = problem
         variables = self._variables
         program = self._program
         complete, self._aligned = self._aligned, False
+        weight_of = dict(zip(self._job_order, self._weights.tolist()))
         gone = self._floors.keys() - problem.jobs.keys()
         if gone:
             departed = [job_id for job_id in self._floors if job_id in gone]
@@ -408,11 +438,12 @@ class _LevelLoopProgram:
                 self._terms.pop(job_id, None)
                 self._norms.pop(job_id, None)
                 self._scales.discard(job_id)
-                self._level_weights.pop(job_id, None)
-            self._handle_cache = None
+                weight_of.pop(job_id, None)
         renormed: Optional[Set[int]] = None
+        restructured = bool(gone)
         if not self._floors:
             self._build_all(problem)
+            restructured = True
         else:
             added: List[int] = []
             rewritten: List[int] = []
@@ -420,7 +451,6 @@ class _LevelLoopProgram:
             for job_id, terms, norm in changed:
                 if job_id not in self._floors:
                     added.append(job_id)
-                    self._level_weights[job_id] = 1.0
                 elif self._terms.get(job_id) is not terms or self._norms.get(job_id) != norm:
                     rewritten.append(job_id)
                 else:
@@ -429,11 +459,11 @@ class _LevelLoopProgram:
                 self._norms[job_id] = norm
             if added:
                 handles = program.add_constraints_from_arrays(
-                    *self._rows_of(added, floors=True), -math.inf, math.inf
+                    *self._rows_of(added, {}), -math.inf, math.inf
                 ).tolist()
                 self._floors.update(zip(added, handles[::2]))
                 self._level_rows.update(zip(added, handles[1::2]))
-                self._handle_cache = None
+                restructured = True
             if rewritten:
                 program.set_constraints_coefficients_from_arrays(
                     [
@@ -441,10 +471,11 @@ class _LevelLoopProgram:
                         for job_id in rewritten
                         for handle in (self._floors[job_id], self._level_rows[job_id])
                     ],
-                    *self._rows_of(rewritten, floors=True),
+                    *self._rows_of(rewritten, weight_of),
                 )
             if complete:
                 renormed = {job_id for job_id, _terms, _norm in changed}
+        self._lay_out(problem, weight_of, restructured)
         self.detection.align(problem, variables.matrix, self._norms, renormed)
         self._aligned = True
 
@@ -481,16 +512,14 @@ class _LevelLoopProgram:
             self._level_rows[job_id] = int(level_handles[position])
             self._terms[job_id] = variables.effective_throughput_terms(job_id)
             self._norms[job_id] = float(norms[position])
-            self._level_weights[job_id] = 1.0
-        self._handle_cache = None
 
     def _rows_of(
-        self, job_ids: List[int], floors: bool
+        self, job_ids: List[int], weight_of: Mapping[int, float]
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The level rows of ``job_ids`` as encoded, each after its floor row if ``floors``.
+        """The floor and level rows of ``job_ids`` as encoded, each floor before its level row.
 
         A level row is the floor row's terms plus ``-w_m`` on the epigraph
-        column, ``w_m`` the weight in ``_level_weights``.
+        column, ``w_m`` from ``weight_of`` (1.0 for a job it does not name).
         """
         epigraph = np.array([self._epigraph.index])
         cols: List[np.ndarray] = []
@@ -499,75 +528,71 @@ class _LevelLoopProgram:
         for job_id in job_ids:
             job_cols, job_vals = self._terms[job_id]
             job_coeffs = job_vals * self._norms[job_id]
-            if floors:
-                cols.append(job_cols)
-                coeffs.append(job_coeffs)
-                lengths.append(len(job_cols))
-            cols += (job_cols, epigraph)
-            coeffs += (job_coeffs, np.array([-self._level_weights.get(job_id, 1.0)]))
-            lengths.append(len(job_cols) + 1)
+            cols += (job_cols, job_cols, epigraph)
+            coeffs += (job_coeffs, job_coeffs, np.array([-weight_of.get(job_id, 1.0)]))
+            lengths += (len(job_cols), len(job_cols) + 1)
         return (
             np.repeat(np.arange(len(lengths)), lengths),
             np.concatenate(cols),
             np.concatenate(coeffs),
         )
 
-    def _handles(self) -> Tuple[Tuple[int, ...], np.ndarray, np.ndarray]:
-        """``(job order, floor handles, level-row handles)`` for bulk edits."""
-        job_ids = self._variables.matrix.job_ids
-        if self._handle_cache is None or self._handle_cache[0] != job_ids:
-            floors = np.fromiter(
-                (self._floors[job_id] for job_id in job_ids), np.int64, count=len(job_ids)
-            )
-            level_rows = np.fromiter(
-                (self._level_rows[job_id] for job_id in job_ids),
-                np.int64,
-                count=len(job_ids),
-            )
-            self._handle_cache = (job_ids, floors, level_rows)
-        return self._handle_cache
+    def _lay_out(
+        self, problem: PolicyProblem, weight_of: Mapping[int, float], restructured: bool
+    ) -> None:
+        """Point the layout at the matrix's job order (``weight_of``: the encoded weights).
 
-    def _group_count(self, job_id: int) -> int:
-        """Aggregation-group size behind a row (1 on per-job problems).
-
+        Slots and handles are looked up only when rows came or went (or the
+        order moved); the group counts are read every time, since a
+        type-aggregated problem may regroup without a structural edit.
         Levels track group *totals* on aggregated problems, so every epsilon
         slack, improvement threshold and freeze-guard comparison scales by
-        this count (a per-member delta for each of the ``n_g`` members).
+        the count (a per-member delta for each of the ``n_g`` members).
         """
-        problem = self._problem
-        return 1 if problem is None else problem.group_count(job_id)
+        job_ids = self._variables.matrix.job_ids
+        size = len(job_ids)
+        if restructured or job_ids != self._job_order:
+            program = self._program
+            self._floor_slots = program.constraint_slots(
+                np.fromiter(map(self._floors.__getitem__, job_ids), np.int64, count=size)
+            )
+            self._level_handles = np.fromiter(
+                map(self._level_rows.__getitem__, job_ids), np.int64, count=size
+            )
+            self._level_slots = program.constraint_slots(self._level_handles)
+            self._weights = np.fromiter(
+                map(weight_of.get, job_ids, itertools.repeat(1.0)), float, count=size
+            )
+            self._job_order = job_ids
+        if problem.group_counts is None:
+            self._counts = np.ones(size)
+        else:
+            self._counts = np.fromiter(map(problem.group_count, job_ids), float, count=size)
 
     # -- per-iteration edits ----------------------------------------------------------
     def _begin_iteration(
-        self,
-        weights: Mapping[int, float],
-        levels: Mapping[int, float],
-        frozen: Set[int],
-        counts: np.ndarray,
+        self, weights: np.ndarray, levels: np.ndarray, in_play: np.ndarray
     ) -> None:
-        """Point the live program at one level LP (``counts``: group counts in job order)."""
+        """Point the live program at one level LP (all arrays in the layout's job order).
+
+        Floors go to ``levels - eps * n_g``; a job in play whose weight moved
+        gets its epigraph coefficient rewritten (one column edit, nothing
+        else of its row); level rows in play go to ``levels``, the rest are
+        relaxed to ``-inf``.
+        """
         program = self._program
-        job_ids, floor_handles, level_handles = self._handles()
-        size = len(job_ids)
-        level_vec = np.fromiter(map(levels.__getitem__, job_ids), float, size)
-        program.set_constraint_bounds_from_arrays(floor_handles, level_vec - _EPSILON * counts)
-        weight_of = [weights.get(job_id, 0.0) for job_id in job_ids]
-        in_play = (np.array(weight_of, dtype=float) > 0) & ~np.fromiter(
-            map(frozen.__contains__, job_ids), bool, size
+        program.set_constraint_bounds_at_slots(
+            self._floor_slots, lower=levels - _EPSILON * self._counts
         )
-        reweighted = []
-        for position in np.flatnonzero(in_play).tolist():
-            job_id, weight = job_ids[position], weight_of[position]
-            if self._level_weights.get(job_id) != weight:
-                self._level_weights[job_id] = weight
-                reweighted.append(job_id)
-        if reweighted:
-            program.set_constraints_coefficients_from_arrays(
-                [self._level_rows[job_id] for job_id in reweighted],
-                *self._rows_of(reweighted, floors=False),
+        (reweighted,) = (in_play & (weights != self._weights)).nonzero()
+        if len(reweighted):
+            moved = weights[reweighted]
+            program.set_column_coefficients_from_arrays(
+                self._epigraph, self._level_handles[reweighted], -moved, as_rewrite=True
             )
-        program.set_constraint_bounds_from_arrays(
-            level_handles, lower=np.where(in_play, level_vec, -math.inf)
+            self._weights[reweighted] = moved
+        program.set_constraint_bounds_at_slots(
+            self._level_slots, lower=np.where(in_play, levels, -math.inf)
         )
 
     def _solve_level(self) -> Tuple[Solution, float]:
@@ -593,69 +618,94 @@ class _LevelLoopProgram:
         redistribute: Optional[_Redistribute] = None,
         max_iterations: Optional[int] = None,
     ) -> WaterFillingResult:
-        """Execute the Section 4.3 level loop on the live program."""
+        """Execute the Section 4.3 level loop on the live program.
+
+        An iteration with a single job in play skips the detection LP: the
+        level LP has just maximized that job alone under the floors the
+        detection keeps, so its row admits ``z <= eps / (delta + eps)`` at
+        most, the relaxation is decisive at the empty set whatever vertex
+        it returns, and it cannot be infeasible.  The job freezes as the
+        detection would have frozen it, and
+        :attr:`WaterFillingResult.detection_solves` does not count the
+        iteration.
+        """
         if self._problem is None:
             raise ConfigurationError("level-loop program was never aligned to a problem")
-        job_ids = self._variables.matrix.job_ids
-        limit = max_iterations if max_iterations is not None else len(job_ids) + 2
+        job_ids = self._job_order
+        size = len(job_ids)
+        counts = self._counts
+        limit = max_iterations if max_iterations is not None else size + 2
         weights: Dict[int, float] = {
             job_id: float(initial_weights.get(job_id, 0.0)) for job_id in job_ids
         }
-        if all(weight <= 0 for weight in weights.values()):
+        weight_vec = np.fromiter(weights.values(), float, count=size)
+        if (weight_vec <= 0).all():
             raise ConfigurationError("water filling requires at least one positive job weight")
 
-        counts = np.fromiter(map(self._group_count, job_ids), float, len(job_ids))
-        levels: Dict[int, float] = {job_id: 0.0 for job_id in job_ids}
-        frozen: Set[int] = set()
+        levels = np.zeros(size)
+        frozen = np.zeros(size, dtype=bool)
+        frozen_ids: Set[int] = set()
         bottleneck_order: List[Set[int]] = []
         solution: Optional[Solution] = None
         iterations = detection_solves = milp_fallbacks = infeasible_detections = 0
 
+        positive = weight_vec > 0
         while iterations < limit:
             iterations += 1
-            active = {
-                job_id
-                for job_id in job_ids
-                if job_id not in frozen and weights.get(job_id, 0.0) > 0
-            }
-            if not active:
+            in_play = positive & ~frozen
+            in_play_count = np.count_nonzero(in_play)
+            if not in_play_count:
                 break
-            self._begin_iteration(weights, levels, frozen, counts)
+            self._begin_iteration(weight_vec, levels, in_play)
             solution, t_star = self._solve_level()
-            for job_id in sorted(active):
-                levels[job_id] = levels[job_id] + weights[job_id] * t_star
+            levels[in_play] += weight_vec[in_play] * t_star
 
-            detection_solves += 1
-            try:
-                improvable, fell_back = self.detection.find_improvable(levels, active)
-            except InfeasibleError:
-                # Not even "nobody drops below its level" is feasible: nothing
-                # can be shown improvable, so everything in play freezes — on
-                # the record.  A SolverError is a failure and propagates.
-                infeasible_detections += 1
-                improvable = set()
+            if in_play_count == 1 and self._ELIDE_LONE_DETECTION:
+                newly_frozen = in_play
             else:
-                milp_fallbacks += fell_back
-            newly_frozen = active - improvable
-            if not newly_frozen:
+                detection_solves += 1
+                try:
+                    improvable, fell_back = self.detection.find_improvable(levels, in_play)
+                except InfeasibleError:
+                    # Not even "nobody drops below its level" is feasible:
+                    # nothing can be shown improvable, so everything in play
+                    # freezes — on the record.  A SolverError is a failure and
+                    # propagates.
+                    infeasible_detections += 1
+                    newly_frozen = in_play
+                else:
+                    milp_fallbacks += fell_back
+                    newly_frozen = in_play & ~improvable
+            (positions,) = newly_frozen.nonzero()
+            if not len(positions):
                 # Guard against cycling: freeze the lowest-level active group
-                # (compared per member so group size does not bias the pick).
-                newly_frozen = {
-                    min(active, key=lambda job_id: levels[job_id] / self._group_count(job_id))
-                }
-            frozen.update(newly_frozen)
-            bottleneck_order.append(set(newly_frozen))
+                # (compared per member so group size does not bias the pick);
+                # a tie goes to the first such job in the active *set*'s order.
+                (positions,) = in_play.nonzero()
+                position_of = {job_ids[position]: position for position in positions.tolist()}
+                active = {job_ids[position] for position in positions.tolist()}
+                per_member = levels / counts
+                pick = min(active, key=lambda job_id: per_member[position_of[job_id]])
+                positions = np.array([position_of[pick]])
+            frozen[positions] = True
+            newly = {job_ids[position] for position in positions.tolist()}
+            bottleneck_order.append(newly)
 
             if redistribute is not None:
-                weights = dict(redistribute(weights, frozen))
-            if len(frozen) == len(job_ids):
+                frozen_ids |= newly
+                weights = dict(redistribute(weights, frozen_ids))
+                weight_vec = np.fromiter(
+                    map(weights.get, job_ids, itertools.repeat(0.0)), float, count=size
+                )
+                positive = weight_vec > 0
+            if frozen.all():
                 break
 
         if solution is None:
             raise InfeasibleError("water filling produced no allocation")
         return WaterFillingResult(
             allocation=self._variables.extract_allocation(solution),
-            normalized_throughputs=levels,
+            normalized_throughputs=dict(zip(job_ids, levels.tolist())),
             iterations=iterations,
             bottleneck_order=bottleneck_order,
             detection_solves=detection_solves,

@@ -705,6 +705,8 @@ class _HighsBackend:
         # One entry for the sync's changeCoeff calls.  One-column edits come
         # first: a whole-row rewrite journalled after one captured the row as
         # that edit left it, so its diff below is against the state they produce.
+        # A one-column edit after the rewrite is not journalled at all (see
+        # set_column_coefficients_from_arrays): the diff alone pushes it, once.
         rows: List[int] = []
         columns: List[int] = []
         values: List[float] = []
@@ -722,14 +724,22 @@ class _HighsBackend:
             constraint = program._constraints.get(handle)
             if row is None or constraint is None:
                 continue
-            before = np.zeros(num_cols)
-            before[old_indices] = old_values
-            after = np.zeros(num_cols)
-            after[constraint.indices] = constraint.values
-            (moved,) = (before != after).nonzero()
-            rows.extend(itertools.repeat(row, len(moved)))
-            columns.extend(moved.tolist())
-            values.extend(after[moved].tolist())
+            if constraint.indices is old_indices:
+                # Same terms in the same places (a column edit): diff the values.
+                (moved,) = (constraint.values != old_values).nonzero()
+                if len(moved) > 1:
+                    moved = moved[np.argsort(old_indices[moved])]
+                moved_columns, moved_values = old_indices[moved], constraint.values[moved]
+            else:
+                before = np.zeros(num_cols)
+                before[old_indices] = old_values
+                after = np.zeros(num_cols)
+                after[constraint.indices] = constraint.values
+                (moved_columns,) = (before != after).nonzero()
+                moved_values = after[moved_columns]
+            rows.extend(itertools.repeat(row, len(moved_columns)))
+            columns.extend(moved_columns.tolist())
+            values.extend(moved_values.tolist())
         if rows:
             self._call(("changeCoeff", np.array(rows), np.array(columns), np.array(values)), name)
 
@@ -1326,25 +1336,41 @@ class LinearProgram:
         column: "Variable | int",
         handles: "Sequence[int] | np.ndarray",
         values: np.ndarray,
+        *,
+        as_rewrite: bool = False,
     ) -> None:
         """Set one column's coefficient in many constraints: ``values[k]`` in ``handles[k]``.
 
         The transpose of :meth:`set_constraint_coefficients_from_arrays`, for a
         column whose entries all move between two solves (the scaling column
-        of :class:`~repro.core.session.ThroughputRequirementSession`).  Each
-        row keeps its other terms and its place in the live model; the edit
-        is journalled per coefficient, so the next solve costs one
-        ``changeCoeff`` for every entry that really moved and keeps the basis.
-        A zero value drops the term from its row.
+        of :class:`~repro.core.session.ThroughputRequirementSession`, the
+        epigraph column of the water-filling level rows).  Each row keeps its
+        other terms and its place in the live model, and the next solve costs
+        one ``changeCoeff`` for every entry that really moved and keeps the
+        basis.  A zero value drops the term from its row.
+
+        The edit is journalled per coefficient, and the next solve pushes
+        those entries ahead of the rows rewritten whole.  A row rewritten
+        since the last solve is left out of that journal: its difference
+        against the terms HiGHS holds covers this column, once.  With
+        ``as_rewrite`` the rows are journalled as rewritten instead, in the
+        order given, so their entries reach HiGHS in the order rows were
+        first edited, among the other rewritten rows; a row whose terms stay
+        in place is diffed by value alone.
         """
         index = column.index if isinstance(column, Variable) else int(column)
         handles = np.asarray(handles, dtype=np.int64)
         values = np.broadcast_to(np.asarray(values, dtype=float), handles.shape)
         _check_finite(values, self.name)
+        if as_rewrite:
+            for row, value in zip(self._edited(handles), values.tolist()):
+                row.set_coefficient(index, value)
+            return
         journal = self._hs_coefficients
+        rewritten = self._hs_dirty
         for handle, value in zip(handles.tolist(), values.tolist()):
             previous = self._constraint(handle).set_coefficient(index, value)
-            if value != previous:
+            if value != previous and handle not in rewritten:
                 seen = journal.get((handle, index))
                 journal[handle, index] = (previous if seen is None else seen[0], value)
         self._structure_revision += 1
@@ -1436,17 +1462,39 @@ class LinearProgram:
         warm re-solve: one indexed write per side here, and at the next solve
         a ``changeRowBounds`` only for the rows that really moved.
         """
+        self.set_constraint_bounds_at_slots(self._slots(handles), lower, upper)
+
+    def _slots(self, handles: "Sequence[int] | np.ndarray") -> List[int]:
         constraints = self._constraints
-        handles = np.asarray(handles, dtype=np.int64).tolist()
         try:
-            slots = [constraints[handle].slot for handle in handles]
+            return [constraints[handle].slot for handle in np.asarray(handles, np.int64).tolist()]
         except KeyError as error:
             raise SolverError(f"{self.name}: unknown constraint handle {error.args[0]}") from None
+
+    def constraint_slots(self, handles: "Sequence[int] | np.ndarray") -> np.ndarray:
+        """The bound slots of ``handles``, for :meth:`set_constraint_bounds_at_slots`.
+
+        A row keeps its slot until it is removed, so a caller that moves the
+        same rows' bounds many times between two structural edits (the
+        water-filling level loop) looks the slots up once.
+        """
+        return np.array(self._slots(handles), dtype=np.int64)
+
+    def set_constraint_bounds_at_slots(
+        self,
+        slots: "Sequence[int] | np.ndarray",
+        lower: "float | np.ndarray | None" = None,
+        upper: "float | np.ndarray | None" = None,
+    ) -> None:
+        """:meth:`set_constraint_bounds_from_arrays` for rows named by :meth:`constraint_slots`.
+
+        The slots must belong to rows that are still in the program.
+        """
         if lower is not None:
             self._row_lower_buf[slots] = lower
         if upper is not None:
             self._row_upper_buf[slots] = upper
-        if slots:
+        if len(slots):
             self._hs_bounds_dirty = True
 
     def _constraint(self, handle: int) -> _Constraint:

@@ -30,6 +30,7 @@ from churn_fingerprint_scenarios import (
 )
 
 from repro.core import WaterFillingAllocator, make_policy
+from repro.core.water_filling import _LevelLoopProgram
 from repro.harness.equivalence import LEVEL_PROFILE_TOL, water_filling_level_profile
 from repro.solver.lp import LinearProgram
 
@@ -93,8 +94,16 @@ def test_water_filling_session_keeps_two_programs_warm(oracle, monkeypatch, poli
         solved.append((program, solve(program, *args, **kwargs)))
         return solved[-1][1]
 
+    in_play = []  # jobs in play, per level iteration
+    begin = _LevelLoopProgram._begin_iteration
+
+    def counting_begin(loop, weights, levels, playing):
+        in_play.append(int(np.count_nonzero(playing)))
+        return begin(loop, weights, levels, playing)
+
     monkeypatch.setattr(LinearProgram, "__init__", counting_init)
     monkeypatch.setattr(LinearProgram, "solve", recording)
+    monkeypatch.setattr(_LevelLoopProgram, "_begin_iteration", counting_begin)
     steps = churn_problems(oracle)
     policy = make_policy(policy_spec)
     session = policy.session(steps[0][0])
@@ -111,8 +120,11 @@ def test_water_filling_session_keeps_two_programs_warm(oracle, monkeypatch, poli
         flags = [solution.warm_started for owner, solution in solved if owner is program]
         assert flags == [False] + [True] * (len(flags) - 1), program.name
         assert program.basis_rejections == 0
+    # One detection per level iteration, except where a lone job was in play.
+    iterations = sum(result.iterations for _, result in results)
     detections = sum(result.detection_solves for _, result in results)
-    assert detections >= len(steps)
+    assert len(in_play) == iterations == sum(owner is level for owner, _ in solved)
+    assert detections == iterations - in_play.count(1) >= len(steps)
     assert sum(owner is detection for owner, _ in solved) == detections
 
     # Cold one-shot runs of the same problems: same profile, same freeze sizes.

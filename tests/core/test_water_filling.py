@@ -15,9 +15,10 @@ from repro.core import (
 )
 from repro.core.aggregation import AggregatedProblem
 from repro.core.effective_throughput import effective_throughput
+from repro.core.hierarchical import EntitySpec, HierarchicalPolicy
 from repro.core.policy import AllocationVariables
 from repro.core.water_filling import _EPSILON, _IMPROVEMENT, _LevelLoopProgram
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, InfeasibleError
 from repro.harness.equivalence import LEVEL_PROFILE_TOL, water_filling_level_profile
 from repro.solver.lp import LinearProgram
 from repro.workloads import Job
@@ -99,18 +100,26 @@ class TestWaterFilling:
                     assert result.allocation.job_total(job_id) >= 0.95
 
     @pytest.mark.parametrize("fixture", ["mixed_problem", "mixed_problem_ss"])
-    def test_relaxation_matches_milp_oracle(self, request, fixture):
+    def test_relaxation_matches_milp_oracle(self, request, monkeypatch, fixture):
         """The level loop ends where it ends with the textbook MILP deciding."""
         problem = request.getfixturevalue(fixture)
         matrix = problem.throughputs
         weights = {job_id: 1.0 for job_id in problem.job_ids}
+        in_play = _in_play_counts(monkeypatch)
         relaxed = WaterFillingAllocator(problem, matrix).run(initial_weights=weights)
-        assert relaxed.detection_solves == relaxed.iterations
+        # One detection per iteration, except where a lone job was in play.
+        assert len(in_play) == relaxed.iterations
+        assert relaxed.detection_solves == relaxed.iterations - in_play.count(1)
         assert relaxed.milp_fallbacks == relaxed.infeasible_detections == 0
 
         loop = _aligned_loop(problem, matrix)
-        loop.detection.find_improvable = lambda levels, candidates: (
-            solve_bottleneck_milp(problem, matrix, loop._norms, levels, candidates),
+        loop.detection.find_improvable = lambda levels, in_play: (
+            _mask(
+                loop,
+                solve_bottleneck_milp(
+                    problem, matrix, loop._norms, *_as_mappings(loop, levels, in_play)
+                ),
+            ),
             False,
         )
         oracle = loop.run(weights)
@@ -119,6 +128,20 @@ class TestWaterFilling:
             assert effective_throughput(
                 matrix, relaxed.allocation, job_id
             ) == pytest.approx(effective_throughput(matrix, oracle.allocation, job_id), abs=1e-6)
+
+    def test_cycling_guard_freezes_the_lowest_level_job(self):
+        """A detection that calls everybody improvable still ends the loop.
+
+        Each such iteration freezes the job in play with the lowest level
+        (job 0 wins its tie with job 2 at 0.5); the last job, alone in play,
+        freezes without a detection.
+        """
+        problem, matrix = _identical_jobs_problem(num_jobs=3, num_gpus=2)
+        loop = _aligned_loop(problem, matrix)
+        loop.detection.find_improvable = lambda levels, in_play: (in_play.copy(), False)
+        result = loop.run({0: 1.0, 1: 2.0, 2: 1.0})
+        assert result.bottleneck_order == [{0}, {2}, {1}]
+        assert (result.iterations, result.detection_solves) == (3, 2)
 
     def test_iterations_bounded(self, mixed_problem):
         allocator = WaterFillingAllocator(mixed_problem, mixed_problem.throughputs)
@@ -147,6 +170,42 @@ def _aligned_loop(problem, matrix, earlier=None):
         variables.update_to(problem, matrix)
         loop.align(problem)
     return loop
+
+
+def _as_mappings(loop, levels, in_play):
+    """The detection's array arguments as ``(levels by job, job ids in play)``."""
+    job_ids = loop._job_order
+    return (
+        dict(zip(job_ids, levels.tolist())),
+        {job_id for job_id, playing in zip(job_ids, in_play.tolist()) if playing},
+    )
+
+
+def _mask(loop, job_ids):
+    """``job_ids`` as a mask in the loop's job order."""
+    return np.array([job_id in job_ids for job_id in loop._job_order], dtype=bool)
+
+
+def _detect(loop, levels, candidates):
+    """``find_improvable`` over mappings: ``(chosen job ids, fell back)``."""
+    job_ids = loop._job_order
+    chosen, fell_back = loop.detection.find_improvable(
+        np.array([levels[job_id] for job_id in job_ids], dtype=float), _mask(loop, candidates)
+    )
+    return {job_id for job_id, hit in zip(job_ids, chosen.tolist()) if hit}, fell_back
+
+
+def _in_play_counts(monkeypatch):
+    """How many jobs each level iteration has in play from here on, in order."""
+    counts = []
+    begin = _LevelLoopProgram._begin_iteration
+
+    def recording(loop, weights, levels, in_play):
+        counts.append(int(np.count_nonzero(in_play)))
+        return begin(loop, weights, levels, in_play)
+
+    monkeypatch.setattr(_LevelLoopProgram, "_begin_iteration", recording)
+    return counts
 
 
 def _warm_flags(monkeypatch):
@@ -230,7 +289,7 @@ class TestBottleneckDetection:
                 levels[job_id] = max(0.0, levels[job_id] - slack)
         candidates = {job_id for job_id in problem.job_ids if rng.random() < 0.7}
 
-        chosen, _fell_back = loop.detection.find_improvable(levels, candidates)
+        chosen, _fell_back = _detect(loop, levels, candidates)
         best = solve_bottleneck_milp(problem, matrix, loop._norms, levels, candidates)
         assert chosen <= candidates
         if len(chosen) != len(best):
@@ -288,12 +347,14 @@ class TestBottleneckDetection:
         warm = _warm_flags(monkeypatch)
         find_improvable = detection.find_improvable
 
-        def checked(levels, candidates):
-            chosen, fell_back = find_improvable(levels, candidates)
+        def checked(level_vec, in_play):
+            mask, fell_back = find_improvable(level_vec, in_play)
+            levels, candidates = _as_mappings(loop, level_vec, in_play)
+            chosen = _as_mappings(loop, level_vec, mask)[1]
             best = solve_bottleneck_milp(problem, matrix, loop._norms, levels, candidates)
             assert len(chosen) == len(best) and chosen <= candidates
             assert solve_bottleneck_milp(problem, matrix, loop._norms, levels, chosen) == chosen
-            return chosen, fell_back
+            return mask, fell_back
 
         detection.find_improvable = checked
         result = loop.run({job_id: 1.0 for job_id in problem.job_ids})
@@ -327,13 +388,13 @@ class TestBottleneckDetection:
             "_solve_milp",
             lambda self, integrality: milp_calls.append(self.name) or solve_milp(self, integrality),
         )
-        chosen, fell_back = loop.detection.find_improvable(levels, {0, 1})
+        chosen, fell_back = _detect(loop, levels, {0, 1})
         assert fell_back and milp_calls == ["water_filling_detection"]
         assert chosen == solve_bottleneck_milp(problem, matrix, loop._norms, levels, {0, 1})
         assert chosen == set()
 
         warm = _warm_flags(monkeypatch)
-        assert loop.detection.find_improvable({0: 0.0, 1: 0.0}, {0, 1}) == ({0, 1}, False)
+        assert _detect(loop, {0: 0.0, 1: 0.0}, {0, 1}) == ({0, 1}, False)
         assert warm == [False] and milp_calls.count("water_filling_detection") == 1
 
     def test_infeasible_detection_freezes_everything_on_the_record(self, monkeypatch):
@@ -417,3 +478,136 @@ class TestSessionNormalizationCache:
             water_filling_level_profile(policy, resized, policy.compute_allocation(resized)),
             atol=LEVEL_PROFILE_TOL,
         )
+
+
+class _RecordingLoop(_LevelLoopProgram):
+    """A level loop that notes how many jobs each iteration has in play."""
+
+    def __init__(self, program, variables):
+        super().__init__(program, variables)
+        self.in_play_counts = []
+
+    def _begin_iteration(self, weights, levels, in_play):
+        self.in_play_counts.append(int(np.count_nonzero(in_play)))
+        super()._begin_iteration(weights, levels, in_play)
+
+
+class _ForcedDetectionLoop(_RecordingLoop):
+    """The same loop solving a detection on every iteration, lone job or not.
+
+    ``lone_detections`` receives ``(chosen anybody, fell back)`` of each
+    detection made with a single job in play (``"infeasible"`` if it raised).
+    """
+
+    _ELIDE_LONE_DETECTION = False
+
+    def __init__(self, program, variables):
+        super().__init__(program, variables)
+        self.lone_detections = []
+        detect = self.detection.find_improvable
+
+        def recorded(levels, in_play):
+            lone = np.count_nonzero(in_play) == 1
+            try:
+                chosen, fell_back = detect(levels, in_play)
+            except InfeasibleError:
+                if lone:
+                    self.lone_detections.append("infeasible")
+                raise
+            if lone:
+                self.lone_detections.append((bool(chosen.any()), fell_back))
+            return chosen, fell_back
+
+        self.detection.find_improvable = recorded
+
+
+class TestLoneCandidateElision:
+    """An iteration with one job in play freezes it without a detection LP."""
+
+    @given(
+        type_indices=st.lists(st.integers(0, 5), min_size=1, max_size=6),
+        gpus=st.tuples(st.integers(1, 3), st.integers(0, 2), st.integers(0, 2)),
+        space_sharing=st.booleans(),
+        aggregated=st.booleans(),
+        entities=st.one_of(
+            st.none(),
+            st.lists(
+                st.tuples(st.floats(0.25, 4.0), st.sampled_from(["fairness", "fifo"])),
+                min_size=1,
+                max_size=3,
+            ),
+        ),
+        arrivals=st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_elided_run_matches_a_run_that_detects_every_time(
+        self, oracle, colocation_model, type_indices, gpus, space_sharing, aggregated,
+        entities, arrivals,
+    ):
+        """Property: the elision changes the detection count and nothing else.
+
+        Small problems, per job or type-aggregated, with or without space
+        sharing, under single-level weights or a hierarchy of fairness and
+        FIFO entities (whose redistribution hands weight to waiting jobs, so
+        more iterations can follow a lone one).  Each is run twice on fresh
+        programs: once as the loop runs, once with a detection forced on
+        every iteration.  The runs agree bit for bit, every forced lone
+        detection finds nobody improvable without the integer fallback, and
+        the elided run solves one detection per iteration that had more than
+        one job in play.
+        """
+        job_types = oracle.job_types.names
+        jobs = [
+            Job(
+                job_id=i,
+                job_type=job_types[t % len(job_types)],
+                total_steps=1e5,
+                arrival_time=float(arrivals.randint(0, 3)),
+                entity_id=None if entities is None else i % len(entities),
+            )
+            for i, t in enumerate(type_indices)
+        ]
+        if entities is None:
+            policy = make_policy("max_min_fairness_water_filling")
+        else:
+            policy = HierarchicalPolicy(
+                [
+                    EntitySpec(entity_id, weight=weight, internal_policy=internal)
+                    for entity_id, (weight, internal) in enumerate(entities)
+                ]
+            )
+        problem = PolicyProblem(
+            jobs={job.job_id: job for job in jobs},
+            throughputs=build_throughput_matrix(
+                jobs,
+                oracle,
+                space_sharing=space_sharing,
+                colocation_model=colocation_model if space_sharing else None,
+            ),
+            cluster_spec=ClusterSpec.from_counts(dict(zip(("v100", "p100", "k80"), gpus))),
+        )
+        if aggregated:
+            problem = AggregatedProblem.build(problem, key=policy.aggregation_group_key).problem
+
+        def run(loop_class):
+            program = LinearProgram(name="water_filling")
+            loop = loop_class(program, AllocationVariables(problem, problem.throughputs, program))
+            loop.align(problem)
+            result = loop.run(
+                policy.water_filling_weights(problem),
+                redistribute=policy.water_filling_redistribution(problem),
+            )
+            return loop, result
+
+        elided_loop, elided = run(_RecordingLoop)
+        forced_loop, forced = run(_ForcedDetectionLoop)
+
+        assert elided.bottleneck_order == forced.bottleneck_order
+        assert elided.normalized_throughputs == forced.normalized_throughputs
+        assert elided.allocation.combinations == forced.allocation.combinations
+        assert np.array_equal(elided.allocation.matrix, forced.allocation.matrix)
+        lone = elided_loop.in_play_counts.count(1)
+        assert forced_loop.in_play_counts == elided_loop.in_play_counts
+        assert forced_loop.lone_detections == [(False, False)] * lone
+        assert elided.detection_solves == elided.iterations - lone
+        assert forced.detection_solves == forced.iterations

@@ -115,8 +115,20 @@ def test_one_change_coeff_per_moved_coefficient_and_the_basis_is_kept():
 @pytest.mark.parametrize("rewrite_first", [True, False])
 def test_composes_with_a_whole_row_rewrite_in_the_same_interval(rewrite_first):
     """Column edit and row rewrite of one row between two solves, in either order."""
+    _column_edit_and_rewrite(rewrite_first, as_rewrite=False)
+
+
+@pytest.mark.parametrize("rewrite_first", [True, False])
+def test_as_rewrite_composes_with_a_whole_row_rewrite_in_the_same_interval(rewrite_first):
+    """The same with the column edit journalled as a row rewrite."""
+    _column_edit_and_rewrite(rewrite_first, as_rewrite=True)
+
+
+def _column_edit_and_rewrite(rewrite_first, as_rewrite):
     lp, xs, y, rows, _total = _scaling_program()
     lp.solve()
+    recorder = _Recorder(lp._backend._highs, "changeCoeff")
+    lp._backend._highs = recorder
 
     def rewrite():
         # Row 0 becomes 2 * x0 - (its y term as the rewrite states it).
@@ -125,7 +137,9 @@ def test_composes_with_a_whole_row_rewrite_in_the_same_interval(rewrite_first):
         )
 
     def edit_column():
-        lp.set_column_coefficients_from_arrays(y, rows, [-3.0, -1.0, -2.0])
+        lp.set_column_coefficients_from_arrays(
+            y, rows, [-3.0, -1.0, -2.0], as_rewrite=as_rewrite
+        )
 
     for action in (rewrite, edit_column) if rewrite_first else (edit_column, rewrite):
         action()
@@ -133,6 +147,11 @@ def test_composes_with_a_whole_row_rewrite_in_the_same_interval(rewrite_first):
     assert _stored(lp, rows[0]) == {xs[0].index: 2.0, y.index: expected_y0}
     solution = lp.solve()
     assert solution.warm_started
+    # Every coefficient that moved reaches HiGHS; none of them twice in a row
+    # unless an edit made before the rewrite is superseded by it.
+    pushed = [(row, column) for row, column, _value in recorder.calls["changeCoeff"]]
+    if rewrite_first or as_rewrite:
+        assert len(pushed) == len(set(pushed))
 
     fresh = LinearProgram()
     fx = [fresh.add_variable(upper=1.0) for _ in xs]
@@ -217,3 +236,55 @@ def test_deleting_rows_alone_runs_the_primal_simplex_and_a_no_op_sweep_the_dual(
     lp.solve()
     assert _strategies(recorder) == [_PRIMAL_SIMPLEX, _DUAL_SIMPLEX]
     assert recorder.calls["changeRowBounds"] == []
+
+
+def test_a_column_edit_after_a_rewrite_pushes_each_coefficient_once():
+    """A rewritten row's diff covers the column: one ``changeCoeff`` per moved entry.
+
+    The pattern of the scaling program: an event rewrites a row's terms
+    (dropping the ``y`` term, which the caller writes again), then the column
+    is written across every row before the solve.
+    """
+    lp, xs, y, rows, _total = _scaling_program()
+    lp.solve()
+    recorder = _Recorder(lp._backend._highs, "changeCoeff")
+    lp._backend._highs = recorder
+    lp.set_constraint_coefficients_from_arrays(rows[0], np.array([xs[0].index]), np.array([2.0]))
+    lp.set_column_coefficients_from_arrays(y, rows, [-3.0, -1.0, -2.0])
+    solution = lp.solve()
+    row_of = lp._backend._row_of
+    # The column entries of the rows kept whole first, then the rewritten row's diff.
+    assert recorder.calls["changeCoeff"] == [
+        (row_of[rows[1]], y.index, -1.0),
+        (row_of[rows[2]], y.index, -2.0),
+        (row_of[rows[0]], xs[0].index, 2.0),
+        (row_of[rows[0]], y.index, -3.0),
+    ]
+    fresh, fxs, fy, frows, _ = _scaling_program((3.0, 1.0, 2.0))
+    fresh.set_constraint_coefficients_from_arrays(
+        frows[0], np.array([fxs[0].index, fy.index]), np.array([2.0, -3.0])
+    )
+    assert solution.objective_value == pytest.approx(fresh.solve().objective_value, rel=1e-12)
+
+
+def test_a_column_edit_as_rewrite_takes_its_place_among_rewritten_rows():
+    """``as_rewrite`` journals rows in the order they were first edited, diffed by value."""
+    lp, xs, y, rows, total = _scaling_program()
+    lp.solve()
+    recorder = _Recorder(lp._backend._highs, "changeCoeff")
+    lp._backend._highs = recorder
+    lp.set_constraint_coefficients_from_arrays(
+        total, np.array([x.index for x in xs]), np.array([1.0, 1.0, 2.0])
+    )
+    lp.set_column_coefficients_from_arrays(y, [rows[2], rows[0]], [-5.0, -6.0], as_rewrite=True)
+    lp.set_column_coefficients_from_arrays(y, [rows[1]], [-2.0], as_rewrite=True)  # unchanged
+    solution = lp.solve()
+    row_of = lp._backend._row_of
+    assert recorder.calls["changeCoeff"] == [
+        (row_of[total], xs[2].index, 2.0),
+        (row_of[rows[2]], y.index, -5.0),
+        (row_of[rows[0]], y.index, -6.0),
+    ]
+    assert solution.warm_started
+    lp._backend = None
+    assert lp.solve().objective_value == pytest.approx(solution.objective_value, rel=1e-12)
