@@ -222,27 +222,47 @@ _RateKey = Tuple[str, Optional[str], int]
 class _RateTable(Dict[_RateKey, int]):
     """Memo: a :data:`_RateKey`'s index into ``rows``, its ``[consolidated][type]`` rates.
 
-    ``packed`` repeats each row's consolidated rates as one block, grown by
-    doubling, for the fluid executor's ``take``.  The round executor reads
-    single floats off ``rows`` per pick: a list read and float arithmetic cost
-    about a third of a numpy scalar read and ``float64`` arithmetic.
+    A singleton key is evaluated per placement; a pair key once, since
+    placement and scale do not apply to a pair member (see
+    :func:`~repro.workloads.colocation.member_throughputs`): its packed and
+    consolidated rates are one list.  ``packed`` repeats each row's
+    consolidated rates as one block, grown by doubling, for the fluid
+    executor's ``take``, and :meth:`pair` finds a pair's two rows from its
+    members' rows alone.  The round executor reads single floats off ``rows``
+    per pick: a list read and float arithmetic cost about a third of a numpy
+    scalar read and ``float64`` arithmetic.
     """
 
     def __init__(self, model: ColocationModel, names: Tuple[str, ...]) -> None:
         self._model, self._names = model, names
         self.rows: List[Tuple[List[float], ...]] = []
         self.packed = np.zeros((16, len(names)))
+        #: Each row's key, and each pair's rows by its members' rows alone.
+        self._keys: List[_RateKey] = []
+        self._pairs: Dict[Tuple[int, int], Tuple[int, int]] = {}
 
     def __missing__(self, key: _RateKey) -> int:
         job_type, partner, scale = key
-        rates = (member_throughputs(self._model, job_type, partner, self._names, scale, packed)
-                 for packed in (False, True))
-        self.rows.append(tuple(rate.tolist() for rate in rates))
+        placements = (False, True) if partner is None else (True,)
+        rates = [member_throughputs(self._model, job_type, partner, self._names, scale, packed)
+                 .tolist() for packed in placements]
+        self.rows.append((rates[0], rates[-1]))
+        self._keys.append(key)
         self[key] = row = len(self.rows) - 1
         if row == len(self.packed):
             self.packed = np.concatenate((self.packed, np.zeros_like(self.packed)))
         self.packed[row] = self.rows[row][1]
         return row
+
+    def pair(self, first: int, second: int) -> Tuple[int, int]:
+        """A pair row's two rate rows, in member order, from each member's row alone."""
+        rows = self._pairs.get((first, second))
+        if rows is None:
+            (type_a, _, scale_a), (type_b, _, scale_b) = self._keys[first], self._keys[second]
+            rows = self._pairs[first, second] = (
+                self[type_a, type_b, scale_a], self[type_b, type_a, scale_b]
+            )
+        return rows
 
 
 class _MemberTable(Dict[JobCombination, Tuple[_Member, ...]]):
@@ -311,6 +331,48 @@ def _records_view(records: Dict[int, JobRecord], live: Iterable[int]) -> Dict[in
     for job_id in live:
         view[job_id] = records[job_id].copy()
     return view
+
+
+def _bill_used_rows(
+    matrix: np.ndarray,
+    combinations: Sequence[JobCombination],
+    job_ids: np.ndarray,
+    alone: np.ndarray,
+    scale_factors: np.ndarray,
+    table: _RateTable,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The fluid executor's per-member billing, over the rows that carry time.
+
+    ``job_ids`` is sorted, and ``alone`` (rate-table row alone) and
+    ``scale_factors`` are aligned with it; a pair row's members run at the
+    rows :meth:`_RateTable.pair` finds from theirs alone.  Returns, per job
+    in ``job_ids`` order, its rate (packed rates times its rows' fractions)
+    and its billed fractions (its share of its rows: a pair's is split), and
+    the rows with time with each one's demand (the largest scale factor in
+    it).
+
+    A row with no time adds ``+0.0`` to every sum it would enter, so leaving
+    it out keeps every float of billing every row.
+    """
+    used = matrix.any(axis=1).nonzero()[0]
+    rows = [combinations[row] for row in used.tolist()]
+    sizes = np.fromiter(map(len, rows), np.intp, len(rows))
+    ordinals = np.searchsorted(job_ids, np.fromiter(chain.from_iterable(rows), np.int64))
+    starts = np.cumsum(sizes) - sizes
+    kinds = alone[ordinals]
+    firsts = starts[sizes > 1]
+    if len(firsts):
+        kinds[firsts], kinds[firsts + 1] = zip(
+            *map(table.pair, kinds[firsts].tolist(), kinds[firsts + 1].tolist())
+        )
+    fractions = matrix[np.repeat(used, sizes)]
+    per_member = (table.packed.take(kinds, axis=0) * fractions).sum(axis=1)
+    rates = np.bincount(ordinals, weights=per_member, minlength=len(job_ids))
+    billed = np.zeros((len(job_ids), matrix.shape[1]))
+    np.add.at(billed, ordinals, fractions / np.repeat(sizes, sizes)[:, None])
+    demand = scale_factors[ordinals]
+    demand = np.maximum.reduceat(demand, starts) if len(rows) else demand
+    return rates, billed, used, demand
 
 
 @dataclass(frozen=True)
@@ -1209,18 +1271,14 @@ class ClusterScheduler:
     def _row_members(self, combination: JobCombination) -> Tuple[_Member, ...]:
         """Resolve an allocation row to its jobs' live state: the member table's miss."""
         table = self._rate_table
-        members: List[_Member] = []
-        for job_id, key in zip(combination, self._rate_keys(combination)):
-            state = self._active[job_id]
-            job, rates = state.job, table.rows[table[key]]
-            members.append((state, self._records[job_id], job.total_steps, job.scale_factor, rates))
-        return tuple(members)
-
-    def _rate_keys(self, combination: Tuple[int, ...]) -> List[_RateKey]:
-        """Per member of an allocation row (a singleton or a pair), its rate-table key."""
-        jobs = [self._active[job_id].job for job_id in combination]
-        partners = [None if len(jobs) == 1 else job.job_type for job in reversed(jobs)]
-        return [(job.job_type, partner, job.scale_factor) for job, partner in zip(jobs, partners)]
+        states = [self._active[job_id] for job_id in combination]
+        alone = [state.alone for state in states]
+        rows = table.pair(*alone) if len(alone) == 2 else alone
+        return tuple(
+            (state, self._records[job_id], state.job.total_steps, state.job.scale_factor,
+             table.rows[row])
+            for job_id, state, row in zip(combination, states, rows)
+        )
 
     def _job_state(self, job: Job, *progress: Any) -> _JobState:
         """An admitted (or restored) job's state, with its rate-table row alone."""
@@ -1331,6 +1389,9 @@ class ClusterScheduler:
         The next event is the earliest of the next arrival or control event,
         the earliest completion and the next re-solve tick.  Numpy over one
         per-job x per-type block, in admission order (the run-level sums' order).
+        When rows are not jobs (pairs), :func:`_bill_used_rows` bills only the
+        rows with time, each pair key's rates evaluated once by the rate
+        table; a row with no time would add ``+0.0`` to every sum.
         """
         # Section 3.1's effective throughput at the rate rule's (packed) rates; each
         # job is billed its share of its rows (a pair's is split, no row pays nothing).
@@ -1343,19 +1404,12 @@ class ClusterScheduler:
         if not paired and np.array_equal(members, job_ids):  # row k is job k, alone
             billed = matrix[position]
             rates = (table.packed.take(active.alone, axis=0) * billed).sum(axis=1)
-        else:  # per member: its row's fractions, its part of them to bill, its rates
-            sizes = np.fromiter(map(len, combinations), np.intp, len(combinations))
-            rows = np.repeat(np.arange(len(combinations)), sizes)
-            ordinals, starts = np.searchsorted(job_ids, members), np.cumsum(sizes) - sizes
-            kinds = active.alone[np.argsort(ids)][ordinals]
-            for row in np.flatnonzero((sizes > 1) & matrix.any(axis=1)).tolist():
-                at = starts[row]
-                kinds[at:at + 2] = [table[key] for key in self._rate_keys(combinations[row])]
-            per_member = (table.packed.take(kinds, axis=0) * matrix[rows]).sum(axis=1)
-            rates = np.bincount(ordinals, weights=per_member, minlength=len(job_ids))[position]
-            billed = np.zeros((len(job_ids), matrix.shape[1]))
-            np.add.at(billed, ordinals, matrix[rows] / sizes[rows, None])
-            billed = billed[position]
+        else:  # per member of a row with time: its row's fractions, its part to bill, its rates
+            order = np.argsort(ids)
+            rates, billed, used, demand = _bill_used_rows(
+                matrix, combinations, job_ids, active.alone[order], active.scale_factors[order], table
+            )
+            rates, billed = rates[position], billed[position]
         moving = rates > 0
         records = list(map(self._records.__getitem__, active.ids))
         firsts = [record.first_allocation_time is None for record in records]
@@ -1384,7 +1438,7 @@ class ClusterScheduler:
         if not paired:  # every row a singleton: rows are jobs
             occupancy = worker_seconds
         else:
-            occupancy = (matrix * dt) * np.asarray(allocation.demand, dtype=float)[:, None]
+            occupancy = (matrix[used] * dt) * demand[:, None]
         # Running sums, added in the order the per-item loop added them
         # (``accumulate`` is sequential, so the floats are the loop's).
         busy, names = self._busy_seconds, registry.names

@@ -55,12 +55,16 @@ def member_throughputs(
       order (so ``accelerator_names`` must be the oracle registry's names).
     * A pair member runs at ``model.colocated_throughputs(job_type,
       partner_type, name).first``: asked with its own type first, so
-      ``first`` is its rate in either position of the pair.
+      ``first`` is its rate in either position of the pair.  The models are
+      symmetric — ``colocated_throughputs(b, a, name).first`` is bit for bit
+      ``colocated_throughputs(a, b, name).second`` — which is what lets
+      :func:`beneficial_pair_row` evaluate a pair once for both members.
 
     Pair rows only ever join two *single-worker* jobs (see
     :meth:`~repro.core.allocation_engine.AllocationEngine.add_job`), so a pair
     member runs on one device and ``scale_factor`` and ``consolidated`` do not
-    apply to it.  ``model`` may be any object exposing the
+    apply to it: one evaluation serves a member's consolidated and packed
+    rates.  ``model`` may be any object exposing the
     :class:`ColocationModel` query interface and an ``oracle``, e.g. a
     throughput estimator.
     """
@@ -85,21 +89,29 @@ def beneficial_pair_row(
     if no column qualifies the pair carries no information for space-sharing
     policies and ``None`` is returned.
 
+    The pair is evaluated once per accelerator: one
+    ``model.colocated_throughputs(job_type_a, job_type_b, name)`` gives
+    member 0's rate (``first``), member 1's (``second``, by the models'
+    symmetry) and, with the two isolated throughputs, the benefit test of
+    :meth:`ColocationModel.combined_normalized_throughput`.  The first call
+    is ``(job_type_a, job_type_b, accelerator_names[0])``: an estimator
+    fingerprints a type when it first sees it, so this order decides which
+    random draws each type gets.
+
     Because the result depends only on the two job *types* (never on job
     ids), it is the natural unit to memoize across allocation recomputations.
     """
-    rates = np.array(
-        [
-            member_throughputs(model, job_type_a, job_type_b, accelerator_names),
-            member_throughputs(model, job_type_b, job_type_a, accelerator_names),
-        ]
-    )
-    keep = [
-        bool(rates[0, column] > 0.0 and rates[1, column] > 0.0)
-        and model.combined_normalized_throughput(job_type_a, job_type_b, name) >= threshold
-        for column, name in enumerate(accelerator_names)
-    ]
-    return np.where(keep, rates, 0.0) if any(keep) else None
+    oracle = model.oracle
+    rates = np.zeros((2, len(accelerator_names)))
+    for column, name in enumerate(accelerator_names):
+        pair = model.colocated_throughputs(job_type_a, job_type_b, name)
+        if pair.feasible and (
+            pair.first / oracle.throughput(job_type_a, name)
+            + pair.second / oracle.throughput(job_type_b, name)
+            >= threshold
+        ):
+            rates[:, column] = pair.first, pair.second
+    return rates if rates.any() else None
 
 
 @dataclass(frozen=True)
