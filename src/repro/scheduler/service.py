@@ -77,7 +77,7 @@ from repro.scheduler.clock import Clock, VirtualClock
 from repro.scheduler.mechanism import RoundScheduler
 from repro.scheduler.metrics import JobRecord, SimulationResult
 from repro.scheduler.priorities import PriorityTracker
-from repro.workloads.colocation import ColocationModel, member_throughputs
+from repro.workloads.colocation import ColocationModel, member_throughputs, pair_throughputs
 from repro.workloads.job import Job
 from repro.workloads.throughputs import ThroughputOracle
 
@@ -228,7 +228,8 @@ class _RateTable(Dict[_RateKey, int]):
     consolidated rates are one list.  ``packed`` repeats each row's
     consolidated rates as one block, grown by doubling, for the fluid
     executor's ``take``, and :meth:`pair` finds a pair's two rows from its
-    members' rows alone.  The round executor reads single floats off ``rows``
+    members' rows alone, filling both members' keys of a new type pair from
+    one evaluation.  The round executor reads single floats off ``rows``
     per pick: a list read and float arithmetic cost about a third of a numpy
     scalar read and ``float64`` arithmetic.
     """
@@ -246,22 +247,34 @@ class _RateTable(Dict[_RateKey, int]):
         placements = (False, True) if partner is None else (True,)
         rates = [member_throughputs(self._model, job_type, partner, self._names, scale, packed)
                  .tolist() for packed in placements]
-        self.rows.append((rates[0], rates[-1]))
+        return self._add(key, rates[0], rates[-1])
+
+    def _add(self, key: _RateKey, consolidated: List[float], packed: List[float]) -> int:
+        """Give ``key`` the next row: these rates."""
+        self.rows.append((consolidated, packed))
         self._keys.append(key)
         self[key] = row = len(self.rows) - 1
         if row == len(self.packed):
             self.packed = np.concatenate((self.packed, np.zeros_like(self.packed)))
-        self.packed[row] = self.rows[row][1]
+        self.packed[row] = packed
         return row
 
     def pair(self, first: int, second: int) -> Tuple[int, int]:
-        """A pair row's two rate rows, in member order, from each member's row alone."""
+        """A pair row's two rate rows, in member order, from each member's row alone.
+
+        A new type pair costs one :func:`~repro.workloads.colocation.pair_throughputs`
+        (one model call per accelerator), which fills both members' keys.
+        """
         rows = self._pairs.get((first, second))
         if rows is None:
             (type_a, _, scale_a), (type_b, _, scale_b) = self._keys[first], self._keys[second]
-            rows = self._pairs[first, second] = (
-                self[type_a, type_b, scale_a], self[type_b, type_a, scale_b]
-            )
+            keys = (type_a, type_b, scale_a), (type_b, type_a, scale_b)
+            if keys[0] not in self or keys[1] not in self:
+                members = pair_throughputs(self._model, type_a, type_b, self._names).tolist()
+                for key, rates in zip(keys, members):
+                    if key not in self:
+                        self._add(key, rates, rates)
+            rows = self._pairs[first, second] = (self[keys[0]], self[keys[1]])
         return rows
 
 
@@ -1398,10 +1411,13 @@ class ClusterScheduler:
         table, combinations, matrix = self._rate_table, allocation.combinations, allocation.matrix
         ids = np.fromiter(active.ids, np.int64, len(active.ids))
         job_ids = np.sort(ids)
-        members = np.fromiter(chain.from_iterable(combinations), np.int64)
-        paired = len(members) > len(combinations)
         position = np.searchsorted(job_ids, ids)
-        if not paired and np.array_equal(members, job_ids):  # row k is job k, alone
+        # The allocation's shape says whether rows are jobs: every active job
+        # has its singleton row (the engine's matrix has one per job, and so
+        # has every policy's allocation over it), so rows beyond the job count
+        # are pairs, and as many rows as jobs are the jobs alone, in id order.
+        paired = len(combinations) > len(ids)
+        if len(combinations) == len(ids):  # row k is job k, alone
             billed = matrix[position]
             rates = (table.packed.take(active.alone, axis=0) * billed).sum(axis=1)
         else:  # per member of a row with time: its row's fractions, its part to bill, its rates
@@ -1411,11 +1427,6 @@ class ClusterScheduler:
             )
             rates, billed = rates[position], billed[position]
         moving = rates > 0
-        records = list(map(self._records.__getitem__, active.ids))
-        firsts = [record.first_allocation_time is None for record in records]
-        unset = np.fromiter(firsts, bool, len(records)) & moving
-        for index in unset.nonzero()[0].tolist():
-            records[index].first_allocation_time = current_time
         to_finish = np.full(len(rates), math.inf)
         np.divide(active.steps_remaining, rates, out=to_finish, where=moving)
         earliest_completion = current_time + np.minimum.reduce(to_finish).item()
@@ -1429,8 +1440,6 @@ class ClusterScheduler:
         dt = max(0.0, next_event - current_time)
 
         steps_done = active.steps_done + rates * dt
-        for state, record, progress in zip(active.states, records, steps_done.tolist()):
-            state.steps_done = record.steps_done = progress
         worker_seconds = (billed * dt) * active.scale_factors[:, None]
         registry = self._cluster_spec.registry
         costs = np.asarray(registry.costs_per_hour()) * worker_seconds / _SECONDS_PER_HOUR
@@ -1446,11 +1455,18 @@ class ClusterScheduler:
         busy.update(zip(names, np.add.accumulate(sums)[-1].tolist()))
         sums = np.concatenate(([self._total_cost], costs.ravel()))
         self._total_cost = np.add.accumulate(sums)[-1].item()
+        records = list(map(self._records.__getitem__, active.ids))
         totals = np.fromiter([record.cost_dollars for record in records], float, len(records))
         for column in costs.T:
             totals = totals + column
-        for record, cost in zip(records, totals.tolist()):
+        # One pass writes each job's progress, cost and first allocation.
+        for state, record, progress, cost, moves in zip(
+            active.states, records, steps_done.tolist(), totals.tolist(), moving.tolist()
+        ):
+            state.steps_done = record.steps_done = progress
             record.cost_dollars = cost
+            if moves and record.first_allocation_time is None:
+                record.first_allocation_time = current_time
         # A completion is incorporated by the solve at the very next event
         # boundary, i.e. at the completion instant itself — zero staleness.
         done = (active.total_steps - steps_done <= 1e-6).nonzero()[0].tolist()

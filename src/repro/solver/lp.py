@@ -390,13 +390,20 @@ def _sense(maximize: bool) -> object:
     return _highs_core.ObjSense.kMaximize if maximize else _highs_core.ObjSense.kMinimize
 
 
-def _nonbasic_status(lower: float, upper: float) -> object:
-    """The non-basic status of a column with these bounds: at a finite bound, else free."""
-    if lower > -math.inf:
-        return _highs_core.HighsBasisStatus.kLower
-    if upper < math.inf:
-        return _highs_core.HighsBasisStatus.kUpper
-    return _highs_core.HighsBasisStatus.kZero
+#: HiGHS basis statuses by code (``int(status)``): a code array indexes a status list out.
+_BASIS_STATUSES = np.array([_highs_core.HighsBasisStatus(code) for code in range(5)], dtype=object)
+_LOWER, _BASIC, _UPPER, _ZERO = (
+    int(getattr(_highs_core.HighsBasisStatus, name))
+    for name in ("kLower", "kBasic", "kUpper", "kZero")
+)
+
+
+def _nonbasic_codes(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """The non-basic status codes HiGHS gives columns with these bounds.
+
+    At the finite lower bound, else at the finite upper bound, else free (zero).
+    """
+    return np.where(lower > -math.inf, _LOWER, np.where(upper < math.inf, _UPPER, _ZERO))
 
 
 def _highs_lp(
@@ -433,6 +440,7 @@ def _highs_lp(
 
 
 _NO_INDEX = np.empty(0, np.int32)
+_NO_ROWS = np.empty(0, np.int64)
 _NO_VALUE = np.empty(0)
 
 
@@ -449,9 +457,10 @@ def _make_call(highs: Any, entry: Tuple[Any, ...], name: str) -> object:
     if action == "run":
         _ensure_highs_ok(highs.run(), action, name)
     elif action in ("changeCoeff", "changeRowBounds"):
-        method = getattr(highs, action)
-        for call in zip(*(column.tolist() for column in arguments)):
-            _ensure_highs_ok(method(*call), action, name)
+        # The statuses are checked as they come: the first error stops the loop.
+        calls = map(getattr(highs, action), *(column.tolist() for column in arguments))
+        if _highs_core.HighsStatus.kError in calls:
+            raise SolverError(f"{name}: HiGHS {action} failed")
     elif action in ("changeColsBounds", "changeColsCost"):
         columns = arguments[0]
         _ensure_highs_ok(getattr(highs, action)(len(columns), *arguments), action, name)
@@ -515,10 +524,41 @@ class _HighsBackend:
       costs are pushed by difference;
     * ``deleteRows`` clears the basis unless every deleted row was basic, so
       it is called only for constraints that were really removed, and the
-      basis is carried across it: captured first, re-installed with
-      ``setBasis`` without the deleted rows' statuses and with every released
-      column non-basic, as an *alien* basis — one HiGHS checks and repairs (a
-      deleted tight row leaves one basic variable too many).
+      basis is carried across it: re-installed with ``setBasis`` as an
+      *alien* basis — one HiGHS checks and repairs (a deleted tight row
+      leaves one basic variable too many) — without the deleted rows and
+      with every released column non-basic.
+
+    **The basis carry marshals no status list.**  A status crosses pybind as
+    an enum object at about half a microsecond each, so the carry rests on
+    two contracts of HiGHS 1.12 instead (pinned by
+    ``tests/solver/test_highs_contracts.py``):
+
+    * ``deleteRows`` keeps the statuses of the remaining rows and of every
+      column and clears only ``valid``: the basis read *after* the deletion
+      holds the rows' statuses already, and ``row_status`` is never read or
+      written;
+    * ``addCols`` gives an appended column the default non-basic status for
+      its bounds.
+
+    When columns were released, ``col_status`` must be written (the released
+    ones become non-basic), and it is written from codes derived without
+    reading it: the basic columns from ``getBasicVariables()``, the other
+    columns HiGHS held at the last run from that run's values against the
+    column mirrors (non-basic at the upper bound iff its value equals an
+    upper bound that differs from the lower), the appended columns and the
+    released ones at the default for their bounds.  ``getBasicVariables``
+    is read at the start of the sync, before any edit: after ``addCols`` it
+    refactorizes, and after ``deleteRows`` it fails.  A fixed non-basic
+    column the program did not release (it is not on the free list) is
+    ambiguous: HiGHS keeps whichever bound it sat at, which is its history,
+    not its bounds and value.  Then, and whenever the last run was cold or
+    not optimal, the model holds no coefficient or ``getBasicVariables`` is
+    not ``kOk`` (see :meth:`_derived_col_status`), the carry reads
+    ``col_status`` as a list (:meth:`_read_col_status`).  Either way the
+    installed basis is the one the list would give
+    (``tests/core/test_basis_carry.py`` keeps that construction as the
+    oracle).
 
     Which record feeds which call: the program's journal holds the handles
     added since the last sync (``addRows`` for those still present), the
@@ -529,7 +569,10 @@ class _HighsBackend:
     ``_row_upper`` in HiGHS row order, gathered from the program's bound
     buffers through ``_row_slots`` (``changeRowBounds``, when the flag is set),
     and ``_col_lower`` / ``_col_upper`` / ``_col_cost`` (``changeColsBounds``
-    / ``changeColsCost``, every sync).
+    / ``changeColsCost``, every sync).  Rows are mapped to handles by two
+    arrays: ``_row_handles`` (HiGHS row -> handle) and ``_row_of`` (handle
+    -> HiGHS row, ``-1`` when HiGHS does not hold it), renumbered in bulk
+    when rows go.
 
     ``setBasis`` is a hint.  If HiGHS rejects it the solve simply starts
     without a basis; the rejection is counted in
@@ -570,10 +613,11 @@ class _HighsBackend:
         self._journal: List[Tuple[object, ...]] = []
         for entry in _OPTIONS:
             self._call(entry, "_HighsBackend")
-        #: HiGHS row -> constraint handle / program bound slot, and back.
-        self._row_handles: List[int] = []
+        #: HiGHS row -> constraint handle / program bound slot (replaced, never
+        #: written in place), and handle -> HiGHS row or -1 (written in place).
+        self._row_handles = np.empty(0, dtype=np.int64)
         self._row_slots = np.empty(0, dtype=np.int64)
-        self._row_of: Dict[int, int] = {}
+        self._row_of = np.empty(0, dtype=np.int64)
         #: Row bounds (by HiGHS row), column bounds, costs and sense as HiGHS
         #: last saw them: a later sync pushes only what differs from the mirror.
         #: The arrays are replaced, never written in place.
@@ -587,20 +631,19 @@ class _HighsBackend:
         #: Solves started on this model; a :class:`Solution` may read its row
         #: duals only while its own solve is still the latest.
         self._solves = 0
+        #: The column values of the last run if it was warm and optimal, for
+        #: the next carry (:meth:`_derived_col_status`); replaced, never written.
+        self._warm_values: Optional[np.ndarray] = None
 
     def __deepcopy__(self, memo: Dict[int, object]) -> "_HighsBackend":
         """The mirrors and the journal, without a model: :meth:`rebuild` makes one.
 
         The journal's entries and the mirror arrays are shared: neither is
-        ever written in place.
+        ever written in place.  ``_row_of`` is, so it is copied.
         """
         clone = _HighsBackend.__new__(_HighsBackend)
         vars(clone).update(
-            vars(self),
-            _highs=None,
-            _journal=list(self._journal),
-            _row_handles=list(self._row_handles),
-            _row_of=dict(self._row_of),
+            vars(self), _highs=None, _journal=list(self._journal), _row_of=self._row_of.copy()
         )
         return clone
 
@@ -637,44 +680,113 @@ class _HighsBackend:
             ("passModel", program.num_variables(), *model[:5], program._maximize, *model[5:]),
             program.name,
         )
-        self._row_handles = list(program._constraints)  # the assembly's row order
+        constraints = program._constraints
+        # The assembly's row order.
+        self._row_handles = np.fromiter(constraints, np.int64, len(constraints))
         self._row_slots = program._cached_slots
-        self._row_of = {handle: row for row, handle in enumerate(self._row_handles)}
+        self._row_of = np.full(program._next_constraint_id, -1, dtype=np.int64)
+        self._row_of[self._row_handles] = np.arange(len(constraints))
         self._synced = True
 
-    def _drop_rows_and_columns(self, program: "LinearProgram", rows: List[int]) -> None:
-        """Delete really-removed rows and retire released columns, keeping the basis.
+    def _cover_handles(self, program: "LinearProgram") -> None:
+        """Grow ``_row_of`` (by doubling) to index every handle the program has issued."""
+        held = len(self._row_of)
+        if held < program._next_constraint_id:
+            grown = np.full(max(program._next_constraint_id, 2 * held), -1, dtype=np.int64)
+            grown[:held] = self._row_of
+            self._row_of = grown
 
-        The basis is captured first and re-installed afterwards without the
-        deleted rows and with every released column non-basic: a released
-        column is empty (its owner scrubbed it from every row) and may since
-        have been handed to a new variable, so its old status means nothing.
+    def _derived_col_status(self, program: "LinearProgram") -> Optional[List[object]]:
+        """The column statuses the carry installs, derived without reading HiGHS' list.
+
+        Called before the sync edits the model (see the class docstring);
+        ``None`` when they cannot be derived: the last run was cold (it may
+        have been presolved, leaving the simplex with another LP) or not
+        optimal, the constraint matrix is empty (HiGHS 1.12 then answers
+        ``getBasicVariables`` from memory it never set up, and crashes),
+        ``getBasicVariables`` is not ``kOk``, or a fixed non-basic column is
+        not on the free list.
+        """
+        highs, value = self._highs, self._warm_values
+        if value is None or not highs.getNumNz():
+            return None
+        status, basic = highs.getBasicVariables()
+        if status != _highs_core.HighsStatus.kOk:
+            return None
+        basic = basic[basic >= 0]  # rows are numbered from -1 down
+        # The columns HiGHS held at its last run, with the bounds it held then.
+        lower, upper = self._col_lower, self._col_upper
+        held = len(lower)
+        fixed = lower == upper
+        suspects = fixed.copy()
+        suspects[basic] = False
+        listed = np.fromiter(program._free_variables, np.int64, len(program._free_variables))
+        suspects[listed[listed < held]] = False
+        if np.count_nonzero(suspects):
+            return None
+        codes = np.empty(program.num_variables(), dtype=np.int64)
+        codes[:held] = _nonbasic_codes(lower, upper)
+        codes[:held][(value == upper) & ~fixed] = _UPPER
+        if held < len(codes):  # appended by this sync's addCols
+            codes[held:] = _nonbasic_codes(program._lower[held:], program._upper[held:])
+        codes[basic] = _BASIC
+        released = np.fromiter(program._hs_released, np.int64, len(program._hs_released))
+        codes[released] = _nonbasic_codes(
+            program._lower_buf[released], program._upper_buf[released]
+        )
+        return _BASIS_STATUSES[codes].tolist()
+
+    def _read_col_status(self, program: "LinearProgram") -> List[object]:
+        """The column statuses the carry installs, read from HiGHS as a list of enums.
+
+        The fallback of :meth:`_derived_col_status`: HiGHS' own statuses,
+        each released column's replaced by the default for its bounds.
+        """
+        col_status = self._highs.getBasis().col_status
+        released = np.fromiter(program._hs_released, np.int64, len(program._hs_released))
+        statuses = _BASIS_STATUSES[
+            _nonbasic_codes(program._lower_buf[released], program._upper_buf[released])
+        ]
+        for column, status in zip(released.tolist(), statuses.tolist()):
+            col_status[column] = status
+        return col_status
+
+    def _drop_rows_and_columns(
+        self, program: "LinearProgram", rows: np.ndarray, col_status: Optional[List[object]]
+    ) -> None:
+        """Delete really-removed ``rows`` (sorted) and retire released columns, keeping the basis.
+
+        The basis is re-installed afterwards without the deleted rows and with
+        every released column non-basic: a released column is empty (its
+        owner scrubbed it from every row) and may since have been handed to a
+        new variable, so its old status means nothing.  ``col_status`` is
+        :meth:`_derived_col_status`' answer, taken before the sync's first
+        edit; without it, the statuses are read (:meth:`_read_col_status`).
         """
         highs = self._highs
-        basis = highs.getBasis()
-        if rows:
-            self._call(("deleteRows", np.array(rows, np.int32)), program.name)
+        if col_status is None:
+            valid = highs.getBasis().valid
+            if valid and program._hs_released:
+                col_status = self._read_col_status(program)
+        else:
+            valid = True  # getBasicVariables answers only for a valid basis
+        if len(rows):
+            self._call(("deleteRows", rows.astype(np.int32)), program.name)
             # Rows before the first deleted one keep their place: renumber the rest.
-            first = rows[0]
             keep = np.ones(len(self._row_handles), dtype=bool)
             keep[rows] = False
-            for row in rows:
-                del self._row_of[self._row_handles[row]]
-            tail = list(itertools.compress(self._row_handles[first:], keep[first:].tolist()))
-            self._row_handles[first:] = tail
-            self._row_of.update(zip(tail, itertools.count(first)))
+            row_of = self._row_of
+            row_of[self._row_handles[rows]] = -1
+            self._row_handles = handles = self._row_handles[keep]
+            first = int(rows[0])
+            row_of[handles[first:]] = np.arange(first, len(handles))
             self._row_slots = self._row_slots[keep]
             self._row_lower, self._row_upper = self._row_lower[keep], self._row_upper[keep]
-            if basis.valid:
-                basis.row_status = list(itertools.compress(basis.row_status, keep.tolist()))
-        if not basis.valid:
+        if not valid:
             return
-        if program._hs_released:
-            col_status = basis.col_status
-            for column in program._hs_released:
-                col_status[column] = _nonbasic_status(
-                    program._lower_buf[column], program._upper_buf[column]
-                )
+        # HiGHS kept the remaining rows' statuses (and every column's).
+        basis = highs.getBasis()
+        if col_status is not None:
             basis.col_status = col_status
         # Alien: HiGHS checks the basis and repairs a count mismatch (a deleted
         # tight row leaves one basic variable too many) or a singularity.
@@ -685,6 +797,9 @@ class _HighsBackend:
 
     def _apply_edits(self, program: "LinearProgram") -> None:
         name = program.name
+        self._cover_handles(program)
+        # Before any edit (see the class docstring).
+        col_status = self._derived_col_status(program) if program._hs_released else None
         lower, upper = np.array(program._lower), np.array(program._upper)
         cost = program._objective_dense()
         num_cols = len(cost)
@@ -696,34 +811,40 @@ class _HighsBackend:
             self._col_upper = np.concatenate([self._col_upper, new_upper])
             self._col_cost = np.concatenate([self._col_cost, np.zeros(extra)])
 
-        removed = sorted(
-            self._row_of[handle] for handle in program._hs_removed if handle in self._row_of
-        )
-        if removed or program._hs_released:
-            self._drop_rows_and_columns(program, removed)
+        removed = _NO_ROWS
+        if program._hs_removed:
+            gone = program._hs_removed
+            at = self._row_of[np.fromiter(gone, np.int64, len(gone))]
+            removed = np.sort(at[at >= 0])
+        if len(removed) or program._hs_released:
+            self._drop_rows_and_columns(program, removed, col_status)
 
         # One entry for the sync's changeCoeff calls.  One-column edits come
         # first: a whole-row rewrite journalled after one captured the row as
         # that edit left it, so its diff below is against the state they produce.
         # A one-column edit after the rewrite is not journalled at all (see
         # set_column_coefficients_from_arrays): the diff alone pushes it, once.
+        # Every row HiGHS still holds is one of the program's (removed rows
+        # went above), so a handle's HiGHS row says whether it is there.
+        row_of = self._row_of
         rows: List[int] = []
         columns: List[int] = []
         values: List[float] = []
         for (handle, column), (seen, now) in program._hs_coefficients.items():
-            row = self._row_of.get(handle)
-            if row is not None and handle in program._constraints and now != seen:
+            row = row_of.item(handle)
+            if row >= 0 and now != seen:
                 rows.append(row)
                 columns.append(column)
                 values.append(now)
 
         # Rewritten rows stay where they are: push the coefficients that
         # differ from the terms HiGHS holds (journalled at the first edit).
+        constraints = program._constraints
         for handle, (old_indices, old_values) in program._hs_dirty.items():
-            row = self._row_of.get(handle)
-            constraint = program._constraints.get(handle)
-            if row is None or constraint is None:
+            row = row_of.item(handle)
+            if row < 0:
                 continue
+            constraint = constraints[handle]
             if constraint.indices is old_indices:
                 # Same terms in the same places (a column edit): diff the values.
                 (moved,) = (constraint.values != old_values).nonzero()
@@ -743,14 +864,13 @@ class _HighsBackend:
         if rows:
             self._call(("changeCoeff", np.array(rows), np.array(columns), np.array(values)), name)
 
-        constraints = program._constraints
         add = [handle for handle in program._hs_added if handle in constraints]
         # Which simplex: an edit that only deleted rows leaves the incumbent
         # point feasible and takes the deleted rows' multipliers out of the
         # duals — the primal simplex's case.  Any other edit (new rows, moved
         # right-hand sides — journalled even when the bound comes back
         # unchanged) costs primal feasibility at most: the dual's.
-        only_deleted = bool(removed) and not add and not program._hs_bounds_dirty
+        only_deleted = bool(len(removed)) and not add and not program._hs_bounds_dirty
         self._call(_STRATEGY[_PRIMAL_SIMPLEX if only_deleted else _DUAL_SIMPLEX], name)
         if add:
             added = [constraints[h] for h in add]
@@ -774,8 +894,9 @@ class _HighsBackend:
                 name,
             )
             base = len(self._row_handles)
-            self._row_handles.extend(add)
-            self._row_of.update(zip(add, range(base, base + len(add))))
+            handles = np.array(add, dtype=np.int64)
+            self._row_handles = np.concatenate([self._row_handles, handles])
+            self._row_of[handles] = np.arange(base, base + len(add))
             self._row_slots = np.concatenate([self._row_slots, slots])
             self._row_lower = np.concatenate([self._row_lower, lowers])
             self._row_upper = np.concatenate([self._row_upper, uppers])
@@ -815,12 +936,14 @@ class _HighsBackend:
                 f"{name}: row duals must be read before the program is solved again"
             )
         duals = np.asarray(self._highs.getSolution().row_dual, dtype=float)
-        try:
-            rows = [self._row_of[handle] for handle in np.asarray(handles).tolist()]
-        except KeyError as error:
+        handles = np.asarray(handles, dtype=np.int64).reshape(-1)
+        rows = np.full(len(handles), -1, dtype=np.int64)
+        inside = (handles >= 0) & (handles < len(self._row_of))
+        rows[inside] = self._row_of[handles[inside]]
+        if np.count_nonzero(rows < 0):
             raise SolverError(
-                f"{name}: constraint handle {error.args[0]} was not a row of that solve"
-            ) from None
+                f"{name}: constraint handle {handles[rows < 0][0]} was not a row of that solve"
+            )
         return duals[rows]
 
     def solve(self, program: "LinearProgram") -> Solution:
@@ -831,6 +954,7 @@ class _HighsBackend:
             self._apply_edits(program)
         program._clear_journal()
         warm_started = bool(self._highs.getBasis().valid)
+        self._warm_values = None
         self._call(_RUN, program.name)
         status = self._highs.getModelStatus()
         if status != _highs_core.HighsModelStatus.kOptimal:
@@ -843,8 +967,11 @@ class _HighsBackend:
             raise SolverError(message)
         # Two scalar reads: ``getInfo()`` would copy every info field.
         _status, iterations = self._highs.getInfoValue("simplex_iteration_count")
+        values = np.asarray(self._highs.getSolution().col_value, dtype=float)
+        if warm_started:
+            self._warm_values = values.copy()  # the caller owns ``values``
         return Solution(
-            values=np.asarray(self._highs.getSolution().col_value, dtype=float),
+            values=values,
             objective_value=self._highs.getObjectiveValue() + program._objective_constant,
             status="optimal",
             simplex_iterations=int(iterations),

@@ -31,7 +31,13 @@ from repro.exceptions import ConfigurationError
 from repro.workloads.job_table import JobTypeTable, default_job_type_table
 from repro.workloads.throughputs import ThroughputOracle
 
-__all__ = ["ColocationModel", "ColocatedThroughputs", "beneficial_pair_row", "member_throughputs"]
+__all__ = [
+    "ColocationModel",
+    "ColocatedThroughputs",
+    "beneficial_pair_row",
+    "member_throughputs",
+    "pair_throughputs",
+]
 
 
 def member_throughputs(
@@ -70,8 +76,28 @@ def member_throughputs(
     """
     if partner_type is None:
         return model.oracle.throughput_vector(job_type, scale_factor, consolidated)
-    pair = [model.colocated_throughputs(job_type, partner_type, name) for name in accelerator_names]
-    return np.array([rates.first for rates in pair])
+    return pair_throughputs(model, job_type, partner_type, accelerator_names)[0]
+
+
+def pair_throughputs(
+    model: "ColocationModel",
+    job_type_a: str,
+    job_type_b: str,
+    accelerator_names: Sequence[str],
+) -> np.ndarray:
+    """Both members' :func:`member_throughputs` in a pair, from one evaluation.
+
+    Row ``[0]`` is ``job_type_a``'s rates, row ``[1]`` ``job_type_b``'s: one
+    ``model.colocated_throughputs(job_type_a, job_type_b, name)`` per
+    accelerator, read as ``first`` and ``second``.  By the models' symmetry
+    row ``[1]`` is bit for bit what ``job_type_b`` asked first would get, and
+    the first call is ``(job_type_a, job_type_b, accelerator_names[0])``, as
+    for member ``job_type_a`` alone.
+    """
+    pair = [
+        model.colocated_throughputs(job_type_a, job_type_b, name) for name in accelerator_names
+    ]
+    return np.array([[rates.first for rates in pair], [rates.second for rates in pair]])
 
 
 def beneficial_pair_row(

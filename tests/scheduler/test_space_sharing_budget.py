@@ -6,9 +6,9 @@ Three counts:
   with one ``colocated_throughputs`` call per accelerator (its
   ``PairThroughputCache`` miss), for the true model and for an estimator;
 * over a contended continuous-mode ``max_min_fairness+ss`` drain with a
-  cancel, the executor's rate table evaluates a pair key once (one
-  ``member_throughputs`` call), since a pair member's consolidated and
-  packed rates are the same numbers;
+  cancel, the executor's rate table evaluates a type pair once (one
+  ``pair_throughputs`` call fills both members' keys, and a pair member's
+  consolidated and packed rates are the same numbers);
 * and a fluid step reads no ``Allocation.demand``: it bills the rows with
   time from the active jobs' scale factors, not by a Python pass over every
   row.
@@ -80,18 +80,25 @@ def _single_worker_type_pairs(jobs):
 @pytest.fixture
 def continuous_run(monkeypatch):
     """A churning continuous +ss drain, counting rate evaluations and demand reads."""
-    seen = {"pair evaluations": 0, "singleton evaluations": 0, "demand reads": 0}
+    seen = {"pair evaluations": 0, "pair member evaluations": 0, "singleton evaluations": 0,
+            "demand reads": 0}
     member_throughputs, demand = service.member_throughputs, Allocation.demand
+    pair_throughputs = service.pair_throughputs
 
     def counting_member_throughputs(model, job_type, partner, *args, **kwargs):
-        seen["pair evaluations" if partner is not None else "singleton evaluations"] += 1
+        seen["pair member evaluations" if partner is not None else "singleton evaluations"] += 1
         return member_throughputs(model, job_type, partner, *args, **kwargs)
+
+    def counting_pair_throughputs(*args, **kwargs):
+        seen["pair evaluations"] += 1
+        return pair_throughputs(*args, **kwargs)
 
     def counting_demand(allocation):
         seen["demand reads"] += 1
         return demand.fget(allocation)
 
     monkeypatch.setattr(service, "member_throughputs", counting_member_throughputs)
+    monkeypatch.setattr(service, "pair_throughputs", counting_pair_throughputs)
     monkeypatch.setattr(Allocation, "demand", property(counting_demand))
     scheduler = ClusterScheduler(
         "max_min_fairness+ss",
@@ -113,7 +120,11 @@ def test_rate_table_evaluates_each_pair_key_once(continuous_run):
     keys = list(scheduler._rate_table)
     pair_keys = [key for key in keys if key[1] is not None]
     assert pair_keys, "the run must execute pair rows"
-    assert seen["pair evaluations"] == len(pair_keys)
+    # One evaluation per unordered type pair fills both members' keys.
+    type_pairs = {tuple(sorted((job_type, partner))) for job_type, partner, _ in pair_keys}
+    assert len(type_pairs) < len(pair_keys)
+    assert seen["pair evaluations"] == len(type_pairs)
+    assert seen["pair member evaluations"] == 0
     # A singleton key is evaluated per placement (consolidated and packed).
     assert seen["singleton evaluations"] == 2 * (len(keys) - len(pair_keys))
 
