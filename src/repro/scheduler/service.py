@@ -222,14 +222,14 @@ _RateKey = Tuple[str, Optional[str], int]
 class _RateTable(Dict[_RateKey, int]):
     """Memo: a :data:`_RateKey`'s index into ``rows``, its ``[consolidated][type]`` rates.
 
-    A singleton key is evaluated per placement; a pair key once, since
-    placement and scale do not apply to a pair member (see
-    :func:`~repro.workloads.colocation.member_throughputs`): its packed and
-    consolidated rates are one list.  ``packed`` repeats each row's
+    A singleton key is evaluated per placement on first lookup.  Pair keys
+    are made only by :meth:`pair`, which finds a pair's two rows from its
+    members' rows alone and fills both members' keys of a new type pair from
+    one evaluation; placement and scale do not apply to a pair member (see
+    :func:`~repro.workloads.colocation.member_throughputs`), so its spread
+    and consolidated rates are one list.  ``packed`` repeats each row's
     consolidated rates as one block, grown by doubling, for the fluid
-    executor's ``take``, and :meth:`pair` finds a pair's two rows from its
-    members' rows alone, filling both members' keys of a new type pair from
-    one evaluation.  The round executor reads single floats off ``rows``
+    executor's ``take``.  The round executor reads single floats off ``rows``
     per pick: a list read and float arithmetic cost about a third of a numpy
     scalar read and ``float64`` arithmetic.
     """
@@ -243,20 +243,22 @@ class _RateTable(Dict[_RateKey, int]):
         self._pairs: Dict[Tuple[int, int], Tuple[int, int]] = {}
 
     def __missing__(self, key: _RateKey) -> int:
-        job_type, partner, scale = key
-        placements = (False, True) if partner is None else (True,)
-        rates = [member_throughputs(self._model, job_type, partner, self._names, scale, packed)
-                 .tolist() for packed in placements]
-        return self._add(key, rates[0], rates[-1])
+        """A singleton key's row: its rates on spread-out and on consolidated placements."""
+        job_type, _, scale = key
+        spread, consolidated = (
+            member_throughputs(self._model, job_type, None, self._names, scale, placement).tolist()
+            for placement in (False, True)
+        )
+        return self._add(key, spread, consolidated)
 
-    def _add(self, key: _RateKey, consolidated: List[float], packed: List[float]) -> int:
-        """Give ``key`` the next row: these rates."""
-        self.rows.append((consolidated, packed))
+    def _add(self, key: _RateKey, spread: List[float], consolidated: List[float]) -> int:
+        """Give ``key`` the next row, ``(spread, consolidated)``."""
+        self.rows.append((spread, consolidated))
         self._keys.append(key)
         self[key] = row = len(self.rows) - 1
         if row == len(self.packed):
             self.packed = np.concatenate((self.packed, np.zeros_like(self.packed)))
-        self.packed[row] = packed
+        self.packed[row] = consolidated
         return row
 
     def pair(self, first: int, second: int) -> Tuple[int, int]:

@@ -406,6 +406,11 @@ def _nonbasic_codes(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     return np.where(lower > -math.inf, _LOWER, np.where(upper < math.inf, _UPPER, _ZERO))
 
 
+def _nonbasic_code(lower: float, upper: float) -> int:
+    """:func:`_nonbasic_codes` for one column: a handful of released ones costs no array."""
+    return _LOWER if lower > -math.inf else _UPPER if upper < math.inf else _ZERO
+
+
 def _highs_lp(
     num_col: int,
     cost: np.ndarray,
@@ -440,7 +445,6 @@ def _highs_lp(
 
 
 _NO_INDEX = np.empty(0, np.int32)
-_NO_ROWS = np.empty(0, np.int64)
 _NO_VALUE = np.empty(0)
 
 
@@ -552,11 +556,13 @@ class _HighsBackend:
     refactorizes, and after ``deleteRows`` it fails.  A fixed non-basic
     column the program did not release (it is not on the free list) is
     ambiguous: HiGHS keeps whichever bound it sat at, which is its history,
-    not its bounds and value.  Then, and whenever the last run was cold or
-    not optimal, the model holds no coefficient or ``getBasicVariables`` is
-    not ``kOk`` (see :meth:`_derived_col_status`), the carry reads
-    ``col_status`` as a list (:meth:`_read_col_status`).  Either way the
-    installed basis is the one the list would give
+    not its bounds and value.  A fixed column off the free list is tested
+    for before ``getBasicVariables`` is asked, so, basic or not, it sends the
+    carry to the list at no extra cost.  There, and whenever the last run
+    was cold or not optimal, the model holds no coefficient or
+    ``getBasicVariables`` is not ``kOk`` (see :meth:`_derived_col_status`),
+    the carry reads ``col_status`` as a list (:meth:`_read_col_status`).
+    Either way the installed basis is the one the list would give
     (``tests/core/test_basis_carry.py`` keeps that construction as the
     oracle).
 
@@ -569,10 +575,10 @@ class _HighsBackend:
     ``_row_upper`` in HiGHS row order, gathered from the program's bound
     buffers through ``_row_slots`` (``changeRowBounds``, when the flag is set),
     and ``_col_lower`` / ``_col_upper`` / ``_col_cost`` (``changeColsBounds``
-    / ``changeColsCost``, every sync).  Rows are mapped to handles by two
-    arrays: ``_row_handles`` (HiGHS row -> handle) and ``_row_of`` (handle
-    -> HiGHS row, ``-1`` when HiGHS does not hold it), renumbered in bulk
-    when rows go.
+    / ``changeColsCost``, every sync).  ``_row_handles`` (an array) maps
+    HiGHS rows to handles and ``_row_of`` (a dict) handles to HiGHS rows; both
+    hold only the rows HiGHS holds, and a deletion renumbers the rows behind
+    the first deleted one.
 
     ``setBasis`` is a hint.  If HiGHS rejects it the solve simply starts
     without a basis; the rejection is counted in
@@ -614,10 +620,10 @@ class _HighsBackend:
         for entry in _OPTIONS:
             self._call(entry, "_HighsBackend")
         #: HiGHS row -> constraint handle / program bound slot (replaced, never
-        #: written in place), and handle -> HiGHS row or -1 (written in place).
+        #: written in place), and handle -> HiGHS row.
         self._row_handles = np.empty(0, dtype=np.int64)
         self._row_slots = np.empty(0, dtype=np.int64)
-        self._row_of = np.empty(0, dtype=np.int64)
+        self._row_of: Dict[int, int] = {}
         #: Row bounds (by HiGHS row), column bounds, costs and sense as HiGHS
         #: last saw them: a later sync pushes only what differs from the mirror.
         #: The arrays are replaced, never written in place.
@@ -639,11 +645,11 @@ class _HighsBackend:
         """The mirrors and the journal, without a model: :meth:`rebuild` makes one.
 
         The journal's entries and the mirror arrays are shared: neither is
-        ever written in place.  ``_row_of`` is, so it is copied.
+        ever written in place.
         """
         clone = _HighsBackend.__new__(_HighsBackend)
         vars(clone).update(
-            vars(self), _highs=None, _journal=list(self._journal), _row_of=self._row_of.copy()
+            vars(self), _highs=None, _journal=list(self._journal), _row_of=dict(self._row_of)
         )
         return clone
 
@@ -684,17 +690,8 @@ class _HighsBackend:
         # The assembly's row order.
         self._row_handles = np.fromiter(constraints, np.int64, len(constraints))
         self._row_slots = program._cached_slots
-        self._row_of = np.full(program._next_constraint_id, -1, dtype=np.int64)
-        self._row_of[self._row_handles] = np.arange(len(constraints))
+        self._row_of = dict(zip(self._row_handles.tolist(), range(len(constraints))))
         self._synced = True
-
-    def _cover_handles(self, program: "LinearProgram") -> None:
-        """Grow ``_row_of`` (by doubling) to index every handle the program has issued."""
-        held = len(self._row_of)
-        if held < program._next_constraint_id:
-            grown = np.full(max(program._next_constraint_id, 2 * held), -1, dtype=np.int64)
-            grown[:held] = self._row_of
-            self._row_of = grown
 
     def _derived_col_status(self, program: "LinearProgram") -> Optional[List[object]]:
         """The column statuses the carry installs, derived without reading HiGHS' list.
@@ -704,36 +701,36 @@ class _HighsBackend:
         have been presolved, leaving the simplex with another LP) or not
         optimal, the constraint matrix is empty (HiGHS 1.12 then answers
         ``getBasicVariables`` from memory it never set up, and crashes),
-        ``getBasicVariables`` is not ``kOk``, or a fixed non-basic column is
-        not on the free list.
+        ``getBasicVariables`` is not ``kOk``, or a fixed column is not on the
+        free list.  That last test comes first and does not ask whether the
+        column is basic (only a non-basic one is ambiguous): it costs no call,
+        and where it fails the list read is all the carry pays for.
         """
         highs, value = self._highs, self._warm_values
         if value is None or not highs.getNumNz():
+            return None
+        # The columns HiGHS held at its last run, with the bounds it held then.
+        lower, upper = self._col_lower, self._col_upper
+        held = len(lower)
+        fixed = lower == upper
+        ambiguous = fixed.copy()
+        listed = np.fromiter(program._free_variables, np.int64, len(program._free_variables))
+        ambiguous[listed[listed < held]] = False
+        if np.count_nonzero(ambiguous):
             return None
         status, basic = highs.getBasicVariables()
         if status != _highs_core.HighsStatus.kOk:
             return None
         basic = basic[basic >= 0]  # rows are numbered from -1 down
-        # The columns HiGHS held at its last run, with the bounds it held then.
-        lower, upper = self._col_lower, self._col_upper
-        held = len(lower)
-        fixed = lower == upper
-        suspects = fixed.copy()
-        suspects[basic] = False
-        listed = np.fromiter(program._free_variables, np.int64, len(program._free_variables))
-        suspects[listed[listed < held]] = False
-        if np.count_nonzero(suspects):
-            return None
         codes = np.empty(program.num_variables(), dtype=np.int64)
         codes[:held] = _nonbasic_codes(lower, upper)
         codes[:held][(value == upper) & ~fixed] = _UPPER
         if held < len(codes):  # appended by this sync's addCols
             codes[held:] = _nonbasic_codes(program._lower[held:], program._upper[held:])
         codes[basic] = _BASIC
-        released = np.fromiter(program._hs_released, np.int64, len(program._hs_released))
-        codes[released] = _nonbasic_codes(
-            program._lower_buf[released], program._upper_buf[released]
-        )
+        lower, upper = program._lower_buf, program._upper_buf
+        for column in program._hs_released:
+            codes[column] = _nonbasic_code(lower[column], upper[column])
         return _BASIS_STATUSES[codes].tolist()
 
     def _read_col_status(self, program: "LinearProgram") -> List[object]:
@@ -743,12 +740,9 @@ class _HighsBackend:
         each released column's replaced by the default for its bounds.
         """
         col_status = self._highs.getBasis().col_status
-        released = np.fromiter(program._hs_released, np.int64, len(program._hs_released))
-        statuses = _BASIS_STATUSES[
-            _nonbasic_codes(program._lower_buf[released], program._upper_buf[released])
-        ]
-        for column, status in zip(released.tolist(), statuses.tolist()):
-            col_status[column] = status
+        lower, upper = program._lower_buf, program._upper_buf
+        for column in program._hs_released:
+            col_status[column] = _BASIS_STATUSES[_nonbasic_code(lower[column], upper[column])]
         return col_status
 
     def _drop_rows_and_columns(
@@ -773,13 +767,14 @@ class _HighsBackend:
         if len(rows):
             self._call(("deleteRows", rows.astype(np.int32)), program.name)
             # Rows before the first deleted one keep their place: renumber the rest.
+            row_of = self._row_of
+            for handle in self._row_handles[rows].tolist():
+                del row_of[handle]
             keep = np.ones(len(self._row_handles), dtype=bool)
             keep[rows] = False
-            row_of = self._row_of
-            row_of[self._row_handles[rows]] = -1
             self._row_handles = handles = self._row_handles[keep]
             first = int(rows[0])
-            row_of[handles[first:]] = np.arange(first, len(handles))
+            row_of.update(zip(handles[first:].tolist(), range(first, len(handles))))
             self._row_slots = self._row_slots[keep]
             self._row_lower, self._row_upper = self._row_lower[keep], self._row_upper[keep]
         if not valid:
@@ -797,7 +792,6 @@ class _HighsBackend:
 
     def _apply_edits(self, program: "LinearProgram") -> None:
         name = program.name
-        self._cover_handles(program)
         # Before any edit (see the class docstring).
         col_status = self._derived_col_status(program) if program._hs_released else None
         lower, upper = np.array(program._lower), np.array(program._upper)
@@ -811,11 +805,10 @@ class _HighsBackend:
             self._col_upper = np.concatenate([self._col_upper, new_upper])
             self._col_cost = np.concatenate([self._col_cost, np.zeros(extra)])
 
-        removed = _NO_ROWS
-        if program._hs_removed:
-            gone = program._hs_removed
-            at = self._row_of[np.fromiter(gone, np.int64, len(gone))]
-            removed = np.sort(at[at >= 0])
+        row_of = self._row_of
+        removed = np.array(
+            sorted(row_of[handle] for handle in program._hs_removed if handle in row_of), np.int64
+        )
         if len(removed) or program._hs_released:
             self._drop_rows_and_columns(program, removed, col_status)
 
@@ -826,13 +819,12 @@ class _HighsBackend:
         # set_column_coefficients_from_arrays): the diff alone pushes it, once.
         # Every row HiGHS still holds is one of the program's (removed rows
         # went above), so a handle's HiGHS row says whether it is there.
-        row_of = self._row_of
         rows: List[int] = []
         columns: List[int] = []
         values: List[float] = []
         for (handle, column), (seen, now) in program._hs_coefficients.items():
-            row = row_of.item(handle)
-            if row >= 0 and now != seen:
+            row = row_of.get(handle)
+            if row is not None and now != seen:
                 rows.append(row)
                 columns.append(column)
                 values.append(now)
@@ -841,8 +833,8 @@ class _HighsBackend:
         # differ from the terms HiGHS holds (journalled at the first edit).
         constraints = program._constraints
         for handle, (old_indices, old_values) in program._hs_dirty.items():
-            row = row_of.item(handle)
-            if row < 0:
+            row = row_of.get(handle)
+            if row is None:
                 continue
             constraint = constraints[handle]
             if constraint.indices is old_indices:
@@ -894,9 +886,8 @@ class _HighsBackend:
                 name,
             )
             base = len(self._row_handles)
-            handles = np.array(add, dtype=np.int64)
-            self._row_handles = np.concatenate([self._row_handles, handles])
-            self._row_of[handles] = np.arange(base, base + len(add))
+            self._row_handles = np.concatenate([self._row_handles, np.array(add, np.int64)])
+            self._row_of.update(zip(add, range(base, base + len(add))))
             self._row_slots = np.concatenate([self._row_slots, slots])
             self._row_lower = np.concatenate([self._row_lower, lowers])
             self._row_upper = np.concatenate([self._row_upper, uppers])
@@ -936,14 +927,12 @@ class _HighsBackend:
                 f"{name}: row duals must be read before the program is solved again"
             )
         duals = np.asarray(self._highs.getSolution().row_dual, dtype=float)
-        handles = np.asarray(handles, dtype=np.int64).reshape(-1)
-        rows = np.full(len(handles), -1, dtype=np.int64)
-        inside = (handles >= 0) & (handles < len(self._row_of))
-        rows[inside] = self._row_of[handles[inside]]
-        if np.count_nonzero(rows < 0):
+        try:
+            rows = [self._row_of[handle] for handle in np.asarray(handles).tolist()]
+        except KeyError as error:
             raise SolverError(
-                f"{name}: constraint handle {handles[rows < 0][0]} was not a row of that solve"
-            )
+                f"{name}: constraint handle {error.args[0]} was not a row of that solve"
+            ) from None
         return duals[rows]
 
     def solve(self, program: "LinearProgram") -> Solution:

@@ -125,6 +125,22 @@ def _retire(program, x, rows):
     program.remove_constraint(rows[-1])
 
 
+class _Asked:
+    """The live model, counting ``getBasicVariables`` calls; ``refuse``: answer ``kError``."""
+
+    def __init__(self, highs, refuse=False):
+        self._highs, self._refuse, self.asked = highs, refuse, 0
+
+    def __getattr__(self, name):
+        return getattr(self._highs, name)
+
+    def getBasicVariables(self):
+        self.asked += 1
+        if self._refuse:
+            return lp._highs_core.HighsStatus.kError, np.empty(0, np.int32)
+        return self._highs.getBasicVariables()
+
+
 def test_a_fixed_column_not_released_reads_the_list(monkeypatch):
     program, xs, shared, own = _program()
     program.solve()
@@ -132,12 +148,15 @@ def test_a_fixed_column_not_released_reads_the_list(monkeypatch):
     program.solve()  # warm
     program.fix_variable(xs[1], 0.0)  # fixed, never released: ambiguous from now on
     program.solve()
-    _status, basic = program._backend._highs.getBasicVariables()
+    backend = program._backend
+    _status, basic = backend._highs.getBasicVariables()
     assert xs[1].index not in basic.tolist()
+    backend._highs = asked = _Asked(backend._highs)
     with _checked_carries(monkeypatch) as seen:
         _retire(program, xs[0], [shared[0], own[0]])
         solution = program.solve()
     assert (seen["carries"], seen["released"], seen["derived"], seen["reads"]) == (1, 1, 0, 1)
+    assert asked.asked == 0  # the fixed column alone sends the carry to the list
     assert solution.warm_started
     assert solution.objective_value == pytest.approx(1.2)  # x2 + x3, x1 fixed at 0
 
@@ -147,25 +166,13 @@ def test_a_basic_set_highs_will_not_give_reads_the_list(monkeypatch):
     program.solve()
     program.add_less_equal({xs[2].index: 1.0}, 0.5)
     program.solve()  # warm
-
-    class Refusing:
-        """The live model, with ``getBasicVariables`` answering ``kError``."""
-
-        def __init__(self, highs):
-            self._highs = highs
-
-        def __getattr__(self, name):
-            return getattr(self._highs, name)
-
-        def getBasicVariables(self):
-            return lp._highs_core.HighsStatus.kError, np.empty(0, np.int32)
-
     backend = program._backend
-    backend._highs = Refusing(backend._highs)
+    backend._highs = asked = _Asked(backend._highs, refuse=True)
     with _checked_carries(monkeypatch) as seen:
         _retire(program, xs[3], [shared[1], own[3]])
         solution = program.solve()
     assert (seen["carries"], seen["released"], seen["derived"], seen["reads"]) == (1, 1, 0, 1)
+    assert asked.asked == 1
     assert solution.warm_started
     assert solution.objective_value == pytest.approx(1.5 + 0.5)
 

@@ -145,9 +145,7 @@ def _assert_live_model_is_the_program(program):
     """HiGHS' ``getLp()`` equals the program, row for row in the backend's row order."""
     backend = program._backend
     assert backend._row_handles.tolist() == list(program._constraints)
-    rows = np.arange(len(backend._row_handles))
-    assert np.array_equal(backend._row_of[backend._row_handles], rows)
-    assert np.count_nonzero(backend._row_of >= 0) == len(backend._row_handles)
+    assert backend._row_of == {handle: row for row, handle in enumerate(program._constraints)}
     held = backend._highs.getLp()
     slots = [program._constraints[handle].slot for handle in backend._row_handles]
     np.testing.assert_array_equal(held.row_lower_, program._row_lower_buf[slots])
