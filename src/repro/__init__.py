@@ -9,7 +9,12 @@ for the full surface:
 * :mod:`repro.scheduler` — the round-based scheduling mechanism;
 * :mod:`repro.simulator` — the cluster simulator and its metrics;
 * :mod:`repro.estimator` — the matrix-completion throughput estimator;
-* :mod:`repro.harness` — experiment sweeps and reporting.
+* :mod:`repro.harness` — experiment sweeps, runtime measurement and reporting.
+
+The package is the scheduler and its experiment harness only: the source
+rules (``tests/test_source_rules.py``) and the session-equivalence driver
+(``tests/equivalence.py``) live under ``tests/``, and importing ``repro``
+loads neither.
 """
 
 from repro.cluster import AcceleratorRegistry, AcceleratorType, ClusterSpec, default_registry

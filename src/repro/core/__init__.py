@@ -30,7 +30,6 @@ from repro.core.policy import AllocationVariables, OptimizationPolicy, Policy
 from repro.core.problem import PolicyProblem
 from repro.core.registry import available_policies, make_policy, parse_policy_spec
 from repro.core.session import (
-    DeltaSummary,
     EstimateRefined,
     IncrementalLPSession,
     JobAdded,
@@ -39,7 +38,6 @@ from repro.core.session import (
     PolicySession,
     RebuildSession,
     TypeCountChanged,
-    summarize_deltas,
 )
 from repro.core.shortest_job_first import ShortestJobFirstPolicy
 from repro.core.throughput_matrix import JobCombination, ThroughputMatrix, build_throughput_matrix
@@ -91,8 +89,6 @@ __all__ = [
     "RebuildSession",
     "IncrementalLPSession",
     "PolicyDelta",
-    "DeltaSummary",
-    "summarize_deltas",
     "JobAdded",
     "JobRemoved",
     "EstimateRefined",

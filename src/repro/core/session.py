@@ -74,8 +74,6 @@ __all__ = [
     "EstimateRefined",
     "TypeCountChanged",
     "PolicyDelta",
-    "DeltaSummary",
-    "summarize_deltas",
     "PolicySession",
     "RebuildSession",
     "IncrementalProgramSession",
@@ -135,63 +133,6 @@ class TypeCountChanged:
 
 
 PolicyDelta = Union[JobAdded, JobRemoved, EstimateRefined, TypeCountChanged]
-
-
-@dataclass(frozen=True)
-class DeltaSummary:
-    """Aggregate view of one drained delta batch.
-
-    Collapses a raw delta stream into the per-kind facts consumers check
-    against engine state: which jobs entered/left, which job types had their
-    estimates refined (``refined_all`` when a refinement could not be
-    attributed), and the *final* advertised count per aggregation group
-    (later :class:`TypeCountChanged` entries supersede earlier ones for the
-    same key, matching how the engine emits them).
-    """
-
-    added_job_ids: Tuple[int, ...]
-    removed_job_ids: Tuple[int, ...]
-    refined_job_types: Tuple[str, ...]
-    refined_all: bool
-    group_counts: Tuple[Tuple[Tuple[object, ...], int], ...]
-
-    def final_group_counts(self) -> dict:
-        """Final advertised count per aggregation key, as a dict."""
-        return dict(self.group_counts)
-
-
-def summarize_deltas(deltas: Iterable[PolicyDelta]) -> DeltaSummary:
-    """Fold a delta stream into a :class:`DeltaSummary`.
-
-    This dispatch covers every kind in the :data:`PolicyDelta` union:
-    ``test_delta_summary_reflects_every_delta_kind`` in
-    ``tests/core/test_session.py`` feeds it one sample of each, so a new
-    delta kind this chain ignores fails a test instead of being dropped.
-    """
-    added: List[int] = []
-    removed: List[int] = []
-    refined: List[str] = []
-    refined_all = False
-    counts: dict = {}
-    for delta in deltas:
-        if isinstance(delta, JobAdded):
-            added.append(delta.job.job_id)
-        elif isinstance(delta, JobRemoved):
-            removed.append(delta.job_id)
-        elif isinstance(delta, EstimateRefined):
-            if delta.job_types is None:
-                refined_all = True
-            else:
-                refined.extend(delta.job_types)
-        elif isinstance(delta, TypeCountChanged):
-            counts[delta.key] = delta.count
-    return DeltaSummary(
-        added_job_ids=tuple(added),
-        removed_job_ids=tuple(removed),
-        refined_job_types=tuple(sorted(set(refined))),
-        refined_all=refined_all,
-        group_counts=tuple(counts.items()),
-    )
 
 
 class PolicySession(abc.ABC):

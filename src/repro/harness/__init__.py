@@ -1,14 +1,9 @@
-"""Experiment harness: sweeps, runtime measurement, equivalence checks, reporting."""
+"""Experiment harness: sweeps, runtime measurement and reporting.
 
-from repro.harness.equivalence import (
-    assert_aggregation_equivalent,
-    assert_session_equivalent,
-    churn_events,
-    policy_objective_value,
-    run_churn_equivalence,
-    run_scheduler_mode_equivalence,
-    water_filling_level_profile,
-)
+The session-equivalence driver the tests use lives beside them in
+``tests/equivalence.py``; the runtime package does not import it.
+"""
+
 from repro.harness.experiments import (
     LoadSweepPoint,
     measure_aggregated_solve_runtime,
@@ -23,13 +18,6 @@ from repro.harness.experiments import (
 from repro.harness.reporting import format_series, format_table, speedup, summarize_cdf
 
 __all__ = [
-    "assert_aggregation_equivalent",
-    "assert_session_equivalent",
-    "churn_events",
-    "policy_objective_value",
-    "run_churn_equivalence",
-    "run_scheduler_mode_equivalence",
-    "water_filling_level_profile",
     "run_policy_on_trace",
     "run_load_sweep",
     "measure_policy_runtime",

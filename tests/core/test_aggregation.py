@@ -26,8 +26,9 @@ from repro.core import (
 )
 from repro.core.throughput_matrix import build_throughput_matrix
 from repro.exceptions import ConfigurationError
-from repro.harness import run_churn_equivalence
 from repro.workloads import Job, ThroughputOracle, TraceGenerator
+
+from tests.equivalence import run_churn_equivalence
 
 #: Variant suffixes crossed with every supported base (mirrors test_session).
 _VARIANT_SUFFIXES = ("", "+ss", "@agnostic", "+ss@agnostic")

@@ -21,8 +21,9 @@ from reference_aggregation import proportional_split, weighted_member_split
 from repro.cluster import ClusterSpec
 from repro.core import AggregatedProblem, PolicyProblem, make_policy
 from repro.core.throughput_matrix import build_throughput_matrix
-from repro.harness.equivalence import LEVEL_PROFILE_TOL, water_filling_level_profile
 from repro.workloads import Job, ThroughputOracle
+
+from tests.equivalence import LEVEL_PROFILE_TOL, water_filling_level_profile
 
 _totals = st.floats(
     min_value=0.0, max_value=64.0, allow_nan=False, allow_infinity=False

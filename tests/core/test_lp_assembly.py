@@ -37,9 +37,10 @@ from repro.core.policy import AllocationVariables
 from repro.core.problem import PolicyProblem
 from repro.core.session import ThroughputRequirementSession
 from repro.core.throughput_matrix import build_throughput_matrix
-from repro.harness.equivalence import policy_objective_value
 from repro.solver.lp import LinearProgram
 from repro.workloads import Job, ThroughputOracle, TraceGenerator, TraceGeneratorConfig
+
+from tests.equivalence import policy_objective_value
 
 
 @pytest.fixture(scope="module")

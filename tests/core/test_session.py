@@ -9,8 +9,7 @@ fresh :class:`~repro.core.session.RebuildSession` on the identical problem
 snapshot.  The comparison protocol (exact rows when the optima are unique,
 the policy's own objective — or, for the water-filling family, the full
 sorted level profile — to solver tolerance otherwise) lives in
-:mod:`repro.harness.equivalence`, replacing the per-policy evaluators that
-used to be copied around here.
+``tests/equivalence.py``.
 """
 
 import typing
@@ -29,11 +28,10 @@ from repro.core import (
     make_policy,
     parse_policy_spec,
 )
-from repro.core.session import PolicyDelta, RebuildSession, TypeCountChanged, summarize_deltas
+from repro.core.session import PolicyDelta, RebuildSession, TypeCountChanged
 from repro.core.water_filling import WaterFillingSession
 from repro.estimator import ThroughputEstimator
 from repro.exceptions import ConfigurationError
-from repro.harness import assert_session_equivalent, run_churn_equivalence
 from repro.workloads import (
     ColocatedThroughputs,
     ColocationModel,
@@ -41,6 +39,8 @@ from repro.workloads import (
     ThroughputOracle,
     TraceGenerator,
 )
+
+from tests.equivalence import assert_session_equivalent, run_churn_equivalence, summarize_deltas
 
 #: Variant suffixes every base spec is probed with.
 _VARIANT_SUFFIXES = ("", "+ss", "@agnostic", "+ss@agnostic")

@@ -31,8 +31,9 @@ from churn_fingerprint_scenarios import (
 
 from repro.core import WaterFillingAllocator, make_policy
 from repro.core.water_filling import _LevelLoopProgram
-from repro.harness.equivalence import LEVEL_PROFILE_TOL, water_filling_level_profile
 from repro.solver.lp import LinearProgram
+
+from tests.equivalence import LEVEL_PROFILE_TOL, water_filling_level_profile
 
 
 @pytest.fixture

@@ -19,9 +19,10 @@ from repro.core.hierarchical import EntitySpec, HierarchicalPolicy
 from repro.core.policy import AllocationVariables
 from repro.core.water_filling import _EPSILON, _IMPROVEMENT, _LevelLoopProgram
 from repro.exceptions import ConfigurationError, InfeasibleError
-from repro.harness.equivalence import LEVEL_PROFILE_TOL, water_filling_level_profile
 from repro.solver.lp import LinearProgram
 from repro.workloads import Job
+
+from tests.equivalence import LEVEL_PROFILE_TOL, water_filling_level_profile
 
 
 def _identical_jobs_problem(num_jobs=4, num_gpus=4):

@@ -24,13 +24,18 @@ randomized churn trace through an
 :class:`~repro.core.allocation_engine.AllocationEngine`, one long-lived
 session on one side — per job or type-aggregated — and a fresh per-job
 ``RebuildSession`` per step on the other) so each registry-wide test is a
-one-liner per policy spec.
+one-liner per policy spec.  :func:`summarize_deltas` folds each drained
+delta batch into the facts the driver checks against the engine.
+
+Tests import this module as ``tests.equivalence``, the way they import
+``tests.conftest``; the runtime package never imports it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -49,21 +54,18 @@ from repro.core.makespan import MakespanPolicy
 from repro.core.policy import Policy
 from repro.core.problem import PolicyProblem
 from repro.core.registry import make_policy, parse_policy_spec
-from repro.core.session import DeltaSummary, RebuildSession, summarize_deltas
+from repro.core.session import (
+    EstimateRefined,
+    JobAdded,
+    JobRemoved,
+    PolicyDelta,
+    RebuildSession,
+    TypeCountChanged,
+)
 from repro.core.throughput_matrix import JobCombination
 from repro.workloads.job import Job
 from repro.workloads.throughputs import ThroughputOracle
 from repro.workloads.trace_generator import TraceGenerator
-
-__all__ = [
-    "policy_objective_value",
-    "water_filling_level_profile",
-    "assert_session_equivalent",
-    "assert_aggregation_equivalent",
-    "churn_events",
-    "run_churn_equivalence",
-    "run_scheduler_mode_equivalence",
-]
 
 #: Relative tolerance for objective-tier comparisons.
 REL_TOL = 1e-4
@@ -354,6 +356,59 @@ def churn_events(
     return events
 
 
+@dataclass(frozen=True)
+class DeltaSummary:
+    """Aggregate view of one drained delta batch.
+
+    Collapses a raw delta stream into the per-kind facts consumers check
+    against engine state: which jobs entered/left, which job types had their
+    estimates refined (``refined_all`` when a refinement could not be
+    attributed), and the *final* advertised count per aggregation group
+    (later :class:`TypeCountChanged` entries supersede earlier ones for the
+    same key, matching how the engine emits them).
+    """
+
+    added_job_ids: Tuple[int, ...]
+    removed_job_ids: Tuple[int, ...]
+    refined_job_types: Tuple[str, ...]
+    refined_all: bool
+    group_counts: Tuple[Tuple[Tuple[object, ...], int], ...]
+
+
+def summarize_deltas(deltas: Iterable[PolicyDelta]) -> DeltaSummary:
+    """Fold a delta stream into a :class:`DeltaSummary`.
+
+    This dispatch covers every kind in the :data:`PolicyDelta` union:
+    ``test_delta_summary_reflects_every_delta_kind`` in
+    ``tests/core/test_session.py`` feeds it one sample of each, so a new
+    delta kind this chain ignores fails a test instead of being dropped.
+    """
+    added: List[int] = []
+    removed: List[int] = []
+    refined: List[str] = []
+    refined_all = False
+    counts: dict = {}
+    for delta in deltas:
+        if isinstance(delta, JobAdded):
+            added.append(delta.job.job_id)
+        elif isinstance(delta, JobRemoved):
+            removed.append(delta.job_id)
+        elif isinstance(delta, EstimateRefined):
+            if delta.job_types is None:
+                refined_all = True
+            else:
+                refined.extend(delta.job_types)
+        elif isinstance(delta, TypeCountChanged):
+            counts[delta.key] = delta.count
+    return DeltaSummary(
+        added_job_ids=tuple(added),
+        removed_job_ids=tuple(removed),
+        refined_job_types=tuple(sorted(set(refined))),
+        refined_all=refined_all,
+        group_counts=tuple(counts.items()),
+    )
+
+
 def _assert_delta_stream_consistent(
     spec: str, summary: DeltaSummary, active_ids: set
 ) -> None:
@@ -496,79 +551,3 @@ def run_churn_equivalence(
     steps = counters["steps"]
     assert steps >= min_steps, f"{spec}: churn trace produced only {steps} comparisons"
     return counters
-
-
-def run_scheduler_mode_equivalence(
-    spec: str,
-    oracle: ThroughputOracle,
-    cluster: ClusterSpec,
-    num_jobs: int = 10,
-    jobs_per_hour: float = 6.0,
-    seed: int = 11,
-    horizon_seconds: float = 2_000_000.0,
-) -> Dict[str, int]:
-    """``mode="continuous"`` must reproduce ``mode="ideal"`` byte for byte.
-
-    The continuous event loop is the generalization of ideal fluid stepping —
-    ideal is its zero-overhead special case — so with an identical workload
-    and identical scheduled control events (mid-run cancels, a resize, a
-    same-spec policy hot-swap, all queued on the event heap) the two modes
-    must produce *bit-identical* per-job outcomes, not merely objectives that
-    agree to tolerance.  Any drift means the refactor grew a mode-dependent
-    branch.  Returns ``{"jobs": ..., "cancel_events": ...}`` counters.
-    """
-    from repro.scheduler.service import ClusterScheduler, SchedulerConfig
-
-    trace = TraceGenerator(oracle=oracle).generate_continuous(
-        num_jobs=num_jobs, jobs_per_hour=jobs_per_hour, seed=seed
-    )
-    jobs = [job.with_entity(job.job_id % 3) for job in trace.jobs]
-    first_type = cluster.registry.names[0]
-    mid_run = jobs[len(jobs) // 2].arrival_time + 600.0
-
-    def _run(mode: str) -> "ClusterScheduler":
-        scheduler = ClusterScheduler(
-            policy=make_policy(spec),
-            cluster_spec=cluster,
-            oracle=oracle,
-            config=SchedulerConfig(mode=mode, max_simulated_seconds=horizon_seconds),
-        )
-        for job in jobs:
-            scheduler.submit(job)
-        for index, job in enumerate(jobs):
-            if index % 4 == 2:
-                # May fire after the job already finished; the event loop
-                # skips those, identically in both modes.
-                scheduler.schedule_cancel(job.job_id, at=job.arrival_time + 900.0)
-        scheduler.schedule_resize({first_type: +1}, at=mid_run)
-        scheduler.schedule_swap_policy(spec, at=mid_run + 600.0)
-        scheduler.run_until()
-        return scheduler
-
-    def _fingerprint(scheduler: "ClusterScheduler") -> object:
-        result = scheduler.result()
-        return (
-            {
-                job_id: (
-                    record.completion_time,
-                    record.steps_done,
-                    record.cost_dollars,
-                    record.cancelled,
-                    record.first_allocation_time,
-                )
-                for job_id, record in result.records.items()
-            },
-            result.end_time,
-            result.num_rounds,
-            result.total_cost_dollars,
-            result.allocation_staleness_integral,
-            result.num_allocation_stale_events,
-        )
-
-    ideal = _run("ideal")
-    continuous = _run("continuous")
-    assert _fingerprint(ideal) == _fingerprint(continuous), (
-        f"{spec}: continuous mode diverged from ideal under identical churn"
-    )
-    cancel_events = sum(1 for index in range(len(jobs)) if index % 4 == 2)
-    return {"jobs": len(jobs), "cancel_events": cancel_events}

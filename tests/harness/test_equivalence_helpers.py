@@ -16,13 +16,14 @@ from repro.cluster import ClusterSpec
 from repro.core import AllocationEngine, PolicyProblem, make_policy
 from repro.core.aggregation import aggregation_key
 from repro.core.session import RebuildSession
-from repro.harness import (
+from repro.workloads import ThroughputOracle
+
+from tests.equivalence import (
     assert_aggregation_equivalent,
     churn_events,
     policy_objective_value,
     water_filling_level_profile,
 )
-from repro.workloads import ThroughputOracle
 
 
 @pytest.fixture(scope="module")

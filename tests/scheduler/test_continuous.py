@@ -5,7 +5,7 @@ scheduled cancels/resizes/policy swaps, optional periodic re-solve ticks —
 with ``ideal`` as its zero-overhead special case.  These tests pin:
 
 * registry-wide byte-equivalence between the two modes under identical
-  scheduled churn (via :func:`repro.harness.run_scheduler_mode_equivalence`);
+  scheduled churn;
 * mid-churn snapshot→restore byte-determinism with a queued event heap
   (cancels/resizes/swaps in flight at snapshot time);
 * the periodic re-solve tick machinery and its config validation;
@@ -22,7 +22,7 @@ import pytest
 from repro.cluster import ClusterSpec
 from repro.core import available_policies, make_policy
 from repro.exceptions import ConfigurationError, UnknownJobError
-from repro.harness import run_scheduler_mode_equivalence, steady_state_job_ids
+from repro.harness import steady_state_job_ids
 from repro.scheduler import ClusterScheduler, SchedulerConfig
 from repro.workloads import Job, ThroughputOracle, TraceGenerator
 
@@ -77,13 +77,37 @@ def _fingerprint(result):
 
 
 class TestModeEquivalenceRegistryWide:
-    """Continuous must reproduce ideal byte-for-byte for every registry policy."""
+    """Continuous must reproduce ideal byte-for-byte for every registry policy.
+
+    Ideal is the continuous event loop without re-solve ticks, so with the
+    same workload and the same queued control events (mid-run cancels, a
+    resize, a same-spec policy hot-swap) the two modes must produce
+    bit-identical outcomes, not objectives that agree to tolerance: any drift
+    means a mode-dependent branch.
+    """
 
     @pytest.mark.parametrize("spec", available_policies())
     def test_continuous_matches_ideal_under_churn(self, oracle, small_spec, spec):
-        counters = run_scheduler_mode_equivalence(spec, oracle, small_spec)
-        assert counters["jobs"] >= 5
-        assert counters["cancel_events"] >= 1
+        trace = _trace(oracle, seed=11)
+        jobs = [job.with_entity(job.job_id % 3) for job in trace.jobs]
+        mid_run = jobs[len(jobs) // 2].arrival_time + 600.0
+        cancelled = jobs[2::4]
+        assert len(jobs) >= 5 and cancelled
+
+        def run(mode):
+            config = SchedulerConfig(mode=mode, max_simulated_seconds=2_000_000.0)
+            scheduler = _scheduler(oracle, small_spec, spec, config)
+            for job in jobs:
+                scheduler.submit(job)
+            for job in cancelled:
+                # May fire after the job finished; both modes skip it alike.
+                scheduler.schedule_cancel(job.job_id, at=job.arrival_time + 900.0)
+            scheduler.schedule_resize({small_spec.registry.names[0]: +1}, at=mid_run)
+            scheduler.schedule_swap_policy(spec, at=mid_run + 600.0)
+            scheduler.run_until()
+            return _fingerprint(scheduler.result())
+
+        assert run("ideal") == run("continuous"), f"{spec}: continuous diverged from ideal"
 
 
 class TestSnapshotRestoreMidChurn:

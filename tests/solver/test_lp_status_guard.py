@@ -17,10 +17,11 @@ from repro.cluster import ClusterSpec
 from repro.core import PolicyProblem, build_throughput_matrix, make_policy
 from repro.core.effective_throughput import effective_throughputs
 from repro.exceptions import SolverError
-from repro.harness.equivalence import LEVEL_PROFILE_TOL, water_filling_level_profile
 from repro.solver import LinearProgram
 from repro.solver.lp import _HighsBackend
 from repro.workloads import ThroughputOracle, TraceGenerator
+
+from tests.equivalence import LEVEL_PROFILE_TOL, water_filling_level_profile
 
 
 class _ForcedError:

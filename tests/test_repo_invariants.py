@@ -17,10 +17,8 @@ SOURCE_ROOT = REPO_ROOT / "src"
 #: Layer → (module prefixes, the other layers it may import).  Exceptions at
 #: the bottom, solver/cluster primitives above them, policies (core) above the
 #: solver, the scheduler above the policies, simulator/harness/cli on top.
-#: The analysis package is cut off from the runtime: it may import nothing
-#: but the shared exception types.  A module belongs to the layer of its
-#: longest matching prefix, so the bare ``repro`` prefix catches the root
-#: package and any new top-level module.
+#: A module belongs to the layer of its longest matching prefix, so the bare
+#: ``repro`` prefix catches the root package and any new top-level module.
 LAYERS = {
     "base": (("repro.exceptions",), ()),
     "solver": (("repro.solver",), ("base",)),
@@ -41,7 +39,6 @@ LAYERS = {
             "core", "scheduler", "simulator", "harness",
         ),
     ),
-    "analysis": (("repro.analysis",), ("base",)),
 }
 
 #: Deliberate public API with no in-repo user.
@@ -186,11 +183,11 @@ def test_every_export_is_used_in_another_file():
     """A name in a module's ``__all__`` appears as an identifier in some other file.
 
     Other files are everything under ``src``, ``tests``, ``benchmarks`` and
-    ``examples`` except the checker's fixture corpus.  An export nothing else
+    ``examples`` except the source rules' fixture corpus.  An export nothing else
     names is API surface that exists only in ``__all__``: drop it, or list it
     in ``EXPORT_ALLOW``.
     """
-    fixtures = REPO_ROOT / "tests" / "analysis" / "fixtures"
+    fixtures = REPO_ROOT / "tests" / "source_rules"
     identifiers = {
         path: _identifiers(ast.parse(path.read_text(encoding="utf-8")))
         for tree_root in ("src", "tests", "benchmarks", "examples")
