@@ -31,15 +31,22 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Dict, List
+from typing import List
 
 import numpy as np
 
 from repro.core.allocation import Allocation
 from repro.core.effective_throughput import normalized_throughput_scale
-from repro.core.policy import AllocationVariables, OptimizationPolicy, rows_with_column_of
+from repro.core.policy import AllocationVariables, OptimizationPolicy
 from repro.core.problem import PolicyProblem
-from repro.core.session import IncrementalProgramSession, NormalizationCache, PolicySession
+from repro.core.session import (
+    Encoding,
+    IncrementalProgramSession,
+    JobRows,
+    NormalizationCache,
+    PolicySession,
+    RowKind,
+)
 from repro.core.throughput_matrix import ThroughputMatrix
 from repro.solver.lp import LinearExpression, LinearProgram
 
@@ -92,79 +99,51 @@ def _normalized_scale(
     return policy.normalized_throughput_scale(problem, matrix, job_id)
 
 
+def _epigraph_rows(
+    epigraph: int, _job_ids: List[int], encoded: List[Encoding], _columns: np.ndarray
+) -> List[RowKind]:
+    """``t - scale_m * throughput(m, X) <= 0``: the terms times ``-scale_m``, then ``t``."""
+    scales = np.fromiter((scale for _terms, scale in encoded), float, len(encoded))
+    return [(-scales, epigraph, 1.0)]
+
+
 class MaxMinFairnessSession(IncrementalProgramSession):
     """Stateful LAS solver with a persistent epigraph formulation.
 
     Equivalent to ``build_objective`` + ``add_max_min_objective`` on a fresh
-    program, but the epigraph constraints ``t <= scale_m * throughput(m, X)``
-    are edited in place rather than rebuilt, so unchanged jobs cost nothing.
+    program, but the epigraph rows ``t <= scale_m * throughput(m, X)`` are a
+    :class:`~repro.core.session.JobRows` family that encodes each job's terms
+    and normalization factor: a row is added, removed or rewritten only when
+    its job came, went, or had its terms or factor moved, so unchanged jobs
+    cost nothing.
     """
 
     def __init__(self, policy: MaxMinFairnessPolicy, problem: PolicyProblem) -> None:
         super().__init__(policy, problem, LinearProgram(name=policy.display_name))
         self._epigraph = self._program.add_variable(name="max_min_t", lower=-math.inf)
         self._program.maximize({self._epigraph.index: 1.0})
-        self._constraints: Dict[int, int] = {}
+        self._rows = JobRows(self._program, upper=0.0)
+        self._layout = functools.partial(_epigraph_rows, self._epigraph.index)
         # Held through the policy, not the session: a session clone follows
         # it to its own policy, and no cycle keeps a dropped session alive.
         self._scales = NormalizationCache(functools.partial(_normalized_scale, policy))
 
     def _prepare(self, problem: PolicyProblem) -> None:
-        """Align the epigraph rows ``t <= scale_m * throughput(m, X)``.
-
-        A from-scratch alignment (first solve, or every job changed) emits
-        all rows in one columnar call; an incremental one removes the rows of
-        departed jobs in one call, adds the rows of new jobs in one and
-        rewrites, in one, the rows of the jobs whose cached terms or
-        normalization inputs moved — each in the matrix's job order.
-        """
+        """Align the epigraph rows with ``problem``: the jobs the normalization refresh returns."""
         self._sync(problem)
-        program = self._program
         variables = self._variables
-        epigraph = self._epigraph.index
-        departed = sorted(self._constraints.keys() - problem.jobs.keys())
-        if departed:
-            program.remove_constraints([self._constraints.pop(job_id) for job_id in departed])
-            for job_id in departed:
-                self._scales.discard(job_id)
-        if not self._constraints:
-            job_ids, starts, cols, vals = variables.effective_throughput_blocks()
+        for job_id in self._rows.remove_departed(problem.jobs):
+            self._scales.discard(job_id)
+        if not self._rows:
             self._scales.clear()
-            scale_of = {
-                job_id: scale for job_id, _terms, scale in self._scales.refresh(problem, variables)
-            }
-            scales = np.fromiter(map(scale_of.__getitem__, job_ids.tolist()), float, len(job_ids))
-            # t - scale * expr <= 0, the epigraph term last in each row.
-            handles = program.add_constraints_from_arrays(
-                *variables.rows_with_column(
-                    starts, cols, -vals * np.repeat(scales, np.diff(starts)), epigraph, 1.0
-                ),
-                -math.inf,
-                np.zeros(len(job_ids)),
-            )
-            self._constraints = dict(zip(job_ids.tolist(), handles.tolist()))
-            return
-        changed = self._scales.refresh(problem, variables)
-        added = [entry for entry in changed if entry[0] not in self._constraints]
-        rewritten = [entry for entry in changed if entry[0] in self._constraints]
-        for new, rows in ((True, added), (False, rewritten)):
-            if not rows:
-                continue
-            triplet = rows_with_column_of(
-                [(cols, vals * -scale) for _job_id, (cols, vals), scale in rows],
-                epigraph,
-                1.0,
-            )
-            job_ids = [job_id for job_id, _terms, _scale in rows]
-            if new:
-                handles = program.add_constraints_from_arrays(
-                    *triplet, -math.inf, np.zeros(len(rows))
-                )
-                self._constraints.update(zip(job_ids, handles.tolist()))
-            else:
-                program.set_constraints_coefficients_from_arrays(
-                    [self._constraints[job_id] for job_id in job_ids], *triplet
-                )
+            variables.effective_throughput_blocks()  # primes the terms cache in one pass
+        self._rows.write(
+            (
+                (job_id, (terms, scale))
+                for job_id, terms, scale in self._scales.refresh(problem, variables)
+            ),
+            self._layout,
+        )
 
     def _solve(self, problem: PolicyProblem) -> Allocation:
         self._prepare(problem)

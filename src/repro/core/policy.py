@@ -38,7 +38,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.session import PolicySession
     from repro.workloads.job import Job
 
-__all__ = ["Policy", "OptimizationPolicy", "AllocationVariables", "rows_with_column_of"]
+__all__ = ["Policy", "OptimizationPolicy", "AllocationVariables"]
 
 
 class Policy(abc.ABC):
@@ -194,23 +194,6 @@ def _member_mask(dense: DenseRows, row_mask: np.ndarray) -> np.ndarray:
     if len(dense.member_jobs) == len(dense.sizes):
         return row_mask
     return np.repeat(row_mask, dense.sizes)
-
-
-def rows_with_column_of(
-    rows: Sequence[Tuple[np.ndarray, np.ndarray]], column: int, value: float
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One row per ``(cols, coeffs)`` of ``rows``, each ending in ``value * x[column]``.
-
-    The ``(rows, cols, coeffs)`` triplet ``add_constraints_from_arrays``
-    takes, for the few rows an event rewrites: one concatenation, where
-    :meth:`AllocationVariables.rows_with_column` scatters whole blocks.
-    """
-    extra_col, extra_coeff = np.array([column]), np.array([value])
-    return (
-        np.repeat(np.arange(len(rows)), [len(cols) + 1 for cols, _coeffs in rows]),
-        np.concatenate([part for cols, _coeffs in rows for part in (cols, extra_col)]),
-        np.concatenate([part for _cols, coeffs in rows for part in (coeffs, extra_coeff)]),
-    )
 
 
 class AllocationVariables:

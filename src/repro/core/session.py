@@ -54,7 +54,7 @@ import copy
 import math
 from dataclasses import dataclass
 from itertools import filterfalse
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -78,6 +78,7 @@ __all__ = [
     "RebuildSession",
     "IncrementalProgramSession",
     "NormalizationCache",
+    "JobRows",
     "IncrementalLPSession",
     "RequirementCurves",
     "steps_and_isolated_throughputs",
@@ -248,11 +249,10 @@ class IncrementalProgramSession(PolicySession):
     snapshot or its throughput matrix is a new object or deltas arrived, and
     an update costs the rows the event changed — the two snapshots' rows are
     matched by integer keys, and each constraint family is edited in one
-    batched call.  What a session builds on top (epigraph, level or
-    throughput rows) follows through
-    :meth:`~repro.core.policy.AllocationVariables.touched_since` and
-    :class:`NormalizationCache`, so it too visits only the jobs the event
-    touched.
+    batched call.  The per-job rows a session builds on top are
+    :class:`JobRows` families that look only at the jobs the event touched
+    (:meth:`~repro.core.policy.AllocationVariables.touched_since`,
+    :class:`NormalizationCache`).
     """
 
     def __init__(self, policy: Policy, problem: PolicyProblem, program: LinearProgram) -> None:
@@ -300,9 +300,10 @@ class NormalizationCache:
     the *same* throughput-terms tuple until one of the job's rows changes, so
     the tuple's identity stands for the row, and ``compute`` runs again only
     when it, the cluster or one of the two job attributes differs from the
-    last :meth:`refresh` — the one skip rule of the LAS session and the
-    water-filling level loop (whose detection rows reuse the level rows'
-    factors).
+    last :meth:`refresh`.  The LAS session and the water-filling level loop
+    hand what a refresh returns to their :class:`JobRows`, which rewrites a
+    row only if its terms or factor moved (the detection rows reuse the
+    level rows' factors).
 
     A refresh visits only the jobs whose inputs can have moved since the
     last one: those the variables' updates touched
@@ -373,6 +374,178 @@ class NormalizationCache:
         """Forget everybody: the next :meth:`refresh` returns every job."""
         self._inputs.clear()
         self._seen = None
+
+
+#: What a job's rows encode: its throughput-terms tuple, compared by identity
+#: (see :class:`NormalizationCache`), then scalars compared by equality.
+Encoding = Tuple[Any, ...]
+#: One kind of row, for the jobs laid out: ``(factors, column, value)`` — each
+#: job's terms times its entry of ``factors`` (``None``: as they are), then,
+#: unless ``column`` is ``None``, a last term ``value * x[column]`` (a scalar
+#: shared by every row or an array with one entry per job).
+RowKind = Tuple[Optional[np.ndarray], "int | np.ndarray | None", "float | np.ndarray"]
+#: ``layout(job ids, their encodings, their own columns)``: a family's row kinds.
+Layout = Callable[[List[int], List[Encoding], np.ndarray], List[RowKind]]
+_Triplet = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+class JobRows:
+    """``per_job`` persistent rows per job of a live program, kept in step with the job set.
+
+    The one implementation of a per-job row family — LAS's epigraph rows,
+    the minimum-scalar policies' requirement rows, water filling's floor and
+    level rows and its detection rows.  It holds each job's row handles and
+    what its rows encode, splits the jobs of an event into departed, added
+    and rewritten, and makes each kind of edit one batched
+    :class:`~repro.solver.lp.LinearProgram` call; a family supplies the
+    :data:`Encoding` of the jobs to look at and a :data:`Layout`.
+
+    Rows go in job by job, a job's rows in kind order — except that jobs
+    added to an empty family go in one block per kind (every job's first
+    row, then every job's second).  With ``column`` set each job also owns a
+    column of that name, added (fixed at 0) before its rows and released
+    after them: the column pool is shared with the ``x`` columns, so the
+    coefficients must be gone before the index is recycled.  Departed jobs
+    go in the order they came, which is the order their columns are recycled.
+    """
+
+    def __init__(
+        self,
+        program: LinearProgram,
+        per_job: int = 1,
+        lower: float = -math.inf,
+        upper: float = math.inf,
+        column: Optional[str] = None,
+    ) -> None:
+        self._program = program
+        self._per_job = per_job
+        self._bounds = (lower, upper)
+        self._column = column
+        #: job id -> its rows' handles in kind order, in the order jobs came.
+        self._handles: Dict[int, Tuple[int, ...]] = {}
+        #: job id -> its own column (``column`` families only).
+        self._columns: Dict[int, int] = {}
+        #: job id -> what its rows encode.
+        self.encoded: Dict[int, Encoding] = {}
+        #: ``(job order, (handles, bound slots, own columns))``, dropped by every edit.
+        self._layout: Optional[Tuple[Tuple[int, ...], Tuple[np.ndarray, ...]]] = None
+
+    def __len__(self) -> int:
+        return len(self._handles)
+
+    def remove_departed(self, jobs: Mapping[int, object]) -> List[int]:
+        """Remove the rows (one call), then the columns (one call), of the jobs not in ``jobs``.
+
+        Returns the departed jobs in the order they came.
+        """
+        handles = self._handles
+        gone = handles.keys() - jobs.keys()
+        if not gone:
+            return []
+        departed = [job_id for job_id in handles if job_id in gone]
+        program = self._program
+        program.remove_constraints([row for job_id in departed for row in handles.pop(job_id)])
+        if self._column is not None:
+            program.release_variables([self._columns.pop(job_id) for job_id in departed])
+        for job_id in departed:
+            del self.encoded[job_id]
+        self._layout = None
+        return departed
+
+    def write(self, entries: Iterable[Tuple[int, Encoding]], layout: Layout) -> None:
+        """Add the new jobs' rows (one call), rewrite those whose encoding moved (one call).
+
+        ``entries`` are ``(job id, encoding)`` in the matrix's job order; a
+        job whose encoding is unchanged is left as it is.
+        """
+        handles = self._handles
+        encoded = self.encoded
+        added: List[Tuple[int, Encoding]] = []
+        rewritten: List[Tuple[int, Encoding]] = []
+        for job_id, encoding in entries:
+            if job_id not in handles:
+                added.append((job_id, encoding))
+            elif encoded[job_id][0] is not encoding[0] or encoded[job_id][1:] != encoding[1:]:
+                rewritten.append((job_id, encoding))
+        program = self._program
+        if added:
+            job_ids = [job_id for job_id, _encoding in added]
+            if self._column is not None:
+                made = program.add_variables_from_arrays(len(added), upper=0.0, name=self._column)
+                self._columns.update(zip(job_ids, made.tolist()))
+            kinds = _row_kinds(added, self._owned(job_ids), layout)
+            if handles:
+                new = program.add_constraints_from_arrays(*_job_major(kinds), *self._bounds)
+            else:
+                new = np.column_stack(
+                    [program.add_constraints_from_arrays(*kind, *self._bounds) for kind in kinds]
+                )
+            handles.update(zip(job_ids, map(tuple, new.reshape(len(added), -1).tolist())))
+            encoded.update(added)
+            self._layout = None
+        if rewritten:
+            job_ids = [job_id for job_id, _encoding in rewritten]
+            program.set_constraints_coefficients_from_arrays(
+                [handle for job_id in job_ids for handle in handles[job_id]],
+                *_job_major(_row_kinds(rewritten, self._owned(job_ids), layout)),
+            )
+            encoded.update(rewritten)
+
+    def layout(self, job_ids: Tuple[int, ...]) -> Tuple[np.ndarray, ...]:
+        """``(handles, bound slots, own columns)`` of ``job_ids`` in that order.
+
+        Handles and slots have one column per row kind; the own columns are
+        empty unless the family has them.
+        """
+        cached = self._layout
+        if cached is None or (cached[0] is not job_ids and cached[0] != job_ids):
+            size = len(job_ids)
+            handles = np.array([self._handles[job_id] for job_id in job_ids], np.int64)
+            handles = handles.reshape(size, self._per_job)
+            slots = self._program.constraint_slots(handles.ravel()).reshape(handles.shape)
+            self._layout = cached = (job_ids, (handles, slots, self._owned(job_ids)))
+        return cached[1]
+
+    def _owned(self, job_ids: Iterable[int]) -> np.ndarray:
+        """The own columns of ``job_ids`` in that order (none if the family has none)."""
+        if self._column is None:
+            return np.empty(0, np.int64)
+        return np.fromiter(map(self._columns.__getitem__, job_ids), np.int64)
+
+
+def _row_kinds(
+    entries: List[Tuple[int, Encoding]], columns: np.ndarray, layout: Layout
+) -> List[_Triplet]:
+    """One ``(rows, cols, coeffs)`` triplet per row kind of ``entries``, jobs in order."""
+    terms = [encoding[0] for _job_id, encoding in entries]
+    size = len(terms)
+    lengths = np.fromiter((len(cols) for cols, _vals in terms), np.int64, size)
+    starts = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(lengths, out=starts[1:])
+    cols = np.concatenate([cols for cols, _vals in terms])
+    vals = np.concatenate([vals for _cols, vals in terms])
+    kinds: List[_Triplet] = []
+    job_ids = [job_id for job_id, _encoding in entries]
+    for factors, column, value in layout(job_ids, [encoding for _id, encoding in entries], columns):
+        coeffs = vals if factors is None else vals * np.repeat(factors, lengths)
+        if column is None:
+            kinds.append((np.repeat(np.arange(size, dtype=np.int64), lengths), cols, coeffs))
+        else:
+            kinds.append(AllocationVariables.rows_with_column(starts, cols, coeffs, column, value))
+    return kinds
+
+
+def _job_major(kinds: List[_Triplet]) -> _Triplet:
+    """The row kinds' triplets as one, job by job: job ``j``'s kind ``r`` is row ``j * k + r``."""
+    if len(kinds) == 1:
+        return kinds[0]
+    rows = np.concatenate([rows * len(kinds) + kind for kind, (rows, _c, _v) in enumerate(kinds)])
+    order = np.argsort(rows, kind="stable")
+    return (
+        rows[order],
+        np.concatenate([cols for _rows, cols, _coeffs in kinds])[order],
+        np.concatenate([coeffs for _rows, _cols, coeffs in kinds])[order],
+    )
 
 
 class IncrementalLPSession(IncrementalProgramSession):
@@ -532,109 +705,40 @@ def steps_and_isolated_throughputs(
     return steps, isolated_reference_throughputs(matrix, problem.cluster_spec, scales)
 
 
-class _JobThroughputRows:
-    """One persistent ``throughput(m, X) >= lower_m`` row per job of a live program.
+def _requirement_rows(
+    _job_ids: List[int], _encoded: List[Encoding], _columns: np.ndarray
+) -> List[RowKind]:
+    """A requirement row is the job's throughput terms as they are."""
+    return [(None, None, 0.0)]
 
-    The rows follow the program's :class:`AllocationVariables` from snapshot
-    to snapshot (:meth:`align`), relying on the terms cache returning the
-    *same object* for jobs whose matrix rows did not change to detect which
-    rows need their coefficients refreshed.  A refresh rewrites the
-    throughput terms only, so a caller that keeps an extra column in the rows
-    (the scaling program's ``y``) writes it again afterwards.
+
+def _align_requirement_rows(
+    rows: JobRows, variables: AllocationVariables, revision: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Align one program's ``throughput(m, X) >= lower_m`` rows with its variables' snapshot.
+
+    A new job's row has lower bound 0 until the caller sets it, and a row is
+    rewritten when its terms moved — among the jobs the variables' updates
+    touched since ``revision``.  A rewrite writes the throughput terms only,
+    so a caller that keeps an extra column in the rows (the scaling
+    program's ``y``) writes it again afterwards.  Returns the variables'
+    ``(starts, cols, vals)`` blocks: job ``k`` of the matrix's order owns
+    ``cols[starts[k]:starts[k + 1]]``.
     """
-
-    def __init__(self, program: LinearProgram, variables: AllocationVariables) -> None:
-        self._program = program
-        self._variables = variables
-        self._rows: Dict[int, int] = {}
-        self._terms: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        #: The variables' revision at the last :meth:`align`.
-        self._revision = variables.revision
-        #: ``(job order, row handles)`` of the last :meth:`align`.
-        self._layout: Tuple[Tuple[int, ...], np.ndarray] = ((), np.empty(0, dtype=np.int64))
-        #: ``(starts, cols, vals)`` of the last :meth:`align`: job ``k`` of the
-        #: matrix's order owns ``cols[starts[k]:starts[k + 1]]``.
-        self.blocks: Tuple[np.ndarray, np.ndarray, np.ndarray]
-
-    @property
-    def handles(self) -> np.ndarray:
-        """Row handles in the matrix's job order (as of the last :meth:`align`)."""
-        return self._layout[1]
-
-    def align(self) -> None:
-        """Re-align the rows with the variables' current snapshot (after ``update_to``).
-
-        Departed jobs lose their row, new jobs gain one (lower bound 0 until
-        the caller sets it), and persisting rows are rewritten only when
-        their terms moved — looking only at the jobs the variables' updates
-        touched since the last alignment.  Each kind of edit is one call; a
-        from-scratch alignment emits every row in one columnar call.
-        """
-        program = self._program
-        variables = self._variables
-        job_ids = variables.matrix.job_ids
-        jobs = variables.problem.jobs
-        gone = self._rows.keys() - jobs.keys()
-        if gone:
-            program.remove_constraints([self._rows.pop(job_id) for job_id in sorted(gone)])
-            for job_id in gone:
-                del self._terms[job_id]
-        ids, starts, cols, vals = variables.effective_throughput_blocks()
-        self.blocks = (starts, cols, vals)
-        touched = variables.touched_since(self._revision)
-        self._revision = variables.revision
-        if not self._rows:
-            handles = program.add_constraints_from_arrays(
-                np.repeat(np.arange(len(ids), dtype=np.int64), np.diff(starts)),
-                cols,
-                vals,
-                np.zeros(len(ids)),
-                math.inf,
-            )
-            self._rows = dict(zip(job_ids, handles.tolist()))
-            self._terms = {job_id: variables.effective_throughput_terms(job_id) for job_id in job_ids}
-        else:
-            added: List[int] = []
-            rewritten: List[int] = []
-            for job_id in (
-                job_ids if touched is None else sorted(job_id for job_id in touched if job_id in jobs)
-            ):
-                terms = variables.effective_throughput_terms(job_id)
-                if job_id not in self._rows:
-                    added.append(job_id)
-                elif self._terms[job_id] is not terms:
-                    rewritten.append(job_id)
-                else:
-                    continue
-                self._terms[job_id] = terms
-            for edited, is_new in ((added, True), (rewritten, False)):
-                if not edited:
-                    continue
-                lengths = [len(self._terms[job_id][0]) for job_id in edited]
-                triplet = (
-                    np.repeat(np.arange(len(edited)), lengths),
-                    np.concatenate([self._terms[job_id][0] for job_id in edited]),
-                    np.concatenate([self._terms[job_id][1] for job_id in edited]),
-                )
-                if is_new:
-                    handles = program.add_constraints_from_arrays(
-                        *triplet, np.zeros(len(edited)), math.inf
-                    )
-                    self._rows.update(zip(edited, handles.tolist()))
-                else:
-                    program.set_constraints_coefficients_from_arrays(
-                        [self._rows[job_id] for job_id in edited], *triplet
-                    )
-        if self._layout[0] != job_ids:
-            self._layout = (
-                job_ids,
-                np.fromiter((self._rows[job_id] for job_id in job_ids), np.int64, len(job_ids)),
-            )
-
-    def throughputs(self, values: np.ndarray) -> np.ndarray:
-        """``throughput(m, X)`` per job, in job order, at a solution's variable values."""
-        starts, cols, vals = self.blocks
-        return np.add.reduceat(vals * values[cols], starts[:-1])
+    jobs = variables.problem.jobs
+    rows.remove_departed(jobs)
+    _ids, starts, cols, vals = variables.effective_throughput_blocks()
+    touched = variables.touched_since(revision)
+    candidates = (
+        sorted(job_id for job_id in touched if job_id in jobs)
+        if rows and touched is not None
+        else variables.matrix.job_ids
+    )
+    rows.write(
+        ((job_id, (variables.effective_throughput_terms(job_id),)) for job_id in candidates),
+        _requirement_rows,
+    )
+    return starts, cols, vals
 
 
 class ThroughputRequirementSession(IncrementalProgramSession):
@@ -699,12 +803,16 @@ class ThroughputRequirementSession(IncrementalProgramSession):
             raise ConfigurationError("relative_tolerance must be positive")
         super().__init__(policy, problem, LinearProgram(name=policy.display_name))
         self._relative_tolerance = relative_tolerance
-        self._witness_rows = _JobThroughputRows(self._program, self._variables)
+        self._witness_rows = JobRows(self._program, lower=0.0)
         self._scaling_program = LinearProgram(name="throughput_scaling")
         self._scaling_variables = AllocationVariables(
             problem, self._variables.matrix, self._scaling_program
         )
-        self._scaling_rows = _JobThroughputRows(self._scaling_program, self._scaling_variables)
+        self._scaling_rows = JobRows(self._scaling_program, lower=0.0)
+        #: The two variables' revisions at the last alignment (witness, scaling).
+        self._revisions = (self._variables.revision, self._scaling_variables.revision)
+        #: The scaling variables' ``(starts, cols, vals)`` blocks as of the last alignment.
+        self._scaling_blocks: Tuple[np.ndarray, np.ndarray, np.ndarray]
         self._scale = self._scaling_program.add_variable(name="y")
         self._scaling_program.maximize({self._scale.index: 1.0})
         self._bracket: Optional[Tuple[float, float]] = None
@@ -732,23 +840,24 @@ class ThroughputRequirementSession(IncrementalProgramSession):
         scaling = self._scaling_variables
         if scaling.problem is not problem or scaling.matrix is not matrix:
             scaling.update_to(problem, matrix)
-        self._scaling_rows.align()
-        self._witness_rows.align()
+        witness, revision = self._revisions
+        self._scaling_blocks = _align_requirement_rows(self._scaling_rows, scaling, revision)
+        _starts, cols, vals = _align_requirement_rows(self._witness_rows, self._variables, witness)
+        self._revisions = (self._variables.revision, scaling.revision)
         # Among the allocations that meet the requirements the witness
         # prefers higher total throughput, which keeps the cluster busy.
-        _starts, cols, vals = self._witness_rows.blocks
         self._program.set_objective_from_arrays(cols, vals, maximize=True)
 
     def _solve_scaling(self, required: np.ndarray) -> Tuple[float, np.ndarray, np.ndarray]:
         """One scaling LP: ``(y, throughputs of its allocation, job-row multipliers)``."""
-        rows = self._scaling_rows
-        self._scaling_program.set_column_coefficients_from_arrays(
-            self._scale, rows.handles, -required
-        )
+        handles = self._scaling_rows.layout(self._scaling_variables.matrix.job_ids)[0][:, 0]
+        self._scaling_program.set_column_coefficients_from_arrays(self._scale, handles, -required)
         solution = self._scaling_program.solve()
         # Maximizing against ``>=`` rows: the duals are ``<= 0`` (lp.Solution.row_duals).
-        weights = np.maximum(-solution.row_duals(rows.handles), 0.0)
-        return solution.objective_value, rows.throughputs(solution.values), weights
+        weights = np.maximum(-solution.row_duals(handles), 0.0)
+        starts, cols, vals = self._scaling_blocks
+        throughputs = np.add.reduceat(vals * solution.values[cols], starts[:-1])
+        return solution.objective_value, throughputs, weights
 
     def _certify(self, requirements: RequirementCurves) -> Tuple[float, float]:
         """Close ``[L, U]`` around the optimum to the policy's relative tolerance."""
@@ -786,6 +895,7 @@ class ThroughputRequirementSession(IncrementalProgramSession):
         requirements = self._requirements(problem)
         self._bracket = self._certify(requirements)
         self._program.set_constraint_bounds_from_arrays(
-            self._witness_rows.handles, lower=requirements.required(self._bracket[1])
+            self._witness_rows.layout(self._variables.matrix.job_ids)[0][:, 0],
+            lower=requirements.required(self._bracket[1]),
         )
         return self._variables.extract_allocation(self._program.solve())

@@ -85,14 +85,16 @@ Bottleneck detection is solved on a **second persistent program**
 (:class:`_DetectionProgram`, owned by the level loop): per job one row
 ``n_m - (delta + eps) * n_g * z_m >= L_m - eps * n_g`` and one column
 ``z_m`` over an :class:`~repro.core.policy.AllocationVariables` of its own,
-built columnar and canonically ordered once and then moved to every new
-snapshot by the same ``update_to`` diff the level program gets.  A departed
-job's row is removed before its ``z`` column is released (the column pool is
-shared with the ``x`` columns), a persisting row is rewritten only when its
-terms, norm or group count changed (only the jobs its update touched or the
-level program re-normed are looked at), and a detection is two bound sweeps —
-row lower bounds to ``L - eps * n_g``, ``z`` upper bounds to the in-play
-mask — plus one warm solve.  What is a requirement, not a style choice, is
+moved to every new snapshot by the same ``update_to`` diff the level program
+gets; a detection is two bound sweeps — row lower bounds to ``L - eps *
+n_g``, ``z`` upper bounds to the in-play mask — plus one warm solve.  Both
+programs' per-job rows are :class:`~repro.core.session.JobRows` families: a
+job's floor and level rows encode its terms and norm, its detection row
+(and ``z`` column) its terms, norm and group count, and an event removes the
+departed jobs' rows, adds the new jobs' and rewrites those whose encoding
+moved — one call each, over the jobs the normalization refresh returns (for
+the detection: those its own update touched or the level program re-normed).
+What is a requirement, not a style choice, is
 that the programs are *separate*: a detection solved on the level program
 moves that program's basis, and the next level LP then starts from a vertex
 no level LP left.  This way the level program's solve sequence consists of
@@ -126,6 +128,7 @@ active *groups*.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -137,7 +140,13 @@ from repro.core.allocation import Allocation
 from repro.core.effective_throughput import normalized_throughput_scale
 from repro.core.policy import AllocationVariables
 from repro.core.problem import PolicyProblem
-from repro.core.session import IncrementalProgramSession, NormalizationCache
+from repro.core.session import (
+    Encoding,
+    IncrementalProgramSession,
+    JobRows,
+    NormalizationCache,
+    RowKind,
+)
 from repro.core.throughput_matrix import ThroughputMatrix
 from repro.exceptions import ConfigurationError, InfeasibleError
 from repro.solver.lp import LinearProgram, Solution
@@ -185,6 +194,28 @@ def _norm(problem: PolicyProblem, matrix: ThroughputMatrix, job_id: int) -> floa
     )
 
 
+def _detection_rows(
+    _job_ids: List[int], encoded: List[Encoding], columns: np.ndarray
+) -> List[RowKind]:
+    """``n_m - (delta + eps) * n_g * z_m``: the terms times the norm, then the job's indicator."""
+    norms = np.fromiter((norm for _terms, norm, _count in encoded), float, len(encoded))
+    counts = np.fromiter((count for _terms, _norm, count in encoded), float, len(encoded))
+    return [(norms, columns, -(_IMPROVEMENT + _EPSILON) * counts)]
+
+
+def _floor_and_level_rows(
+    epigraph: int,
+    weight_of: Mapping[int, float],
+    job_ids: List[int],
+    encoded: List[Encoding],
+    _columns: np.ndarray,
+) -> List[RowKind]:
+    """The floor row ``n_m``, then the level row ``n_m - w_m * t`` (``w_m`` 1.0 if unnamed)."""
+    norms = np.fromiter((norm for _terms, norm in encoded), float, len(encoded))
+    weights = np.fromiter(map(weight_of.get, job_ids, itertools.repeat(1.0)), float, len(job_ids))
+    return [(norms, None, 0.0), (norms, epigraph, -weights)]
+
+
 class _DetectionProgram:
     """The persistent Appendix A.1 program of one level loop.
 
@@ -200,135 +231,50 @@ class _DetectionProgram:
     def __init__(self, problem: PolicyProblem, matrix: ThroughputMatrix) -> None:
         self.program = LinearProgram(name="water_filling_detection")
         self._variables = AllocationVariables(problem, matrix, self.program)
-        #: job id -> constraint handle of its row / column index of its indicator.
-        self._rows: Dict[int, int] = {}
-        self._indicators: Dict[int, int] = {}
-        #: What each row encodes: ``(terms, norm, group count)`` — the terms
-        #: tuple by identity, as handed out by *this* program's variables.
-        self._encoded: Dict[int, Tuple[Tuple[np.ndarray, np.ndarray], float, int]] = {}
-        #: ``(job order, row bound slots, indicator columns, group counts)``, rebuilt lazily.
-        self._layout_cache: Optional[
-            Tuple[Tuple[int, ...], np.ndarray, np.ndarray, np.ndarray]
-        ] = None
+        #: Per job its row and indicator ``z``, encoding ``(terms, norm, group
+        #: count)`` — the terms tuple as handed out by *this* program's variables.
+        self._rows = JobRows(self.program, column="z")
+        #: The group counts in the matrix's job order, as of the last :meth:`align`.
+        self._counts = np.empty(0)
 
     def align(
         self,
         problem: PolicyProblem,
         matrix: ThroughputMatrix,
-        norms: Mapping[int, float],
+        level_rows: Mapping[int, Encoding],
         renormed: Optional[Set[int]],
+        counts: np.ndarray,
     ) -> None:
-        """Follow the level program to ``problem``; ``norms`` are its rows' factors.
+        """Follow the level program to ``problem``; ``level_rows`` are its rows' encodings.
 
-        ``renormed`` names the jobs whose factor the level program re-derived
-        (``None``: any may have moved).  Only they and the jobs this
-        program's own update touched are looked at.
+        The detection rows reuse the level rows' norms and the level
+        layout's group ``counts``.  ``renormed`` names the jobs whose norm the
+        level program re-derived (``None``: any may have moved); only they
+        and the jobs this program's own update touched are looked at.
         """
-        program = self.program
         variables = self._variables
         revision = variables.revision
         if variables.problem is not problem or variables.matrix is not matrix:
             variables.update_to(problem, matrix)
-        gone = self._rows.keys() - problem.jobs.keys()
-        if gone:
-            departed = [job_id for job_id in self._rows if job_id in gone]
-            # Rows first: the column pool is shared with the ``x`` columns,
-            # so the coefficients must be gone before the indices are recycled.
-            program.remove_constraints([self._rows.pop(job_id) for job_id in departed])
-            program.release_variables([self._indicators.pop(job_id) for job_id in departed])
-            for job_id in departed:
-                del self._encoded[job_id]
-            self._layout_cache = None
-        if not self._rows:
-            self._build_all(problem, norms)
-        else:
-            touched = variables.touched_since(revision)
-            candidates = (
-                matrix.job_ids
-                if touched is None or renormed is None
-                else sorted(job_id for job_id in touched | renormed if job_id in problem.jobs)
-            )
-            added: List[int] = []
-            rewritten: List[int] = []
-            for job_id in candidates:
-                encoded = (
-                    variables.effective_throughput_terms(job_id),
-                    norms[job_id],
-                    problem.group_count(job_id),
-                )
-                previous = self._encoded.get(job_id)
-                if previous is None:
-                    added.append(job_id)
-                elif previous[0] is encoded[0] and previous[1:] == encoded[1:]:
-                    continue
-                else:
-                    rewritten.append(job_id)
-                    if previous[2] != encoded[2]:
-                        self._layout_cache = None
-                self._encoded[job_id] = encoded
-            if added:
-                indicators = program.add_variables_from_arrays(len(added), upper=0.0, name="z")
-                self._indicators.update(zip(added, indicators.tolist()))
-                handles = program.add_constraints_from_arrays(
-                    *self._job_rows(added), -math.inf, math.inf
-                )
-                self._rows.update(zip(added, handles.tolist()))
-                self._layout_cache = None
-            if rewritten:
-                program.set_constraints_coefficients_from_arrays(
-                    [self._rows[job_id] for job_id in rewritten], *self._job_rows(rewritten)
-                )
-        _job_ids, _rows, indicators, _counts = self._layout()
-        program.set_objective_from_arrays(indicators, np.ones(len(indicators)), maximize=True)
-
-    def _job_rows(self, job_ids: List[int]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The rows of ``job_ids`` as they are encoded, each ending in its indicator term."""
-        encoded = [self._encoded[job_id] for job_id in job_ids]
-        starts = np.cumsum([0] + [len(terms[0]) for terms, _norm, _count in encoded])
-        norms = np.fromiter((norm for _terms, norm, _count in encoded), float, len(encoded))
-        counts = np.fromiter((count for _terms, _norm, count in encoded), float, len(encoded))
-        return self._variables.rows_with_column(
-            starts,
-            np.concatenate([terms[0] for terms, _norm, _count in encoded]),
-            np.concatenate([terms[1] for terms, _norm, _count in encoded])
-            * np.repeat(norms, np.diff(starts)),
-            np.fromiter(map(self._indicators.__getitem__, job_ids), np.int64, len(job_ids)),
-            -(_IMPROVEMENT + _EPSILON) * counts,
+        rows = self._rows
+        rows.remove_departed(problem.jobs)
+        if not rows:
+            variables.effective_throughput_blocks()  # primes the terms cache in one pass
+        touched = variables.touched_since(revision)
+        candidates = (
+            sorted(job_id for job_id in touched | renormed if job_id in problem.jobs)
+            if rows and touched is not None and renormed is not None
+            else matrix.job_ids
         )
-
-    def _build_all(self, problem: PolicyProblem, norms: Mapping[int, float]) -> None:
-        """From-scratch columnar build, canonically ordered: one call per family."""
-        program = self.program
-        variables = self._variables
-        jobs = variables.effective_throughput_blocks()[0].tolist()  # primes the terms cache
-        indicators = program.add_variables_from_arrays(len(jobs), upper=0.0, name="z")
-        self._indicators.update(zip(jobs, indicators.tolist()))
-        for job_id in jobs:
-            self._encoded[job_id] = (
-                variables.effective_throughput_terms(job_id),
-                norms[job_id],
-                problem.group_count(job_id),
-            )
-        handles = program.add_constraints_from_arrays(*self._job_rows(jobs), -math.inf, math.inf)
-        self._rows.update(zip(jobs, handles.tolist()))
-        self._layout_cache = None
-
-    def _layout(self) -> Tuple[Tuple[int, ...], np.ndarray, np.ndarray, np.ndarray]:
-        """``(job order, row bound slots, indicator columns, group counts)`` for the sweeps."""
-        job_ids = self._variables.matrix.job_ids
-        if self._layout_cache is None or self._layout_cache[0] != job_ids:
-            size = len(job_ids)
-            self._layout_cache = (
-                job_ids,
-                self.program.constraint_slots(
-                    np.fromiter(map(self._rows.__getitem__, job_ids), np.int64, count=size)
-                ),
-                np.fromiter(map(self._indicators.__getitem__, job_ids), np.int64, count=size),
-                np.fromiter(
-                    (self._encoded[job_id][2] for job_id in job_ids), float, count=size
-                ),
-            )
-        return self._layout_cache
+        terms = variables.effective_throughput_terms
+        encodings = (
+            (job_id, (terms(job_id), level_rows[job_id][1], problem.group_count(job_id)))
+            for job_id in candidates
+        )
+        rows.write(encodings, _detection_rows)
+        self._counts = counts
+        _handles, _slots, indicators = rows.layout(matrix.job_ids)
+        self.program.set_objective_from_arrays(indicators, np.ones(len(indicators)), maximize=True)
 
     def find_improvable(self, levels: np.ndarray, in_play: np.ndarray) -> Tuple[np.ndarray, bool]:
         """A maximum set of the jobs in play that can all gain ``delta`` at once.
@@ -342,8 +288,8 @@ class _DetectionProgram:
         below its level" has no solution.
         """
         program = self.program
-        _job_ids, slots, indicators, counts = self._layout()
-        program.set_constraint_bounds_at_slots(slots, lower=levels - _EPSILON * counts)
+        _handles, slots, indicators = self._rows.layout(self._variables.matrix.job_ids)
+        program.set_constraint_bounds_at_slots(slots[:, 0], lower=levels - _EPSILON * self._counts)
         program.set_variable_bounds_from_arrays(indicators, 0.0, in_play)
         z = program.solve().values[indicators]
         chosen = z >= 1.0 - _Z_TOLERANCE
@@ -364,10 +310,10 @@ class _LevelLoopProgram:
     warm re-solves of the two live programs.
 
     The loop's state lives in arrays in the matrix's job order: levels,
-    weights and the in-play mask per run, and per :meth:`align` the layout
-    of the rows — their bound slots, the level rows' handles, the group
-    counts and the weight each level row encodes — so an iteration is a few
-    array writes.
+    weights and the in-play mask per run, and per :meth:`align` the group
+    counts, the weight each level row encodes and the rows' layout (their
+    handles and bound slots, :meth:`~repro.core.session.JobRows.layout`), so
+    an iteration is a few array writes.
     """
 
     #: Whether an iteration with one job in play skips its detection LP (see
@@ -381,24 +327,13 @@ class _LevelLoopProgram:
         self._epigraph = program.add_variable(name="water_level_t", lower=-math.inf)
         program.maximize({self._epigraph.index: 1.0})
         self._problem: Optional[PolicyProblem] = None
-        #: job id -> constraint handle of the floor / level rows.
-        self._floors: Dict[int, int] = {}
-        self._level_rows: Dict[int, int] = {}
-        #: Identity cache of each job's throughput terms (mirrors the LAS
-        #: session: the variables object returns the *same* tuple until one of
-        #: the job's matrix rows changes).
-        self._terms: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        #: job id -> normalization factor currently encoded in the rows.
-        self._norms: Dict[int, float] = {}
+        #: Per job its floor and level rows, encoding ``(terms, norm)``.
+        self._rows = JobRows(program, per_job=2)
         self._scales = NormalizationCache(_norm)
-        #: The layout, in the matrix's job order as of the last :meth:`align`:
-        #: the floor and level rows' bound slots, the level rows' handles,
-        #: the group counts, and the weight ``w_m`` each level row encodes as
-        #: its ``-w_m * t`` term (written in place as iterations reweight).
+        #: The matrix's job order as of the last :meth:`align`, and in it the
+        #: group counts and the weight ``w_m`` each level row encodes as its
+        #: ``-w_m * t`` term (written in place as iterations reweight).
         self._job_order: Tuple[int, ...] = ()
-        self._floor_slots = np.empty(0, dtype=np.int64)
-        self._level_slots = np.empty(0, dtype=np.int64)
-        self._level_handles = np.empty(0, dtype=np.int64)
         self._counts = np.empty(0)
         self._weights = np.empty(0)
         #: Whether the last :meth:`align` ran to the end (else the next one
@@ -414,152 +349,47 @@ class _LevelLoopProgram:
         synchronised (``update_to``): vanished jobs lose both rows, new jobs
         gain them, and persisting jobs whose cached throughput terms or
         normalization factor moved (estimate refinements, cluster resizes)
-        get their coefficients rewritten in place — one call per kind of
-        edit, over the jobs the :class:`NormalizationCache` refresh returns.
-        The layout then follows the matrix's job order, and the detection
-        program follows with the same diff, told which norms moved.
+        get their coefficients rewritten in place — over the jobs the
+        :class:`NormalizationCache` refresh returns.  A rewritten level row
+        keeps the weight it encodes.  The layout then follows the matrix's
+        job order, and the detection program follows with the same diff,
+        told which norms moved.
         """
         self._problem = problem
         variables = self._variables
-        program = self._program
         complete, self._aligned = self._aligned, False
         weight_of = dict(zip(self._job_order, self._weights.tolist()))
-        gone = self._floors.keys() - problem.jobs.keys()
-        if gone:
-            departed = [job_id for job_id in self._floors if job_id in gone]
-            program.remove_constraints(
-                [
-                    handle
-                    for job_id in departed
-                    for handle in (self._floors.pop(job_id), self._level_rows.pop(job_id))
-                ]
-            )
-            for job_id in departed:
-                self._terms.pop(job_id, None)
-                self._norms.pop(job_id, None)
-                self._scales.discard(job_id)
-                weight_of.pop(job_id, None)
-        renormed: Optional[Set[int]] = None
-        restructured = bool(gone)
-        if not self._floors:
-            self._build_all(problem)
-            restructured = True
-        else:
-            added: List[int] = []
-            rewritten: List[int] = []
-            changed = self._scales.refresh(problem, variables)
-            for job_id, terms, norm in changed:
-                if job_id not in self._floors:
-                    added.append(job_id)
-                elif self._terms.get(job_id) is not terms or self._norms.get(job_id) != norm:
-                    rewritten.append(job_id)
-                else:
-                    continue
-                self._terms[job_id] = terms
-                self._norms[job_id] = norm
-            if added:
-                handles = program.add_constraints_from_arrays(
-                    *self._rows_of(added, {}), -math.inf, math.inf
-                ).tolist()
-                self._floors.update(zip(added, handles[::2]))
-                self._level_rows.update(zip(added, handles[1::2]))
-                restructured = True
-            if rewritten:
-                program.set_constraints_coefficients_from_arrays(
-                    [
-                        handle
-                        for job_id in rewritten
-                        for handle in (self._floors[job_id], self._level_rows[job_id])
-                    ],
-                    *self._rows_of(rewritten, weight_of),
-                )
-            if complete:
-                renormed = {job_id for job_id, _terms, _norm in changed}
-        self._lay_out(problem, weight_of, restructured)
-        self.detection.align(problem, variables.matrix, self._norms, renormed)
+        for job_id in self._rows.remove_departed(problem.jobs):
+            self._scales.discard(job_id)
+            weight_of.pop(job_id, None)
+        fresh = not self._rows
+        if fresh:
+            self._scales.clear()
+            variables.effective_throughput_blocks()  # primes the terms cache in one pass
+        changed = self._scales.refresh(problem, variables)
+        self._rows.write(
+            ((job_id, (terms, norm)) for job_id, terms, norm in changed),
+            functools.partial(_floor_and_level_rows, self._epigraph.index, weight_of),
+        )
+        renormed = None if fresh or not complete else {job_id for job_id, _t, _n in changed}
+        self._lay_out(problem, weight_of)
+        self.detection.align(problem, variables.matrix, self._rows.encoded, renormed, self._counts)
         self._aligned = True
 
-    def _build_all(self, problem: PolicyProblem) -> None:
-        """From-scratch columnar build: one call per row family, LAS-style."""
-        program = self._program
-        variables = self._variables
-        job_ids, starts, cols, vals = variables.effective_throughput_blocks()
-        num_jobs = len(job_ids)
-        if num_jobs == 0:
-            return
-        self._scales.clear()
-        norm_of = {
-            job_id: norm for job_id, _terms, norm in self._scales.refresh(problem, variables)
-        }
-        norms = np.fromiter(
-            (norm_of[job_id] for job_id in job_ids.tolist()), dtype=float, count=num_jobs
-        )
-        counts = np.diff(starts)
-        coeffs = vals * np.repeat(norms, counts)
-        rows = np.repeat(np.arange(num_jobs, dtype=np.int64), counts)
-        floor_handles = program.add_constraints_from_arrays(
-            rows, cols, coeffs, -math.inf, math.inf
-        )
-        # Level rows: the same terms plus the epigraph column (weight 1.0
-        # until the first iteration supplies the real weights).
-        level_handles = program.add_constraints_from_arrays(
-            *variables.rows_with_column(starts, cols, coeffs, self._epigraph.index, -1.0),
-            -math.inf,
-            math.inf,
-        )
-        for position, job_id in enumerate(job_ids.tolist()):
-            self._floors[job_id] = int(floor_handles[position])
-            self._level_rows[job_id] = int(level_handles[position])
-            self._terms[job_id] = variables.effective_throughput_terms(job_id)
-            self._norms[job_id] = float(norms[position])
-
-    def _rows_of(
-        self, job_ids: List[int], weight_of: Mapping[int, float]
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The floor and level rows of ``job_ids`` as encoded, each floor before its level row.
-
-        A level row is the floor row's terms plus ``-w_m`` on the epigraph
-        column, ``w_m`` from ``weight_of`` (1.0 for a job it does not name).
-        """
-        epigraph = np.array([self._epigraph.index])
-        cols: List[np.ndarray] = []
-        coeffs: List[np.ndarray] = []
-        lengths: List[int] = []
-        for job_id in job_ids:
-            job_cols, job_vals = self._terms[job_id]
-            job_coeffs = job_vals * self._norms[job_id]
-            cols += (job_cols, job_cols, epigraph)
-            coeffs += (job_coeffs, job_coeffs, np.array([-weight_of.get(job_id, 1.0)]))
-            lengths += (len(job_cols), len(job_cols) + 1)
-        return (
-            np.repeat(np.arange(len(lengths)), lengths),
-            np.concatenate(cols),
-            np.concatenate(coeffs),
-        )
-
-    def _lay_out(
-        self, problem: PolicyProblem, weight_of: Mapping[int, float], restructured: bool
-    ) -> None:
+    def _lay_out(self, problem: PolicyProblem, weight_of: Mapping[int, float]) -> None:
         """Point the layout at the matrix's job order (``weight_of``: the encoded weights).
 
-        Slots and handles are looked up only when rows came or went (or the
-        order moved); the group counts are read every time, since a
-        type-aggregated problem may regroup without a structural edit.
+        The weights are looked up only when the order moved (a job's rows,
+        and the weight they encode, stay while the job does); the group
+        counts are read every time, since a type-aggregated problem may
+        regroup without a structural edit.
         Levels track group *totals* on aggregated problems, so every epsilon
         slack, improvement threshold and freeze-guard comparison scales by
         the count (a per-member delta for each of the ``n_g`` members).
         """
         job_ids = self._variables.matrix.job_ids
         size = len(job_ids)
-        if restructured or job_ids != self._job_order:
-            program = self._program
-            self._floor_slots = program.constraint_slots(
-                np.fromiter(map(self._floors.__getitem__, job_ids), np.int64, count=size)
-            )
-            self._level_handles = np.fromiter(
-                map(self._level_rows.__getitem__, job_ids), np.int64, count=size
-            )
-            self._level_slots = program.constraint_slots(self._level_handles)
+        if job_ids != self._job_order:
             self._weights = np.fromiter(
                 map(weight_of.get, job_ids, itertools.repeat(1.0)), float, count=size
             )
@@ -581,19 +411,16 @@ class _LevelLoopProgram:
         relaxed to ``-inf``.
         """
         program = self._program
-        program.set_constraint_bounds_at_slots(
-            self._floor_slots, lower=levels - _EPSILON * self._counts
-        )
+        handles, slots, _columns = self._rows.layout(self._job_order)
+        program.set_constraint_bounds_at_slots(slots[:, 0], lower=levels - _EPSILON * self._counts)
         (reweighted,) = (in_play & (weights != self._weights)).nonzero()
         if len(reweighted):
             moved = weights[reweighted]
             program.set_column_coefficients_from_arrays(
-                self._epigraph, self._level_handles[reweighted], -moved, as_rewrite=True
+                self._epigraph, handles[reweighted, 1], -moved, as_rewrite=True
             )
             self._weights[reweighted] = moved
-        program.set_constraint_bounds_at_slots(
-            self._level_slots, lower=np.where(in_play, levels, -math.inf)
-        )
+        program.set_constraint_bounds_at_slots(slots[:, 1], np.where(in_play, levels, -math.inf))
 
     def _solve_level(self) -> Tuple[Solution, float]:
         """Solve the current level LP: ``(solution, t*)``.

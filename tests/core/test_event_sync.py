@@ -9,8 +9,16 @@ touches one job's rows, and type-aggregated it moves one group's size, so
 the counts must not depend on the size; with space sharing per job they
 follow the rows that contain the event's job: every job sharing a row with
 it is visited and re-normalized once, and each edit family is still one call.
+
+The same holds for every program of the sessions built on per-job row
+families (:class:`~repro.core.session.JobRows`): LAS's epigraph rows,
+water filling's floor/level and detection programs, and finish-time
+fairness's witness and scaling programs.  Per program the structural edits
+an event makes are counted, and the row families' own share is one call of
+each kind at most.
 """
 
+import collections
 import functools
 
 import pytest
@@ -21,6 +29,7 @@ from repro.core.allocation_engine import AllocationEngine
 from repro.core.max_min_fairness import MaxMinFairnessPolicy
 from repro.core.policy import AllocationVariables
 from repro.core.problem import PolicyProblem
+from repro.core.session import JobRows
 from repro.solver.lp import LinearProgram
 from repro.workloads import ColocationModel, Job, ThroughputOracle
 
@@ -31,6 +40,15 @@ _JOB_TYPES = ("resnet50-bs128", "cyclegan-bs1", "a3c-bs4", "transformer-bs256")
 #: Every public ``LinearProgram`` method that edits a program.
 _EDITS = sorted(
     name for name in vars(LinearProgram) if name.startswith(("add_", "remove_", "set_", "release_"))
+)
+
+#: The edits that add, remove or rewrite a program's rows or columns.
+_STRUCTURAL = (
+    "add_constraints_from_arrays",
+    "remove_constraints",
+    "set_constraints_coefficients_from_arrays",
+    "add_variables_from_arrays",
+    "release_variables",
 )
 
 
@@ -73,11 +91,56 @@ def counts(monkeypatch):
     return seen
 
 
-def _event_counts(oracle, counts, size, space_sharing, aggregation):
+@pytest.fixture
+def structural(monkeypatch):
+    """Outermost structural edits by ``(whose, program name, edit)``.
+
+    ``whose`` is ``"all"`` for every edit and ``"families"`` for the row
+    families' own (made inside a :class:`JobRows` method).
+    """
+    seen = collections.Counter()
+    depth = [0]
+    in_family = [0]
+
+    def counting(name, function):
+        @functools.wraps(function)
+        def wrapper(program, *args, **kwargs):
+            if depth[0] == 0:
+                seen["all", program.name, name] += 1
+                if in_family[0]:
+                    seen["families", program.name, name] += 1
+            depth[0] += 1
+            try:
+                return function(program, *args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        return wrapper
+
+    def family(function):
+        @functools.wraps(function)
+        def wrapper(*args, **kwargs):
+            in_family[0] += 1
+            try:
+                return function(*args, **kwargs)
+            finally:
+                in_family[0] -= 1
+
+        return wrapper
+
+    for name in _STRUCTURAL:
+        monkeypatch.setattr(LinearProgram, name, counting(name, getattr(LinearProgram, name)))
+    for name in ("remove_departed", "write"):
+        monkeypatch.setattr(JobRows, name, family(getattr(JobRows, name)))
+    return seen
+
+
+def _event_counts(oracle, counts, size, space_sharing, aggregation, policy=None):
     """Counters of one arrival and of one departure on a live session of ``size`` jobs.
 
     Returns ``(arrival counts, departure counts, rows with the arriving job,
     rows with the departing job)``; the row counts are of the per-job matrix.
+    ``policy`` defaults to LAS, with space sharing when ``space_sharing``.
     """
     # ``size / 4`` aggregation groups of four (type and priority weight): the
     # newcomer joins group 0, the job that leaves is no group's first member.
@@ -104,9 +167,9 @@ def _event_counts(oracle, counts, size, space_sharing, aggregation):
     def problem():
         return PolicyProblem(jobs=dict(active), throughputs=engine.matrix(), cluster_spec=spec)
 
-    session = make_policy(
-        "max_min_fairness+ss" if space_sharing else "max_min_fairness", aggregation=aggregation
-    ).session(problem())
+    if policy is None:
+        policy = "max_min_fairness+ss" if space_sharing else "max_min_fairness"
+    session = make_policy(policy, aggregation=aggregation).session(problem())
     session.solve()
     engine.drain_deltas()
     observed = []
@@ -151,3 +214,44 @@ def test_with_space_sharing_an_event_costs_the_rows_of_its_job(oracle, counts):
         assert departure["visits"] == departure["computes"] == departure_rows - 1
     assert large[2] > small[2] > 1
     assert (small[0]["edits"], small[1]["edits"]) == (large[0]["edits"], large[1]["edits"])
+
+
+@pytest.mark.parametrize(
+    ("policy", "programs", "with_columns"),
+    [
+        ("max_min_fairness", ("max_min_fairness",), ()),
+        (
+            "max_min_fairness_water_filling",
+            ("max_min_fairness_water_filling", "water_filling_detection"),
+            ("water_filling_detection",),
+        ),
+        ("finish_time_fairness", ("finish_time_fairness", "throughput_scaling"), ()),
+    ],
+)
+def test_row_families_edit_once_per_event_at_any_size(
+    oracle, structural, policy, programs, with_columns
+):
+    """Per program the structural edits of an event do not grow with the live set.
+
+    The row families' own share is one batched call per kind: an arrival
+    adds its job's rows (and the detection's indicator column), a departure
+    removes them (and releases the indicator); nothing is rewritten.
+    """
+    small, large = (
+        [{key: count for key, count in event.items() if count} for event in counts[:2]]
+        for counts in (
+            _event_counts(oracle, structural, size, False, "job", policy) for size in (20, 80)
+        )
+    )
+    assert small == large
+    arrival, departure = (
+        {key[1:]: count for key, count in event.items() if key[0] == "families"} for event in small
+    )
+    assert arrival == {
+        **{(program, "add_constraints_from_arrays"): 1 for program in programs},
+        **{(program, "add_variables_from_arrays"): 1 for program in with_columns},
+    }
+    assert departure == {
+        **{(program, "remove_constraints"): 1 for program in programs},
+        **{(program, "release_variables"): 1 for program in with_columns},
+    }

@@ -118,7 +118,7 @@ class TestWaterFilling:
             _mask(
                 loop,
                 solve_bottleneck_milp(
-                    problem, matrix, loop._norms, *_as_mappings(loop, levels, in_play)
+                    problem, matrix, _norms(loop), *_as_mappings(loop, levels, in_play)
                 ),
             ),
             False,
@@ -171,6 +171,11 @@ def _aligned_loop(problem, matrix, earlier=None):
         variables.update_to(problem, matrix)
         loop.align(problem)
     return loop
+
+
+def _norms(loop):
+    """The normalization factor each job's floor and level rows encode."""
+    return {job_id: norm for job_id, (_terms, norm) in loop._rows.encoded.items()}
 
 
 def _as_mappings(loop, levels, in_play):
@@ -291,7 +296,7 @@ class TestBottleneckDetection:
         candidates = {job_id for job_id in problem.job_ids if rng.random() < 0.7}
 
         chosen, _fell_back = _detect(loop, levels, candidates)
-        best = solve_bottleneck_milp(problem, matrix, loop._norms, levels, candidates)
+        best = solve_bottleneck_milp(problem, matrix, _norms(loop), levels, candidates)
         assert chosen <= candidates
         if len(chosen) != len(best):
             # ``milp`` accepts a row violated by 1e-6 where the simplex wants
@@ -303,10 +308,10 @@ class TestBottleneckDetection:
                 job_id: level + 1e-5 * problem.group_count(job_id)
                 for job_id, level in levels.items()
             }
-            strict = solve_bottleneck_milp(problem, matrix, loop._norms, harder, candidates)
+            strict = solve_bottleneck_milp(problem, matrix, _norms(loop), harder, candidates)
             assert len(strict) <= len(chosen) < len(best)
         # ... and the chosen set is itself feasible: the oracle keeps all of it.
-        assert solve_bottleneck_milp(problem, matrix, loop._norms, levels, chosen) == chosen
+        assert solve_bottleneck_milp(problem, matrix, _norms(loop), levels, chosen) == chosen
 
     @pytest.mark.parametrize("fixture", ["mixed_problem", "mixed_problem_ss"])
     def test_oracle_agrees_on_a_program_that_served_another_snapshot(
@@ -352,9 +357,9 @@ class TestBottleneckDetection:
             mask, fell_back = find_improvable(level_vec, in_play)
             levels, candidates = _as_mappings(loop, level_vec, in_play)
             chosen = _as_mappings(loop, level_vec, mask)[1]
-            best = solve_bottleneck_milp(problem, matrix, loop._norms, levels, candidates)
+            best = solve_bottleneck_milp(problem, matrix, _norms(loop), levels, candidates)
             assert len(chosen) == len(best) and chosen <= candidates
-            assert solve_bottleneck_milp(problem, matrix, loop._norms, levels, chosen) == chosen
+            assert solve_bottleneck_milp(problem, matrix, _norms(loop), levels, chosen) == chosen
             return mask, fell_back
 
         detection.find_improvable = checked
@@ -380,7 +385,7 @@ class TestBottleneckDetection:
         problem, matrix = _identical_jobs_problem(num_jobs=2, num_gpus=2)
         loop = _aligned_loop(problem, matrix)
         headroom = 0.5 * (_IMPROVEMENT + _EPSILON) - _EPSILON
-        levels = {job_id: loop._norms[job_id] * 1.0 - headroom for job_id in (0, 1)}
+        levels = {job_id: _norms(loop)[job_id] * 1.0 - headroom for job_id in (0, 1)}
 
         milp_calls = []
         solve_milp = LinearProgram._solve_milp
@@ -391,7 +396,7 @@ class TestBottleneckDetection:
         )
         chosen, fell_back = _detect(loop, levels, {0, 1})
         assert fell_back and milp_calls == ["water_filling_detection"]
-        assert chosen == solve_bottleneck_milp(problem, matrix, loop._norms, levels, {0, 1})
+        assert chosen == solve_bottleneck_milp(problem, matrix, _norms(loop), levels, {0, 1})
         assert chosen == set()
 
         warm = _warm_flags(monkeypatch)

@@ -11,3 +11,8 @@ def apply_edits(highs, program, rows, lowers, uppers):
 def solve(self, program):
     status = self._highs.run()  # expect[REP001]
     return np.asarray(self._highs.getSolution().col_value, dtype=float)
+
+
+class ProbedBackend:
+    highs = make_highs()
+    highs.run()  # expect[REP001]

@@ -18,3 +18,9 @@ def collect(job_ids):
 
 def level_updates(levels, active: set, step):
     return {job_id: levels[job_id] + step for job_id in active}  # expect[REP004]
+
+
+class PairRows:
+    for job_type in {"resnet50", "a3c"}:  # expect[REP004]
+        pass
+    ordered = [job_type for job_type in frozenset({"resnet50", "a3c"})]  # expect[REP004]

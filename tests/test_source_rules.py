@@ -525,6 +525,7 @@ def _dunder_all(file: _File, module: ast.Module) -> Report:
 _SCOPE_CHECKS = (("REP001", _ignored_status), ("REP004", _set_iteration))
 _CHECKS: Dict[type, Tuple[Tuple[str, Callable[..., Report]], ...]] = {
     ast.Module: (*_SCOPE_CHECKS, ("REP008", _dunder_all)),
+    ast.ClassDef: _SCOPE_CHECKS,
     ast.FunctionDef: (*_SCOPE_CHECKS, ("REP006", _mutable_defaults)),
     ast.AsyncFunctionDef: (*_SCOPE_CHECKS, ("REP006", _mutable_defaults)),
     ast.Lambda: (("REP006", _mutable_defaults),),
