@@ -5,20 +5,23 @@ with the highest priority that fit in the remaining worker budget, subject to
 the constraint that no job appears in more than one scheduled combination in
 the same round.
 
-Selection runs on the tracker's dense arrays (see
-:mod:`repro.scheduler.priorities`): the candidates are the cells with a
-positive target and a positive priority (one mask — NaN is not positive), and
-one ``np.lexsort`` puts them in Algorithm 1's order: priority descending
-(never-run cells are ``+inf`` and need no sentinel), then target descending,
-then combination — which is row order, because rows are the *sorted*
-combinations — then accelerator *name*, through a per-cluster name rank since
-registry column order is not alphabetical.  Only the greedy pick itself, which
-is inherently sequential (each pick consumes workers and marks jobs busy),
-stays a Python loop over the pre-sorted index lists.  It has two exits: every
-worker is taken, or every job of the period's allocation is busy — from then
-on each remaining candidate would fail the disjointness test, so stopping
-changes nothing but the candidates walked (about half of them, when the
-cluster is larger than the job count).
+Selection runs on the tracker's candidate index (see
+:mod:`repro.scheduler.priorities`): the period's cells with a positive
+target, found and pre-sorted once per allocation period by Algorithm 1's
+static tie-breaks — target descending, then combination (row order, because
+rows are the *sorted* combinations), then accelerator *name* (a name rank:
+registry column order is not alphabetical).  A round prices only those cells
+and completes the order with one stable ``argsort`` on priority descending
+(never-run cells are ``+inf`` and need no sentinel), which walks exactly the
+cells a ``lexsort`` on (priority, target, row, name) would, in the same
+order; cells whose priority is not positive, NaN included, sort last and are
+cut off.  Only the greedy pick itself, which is inherently sequential (each
+pick consumes workers and marks jobs busy), stays a Python loop over the
+sorted index lists.  It has two exits: every worker is taken, or every job
+of the period's allocation is busy — from then on each remaining candidate
+would fail the disjointness test, so stopping changes nothing but the
+candidates walked (about half of them, when the cluster is larger than the
+job count).
 
 A round is *indices*, from here to the accounting loop: :class:`RoundPicks`
 holds the picked ``(row, column)`` cells of the tracker's arrays as parallel
@@ -92,9 +95,6 @@ class RoundScheduler:
     def __init__(self, cluster_spec: ClusterSpec) -> None:
         self._names: Tuple[str, ...] = cluster_spec.registry.names
         self._capacity: List[int] = [cluster_spec.count(name) for name in self._names]
-        # Algorithm 1's last tie-break is the accelerator *name*, and registry
-        # column order (v100, p100, k80) is not alphabetical.
-        self._name_rank: np.ndarray = np.argsort(np.argsort(self._names))
 
     def schedule_round(self, tracker: PriorityTracker) -> RoundPicks:
         """Select the combinations to run in the upcoming round.
@@ -107,17 +107,16 @@ class RoundScheduler:
             The picks (at most one per job), in pick order, whose total worker
             demand per accelerator type fits the cluster.
         """
-        priorities = tracker.priorities()
-        target = tracker.target
-        # ``priorities > 0`` is False for NaN: a NaN candidate would make the
-        # order non-total, so it is never a candidate.
-        rows, columns = np.nonzero((target > 0) & (priorities > 0))
-        priority = priorities[rows, columns]
-        # Higher priority first (never-run cells are +inf), then larger
-        # target, then combination (rows are sorted), then accelerator name.
-        order = np.lexsort(
-            (self._name_rank[columns], rows, -target[rows, columns], -priority)
-        )
+        candidates = tracker.candidates
+        priority = tracker.candidate_priorities()
+        # The candidates come in the static tie-break order, so one stable
+        # sort on priority descending (never-run cells are +inf) completes
+        # Algorithm 1's order.  It puts the positive priorities first and
+        # NaN last, and ``priority > 0`` is False for NaN: the cells to walk
+        # are a prefix, and a NaN, which would make the order non-total, is
+        # never walked.
+        order = (-priority).argsort(kind="stable")[: np.count_nonzero(priority > 0)]
+        rows, columns = candidates.rows[order], candidates.columns[order]
 
         combinations, demand, num_jobs = tracker.combinations, tracker.demand, tracker.num_jobs
         remaining = list(self._capacity)
@@ -127,9 +126,7 @@ class RoundScheduler:
         picked_columns: List[int] = []
         picked_scales: List[int] = []
         picked_priorities: List[float] = []
-        for row, column, value in zip(
-            rows[order].tolist(), columns[order].tolist(), priority[order].tolist()
-        ):
+        for row, column, value in zip(rows.tolist(), columns.tolist(), priority[order].tolist()):
             combination, scale = combinations[row], demand[row]
             if remaining[column] < scale or not busy_jobs.isdisjoint(combination):
                 continue

@@ -17,15 +17,24 @@ allocation's *sorted* combination order (``combinations[row]``, inverse
 indexed add per round: :meth:`PriorityTracker.add_time` takes the round's
 picks as ``(rows, columns)`` index lists, exactly as Algorithm 1 produced them
 (:meth:`~PriorityTracker.record_time` is the same add for one cell addressed
-by combination and accelerator name).  Fractions and priorities are
-whole-matrix expressions over those arrays that perform, per cell, the same
-IEEE operations as the scalar definition above.
+by combination and accelerator name).
+
+Candidates.  Only a cell with a positive target can be scheduled, and which
+cells those are, and how they tie-break, is fixed for the period, so the
+tracker builds its :class:`Candidates` index once: those cells as
+row/column/target arrays, in Algorithm 1's static order.  A round needs
+priorities at those cells only (:meth:`PriorityTracker.candidate_priorities`);
+:meth:`~PriorityTracker.fractions` and :meth:`~PriorityTracker.priorities`
+give the whole matrix.  Both paths evaluate one per-cell expression
+(``_fractions``, ``_priorities``) with the column totals of the whole matrix
+— time recorded on a cell without a target still counts in its column — and
+perform, per cell, the same IEEE operations as the scalar definition above.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Sequence, Tuple
+from typing import Dict, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -33,7 +42,7 @@ from repro.core.allocation import Allocation
 from repro.core.throughput_matrix import JobCombination
 from repro.exceptions import SchedulingError
 
-__all__ = ["PriorityTracker"]
+__all__ = ["Candidates", "PriorityTracker"]
 
 
 class PriorityTracker:
@@ -48,6 +57,8 @@ class PriorityTracker:
         num_jobs: Distinct jobs over all rows: once that many are busy, a round
             has nothing left to pick.
         time_received: Seconds received this period, same shape as ``target``.
+        candidates: The cells with a positive target, in Algorithm 1's static
+            order (:class:`Candidates`), built once for the period.
     """
 
     def __init__(self, allocation: Allocation) -> None:
@@ -61,6 +72,7 @@ class PriorityTracker:
         self.num_jobs: int = len(allocation.job_ids)
         self.time_received: np.ndarray = np.zeros(self.target.shape)
         self._wanted: np.ndarray = self.target > 0
+        self.candidates: Candidates = Candidates.build(self.target, allocation.registry.names)
 
     # -- bookkeeping -------------------------------------------------------------
     @property
@@ -119,10 +131,7 @@ class PriorityTracker:
     # -- fractions and priorities ----------------------------------------------------
     def fractions(self) -> np.ndarray:
         """``f[k, j]``: share of accelerator ``j``'s recorded time spent on combination ``k``."""
-        totals = self.total_time_per_type()
-        fractions = np.zeros(self.target.shape)
-        np.divide(self.time_received, totals, out=fractions, where=totals > 0)
-        return fractions
+        return _fractions(self.time_received, self.total_time_per_type())
 
     def priorities(self) -> np.ndarray:
         """Element-wise ``X_opt / f`` with the conventions of Figure 4.
@@ -131,8 +140,66 @@ class PriorityTracker:
         * target > 0 and no time received yet ⇒ infinite priority;
         * otherwise the ratio of target to received fraction.
         """
-        fractions = self.fractions()
-        starved = self._wanted & (fractions <= 0)
-        priorities = np.where(starved, math.inf, 0.0)
-        np.divide(self.target, fractions, out=priorities, where=self._wanted & ~starved)
-        return priorities
+        return np.where(self._wanted, _priorities(self.target, self.fractions()), 0.0)
+
+    def candidate_priorities(self) -> np.ndarray:
+        """:meth:`priorities` at the :attr:`candidates` cells only, in their order."""
+        candidates = self.candidates
+        fractions = _fractions(
+            self.time_received.take(candidates.cells),
+            self.total_time_per_type().take(candidates.columns),
+        )
+        return _priorities(candidates.target, fractions)
+
+
+class Candidates(NamedTuple):
+    """An allocation period's candidate index: the cells with a positive target.
+
+    Parallel arrays, one entry per cell: ``rows`` / ``columns`` address it in
+    the tracker's arrays, ``cells`` is its flat index ``row * n_types +
+    column`` and ``target`` its ``X_opt``.  The cells come in Algorithm 1's
+    static tie-break order — target descending, then combination (row order:
+    rows are the sorted combinations), then accelerator *name*, which is not
+    registry column order — so a stable sort on priority alone completes the
+    order.  None of these keys changes within a period.
+    """
+
+    rows: np.ndarray
+    columns: np.ndarray
+    cells: np.ndarray
+    target: np.ndarray
+
+    @classmethod
+    def build(cls, target: np.ndarray, names: Sequence[str]) -> "Candidates":
+        """The cells of ``target`` (one column per name) above zero, in static order."""
+        rows, columns = np.nonzero(target > 0)
+        values = target[rows, columns]
+        name_rank = np.argsort(np.argsort(names))
+        order = np.lexsort((name_rank[columns], rows, -values))
+        rows, columns = rows[order], columns[order]
+        return cls(rows, columns, rows * target.shape[1] + columns, values[order])
+
+
+# Figure 4 per cell, its one implementation: the whole matrix and a round's
+# candidate cells both come through these two functions, which take arrays
+# of any shapes that broadcast, so both perform the same IEEE operations on
+# a cell.
+def _fractions(received: np.ndarray, totals: np.ndarray) -> np.ndarray:
+    """``received / totals`` where the total is positive, else 0."""
+    fractions = np.zeros(received.shape)
+    np.divide(received, totals, out=fractions, where=totals > 0)
+    return fractions
+
+
+def _priorities(target: np.ndarray, fractions: np.ndarray) -> np.ndarray:
+    """Priority of a cell with a positive target: ``inf`` if ``f <= 0``, else ``target / f``.
+
+    ``not (f <= 0)`` rather than ``f > 0`` divides at a NaN fraction too, so
+    the priority is NaN there, which Algorithm 1 never picks.  A cell without
+    a target is the caller's to zero (:meth:`PriorityTracker.priorities`).
+    """
+    starved = fractions <= 0
+    priorities = np.empty(fractions.shape)
+    priorities.fill(math.inf)
+    np.divide(target, fractions, out=priorities, where=~starved)
+    return priorities

@@ -15,7 +15,9 @@ families (:class:`~repro.core.session.JobRows`): LAS's epigraph rows,
 water filling's floor/level and detection programs, and finish-time
 fairness's witness and scaling programs.  Per program the structural edits
 an event makes are counted, and the row families' own share is one call of
-each kind at most.
+each kind at most; and per program the jobs whose rows an event looks at
+are counted, which for water filling's detection program and the requirement
+rows of makespan and finish-time fairness is the event's own job.
 """
 
 import collections
@@ -132,6 +134,21 @@ def structural(monkeypatch):
         monkeypatch.setattr(LinearProgram, name, counting(name, getattr(LinearProgram, name)))
     for name in ("remove_departed", "write"):
         monkeypatch.setattr(JobRows, name, family(getattr(JobRows, name)))
+    return seen
+
+
+@pytest.fixture
+def visits(monkeypatch):
+    """Visits of ``effective_throughput_terms`` by the name of the variables' program."""
+    seen = collections.Counter()
+    terms = AllocationVariables.effective_throughput_terms
+
+    @functools.wraps(terms)
+    def counting(variables, job_id):
+        seen[variables._program.name] += 1
+        return terms(variables, job_id)
+
+    monkeypatch.setattr(AllocationVariables, "effective_throughput_terms", counting)
     return seen
 
 
@@ -255,3 +272,32 @@ def test_row_families_edit_once_per_event_at_any_size(
         **{(program, "remove_constraints"): 1 for program in programs},
         **{(program, "release_variables"): 1 for program in with_columns},
     }
+
+
+@pytest.mark.parametrize(
+    ("policy", "programs"),
+    [
+        (
+            "max_min_fairness_water_filling",
+            ("max_min_fairness_water_filling", "water_filling_detection"),
+        ),
+        ("hierarchical", ("hierarchical", "water_filling_detection")),
+        ("finish_time_fairness", ("finish_time_fairness", "throughput_scaling")),
+        ("makespan", ("min_makespan", "throughput_scaling")),
+    ],
+)
+def test_each_program_looks_at_the_event_job_only_at_any_size(oracle, visits, policy, programs):
+    """Water filling's detection rows and the requirement rows follow the event, not the live set.
+
+    An arrival looks at the new job once per program, a departure at nobody:
+    a program that re-derived every job's terms on each event would count
+    the live set here, even where its row writes then find nothing changed.
+    """
+    small, large = (
+        [{name: count for name, count in event.items() if count} for event in counts[:2]]
+        for counts in (
+            _event_counts(oracle, visits, size, False, "job", policy) for size in (20, 80)
+        )
+    )
+    assert small == large
+    assert small == [{program: 1 for program in programs}, {}]

@@ -10,8 +10,13 @@ from repro.core import (
     ThroughputMatrix,
     effective_throughput,
     equal_share_reference_throughput,
+    make_policy,
 )
+from repro.core.policy import AllocationVariables
+from repro.solver.lp import LinearProgram
 from repro.workloads import Job
+
+from churn_fingerprint_scenarios import churn_problems
 
 
 class TestWorkedExample:
@@ -221,3 +226,40 @@ class TestSessionNormalizationCache:
             self._min_normalized(policy, healthy, policy.compute_allocation(healthy)), rel=1e-9
         )
 
+
+class TestSessionMatchesBuildObjective:
+    """``MaxMinFairnessSession``'s claim: the live epigraph rows are ``build_objective``'s program.
+
+    After every event of a churn sequence (a departure and an arrival per
+    step, pair rows and all under ``+ss``), a fresh program holding the same
+    variables and validity constraints plus ``build_objective``'s max-min
+    objective reaches the live session's optimum.  The optimal vertex may
+    differ where the optimum is not unique; the objective may not.
+    """
+
+    @pytest.mark.parametrize("spec", ["max_min_fairness", "max_min_fairness+ss"])
+    def test_every_churn_event_reaches_the_fresh_program_optimum(self, oracle, spec):
+        policy = make_policy(spec)
+        session, optima = None, []
+        for problem, deltas in churn_problems(oracle, num_events=8):
+            if session is None:
+                session = policy.session(problem)
+                solve = session.program.solve
+
+                def recording(*args, **kwargs):
+                    solution = solve(*args, **kwargs)
+                    optima.append(solution.objective_value)
+                    return solution
+
+                session.program.solve = recording
+            else:
+                session.apply(deltas)
+            session.solve(problem)
+            fresh = LinearProgram(name="fresh")
+            variables = AllocationVariables(problem, policy.effective_matrix(problem), fresh)
+            policy.build_objective(problem, variables, fresh)
+            expected = fresh.solve().objective_value
+            assert expected > 0
+            assert optima[-1] == pytest.approx(expected, rel=1e-7)
+        assert len(optima) == 9
+        assert len(set(optima)) > 1  # the events move the optimum

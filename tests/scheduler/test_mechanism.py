@@ -263,19 +263,21 @@ class TestTieBreakDeterminism:
             },
         )
         tracker = PriorityTracker(allocation)
-        priorities = tracker.priorities()
-        priorities[tracker.row((0,)), 0] = float("nan")
+        priorities = tracker.candidate_priorities()
+        v100 = registry.index_of("v100")
+        [poisoned] = np.flatnonzero(tracker.candidates.cells == tracker.row((0,)) * 3 + v100)
+        priorities[poisoned] = float("nan")
 
         class _PatchedTracker:
             """Duck-typed tracker: what Algorithm 1 reads, with a poisoned cell."""
 
             combinations = tracker.combinations
-            target = tracker.target
             demand = tracker.demand
             num_jobs = tracker.num_jobs
+            candidates = tracker.candidates
 
             @staticmethod
-            def priorities():
+            def candidate_priorities():
                 return priorities
 
         scheduled = RoundScheduler(spec).schedule_round(_PatchedTracker())

@@ -9,7 +9,11 @@ The array implementation is also compared, cell for cell and pick for pick,
 with the scalar reference in ``reference_mechanism.py`` — same IEEE
 operations in the same order, so equality is exact, not approximate — and the
 placer, flag for flag and worker for worker, with the list-of-ids placer in
-``reference_round.py``.
+``reference_round.py``.  Algorithm 1 prices and orders only the period's
+candidate cells (positive target), pre-sorted once by the static tie-breaks,
+so the comparison also covers where that could part from the reference: time
+on cells without a target, columns nobody has run on, exact ties across rows
+and accelerator names, pair rows and multi-worker demand.
 """
 
 import math
@@ -19,8 +23,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.cluster import ClusterSpec, ClusterTopology, Placer, default_registry
-from repro.core import Allocation
-from repro.scheduler import PriorityTracker, RoundScheduler
+from repro.core import Allocation, make_policy
+from repro.scheduler import PriorityTracker, RoundScheduler, SchedulerConfig
+from repro.scheduler.priorities import Candidates
+
+from repro.simulator import Simulator
+from repro.workloads import ThroughputOracle, TraceGenerator
 
 from reference_mechanism import (
     reference_fractions,
@@ -204,6 +212,54 @@ def _assert_placed_like_the_reference(cluster, picks, expected):
     assert placer.worker_ids(*requests) == [placement.worker_ids for placement in placements]
 
 
+def _assert_rounds_like_the_reference(tracker, scale_factors, cluster, received, rounds):
+    """``rounds`` rounds of Algorithm 1 pick, place and price like the reference, cell by cell.
+
+    ``received`` is the reference's state (the tracker's, by combination) and
+    follows the picks as the tracker does.
+    """
+    allocation = tracker.allocation
+    scheduler = RoundScheduler(cluster)
+    for _ in range(rounds):
+        priorities = reference_priorities(allocation, received)
+        np.testing.assert_array_equal(tracker.priorities(), _dense(allocation, priorities))
+        expected = reference_schedule_round(allocation, priorities, scale_factors, cluster)
+        scheduled = scheduler.schedule_round(tracker)
+        assert _picks(scheduled) == expected
+        scheduler.validate_round(scheduled)
+        _assert_placed_like_the_reference(cluster, scheduled, expected)
+        for combination, accelerator_name, _scale, _priority in expected:
+            received[combination][_REGISTRY.index_of(accelerator_name)] += _ROUND
+            tracker.record_time(combination, accelerator_name, _ROUND)
+
+
+@st.composite
+def _tied_period(draw):
+    """A period whose candidates all tie on priority *and* target.
+
+    Every row, singletons and pairs alike, has one target on every
+    accelerator type and has received the same time on each, so only the
+    combination and then the accelerator name order the candidates; scale
+    factors up to 8 make a tied candidate skip for want of workers.
+    """
+    num_jobs = draw(st.integers(2, 5))
+    pairs = [(i, j) for i in range(num_jobs) for j in range(i + 1, num_jobs)]
+    combinations = [(i,) for i in range(num_jobs)]
+    combinations += draw(st.lists(st.sampled_from(pairs), unique=True, max_size=4))
+    share = draw(st.sampled_from([0.1, 0.25, 0.5]))
+    scale_factors = {job: draw(st.sampled_from([1, 1, 2, 4, 8])) for job in range(num_jobs)}
+    allocation = Allocation(
+        _REGISTRY,
+        {combination: np.full(3, share) for combination in combinations},
+        scale_factors=scale_factors,
+    )
+    counts = {name: draw(st.integers(1, 9)) for name in _REGISTRY.names}
+    cluster = ClusterSpec.from_counts(counts, registry=_REGISTRY)
+    seconds = draw(st.sampled_from([0.0, _ROUND, 3 * _ROUND]))
+    received = {combination: np.full(3, seconds) for combination in allocation.combinations}
+    return allocation, scale_factors, cluster, received
+
+
 class TestArrayMechanismMatchesScalarReference:
     @given(period=_allocation_period())
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -222,19 +278,9 @@ class TestArrayMechanismMatchesScalarReference:
     def test_scheduled_sequence_is_identical_round_after_round(self, period, rounds):
         """Same picks in the same order, with the true priority, as the period advances."""
         allocation, scale_factors, cluster, received = period
-        tracker = _tracker_with(allocation, received)
-        scheduler = RoundScheduler(cluster)
-        for _ in range(rounds):
-            expected = reference_schedule_round(
-                allocation, reference_priorities(allocation, received), scale_factors, cluster
-            )
-            scheduled = scheduler.schedule_round(tracker)
-            assert _picks(scheduled) == expected
-            scheduler.validate_round(scheduled)
-            _assert_placed_like_the_reference(cluster, scheduled, expected)
-            for combination, accelerator_name, _scale, _priority in expected:
-                received[combination][_REGISTRY.index_of(accelerator_name)] += _ROUND
-                tracker.record_time(combination, accelerator_name, _ROUND)
+        _assert_rounds_like_the_reference(
+            _tracker_with(allocation, received), scale_factors, cluster, received, rounds
+        )
 
     def test_never_run_outranks_any_finite_priority(self):
         """The reference sorted ``inf`` as 1e18, so a larger finite priority beat it.
@@ -265,11 +311,109 @@ class TestArrayMechanismMatchesScalarReference:
                     priorities[combination][column] = math.nan
 
         class _Poisoned(PriorityTracker):
-            def priorities(self):
-                return _dense(allocation, priorities)
+            def candidate_priorities(self):
+                return _dense(allocation, priorities).take(self.candidates.cells)
 
         scheduled = RoundScheduler(cluster).schedule_round(_Poisoned(allocation))
         expected = reference_schedule_round(allocation, priorities, scale_factors, cluster)
         assert _picks(scheduled) == expected
         assert not any(math.isnan(item.priority) for item in scheduled)
         _assert_placed_like_the_reference(cluster, scheduled, expected)
+
+    @given(period=_allocation_period(), data=st.data(), rounds=st.integers(1, 4))
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_time_recorded_on_cells_without_a_target(self, period, data, rounds):
+        """``record_time`` on a target-0 cell: no candidate, but counted in its column's total."""
+        allocation, scale_factors, cluster, received = period
+        tracker = _tracker_with(allocation, received)
+        for combination in allocation.combinations:
+            for column, name in enumerate(_REGISTRY.names):
+                if allocation.row(combination)[column] <= 0 and data.draw(st.booleans()):
+                    seconds = data.draw(_SECONDS)
+                    received[combination][column] += seconds
+                    tracker.record_time(combination, name, seconds)
+        _assert_rounds_like_the_reference(tracker, scale_factors, cluster, received, rounds)
+
+    @given(
+        period=_allocation_period(),
+        idle=st.sets(st.integers(0, 2), min_size=1),
+        rounds=st.integers(1, 4),
+    )
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_columns_nobody_ran_on(self, period, idle, rounds):
+        """A column whose total is 0 has fraction 0 everywhere: its candidates are ``inf``."""
+        allocation, scale_factors, cluster, received = period
+        for row in received.values():
+            row[list(idle)] = 0.0
+        tracker = _tracker_with(allocation, received)
+        _assert_rounds_like_the_reference(tracker, scale_factors, cluster, received, rounds)
+
+    @given(period=_tied_period(), rounds=st.integers(1, 4))
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_ties_across_rows_and_accelerator_names(self, period, rounds):
+        allocation, scale_factors, cluster, received = period
+        tracker = _tracker_with(allocation, received)
+        _assert_rounds_like_the_reference(tracker, scale_factors, cluster, received, rounds)
+
+    def test_tied_pair_rows_with_multi_worker_demand(self):
+        """All tie: combination order, then k80 < p100 < v100; demand decides what fits.
+
+        Job 0 takes two k80s; the pair shares job 0; job 1 needs four
+        workers, more than the two k80s left, and takes the p100s.
+        """
+        entries = {combination: np.full(3, 0.5) for combination in [(0,), (1,), (0, 1)]}
+        scale_factors = {0: 2, 1: 4}
+        allocation = Allocation(_REGISTRY, entries, scale_factors=scale_factors)
+        cluster = ClusterSpec.from_counts({"v100": 4, "p100": 4, "k80": 4}, registry=_REGISTRY)
+        received = {combination: np.zeros(3) for combination in allocation.combinations}
+        scheduled = RoundScheduler(cluster).schedule_round(_tracker_with(allocation, received))
+        assert _picks(scheduled) == [
+            ((0,), "k80", 2, math.inf),
+            ((1,), "p100", 4, math.inf),
+        ]
+        _assert_rounds_like_the_reference(
+            _tracker_with(allocation, received), scale_factors, cluster, received, 6
+        )
+
+
+class TestCandidateIndex:
+    """The period's candidate cells and their static order are derived once per tracker."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        build = Candidates.build.__func__
+
+        def counting(cls, *args):
+            calls.append(args)
+            return build(cls, *args)
+
+        monkeypatch.setattr(Candidates, "build", classmethod(counting))
+        return calls
+
+    def test_built_once_per_tracker_not_per_round(self, builds):
+        entries = {(0,): np.array([0.5, 0.25, 0.0]), (1,): np.array([0.5, 0.0, 0.75])}
+        allocation = Allocation(_REGISTRY, entries)
+        cluster = ClusterSpec.from_counts({"v100": 1, "p100": 1, "k80": 1}, registry=_REGISTRY)
+        tracker = PriorityTracker(allocation)
+        scheduler = RoundScheduler(cluster)
+        for _ in range(10):
+            picks = scheduler.schedule_round(tracker)
+            tracker.add_time(picks.rows, picks.columns, _ROUND)
+        assert len(builds) == 1
+        candidates = tracker.candidates
+        # Target descending, then row, then name (k80 < p100 < v100).
+        assert list(zip(candidates.rows.tolist(), candidates.columns.tolist())) == [
+            (1, 2), (0, 0), (1, 0), (0, 1),
+        ]  # fmt: skip
+        np.testing.assert_array_equal(candidates.target, [0.75, 0.5, 0.5, 0.25])
+
+    def test_a_round_mode_drain_builds_one_per_period(self, builds):
+        oracle = ThroughputOracle()
+        spec = ClusterSpec.from_counts({"v100": 2, "p100": 2, "k80": 2})
+        trace = TraceGenerator(oracle).generate_continuous(num_jobs=8, jobs_per_hour=6.0, seed=5)
+        config = SchedulerConfig(mode="round")
+        policy = make_policy("max_min_fairness")
+        result = Simulator(policy, spec, oracle=oracle, config=config).run(trace)
+        assert len(builds) == result.num_policy_recomputations
+        assert result.num_rounds > 4 * len(builds)
