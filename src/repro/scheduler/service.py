@@ -41,11 +41,12 @@ Every mode runs one :meth:`~ClusterScheduler.step`: wake, fire due control
 events, admit, solve, then the mode's *executor* runs the event.  The round
 executor works on indices: Algorithm 1's ``(row, column)`` picks, placement
 flags, and accounting through a *member table* whose entries live as long as
-their jobs (see :class:`_MemberTable`).  The fluid executor
-integrates ``X * T`` to the next event over one bulk read of the active jobs.
-Both run every row at the rule the policies planned with,
-:func:`~repro.workloads.colocation.member_throughputs` on the true models, and
-``_JobState`` / ``JobRecord`` remain the only copy of the state.
+their jobs (see :class:`_MemberTable`).  The fluid executor integrates
+``X * T`` to the next event in bulk.  Both run every row at the rule the
+policies planned with, :func:`~repro.workloads.colocation.member_throughputs`
+on the true models.  A live job's state is one row of the live-job table
+(:class:`_JobTable`), the only copy of it; its ``JobRecord`` is written from
+that row only on the job's way out, and made from it for a result or snapshot.
 """
 
 from __future__ import annotations
@@ -54,9 +55,10 @@ import heapq
 import math
 import time as _time
 from dataclasses import dataclass
-from itertools import chain
+from functools import partial
+from itertools import chain, repeat
 from typing import (
-    Any, Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple
+    Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 )
 
 import numpy as np
@@ -65,6 +67,7 @@ from repro.cluster.cluster_spec import ClusterSpec
 from repro.cluster.placement import Placer
 from repro.cluster.worker import ClusterTopology
 from repro.core.allocation import Allocation
+from repro.core.aggregation import _Deferred
 from repro.core.allocation_engine import AllocationEngine
 from repro.core.effective_throughput import isolated_reference_throughput
 from repro.core.policy import Policy
@@ -74,6 +77,7 @@ from repro.core.session import PolicySession
 from repro.core.throughput_matrix import JobCombination, ThroughputMatrix, build_throughput_matrix
 from repro.exceptions import ConfigurationError, SchedulingError, UnknownJobError
 from repro.scheduler.clock import Clock, VirtualClock
+from repro.scheduler.config import SchedulerConfig
 from repro.scheduler.mechanism import RoundScheduler
 from repro.scheduler.metrics import JobRecord, SimulationResult
 from repro.scheduler.priorities import PriorityTracker
@@ -93,128 +97,135 @@ _ARRIVAL_EPSILON = 1e-9
 _FLUID_MODES = ("ideal", "continuous")
 
 
-@dataclass(frozen=True)
-class SchedulerConfig:
-    """Tunable scheduler behaviour (shared by the service and the simulator).
+#: What a snapshot keeps of :class:`_JobTable` besides the records: job ids,
+#: admission instants, last accelerators and last rounds, in row order.
+_Checkpoint = Tuple[List[int], np.ndarray, List[Optional[str]], List[int]]
+_Alone = Callable[[Job], int]
+#: :class:`_JobTable`'s list columns, and a new row's values in them.
+_PROGRESS_COLUMNS = (
+    "steps_done", "cost_dollars", "first_allocation_time", "accelerator_seconds",
+    "preemptions", "checkpoint_seconds", "last_accelerator", "last_round",
+)
 
-    Attributes:
-        round_duration_seconds: Length of one scheduling round (paper default
-            6 minutes; 20 minutes for the physical cluster runs).
-        mode: ``"round"`` (the full Section 5 mechanism), ``"continuous"``
-            (event-driven: a central event heap of arrivals, completions,
-            scheduled control events and optional periodic re-solve ticks,
-            each triggering an incremental re-allocation at event granularity
-            instead of at round boundaries), ``"ideal"`` (the continuous event
-            loop without re-solve ticks: jobs progress fluidly at exactly
-            their allocation's effective throughput — the baseline of Figure
-            13b) or ``"physical"`` (``round`` plus per-preemption
-            checkpoint overhead and seeded throughput jitter, standing in for
-            the paper's 48-GPU cluster).
-        resolve_interval_seconds: Continuous mode only: when set, the event
-            loop additionally re-solves on a periodic grid (the next tick is
-            the next multiple of the interval), bounding allocation staleness
-            for time-sensitive policies even when no arrival/completion/
-            control event fires.  Grid alignment keeps the tick schedule a
-            pure function of the clock, so snapshots need no extra tick
-            state.  ``None`` (the default) re-solves on events only.
-        checkpoint_overhead_seconds: Time lost when a job is preempted or
-            migrated at a round boundary (physical mode only).  The overhead
-            window holds the accelerator, so it is billed and counted as busy
-            time like productive execution, but it is *also* accounted
-            separately (``JobRecord.checkpoint_seconds`` /
-            ``SimulationResult.checkpoint_worker_seconds``) so cost and
-            utilization can be decomposed into productive and overhead parts.
-        throughput_jitter_std: Relative std-dev of per-round throughput noise
-            (physical mode only).
-        seed: Seed for the jitter generator.
-        max_simulated_seconds: Safety cap on scheduler time.
-        colocation_threshold: Minimum combined normalized throughput for a job
-            pair to be considered by space-sharing policies.
-        aggregation: Problem-representation mode handed to the policy and the
-            allocation engine: ``"job"`` (one LP row per job, the default) or
-            ``"type"`` (the LP is solved over groups of interchangeable jobs
-            and per-job shares recovered by proportional split — see
-            :mod:`repro.core.aggregation`).  ``"type"`` is only accepted for
-            the policy bases listed in
-            :data:`~repro.core.aggregation.AGGREGATION_SUPPORTED_BASES`.
-        estimator: Optional throughput-estimator object exposing the
-            :class:`~repro.workloads.colocation.ColocationModel` query
-            interface; when set, space-sharing policies see *estimated*
-            colocated throughputs while execution still uses the true model.
-        max_session_history: When set, the live policy session is bounded
-            to this many solves: the next recomputation re-bases onto a *cold*
-            session, which bounds what a snapshot's session checkpoint carries
-            (each live model's call journal grows by one solve per solve).
-            Runs stay deterministic and restores bit-exact *for that run*, but
-            a cold solve may pick a different optimal vertex, so schedules can
-            differ from an unbounded run.  ``None`` (default) keeps one session
-            until the policy is swapped.
+
+class _JobTable:
+    """The live jobs, one row each in admission order: the only store of their state.
+
+    Fixed per job, numpy views: ``total_steps``, ``scale_factors``,
+    ``admitted_at`` (``max(arrival, clock at admission)``: elapsed times are
+    never negative) and ``alone`` (the rate-table row alone), over
+    ``_numbers`` / ``_keys``; an admission writes past the live rows and a
+    departure makes new arrays, so no live row is written in place.  Progress
+    and accounting are lists (:data:`_PROGRESS_COLUMNS`, named as the record
+    fields they hold; ``inf`` / -1 for never), written per pick by the round
+    executor and replaced in bulk by the fluid one.  A job's record is made
+    from its row only where it is read: on the way out and in a view.  Rows
+    stay in admission order, the fluid run-level sums' order, and a leaving
+    job's is compacted away.  ``sorted_ids`` / ``position`` (each row's place
+    in id order) change only with membership (:meth:`reindex`); ``row_of`` is
+    remade on its first read after a departure.
     """
 
-    round_duration_seconds: float = 360.0
-    mode: str = "round"
-    resolve_interval_seconds: Optional[float] = None
-    checkpoint_overhead_seconds: float = 5.0
-    throughput_jitter_std: float = 0.02
-    seed: int = 0
-    max_simulated_seconds: float = 6.0e7
-    colocation_threshold: float = 1.1
-    aggregation: str = "job"
-    estimator: Optional[object] = None
-    max_session_history: Optional[int] = None
+    def __init__(self) -> None:
+        #: The jobs by id, in row order.
+        self.jobs: Dict[int, Job] = {}
+        self.ids: List[int] = []
+        self._row_of: Optional[Dict[int, int]] = {}
+        #: Per row: total steps, scale factor, admission instant; and job id, row alone.
+        self._numbers, self._keys = np.zeros((8, 3)), np.zeros((8, 2), np.int64)
+        self.steps_done: List[float] = []
+        self.cost_dollars: List[float] = []
+        self.first_allocation_time: List[float] = []
+        self.accelerator_seconds: List[Dict[str, float]] = []
+        self.preemptions: List[int] = []
+        self.checkpoint_seconds: List[float] = []
+        self.last_accelerator: List[Optional[str]] = []
+        self.last_round: List[int] = []
+        self.reindex()
 
-    def __post_init__(self) -> None:
-        if self.mode not in ("round", "ideal", "physical", "continuous"):
-            raise ConfigurationError(f"unknown simulator mode {self.mode!r}")
-        if self.resolve_interval_seconds is not None and self.mode != "continuous":
-            raise ConfigurationError("resolve_interval_seconds requires mode='continuous'")
-        # Every number must be finite: a NaN passes any ``<`` check unnoticed
-        # and an infinity silently turns a cap or a step off.
-        for name, positive in (
-            ("round_duration_seconds", True),
-            ("resolve_interval_seconds", True),
-            ("max_simulated_seconds", True),
-            ("checkpoint_overhead_seconds", False),
-            ("throughput_jitter_std", False),
-            ("colocation_threshold", False),
-        ):
-            value = getattr(self, name)
-            if value is not None and not (
-                math.isfinite(value) and (value > 0 if positive else value >= 0)
-            ):
-                bound = "positive" if positive else "non-negative"
-                raise ConfigurationError(f"{name} must be finite and {bound}, got {value!r}")
-        if self.aggregation not in ("job", "type"):
-            raise ConfigurationError(
-                f"unknown aggregation mode {self.aggregation!r}; expected 'job' or 'type'"
-            )
-        if self.max_session_history is not None and self.max_session_history < 1:
-            raise ConfigurationError("max_session_history must be at least 1")
+    @property
+    def row_of(self) -> Dict[int, int]:
+        if self._row_of is None:
+            self._row_of = dict(zip(self.ids, range(len(self.ids))))
+        return self._row_of
+
+    def add(self, job: Job, admitted_at: float, alone: int) -> None:
+        """A last row for ``job``, with no progress; :meth:`reindex` once all are added."""
+        row = len(self.ids)
+        if row == len(self._numbers):  # no room: about double it
+            self._numbers = np.concatenate((self._numbers, np.zeros((row + 8, 3))))
+            self._keys = np.concatenate((self._keys, np.zeros((row + 8, 2), np.int64)))
+        self._numbers[row] = job.total_steps, job.scale_factor, admitted_at
+        self._keys[row] = job.job_id, alone
+        if self._row_of is not None:
+            self._row_of[job.job_id] = row
+        self.jobs[job.job_id] = job
+        self.ids.append(job.job_id)
+        for name, value in zip(_PROGRESS_COLUMNS, (0.0, 0.0, math.inf, {}, 0, 0.0, None, -1)):
+            getattr(self, name).append(value)
+
+    def remove(self, row: int) -> None:
+        """Drop row ``row``; the rows behind it move up one."""
+        del self.jobs[self.ids[row]], self.ids[row]
+        self._numbers = np.concatenate((self._numbers[:row], self._numbers[row + 1:]))
+        self._keys = np.concatenate((self._keys[:row], self._keys[row + 1:]))
+        for name in _PROGRESS_COLUMNS:
+            del getattr(self, name)[row]
+        self._row_of = None
+        self.reindex()
+
+    def reindex(self) -> None:
+        """The fixed columns' views and the id order of the rows, after membership changed."""
+        count = len(self.ids)
+        self.total_steps, self.scale_factors, self.admitted_at = self._numbers[:count].T
+        ids, self.alone = self._keys[:count].T
+        self.sorted_ids = ids.copy()
+        self.sorted_ids.sort()
+        self.position = self.sorted_ids.searchsorted(ids)
+
+    # JobRecord's fields in order: job, completion time, steps, cost, seconds per type,
+    # preemptions, checkpoint seconds, cancelled, first allocation.
+    def record(self, row: int) -> JobRecord:
+        """Row ``row`` as its job's record at this instant."""
+        first = self.first_allocation_time[row]
+        return JobRecord(
+            self.jobs[self.ids[row]], None, self.steps_done[row], self.cost_dollars[row],
+            dict(self.accelerator_seconds[row]), self.preemptions[row],
+            self.checkpoint_seconds[row], False, None if first == math.inf else first,
+        )  # fmt: skip
+
+    def records(self) -> Iterator[JobRecord]:
+        """Every row as its job's record at this instant, in row order (:meth:`record` in bulk)."""
+        firsts = [None if first == math.inf else first for first in self.first_allocation_time]
+        return map(
+            JobRecord, self.jobs.values(), repeat(None), self.steps_done, self.cost_dollars,
+            map(dict, self.accelerator_seconds), self.preemptions, self.checkpoint_seconds,
+            repeat(False), firsts,
+        )  # fmt: skip
+
+    def checkpoint(self) -> _Checkpoint:
+        """What a snapshot needs besides the rows' records (``admitted_at`` is never written)."""
+        return self.ids[:], self.admitted_at, self.last_accelerator[:], self.last_round[:]
+
+    @classmethod
+    def restored(cls, kept: _Checkpoint, records: Dict[int, JobRecord], alone: _Alone) -> "_JobTable":
+        """The table checkpoint ``kept`` was taken of, its rows' progress read off ``records``."""
+        table, rows = cls(), [records[job_id] for job_id in kept[0]]
+        for record, admitted_at in zip(rows, kept[1].tolist()):
+            table.add(record.job, admitted_at, alone(record.job))
+        table.reindex()
+        for name in _PROGRESS_COLUMNS[:6]:  # the record's fields
+            setattr(table, name, [getattr(record, name) for record in rows])
+        firsts = table.first_allocation_time
+        table.first_allocation_time = [math.inf if first is None else first for first in firsts]
+        table.accelerator_seconds = list(map(dict, table.accelerator_seconds))
+        table.last_accelerator, table.last_round = list(kept[2]), list(kept[3])
+        return table
 
 
-@dataclass
-class _JobState:
-    """Mutable per-job execution state."""
-
-    job: Job
-    #: True admission instant: ``max(arrival_time, clock at admission)``.
-    #: Admission may run up to ``_ARRIVAL_EPSILON`` before the nominal
-    #: arrival (float slack in the pending-heap comparison); recording the
-    #: real instant — and nudging the clock up to it — keeps policy-visible
-    #: elapsed times non-negative without clamping.
-    admitted_at: float = 0.0
-    steps_done: float = 0.0
-    last_accelerator: Optional[str] = None
-    #: ``num_rounds`` index of the last round this job ran in (-1: never); a
-    #: job resumes without checkpoint overhead only from the previous round.
-    last_round: int = -1
-    #: Its rate-table row alone, looked up once (its type and scale are constant).
-    alone: int = -1
-
-
-#: One job of an allocation row: ``(state, record, total steps, scale factor, rates)``;
-#: ``rates[consolidated]`` is its rate in this row per type.
-_Member = Tuple[_JobState, JobRecord, float, int, Tuple[List[float], ...]]
+#: One job of an allocation row: ``(job id, or live-table row in a period view, total steps,
+#: scale factor, rates)``; ``rates[consolidated]`` is its rate in this row per type.
+_Member = Tuple[int, float, int, Tuple[List[float], ...]]
 #: ``(job type, partner's job type or None, scale factor)``.
 _RateKey = Tuple[str, Optional[str], int]
 
@@ -284,12 +295,13 @@ class _MemberTable(Dict[JobCombination, Tuple[_Member, ...]]):
     """Memo: an allocation row's :data:`_Member` per job, keyed by the row's combination.
 
     A row is resolved the first time a round picks it and its entry lives as
-    long as its jobs: allocation periods, resizes and policy swaps replace
-    none of the objects it points at, and :meth:`drop` evicts a job's rows when
-    it leaves.  Whatever replaces ``_active`` / ``_records`` (``restore``)
-    starts a new table.  ``period`` holds the entries of the current period's
-    tracker rows, each looked up once (:meth:`row`): a round reads a list by
-    index, not a dictionary by tuple.
+    long as its jobs: an entry names its jobs by id, allocation periods,
+    resizes and policy swaps change nothing it holds, and :meth:`drop` evicts
+    a job's rows when it leaves.  ``restore``, which replaces the rate table's
+    rows, starts a new table.  ``period`` holds the entries of the current
+    period's tracker rows, each looked up once (:meth:`row`) with every job's
+    live-table row in place of its id: any arrival or departure starts a new
+    period, so rows do not move within one, and a round reads lists by index.
     """
 
     def __init__(self, resolve: Callable[[JobCombination], Tuple[_Member, ...]]) -> None:
@@ -297,15 +309,18 @@ class _MemberTable(Dict[JobCombination, Tuple[_Member, ...]]):
         #: Per job, the rows it is resolved in.
         self._rows_of: Dict[int, List[JobCombination]] = {}
         self._combinations: Tuple[JobCombination, ...] = ()
+        self._row_of: Dict[int, int] = {}
         self.period: List[Optional[Tuple[_Member, ...]]] = []
 
-    def start_period(self, combinations: Tuple[JobCombination, ...]) -> None:
-        """A new period over tracker rows ``combinations``: none looked up yet."""
-        self._combinations, self.period = combinations, [None] * len(combinations)
+    def start_period(self, combinations: Tuple[JobCombination, ...], rows: Dict[int, int]) -> None:
+        """A new period over tracker rows ``combinations``, jobs at ``rows``: none looked up yet."""
+        self._combinations, self._row_of = combinations, rows
+        self.period = [None] * len(combinations)
 
     def row(self, row: int) -> Tuple[_Member, ...]:
-        """The entry of tracker row ``row``, kept in ``period``."""
-        self.period[row] = members = self[self._combinations[row]]
+        """The entry of tracker row ``row``, job ids made live-table rows, kept in ``period``."""
+        entry = self[self._combinations[row]]
+        self.period[row] = members = tuple((self._row_of[m[0]],) + m[1:] for m in entry)
         return members
 
     def __missing__(self, combination: JobCombination) -> Tuple[_Member, ...]:
@@ -320,32 +335,30 @@ class _MemberTable(Dict[JobCombination, Tuple[_Member, ...]]):
             self.pop(combination, None)
 
 
-class _ActiveJobs(NamedTuple):
-    """The per-event bulk read of the active jobs, in admission (``_active``) order."""
+def _records_view(
+    records: Dict[int, JobRecord], live: Iterable[int], table: Optional[_JobTable] = None
+) -> Dict[int, JobRecord]:
+    """``records`` at this instant: ``live`` (pending or active) jobs' copied, ``table``'s made.
 
-    ids: List[int]
-    states: List[_JobState]
-    total_steps: np.ndarray
-    steps_done: np.ndarray
-    steps_remaining: np.ndarray
-    scale_factors: np.ndarray
-    alone: np.ndarray
-
-
-def _records_view(records: Dict[int, JobRecord], live: Iterable[int]) -> Dict[int, JobRecord]:
-    """``records`` at this instant: the ``live`` (pending or active) jobs' records copied.
-
-    The rest are shared.  A record is never written after its job leaves: it
-    is created at submission, written by the two executors while its job is
-    active, and last written on the way out — ``_retire``, or
-    :meth:`~ClusterScheduler.cancel` of a pending job.  So the record of a
-    completed or cancelled job is final, and a snapshot, a restore or a
-    result costs one copy per live job, not per job of the run.
+    The rest are shared: a record is written only on its job's way out
+    (``_retire``, or :meth:`~ClusterScheduler.cancel` of a pending job).
     """
     view = dict(records)
     for job_id in live:
         view[job_id] = records[job_id].copy()
+    if table is not None:
+        view.update(zip(table.ids, table.records()))
     return view
+
+
+def _steps_left(jobs: Dict[int, Job], total: np.ndarray, done: List[float]) -> Dict[int, float]:
+    """Per job of ``jobs`` (in row order), the steps it has left, never negative."""
+    return dict(zip(jobs, np.maximum(total - np.array(done), 0.0).tolist()))
+
+
+def _time_elapsed(jobs: Dict[int, Job], now: float, admitted_at: np.ndarray) -> Dict[int, float]:
+    """Per job of ``jobs`` (in row order), its time in service since admission (never negative)."""
+    return dict(zip(jobs, (now - admitted_at).tolist()))
 
 
 def _bill_used_rows(
@@ -475,7 +488,9 @@ class SchedulerSnapshot:
     #: replay identically.
     event_heap: List[Tuple[float, int, str, object]]
     event_seq: int
-    active: List[Tuple[Job, float, float, Optional[str], int]]
+    #: The live jobs' admission instants, last accelerators and last rounds
+    #: (:meth:`_JobTable.checkpoint`); their progress is in ``records``.
+    active: _Checkpoint
     records: Dict[int, JobRecord]
     busy_seconds: Dict[str, float]
     checkpoint_seconds: Dict[str, float]
@@ -547,9 +562,9 @@ class ClusterScheduler:
         #: submission order, so replay and snapshot/restore are exact.
         self._event_heap: List[Tuple[float, int, str, object]] = []
         self._event_seq = 0
-        self._active: Dict[int, _JobState] = {}
-        #: Every submitted job's record, written only while the job is pending
-        #: or active: snapshots and results share the rest (_records_view).
+        self._active = _JobTable()
+        #: Every submitted job's record, written only on its way out:
+        #: snapshots and results share the rest (_records_view).
         self._records: Dict[int, JobRecord] = {}
 
         self._busy_seconds = dict.fromkeys(self._cluster_spec.registry.names, 0.0)
@@ -672,7 +687,7 @@ class ClusterScheduler:
     @property
     def has_work(self) -> bool:
         """Whether any job is active or waiting to be admitted."""
-        return bool(self._active) or self._peek_pending() is not None
+        return bool(self._active.ids) or self._peek_pending() is not None
 
     def status(self) -> SchedulerStatus:
         """A point-in-time summary of the scheduler's state."""
@@ -686,7 +701,7 @@ class ClusterScheduler:
             policy_name=self._policy.display_name,
             mode=self._config.mode,
             cluster_spec=self._cluster_spec,
-            active_job_ids=tuple(sorted(self._active)),
+            active_job_ids=tuple(sorted(self._active.jobs)),
             pending_job_ids=pending,
             completed_job_ids=tuple(
                 job_id for job_id, record in sorted(self._records.items()) if record.completed
@@ -729,7 +744,7 @@ class ClusterScheduler:
         progress/cost it accrued; the next step recomputes the allocation
         without it.
         """
-        if job_id in self._active:
+        if job_id in self._active.jobs:
             self._retire(job_id, self._clock.now(), cancelled=True)
         elif job_id in self._pending_ids:
             self._pending_ids.discard(job_id)
@@ -745,15 +760,16 @@ class ClusterScheduler:
     def _retire(self, job_id: int, at: float, cancelled: bool = False) -> None:
         """An active job leaves at ``at``, completed or cancelled: the one exit path.
 
-        It leaves the active set, the member table and the engine (timed as
-        matrix preparation), the churn is noted for the next solve and the
-        allocation is stale.
+        Its record is written from its row, and it leaves the live table, the member
+        table and the engine (timed as matrix preparation); the allocation is stale.
         """
+        table, row = self._active, self._active.ids.index(job_id)
+        record = self._records[job_id] = table.record(row)
         if cancelled:
-            self._records[job_id].cancelled = True
+            record.cancelled = True
         else:
-            self._records[job_id].completion_time = at
-        del self._active[job_id]
+            record.completion_time = at
+        table.remove(row)
         self._members.drop(job_id)
         start = _time.perf_counter()
         self._engine.remove_job(job_id)
@@ -903,8 +919,8 @@ class ClusterScheduler:
         """Fresh engine over the current active set (admission order preserved)."""
         start = _time.perf_counter()
         self._engine = self._make_engine()
-        for state in self._active.values():
-            self._engine.add_job(state.job)
+        for job in self._active.jobs.values():
+            self._engine.add_job(job)
         self._engine.drain_deltas()
         self._matrix_seconds += _time.perf_counter() - start
 
@@ -921,22 +937,20 @@ class ClusterScheduler:
         cap = self._config.max_simulated_seconds
         if not self.has_work or self._clock.now() >= cap:
             return False
-        if not self._active:
+        if not self._active.ids:
             self._clock.advance_to(min(self._next_wake(), cap))
         if self._clock.now() >= cap:
             return self.has_work
         self._apply_due_control_events(self._clock.now())
         self._admit_arrivals(self._clock.now())
         current_time = self._clock.now()
-        if not self._active:
+        if not self._active.ids:
             return self.has_work
         if self._config.mode in _FLUID_MODES:
-            active = self._read_active()
-            allocation = self._solve_allocation(current_time, active)
-            end, finished = self._run_fluid(current_time, active, allocation)
+            end, finished = self._run_fluid(current_time, self._solve_allocation(current_time))
         else:
             if self._allocation_stale or self._tracker is None:
-                self._start_period(self._solve_allocation(current_time, self._read_active()))
+                self._start_period(self._solve_allocation(current_time))
             end, finished = self._run_round(current_time)
         for job_id, finish_time in finished:
             self._retire(job_id, finish_time)
@@ -965,7 +979,7 @@ class ClusterScheduler:
             now = self._clock.now()
             if now >= self._config.max_simulated_seconds or now >= until:
                 break
-            if not self._active and self._next_wake() >= until:
+            if not self._active.ids and self._next_wake() >= until:
                 break  # idle gap: the next arrival/event is beyond the horizon
             self.step()
         if math.isfinite(until):
@@ -988,7 +1002,7 @@ class ClusterScheduler:
         checkpoint = {} if fluid else dict(self._checkpoint_seconds)
         return SimulationResult(
             policy_name=f"{self._policy.display_name}{suffix}",
-            records=_records_view(self._records, chain(self._active, self._pending_ids)),
+            records=_records_view(self._records, self._pending_ids, self._active),
             end_time=end_time,
             num_rounds=self._num_rounds,
             busy_worker_seconds=dict(self._busy_seconds),
@@ -1056,11 +1070,8 @@ class ClusterScheduler:
             submit_seq=self._submit_seq,
             event_heap=sorted(self._event_heap),
             event_seq=self._event_seq,
-            active=[
-                (s.job, s.admitted_at, s.steps_done, s.last_accelerator, s.last_round)
-                for s in self._active.values()
-            ],
-            records=_records_view(self._records, chain(self._active, self._pending_ids)),
+            active=self._active.checkpoint(),
+            records=_records_view(self._records, self._pending_ids, self._active),
             busy_seconds=dict(self._busy_seconds),
             checkpoint_seconds=dict(self._checkpoint_seconds),
             total_cost=self._total_cost,
@@ -1103,8 +1114,10 @@ class ClusterScheduler:
         self._event_heap = list(snapshot.event_heap)
         heapq.heapify(self._event_heap)
         self._event_seq = snapshot.event_seq
-        self._active = {entry[0].job_id: self._job_state(*entry) for entry in snapshot.active}
-        self._records = _records_view(snapshot.records, chain(self._active, self._pending_ids))
+        live = chain(snapshot.active[0], self._pending_ids)
+        self._records = _records_view(snapshot.records, live)
+        # ``alone`` indexes the snapshot's scheduler's rate table: look it up in this one.
+        self._active = _JobTable.restored(snapshot.active, self._records, self._alone)
         self._members = _MemberTable(self._row_members)
         self._busy_seconds = dict(snapshot.busy_seconds)
         self._checkpoint_seconds = dict(snapshot.checkpoint_seconds)
@@ -1167,7 +1180,7 @@ class ClusterScheduler:
         latest one, so elapsed times are never negative.  Callers must
         re-read the clock after admission.
         """
-        latest_admission = current_time
+        latest_admission, admitted = current_time, False
         while True:
             head = self._peek_pending()
             if head is None or head[0] > current_time + _ARRIVAL_EPSILON:
@@ -1177,7 +1190,8 @@ class ClusterScheduler:
             self._pending_ids.discard(job.job_id)
             admitted_at = max(job.arrival_time, current_time)
             latest_admission = max(latest_admission, admitted_at)
-            self._active[job.job_id] = self._job_state(job, admitted_at)
+            self._active.add(job, admitted_at, self._alone(job))
+            admitted = True
             # Staleness counts from the *effective* arrival (the heap key): a
             # job waiting in the pending queue for a round boundary is
             # unincorporated churn from the moment it became visible.
@@ -1186,46 +1200,33 @@ class ClusterScheduler:
             self._engine.add_job(job)
             self._matrix_seconds += _time.perf_counter() - start
             self._allocation_stale = True
+        if admitted:
+            self._active.reindex()
         if latest_admission > current_time:
             # An epsilon-early admission: advance (<= _ARRIVAL_EPSILON) so the
             # solve that follows sees current_time >= every admission instant.
             self._clock.advance_to(latest_admission)
 
-    def _read_active(self) -> _ActiveJobs:
-        """One bulk read of the active jobs: one comprehension per attribute."""
-        states = list(self._active.values())
-        count = len(states)
-        total_steps = np.fromiter([state.job.total_steps for state in states], float, count)
-        steps_done = np.fromiter([state.steps_done for state in states], float, count)
-        return _ActiveJobs(
-            ids=list(self._active),
-            states=states,
-            total_steps=total_steps,
-            steps_done=steps_done,
-            steps_remaining=np.maximum(total_steps - steps_done, 0.0),
-            scale_factors=np.fromiter([state.job.scale_factor for state in states], float, count),
-            alone=np.fromiter([state.alone for state in states], np.intp, count),
-        )
-
-    def _build_problem(
-        self, current_time: float, matrix: ThroughputMatrix, active: _ActiveJobs
-    ) -> PolicyProblem:
-        entries = list(zip(active.ids, active.states))
+    def _build_problem(self, current_time: float, matrix: ThroughputMatrix) -> PolicyProblem:
+        """The policy's view of the live table; its per-job mappings are made on first read."""
+        table = self._active
+        jobs = dict(table.jobs)
+        # The fixed columns are never written in place; the progress list may be.
         return PolicyProblem(
-            jobs={job_id: state.job for job_id, state in entries},
+            jobs=jobs,
             throughputs=matrix,
             cluster_spec=self._cluster_spec,
-            steps_remaining=dict(zip(active.ids, active.steps_remaining.tolist())),
-            # Time in service since the recorded admission instant.  Admission
-            # guarantees current_time >= admitted_at, so no clamp is needed — a
-            # negative value here would be a real time-accounting bug and must
-            # not be masked.
-            time_elapsed={job_id: current_time - state.admitted_at for job_id, state in entries},
+            steps_remaining=_Deferred(
+                jobs, partial(_steps_left, jobs, table.total_steps, list(table.steps_done))
+            ),
+            time_elapsed=_Deferred(
+                jobs, partial(_time_elapsed, jobs, current_time, table.admitted_at)
+            ),
             current_time=current_time,
         )
 
-    def _solve_allocation(self, current_time: float, active: _ActiveJobs) -> Allocation:
-        """One recomputation through the live session; ``active``: the caller's bulk read."""
+    def _solve_allocation(self, current_time: float) -> Allocation:
+        """One recomputation through the live session."""
         pin, self._pin = self._pin, None
         if pin is not None and pin.state is not None and pin.state is self._session:
             # The first solve since a snapshot: keep the session as the
@@ -1243,7 +1244,7 @@ class ClusterScheduler:
         start = _time.perf_counter()
         matrix = self._engine.matrix()
         self._matrix_seconds += _time.perf_counter() - start
-        problem = self._build_problem(current_time, matrix, active)
+        problem = self._build_problem(current_time, matrix)
         deltas = self._engine.drain_deltas()
         start = _time.perf_counter()
         try:
@@ -1280,25 +1281,22 @@ class ClusterScheduler:
         its entry.
         """
         self._tracker, self._allocation_stale = PriorityTracker(allocation), False
-        self._members.start_period(self._tracker.combinations)
+        self._members.start_period(self._tracker.combinations, self._active.row_of)
         return self._tracker
 
     def _row_members(self, combination: JobCombination) -> Tuple[_Member, ...]:
-        """Resolve an allocation row to its jobs' live state: the member table's miss."""
-        table = self._rate_table
-        states = [self._active[job_id] for job_id in combination]
-        alone = [state.alone for state in states]
+        """Resolve an allocation row to its jobs and their rates: the member table's miss."""
+        table, jobs = self._rate_table, self._active
+        alone = [int(jobs.alone[jobs.row_of[job_id]]) for job_id in combination]
         rows = table.pair(*alone) if len(alone) == 2 else alone
         return tuple(
-            (state, self._records[job_id], state.job.total_steps, state.job.scale_factor,
-             table.rows[row])
-            for job_id, state, row in zip(combination, states, rows)
+            (job_id, job.total_steps, job.scale_factor, table.rows[row])
+            for job_id, job, row in zip(combination, map(jobs.jobs.__getitem__, combination), rows)
         )
 
-    def _job_state(self, job: Job, *progress: Any) -> _JobState:
-        """An admitted (or restored) job's state, with its rate-table row alone."""
-        alone = self._rate_table[job.job_type, None, job.scale_factor]
-        return _JobState(job, *progress, alone=alone)
+    def _alone(self, job: Job) -> int:
+        """``job``'s rate-table row alone (its type and scale are constant)."""
+        return self._rate_table[job.job_type, None, job.scale_factor]
 
     # -- internals: the round executor (round, physical) ------------------------------------------
     def _run_round(self, current_time: float) -> Tuple[float, List[Tuple[int, float]]]:
@@ -1328,6 +1326,12 @@ class ClusterScheduler:
         costs_per_hour = self._cluster_spec.registry.costs_per_hour()
         table, busy_seconds, total_cost = self._members, self._busy_seconds, self._total_cost
         period = table.period
+        # The live table's columns, read and written per member at list speed.
+        jobs = self._active
+        steps_done, cost_dollars = jobs.steps_done, jobs.cost_dollars
+        first_allocation, accelerator_seconds = jobs.first_allocation_time, jobs.accelerator_seconds
+        last_round, last_accelerator = jobs.last_round, jobs.last_accelerator
+        never = math.inf
         for row, column, scale, on_one_server in zip(rows, columns, scales, consolidated):
             members = period[row] or table.row(row)
             accelerator_name = names[column]
@@ -1337,50 +1341,49 @@ class ClusterScheduler:
             # device busy (occupancy = max over the pair) but the freed
             # half-slot is billed to no one.
             occupancy_seconds = 0.0
-            for state, record, total_steps, job_scale, rates in members:
-                if record.first_allocation_time is None:
-                    record.first_allocation_time = current_time
+            for job_row, total_steps, job_scale, rates in members:
+                if first_allocation[job_row] == never:
+                    first_allocation[job_row] = current_time
                 throughput = rates[on_one_server][column]
                 overhead = 0.0
                 if physical:
                     if (
-                        state.last_round != this_round - 1
-                        or state.last_accelerator != accelerator_name
+                        last_round[job_row] != this_round - 1
+                        or last_accelerator[job_row] != accelerator_name
                     ):
                         overhead = checkpoint_overhead
-                        record.preemptions += 1
+                        jobs.preemptions[job_row] += 1
                     if jitter_std > 0:
                         throughput *= max(0.0, float(self._rng.normal(1.0, jitter_std)))
                 progress = throughput * (round_duration - overhead)
-                needed = total_steps - state.steps_done
+                done = steps_done[job_row]
+                needed = total_steps - done
                 if not needed > 0.0:
                     needed = 0.0
                 if throughput > 0 and progress >= needed:
                     finish = min(current_time + overhead + needed / throughput, round_end)
-                    finished.append((state.job.job_id, finish))
-                    steps_done = total_steps
+                    finished.append((jobs.ids[job_row], finish))
+                    steps_done[job_row] = total_steps
                     used_seconds = finish - current_time
                 else:
-                    steps_done = state.steps_done + progress
+                    steps_done[job_row] = done + progress
                     used_seconds = round_duration
-                state.steps_done = record.steps_done = steps_done
-                state.last_accelerator = accelerator_name
-                state.last_round = this_round
-                record.accelerator_seconds[accelerator_name] = (
-                    record.accelerator_seconds.get(accelerator_name, 0.0) + used_seconds
-                )
+                last_accelerator[job_row] = accelerator_name
+                last_round[job_row] = this_round
+                seconds = accelerator_seconds[job_row]
+                seconds[accelerator_name] = seconds.get(accelerator_name, 0.0) + used_seconds
                 if overhead > 0:
                     # A checkpoint window holds the device without progress:
                     # billed like productive time, and also accounted apart.
                     overhead_used = min(overhead, used_seconds)
-                    record.checkpoint_seconds += overhead_used
+                    jobs.checkpoint_seconds[job_row] += overhead_used
                     self._checkpoint_seconds[accelerator_name] += (
                         overhead_used * scale / len(members)
                     )
                 cost = costs_per_hour[column] * job_scale * used_seconds / _SECONDS_PER_HOUR
                 if len(members) > 1:
                     cost /= len(members)
-                record.cost_dollars += cost
+                cost_dollars[job_row] += cost
                 total_cost += cost
                 if used_seconds > occupancy_seconds:
                     occupancy_seconds = used_seconds
@@ -1397,40 +1400,42 @@ class ClusterScheduler:
         return (math.floor(current_time / interval) + 1) * interval
 
     def _run_fluid(
-        self, current_time: float, active: _ActiveJobs, allocation: Allocation
+        self, current_time: float, allocation: Allocation
     ) -> Tuple[float, List[Tuple[int, float]]]:
         """``X * T`` integrated to the next event; returns ``(its time, [(job id, finish)])``.
 
         The next event is the earliest of the next arrival or control event,
         the earliest completion and the next re-solve tick.  Numpy over one
-        per-job x per-type block, in admission order (the run-level sums' order).
-        When rows are not jobs (pairs), :func:`_bill_used_rows` bills only the
-        rows with time, each pair key's rates evaluated once by the rate
-        table; a row with no time would add ``+0.0`` to every sum.
+        per-job x per-type block, straight on the live table's columns, in
+        admission order (the run-level sums' order).  When rows are not jobs
+        (pairs), :func:`_bill_used_rows` bills only the rows with time, each
+        pair key's rates evaluated once by the rate table; a row with no time
+        would add ``+0.0`` to every sum.
         """
         # Section 3.1's effective throughput at the rate rule's (packed) rates; each
         # job is billed its share of its rows (a pair's is split, no row pays nothing).
         table, combinations, matrix = self._rate_table, allocation.combinations, allocation.matrix
-        ids = np.fromiter(active.ids, np.int64, len(active.ids))
-        job_ids = np.sort(ids)
-        position = np.searchsorted(job_ids, ids)
+        jobs = self._active
         # The allocation's shape says whether rows are jobs: every active job
         # has its singleton row (the engine's matrix has one per job, and so
         # has every policy's allocation over it), so rows beyond the job count
         # are pairs, and as many rows as jobs are the jobs alone, in id order.
-        paired = len(combinations) > len(ids)
-        if len(combinations) == len(ids):  # row k is job k, alone
-            billed = matrix[position]
-            rates = (table.packed.take(active.alone, axis=0) * billed).sum(axis=1)
+        paired = len(combinations) > len(jobs.ids)
+        if len(combinations) == len(jobs.ids):  # row k is job k, alone
+            billed = matrix.take(jobs.position, axis=0)
+            rates = (table.packed.take(jobs.alone, axis=0) * billed).sum(axis=1)
         else:  # per member of a row with time: its row's fractions, its part to bill, its rates
-            order = np.argsort(ids)
+            order = jobs.position.argsort()  # the rows in id order
             rates, billed, used, demand = _bill_used_rows(
-                matrix, combinations, job_ids, active.alone[order], active.scale_factors[order], table
-            )
-            rates, billed = rates[position], billed[position]
+                matrix, combinations, jobs.sorted_ids, jobs.alone[order],
+                jobs.scale_factors[order], table,
+            )  # fmt: skip
+            rates, billed = rates.take(jobs.position), billed.take(jobs.position, axis=0)
         moving = rates > 0
+        steps_done = np.array(jobs.steps_done)
+        # Every live job has steps left: one within 1e-6 of its total leaves in the step.
         to_finish = np.full(len(rates), math.inf)
-        np.divide(active.steps_remaining, rates, out=to_finish, where=moving)
+        np.divide(jobs.total_steps - steps_done, rates, out=to_finish, where=moving)
         earliest_completion = current_time + np.minimum.reduce(to_finish).item()
         next_event = min(
             self._next_wake(), earliest_completion, self._next_resolve_tick(current_time)
@@ -1441,8 +1446,8 @@ class ClusterScheduler:
             )
         dt = max(0.0, next_event - current_time)
 
-        steps_done = active.steps_done + rates * dt
-        worker_seconds = (billed * dt) * active.scale_factors[:, None]
+        steps_done += rates * dt
+        worker_seconds = (billed * dt) * jobs.scale_factors[:, None]
         registry = self._cluster_spec.registry
         costs = np.asarray(registry.costs_per_hour()) * worker_seconds / _SECONDS_PER_HOUR
         # A row occupies ``demand`` devices once, whoever is in it — the round executor's rule.
@@ -1457,20 +1462,15 @@ class ClusterScheduler:
         busy.update(zip(names, np.add.accumulate(sums)[-1].tolist()))
         sums = np.concatenate(([self._total_cost], costs.ravel()))
         self._total_cost = np.add.accumulate(sums)[-1].item()
-        records = list(map(self._records.__getitem__, active.ids))
-        totals = np.fromiter([record.cost_dollars for record in records], float, len(records))
+        totals = np.array(jobs.cost_dollars)
         for column in costs.T:
             totals = totals + column
-        # One pass writes each job's progress, cost and first allocation.
-        for state, record, progress, cost, moves in zip(
-            active.states, records, steps_done.tolist(), totals.tolist(), moving.tolist()
-        ):
-            state.steps_done = record.steps_done = progress
-            record.cost_dollars = cost
-            if moves and record.first_allocation_time is None:
-                record.first_allocation_time = current_time
+        if math.inf in jobs.first_allocation_time:  # some job has never run
+            first = np.array(jobs.first_allocation_time)
+            first[moving & (first == math.inf)] = current_time
+            jobs.first_allocation_time = first.tolist()
+        jobs.steps_done, jobs.cost_dollars = steps_done.tolist(), totals.tolist()
         # A completion is incorporated by the solve at the very next event
         # boundary, i.e. at the completion instant itself — zero staleness.
-        done = (active.total_steps - steps_done <= 1e-6).nonzero()[0].tolist()
-        return next_event, [(active.ids[index], current_time + dt) for index in done]
-
+        done = (jobs.total_steps - steps_done <= 1e-6).nonzero()[0].tolist()
+        return next_event, [(jobs.ids[index], current_time + dt) for index in done]

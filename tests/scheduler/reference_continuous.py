@@ -13,9 +13,11 @@ expanded member pairs have no row and so ran at zero.  Here every member of ever
 allocation row is asked of the models, from the definition: alone, the oracle's
 throughput at the job's scale factor; in a pair, the colocation model's
 ``first`` with the job's own type first.  State is reached through the
-scheduler passed in, and completions skip the wall-clock timing of the engine
-call.  Do not optimise it: its value is that it does every step per item, in
-the obvious order.
+scheduler passed in, a live job's state and accounting through its live-table
+row (``live_rows.Row``, which stands for both the per-job state object and the
+record the loop used to write while the job ran), and completions skip the
+wall-clock timing of the engine call.  Do not optimise it: its value is that it
+does every step per item, in the obvious order.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ from typing import Dict, List
 
 from repro.exceptions import SchedulingError
 from repro.scheduler import ClusterScheduler
+
+from live_rows import Row, leave
 
 _SECONDS_PER_HOUR = 3600.0
 
@@ -52,7 +56,7 @@ def _next_wake(self: ClusterScheduler) -> float:
 
 
 def _reference_step_continuous(self: ClusterScheduler) -> None:
-    if not self._active:
+    if not self._active.ids:
         self._clock.advance_to(min(_next_wake(self), self._config.max_simulated_seconds))
     current_time = self._clock.now()
     if current_time >= self._config.max_simulated_seconds:
@@ -60,22 +64,22 @@ def _reference_step_continuous(self: ClusterScheduler) -> None:
     self._apply_due_control_events(current_time)
     self._admit_arrivals(current_time)
     current_time = self._clock.now()
-    if not self._active:
+    if not self._active.ids:
         return
 
-    allocation = self._solve_allocation(current_time, self._read_active())
+    allocation = self._solve_allocation(current_time)
 
     names = self._cluster_spec.registry.names
     # The rate fix: sum_k sum_j T[k, j, m] * X[k, j], each T asked of the models.
-    throughputs = {job_id: 0.0 for job_id in self._active}
+    throughputs = {job_id: 0.0 for job_id in self._active.ids}
     for combination, fractions in zip(allocation.combinations, allocation.matrix):
         for job_id in combination:
-            job = self._active[job_id].job
+            job = Row(self, job_id).job
             partner = [other for other in combination if other != job_id]
             rate = 0.0
             for column, name in enumerate(names):
                 if partner:
-                    other = self._active[partner[0]].job
+                    other = Row(self, partner[0]).job
                     member = self._colocation.colocated_throughputs(
                         job.job_type, other.job_type, name
                     ).first
@@ -86,11 +90,12 @@ def _reference_step_continuous(self: ClusterScheduler) -> None:
                 rate += member * fractions[column]
             throughputs[job_id] += rate
     for job_id, throughput in throughputs.items():
-        if throughput > 0 and self._records[job_id].first_allocation_time is None:
-            self._records[job_id].first_allocation_time = current_time
+        if throughput > 0 and Row(self, job_id).first_allocation_time is None:
+            Row(self, job_id).first_allocation_time = current_time
     # Time to the next event: the next arrival or control event, a completion or a tick.
     earliest_completion = math.inf
-    for job_id, state in self._active.items():
+    for job_id in self._active.ids:
+        state = Row(self, job_id)
         throughput = throughputs[job_id]
         if throughput > 0:
             steps_remaining = max(0.0, state.job.total_steps - state.steps_done)
@@ -109,10 +114,10 @@ def _reference_step_continuous(self: ClusterScheduler) -> None:
     for row, combination in enumerate(allocation.combinations):
         for job_id in combination:
             rows_of.setdefault(job_id, []).append(row)
-    for job_id, state in list(self._active.items()):
+    for job_id in list(self._active.ids):
+        state = record = Row(self, job_id)
         throughput = throughputs[job_id]
         state.steps_done += throughput * dt
-        record = self._records[job_id]
         record.steps_done = state.steps_done
         for column, name in enumerate(names):
             share = 0.0
@@ -127,10 +132,10 @@ def _reference_step_continuous(self: ClusterScheduler) -> None:
             record.cost_dollars += cost
             self._total_cost += cost
         if max(0.0, state.job.total_steps - state.steps_done) <= 1e-6:
-            record.completion_time = current_time + dt
-            del self._active[job_id]
+            completed = leave(self, job_id)
+            completed.completion_time = current_time + dt
             self._engine.remove_job(job_id)
-            self._note_churn(record.completion_time)
+            self._note_churn(completed.completion_time)
     # The pair fix, part two: a row is busy once, on ``demand`` devices.
     for values, demand in zip(allocation.matrix, allocation.demand):
         for column, name in enumerate(names):

@@ -3,10 +3,12 @@
 This is the per-item code ``repro.cluster.placement`` and the round step
 shipped before the round moved onto ``(row, column)`` indices and the
 per-period member table — one request object and one worker-id list per pick,
-every job looked up by id in ``_active`` / ``_records`` for every item — kept
-verbatim as the differential oracle of ``test_round_equivalence.py``.  The
-differences are deliberate and few: state is reached through the scheduler
-passed in, selection is the scalar Algorithm 1 of ``reference_mechanism.py``,
+every job looked up by id for every item — kept verbatim as the differential
+oracle of ``test_round_equivalence.py``.  The differences are deliberate and
+few: state is reached through the scheduler passed in, a live job's state and
+accounting through its live-table row (``live_rows.Row``, which stands for both
+the per-job state object and the record the round used to write while the job
+ran), selection is the scalar Algorithm 1 of ``reference_mechanism.py``,
 throughputs are asked of the oracle every time (the period cache only ever
 saved calls), and the idle jump is clamped to the simulation cap (the bug fixed
 with the move) and wakes at a queued control event too (the one wake rule of
@@ -23,6 +25,7 @@ from repro.cluster import ClusterTopology
 from repro.exceptions import SchedulingError
 from repro.scheduler import ClusterScheduler
 
+from live_rows import Row, leave
 from reference_mechanism import Combination, reference_priorities, reference_schedule_round
 
 _SECONDS_PER_HOUR = 3600.0
@@ -127,7 +130,7 @@ def _execution_throughput(
     consolidated: bool,
 ) -> float:
     """True throughput used to advance training progress (with the physical mode's jitter draw)."""
-    state = scheduler._active[job_id]
+    state = Row(scheduler, job_id)
     if len(combination) == 1:
         throughput = scheduler._oracle.throughput(
             state.job.job_type,
@@ -137,7 +140,7 @@ def _execution_throughput(
         )
     else:
         other_id = combination[0] if combination[1] == job_id else combination[1]
-        other = scheduler._active[other_id]
+        other = Row(scheduler, other_id)
         # Own type first: ``first`` is this job's rate in either position.
         throughput = scheduler._colocation.colocated_throughputs(
             state.job.job_type, other.job.job_type, accelerator_name
@@ -177,7 +180,7 @@ def _reference_step_round(self: ClusterScheduler) -> Optional[ReferenceRound]:
     round_duration = config.round_duration_seconds
     physical = config.mode == "physical"
 
-    if not self._active:
+    if not self._active.ids:
         self._clock.advance_to(min(_next_wake(self), config.max_simulated_seconds))
     current_time = self._clock.now()
     if current_time >= config.max_simulated_seconds:
@@ -185,12 +188,12 @@ def _reference_step_round(self: ClusterScheduler) -> Optional[ReferenceRound]:
     self._apply_due_control_events(current_time)
     self._admit_arrivals(current_time)
     current_time = self._clock.now()
-    if not self._active:
+    if not self._active.ids:
         return None
 
     tracker = self._tracker
     if self._allocation_stale or tracker is None:
-        tracker = self._start_period(self._solve_allocation(current_time, self._read_active()))
+        tracker = self._start_period(self._solve_allocation(current_time))
         self._allocation_stale = False
 
     allocation = tracker.allocation
@@ -208,12 +211,11 @@ def _reference_step_round(self: ClusterScheduler) -> Optional[ReferenceRound]:
     round_end = current_time + round_duration
     this_round = self._num_rounds
     completed_this_round: List[Tuple[int, float]] = []
-    records = self._records
     registry = self._cluster_spec.registry
     cost_per_hour = dict(zip(registry.names, registry.costs_per_hour()))
     for job_id in sorted({job_id for combination, _, _, _ in scheduled for job_id in combination}):
-        if records[job_id].first_allocation_time is None:
-            records[job_id].first_allocation_time = current_time
+        if Row(self, job_id).first_allocation_time is None:
+            Row(self, job_id).first_allocation_time = current_time
     for combination, accelerator_name, scale_factor, _priority in scheduled:
         consolidated = consolidated_by_combination.get(combination, True)
         # Worker-occupancy within the round: jobs that complete mid-round
@@ -225,13 +227,13 @@ def _reference_step_round(self: ClusterScheduler) -> Optional[ReferenceRound]:
         # billed to no one.
         occupancy_seconds = 0.0
         for job_id in combination:
-            state = self._active[job_id]
+            state = record = Row(self, job_id)
             overhead = 0.0
             if physical and (
                 state.last_round != this_round - 1 or state.last_accelerator != accelerator_name
             ):
                 overhead = min(config.checkpoint_overhead_seconds, round_duration)
-                records[job_id].preemptions += 1
+                record.preemptions += 1
             usable = max(0.0, round_duration - overhead)
             throughput = _execution_throughput(
                 self, combination, job_id, accelerator_name, consolidated
@@ -248,7 +250,6 @@ def _reference_step_round(self: ClusterScheduler) -> Optional[ReferenceRound]:
                 used_seconds = round_duration
             state.last_accelerator = accelerator_name
             state.last_round = this_round
-            record = records[job_id]
             record.steps_done = state.steps_done
             record.accelerator_seconds[accelerator_name] = (
                 record.accelerator_seconds.get(accelerator_name, 0.0) + used_seconds
@@ -278,8 +279,7 @@ def _reference_step_round(self: ClusterScheduler) -> Optional[ReferenceRound]:
         tracker.record_time(combination, accelerator_name, round_duration)
 
     for job_id, finish_time in completed_this_round:
-        records[job_id].completion_time = finish_time
-        del self._active[job_id]
+        leave(self, job_id).completion_time = finish_time
         self._engine.remove_job(job_id)
         self._note_churn(finish_time)
     if completed_this_round:

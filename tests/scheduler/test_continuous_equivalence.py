@@ -1,9 +1,8 @@
 """The array-native fluid event against the scalar event it replaced.
 
-``ClusterScheduler.step()`` in ``continuous`` / ``ideal`` mode reads the active
-jobs once, runs the event's rates, progress, completion detection and billing
-as numpy over one per-job x per-type block, and writes the results back in
-bulk; ``reference_continuous.py`` is the per-job loop it replaced (plus the
+``ClusterScheduler.step()`` in ``continuous`` / ``ideal`` mode runs the event's
+rates, progress, completion detection and billing as numpy over one per-job x
+per-type block, straight on the live-job table's columns; ``reference_continuous.py`` is the per-job loop it replaced (plus the
 pair fix).  A scheduler stepped by the first and a twin stepped by the second
 must agree after every step: every per-job field bit for bit — both perform the
 same IEEE operations in the same order — and the run-level busy time to
@@ -27,6 +26,7 @@ from repro.core import Allocation, Policy
 from repro.scheduler import ClusterScheduler, SchedulerConfig, service
 from repro.workloads import Job, ThroughputOracle, TraceGenerator
 
+from live_rows import records, rows
 from reference_continuous import reference_step
 
 _ORACLE = ThroughputOracle()
@@ -126,12 +126,10 @@ def _state(scheduler):
         "num_rounds": scheduler._num_rounds,
         "recomputations": scheduler._recomputations,
         "cluster": scheduler.cluster_spec,
-        # ``alone`` indexes the scheduler's own rate table: compare the rates it names.
-        "active": [
-            (job_id, dict(vars(state), alone=scheduler._rate_table.rows[state.alone]))
-            for job_id, state in scheduler._active.items()
-        ],
-        "records": {job_id: dict(vars(record)) for job_id, record in scheduler._records.items()},
+        # Every column of every live row (``alone`` as the rates it names), in row order.
+        "active": rows(scheduler),
+        # Every record as a result would show it: a live job's made from its row.
+        "records": records(scheduler),
         "total_cost": scheduler._total_cost,
         "stale_event_times": list(scheduler._stale_event_times),
         "staleness": (scheduler._staleness_integral, scheduler._staleness_events),

@@ -1,9 +1,9 @@
 """The index-native round against the scalar round it replaced.
 
-``ClusterScheduler.step()`` runs a round on ``(row, column)`` indices and a
-member table holding references into ``_active`` / ``_records``, whose entries
-live as long as their jobs; ``reference_round.py`` is the per-item code it
-replaced, which looks every job up by id for every item.  A scheduler stepped
+``ClusterScheduler.step()`` runs a round on ``(row, column)`` indices, a
+member table whose entries live as long as their jobs, and the live-job
+table's columns; ``reference_round.py`` is the per-item code it replaced,
+which looks every job up by id for every item.  A scheduler stepped
 by the first and a twin stepped by the second must agree after every round:
 the picks, the consolidated flags and the concrete workers of the round, and
 every field of the state the round wrote — bit for bit, because both perform
@@ -28,6 +28,7 @@ from repro.cluster import ClusterSpec, Placer
 from repro.scheduler import ClusterScheduler, RoundScheduler, SchedulerConfig, mechanism
 from repro.workloads import Job, ThroughputOracle
 
+from live_rows import records, rows
 from reference_round import reference_step
 from round_fingerprint_scenarios import SCENARIOS, run_scenario
 
@@ -83,12 +84,10 @@ def _state(scheduler):
         "num_rounds": scheduler._num_rounds,
         "recomputations": scheduler._recomputations,
         "allocation_stale": scheduler._allocation_stale,
-        # ``alone`` indexes the scheduler's own rate table: compare the rates it names.
-        "active": {
-            job_id: dict(vars(state), alone=scheduler._rate_table.rows[state.alone])
-            for job_id, state in scheduler._active.items()
-        },
-        "records": {job_id: dict(vars(record)) for job_id, record in scheduler._records.items()},
+        # Every column of every live row (``alone`` as the rates it names), in row order.
+        "active": rows(scheduler),
+        # Every record as a result would show it: a live job's made from its row.
+        "records": records(scheduler),
         "busy_seconds": dict(scheduler._busy_seconds),
         "checkpoint_seconds": dict(scheduler._checkpoint_seconds),
         "total_cost": scheduler._total_cost,
@@ -198,7 +197,7 @@ def _mid_period(name, rounds, aggregation):
     while not (
         real.now >= 20_000.0
         and not real._allocation_stale
-        and len(real._active) >= 3
+        and len(real._active.ids) >= 3
         and any(real._members)
     ):
         _step_both(real, twin, rounds)
@@ -211,7 +210,7 @@ _SWAP_TO = {"job": "fifo", "type": "max_total_throughput"}
 #: name -> (intervention, whether a member-table row survives it: ``(row, cancelled job)``).
 _INTERVENTIONS = {
     "cancel": (
-        lambda scheduler: scheduler.cancel(min(scheduler._active)),
+        lambda scheduler: scheduler.cancel(min(scheduler._active.ids)),
         lambda combination, cancelled: cancelled not in combination,
     ),
     "resize": (
@@ -230,7 +229,7 @@ _INTERVENTIONS = {
 
 
 class TestMemberTableLifetime:
-    """The table points into ``_active`` / ``_records``: its rows live as long as their jobs."""
+    """The table's entries name live jobs: its rows live as long as their jobs."""
 
     @pytest.mark.parametrize("aggregation", _AGGREGATIONS)
     @pytest.mark.parametrize("intervention", sorted(_INTERVENTIONS))
@@ -239,12 +238,13 @@ class TestMemberTableLifetime:
         """Same intervention on both; the reference holds no table, so it cannot be stale.
 
         A cancel drops the rows of its job, a restore every row (it replaces
-        the objects they point at); a resize or a policy swap drops none.
+        the rate table the entries' rates come from); a resize or a policy
+        swap drops none.
         """
         intervene, survives = _INTERVENTIONS[intervention]
         with _recorded_rounds() as rounds:
             real, twin = _mid_period(name, rounds, aggregation)
-            table, cancelled = dict(real._members), min(real._active)
+            table, cancelled = dict(real._members), min(real._active.ids)
             for scheduler in (real, twin):
                 intervene(scheduler)
             kept = {row for row in table if survives(row, cancelled)}
@@ -253,7 +253,7 @@ class TestMemberTableLifetime:
             assert _state(real) == _state(twin)
             assert _run_both(real, twin, rounds) > 10
         assert not real.has_work
-        # The rest of the run was written into the objects results are read from.
+        # The rest of the run was written into the records results are read from.
         for job_id, record in real.result().records.items():
             assert record.completed or record.cancelled, job_id
         # Every job left, and took its rows with it.

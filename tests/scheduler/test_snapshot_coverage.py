@@ -22,6 +22,7 @@ from repro.scheduler.service import SchedulerSnapshot
 from repro.workloads import ThroughputOracle, TraceGenerator
 
 from checkpoints import session_content
+from live_rows import records, rows
 
 #: Soft state: run-scoped collaborators that ``restore()`` rebuilds from the
 #: snapshot's policy/oracle/config rather than copying, and the pin the next
@@ -88,12 +89,10 @@ def _view(scheduler, name):
         return sorted(value)
     if name == "_session":
         return session_content(value)
-    if name == "_active":  # ``alone`` indexes the soft rate table: compare its rates
-        rows = scheduler._rate_table.rows
-        return {
-            job_id: {**vars(state), "alone": rows[state.alone]}
-            for job_id, state in value.items()
-        }
+    if name == "_active":  # every column of every row, and the rows' id order
+        return rows(scheduler), value.sorted_ids.tolist(), value.position.tolist()
+    if name == "_records":  # a live job's record is written from its row when read
+        return records(scheduler)
     return value
 
 
