@@ -460,13 +460,7 @@ class AllocationEngine:
         job = self._jobs.pop(job_id)
         self._single_worker.pop(job_id, None)
         self._singles.pop(job_id)
-        for combination in self._pair_rows_by_job.pop(job_id, set()):
-            self._pairs.pop(combination)
-            for other_id in combination:
-                if other_id != job_id:
-                    partner_rows = self._pair_rows_by_job.get(other_id)
-                    if partner_rows is not None:
-                        partner_rows.discard(combination)
+        self._drop_pair_rows_of(job_id)
         if self._aggregation == "type":
             members = self._single_worker_by_type.get(job.job_type)
             if members is not None:

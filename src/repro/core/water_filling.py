@@ -67,10 +67,10 @@ persistent rows over its normalized-throughput terms
   hierarchical redistribution is a one-column edit of the epigraph column
   (:meth:`~repro.solver.lp.LinearProgram.set_column_coefficients_from_arrays`):
   only the ``-w_m`` coefficients of the rows whose weight actually moved are
-  written, and the rest of each row is left as it is.  The edit is
-  journalled as a row rewrite (``as_rewrite``), so the live model receives
-  its coefficients where it would receive the rows' rewrites, among the
-  capacity rows an event edited before them.
+  written, and the rest of each row is left as it is.  The LP layer logs
+  it like any row rewrite, so the live model receives its coefficients in
+  the order rows were first edited, after the capacity rows an event
+  edited before them.
 
 A level iteration is then: one bound sweep, one warm-started re-solve of the
 live program, an analytic level bump (``level_m += w_m * t*`` for the jobs in
@@ -417,7 +417,7 @@ class _LevelLoopProgram:
         if len(reweighted):
             moved = weights[reweighted]
             program.set_column_coefficients_from_arrays(
-                self._epigraph, handles[reweighted, 1], -moved, as_rewrite=True
+                self._epigraph, handles[reweighted, 1], -moved
             )
             self._weights[reweighted] = moved
         program.set_constraint_bounds_at_slots(slots[:, 1], np.where(in_play, levels, -math.inf))

@@ -50,10 +50,12 @@ The mutation surface is
 
 Pure LPs are solved by a **live HiGHS model** (:class:`_HighsBackend`, the
 incremental ``scipy.optimize._highspy`` API SciPy has vendored since 1.15):
-the first solve passes the full model, every later solve replays only the
-edits journalled since the previous one, each through the HiGHS call that
-keeps the incumbent basis.  Rows are appended or rewritten in place, only
-really-removed rows are deleted (with the basis carried across), and bounds
+the first solve passes the full model, every later solve replays only what
+changed since the previous one, each through the HiGHS call that keeps the
+incumbent basis.  One ordered row log names every row touched in between with
+the terms HiGHS holds for it, so each row reaches HiGHS once per solve, with
+its final terms: appended, rewritten in place (each coefficient at most
+once) or, if really removed, deleted (with the basis carried across); bounds
 and costs — of rows and columns alike — are pushed *by difference* against a
 mirror of what HiGHS holds, so a sweep that writes a bound back unchanged
 costs no HiGHS call.  A warm solve returns an optimal vertex near the previous
@@ -167,17 +169,21 @@ def _coefficient_diff(
 
     A term absent on one side counts as 0 there; rows come in the order
     given, each row's columns ascending.  A row whose index array was kept
-    (a column edit) diffs its values in place; any other row is compared as
-    two dense rows of ``num_cols``.  A sparse pass over every row of a sync
-    at once (one ``np.unique`` over (row, column) keys) gave the same calls
-    but took about three times as long at the sizes a sync sees (a few rows
-    of ~66 terms).
+    (a column edit) diffs its values in place, or not at all if its values
+    array was kept too; any other row is compared as two dense rows of
+    ``num_cols``.  A sparse pass over every row of a sync at once (one
+    ``np.unique`` over (row, column) keys) gave the same calls but took about
+    three times as long at the sizes a sync sees (a few rows of ~66 terms).
+    One compare over every kept row at once gained nothing on a scaling sync
+    of ~50 such rows and cost ~24 µs on a water-filling level sync of a few.
     """
     rows: List[int] = []
     columns: List[int] = []
     values: List[float] = []
     for row, (old_indices, old_values), (indices, new_values) in rewrites:
         if indices is old_indices:
+            if new_values is old_values:
+                continue
             (moved,) = (new_values != old_values).nonzero()
             if len(moved) > 1:
                 moved = moved[np.argsort(old_indices[moved])]
@@ -561,10 +567,9 @@ class _HighsBackend:
       leave ``getBasis().valid`` set — HiGHS itself makes a new column
       non-basic at a finite bound and a new row basic — so new rows are
       appended, rewritten rows are edited **in place**, one ``changeCoeff``
-      per coefficient that differs from what HiGHS last saw (a whole-row
-      rewrite is diffed against the terms journalled at its first edit, a
-      one-column edit carries its own before and after), and bounds and
-      costs are pushed by difference;
+      per coefficient that differs from the terms HiGHS holds (logged at the
+      row's first edit, whatever the edit), and bounds and costs are pushed
+      by difference;
     * ``deleteRows`` clears the basis unless every deleted row was basic, so
       it is called only for constraints that were really removed, and the
       basis is carried across it: re-installed with ``setBasis`` as an
@@ -605,12 +610,17 @@ class _HighsBackend:
     (``tests/core/test_basis_carry.py`` keeps that construction as the
     oracle).
 
-    Which record feeds which call: the program's journal holds the handles
-    added since the last sync (``addRows`` for those still present), the
-    removed handles (``deleteRows``), the released columns (their statuses in
-    the re-installed basis), the one-column edits and rewritten rows
-    (``changeCoeff``), and a flag for "a row bound was written".  Bounds are
-    then diffed against mirrors of what HiGHS holds: ``_row_lower`` /
+    Which record feeds which call: the program's row log maps each handle
+    touched since the last sync to the terms HiGHS holds for it, or to
+    ``None`` for a row HiGHS never held.  Read with ``_row_of`` and the
+    program's rows, it is the whole sync: a handle HiGHS holds that left the
+    program goes to ``deleteRows``, a ``None`` one still in the program to
+    ``addRows`` (in creation order), and every other one HiGHS still holds to
+    one ``changeCoeff`` entry (rows in first-edit order, each coefficient at
+    most once).  Two records sit beside the log: the released columns (their
+    statuses in the re-installed basis) and a flag for "a row bound was
+    written" (the simplex choice below).  Bounds are then diffed against
+    mirrors of what HiGHS holds: ``_row_lower`` /
     ``_row_upper`` in HiGHS row order, gathered from the program's bound
     buffers through ``_row_slots`` (``changeRowBounds``, when the flag is set),
     and ``_col_lower`` / ``_col_upper`` / ``_col_cost`` (``changeColsBounds``
@@ -844,54 +854,42 @@ class _HighsBackend:
             self._col_upper = np.concatenate([self._col_upper, new_upper])
             self._col_cost = np.concatenate([self._col_cost, np.zeros(extra)])
 
-        row_of = self._row_of
-        removed = np.array(
-            sorted(row_of[handle] for handle in program._hs_removed if handle in row_of), np.int64
-        )
-        if len(removed) or program._hs_released:
+        # The row log is the whole sync (see LinearProgram.__init__).  A row
+        # HiGHS never held (None) is added if the program still has it; a row
+        # HiGHS holds (every other one) is deleted if the program dropped it,
+        # else rewritten in place: one changeCoeff per coefficient that differs
+        # from the terms HiGHS holds, rows in first-edit order, in one entry.
+        row_of, constraints = self._row_of, program._constraints
+        add: List[int] = []
+        gone: List[int] = []
+        edited: List[Tuple[int, Tuple[np.ndarray, np.ndarray], _Constraint]] = []
+        for handle, held in program._hs_rows.items():
+            row = constraints.get(handle)
+            if held is None:
+                if row is not None:
+                    add.append(handle)
+            elif row is None:
+                gone.append(row_of[handle])
+            else:
+                edited.append((handle, held, row))
+        removed = np.array(sorted(gone), np.int64)
+        if gone or program._hs_released:
             self._drop_rows_and_columns(program, removed, col_status)
-
-        # One entry for the sync's changeCoeff calls.  One-column edits come
-        # first: a whole-row rewrite journalled after one captured the row as
-        # that edit left it, so its diff below is against the state they produce.
-        # A one-column edit after the rewrite is not journalled at all (see
-        # set_column_coefficients_from_arrays): the diff alone pushes it, once.
-        # Every row HiGHS still holds is one of the program's (removed rows
-        # went above), so a handle's HiGHS row says whether it is there.
-        rows: List[int] = []
-        columns: List[int] = []
-        values: List[float] = []
-        for (handle, column), (seen, now) in program._hs_coefficients.items():
-            row = row_of.get(handle)
-            if row is not None and now != seen:
-                rows.append(row)
-                columns.append(column)
-                values.append(now)
-
-        # Rewritten rows stay where they are: push the coefficients that
-        # differ from the terms HiGHS holds (journalled at the first edit).
-        constraints = program._constraints
-        moved_rows, moved_columns, moved_values = _coefficient_diff(
-            (
-                (row_of[handle], old, (constraints[handle].indices, constraints[handle].values))
-                for handle, old in program._hs_dirty.items()
-                if handle in row_of
-            ),
-            num_cols,
-        )
-        rows += moved_rows
-        columns += moved_columns
-        values += moved_values
+        rewrites = [
+            (row_of[handle], held, (row.indices, row.values)) for handle, held, row in edited
+        ]
+        rows, columns, values = _coefficient_diff(rewrites, num_cols)
         if rows:
             self._call(("changeCoeff", np.array(rows), np.array(columns), np.array(values)), name)
 
-        add = [handle for handle in program._hs_added if handle in constraints]
         # Which simplex: an edit that only deleted rows leaves the incumbent
         # point feasible and takes the deleted rows' multipliers out of the
         # duals — the primal simplex's case.  Any other edit (new rows, moved
-        # right-hand sides — journalled even when the bound comes back
-        # unchanged) costs primal feasibility at most: the dual's.
-        only_deleted = bool(len(removed)) and not add and not program._hs_bounds_dirty
+        # right-hand sides) costs primal feasibility at most: the dual's.  A
+        # bound *written* counts even when it comes back unchanged, which the
+        # bound diff cannot tell (two deletion-only syncs of a hierarchical
+        # drain write bounds and move none), so the bit stays its own record.
+        only_deleted = bool(gone) and not add and not program._hs_bounds_dirty
         self._call(_STRATEGY[_PRIMAL_SIMPLEX if only_deleted else _DUAL_SIMPLEX], name)
         if add:
             added = [constraints[h] for h in add]
@@ -970,7 +968,7 @@ class _HighsBackend:
             self._pass_full_model(program)
         else:
             self._apply_edits(program)
-        program._clear_journal()
+        program._clear_log()
         warm_started = bool(self._highs.getBasis().valid)
         self._warm_values = None
         self._call(_RUN, program.name)
@@ -1034,17 +1032,16 @@ class LinearProgram:
         self._cached_key: Optional[Tuple[int, int]] = None
         self._cached_matrix: Optional[sparse.csr_matrix] = None
         self._cached_slots = np.empty(0, dtype=np.int64)
-        # Edit journal consumed by the live HiGHS backend (warm starts):
-        # handles added (in creation order) and removed, rewritten handles
-        # with the terms they had when HiGHS last saw them, single (handle,
-        # column) coefficients with the value before their first edit and
-        # after their last, released columns, and whether any row bound was
-        # written (the bounds themselves are diffed, see _HighsBackend).
+        # What the live HiGHS backend syncs from (warm starts).  The row log
+        # maps every handle touched since the last sync, in first-touch order,
+        # to the (indices, values) HiGHS holds for that row, or to None for a
+        # row HiGHS never held; an edit only does setdefault, so a row's first
+        # touch fixes its entry.  Beside it, two records no row entry can
+        # carry: the released columns (their statuses in the carried basis)
+        # and whether a row bound was *written*, moved or not (the bounds are
+        # diffed; the bit picks the simplex, see _HighsBackend._apply_edits).
         self._backend: Optional[_HighsBackend] = None
-        self._hs_added: List[int] = []
-        self._hs_removed: Set[int] = set()
-        self._hs_dirty: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        self._hs_coefficients: Dict[Tuple[int, int], Tuple[float, float]] = {}
+        self._hs_rows: Dict[int, Optional[Tuple[np.ndarray, np.ndarray]]] = {}
         self._hs_bounds_dirty = False
         self._hs_released: Set[int] = set()
         #: Times HiGHS refused the basis carried across a row deletion (the
@@ -1281,7 +1278,7 @@ class LinearProgram:
         self._row_lower_buf[slot] = lower
         self._row_upper_buf[slot] = upper
         self._constraints[constraint_id] = _Constraint(indices, values, slot)
-        self._hs_added.append(constraint_id)
+        self._hs_rows[constraint_id] = None
         if self._active_tag is not None:
             self._tagged_constraints.setdefault(self._active_tag, []).append(constraint_id)
         self._structure_revision += 1
@@ -1336,7 +1333,7 @@ class LinearProgram:
             constraints[first_handle + ordinal] = _Constraint(
                 cols[start:end], coeffs[start:end], slot
             )
-        self._hs_added.extend(range(first_handle, first_handle + num_rows))
+        self._hs_rows.update(dict.fromkeys(range(first_handle, first_handle + num_rows)))
         handles = np.arange(first_handle, first_handle + num_rows, dtype=np.int64)
         if self._active_tag is not None:
             self._tagged_constraints.setdefault(self._active_tag, []).extend(handles.tolist())
@@ -1401,12 +1398,12 @@ class LinearProgram:
         return cols, coeffs, np.searchsorted(rows, np.arange(num_rows + 1)).tolist()
 
     def _edited(self, handles: "Sequence[int] | np.ndarray") -> List[_Constraint]:
-        """The constraints behind ``handles``, journalled as structurally edited in that order."""
+        """The constraints behind ``handles``, logged with their terms before the edit."""
         handles = np.asarray(handles, dtype=np.int64).tolist()
         constraints = [self._constraint(handle) for handle in handles]
-        dirty = self._hs_dirty
+        log = self._hs_rows
         for handle, constraint in zip(handles, constraints):
-            dirty.setdefault(handle, (constraint.indices, constraint.values))
+            log.setdefault(handle, (constraint.indices, constraint.values))
         self._structure_revision += 1
         return constraints
 
@@ -1433,7 +1430,7 @@ class LinearProgram:
 
         Row ordinal ``k`` of the ``(rows, cols, coeffs)`` triplet (as
         :meth:`add_constraints_from_arrays` takes it) accumulates onto
-        ``handles[k]``, and the rows are journalled as edited in that order.
+        ``handles[k]``, and the rows are logged as edited in that order.
         """
         cols, coeffs, starts = self._row_block(len(handles), rows, cols, coeffs)
         incoming = np.zeros(self._num_vars, dtype=bool)
@@ -1468,7 +1465,7 @@ class LinearProgram:
         """Replace the coefficients of many rows in one call (bounds unchanged).
 
         Row ordinal ``k`` of the ``(rows, cols, coeffs)`` triplet becomes the
-        terms of ``handles[k]``; the rows are journalled as edited in that
+        terms of ``handles[k]``; the rows are logged as edited in that
         order, so the next solve rewrites them in place in that order.
         """
         cols, coeffs, starts = self._row_block(len(handles), rows, cols, coeffs)
@@ -1481,8 +1478,6 @@ class LinearProgram:
         column: "Variable | int",
         handles: "Sequence[int] | np.ndarray",
         values: np.ndarray,
-        *,
-        as_rewrite: bool = False,
     ) -> None:
         """Set one column's coefficient in many constraints: ``values[k]`` in ``handles[k]``.
 
@@ -1494,31 +1489,17 @@ class LinearProgram:
         one ``changeCoeff`` for every entry that really moved and keeps the
         basis.  A zero value drops the term from its row.
 
-        The edit is journalled per coefficient, and the next solve pushes
-        those entries ahead of the rows rewritten whole.  A row rewritten
-        since the last solve is left out of that journal: its difference
-        against the terms HiGHS holds covers this column, once.  With
-        ``as_rewrite`` the rows are journalled as rewritten instead, in the
-        order given, so their entries reach HiGHS in the order rows were
-        first edited, among the other rewritten rows; a row whose terms stay
-        in place is diffed by value alone.
+        The rows are logged like any other rewrite, in the order given, so
+        their entries reach HiGHS in the order rows were first edited, each
+        (row, column) at most once per solve whatever other edits the row
+        took; a row whose index array stays in place is diffed by value alone.
         """
         index = column.index if isinstance(column, Variable) else int(column)
         handles = np.asarray(handles, dtype=np.int64)
         values = np.broadcast_to(np.asarray(values, dtype=float), handles.shape)
         _check_finite(values, self.name)
-        if as_rewrite:
-            for row, value in zip(self._edited(handles), values.tolist()):
-                row.set_coefficient(index, value)
-            return
-        journal = self._hs_coefficients
-        rewritten = self._hs_dirty
-        for handle, value in zip(handles.tolist(), values.tolist()):
-            previous = self._constraint(handle).set_coefficient(index, value)
-            if value != previous and handle not in rewritten:
-                seen = journal.get((handle, index))
-                journal[handle, index] = (previous if seen is None else seen[0], value)
-        self._structure_revision += 1
+        for row, value in zip(self._edited(handles), values.tolist()):
+            row.set_coefficient(index, value)
 
     def remove_constraint(self, handle: int) -> None:
         """Delete one constraint by handle (no-op if already removed), recycling its slot."""
@@ -1526,12 +1507,12 @@ class LinearProgram:
 
     def remove_constraints(self, handles: "Sequence[int] | np.ndarray") -> None:
         """:meth:`remove_constraint` for many handles; slots are recycled in the order given."""
-        constraints = self._constraints
+        constraints, log = self._constraints, self._hs_rows
         for handle in np.asarray(handles, dtype=np.int64).tolist():
             constraint = constraints.pop(handle, None)
             if constraint is not None:
                 self._free_slots.append(constraint.slot)
-                self._hs_removed.add(handle)
+                log.setdefault(handle, (constraint.indices, constraint.values))
         self._structure_revision += 1
 
     def add_terms_to_constraint(self, handle: int, terms: Mapping[int, float]) -> None:
@@ -1548,7 +1529,7 @@ class LinearProgram:
     ) -> None:
         """Drop ``columns``' terms from every row of ``handles`` in one call.
 
-        Columns a row does not hold are ignored; the rows are journalled as
+        Columns a row does not hold are ignored; the rows are logged as
         edited in ``handles`` order.
         """
         doomed = np.zeros(self._num_vars, dtype=bool)
@@ -1752,7 +1733,7 @@ class LinearProgram:
             raise
         except SolverError:
             # A failed edit leaves the backend's row maps and this program's
-            # journal half-advanced, and a failed run leaves HiGHS in an
+            # row log half-advanced, and a failed run leaves HiGHS in an
             # unknown state: drop the live model so the next solve passes the
             # full model again instead of answering for a diverged one.
             self._backend = None
@@ -1761,20 +1742,17 @@ class LinearProgram:
             self._backend = None
             raise SolverError(f"{self.name}: HiGHS backend failed: {error!r}") from error
 
-    def _clear_journal(self) -> None:
-        self._hs_added.clear()
-        self._hs_removed.clear()
-        self._hs_dirty.clear()
-        self._hs_coefficients.clear()
+    def _clear_log(self) -> None:
+        self._hs_rows.clear()
         self._hs_bounds_dirty = False
         self._hs_released.clear()
 
     def _solve_milp(self, integrality: np.ndarray) -> Solution:
         # milp is stateless: a live backend would miss the edits consumed
         # here, so drop it — the next pure-LP solve passes the full model
-        # again — and clear the now-meaningless journal.
+        # again — and clear the now-meaningless row log.
         self._backend = None
-        self._clear_journal()
+        self._clear_log()
         constraints = []
         if self._constraints:
             constraints.append(LinearConstraint(*self._assembled()))

@@ -37,10 +37,12 @@ from repro.core.policy import AllocationVariables
 from repro.core.problem import PolicyProblem
 from repro.core.session import ThroughputRequirementSession
 from repro.core.throughput_matrix import build_throughput_matrix
+from repro.solver import lp
 from repro.solver.lp import LinearProgram
 from repro.workloads import Job, ThroughputOracle, TraceGenerator, TraceGeneratorConfig
 
 from tests.equivalence import policy_objective_value
+from tests.live_model import assert_live_model_is_the_program
 
 
 @pytest.fixture(scope="module")
@@ -190,6 +192,30 @@ class TestRecordedChurnAllocations:
         assert churn_call_counts(policy_spec, churn_problems(oracle), aggregation) == (
             load_recorded(RECORDED_CALLS)[call_count_key(policy_spec, aggregation)]
         )
+
+    @pytest.mark.parametrize(("policy_spec", "aggregation"), CALL_COUNT_CASES)
+    def test_churn_live_models_hold_their_programs(
+        self, monkeypatch, oracle, policy_spec, aggregation
+    ):
+        """After every pure-LP solve of the churn sequence HiGHS holds exactly the program.
+
+        The synthetic edit sequences of ``tests/solver/test_lp_warm_start.py``
+        check the same on random edits; this checks it on the edits the
+        policy sessions really make, column edits and rewrites mixed.
+        """
+        solve, checked = lp._HighsBackend.solve, []
+
+        def checking(backend, program):
+            solution = solve(backend, program)
+            assert_live_model_is_the_program(program)
+            checked.append(program.name)
+            return solution
+
+        monkeypatch.setattr(lp._HighsBackend, "solve", checking)
+        steps = churn_problems(oracle)
+        for _solved in session_solves(policy_spec, steps, aggregation):
+            pass
+        assert len(checked) >= len(steps)
 
     @pytest.mark.parametrize("policy_spec", SS_POLICY_SPECS)
     def test_churn_allocations_match_recording(self, oracle, policy_spec):

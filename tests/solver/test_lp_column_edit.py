@@ -1,12 +1,14 @@
-"""``set_column_coefficients_from_arrays``: one column, many rows, journalled per coefficient.
+"""``set_column_coefficients_from_arrays``: one column, many rows, logged as row rewrites.
 
 The edit must leave the stored rows in the one row format (unique columns, no
 zeros, other terms untouched), reach the live model as one ``changeCoeff`` per
 coefficient that really moved — rows stay in place, the basis survives — and
-compose with whole-row rewrites made before or after it in the same interval.
+compose with whole-row rewrites made before or after it in the same interval:
+rows reach HiGHS in the order they were first edited, each (row, column) at
+most once per solve.
 Row bounds reach the live model the same way, by difference: one
 ``changeRowBounds`` per row that really moved, while the simplex choice still
-counts every journalled bound write.
+counts every bound written.
 """
 
 import numpy as np
@@ -115,16 +117,16 @@ def test_one_change_coeff_per_moved_coefficient_and_the_basis_is_kept():
 @pytest.mark.parametrize("rewrite_first", [True, False])
 def test_composes_with_a_whole_row_rewrite_in_the_same_interval(rewrite_first):
     """Column edit and row rewrite of one row between two solves, in either order."""
-    _column_edit_and_rewrite(rewrite_first, as_rewrite=False)
+    _column_edit_and_rewrite(rewrite_first, order=[0, 1, 2])
 
 
 @pytest.mark.parametrize("rewrite_first", [True, False])
-def test_as_rewrite_composes_with_a_whole_row_rewrite_in_the_same_interval(rewrite_first):
-    """The same with the column edit journalled as a row rewrite."""
-    _column_edit_and_rewrite(rewrite_first, as_rewrite=True)
+def test_column_edit_rows_reach_highs_in_first_edit_order(rewrite_first):
+    """The same with the column edit naming its rows in reverse."""
+    _column_edit_and_rewrite(rewrite_first, order=[2, 1, 0])
 
 
-def _column_edit_and_rewrite(rewrite_first, as_rewrite):
+def _column_edit_and_rewrite(rewrite_first, order):
     lp, xs, y, rows, _total = _scaling_program()
     lp.solve()
     recorder = _Recorder(lp._backend._highs, "changeCoeff")
@@ -138,7 +140,7 @@ def _column_edit_and_rewrite(rewrite_first, as_rewrite):
 
     def edit_column():
         lp.set_column_coefficients_from_arrays(
-            y, rows, [-3.0, -1.0, -2.0], as_rewrite=as_rewrite
+            y, [rows[k] for k in order], [[-3.0, -1.0, -2.0][k] for k in order]
         )
 
     for action in (rewrite, edit_column) if rewrite_first else (edit_column, rewrite):
@@ -147,11 +149,15 @@ def _column_edit_and_rewrite(rewrite_first, as_rewrite):
     assert _stored(lp, rows[0]) == {xs[0].index: 2.0, y.index: expected_y0}
     solution = lp.solve()
     assert solution.warm_started
-    # Every coefficient that moved reaches HiGHS; none of them twice in a row
-    # unless an edit made before the rewrite is superseded by it.
+    # Every coefficient that moved reaches HiGHS once, rows in the order
+    # they were first edited.
     pushed = [(row, column) for row, column, _value in recorder.calls["changeCoeff"]]
-    if rewrite_first or as_rewrite:
-        assert len(pushed) == len(set(pushed))
+    assert len(pushed) == len(set(pushed))
+    first_edited = [0, *(k for k in order if k)] if rewrite_first else order
+    row_of = lp._backend._row_of
+    assert list(dict.fromkeys(row for row, _column in pushed)) == [
+        row_of[rows[k]] for k in first_edited
+    ]
 
     fresh = LinearProgram()
     fx = [fresh.add_variable(upper=1.0) for _ in xs]
@@ -253,12 +259,13 @@ def test_a_column_edit_after_a_rewrite_pushes_each_coefficient_once():
     lp.set_column_coefficients_from_arrays(y, rows, [-3.0, -1.0, -2.0])
     solution = lp.solve()
     row_of = lp._backend._row_of
-    # The column entries of the rows kept whole first, then the rewritten row's diff.
+    # Rows in first-edit order: the rewritten row's diff (its y term once),
+    # then the column entries of the rows kept whole.
     assert recorder.calls["changeCoeff"] == [
-        (row_of[rows[1]], y.index, -1.0),
-        (row_of[rows[2]], y.index, -2.0),
         (row_of[rows[0]], xs[0].index, 2.0),
         (row_of[rows[0]], y.index, -3.0),
+        (row_of[rows[1]], y.index, -1.0),
+        (row_of[rows[2]], y.index, -2.0),
     ]
     fresh, fxs, fy, frows, _ = _scaling_program((3.0, 1.0, 2.0))
     fresh.set_constraint_coefficients_from_arrays(
@@ -267,8 +274,8 @@ def test_a_column_edit_after_a_rewrite_pushes_each_coefficient_once():
     assert solution.objective_value == pytest.approx(fresh.solve().objective_value, rel=1e-12)
 
 
-def test_a_column_edit_as_rewrite_takes_its_place_among_rewritten_rows():
-    """``as_rewrite`` journals rows in the order they were first edited, diffed by value."""
+def test_a_column_edit_takes_its_place_among_rewritten_rows():
+    """A column edit logs its rows in the order they were first edited, diffed by value."""
     lp, xs, y, rows, total = _scaling_program()
     lp.solve()
     recorder = _Recorder(lp._backend._highs, "changeCoeff")
@@ -276,8 +283,8 @@ def test_a_column_edit_as_rewrite_takes_its_place_among_rewritten_rows():
     lp.set_constraint_coefficients_from_arrays(
         total, np.array([x.index for x in xs]), np.array([1.0, 1.0, 2.0])
     )
-    lp.set_column_coefficients_from_arrays(y, [rows[2], rows[0]], [-5.0, -6.0], as_rewrite=True)
-    lp.set_column_coefficients_from_arrays(y, [rows[1]], [-2.0], as_rewrite=True)  # unchanged
+    lp.set_column_coefficients_from_arrays(y, [rows[2], rows[0]], [-5.0, -6.0])
+    lp.set_column_coefficients_from_arrays(y, [rows[1]], [-2.0])  # unchanged
     solution = lp.solve()
     row_of = lp._backend._row_of
     assert recorder.calls["changeCoeff"] == [

@@ -3,21 +3,22 @@
 A :class:`~repro.solver.lp.LinearProgram` that has been solved once re-solves
 from the basis the previous solve left, whatever was edited in between: rows
 added, removed (several at once) or rewritten, terms added to or dropped from
-a row, columns added or released and recycled, bounds moved or swept back
-unchanged.  The property test drives random edit sequences against a freshly
-built twin of the same program: equal optimum after every solve,
-``warm_started`` on every solve that follows an optimal one, and a live model
-that holds exactly the program — row bounds in the backend's row order, column
-bounds, costs and the matrix, as HiGHS' own ``getLp()`` reports them.
+a row, one column's coefficients set across rows, columns added or released
+and recycled, bounds moved or swept back unchanged.  The property test drives
+random edit sequences against a freshly built twin of the same program: equal
+optimum after every solve, ``warm_started`` on every solve that follows an
+optimal one, no (row, column) pushed twice by one sync's ``changeCoeff``, and
+a live model that holds exactly the program
+(:func:`tests.live_model.assert_live_model_is_the_program`).
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import sparse
 
 from repro.solver import LinearProgram
-from repro.solver.lp import _highs_core
+
+from tests.live_model import assert_live_model_is_the_program
 
 _EDITS = (
     "add_row",
@@ -26,6 +27,7 @@ _EDITS = (
     "rewrite_row",
     "add_terms",
     "remove_terms",
+    "column_edit",
     "add_column",
     "recycle_column",
     "column_bound",
@@ -109,6 +111,19 @@ class _Twin:
             for handle in data.draw(st.lists(st.sampled_from(sorted(self.rows)), unique=True)):
                 self.live.remove_constraint(handle)
                 del self.rows[handle]
+        elif edit == "column_edit":
+            # One column written across 1-3 rows; a zero drops the term.
+            position = data.draw(positions)
+            handles = data.draw(
+                st.lists(st.sampled_from(sorted(self.rows)), min_size=1, max_size=3, unique=True)
+            )
+            values = [data.draw(_coefficient) for _ in handles]
+            self.live.set_column_coefficients_from_arrays(self.columns[position], handles, values)
+            for handle, value in zip(handles, values):
+                coefficients = self.rows[handle][0]
+                coefficients[position] = value
+                if not value:
+                    del coefficients[position]
         else:
             handle = data.draw(st.sampled_from(sorted(self.rows)))
             coefficients, upper = self.rows[handle]
@@ -141,24 +156,6 @@ class _Twin:
                 self.rows[handle] = (coefficients, upper)
 
 
-def _assert_live_model_is_the_program(program):
-    """HiGHS' ``getLp()`` equals the program, row for row in the backend's row order."""
-    backend = program._backend
-    assert backend._row_handles.tolist() == list(program._constraints)
-    assert backend._row_of == {handle: row for row, handle in enumerate(program._constraints)}
-    held = backend._highs.getLp()
-    slots = [program._constraints[handle].slot for handle in backend._row_handles]
-    np.testing.assert_array_equal(held.row_lower_, program._row_lower_buf[slots])
-    np.testing.assert_array_equal(held.row_upper_, program._row_upper_buf[slots])
-    np.testing.assert_array_equal(held.col_lower_, program._lower)
-    np.testing.assert_array_equal(held.col_upper_, program._upper)
-    np.testing.assert_array_equal(held.col_cost_, program._objective_dense())
-    a = held.a_matrix_
-    layout = sparse.csc_matrix if a.format_ == _highs_core.MatrixFormat.kColwise else sparse.csr_matrix
-    matrix = layout((a.value_, a.index_, a.start_), shape=(held.num_row_, held.num_col_))
-    np.testing.assert_array_equal(matrix.toarray(), program._assembled()[0].toarray())
-
-
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_edit_sequences_keep_the_optimum_and_the_basis(data):
@@ -166,17 +163,27 @@ def test_edit_sequences_keep_the_optimum_and_the_basis(data):
     for _ in range(3):
         twin.apply("add_row", data)
     assert not twin.live.solve().warm_started
-    _assert_live_model_is_the_program(twin.live)
+    assert_live_model_is_the_program(twin.live)
     for batch in data.draw(
         st.lists(st.lists(st.sampled_from(_EDITS), min_size=1, max_size=4), min_size=1, max_size=8)
     ):
         for edit in batch:
             twin.apply(edit, data)
+        journal = twin.live._backend._journal
+        synced = len(journal)
         solution = twin.live.solve()
+        # One sync pushes each coefficient at most once, whatever edits it took.
+        pushed = [
+            pair
+            for entry in journal[synced:]
+            if entry[0] == "changeCoeff"
+            for pair in zip(entry[1].tolist(), entry[2].tolist())
+        ]
+        assert len(pushed) == len(set(pushed))
         # Bounded columns and a feasible origin: every solve is optimal, so
         # every later one must find the basis the previous one left.
         assert solution.warm_started
-        _assert_live_model_is_the_program(twin.live)
+        assert_live_model_is_the_program(twin.live)
         assert solution.objective_value == pytest.approx(
             twin.fresh().solve().objective_value, rel=1e-9, abs=1e-9
         )
