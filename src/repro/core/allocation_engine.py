@@ -478,10 +478,6 @@ class AllocationEngine:
         self._deltas.append(JobRemoved(job_id=job_id))
         self._bump_group_count(job, -1)
 
-    def remove_jobs(self, job_ids: Iterable[int]) -> None:
-        for job_id in job_ids:
-            self.remove_job(job_id)
-
     def _drop_pair_rows_of(self, job_id: int) -> None:
         """Remove every pair row containing ``job_id`` (the job itself stays)."""
         for combination in self._pair_rows_by_job.pop(job_id, set()):

@@ -10,13 +10,11 @@ where job ``m`` (the ``m``-th arrival out of ``M``) is weighted by ``M - m``:
 
 from __future__ import annotations
 
-from typing import List
-
 from repro.core.effective_throughput import fastest_reference_throughput
 from repro.core.policy import AllocationVariables, OptimizationPolicy
 from repro.core.problem import PolicyProblem
 from repro.exceptions import ConfigurationError
-from repro.solver.lp import LinearExpression, LinearProgram
+from repro.solver.lp import LinearProgram
 
 __all__ = ["FifoPolicy"]
 
@@ -35,15 +33,12 @@ class FifoPolicy(OptimizationPolicy):
         arrival_order = problem.arrival_order()
         total_jobs = len(arrival_order)
         matrix = variables.matrix
-        terms = []
+        weights = []
         for position, job_id in enumerate(arrival_order):
             fastest = fastest_reference_throughput(matrix, job_id)
             if fastest <= 0:
                 raise ConfigurationError(
                     f"job {job_id} has zero throughput on every accelerator type"
                 )
-            weight = float(total_jobs - position)
-            terms.append(
-                variables.effective_throughput_expression(job_id) * (weight / fastest)
-            )
-        program.maximize(LinearExpression.sum(terms))
+            weights.append((job_id, float(total_jobs - position) / fastest))
+        program.set_objective_from_arrays(*variables.throughput_sum_terms(weights), maximize=True)

@@ -14,7 +14,7 @@ by Tiresias.
 :class:`MaxMinFairnessSession` keeps the epigraph formulation alive across
 allocation recomputations: the epigraph variable, its per-job constraints and
 the objective persist, and only the constraints of jobs whose throughput
-expressions (or normalization) actually changed are rewritten — so a churn
+terms (or normalization) actually changed are rewritten — so a churn
 event touches a handful of rows.  Whether HiGHS then re-solves from its
 incumbent basis is the LP layer's contract, not a given
 (:class:`~repro.solver.lp._HighsBackend`): measured on the end-to-end
@@ -48,7 +48,7 @@ from repro.core.session import (
     RowKind,
 )
 from repro.core.throughput_matrix import ThroughputMatrix
-from repro.solver.lp import LinearExpression, LinearProgram
+from repro.solver.lp import LinearProgram, summed_terms
 
 __all__ = ["MaxMinFairnessPolicy", "MaxMinFairnessSession"]
 
@@ -84,12 +84,20 @@ class MaxMinFairnessPolicy(OptimizationPolicy):
         variables: AllocationVariables,
         program: LinearProgram,
     ) -> None:
-        expressions: List[LinearExpression] = []
+        """``max t`` subject to ``t <= scale_m * throughput(m, X)`` for every job."""
         matrix = variables.matrix
-        for job_id in problem.job_ids:
+        epigraph = program.add_variable(name="max_min_t", lower=-math.inf)
+        rows, cols, coeffs = [], [], []
+        for ordinal, job_id in enumerate(problem.job_ids):
+            job_cols, job_vals = summed_terms(*variables.effective_throughput_terms(job_id))
             scale = self.normalized_throughput_scale(problem, matrix, job_id)
-            expressions.append(variables.effective_throughput_expression(job_id) * scale)
-        program.add_max_min_objective(expressions)
+            rows.append(np.full(len(job_cols) + 1, ordinal))
+            cols.append(np.append(job_cols, epigraph.index))
+            coeffs.append(np.append(-(job_vals * scale), 1.0))
+        program.add_constraints_from_arrays(
+            np.concatenate(rows), np.concatenate(cols), np.concatenate(coeffs), -math.inf, 0.0
+        )
+        program.set_objective_from_arrays([epigraph.index], [1.0], maximize=True)
 
 
 def _normalized_scale(
@@ -110,8 +118,8 @@ def _epigraph_rows(
 class MaxMinFairnessSession(IncrementalProgramSession):
     """Stateful LAS solver with a persistent epigraph formulation.
 
-    Equivalent to ``build_objective`` + ``add_max_min_objective`` on a fresh
-    program, but the epigraph rows ``t <= scale_m * throughput(m, X)`` are a
+    Equivalent to ``build_objective`` on a fresh program, but the epigraph
+    rows ``t <= scale_m * throughput(m, X)`` are a
     :class:`~repro.core.session.JobRows` family that encodes each job's terms
     and normalization factor: a row is added, removed or rewritten only when
     its job came, went, or had its terms or factor moved, so unchanged jobs
@@ -121,7 +129,7 @@ class MaxMinFairnessSession(IncrementalProgramSession):
     def __init__(self, policy: MaxMinFairnessPolicy, problem: PolicyProblem) -> None:
         super().__init__(policy, problem, LinearProgram(name=policy.display_name))
         self._epigraph = self._program.add_variable(name="max_min_t", lower=-math.inf)
-        self._program.maximize({self._epigraph.index: 1.0})
+        self._program.set_objective_from_arrays([self._epigraph.index], [1.0], maximize=True)
         self._rows = JobRows(self._program, upper=0.0)
         self._layout = functools.partial(_epigraph_rows, self._epigraph.index)
         # Held through the policy, not the session: a session clone follows

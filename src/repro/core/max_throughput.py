@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from repro.core.policy import AllocationVariables, OptimizationPolicy
 from repro.core.problem import PolicyProblem
-from repro.solver.lp import LinearExpression, LinearProgram
+from repro.solver.lp import LinearProgram
 
 __all__ = ["MaxTotalThroughputPolicy"]
 
@@ -36,11 +36,11 @@ class MaxTotalThroughputPolicy(OptimizationPolicy):
         program: LinearProgram,
     ) -> None:
         matrix = variables.matrix
-        terms = []
+        weights = []
         for job_id in problem.job_ids:
             scale = 1.0
             if self._normalize:
                 fastest = float(matrix.isolated_throughputs(job_id).max())
                 scale = 1.0 / fastest if fastest > 0 else 0.0
-            terms.append(variables.effective_throughput_expression(job_id) * scale)
-        program.maximize(LinearExpression.sum(terms))
+            weights.append((job_id, scale))
+        program.set_objective_from_arrays(*variables.throughput_sum_terms(weights), maximize=True)

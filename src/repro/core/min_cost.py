@@ -17,7 +17,7 @@ each round; the Dinkelbach iteration starts from the previous round's ratio.
 from __future__ import annotations
 
 import math
-from typing import Optional, Set
+from typing import Dict, List, Optional, Set
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from repro.core.session import OBJECTIVE_TAG, IncrementalProgramSession, PolicyS
 from repro.core.throughput_matrix import ThroughputMatrix
 from repro.exceptions import InfeasibleError
 from repro.solver.fractional import FractionalProgram
-from repro.solver.lp import LinearExpression
 
 __all__ = ["MinCostPolicy", "MinCostWithSLOsPolicy", "MinCostSession", "MinCostWithSLOsSession"]
 
@@ -69,9 +68,7 @@ class MinCostPolicy(Policy):
             count=len(job_ids),
         )
         counts = np.diff(starts)
-        weighted = vals * np.repeat(scales, counts)
-        nonzero = weighted != 0.0
-        numerator = LinearExpression.from_arrays(cols[nonzero], weighted[nonzero])
+        numerator = (cols, vals * np.repeat(scales, counts), 0.0)
         if self._minimum_normalized_throughput > 0:
             # Every job must make at least minimal progress, otherwise the
             # cheapest "allocation" is to run nothing at all.  On a
@@ -107,8 +104,7 @@ class MinCostPolicy(Policy):
                 program.add_constraints_from_arrays(
                     seg_rows, seg_cols, seg_vals, bounds, math.inf
                 )
-        denominator = variables.cost_expression() + 1e-9
-        program.set_ratio_objective(numerator, denominator)
+        program.set_ratio_objective(numerator, (*variables.cost_terms(), 1e-9))
 
     def _make_session(self, problem: PolicyProblem) -> PolicySession:
         return MinCostSession(self, problem)
@@ -192,13 +188,7 @@ class MinCostWithSLOsSession(IncrementalProgramSession):
             program.begin_tag(OBJECTIVE_TAG)
             try:
                 policy._add_objective(variables, program)
-                for job_id in sorted(achievable - dropped):
-                    required = policy._required_throughput(problem, job_id)
-                    if required is None:
-                        continue
-                    program.add_greater_equal(
-                        variables.effective_throughput_expression(job_id), required
-                    )
+                self._add_slo_rows(problem, sorted(achievable - dropped))
             finally:
                 program.end_tag()
             try:
@@ -216,3 +206,21 @@ class MinCostWithSLOsSession(IncrementalProgramSession):
                 dropped.add(remaining[0])
                 continue
             return variables.extract_allocation(solution)
+
+    def _add_slo_rows(self, problem: PolicyProblem, job_ids: List[int]) -> None:
+        """``throughput(m, X) >= required_m`` for each of ``job_ids`` that still has an SLO."""
+        required: Dict[int, float] = {}
+        for job_id in job_ids:
+            value = self._policy._required_throughput(problem, job_id)
+            if value is not None:
+                required[job_id] = value
+        if not required:
+            return
+        terms = [self._variables.effective_throughput_terms(job_id) for job_id in required]
+        self._program.add_constraints_from_arrays(
+            np.repeat(np.arange(len(terms)), [len(cols) for cols, _vals in terms]),
+            np.concatenate([cols for cols, _vals in terms]),
+            np.concatenate([vals for _cols, vals in terms]),
+            np.fromiter(required.values(), dtype=float, count=len(required)),
+            math.inf,
+        )

@@ -24,7 +24,7 @@ from __future__ import annotations
 import abc
 import math
 from bisect import bisect_left
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from repro.core.allocation import Allocation
 from repro.core.problem import PolicyProblem
 from repro.core.throughput_matrix import DenseRows, ThroughputMatrix
 from repro.exceptions import UnknownJobError
-from repro.solver.lp import LinearExpression, LinearProgram, Solution, Variable
+from repro.solver.lp import LinearProgram, Solution, Variable, summed_terms
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.session import PolicySession
@@ -204,7 +204,7 @@ class AllocationVariables:
     snapshot (:meth:`update_to`): rows added or removed by job churn or
     estimate refinement translate into targeted variable/constraint edits on
     the owning program instead of a rebuild.  Per-job effective-throughput
-    expressions are cached and invalidated only when one of the job's rows
+    terms are cached and invalidated only when one of the job's rows
     changes, and :meth:`touched_since` names the jobs an update touched, so
     policy sessions re-derive and rewrite what an event changed and nothing
     else.
@@ -232,7 +232,6 @@ class AllocationVariables:
         self._num_columns = len(matrix.registry)
         self._job_constraints: Dict[int, int] = {}
         self._capacity_constraints: List[int] = []
-        self._throughput_cache: Dict[int, LinearExpression] = {}
         self._throughput_terms_cache: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         #: (num_rows, num_columns) variable-index matrix, row-aligned with
         #: ``matrix.dense_rows()``: row ``r``'s variables and, through the
@@ -409,7 +408,6 @@ class AllocationVariables:
             var_matrix[added] = self._insert_rows(new_dense, added, invalidated)
         self._var_matrix = var_matrix
         for job_id in sorted(invalidated):
-            self._throughput_cache.pop(job_id, None)
             self._throughput_terms_cache.pop(job_id, None)
         if changed_counts:
             self._resync_counts(changed_counts)
@@ -552,9 +550,8 @@ class AllocationVariables:
 
         Zero coefficients are included (the columnar constraint API filters
         them at ingestion).  The same tuple object is returned on cache hits
-        until one of the job's rows changes — callers use its identity the
-        way they use :meth:`effective_throughput_expression`'s, and must not
-        mutate the arrays.
+        until one of the job's rows changes — callers use its identity to
+        tell whether the terms moved, and must not mutate the arrays.
         """
         cached = self._throughput_terms_cache.get(job_id)
         if cached is None:
@@ -578,11 +575,11 @@ class AllocationVariables:
 
         Returns ``(job_ids, starts, cols, vals)``: the terms of
         ``job_ids[k]`` are ``cols[starts[k]:starts[k+1]]`` /
-        ``vals[starts[k]:starts[k+1]]``, ordered exactly like the per-job
-        expressions (rows containing the job, then accelerator columns), with
-        zero coefficients included.  Also primes the per-job term cache, so a
-        later :meth:`effective_throughput_terms` hit returns slices of these
-        arrays.
+        ``vals[starts[k]:starts[k+1]]``, ordered exactly like
+        :meth:`effective_throughput_terms` (rows containing the job, then
+        accelerator columns), with zero coefficients included.  Also primes
+        the per-job term cache, so a later :meth:`effective_throughput_terms`
+        hit returns slices of these arrays.
         """
         dense = self._matrix.dense_rows()
         member_order = dense.members_by_job
@@ -636,23 +633,34 @@ class AllocationVariables:
         all_coeffs[extra_positions] = value
         return all_rows, all_cols, all_coeffs
 
-    def effective_throughput_expression(self, job_id: int) -> LinearExpression:
-        """``throughput(job_id, X)`` as a linear expression over the variables.
+    def throughput_sum_terms(
+        self, weights: Iterable[Tuple[int, float]]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``sum of weight * throughput(job_id, X)`` over ``(job_id, weight)`` pairs.
 
-        Expressions are cached per job until one of the job's rows changes;
-        the *same* object is returned on cache hits, so callers must treat it
-        as immutable (all :class:`LinearExpression` operators already do).
+        Returned as ``(columns, coefficients)`` in
+        :func:`~repro.solver.lp.summed_terms` form, columns in the matrix's
+        job order: the objective of the weighted-throughput policies.  Each
+        job's terms are summed per column (a same-group pair row repeats
+        them) before they are weighted.  A column belongs to at most two
+        jobs' terms (a pair row), so the order jobs are added in does not
+        change a sum.
         """
-        cached = self._throughput_cache.get(job_id)
-        if cached is None:
-            cols, vals = self.effective_throughput_terms(job_id)
-            nonzero = vals != 0.0
-            cached = LinearExpression.from_arrays(cols[nonzero], vals[nonzero])
-            self._throughput_cache[job_id] = cached
-        return cached
+        job_ids, starts, cols, vals = self.effective_throughput_blocks()
+        pairs = list(weights)
+        ids = np.fromiter((job_id for job_id, _weight in pairs), np.int64, len(pairs))
+        ordinals = np.minimum(np.searchsorted(job_ids, ids), len(job_ids) - 1)
+        if not np.array_equal(job_ids[ordinals], ids):
+            raise UnknownJobError("a weighted job is not in this throughput matrix")
+        weight = np.zeros(len(job_ids))
+        weight[ordinals] = [job_weight for _job_id, job_weight in pairs]
+        width = int(cols.max()) + 1 if len(cols) else 1
+        owners = np.repeat(np.arange(len(job_ids), dtype=np.int64), np.diff(starts))
+        keys, summed = summed_terms(owners * width + cols, vals)
+        return summed_terms(keys % width, summed * weight[keys // width])
 
-    def cost_expression(self) -> LinearExpression:
-        """Time-averaged dollar cost of the allocation.
+    def cost_terms(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Time-averaged dollar cost of the allocation as ``(columns, coefficients)``.
 
         Each combination row is charged once per accelerator (space-sharing
         jobs split one instance, so the cost is not double counted), scaled by
@@ -661,7 +669,7 @@ class AllocationVariables:
         costs = self._matrix.registry.costs_per_hour()
         dense = self._matrix.dense_rows()
         coeffs = self._row_scales(dense)[:, None] * np.asarray(costs, dtype=float)[None, :]
-        return LinearExpression.from_arrays(self._var_matrix.ravel(), coeffs.ravel())
+        return self._var_matrix.ravel(), coeffs.ravel()
 
     def extract_allocation(self, solution: Solution) -> Allocation:
         """Read the optimal variable values back into an :class:`Allocation`."""

@@ -144,7 +144,7 @@ class PolicySession(abc.ABC):
         session = policy.session(problem)      # build solver state once
         allocation = session.solve()           # first allocation
         ...
-        session.update(JobAdded(job))          # or session.apply(engine.drain_deltas())
+        session.apply([JobAdded(job)])         # or session.apply(engine.drain_deltas())
         allocation = session.solve(problem)    # fresh snapshot, incremental re-solve
 
     ``solve`` takes the current :class:`PolicyProblem` snapshot because
@@ -185,10 +185,6 @@ class PolicySession(abc.ABC):
     def problem(self) -> PolicyProblem:
         """The most recent problem snapshot this session has seen."""
         return self._problem
-
-    def update(self, delta: PolicyDelta) -> None:
-        """Record one delta to be applied on the next :meth:`solve`."""
-        self._pending.append(delta)
 
     def apply(self, deltas: Iterable[PolicyDelta]) -> None:
         """Record a batch of deltas (e.g. ``engine.drain_deltas()``)."""
@@ -553,8 +549,8 @@ class IncrementalLPSession(IncrementalProgramSession):
 
     The decision variables and Section 3.1 validity constraints live across
     solves; only the policy objective (tagged ``objective``) is torn down and
-    rebuilt each round, reusing cached per-job throughput expressions for
-    every job whose rows did not change.
+    rebuilt each round, reusing cached per-job throughput terms for every
+    job whose rows did not change.
     """
 
     def __init__(self, policy: OptimizationPolicy, problem: PolicyProblem) -> None:
@@ -814,7 +810,7 @@ class ThroughputRequirementSession(IncrementalProgramSession):
         #: The scaling variables' ``(starts, cols, vals)`` blocks as of the last alignment.
         self._scaling_blocks: Tuple[np.ndarray, np.ndarray, np.ndarray]
         self._scale = self._scaling_program.add_variable(name="y")
-        self._scaling_program.maximize({self._scale.index: 1.0})
+        self._scaling_program.set_objective_from_arrays([self._scale.index], [1.0], maximize=True)
         self._bracket: Optional[Tuple[float, float]] = None
 
     @property

@@ -20,7 +20,7 @@ from repro.core.effective_throughput import fastest_reference_throughput
 from repro.core.policy import AllocationVariables, OptimizationPolicy
 from repro.core.problem import PolicyProblem
 from repro.exceptions import ConfigurationError
-from repro.solver.lp import LinearExpression, LinearProgram
+from repro.solver.lp import LinearProgram
 
 __all__ = ["ShortestJobFirstPolicy"]
 
@@ -53,11 +53,8 @@ class ShortestJobFirstPolicy(OptimizationPolicy):
         matrix = variables.matrix
         ranked = self.ranked_jobs(problem)
         total_jobs = len(ranked)
-        terms = []
-        for position, (job_id, _duration) in enumerate(ranked):
-            fastest = fastest_reference_throughput(matrix, job_id)
-            weight = float(total_jobs - position)
-            terms.append(
-                variables.effective_throughput_expression(job_id) * (weight / fastest)
-            )
-        program.maximize(LinearExpression.sum(terms))
+        weights = [
+            (job_id, float(total_jobs - position) / fastest_reference_throughput(matrix, job_id))
+            for position, (job_id, _duration) in enumerate(ranked)
+        ]
+        program.set_objective_from_arrays(*variables.throughput_sum_terms(weights), maximize=True)

@@ -325,7 +325,7 @@ class _LevelLoopProgram:
         self._variables = variables
         # Every level LP maximizes ``t``: the objective is set once, here.
         self._epigraph = program.add_variable(name="water_level_t", lower=-math.inf)
-        program.maximize({self._epigraph.index: 1.0})
+        program.set_objective_from_arrays([self._epigraph.index], [1.0], maximize=True)
         self._problem: Optional[PolicyProblem] = None
         #: Per job its floor and level rows, encoding ``(terms, norm)``.
         self._rows = JobRows(program, per_job=2)

@@ -1,7 +1,6 @@
-"""Scheduling layer: the online scheduler service, priorities, Algorithm 1, leases."""
+"""Scheduling layer: the online scheduler service, priorities, Algorithm 1."""
 
 from repro.scheduler.clock import Clock, VirtualClock, WallClock
-from repro.scheduler.lease import CheckpointStore, GavelIterator, Lease
 from repro.scheduler.mechanism import RoundPicks, RoundScheduler, ScheduledCombination
 from repro.scheduler.metrics import JobRecord, SimulationResult, cdf_points
 from repro.scheduler.priorities import PriorityTracker
@@ -24,9 +23,6 @@ __all__ = [
     "RoundPicks",
     "RoundScheduler",
     "ScheduledCombination",
-    "Lease",
-    "GavelIterator",
-    "CheckpointStore",
     "JobRecord",
     "SimulationResult",
     "cdf_points",

@@ -19,12 +19,12 @@ near: most re-allocations take one or two LPs.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.exceptions import InfeasibleError, SolverError
-from repro.solver.lp import LinearProgram, Solution, Variable, _Coefficients, _expression_terms
+from repro.solver.lp import LinearProgram, Solution, Variable, summed_terms
 
 __all__ = ["FractionalProgram"]
 
@@ -35,6 +35,13 @@ _TOLERANCE = 1e-10
 _MAX_STEPS = 50
 
 _Terms = Tuple[np.ndarray, np.ndarray, float]
+#: A linear function as a caller hands it in: ``(indices, values, constant)``.
+_TermsIn = Tuple["Sequence[int] | np.ndarray", "Sequence[float] | np.ndarray", float]
+
+
+def _canonical(terms: _TermsIn) -> _Terms:
+    indices, values, constant = terms
+    return (*summed_terms(indices, values), float(constant))
 
 
 class FractionalProgram(LinearProgram):
@@ -58,22 +65,20 @@ class FractionalProgram(LinearProgram):
     ) -> Variable:
         return super().add_variable(name, lower, upper, integer)
 
-    def add_variables(
-        self, count: int, name_prefix: str = "x", lower: float = 0.0,
-        upper: Optional[float] = 1.0, integer: bool = False,
-    ) -> List[Variable]:
-        return super().add_variables(count, name_prefix, lower, upper, integer)
-
     def add_variables_from_arrays(
         self, count: int, lower: "float | np.ndarray" = 0.0,
         upper: "float | np.ndarray | None" = 1.0, integer: bool = False, name: str = "x",
     ) -> np.ndarray:
         return super().add_variables_from_arrays(count, lower, upper, integer, name)
 
-    def set_ratio_objective(self, numerator: _Coefficients, denominator: _Coefficients) -> None:
-        """Maximize ``numerator / denominator``."""
-        self._numerator = _expression_terms(numerator)
-        self._denominator = _expression_terms(denominator)
+    def set_ratio_objective(self, numerator: "_TermsIn", denominator: "_TermsIn") -> None:
+        """Maximize ``numerator / denominator``, each an ``(indices, values, constant)`` triple.
+
+        The terms are kept in :func:`~repro.solver.lp.summed_terms` form:
+        each column once, at its first occurrence, and no zeros.
+        """
+        self._numerator = _canonical(numerator)
+        self._denominator = _canonical(denominator)
 
     def solve(self, integer_columns: Optional[np.ndarray] = None) -> Solution:
         """Run Dinkelbach's iteration; the solution's objective value is the ratio.

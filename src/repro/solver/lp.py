@@ -2,47 +2,48 @@
 
 The paper implements its policies with cvxpy; cvxpy is not available in this
 offline environment, so this module provides the narrow modeling surface the
-policies need:
+policies need, and one way in: every variable block, constraint block, edit
+and objective arrives as ndarrays.
 
-* continuous and integer variables with bounds,
-* linear ``<=`` / ``>=`` / ``==`` constraints expressed as sparse coefficient
-  maps,
-* linear objectives (maximize or minimize),
-* an epigraph helper for max-min objectives.
+* variables — :meth:`LinearProgram.add_variables_from_arrays` allocates a
+  block of columns with per-column bounds and returns their indices
+  (:meth:`~LinearProgram.add_variable` is its one-column form, returning a
+  :class:`Variable` handle);
+* constraints — :meth:`~LinearProgram.add_constraints_from_arrays` takes a
+  ``(rows, cols, coeffs, lower, upper)`` triplet straight from
+  throughput-matrix ndarrays and returns one integer handle per row;
+* objectives — :meth:`~LinearProgram.set_objective_from_arrays` takes
+  ``(indices, values)`` with a sense and a constant;
+  :func:`summed_terms` puts a term list in canonical form (each column once,
+  at its first occurrence, duplicates summed in order, no zeros) for a
+  caller that needs the terms themselves, such as a ratio objective.
 
 Programs are **mutable**: policy sessions keep one program alive across
 allocation recomputations and edit it in place instead of rebuilding it.
 The mutation surface is
 
-* constraint handles — every ``add_*`` returns an integer handle usable with
-  :meth:`remove_constraint`, :meth:`add_terms_to_constraint`,
-  :meth:`remove_terms_from_constraint`, :meth:`set_constraint_coefficients`
-  and :meth:`set_constraint_bounds`;
-* variable deactivation — :meth:`release_variable` fixes a variable to zero
-  and recycles its column index for a later :meth:`add_variable`, keeping the
-  program from growing without bound under job churn (callers must scrub the
-  variable from their constraints first);
-* tag scopes — :meth:`begin_tag` / :meth:`end_tag` mark every variable and
-  constraint created inside the scope, and :meth:`clear_tag` removes them all
-  at once (sessions rebuild only the policy objective this way, leaving the
-  validity constraints untouched);
+* batched row edits by handle — :meth:`~LinearProgram.remove_constraints`,
+  :meth:`~LinearProgram.add_terms_to_constraints_from_arrays`,
+  :meth:`~LinearProgram.remove_terms_from_constraints`,
+  :meth:`~LinearProgram.set_constraints_coefficients_from_arrays` and
+  :meth:`~LinearProgram.set_column_coefficients_from_arrays` (one column
+  across many rows);
+* variable deactivation — :meth:`~LinearProgram.release_variables` fixes
+  columns to zero and recycles their indices for a later allocation,
+  keeping the program from growing without bound under job churn (callers
+  must scrub the columns from their constraints first);
+* tag scopes — :meth:`~LinearProgram.begin_tag` / :meth:`~LinearProgram.end_tag`
+  mark every variable and constraint created inside the scope, and
+  :meth:`~LinearProgram.clear_tag` removes them all at once (sessions
+  rebuild only the policy objective this way, leaving the validity
+  constraints untouched);
 * **one row format** — a constraint row is stored as a pair of parallel
   ``(column indices, coefficients)`` ndarrays holding unique columns and no
-  zeros, and as nothing else.  Whole blocks arrive in that format through
-  :meth:`add_variables_from_arrays` / :meth:`add_constraints_from_arrays`
-  (``(rows, cols, coeffs, lower, upper)`` triplets straight from
-  throughput-matrix ndarrays) and are edited through
-  :meth:`add_terms_to_constraint_from_arrays`,
-  :meth:`set_constraint_coefficients_from_arrays`,
-  :meth:`set_column_coefficients_from_arrays` (one column across many rows)
-  and :meth:`set_objective_from_arrays`.  The mapping / :class:`LinearExpression`
-  methods (``add_less_equal``, ``add_terms_to_constraint``, ...) are a
-  convenience **boundary**: they convert their argument to arrays once, in
-  first-occurrence term order, and store or delegate — no per-term dict
-  survives the call, so callers never need to know the row format;
+  zeros, and as nothing else;
 * row bounds in arrays — every row owns a *slot* in two float buffers (a
   removed row's slot is recycled), so a bulk right-hand-side sweep
-  (:meth:`set_constraint_bounds_from_arrays`) is one indexed write;
+  (:meth:`~LinearProgram.set_constraint_bounds_from_arrays`) is one indexed
+  write;
 * cached sparse assembly — the CSR constraint matrix is an ``np.concatenate``
   over the stored rows, cached until a structural edit, so a solve after a
   right-hand-side-only edit (a water-filling level sweep, a witness solve of
@@ -80,9 +81,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import (
-    Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
-)
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 import scipy
@@ -100,9 +99,7 @@ except ImportError as error:  # pragma: no cover - needs an older SciPy to reach
         f"incremental HiGHS API (scipy.optimize._highspy._core); found SciPy {scipy.__version__}"
     ) from error
 
-__all__ = ["Variable", "LinearExpression", "LinearProgram", "Solution"]
-
-_Coefficients = Union[Mapping[int, float], "LinearExpression"]
+__all__ = ["Variable", "LinearProgram", "Solution", "summed_terms"]
 
 
 def _check_finite(values: np.ndarray, name: str) -> None:
@@ -138,23 +135,23 @@ def _coalesce(keys: np.ndarray, values: np.ndarray) -> Tuple[np.ndarray, np.ndar
     return first_pos[order], summed[order]
 
 
-def _row_terms(
-    indices: np.ndarray, values: np.ndarray
+def summed_terms(
+    indices: "Sequence[int] | np.ndarray", values: "Sequence[float] | np.ndarray"
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Normalise a parallel (indices, values) term list to the stored row format.
+    """A parallel ``(indices, values)`` term list in canonical form.
 
-    Stored rows hold unique column indices (HiGHS rejects repeated columns
-    within a row) and no zeros, but callers may legitimately emit one entry
-    per membership — e.g. the same-group pair rows of type-aggregated
-    problems.  Zeros are dropped and duplicates summed at their first
-    occurrence; the input arrays are returned as-is when already clean.
+    Zero terms are dropped; then each index is kept once, at its first
+    occurrence, with its values summed in order (starting from 0.0), and a
+    sum of zero is dropped too.  A list with no zero and no repeated index
+    comes back as it is.  A non-finite value raises :class:`SolverError`.
     """
-    indices, values = _nonzero_terms(
-        np.asarray(indices, dtype=np.int64), np.asarray(values, dtype=float)
-    )
+    indices = np.asarray(indices, dtype=np.int64)
+    values = np.asarray(values, dtype=float)
+    _check_finite(values, "terms")
+    indices, values = _nonzero_terms(indices, values)
     if len(indices) > 1 and _has_duplicates(indices):
         first_pos, summed = _coalesce(indices, values)
-        return indices[first_pos], summed
+        return _nonzero_terms(indices[first_pos], summed)
     return indices, values
 
 
@@ -208,106 +205,6 @@ class Variable:
     index: int
     name: str
 
-    def __mul__(self, scalar: float) -> "LinearExpression":
-        return LinearExpression({self.index: float(scalar)})
-
-    __rmul__ = __mul__
-
-    def __add__(self, other: "Variable | LinearExpression | float") -> "LinearExpression":
-        return LinearExpression({self.index: 1.0}) + other
-
-    def __radd__(self, other: "Variable | LinearExpression | float") -> "LinearExpression":
-        return self.__add__(other)
-
-    def __neg__(self) -> "LinearExpression":
-        return LinearExpression({self.index: -1.0})
-
-    def __sub__(self, other: "Variable | LinearExpression | float") -> "LinearExpression":
-        return LinearExpression({self.index: 1.0}) - other
-
-    def __rsub__(self, other: "Variable | LinearExpression | float") -> "LinearExpression":
-        return (-self) + other
-
-
-class LinearExpression:
-    """A sparse linear expression ``sum_i coeff_i * x_i + constant``."""
-
-    __slots__ = ("coefficients", "constant")
-
-    def __init__(self, coefficients: Optional[Mapping[int, float]] = None, constant: float = 0.0) -> None:
-        self.coefficients: Dict[int, float] = dict(coefficients or {})
-        self.constant = float(constant)
-
-    @classmethod
-    def from_arrays(
-        cls, indices: np.ndarray, values: np.ndarray, constant: float = 0.0
-    ) -> "LinearExpression":
-        """Build an expression from parallel index/value arrays (duplicates sum)."""
-        indices = np.asarray(indices, dtype=np.int64)
-        values = np.asarray(values, dtype=float)
-        coefficients = dict(zip(indices.tolist(), values.tolist()))
-        if len(coefficients) != len(indices):
-            coefficients = {}
-            for index, value in zip(indices.tolist(), values.tolist()):
-                coefficients[index] = coefficients.get(index, 0.0) + value
-        return cls(coefficients, constant)
-
-    @classmethod
-    def sum(cls, expressions: Iterable["LinearExpression"]) -> "LinearExpression":
-        """Sum many expressions in one pass (avoids quadratic chained ``+``)."""
-        coefficients: Dict[int, float] = {}
-        constant = 0.0
-        for expression in expressions:
-            for index, coefficient in expression.coefficients.items():
-                coefficients[index] = coefficients.get(index, 0.0) + coefficient
-            constant += expression.constant
-        return cls(coefficients, constant)
-
-    def copy(self) -> "LinearExpression":
-        return LinearExpression(dict(self.coefficients), self.constant)
-
-    def __add__(self, other: "LinearExpression | Variable | float") -> "LinearExpression":
-        result = self.copy()
-        if isinstance(other, LinearExpression):
-            for index, coefficient in other.coefficients.items():
-                result.coefficients[index] = result.coefficients.get(index, 0.0) + coefficient
-            result.constant += other.constant
-        elif isinstance(other, Variable):
-            result.coefficients[other.index] = result.coefficients.get(other.index, 0.0) + 1.0
-        else:
-            result.constant += float(other)
-        return result
-
-    __radd__ = __add__
-
-    def __sub__(self, other: "LinearExpression | Variable | float") -> "LinearExpression":
-        return self + (other * -1.0 if isinstance(other, (LinearExpression, Variable)) else -float(other))
-
-    def __rsub__(self, other: "LinearExpression | Variable | float") -> "LinearExpression":
-        return (self * -1.0) + other
-
-    def __neg__(self) -> "LinearExpression":
-        return self * -1.0
-
-    def __mul__(self, scalar: float) -> "LinearExpression":
-        return LinearExpression(
-            {index: coefficient * float(scalar) for index, coefficient in self.coefficients.items()},
-            self.constant * float(scalar),
-        )
-
-    __rmul__ = __mul__
-
-    def value(self, assignment: np.ndarray) -> float:
-        """Evaluate the expression at a variable assignment."""
-        total = self.constant
-        for index, coefficient in self.coefficients.items():
-            total += coefficient * float(assignment[index])
-        return total
-
-    def __repr__(self) -> str:
-        terms = " + ".join(f"{c:g}*x{i}" for i, c in sorted(self.coefficients.items()))
-        return f"LinearExpression({terms or '0'} + {self.constant:g})"
-
 
 @dataclass
 class Solution:
@@ -345,31 +242,6 @@ class Solution:
             raise SolverError("row duals exist for pure-LP solves only (this was a milp solve)")
         return self._duals_of(handles)
 
-    def value_of(self, variable: "Variable | LinearExpression") -> float:
-        """Value of a variable or linear expression at the optimum."""
-        if isinstance(variable, Variable):
-            return float(self.values[variable.index])
-        return variable.value(self.values)
-
-
-def _expression_terms(expression: "_Coefficients | Variable") -> Tuple[np.ndarray, np.ndarray, float]:
-    """The boundary conversion: mapping / expression -> ``(indices, values, constant)``.
-
-    Terms keep their first-occurrence (dict insertion) order, so a row built
-    from a mapping reaches HiGHS with the same column order every time.
-    """
-    if isinstance(expression, Variable):
-        return np.array([expression.index], dtype=np.int64), np.ones(1), 0.0
-    if isinstance(expression, LinearExpression):
-        mapping, constant = expression.coefficients, expression.constant
-    else:
-        mapping, constant = expression, 0.0
-    count = len(mapping)
-    indices = np.fromiter(mapping.keys(), dtype=np.int64, count=count)
-    values = np.fromiter(mapping.values(), dtype=float, count=count)
-    _check_finite(values, "expression")
-    return (*_nonzero_terms(indices, values), constant)
-
 
 class _Constraint:
     """One stored row: parallel ``(indices, values)`` arrays — the only row format —
@@ -377,7 +249,7 @@ class _Constraint:
     (:meth:`LinearProgram._reserve_rows`).
 
     The arrays hold unique column indices and no zeros (see
-    :func:`_row_terms`).  Edits replace the arrays, never mutate them in
+    :meth:`LinearProgram._row_block`).  Edits replace the arrays, never mutate them in
     place, so slices handed in by the columnar API can be shared safely.
     """
 
@@ -1137,7 +1009,7 @@ class LinearProgram:
     ) -> Variable:
         """Add one decision variable and return its handle.
 
-        Indices released by :meth:`release_variable` (or a :meth:`clear_tag`)
+        Indices released by :meth:`release_variables` (or a :meth:`clear_tag`)
         are recycled before the program grows a new column.
         """
         if self._free_variables:
@@ -1153,20 +1025,6 @@ class LinearProgram:
         if self._active_tag is not None:
             self._tagged_variables.setdefault(self._active_tag, []).append(index)
         return Variable(index=index, name=self._names[index])
-
-    def add_variables(
-        self,
-        count: int,
-        name_prefix: str = "x",
-        lower: float = 0.0,
-        upper: Optional[float] = None,
-        integer: bool = False,
-    ) -> List[Variable]:
-        """Add ``count`` variables sharing bounds, returning their handles."""
-        return [
-            self.add_variable(name=f"{name_prefix}{i}", lower=lower, upper=upper, integer=integer)
-            for i in range(count)
-        ]
 
     def add_variables_from_arrays(
         self,
@@ -1212,31 +1070,15 @@ class LinearProgram:
         self._lower_buf[indices] = lower
         self._upper_buf[indices] = upper
 
-    def set_variable_bounds(
-        self, variable: "Variable | int", lower: float, upper: Optional[float] = None
-    ) -> None:
-        """Replace one variable's bounds (bounds edits never dirty the matrix cache)."""
-        index = variable.index if isinstance(variable, Variable) else int(variable)
-        self._lower[index] = float(lower)
-        self._upper[index] = float(upper) if upper is not None else math.inf
-
-    def fix_variable(self, variable: "Variable | int", value: float = 0.0) -> None:
-        """Pin a variable to a single value."""
-        self.set_variable_bounds(variable, value, value)
-
-    def release_variable(self, variable: "Variable | int") -> None:
-        """Deactivate a variable and recycle its index.
-
-        The variable is fixed to zero so the program stays valid even if a
-        stale reference survives somewhere; the caller is responsible for
-        scrubbing its coefficients from every remaining constraint and from
-        the objective before releasing, otherwise a later
-        :meth:`add_variable` reusing the index inherits those terms.
-        """
-        self.release_variables([variable.index if isinstance(variable, Variable) else int(variable)])
-
     def release_variables(self, indices: "Sequence[int] | np.ndarray") -> None:
-        """:meth:`release_variable` for many columns, recycled in the order given."""
+        """Deactivate columns and recycle their indices, in the order given.
+
+        The columns are fixed to zero so the program stays valid even if a
+        stale reference survives somewhere; the caller is responsible for
+        scrubbing their coefficients from every remaining constraint and from
+        the objective before releasing, otherwise a later allocation reusing
+        an index inherits those terms.
+        """
         indices = np.asarray(indices, dtype=np.int64)
         self._lower_buf[indices] = 0.0
         self._upper_buf[indices] = 0.0
@@ -1260,40 +1102,12 @@ class LinearProgram:
 
         Tagged variables must only be referenced by same-tagged constraints
         and the objective (which callers are expected to rebuild after the
-        clear) — the epigraph-variable pattern of the max-min helper
-        satisfies this by construction.
+        clear), as an epigraph variable and its rows are.
         """
-        for constraint_id in self._tagged_constraints.pop(tag, []):
-            self.remove_constraint(constraint_id)
-        for index in self._tagged_variables.pop(tag, []):
-            self.release_variable(index)
+        self.remove_constraints(self._tagged_constraints.pop(tag, []))
+        self.release_variables(self._tagged_variables.pop(tag, []))
 
     # -- constraints ------------------------------------------------------------------
-    def _append_constraint(
-        self, indices: np.ndarray, values: np.ndarray, lower: float, upper: float
-    ) -> int:
-        constraint_id = self._next_constraint_id
-        self._next_constraint_id += 1
-        slot = self._reserve_rows(1)[0]
-        self._row_lower_buf[slot] = lower
-        self._row_upper_buf[slot] = upper
-        self._constraints[constraint_id] = _Constraint(indices, values, slot)
-        self._hs_rows[constraint_id] = None
-        if self._active_tag is not None:
-            self._tagged_constraints.setdefault(self._active_tag, []).append(constraint_id)
-        self._structure_revision += 1
-        return constraint_id
-
-    def add_less_equal(self, expression: "_Coefficients", rhs: float) -> int:
-        """Add ``expression <= rhs``; returns the constraint handle."""
-        indices, values, constant = _expression_terms(expression)
-        return self._append_constraint(indices, values, -math.inf, float(rhs) - constant)
-
-    def add_greater_equal(self, expression: "_Coefficients", rhs: float) -> int:
-        """Add ``expression >= rhs``; returns the constraint handle."""
-        indices, values, constant = _expression_terms(expression)
-        return self._append_constraint(indices, values, float(rhs) - constant, math.inf)
-
     def add_constraints_from_arrays(
         self,
         rows: np.ndarray,
@@ -1306,8 +1120,9 @@ class LinearProgram:
 
         ``rows`` holds per-entry constraint ordinals ``0..n-1`` and must be
         grouped in non-decreasing order; ``lower``/``upper`` are the per-row
-        bounds (scalars broadcast).  ``n`` is inferred from the bounds arrays,
-        or from ``rows`` when both bounds are scalars.  Each constraint
+        bounds (scalars broadcast).  ``n`` is the length of the bounds
+        arrays (so a row may have no terms), or inferred from ``rows`` when
+        both bounds are scalars.  Each constraint
         stores the corresponding slice of ``cols`` / ``coeffs``, so whole
         constraint blocks (one row per job, one row per worker type) go in
         straight from ndarrays.  Entries with a zero coefficient are dropped
@@ -1317,7 +1132,7 @@ class LinearProgram:
         rows = np.asarray(rows, dtype=np.int64)
         lower_arr = np.asarray(lower, dtype=float)
         upper_arr = np.asarray(upper, dtype=float)
-        sizes = {bound.size for bound in (lower_arr, upper_arr) if bound.size > 1}
+        sizes = {bound.size for bound in (lower_arr, upper_arr) if bound.ndim}
         if len(sizes) > 1:
             raise SolverError(f"{self.name}: lower/upper bound lengths disagree")
         num_rows = sizes.pop() if sizes else int(rows[-1]) + 1 if rows.size else 0
@@ -1407,18 +1222,6 @@ class LinearProgram:
         self._structure_revision += 1
         return constraints
 
-    def add_terms_to_constraint_from_arrays(
-        self, handle: int, indices: np.ndarray, values: np.ndarray
-    ) -> None:
-        """Accumulate ``(indices, values)`` terms onto an existing constraint.
-
-        Columns already in the row sum in place (their position is kept);
-        new columns are appended in order.
-        """
-        self.add_terms_to_constraints_from_arrays(
-            [handle], np.zeros(len(indices), dtype=np.int64), indices, values
-        )
-
     def add_terms_to_constraints_from_arrays(
         self,
         handles: Sequence[int],
@@ -1426,11 +1229,13 @@ class LinearProgram:
         cols: np.ndarray,
         coeffs: np.ndarray,
     ) -> None:
-        """:meth:`add_terms_to_constraint_from_arrays` for many rows in one call.
+        """Accumulate terms onto existing rows in one call.
 
         Row ordinal ``k`` of the ``(rows, cols, coeffs)`` triplet (as
         :meth:`add_constraints_from_arrays` takes it) accumulates onto
-        ``handles[k]``, and the rows are logged as edited in that order.
+        ``handles[k]``: columns already in the row sum in place (their
+        position is kept), new columns are appended in order.  The rows are
+        logged as edited in ``handles`` order.
         """
         cols, coeffs, starts = self._row_block(len(handles), rows, cols, coeffs)
         incoming = np.zeros(self._num_vars, dtype=bool)
@@ -1446,14 +1251,6 @@ class LinearProgram:
                 first, summed = _coalesce(indices, values)
                 indices, values = _nonzero_terms(indices[first], summed)
             row.indices, row.values = indices, values
-
-    def set_constraint_coefficients_from_arrays(
-        self, handle: int, indices: np.ndarray, values: np.ndarray
-    ) -> None:
-        """Replace a constraint's coefficients wholesale from arrays (bounds unchanged)."""
-        self.set_constraints_coefficients_from_arrays(
-            [handle], np.zeros(len(indices), dtype=np.int64), indices, values
-        )
 
     def set_constraints_coefficients_from_arrays(
         self,
@@ -1481,7 +1278,7 @@ class LinearProgram:
     ) -> None:
         """Set one column's coefficient in many constraints: ``values[k]`` in ``handles[k]``.
 
-        The transpose of :meth:`set_constraint_coefficients_from_arrays`, for a
+        The transpose of :meth:`set_constraints_coefficients_from_arrays`, for a
         column whose entries all move between two solves (the scaling column
         of :class:`~repro.core.session.ThroughputRequirementSession`, the
         epigraph column of the water-filling level rows).  Each row keeps its
@@ -1501,12 +1298,11 @@ class LinearProgram:
         for row, value in zip(self._edited(handles), values.tolist()):
             row.set_coefficient(index, value)
 
-    def remove_constraint(self, handle: int) -> None:
-        """Delete one constraint by handle (no-op if already removed), recycling its slot."""
-        self.remove_constraints([handle])
-
     def remove_constraints(self, handles: "Sequence[int] | np.ndarray") -> None:
-        """:meth:`remove_constraint` for many handles; slots are recycled in the order given."""
+        """Delete constraints by handle, recycling their slots in the order given.
+
+        A handle already removed is skipped.
+        """
         constraints, log = self._constraints, self._hs_rows
         for handle in np.asarray(handles, dtype=np.int64).tolist():
             constraint = constraints.pop(handle, None)
@@ -1514,15 +1310,6 @@ class LinearProgram:
                 self._free_slots.append(constraint.slot)
                 log.setdefault(handle, (constraint.indices, constraint.values))
         self._structure_revision += 1
-
-    def add_terms_to_constraint(self, handle: int, terms: Mapping[int, float]) -> None:
-        """Accumulate coefficients onto an existing constraint."""
-        indices, values, _constant = _expression_terms(terms)
-        self.add_terms_to_constraint_from_arrays(handle, indices, values)
-
-    def remove_terms_from_constraint(self, handle: int, indices: Iterable[int]) -> None:
-        """Drop the given variables' coefficients from an existing constraint."""
-        self.remove_terms_from_constraints([handle], list(indices))
 
     def remove_terms_from_constraints(
         self, handles: Sequence[int], columns: "Sequence[int] | np.ndarray"
@@ -1540,38 +1327,6 @@ class LinearProgram:
                 keep = ~hits
                 row.indices, row.values = row.indices[keep], row.values[keep]
 
-    def set_constraint_coefficients(self, handle: int, expression: "_Coefficients") -> None:
-        """Replace a constraint's coefficients (bounds unchanged).
-
-        The expression must be constant-free: the stored bounds already fold
-        in the rhs (and any constant) from construction time, so a new
-        constant cannot be applied unambiguously.  Use
-        :meth:`set_constraint_bounds` to move the right-hand side.
-        """
-        indices, values, constant = _expression_terms(expression)
-        if constant != 0.0:
-            raise SolverError(
-                f"{self.name}: set_constraint_coefficients requires a constant-free "
-                f"expression (got constant {constant!r}); adjust the bounds instead"
-            )
-        self.set_constraint_coefficients_from_arrays(handle, indices, values)
-
-    def set_constraint_bounds(
-        self, handle: int, lower: Optional[float] = None, upper: Optional[float] = None
-    ) -> None:
-        """Update a constraint's bounds; passing ``None`` keeps the old value.
-
-        Bounds edits do not invalidate the cached constraint matrix, and the
-        live model takes them by difference: one ``changeRowBounds`` per row
-        whose bounds differ from what HiGHS holds at the next solve.
-        """
-        slot = self._constraint(handle).slot
-        if lower is not None:
-            self._row_lower_buf[slot] = float(lower)
-        if upper is not None:
-            self._row_upper_buf[slot] = float(upper)
-        self._hs_bounds_dirty = True
-
     def set_constraint_bounds_from_arrays(
         self,
         handles: "Sequence[int] | np.ndarray",
@@ -1580,8 +1335,7 @@ class LinearProgram:
     ) -> None:
         """Update many constraints' bounds at once; ``None`` keeps the old side.
 
-        The columnar counterpart of :meth:`set_constraint_bounds`: ``lower`` /
-        ``upper`` broadcast against ``handles``.  Like the scalar edit this
+        ``lower`` / ``upper`` broadcast against ``handles``.  A bounds edit
         never dirties the cached constraint matrix, which is what makes
         whole-program right-hand-side sweeps (every water-filling floor bumped
         to its new level, saturated rows relaxed) cost one bound pass plus a
@@ -1633,19 +1387,18 @@ class LinearProgram:
         return len(self._constraints)
 
     # -- objective ---------------------------------------------------------------------
-    def set_objective(self, expression: "_Coefficients", maximize: bool) -> None:
-        """Set the linear objective; ``maximize`` selects the sense."""
-        indices, values, constant = _expression_terms(expression)
-        self.set_objective_from_arrays(indices, values, maximize, constant)
-
     def set_objective_from_arrays(
         self,
-        indices: np.ndarray,
-        values: np.ndarray,
+        indices: "Sequence[int] | np.ndarray",
+        values: "Sequence[float] | np.ndarray",
         maximize: bool,
         constant: float = 0.0,
     ) -> None:
-        """Columnar objective: accumulate ``values`` at ``indices`` (duplicates sum)."""
+        """Set the linear objective: ``values`` accumulate at ``indices`` (duplicates sum in order).
+
+        ``maximize`` selects the sense and ``constant`` is added to every
+        solution's objective value.
+        """
         values = np.asarray(values, dtype=float)
         _check_finite(values, self.name)
         vec = np.zeros(self.num_variables())
@@ -1653,28 +1406,6 @@ class LinearProgram:
         self._objective_vec = vec
         self._objective_constant = float(constant)
         self._maximize = maximize
-
-    def maximize(self, expression: "_Coefficients") -> None:
-        self.set_objective(expression, maximize=True)
-
-    # -- epigraph helpers -----------------------------------------------------------------
-    def add_max_min_objective(self, expressions: Sequence["_Coefficients"]) -> Variable:
-        """Maximize ``min_k expressions[k]`` via an epigraph variable.
-
-        Returns the epigraph variable (its optimal value is the achieved
-        minimum).
-        """
-        epigraph = self.add_variable(name="max_min_t", lower=-math.inf)
-        for expression in expressions:
-            indices, values, constant = _expression_terms(expression)
-            # t <= expr  <=>  t - expr <= constant-part of expr
-            self._append_constraint(
-                *_row_terms(np.append(indices, epigraph.index), np.append(-values, 1.0)),
-                -math.inf,
-                constant,
-            )
-        self.maximize({epigraph.index: 1.0})
-        return epigraph
 
     # -- solving --------------------------------------------------------------------------
     def _assembled(self) -> Tuple[Optional[sparse.csr_matrix], np.ndarray, np.ndarray]:

@@ -147,9 +147,6 @@ class ColocatedThroughputs:
     first: float
     second: float
 
-    def as_tuple(self) -> Tuple[float, float]:
-        return (self.first, self.second)
-
     @property
     def feasible(self) -> bool:
         """Whether the pair can run together at all (both non-zero)."""

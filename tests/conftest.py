@@ -7,6 +7,8 @@ import pytest
 
 from repro.cluster import ClusterSpec, default_registry
 from repro.core import PolicyProblem, ThroughputMatrix, build_throughput_matrix
+from repro.core.allocation import Allocation
+from repro.scheduler import ClusterScheduler
 from repro.workloads import (
     ColocationModel,
     Job,
@@ -134,3 +136,86 @@ def trace_generator(oracle):
 @pytest.fixture(scope="session")
 def multi_worker_trace_generator(oracle):
     return TraceGenerator(oracle, config=TraceGeneratorConfig(multi_worker=True))
+
+
+# -- the paper's invariants, checked on every scheduler the suite drives ---------
+
+
+class _DemandFromProblem(Allocation):
+    """An allocation read with each row's demand taken from the problem's scale factors.
+
+    :meth:`Allocation.validate` reads ``demand``; the monitor's copy answers
+    it from the session's problem, so ``Allocation.demand`` itself (which a
+    test counts reads of) is never read by the monitor.
+    """
+
+    @property
+    def demand(self):
+        return self.monitor_demand
+
+
+def _check_allocation(scheduler, allocation):
+    """Section 3.1 validity: entries in [0, 1], per-job totals <= 1, capacity (3)."""
+    problem = scheduler._session.problem
+    checked = object.__new__(_DemandFromProblem)
+    vars(checked).update(vars(allocation))
+    checked.monitor_demand = tuple(
+        max(problem.scale_factor(job_id) for job_id in combination)
+        for combination in allocation.combinations
+    )
+    checked.validate(scheduler._cluster_spec)
+
+
+def _check_clock(scheduler, now):
+    """The clock is never behind what the scheduler already holds: capacity epochs, admissions."""
+    epoch = scheduler._capacity_epochs[-1][0]
+    assert now >= epoch, f"clock {now} behind the capacity epoch at {epoch}"
+    admitted = scheduler._active.admitted_at
+    if len(admitted):
+        latest = admitted.max()
+        assert now >= latest, f"clock {now} behind a job admitted at {latest}"
+
+
+def _check_progress(scheduler, now):
+    """``steps_done <= total_steps``, and busy worker-seconds within capacity-time per type."""
+    table = scheduler._active
+    steps = np.asarray(table.steps_done, dtype=float)
+    over = steps > table.total_steps * (1.0 + 1e-9) + 1e-6
+    assert not over.any(), f"steps beyond total_steps: {steps[over]} of {table.total_steps[over]}"
+    capacity = scheduler._capacity_worker_seconds(now)
+    for name, busy in scheduler._busy_seconds.items():
+        assert busy <= capacity[name] * (1.0 + 1e-9) + 1e-6, (
+            f"{name}: {busy} busy worker-seconds in {capacity[name]} of capacity"
+        )
+
+
+@pytest.fixture(autouse=True)
+def invariant_monitor(monkeypatch):
+    """Check the paper's invariants after every solve and every step of every scheduler.
+
+    After a solve, the allocation passes :meth:`Allocation.validate` against
+    the live cluster.  After a step, the clock has not moved back (within the
+    step, or behind the scheduler's own capacity epochs and admissions, which
+    a restore brings back with the clock), no job has done more steps than it
+    has, and no accelerator type has been busy longer than its capacity-time
+    integral.
+    """
+    solve, step = ClusterScheduler._solve_allocation, ClusterScheduler.step
+
+    def checked_solve(self, current_time):
+        allocation = solve(self, current_time)
+        _check_allocation(self, allocation)
+        return allocation
+
+    def checked_step(self):
+        before = self._clock.now()
+        _check_clock(self, before)
+        more = step(self)
+        after = self._clock.now()
+        assert after >= before, f"clock moved back in a step: {before} -> {after}"
+        _check_clock(self, after)
+        _check_progress(self, after)
+        return more
+
+    monkeypatch.setattr(ClusterScheduler, "_solve_allocation", checked_solve)
+    monkeypatch.setattr(ClusterScheduler, "step", checked_step)

@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Generic, Optional, TypeVar
 
+import numpy as np
+
 from repro.core.effective_throughput import isolated_reference_throughput
 from repro.core.policy import AllocationVariables, Policy
 from repro.core.problem import PolicyProblem
@@ -136,17 +138,22 @@ def bisected_optimum(
     program = LinearProgram(name=f"{base}-oracle")
     matrix = policy.effective_matrix(problem)
     variables = AllocationVariables(problem, matrix, program)
-    rows = {
-        job_id: program.add_greater_equal(variables.effective_throughput_expression(job_id), 0.0)
-        for job_id in problem.job_ids
-    }
+    terms = [variables.effective_throughput_terms(job_id) for job_id in problem.job_ids]
+    rows = program.add_constraints_from_arrays(
+        np.repeat(np.arange(len(terms)), [len(cols) for cols, _vals in terms]),
+        np.concatenate([cols for cols, _vals in terms]),
+        np.concatenate([vals for _cols, vals in terms]),
+        np.zeros(len(terms)),
+        math.inf,
+    )
 
     def feasible(value: float) -> Optional[bool]:
         required = required_throughputs(base, policy, problem, value)
         if required is None:
             return None
-        for job_id, handle in rows.items():
-            program.set_constraint_bounds(handle, lower=required[job_id])
+        program.set_constraint_bounds_from_arrays(
+            rows, lower=[required[job_id] for job_id in problem.job_ids]
+        )
         try:
             program.solve()
         except InfeasibleError:

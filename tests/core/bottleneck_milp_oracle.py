@@ -18,7 +18,8 @@ from repro.core.policy import AllocationVariables
 from repro.core.problem import PolicyProblem
 from repro.core.throughput_matrix import ThroughputMatrix
 from repro.core.water_filling import _EPSILON, _IMPROVEMENT
-from repro.solver.lp import LinearExpression, LinearProgram, Variable
+from repro.solver.lp import LinearProgram, Variable, summed_terms
+from tests.lp_rows import add_row, set_objective
 
 
 def _normalized_upper_bound(
@@ -45,20 +46,21 @@ def solve_bottleneck_milp(
     program = LinearProgram(name="water_filling_bottleneck_milp")
     variables = AllocationVariables(problem, matrix, program)
     indicator: Dict[int, Variable] = {}
-    objective = LinearExpression()
     for job_id in matrix.job_ids:
-        normalized = variables.effective_throughput_expression(job_id) * norms[job_id]
+        cols, vals = summed_terms(*variables.effective_throughput_terms(job_id))
+        normalized = dict(zip(cols.tolist(), (vals * norms[job_id]).tolist()))
         level = levels.get(job_id, 0.0)
         count = problem.group_count(job_id)
-        program.add_greater_equal(normalized, level - _EPSILON * count)
+        add_row(program, normalized, lower=level - _EPSILON * count)
         if job_id in candidates:
             z = program.add_variable(name=f"z[{job_id}]", lower=0.0, upper=1.0, integer=True)
             indicator[job_id] = z
             big_m = _normalized_upper_bound(matrix, norms, job_id, count)
-            program.add_greater_equal(
-                normalized + z * (-big_m), level + _IMPROVEMENT * count - big_m
+            add_row(
+                program,
+                {**normalized, z.index: -big_m},
+                lower=level + _IMPROVEMENT * count - big_m,
             )
-            objective = objective + z * 1.0
-    program.maximize(objective)
+    set_objective(program, {z.index: 1.0 for z in indicator.values()})
     solution = program.solve()
-    return {job_id for job_id, z in indicator.items() if solution.value_of(z) > 0.5}
+    return {job_id for job_id, z in indicator.items() if solution.values[z.index] > 0.5}

@@ -20,16 +20,19 @@ Two recordings, both made by :func:`churn_fingerprints` for every spec in
 
 ``churn_call_counts.json`` pins, per spec and per HiGHS model in creation
 order, how many calls of each kind the live models receive over the
-sequence (:func:`counting_highs`).  Counts, unlike call digests, do not
-depend on the HiGHS build, so an LP-layer refactor that claims to send the
-same calls must reproduce this file; re-record with ``--record-calls`` only
-when the calls are meant to change.
+sequence and a SHA-256 over every call's name and arguments, in order
+(:func:`counting_highs`).  The counts do not depend on the HiGHS build; the
+digests do where an argument was read back from HiGHS (a ``setBasis``
+basis).  An LP-layer refactor that claims to send the same calls must
+reproduce this file; re-record with ``--record-calls`` only when the calls
+are meant to change.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import json
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Tuple
@@ -142,26 +145,55 @@ def session_allocations(policy_spec: str, steps) -> List[Allocation]:
     return [allocation for _session, allocation in session_solves(policy_spec, steps)]
 
 
-@contextlib.contextmanager
-def counting_highs() -> Iterator[List[Dict[str, int]]]:
-    """Count the calls of every HiGHS model created inside the block.
+def feed_call(digest: "hashlib._Hash", value: Any) -> None:
+    """Hash one call argument: arrays by their bytes, HiGHS objects by their arrays.
 
-    Yields a list that receives one ``{call kind: count}`` dict per model,
-    in creation order; each element of a ``changeCoeff`` or
-    ``changeRowBounds`` loop counts as one call.
+    A ``setBasis`` basis is hashed as its two status lists, a ``passModel``
+    LP as its column count, sense, bounds, costs and row-wise matrix.
     """
-    models: List[Dict[str, int]] = []
+    if isinstance(value, np.ndarray):
+        digest.update(repr((value.dtype.str, value.shape)).encode())
+        digest.update(np.ascontiguousarray(value).tobytes())
+    elif isinstance(value, (list, tuple)):
+        digest.update(f"[{len(value)}".encode())
+        for item in value:
+            feed_call(digest, item)
+    elif hasattr(value, "col_status"):
+        feed_call(digest, [[int(s) for s in value.col_status], [int(s) for s in value.row_status]])
+    elif hasattr(value, "a_matrix_"):
+        matrix = value.a_matrix_
+        feed_call(digest, [
+            value.num_col_, int(value.sense_), value.col_cost_, value.col_lower_,
+            value.col_upper_, value.row_lower_, value.row_upper_,
+            matrix.start_, matrix.index_, matrix.value_,
+        ])
+    else:
+        digest.update(repr(value).encode())
+
+
+@contextlib.contextmanager
+def counting_highs() -> Iterator[List[Tuple[Dict[str, int], "hashlib._Hash"]]]:
+    """Count and digest the calls of every HiGHS model created inside the block.
+
+    Yields a list that receives one ``({call kind: count}, sha256)`` pair per
+    model, in creation order; each element of a ``changeCoeff`` or
+    ``changeRowBounds`` loop counts as one call, and every call's name and
+    arguments go into the model's digest in the order they were made.
+    """
+    models: List[Tuple[Dict[str, int], "hashlib._Hash"]] = []
     base = lp._highs_core._Highs
 
     class Counting(base):  # type: ignore[misc, valid-type]
         def __init__(self) -> None:
             super().__init__()
             self.counts: Dict[str, int] = {}
-            models.append(self.counts)
+            self.digest = hashlib.sha256()
+            models.append((self.counts, self.digest))
 
     for name in HIGHS_CALLS:
         def counted(self, *args, _name=name, _real=getattr(base, name)):
             self.counts[_name] = self.counts.get(_name, 0) + 1
+            feed_call(self.digest, (_name, args))
             return _real(self, *args)
 
         setattr(Counting, name, counted)
@@ -177,12 +209,15 @@ def call_count_key(policy_spec: str, aggregation: str) -> str:
     return policy_spec if aggregation == "job" else f"{policy_spec} aggregation={aggregation}"
 
 
-def churn_call_counts(policy_spec: str, steps, aggregation: str = "job") -> List[Dict[str, int]]:
-    """Per HiGHS model, in creation order: its calls by kind over the churn sequence."""
+def churn_call_counts(policy_spec: str, steps, aggregation: str = "job") -> List[Dict[str, Any]]:
+    """Per HiGHS model, in creation order: its calls by kind and their digest over the sequence."""
     with counting_highs() as models:
         for _solved in session_solves(policy_spec, steps, aggregation):
             pass
-    return [dict(sorted(counts.items())) for counts in models]
+    return [
+        {"calls": dict(sorted(counts.items())), "sha256": digest.hexdigest()}
+        for counts, digest in models
+    ]
 
 
 def allocation_fingerprint(allocation: Allocation) -> Dict[str, List[float]]:

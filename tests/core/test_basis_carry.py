@@ -28,6 +28,8 @@ from repro.solver import lp
 from repro.solver.lp import LinearProgram
 from repro.workloads import TraceGenerator
 
+from tests.lp_rows import add_row, set_objective
+
 
 def _listed_basis(backend, program, rows):
     """The statuses the earlier carry installed, or ``None`` when it installed none."""
@@ -109,20 +111,20 @@ def _program():
     """max x0 + x1 + x2 + x3 over [0, 1]^4 with two shared rows and a row per column."""
     program = LinearProgram("carry")
     xs = [program.add_variable(f"x{index}", upper=1.0) for index in range(4)]
-    program.maximize({x.index: 1.0 for x in xs})
+    set_objective(program, {x.index: 1.0 for x in xs})
     shared = [
-        program.add_less_equal({xs[0].index: 1.0, xs[1].index: 1.0}, 1.5),
-        program.add_less_equal({xs[2].index: 1.0, xs[3].index: 1.0}, 1.2),
+        add_row(program, {xs[0].index: 1.0, xs[1].index: 1.0}, upper=1.5),
+        add_row(program, {xs[2].index: 1.0, xs[3].index: 1.0}, upper=1.2),
     ]
-    own = [program.add_less_equal({x.index: 1.0}, 0.9) for x in xs]
+    own = [add_row(program, {x.index: 1.0}, upper=0.9) for x in xs]
     return program, xs, shared, own
 
 
 def _retire(program, x, rows):
     """Scrub ``x`` from ``rows``, release it, and drop its own row: one carry."""
     program.remove_terms_from_constraints(rows[:-1], [x.index])
-    program.release_variable(x)
-    program.remove_constraint(rows[-1])
+    program.release_variables([x.index])
+    program.remove_constraints(rows[-1:])
 
 
 class _Asked:
@@ -144,9 +146,10 @@ class _Asked:
 def test_a_fixed_column_not_released_reads_the_list(monkeypatch):
     program, xs, shared, own = _program()
     program.solve()
-    program.add_less_equal({xs[2].index: 1.0}, 0.5)
+    add_row(program, {xs[2].index: 1.0}, upper=0.5)
     program.solve()  # warm
-    program.fix_variable(xs[1], 0.0)  # fixed, never released: ambiguous from now on
+    # Fixed, never released: ambiguous from now on.
+    program.set_variable_bounds_from_arrays([xs[1].index], 0.0, 0.0)
     program.solve()
     backend = program._backend
     _status, basic = backend._highs.getBasicVariables()
@@ -164,7 +167,7 @@ def test_a_fixed_column_not_released_reads_the_list(monkeypatch):
 def test_a_basic_set_highs_will_not_give_reads_the_list(monkeypatch):
     program, xs, shared, own = _program()
     program.solve()
-    program.add_less_equal({xs[2].index: 1.0}, 0.5)
+    add_row(program, {xs[2].index: 1.0}, upper=0.5)
     program.solve()  # warm
     backend = program._backend
     backend._highs = asked = _Asked(backend._highs, refuse=True)
@@ -185,14 +188,14 @@ def test_the_derived_basis_matches_after_rows_without_coefficients(monkeypatch):
     """
     program = LinearProgram("empty rows")
     xs = [program.add_variable(f"x{index}", upper=1.0) for index in range(3)]
-    program.maximize({x.index: 1.0 for x in xs})
-    rows = [program.add_less_equal({}, 1.0) for _ in range(3)]
+    set_objective(program, {x.index: 1.0 for x in xs})
+    rows = [add_row(program, {}, upper=1.0) for _ in range(3)]
     program.solve()
-    program.set_constraint_bounds(rows[1], upper=2.0)
+    program.set_constraint_bounds_from_arrays([rows[1]], upper=2.0)
     program.solve()  # warm
     with _checked_carries(monkeypatch) as seen:
-        program.release_variable(xs[0])
-        program.remove_constraint(rows[0])
+        program.release_variables([xs[0].index])
+        program.remove_constraints([rows[0]])
         solution = program.solve()
     assert seen["carries"] == 1 and seen["derived"] == 0
     assert solution.objective_value == pytest.approx(2.0)

@@ -28,8 +28,10 @@ from repro.core.effective_throughput import (
 from repro.core.policy import AllocationVariables
 from repro.core.session import RequirementCurves
 from repro.exceptions import ConfigurationError, InfeasibleError
-from repro.solver.lp import LinearProgram
+from repro.solver.lp import LinearProgram, summed_terms
 from repro.workloads import Job, ThroughputOracle, default_job_type_table
+
+from tests.lp_rows import add_row, set_objective
 
 _ORACLE = ThroughputOracle()
 _JOB_TYPES = list(default_job_type_table().names)
@@ -125,13 +127,14 @@ def _max_min_makespan(policy, problem):
     """``1 / max_X min_m throughput(m, X) / steps_m`` as one epigraph LP."""
     program = LinearProgram(name="max-min-oracle")
     variables = AllocationVariables(problem, policy.effective_matrix(problem), program)
-    program.add_max_min_objective(
-        [
-            variables.effective_throughput_expression(job_id) * (1.0 / problem.remaining_steps(job_id))
-            for job_id in problem.job_ids
-            if problem.remaining_steps(job_id) > 0
-        ]
-    )
+    epigraph = program.add_variable(name="max_min_t", lower=-math.inf)
+    for job_id in problem.job_ids:
+        if problem.remaining_steps(job_id) > 0:
+            cols, vals = summed_terms(*variables.effective_throughput_terms(job_id))
+            scaled = -(vals * (1.0 / problem.remaining_steps(job_id)))
+            row = {**dict(zip(cols.tolist(), scaled.tolist())), epigraph.index: 1.0}
+            add_row(program, row, upper=0.0)
+    set_objective(program, {epigraph.index: 1.0})
     return 1.0 / program.solve().objective_value
 
 

@@ -184,10 +184,11 @@ def _assert_rows_match(actual, recorded, label):
 class TestRecordedChurnAllocations:
     @pytest.mark.parametrize(("policy_spec", "aggregation"), CALL_COUNT_CASES)
     def test_churn_call_counts_match_recording(self, oracle, policy_spec, aggregation):
-        """Every live HiGHS model receives as many calls of each kind as recorded.
+        """Every live HiGHS model receives the recorded calls: counts by kind and their digest.
 
-        Counts do not depend on the HiGHS build, so an LP-layer or session
-        refactor that claims an unchanged call stream is held to it here.
+        The digest covers every call's name and arguments in order, so an
+        LP-layer or session refactor that claims an unchanged call stream is
+        held to it bit for bit here.
         """
         assert churn_call_counts(policy_spec, churn_problems(oracle), aggregation) == (
             load_recorded(RECORDED_CALLS)[call_count_key(policy_spec, aggregation)]

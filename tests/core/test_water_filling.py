@@ -426,7 +426,7 @@ class TestBottleneckDetection:
         def unreachable_once(program, *args, **kwargs):
             if program is session.detection_program and not sabotaged:
                 sabotaged.append(max(program._constraints))
-                program.set_constraint_bounds(sabotaged[0], lower=1e9)
+                program.set_constraint_bounds_from_arrays(sabotaged, lower=1e9)
             return solve(program, *args, **kwargs)
 
         monkeypatch.setattr(LinearProgram, "solve", unreachable_once)

@@ -6,7 +6,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from scipy.optimize import linprog
 
 from repro.exceptions import InfeasibleError, SolverError
-from repro.solver import FractionalProgram, LinearExpression, LinearProgram
+from repro.solver import FractionalProgram, LinearProgram
+from tests.lp_rows import add_row
+
+
+def _terms(terms, constant=0.0):
+    """One ratio side, ``sum(coefficient * variable) + constant``, as the program takes it."""
+    return [variable.index for variable in terms], list(terms.values()), constant
 
 
 class TestFractionalProgram:
@@ -15,29 +21,29 @@ class TestFractionalProgram:
         program = FractionalProgram()
         x = program.add_variable("x")
         y = program.add_variable("y")
-        program.set_ratio_objective(x * 1.0 + y * 2.0, x * 1.0 + y * 1.0 + 1.0)
+        program.set_ratio_objective(_terms({x: 1.0, y: 2.0}), _terms({x: 1.0, y: 1.0}, 1.0))
         solution = program.solve()
         assert solution.objective_value == pytest.approx(1.0, abs=1e-5)
-        assert solution.value_of(y) == pytest.approx(1.0, abs=1e-5)
-        assert solution.value_of(x) == pytest.approx(0.0, abs=1e-5)
+        assert solution.values[y.index] == pytest.approx(1.0, abs=1e-5)
+        assert solution.values[x.index] == pytest.approx(0.0, abs=1e-5)
 
     def test_constant_denominator_reduces_to_lp(self):
         """max (3x) / 2 over x in [0, 1] is 1.5 at x = 1."""
         program = FractionalProgram()
         x = program.add_variable("x")
-        program.set_ratio_objective(x * 3.0, x * 0.0 + 2.0)
+        program.set_ratio_objective(_terms({x: 3.0}), _terms({x: 0.0}, 2.0))
         solution = program.solve()
         assert solution.objective_value == pytest.approx(1.5, abs=1e-6)
-        assert solution.value_of(x) == pytest.approx(1.0, abs=1e-6)
+        assert solution.values[x.index] == pytest.approx(1.0, abs=1e-6)
 
     def test_constraints_respected(self):
         """max x / (0.5x + 1) with x <= 0.4."""
         program = FractionalProgram()
         x = program.add_variable("x")
-        program.add_less_equal(x * 1.0, 0.4)
-        program.set_ratio_objective(x * 1.0, x * 0.5 + 1.0)
+        add_row(program, {x.index: 1.0}, upper=0.4)
+        program.set_ratio_objective(_terms({x: 1.0}), _terms({x: 0.5}, 1.0))
         solution = program.solve()
-        assert solution.value_of(x) == pytest.approx(0.4, abs=1e-5)
+        assert solution.values[x.index] == pytest.approx(0.4, abs=1e-5)
         assert solution.objective_value == pytest.approx(0.4 / 1.2, abs=1e-5)
 
     def test_greater_equal_constraint(self):
@@ -45,11 +51,13 @@ class TestFractionalProgram:
         program = FractionalProgram()
         fast = program.add_variable("fast")
         cheap = program.add_variable("cheap")
-        program.add_greater_equal(fast * 4.0 + cheap * 1.0, 1.0)  # minimum throughput
-        program.set_ratio_objective(fast * 4.0 + cheap * 1.0, fast * 3.0 + cheap * 0.5 + 1e-6)
+        add_row(program, {fast.index: 4.0, cheap.index: 1.0}, lower=1.0)  # minimum throughput
+        program.set_ratio_objective(
+            _terms({fast: 4.0, cheap: 1.0}), _terms({fast: 3.0, cheap: 0.5}, 1e-6)
+        )
         solution = program.solve()
         # Cost-normalized throughput of cheap (2.0/unit) beats fast (1.33/unit).
-        assert solution.value_of(cheap) > solution.value_of(fast)
+        assert solution.values[cheap.index] > solution.values[fast.index]
 
     def test_equality_constraint(self):
         program = FractionalProgram()
@@ -57,9 +65,9 @@ class TestFractionalProgram:
         y = program.add_variable("y")
         # Equal bounds select the '==' sense.
         program.add_constraints_from_arrays([0, 0], [x.index, y.index], [1.0, 1.0], 1.0, 1.0)
-        program.set_ratio_objective(x * 2.0 + y * 1.0, x * 1.0 + y * 1.0)
+        program.set_ratio_objective(_terms({x: 2.0, y: 1.0}), _terms({x: 1.0, y: 1.0}))
         solution = program.solve()
-        assert solution.value_of(x) + solution.value_of(y) == pytest.approx(1.0, abs=1e-6)
+        assert solution.values[x.index] + solution.values[y.index] == pytest.approx(1.0, abs=1e-6)
         assert solution.objective_value == pytest.approx(2.0, abs=1e-4)
 
     def test_missing_objective_raises(self):
@@ -70,7 +78,7 @@ class TestFractionalProgram:
 
     def test_no_variables_raises(self):
         program = FractionalProgram()
-        program.set_ratio_objective({}, {})
+        program.set_ratio_objective(([], [], 0.0), ([], [], 0.0))
         with pytest.raises(SolverError):
             program.solve()
 
@@ -78,17 +86,17 @@ class TestFractionalProgram:
         """An unbounded box makes ``max N`` unbounded from λ = 0: rejected at solve time."""
         program = FractionalProgram()
         x = program.add_variable("x", lower=0.0, upper=float("inf"))
-        program.set_ratio_objective(x * 1.0, x * 1.0 + 1.0)
+        program.set_ratio_objective(_terms({x: 1.0}), _terms({x: 1.0}, 1.0))
         with pytest.raises(SolverError):
             program.solve()
-        program.set_variable_bounds(x, 0.0, 1.0)
+        program.set_variable_bounds_from_arrays([x.index], 0.0, 1.0)
         assert program.solve().objective_value == pytest.approx(0.5)
 
     def test_infeasible_constraints(self):
         program = FractionalProgram()
         x = program.add_variable("x")
-        program.add_greater_equal(x * 1.0, 2.0)  # impossible with x <= 1
-        program.set_ratio_objective(x * 1.0, x * 1.0 + 1.0)
+        add_row(program, {x.index: 1.0}, lower=2.0)  # impossible with x <= 1
+        program.set_ratio_objective(_terms({x: 1.0}), _terms({x: 1.0}, 1.0))
         with pytest.raises((InfeasibleError, SolverError)):
             program.solve()
 
@@ -114,8 +122,8 @@ class TestDinkelbachIteration:
         program = FractionalProgram()
         x = program.add_variable("x")
         y = program.add_variable("y")
-        program.add_less_equal(x + y, 1.5)
-        program.set_ratio_objective(x * 1.0 + y * 2.0, x * 1.0 + y * 1.0 + 1.0)
+        add_row(program, {x.index: 1.0, y.index: 1.0}, upper=1.5)
+        program.set_ratio_objective(_terms({x: 1.0, y: 2.0}), _terms({x: 1.0, y: 1.0}, 1.0))
         first = program.solve()
         assert len(solved) >= 2  # from λ = 0: at least one step and its certificate
         solved.clear()
@@ -128,10 +136,10 @@ class TestDinkelbachIteration:
         solved = self._counting(monkeypatch)
         program = FractionalProgram()
         x = program.add_variable("x")
-        cap = program.add_less_equal(x * 1.0, 1.0)
-        program.set_ratio_objective(x * 1.0, x * 0.5 + 1.0)
+        cap = add_row(program, {x.index: 1.0}, upper=1.0)
+        program.set_ratio_objective(_terms({x: 1.0}), _terms({x: 0.5}, 1.0))
         assert program.solve().objective_value == pytest.approx(1.0 / 1.5)
-        program.set_constraint_bounds(cap, upper=0.4)
+        program.set_constraint_bounds_from_arrays([cap], upper=0.4)
         solved.clear()
         assert program.solve().objective_value == pytest.approx(0.4 / 1.2)
         assert len(solved) == 2
@@ -140,15 +148,15 @@ class TestDinkelbachIteration:
         """max (x + 1) / x: λ = 2 at x = 1, then max 1 - x lands on D = 0."""
         program = FractionalProgram()
         x = program.add_variable("x")
-        program.set_ratio_objective(x * 1.0 + 1.0, x * 1.0)
+        program.set_ratio_objective(_terms({x: 1.0}, 1.0), _terms({x: 1.0}))
         solution = program.solve()
-        assert solution.value_of(x) == pytest.approx(1.0)
+        assert solution.values[x.index] == pytest.approx(1.0)
         assert solution.objective_value == pytest.approx(2.0)
 
     def test_non_positive_denominator_on_the_first_lp_raises(self):
         program = FractionalProgram()
         x = program.add_variable("x")
-        program.set_ratio_objective(x * 1.0, x * -1.0)
+        program.set_ratio_objective(_terms({x: 1.0}), _terms({x: -1.0}))
         with pytest.raises(InfeasibleError):
             program.solve()
 
@@ -159,116 +167,111 @@ class TestEditsBetweenSolves:
     def test_constraint_add_and_remove_mirrored(self):
         program = FractionalProgram()
         x = program.add_variable("x")
-        program.set_ratio_objective(x * 1.0, x * 0.5 + 1.0)
+        program.set_ratio_objective(_terms({x: 1.0}), _terms({x: 0.5}, 1.0))
         first = program.solve()
-        assert first.value_of(x) == pytest.approx(1.0, abs=1e-6)
-        handle = program.add_less_equal(x * 1.0, 0.4)
+        assert first.values[x.index] == pytest.approx(1.0, abs=1e-6)
+        handle = add_row(program, {x.index: 1.0}, upper=0.4)
         capped = program.solve()
-        assert capped.value_of(x) == pytest.approx(0.4, abs=1e-6)
-        program.remove_constraint(handle)
+        assert capped.values[x.index] == pytest.approx(0.4, abs=1e-6)
+        program.remove_constraints([handle])
         released = program.solve()
-        assert released.value_of(x) == pytest.approx(1.0, abs=1e-6)
+        assert released.values[x.index] == pytest.approx(1.0, abs=1e-6)
 
     def test_rhs_edit_mirrored(self):
         program = FractionalProgram()
         x = program.add_variable("x")
-        handle = program.add_less_equal(x * 1.0, 0.4)
-        program.set_ratio_objective(x * 1.0, x * 0.0 + 1.0)
-        assert program.solve().value_of(x) == pytest.approx(0.4, abs=1e-6)
-        program.set_constraint_bounds(handle, upper=0.7)
-        assert program.solve().value_of(x) == pytest.approx(0.7, abs=1e-6)
+        handle = add_row(program, {x.index: 1.0}, upper=0.4)
+        program.set_ratio_objective(_terms({x: 1.0}), _terms({x: 0.0}, 1.0))
+        assert program.solve().values[x.index] == pytest.approx(0.4, abs=1e-6)
+        program.set_constraint_bounds_from_arrays([handle], upper=0.7)
+        assert program.solve().values[x.index] == pytest.approx(0.7, abs=1e-6)
 
     def test_bulk_rhs_edit_mirrored(self):
         """set_constraint_bounds_from_arrays sweeps many rows through the live LP."""
         program = FractionalProgram()
         x = program.add_variable("x")
         y = program.add_variable("y")
-        x_cap = program.add_less_equal(x * 1.0, 0.4)
-        y_floor = program.add_greater_equal(y * 1.0, 0.1)
-        program.set_ratio_objective(x * 1.0 + y * -1.0, x * 0.0 + 1.0)
+        x_cap = add_row(program, {x.index: 1.0}, upper=0.4)
+        y_floor = add_row(program, {y.index: 1.0}, lower=0.1)
+        program.set_ratio_objective(_terms({x: 1.0, y: -1.0}), _terms({x: 0.0}, 1.0))
         solution = program.solve()
-        assert solution.value_of(x) == pytest.approx(0.4, abs=1e-6)
-        assert solution.value_of(y) == pytest.approx(0.1, abs=1e-6)
+        assert solution.values[x.index] == pytest.approx(0.4, abs=1e-6)
+        assert solution.values[y.index] == pytest.approx(0.1, abs=1e-6)
         # One bulk sweep per side: raise the <= cap, raise the >= floor,
         # broadcasting against the handle array.
         program.set_constraint_bounds_from_arrays([x_cap], upper=np.array([0.8]))
         program.set_constraint_bounds_from_arrays([y_floor], lower=0.3)
         solution = program.solve()
-        assert solution.value_of(x) == pytest.approx(0.8, abs=1e-6)
-        assert solution.value_of(y) == pytest.approx(0.3, abs=1e-6)
+        assert solution.values[x.index] == pytest.approx(0.8, abs=1e-6)
+        assert solution.values[y.index] == pytest.approx(0.3, abs=1e-6)
 
     def test_term_edits_mirrored(self):
         program = FractionalProgram()
         x = program.add_variable("x")
         y = program.add_variable("y")
-        handle = program.add_less_equal(x * 1.0, 0.5)
-        program.set_ratio_objective(x * 1.0 + y * 1.0, x * 0.0 + 1.0)
+        handle = add_row(program, {x.index: 1.0}, upper=0.5)
+        program.set_ratio_objective(_terms({x: 1.0, y: 1.0}), _terms({x: 0.0}, 1.0))
         solution = program.solve()
-        assert solution.value_of(x) == pytest.approx(0.5, abs=1e-6)
-        assert solution.value_of(y) == pytest.approx(1.0, abs=1e-6)
-        program.add_terms_to_constraint(handle, {y.index: 1.0})  # now x + y <= 0.5
+        assert solution.values[x.index] == pytest.approx(0.5, abs=1e-6)
+        assert solution.values[y.index] == pytest.approx(1.0, abs=1e-6)
+        # Now x + y <= 0.5.
+        program.add_terms_to_constraints_from_arrays([handle], [0], [y.index], [1.0])
         constrained = program.solve()
-        assert constrained.value_of(x) + constrained.value_of(y) == pytest.approx(0.5, abs=1e-6)
-        program.remove_terms_from_constraint(handle, [x.index])  # back to y-only cap
+        assert constrained.values[[x.index, y.index]].sum() == pytest.approx(0.5, abs=1e-6)
+        program.remove_terms_from_constraints([handle], [x.index])  # back to y-only cap
         relaxed = program.solve()
-        assert relaxed.value_of(x) == pytest.approx(1.0, abs=1e-6)
-        assert relaxed.value_of(y) == pytest.approx(0.5, abs=1e-6)
+        assert relaxed.values[x.index] == pytest.approx(1.0, abs=1e-6)
+        assert relaxed.values[y.index] == pytest.approx(0.5, abs=1e-6)
 
     def test_variable_bounds_and_recycling_mirrored(self):
         program = FractionalProgram()
         x = program.add_variable("x")
         y = program.add_variable("y")
-        program.set_ratio_objective(x * 1.0 + y * 1.0, x * 0.0 + 1.0)
+        program.set_ratio_objective(_terms({x: 1.0, y: 1.0}), _terms({x: 0.0}, 1.0))
         assert program.solve().objective_value == pytest.approx(2.0, abs=1e-5)
-        program.set_variable_bounds(y, 0.0, 0.25)
+        program.set_variable_bounds_from_arrays([y.index], 0.0, 0.25)
         assert program.solve().objective_value == pytest.approx(1.25, abs=1e-5)
-        program.release_variable(y)
-        program.set_ratio_objective(x * 1.0, x * 0.0 + 1.0)
+        program.release_variables([y.index])
+        program.set_ratio_objective(_terms({x: 1.0}), _terms({x: 0.0}, 1.0))
         assert program.solve().objective_value == pytest.approx(1.0, abs=1e-5)
         recycled = program.add_variable("z", lower=0.0, upper=0.5)
         assert recycled.index == y.index
-        program.set_ratio_objective(x * 1.0 + recycled * 1.0, x * 0.0 + 1.0)
+        program.set_ratio_objective(_terms({x: 1.0, recycled: 1.0}), _terms({x: 0.0}, 1.0))
         assert program.solve().objective_value == pytest.approx(1.5, abs=1e-5)
 
     def test_tag_scope_clear_mirrored(self):
         program = FractionalProgram()
         x = program.add_variable("x")
-        program.set_ratio_objective(x * 1.0, x * 0.0 + 1.0)
+        program.set_ratio_objective(_terms({x: 1.0}), _terms({x: 0.0}, 1.0))
         program.solve()
         rows_before = program.num_constraints()
         program.begin_tag("objective")
-        program.add_less_equal(x * 1.0, 0.3)
+        add_row(program, {x.index: 1.0}, upper=0.3)
         program.end_tag()
-        assert program.solve().value_of(x) == pytest.approx(0.3, abs=1e-6)
+        assert program.solve().values[x.index] == pytest.approx(0.3, abs=1e-6)
         program.clear_tag("objective")
-        assert program.solve().value_of(x) == pytest.approx(1.0, abs=1e-6)
+        assert program.solve().values[x.index] == pytest.approx(1.0, abs=1e-6)
         # The program sheds the removed rows instead of accreting garbage.
         assert program.num_constraints() == rows_before
 
     def test_matches_fresh_rebuild_after_churn(self):
         """An edited program and a from-scratch rebuild agree on the optimum."""
         program = FractionalProgram()
-        xs = program.add_variables(4, name_prefix="x")
-        cap = program.add_less_equal({v.index: 1.0 for v in xs}, 2.0)
-        program.set_ratio_objective(
-            sum((v * float(i + 1) for i, v in enumerate(xs)), xs[0] * 0.0),
-            sum((v * 1.0 for v in xs), xs[0] * 0.0) + 1.0,
-        )
+        xs = program.add_variables_from_arrays(4)
+        cap = add_row(program, dict.fromkeys(xs.tolist(), 1.0), upper=2.0)
+        program.set_ratio_objective((xs, [1.0, 2.0, 3.0, 4.0], 0.0), (xs, np.ones(4), 1.0))
         program.solve()
         # Churn: tighten the cap, drop a variable, re-solve.
-        program.set_constraint_bounds(cap, upper=1.5)
-        program.remove_terms_from_constraint(cap, [xs[0].index])
-        program.fix_variable(xs[0], 0.0)
+        program.set_constraint_bounds_from_arrays([cap], upper=1.5)
+        program.remove_terms_from_constraints([cap], xs[:1])
+        program.set_variable_bounds_from_arrays(xs[:1], 0.0, 0.0)
         edited = program.solve()
 
         fresh = FractionalProgram()
-        ys = fresh.add_variables(4, name_prefix="x")
-        fresh.fix_variable(ys[0], 0.0)
-        fresh.add_less_equal({v.index: 1.0 for v in ys[1:]}, 1.5)
-        fresh.set_ratio_objective(
-            sum((v * float(i + 1) for i, v in enumerate(ys)), ys[0] * 0.0),
-            sum((v * 1.0 for v in ys), ys[0] * 0.0) + 1.0,
-        )
+        ys = fresh.add_variables_from_arrays(4)
+        fresh.set_variable_bounds_from_arrays(ys[:1], 0.0, 0.0)
+        add_row(fresh, dict.fromkeys(ys[1:].tolist(), 1.0), upper=1.5)
+        fresh.set_ratio_objective((ys, [1.0, 2.0, 3.0, 4.0], 0.0), (ys, np.ones(4), 1.0))
         scratch = fresh.solve()
         assert edited.objective_value == pytest.approx(scratch.objective_value, rel=1e-6)
 
@@ -353,12 +356,12 @@ class TestAgainstCharnesCooperOracle:
 
         def move_rhs(handle, coefficients, sense, rhs):
             if sense == "<=":
-                program.set_constraint_bounds(handle, upper=rhs)
+                program.set_constraint_bounds_from_arrays([handle], upper=rhs)
             else:
-                program.set_constraint_bounds(handle, lower=rhs)
+                program.set_constraint_bounds_from_arrays([handle], lower=rhs)
             rows[handle] = (coefficients, sense, rhs)
 
-        def add_row(slack):
+        def add_random_row(slack):
             active = [i for i in range(len(lower)) if i not in released]
             columns = rng.choice(active, size=int(rng.integers(1, len(active) + 1)), replace=False)
             coefficients = np.zeros(len(lower))
@@ -366,20 +369,18 @@ class TestAgainstCharnesCooperOracle:
             sense = "<=" if rng.random() < 0.5 else ">="
             rhs = rhs_keeping_the_point(coefficients, sense, slack)
             terms = {int(i): float(coefficients[i]) for i in columns}
-            add = program.add_less_equal if sense == "<=" else program.add_greater_equal
-            rows[add(terms, rhs)] = (coefficients, sense, rhs)
+            bounds = {"upper": rhs} if sense == "<=" else {"lower": rhs}
+            rows[add_row(program, terms, **bounds)] = (coefficients, sense, rhs)
 
         for _ in range(int(rng.integers(2, 6))):
             add_variable()
         for _ in range(int(rng.integers(0, 4))):
-            add_row(float(rng.uniform(0.0, 0.5)))
+            add_random_row(float(rng.uniform(0.0, 0.5)))
         c0, d0 = float(rng.uniform(-1.0, 1.0)), float(rng.uniform(0.1, 1.0))
 
         def check():
-            terms = lambda values: {i: v for i, v in enumerate(values) if v != 0.0}
-            program.set_ratio_objective(
-                LinearExpression(terms(c), c0), LinearExpression(terms(d), d0)
-            )
+            columns = np.arange(len(c))
+            program.set_ratio_objective((columns, c, c0), (columns, d, d0))
             solution = program.solve()
             size = len(lower)
             padded = lambda values: np.pad(np.asarray(values, dtype=float), (0, size - len(values)))
@@ -396,10 +397,10 @@ class TestAgainstCharnesCooperOracle:
         for step, (kind, pick, first, second) in enumerate(edits):
             active = [i for i in range(len(lower)) if i not in released]
             if kind == "add_row" and active:
-                add_row(0.5 * first)
+                add_random_row(0.5 * first)
             elif kind == "remove_row" and rows:
                 handle = sorted(rows)[pick % len(rows)]
-                program.remove_constraint(handle)
+                program.remove_constraints([handle])
                 del rows[handle]
             elif kind == "move_rhs" and rows:
                 handle = sorted(rows)[pick % len(rows)]
@@ -409,19 +410,19 @@ class TestAgainstCharnesCooperOracle:
                 index = active[pick % len(active)]
                 lower[index] = point[index] * first
                 upper[index] = point[index] + second
-                program.set_variable_bounds(index, lower[index], upper[index])
+                program.set_variable_bounds_from_arrays([index], lower[index], upper[index])
             elif kind == "release" and len(active) > 1:
                 index = active[pick % len(active)]
                 for handle, (coefficients, sense, rhs) in list(rows.items()):
                     if index < len(coefficients) and coefficients[index] != 0.0:
                         # Scrub the column, and move the bound by what it
                         # contributed at the point so the point stays feasible.
-                        program.remove_terms_from_constraint(handle, [index])
+                        program.remove_terms_from_constraints([handle], [index])
                         rhs -= coefficients[index] * point[index]
                         coefficients = coefficients.copy()
                         coefficients[index] = 0.0
                         move_rhs(handle, coefficients, sense, rhs)
-                program.release_variable(index)
+                program.release_variables([index])
                 released.append(index)
                 lower[index] = upper[index] = point[index] = c[index] = d[index] = 0.0
             elif kind == "add_variable":

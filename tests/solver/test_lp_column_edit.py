@@ -17,6 +17,7 @@ import pytest
 from repro.exceptions import SolverError
 from repro.solver import LinearProgram
 from repro.solver.lp import _DUAL_SIMPLEX, _PRIMAL_SIMPLEX
+from tests.lp_rows import add_row, set_objective
 
 
 def _scaling_program(requirements=(1.0, 2.0, 4.0)):
@@ -24,9 +25,9 @@ def _scaling_program(requirements=(1.0, 2.0, 4.0)):
     lp = LinearProgram(name="column-edit")
     xs = [lp.add_variable(f"x{k}", upper=1.0) for k in range(len(requirements))]
     y = lp.add_variable("y")
-    rows = [lp.add_greater_equal({x.index: 1.0}, 0.0) for x in xs]
-    total = lp.add_less_equal({x.index: 1.0 for x in xs}, 2.0)
-    lp.maximize({y.index: 1.0})
+    rows = [add_row(lp, {x.index: 1.0}, lower=0.0) for x in xs]
+    total = add_row(lp, {x.index: 1.0 for x in xs}, upper=2.0)
+    set_objective(lp, {y.index: 1.0})
     lp.set_column_coefficients_from_arrays(y, rows, -np.asarray(requirements))
     return lp, xs, y, rows, total
 
@@ -134,8 +135,8 @@ def _column_edit_and_rewrite(rewrite_first, order):
 
     def rewrite():
         # Row 0 becomes 2 * x0 - (its y term as the rewrite states it).
-        lp.set_constraint_coefficients_from_arrays(
-            rows[0], np.array([xs[0].index, y.index]), np.array([2.0, -1.5])
+        lp.set_constraints_coefficients_from_arrays(
+            [rows[0]], [0, 0], np.array([xs[0].index, y.index]), np.array([2.0, -1.5])
         )
 
     def edit_column():
@@ -162,11 +163,11 @@ def _column_edit_and_rewrite(rewrite_first, order):
     fresh = LinearProgram()
     fx = [fresh.add_variable(upper=1.0) for _ in xs]
     fy = fresh.add_variable()
-    fresh.add_greater_equal({fx[0].index: 2.0, fy.index: expected_y0}, 0.0)
-    fresh.add_greater_equal({fx[1].index: 1.0, fy.index: -1.0}, 0.0)
-    fresh.add_greater_equal({fx[2].index: 1.0, fy.index: -2.0}, 0.0)
-    fresh.add_less_equal({x.index: 1.0 for x in fx}, 2.0)
-    fresh.maximize({fy.index: 1.0})
+    add_row(fresh, {fx[0].index: 2.0, fy.index: expected_y0}, lower=0.0)
+    add_row(fresh, {fx[1].index: 1.0, fy.index: -1.0}, lower=0.0)
+    add_row(fresh, {fx[2].index: 1.0, fy.index: -2.0}, lower=0.0)
+    add_row(fresh, {x.index: 1.0 for x in fx}, upper=2.0)
+    set_objective(fresh, {fy.index: 1.0})
     assert solution.objective_value == pytest.approx(fresh.solve().objective_value, rel=1e-12)
     # And the live model really holds what the program stores: a cold pass agrees.
     lp._backend = None
@@ -177,9 +178,9 @@ def test_rows_added_and_removed_in_the_same_interval():
     lp, _xs, y, rows, total = _scaling_program()
     lp.solve()
     newcomer = lp.add_variable("x3", upper=1.0)
-    new_row = lp.add_greater_equal({newcomer.index: 1.0}, 0.0)
-    lp.add_terms_to_constraint(total, {newcomer.index: 1.0})
-    lp.remove_constraint(rows[0])
+    new_row = add_row(lp, {newcomer.index: 1.0}, lower=0.0)
+    lp.add_terms_to_constraints_from_arrays([total], [0], [newcomer.index], [1.0])
+    lp.remove_constraints([rows[0]])
     lp.set_column_coefficients_from_arrays(y, [rows[1], rows[2], new_row], [-1.0, -1.0, -0.5])
     solution = lp.solve()
     # x1 = x2 = y, x3 = y / 2, sum <= 2 (x0 idle): y = 4/5.
@@ -212,7 +213,7 @@ def test_a_bound_sweep_pushes_only_the_rows_that_moved():
 
     # Two of six rows move, one of them there and back again: one push.
     lp.set_constraint_bounds_from_arrays([rows[1], rows[3]], lower=[-1.0, -5.0])
-    lp.set_constraint_bounds(rows[3], lower=0.0)
+    lp.set_constraint_bounds_from_arrays([rows[3]], lower=0.0)
     lp.set_constraint_bounds_from_arrays(handles, upper=[*upper[:-1], 3.0])
     solution = lp.solve()
     backend = lp._backend
@@ -222,8 +223,8 @@ def test_a_bound_sweep_pushes_only_the_rows_that_moved():
     ]
     assert solution.warm_started
     fresh, *_ = _scaling_program(requirements=(1.0, 2.0, 4.0, 8.0, 3.0))  # same handles
-    fresh.set_constraint_bounds(rows[1], lower=-1.0)
-    fresh.set_constraint_bounds(total, upper=3.0)
+    fresh.set_constraint_bounds_from_arrays([rows[1]], lower=-1.0)
+    fresh.set_constraint_bounds_from_arrays([total], upper=3.0)
     assert solution.objective_value == pytest.approx(fresh.solve().objective_value, rel=1e-12)
 
 
@@ -231,13 +232,13 @@ def test_deleting_rows_alone_runs_the_primal_simplex_and_a_no_op_sweep_the_dual(
     lp, _xs, _y, rows, _total = _scaling_program(requirements=(1.0, 2.0, 4.0, 8.0))
     lp.solve()
     recorder = _bound_recorder(lp)
-    lp.remove_constraint(rows[0])
-    lp.remove_constraint(rows[2])
+    lp.remove_constraints([rows[0]])
+    lp.remove_constraints([rows[2]])
     lp.solve()
     assert _strategies(recorder) == [_PRIMAL_SIMPLEX]
 
     # A journalled bound write selects the dual simplex even when it moved nothing.
-    lp.remove_constraint(rows[1])
+    lp.remove_constraints([rows[1]])
     lp.set_constraint_bounds_from_arrays([rows[3]], lower=0.0)
     lp.solve()
     assert _strategies(recorder) == [_PRIMAL_SIMPLEX, _DUAL_SIMPLEX]
@@ -255,7 +256,7 @@ def test_a_column_edit_after_a_rewrite_pushes_each_coefficient_once():
     lp.solve()
     recorder = _Recorder(lp._backend._highs, "changeCoeff")
     lp._backend._highs = recorder
-    lp.set_constraint_coefficients_from_arrays(rows[0], np.array([xs[0].index]), np.array([2.0]))
+    lp.set_constraints_coefficients_from_arrays([rows[0]], [0], [xs[0].index], [2.0])
     lp.set_column_coefficients_from_arrays(y, rows, [-3.0, -1.0, -2.0])
     solution = lp.solve()
     row_of = lp._backend._row_of
@@ -268,8 +269,8 @@ def test_a_column_edit_after_a_rewrite_pushes_each_coefficient_once():
         (row_of[rows[2]], y.index, -2.0),
     ]
     fresh, fxs, fy, frows, _ = _scaling_program((3.0, 1.0, 2.0))
-    fresh.set_constraint_coefficients_from_arrays(
-        frows[0], np.array([fxs[0].index, fy.index]), np.array([2.0, -3.0])
+    fresh.set_constraints_coefficients_from_arrays(
+        [frows[0]], [0, 0], np.array([fxs[0].index, fy.index]), np.array([2.0, -3.0])
     )
     assert solution.objective_value == pytest.approx(fresh.solve().objective_value, rel=1e-12)
 
@@ -280,8 +281,8 @@ def test_a_column_edit_takes_its_place_among_rewritten_rows():
     lp.solve()
     recorder = _Recorder(lp._backend._highs, "changeCoeff")
     lp._backend._highs = recorder
-    lp.set_constraint_coefficients_from_arrays(
-        total, np.array([x.index for x in xs]), np.array([1.0, 1.0, 2.0])
+    lp.set_constraints_coefficients_from_arrays(
+        [total], [0, 0, 0], np.array([x.index for x in xs]), np.array([1.0, 1.0, 2.0])
     )
     lp.set_column_coefficients_from_arrays(y, [rows[2], rows[0]], [-5.0, -6.0])
     lp.set_column_coefficients_from_arrays(y, [rows[1]], [-2.0])  # unchanged

@@ -7,7 +7,8 @@ import pytest
 
 from repro.exceptions import SolverError
 from repro.solver.fractional import FractionalProgram
-from repro.solver.lp import LinearExpression, LinearProgram
+from repro.solver.lp import LinearProgram
+from tests.lp_rows import add_row
 
 
 def _assembled_dense(program):
@@ -32,8 +33,7 @@ class TestBulkVariables:
         scalar = LinearProgram()
         for program in (bulk, scalar):
             variables = [program.add_variable(upper=1.0) for _ in range(5)]
-            for variable in variables[1:4]:
-                program.release_variable(variable)
+            program.release_variables([variable.index for variable in variables[1:4]])
         bulk_indices = bulk.add_variables_from_arrays(4, lower=0.0, upper=1.0)
         scalar_indices = [scalar.add_variable(upper=1.0).index for _ in range(4)]
         assert bulk_indices.tolist() == scalar_indices
@@ -46,7 +46,7 @@ class TestBulkVariables:
 
 
 class TestBulkConstraints:
-    def test_matches_per_term_construction(self):
+    def test_matches_row_by_row_construction(self):
         bulk = LinearProgram()
         dict_path = LinearProgram()
         for program in (bulk, dict_path):
@@ -58,8 +58,8 @@ class TestBulkConstraints:
             lower=-math.inf,
             upper=np.array([4.0, 6.0]),
         )
-        dict_path.add_less_equal({0: 1.0, 1: 2.0}, 4.0)
-        dict_path.add_less_equal({0: 3.0, 2: 5.0}, 6.0)  # zero coeff dropped
+        add_row(dict_path, {0: 1.0, 1: 2.0}, upper=4.0)
+        add_row(dict_path, {0: 3.0, 2: 5.0}, upper=6.0)  # zero coeff dropped
         b_m, b_l, b_u = _assembled_dense(bulk)
         d_m, d_l, d_u = _assembled_dense(dict_path)
         assert np.array_equal(b_m, d_m)
@@ -95,16 +95,16 @@ class TestBulkConstraints:
         )
         row = program._constraints[handle]
         # Appending a disjoint term extends the stored arrays.
-        program.add_terms_to_constraint_from_arrays(handle, v[2:], np.array([1.0]))
+        program.add_terms_to_constraints_from_arrays([handle], [0], v[2:], np.array([1.0]))
         assert row.indices.tolist() == v.tolist()
         # An overlapping append sums in place.
-        program.add_terms_to_constraint_from_arrays(handle, v[:1], np.array([0.5]))
+        program.add_terms_to_constraints_from_arrays([handle], [0], v[:1], np.array([0.5]))
         assert row.indices.tolist() == v.tolist()
         assert row.values.tolist() == [1.5, 1.0, 1.0]
-        program.remove_terms_from_constraint(handle, [int(v[1])])
+        program.remove_terms_from_constraints([handle], [int(v[1])])
         assert row.indices.tolist() == [int(v[0]), int(v[2])]
-        program.set_constraint_coefficients_from_arrays(
-            handle, v[:2], np.array([2.0, 3.0])
+        program.set_constraints_coefficients_from_arrays(
+            [handle], [0, 0], v[:2], np.array([2.0, 3.0])
         )
         matrix, _, _ = program._assembled()
         assert matrix.toarray()[0].tolist() == [2.0, 3.0, 0.0]
@@ -118,12 +118,15 @@ class TestBulkConstraints:
         assert program._objective_dense().tolist() == [3.0, 4.0]
 
 
-class TestLinearExpressionFromArrays:
+class TestRatioTermsFromArrays:
     def test_preserves_order_and_sums_duplicates(self):
-        expression = LinearExpression.from_arrays(
-            np.array([3, 1, 3]), np.array([1.0, 2.0, 0.5])
+        program = FractionalProgram()
+        program.add_variables_from_arrays(4)
+        program.set_ratio_objective(
+            (np.array([3, 1, 3, 0]), np.array([1.0, 2.0, 0.5, 0.0]), 0.0), ([0], [1.0], 1.0)
         )
-        assert list(expression.coefficients.items()) == [(3, 1.5), (1, 2.0)]
+        indices, values, constant = program._numerator
+        assert (indices.tolist(), values.tolist(), constant) == ([3, 1], [1.5, 2.0], 0.0)
 
 
 class TestFractionalColumnar:
@@ -133,11 +136,12 @@ class TestFractionalColumnar:
         program.add_constraints_from_arrays(
             np.array([0, 0]), v, np.array([1.0, 1.0]), -math.inf, np.array([1.0])
         )
-        program.set_ratio_objective({int(v[0]): 2.0, int(v[1]): 1.0}, {int(v[0]): 1.0, int(v[1]): 1.0})
+        program.set_ratio_objective((v, np.array([2.0, 1.0]), 0.0), (v, np.ones(2), 0.0))
         reference = FractionalProgram()
-        xs = reference.add_variables(2, lower=0.0, upper=1.0)
-        reference.add_less_equal({0: 1.0, 1: 1.0}, 1.0)
-        reference.set_ratio_objective({0: 2.0, 1: 1.0}, {0: 1.0, 1: 1.0})
+        reference.add_variable(lower=0.0, upper=1.0)
+        reference.add_variable(lower=0.0, upper=1.0)
+        add_row(reference, {0: 1.0, 1: 1.0}, upper=1.0)
+        reference.set_ratio_objective(([0, 1], [2.0, 1.0], 0.0), ([0, 1], [1.0, 1.0], 0.0))
         a = program.solve()
         b = reference.solve()
         assert a.objective_value == pytest.approx(b.objective_value)
@@ -177,8 +181,8 @@ _NON_FINITE_EDITS = {
     "batched terms": lambda program, handles, bad: program.add_terms_to_constraints_from_arrays(
         handles, [0, 1], [1, 1], [bad, 1.0]
     ),
-    "one row": lambda program, handles, bad: program.set_constraint_coefficients_from_arrays(
-        handles[0], [0, 1], [bad, 1.0]
+    "one row": lambda program, handles, bad: program.set_constraints_coefficients_from_arrays(
+        handles[:1], [0, 0], [0, 1], [bad, 1.0]
     ),
     "column": lambda program, handles, bad: program.set_column_coefficients_from_arrays(
         0, handles, [1.0, bad]
@@ -186,7 +190,10 @@ _NON_FINITE_EDITS = {
     "objective": lambda program, handles, bad: program.set_objective_from_arrays(
         [0, 1], [bad, 1.0], maximize=True
     ),
-    "mapping": lambda program, handles, bad: program.add_less_equal({0: bad, 1: 1.0}, 1.0),
+    # Past the small-block fast path: the checks of the general path.
+    "large block": lambda program, handles, bad: program.add_constraints_from_arrays(
+        np.zeros(66, dtype=np.int64), np.tile([0, 1], 33), np.r_[bad, np.ones(65)], -math.inf, 1.0
+    ),
 }
 
 

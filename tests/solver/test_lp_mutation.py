@@ -6,16 +6,17 @@ import numpy as np
 import pytest
 
 from repro.exceptions import InfeasibleError, SolverError
-from repro.solver import LinearExpression, LinearProgram
+from repro.solver import LinearProgram
 from repro.solver.fractional import FractionalProgram
+from tests.lp_rows import add_row, set_objective
 
 
 def _toy_program():
     lp = LinearProgram()
     x = lp.add_variable("x", upper=4.0)
     y = lp.add_variable("y", upper=3.0)
-    handle = lp.add_less_equal(x + y, 5.0)
-    lp.maximize(x * 2.0 + y)
+    handle = add_row(lp, {x.index: 1.0, y.index: 1.0}, upper=5.0)
+    set_objective(lp, {x.index: 2.0, y.index: 1.0})
     return lp, x, y, handle
 
 
@@ -23,64 +24,66 @@ class TestConstraintMutation:
     def test_remove_constraint_relaxes_program(self):
         lp, x, y, handle = _toy_program()
         assert lp.solve().objective_value == pytest.approx(9.0)
-        lp.remove_constraint(handle)
+        lp.remove_constraints([handle])
         assert lp.solve().objective_value == pytest.approx(11.0)
 
     def test_set_constraint_bounds_changes_rhs_only(self):
         lp, x, y, handle = _toy_program()
         lp.solve()
-        lp.set_constraint_bounds(handle, upper=6.0)
+        lp.set_constraint_bounds_from_arrays([handle], upper=6.0)
         assert lp.solve().objective_value == pytest.approx(10.0)
-        lp.set_constraint_bounds(handle, upper=3.0)
+        lp.set_constraint_bounds_from_arrays([handle], upper=3.0)
         assert lp.solve().objective_value == pytest.approx(6.0 + 0.0)
 
     def test_add_and_remove_terms(self):
         lp, x, y, handle = _toy_program()
         z = lp.add_variable("z", upper=10.0)
-        lp.add_terms_to_constraint(handle, {z.index: 1.0})
-        lp.maximize(x * 2.0 + y + z * 3.0)
+        lp.add_terms_to_constraints_from_arrays([handle], [0], [z.index], [1.0])
+        set_objective(lp, {x.index: 2.0, y.index: 1.0, z.index: 3.0})
         solution = lp.solve()
         # z dominates: z=5, x=4 (bounds), x+y+z <= 5 forces x... x not in bound
-        assert solution.value_of(z) + solution.value_of(x) + solution.value_of(y) <= 5.0 + 1e-9
-        lp.remove_terms_from_constraint(handle, [z.index])
+        assert solution.values[[x.index, y.index, z.index]].sum() <= 5.0 + 1e-9
+        lp.remove_terms_from_constraints([handle], [z.index])
         solution = lp.solve()
-        assert solution.value_of(z) == pytest.approx(10.0)
+        assert solution.values[z.index] == pytest.approx(10.0)
 
     def test_set_constraint_coefficients_replaces_row(self):
         lp, x, y, handle = _toy_program()
         lp.solve()
-        lp.set_constraint_coefficients(handle, {x.index: 2.0, y.index: 2.0})
+        lp.set_constraints_coefficients_from_arrays(
+            [handle], [0, 0], [x.index, y.index], [2.0, 2.0]
+        )
         solution = lp.solve()
-        assert 2 * solution.value_of(x) + 2 * solution.value_of(y) <= 5.0 + 1e-9
+        assert 2 * solution.values[x.index] + 2 * solution.values[y.index] <= 5.0 + 1e-9
 
     def test_unknown_handle_raises(self):
         lp, *_ = _toy_program()
         with pytest.raises(SolverError):
-            lp.add_terms_to_constraint(9999, {0: 1.0})
+            lp.add_terms_to_constraints_from_arrays([9999], [0], [0], [1.0])
 
     def test_rhs_edit_matches_fresh_program(self):
         """Warm-started re-solve equals a cold solve of the edited program."""
         lp, x, y, handle = _toy_program()
         lp.solve()
-        lp.set_constraint_bounds(handle, upper=4.5)
+        lp.set_constraint_bounds_from_arrays([handle], upper=4.5)
         warm = lp.solve()
 
         fresh = LinearProgram()
         fx = fresh.add_variable("x", upper=4.0)
         fy = fresh.add_variable("y", upper=3.0)
-        fresh.add_less_equal(fx + fy, 4.5)
-        fresh.maximize(fx * 2.0 + fy)
+        add_row(fresh, {fx.index: 1.0, fy.index: 1.0}, upper=4.5)
+        set_objective(fresh, {fx.index: 2.0, fy.index: 1.0})
         cold = fresh.solve()
         assert warm.objective_value == pytest.approx(cold.objective_value)
-        assert warm.value_of(x) == pytest.approx(cold.value_of(fx))
+        assert warm.values[x.index] == pytest.approx(cold.values[fx.index])
 
 
 class TestRowFormat:
     """Term-level edits on the stored ``(indices, values)`` arrays.
 
-    Every edit entry point — mapping, :class:`LinearExpression` or arrays —
-    lands in the same array algebra; these pin its ordering rules (HiGHS
-    sees a row's columns in stored order) and check the live model agrees.
+    Every edit entry point lands in the same array algebra; these pin its
+    ordering rules (HiGHS sees a row's columns in stored order) and check
+    the live model agrees.
     """
 
     @staticmethod
@@ -92,56 +95,58 @@ class TestRowFormat:
         lp, x, y, handle = _toy_program()
         lp.solve()
         z = lp.add_variable("z", upper=10.0)
-        lp.add_terms_to_constraint(handle, {y.index: 0.5, z.index: 2.0, x.index: 1.0})
+        lp.add_terms_to_constraints_from_arrays(
+            [handle], [0, 0, 0], [y.index, z.index, x.index], [0.5, 2.0, 1.0]
+        )
         # x and y keep their positions and accumulate; z is appended.
         assert self._row(lp, handle) == ([x.index, y.index, z.index], [2.0, 1.5, 2.0])
-        lp.maximize(x * 2.0 + y + z * 3.0)
+        set_objective(lp, {x.index: 2.0, y.index: 1.0, z.index: 3.0})
         warm = lp.solve()
 
         fresh = LinearProgram()
         fx = fresh.add_variable("x", upper=4.0)
         fy = fresh.add_variable("y", upper=3.0)
         fz = fresh.add_variable("z", upper=10.0)
-        fresh.add_less_equal(fx * 2.0 + fy * 1.5 + fz * 2.0, 5.0)
-        fresh.maximize(fx * 2.0 + fy + fz * 3.0)
+        add_row(fresh, {fx.index: 2.0, fy.index: 1.5, fz.index: 2.0}, upper=5.0)
+        set_objective(fresh, {fx.index: 2.0, fy.index: 1.0, fz.index: 3.0})
         assert warm.objective_value == pytest.approx(fresh.solve().objective_value)
 
     def test_terms_cancelling_to_zero_leave_the_row(self):
         lp, x, y, handle = _toy_program()
-        lp.add_terms_to_constraint_from_arrays(
-            handle, np.array([x.index]), np.array([-1.0])
+        lp.add_terms_to_constraints_from_arrays(
+            [handle], np.zeros(1, dtype=np.int64), np.array([x.index]), np.array([-1.0])
         )
         assert self._row(lp, handle) == ([y.index], [1.0])
         assert lp.solve().objective_value == pytest.approx(11.0)
 
     def test_duplicate_array_terms_coalesce_before_summing(self):
         lp, x, y, handle = _toy_program()
-        lp.add_terms_to_constraint_from_arrays(
-            handle, np.array([y.index, y.index]), np.array([0.25, 0.25])
+        lp.add_terms_to_constraints_from_arrays(
+            [handle], np.zeros(2, dtype=np.int64), np.array([y.index] * 2), np.array([0.25] * 2)
         )
         assert self._row(lp, handle) == ([x.index, y.index], [1.0, 1.5])
 
-    def test_replace_coefficients_from_linear_expression(self):
+    def test_replace_coefficients_keeps_array_order(self):
         lp, x, y, handle = _toy_program()
         lp.solve()
-        # Term order follows the expression (y first), zeros are dropped.
-        lp.set_constraint_coefficients(
-            handle, LinearExpression({y.index: 4.0, x.index: 0.0})
+        # Term order follows the arrays (y first), zeros are dropped.
+        lp.set_constraints_coefficients_from_arrays(
+            [handle], [0, 0], [y.index, x.index], [4.0, 0.0]
         )
         assert self._row(lp, handle) == ([y.index], [4.0])
         solution = lp.solve()
-        assert solution.value_of(x) == pytest.approx(4.0)
-        assert solution.value_of(y) == pytest.approx(1.25)
+        assert solution.values[x.index] == pytest.approx(4.0)
+        assert solution.values[y.index] == pytest.approx(1.25)
         with pytest.raises(SolverError):
-            lp.set_constraint_coefficients(handle, LinearExpression({x.index: 1.0}, 2.0))
+            lp.set_constraints_coefficients_from_arrays([handle], [0], [x.index], [math.nan])
 
     def test_remove_then_re_add_column_moves_it_to_the_end(self):
         lp, x, y, handle = _toy_program()
         lp.solve()
-        lp.remove_terms_from_constraint(handle, [x.index])
+        lp.remove_terms_from_constraints([handle], [x.index])
         assert self._row(lp, handle) == ([y.index], [1.0])
         assert lp.solve().objective_value == pytest.approx(11.0)
-        lp.add_terms_to_constraint(handle, {x.index: 1.0})
+        lp.add_terms_to_constraints_from_arrays([handle], [0], [x.index], [1.0])
         assert self._row(lp, handle) == ([y.index, x.index], [1.0, 1.0])
         assert lp.solve().objective_value == pytest.approx(9.0)
 
@@ -149,11 +154,13 @@ class TestRowFormat:
         fp = FractionalProgram()
         x = fp.add_variable("x", upper=1.0)
         y = fp.add_variable("y", upper=1.0)
-        handle = fp.add_less_equal({x.index: 1.0, y.index: 1.0}, 1.5)
-        fp.set_ratio_objective(x + y * 1.0, x * 1.0 + y * 2.0 + 0.1)
+        handle = add_row(fp, {x.index: 1.0, y.index: 1.0}, upper=1.5)
+        fp.set_ratio_objective(
+            ([x.index, y.index], [1.0, 1.0], 0.0), ([x.index, y.index], [1.0, 2.0], 0.1)
+        )
         fp.solve()  # pass the live model, then edit through it
-        fp.add_terms_to_constraint(handle, {y.index: 1.0})
-        fp.remove_terms_from_constraint(handle, [x.index])
+        fp.add_terms_to_constraints_from_arrays([handle], [0], [y.index], [1.0])
+        fp.remove_terms_from_constraints([handle], [x.index])
         constraint = fp._constraints[handle]
         assert (constraint.indices.tolist(), constraint.values.tolist()) == ([y.index], [2.0])
         warm = fp.solve()
@@ -161,8 +168,10 @@ class TestRowFormat:
         fresh = FractionalProgram()
         fx = fresh.add_variable("x", upper=1.0)
         fy = fresh.add_variable("y", upper=1.0)
-        fresh.add_less_equal({fy.index: 2.0}, 1.5)
-        fresh.set_ratio_objective(fx + fy * 1.0, fx * 1.0 + fy * 2.0 + 0.1)
+        add_row(fresh, {fy.index: 2.0}, upper=1.5)
+        fresh.set_ratio_objective(
+            ([fx.index, fy.index], [1.0, 1.0], 0.0), ([fx.index, fy.index], [1.0, 2.0], 0.1)
+        )
         assert warm.objective_value == pytest.approx(fresh.solve().objective_value)
 
 
@@ -171,23 +180,23 @@ class TestVariableRecycling:
         lp = LinearProgram()
         x = lp.add_variable("x", upper=1.0)
         y = lp.add_variable("y", upper=1.0)
-        lp.release_variable(y)
+        lp.release_variables([y.index])
         z = lp.add_variable("z", upper=2.0)
         assert z.index == y.index
         assert lp.num_variables() == 2
-        lp.maximize(x + z * 1.0)
+        set_objective(lp, {x.index: 1.0, z.index: 1.0})
         assert lp.solve().objective_value == pytest.approx(3.0)
 
     def test_released_variable_fixed_to_zero(self):
         lp = LinearProgram()
         x = lp.add_variable("x", upper=5.0)
         y = lp.add_variable("y", upper=5.0)
-        lp.maximize(x + y * 1.0)
+        set_objective(lp, {x.index: 1.0, y.index: 1.0})
         assert lp.solve().objective_value == pytest.approx(10.0)
-        lp.release_variable(y)
-        lp.maximize({x.index: 1.0})
+        lp.release_variables([y.index])
+        set_objective(lp, {x.index: 1.0})
         solution = lp.solve()
-        assert solution.value_of(y) == pytest.approx(0.0)
+        assert solution.values[y.index] == pytest.approx(0.0)
 
 
 class TestTagScopes:
@@ -195,14 +204,18 @@ class TestTagScopes:
         lp = LinearProgram()
         x = lp.add_variable("x", upper=2.0)
         y = lp.add_variable("y", upper=2.0)
-        lp.add_less_equal(x + y, 3.0)
+        add_row(lp, {x.index: 1.0, y.index: 1.0}, upper=3.0)
         for _ in range(5):
             lp.clear_tag("objective")
             lp.begin_tag("objective")
-            epigraph = lp.add_max_min_objective([x * 1.0, y * 1.0])
+            # max t subject to t <= x and t <= y.
+            epigraph = lp.add_variable("t", lower=-math.inf)
+            add_row(lp, {x.index: -1.0, epigraph.index: 1.0}, upper=0.0)
+            add_row(lp, {y.index: -1.0, epigraph.index: 1.0}, upper=0.0)
+            set_objective(lp, {epigraph.index: 1.0})
             lp.end_tag()
             solution = lp.solve()
-            assert solution.value_of(epigraph) == pytest.approx(1.5)
+            assert solution.values[epigraph.index] == pytest.approx(1.5)
         # Epigraph variables were recycled, not accumulated.
         assert lp.num_variables() == 3
         assert lp.num_constraints() == 3  # shared row + two epigraph rows
@@ -218,11 +231,13 @@ class TestTagScopes:
         x = fp.add_variable("x", upper=1.0)
         y = fp.add_variable("y", upper=1.0)
         fp.begin_tag("objective")
-        fp.add_greater_equal(x * 1.0, 0.25)
+        add_row(fp, {x.index: 1.0}, lower=0.25)
         fp.end_tag()
-        fp.set_ratio_objective(x + y * 1.0, x * 1.0 + y * 2.0 + 0.1)
+        fp.set_ratio_objective(
+            ([x.index, y.index], [1.0, 1.0], 0.0), ([x.index, y.index], [1.0, 2.0], 0.1)
+        )
         first = fp.solve()
-        assert first.value_of(x) >= 0.25 - 1e-9
+        assert first.values[x.index] >= 0.25 - 1e-9
         fp.clear_tag("objective")
         second = fp.solve()
         assert second.objective_value >= first.objective_value - 1e-9
@@ -238,17 +253,17 @@ class TestChurnEquivalence:
         state = {}
         for i in range(6):
             coefficients = {variables[j].index: 1.0 for j in range(6) if (i + j) % 2 == 0}
-            handles[i] = lp.add_less_equal(coefficients, 2.0)
+            handles[i] = add_row(lp, coefficients, upper=2.0)
             state[i] = (dict(coefficients), 2.0)
         objective = {v.index: float(i + 1) for i, v in enumerate(variables)}
-        lp.maximize(objective)
+        set_objective(lp, objective)
 
         for step in range(12):
             action = step % 3
             if action == 0:
                 victim = rng.integers(0, 6)
                 if int(victim) in handles:
-                    lp.remove_constraint(handles.pop(int(victim)))
+                    lp.remove_constraints([handles.pop(int(victim))])
                     state.pop(int(victim))
             elif action == 1:
                 key = 100 + step
@@ -256,18 +271,18 @@ class TestChurnEquivalence:
                     variables[int(j)].index: float(rng.integers(1, 3))
                     for j in rng.choice(6, size=3, replace=False)
                 }
-                handles[key] = lp.add_less_equal(coefficients, 2.5)
+                handles[key] = add_row(lp, coefficients, upper=2.5)
                 state[key] = (dict(coefficients), 2.5)
             else:
                 key = next(iter(handles))
-                lp.set_constraint_bounds(handles[key], upper=1.5)
+                lp.set_constraint_bounds_from_arrays([handles[key]], upper=1.5)
                 state[key] = (state[key][0], 1.5)
 
             fresh = LinearProgram()
             fresh_vars = [fresh.add_variable(upper=1.0) for _ in range(6)]
             for coefficients, rhs in state.values():
-                fresh.add_less_equal(dict(coefficients), rhs)
-            fresh.maximize({v.index: float(i + 1) for i, v in enumerate(fresh_vars)})
+                add_row(fresh, coefficients, upper=rhs)
+            set_objective(fresh, {v.index: float(i + 1) for i, v in enumerate(fresh_vars)})
             assert lp.solve().objective_value == pytest.approx(
                 fresh.solve().objective_value, rel=1e-9
             )

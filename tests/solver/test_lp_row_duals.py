@@ -2,7 +2,7 @@
 
 Checked against LPs solved by hand, in both objective senses (the sign
 convention is HiGHS': d objective / d binding bound), after a warm re-solve,
-and after a ``remove_constraint`` moved the handle -> row map.  A solve that
+and after a ``remove_constraints`` moved the handle -> row map.  A solve that
 does not ask for duals must execute exactly the HiGHS calls it executed
 before duals existed.
 """
@@ -12,6 +12,7 @@ import pytest
 
 from repro.exceptions import SolverError
 from repro.solver import LinearProgram
+from tests.lp_rows import add_row, set_objective
 
 
 def _program():
@@ -19,10 +20,10 @@ def _program():
     lp = LinearProgram(name="duals")
     x = lp.add_variable("x")
     y = lp.add_variable("y")
-    wide = lp.add_less_equal(x + 2 * y, 4.0)
-    cap = lp.add_less_equal({x.index: 1.0}, 3.0)
-    floor = lp.add_greater_equal(x + y, 0.5)
-    lp.maximize(x + y)
+    wide = add_row(lp, {x.index: 1.0, y.index: 2.0}, upper=4.0)
+    cap = add_row(lp, {x.index: 1.0}, upper=3.0)
+    floor = add_row(lp, {x.index: 1.0, y.index: 1.0}, lower=0.5)
+    set_objective(lp, {x.index: 1.0, y.index: 1.0})
     return lp, (x, y), (wide, cap, floor)
 
 
@@ -44,13 +45,13 @@ def test_hand_solved_maximization():
 def test_hand_solved_minimization_and_the_binding_lower_bound():
     """Minimizing, the binding ``>=`` row has dual +1; maximizing it would be ``<= 0``."""
     lp, (x, y), (wide, cap, floor) = _program()
-    lp.set_objective(x + y, maximize=False)
+    set_objective(lp, {x.index: 1.0, y.index: 1.0}, maximize=False)
     solution = lp.solve()
     assert solution.objective_value == pytest.approx(0.5)
     assert solution.row_duals([wide, cap, floor]) == pytest.approx([0.0, 0.0, 1.0])
 
     # max -(x + y) over the same rows: raising the floor now *lowers* the objective.
-    lp.maximize(-(x + y))
+    set_objective(lp, {x.index: -1.0, y.index: -1.0})
     flipped = lp.solve()
     assert flipped.objective_value == pytest.approx(-0.5)
     assert flipped.row_duals([floor]) == pytest.approx([-1.0])
@@ -59,12 +60,13 @@ def test_hand_solved_minimization_and_the_binding_lower_bound():
 def test_duals_follow_a_warm_re_solve():
     lp, _variables, (wide, cap, floor) = _program()
     lp.solve()
-    lp.set_constraint_bounds(cap, upper=1.0)  # optimum moves to (1, 3/2)
+    lp.set_constraint_bounds_from_arrays([cap], upper=1.0)  # optimum moves to (1, 3/2)
     solution = lp.solve()
     assert solution.warm_started
     assert solution.objective_value == pytest.approx(2.5)
     assert solution.row_duals([wide, cap, floor]) == pytest.approx([0.5, 0.5, 0.0])
-    lp.set_constraint_bounds(wide, upper=100.0)  # (1, 99/2): same binding rows, same duals
+    # (1, 99/2): same binding rows, same duals.
+    lp.set_constraint_bounds_from_arrays([wide], upper=100.0)
     relaxed = lp.solve()
     assert relaxed.objective_value == pytest.approx(1.0 + 49.5)
     assert relaxed.row_duals([wide, cap]) == pytest.approx([0.5, 0.5])
@@ -73,10 +75,10 @@ def test_duals_follow_a_warm_re_solve():
 def test_duals_are_read_by_handle_after_the_row_map_moved():
     """Removing the first row shifts every later row down by one inside HiGHS."""
     lp, (x, y), (wide, cap, floor) = _program()
-    extra = lp.add_less_equal({y.index: 1.0}, 0.25)  # binds: optimum (3, 1/4)
+    extra = add_row(lp, {y.index: 1.0}, upper=0.25)  # binds: optimum (3, 1/4)
     first = lp.solve()
     assert first.row_duals([wide, cap, floor, extra]) == pytest.approx([0.0, 1.0, 0.0, 1.0])
-    lp.remove_constraint(wide)
+    lp.remove_constraints([wide])
     solution = lp.solve()
     assert solution.objective_value == pytest.approx(3.25)
     assert solution.row_duals([extra, floor, cap]) == pytest.approx([1.0, 0.0, 1.0])
@@ -95,7 +97,7 @@ def test_duals_belong_to_the_latest_solve_only():
 def test_a_row_added_after_the_solve_has_no_dual_in_it():
     lp, (x, _y), (wide, _cap, _floor) = _program()
     solution = lp.solve()
-    late = lp.add_less_equal({x.index: 1.0}, 2.0)
+    late = add_row(lp, {x.index: 1.0}, upper=2.0)
     assert solution.row_duals([wide]) == pytest.approx([0.5])  # edits since do not matter
     with pytest.raises(SolverError, match="was not a row of that solve"):
         solution.row_duals([late])
@@ -139,7 +141,7 @@ def test_a_solve_that_does_not_ask_pays_nothing():
     lp.solve()
     counter = _CallCounter(lp._backend._highs)
     lp._backend._highs = counter
-    lp.set_constraint_bounds(cap, upper=2.0)
+    lp.set_constraint_bounds_from_arrays([cap], upper=2.0)
     solution = lp.solve()
     quiet = dict(counter.calls)
     assert quiet == {

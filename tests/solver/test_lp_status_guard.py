@@ -22,6 +22,7 @@ from repro.solver.lp import _HighsBackend
 from repro.workloads import ThroughputOracle, TraceGenerator
 
 from tests.equivalence import LEVEL_PROFILE_TOL, water_filling_level_profile
+from tests.lp_rows import add_row, set_objective
 
 
 class _ForcedError:
@@ -56,8 +57,8 @@ def _warm_program():
     lp = LinearProgram(name="status-guard")
     x = lp.add_variable("x", upper=4.0)
     y = lp.add_variable("y", upper=3.0)
-    lp.add_less_equal(x + y, 5.0)
-    lp.maximize(x * 2.0 + y)
+    add_row(lp, {x.index: 1.0, y.index: 1.0}, upper=5.0)
+    set_objective(lp, {x.index: 2.0, y.index: 1.0})
     lp.solve()  # instantiate the warm-started backend
     assert lp._backend is not None
     return lp, x, y
@@ -73,17 +74,17 @@ def test_run_error_raises_solver_error():
 def test_add_rows_error_raises_solver_error():
     lp, x, y = _warm_program()
     lp._backend._highs = _ForcedError(lp._backend._highs, "addRows")
-    lp.add_less_equal(x - y, 1.0)  # forces an addRows on the next replay
+    add_row(lp, {x.index: 1.0, y.index: -1.0}, upper=1.0)  # forces an addRows on the next replay
     with pytest.raises(SolverError, match="addRows failed"):
         lp.solve()
 
 
 def test_delete_rows_error_raises_solver_error():
     lp, x, y = _warm_program()
-    handle = lp.add_less_equal(x - y, 1.0)
+    handle = add_row(lp, {x.index: 1.0, y.index: -1.0}, upper=1.0)
     lp.solve()
     lp._backend._highs = _ForcedError(lp._backend._highs, "deleteRows")
-    lp.remove_constraint(handle)
+    lp.remove_constraints([handle])
     with pytest.raises(SolverError, match="deleteRows failed"):
         lp.solve()
 
@@ -98,12 +99,12 @@ def test_failed_sync_falls_back_to_a_cold_rebuild():
     the full model instead.
     """
     lp, x, y = _warm_program()
-    doomed = lp.add_less_equal(x - y, 1.0)
-    lp.add_less_equal({x.index: 1.0}, 2.0)
+    doomed = add_row(lp, {x.index: 1.0, y.index: -1.0}, upper=1.0)
+    add_row(lp, {x.index: 1.0}, upper=2.0)
     assert lp.solve().objective_value == pytest.approx(7.0)
     real = lp._backend._highs
     lp._backend._highs = _ForcedError(real, "deleteRows")
-    lp.remove_constraint(doomed)
+    lp.remove_constraints([doomed])
     with pytest.raises(SolverError, match="deleteRows failed"):
         lp.solve()
     if lp._backend is not None:
@@ -113,22 +114,22 @@ def test_failed_sync_falls_back_to_a_cold_rebuild():
     fresh = LinearProgram()
     fx = fresh.add_variable("x", upper=4.0)
     fy = fresh.add_variable("y", upper=3.0)
-    fresh.add_less_equal(fx + fy, 5.0)
-    fresh.add_less_equal({fx.index: 1.0}, 2.0)
-    fresh.maximize(fx * 2.0 + fy)
+    add_row(fresh, {fx.index: 1.0, fy.index: 1.0}, upper=5.0)
+    add_row(fresh, {fx.index: 1.0}, upper=2.0)
+    set_objective(fresh, {fx.index: 2.0, fy.index: 1.0})
     cold = fresh.solve()
     assert recovered.objective_value == pytest.approx(cold.objective_value)
-    assert recovered.value_of(x) == pytest.approx(cold.value_of(fx))
-    assert recovered.value_of(y) == pytest.approx(cold.value_of(fy))
+    assert recovered.values[x.index] == pytest.approx(cold.values[fx.index])
+    assert recovered.values[y.index] == pytest.approx(cold.values[fy.index])
 
 
 def test_rejected_basis_is_counted_never_raised():
     """``setBasis`` is a hint: ``kError`` costs the warm start, not the solve."""
     lp, x, y = _warm_program()
-    doomed = lp.add_less_equal(x - y, 1.0)
+    doomed = add_row(lp, {x.index: 1.0, y.index: -1.0}, upper=1.0)
     assert lp.solve().objective_value == pytest.approx(8.0)
     lp._backend._highs = _ForcedError(lp._backend._highs, "setBasis")
-    lp.remove_constraint(doomed)  # a real row deletion: the basis is carried across it
+    lp.remove_constraints([doomed])  # a real row deletion: the basis is carried across it
     recovered = lp.solve()
     assert lp.basis_rejections == 1
     assert lp._backend._highs._calls == 1
@@ -136,8 +137,8 @@ def test_rejected_basis_is_counted_never_raised():
     fresh, fx, fy = _warm_program()
     cold = fresh.solve()
     assert recovered.objective_value == pytest.approx(cold.objective_value)
-    assert recovered.value_of(x) == pytest.approx(cold.value_of(fx))
-    assert recovered.value_of(y) == pytest.approx(cold.value_of(fy))
+    assert recovered.values[x.index] == pytest.approx(cold.values[fx.index])
+    assert recovered.values[y.index] == pytest.approx(cold.values[fy.index])
 
 
 class _Recorder:
@@ -167,8 +168,8 @@ def test_only_moved_columns_are_pushed_to_the_live_model():
         lp._backend._highs, "addCols", "changeColsBounds", "changeColsCost", "changeObjectiveSense"
     )
     lp._backend._highs = recorder
-    lp.set_variable_bounds(y, 0.0, 2.0)
-    lp.maximize(x * 2.0 + y + z * 3.0)
+    lp.set_variable_bounds_from_arrays([y.index], 0.0, 2.0)
+    set_objective(lp, {x.index: 2.0, y.index: 1.0, z.index: 3.0})
     assert lp.solve().objective_value == pytest.approx(2.0 * 4.0 + 1.0 + 3.0)
     assert [call[0] for call in recorder.calls["addCols"]] == [1]
     ((count, columns, lowers, uppers),) = recorder.calls["changeColsBounds"]
@@ -181,7 +182,7 @@ def test_only_moved_columns_are_pushed_to_the_live_model():
         calls.clear()
     lp.solve()  # nothing moved: nothing is pushed
     assert not any(recorder.calls.values())
-    lp.set_objective(x * 2.0 + y + z * 3.0, maximize=False)
+    set_objective(lp, {x.index: 2.0, y.index: 1.0, z.index: 3.0}, maximize=False)
     assert lp.solve().objective_value == pytest.approx(0.0)
     assert len(recorder.calls["changeObjectiveSense"]) == 1
     assert recorder.calls["changeColsBounds"] == recorder.calls["changeColsCost"] == []

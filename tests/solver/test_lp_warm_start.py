@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 from repro.solver import LinearProgram
 
 from tests.live_model import assert_live_model_is_the_program
+from tests.lp_rows import add_row, set_objective
 
 _EDITS = (
     "add_row",
@@ -49,14 +50,16 @@ class _Twin:
         self._set_objective(self.live, self.columns)
 
     def _set_objective(self, program, columns):
-        program.maximize({column: cost for column, cost in zip(columns, self.costs)})
+        set_objective(program, dict(zip(columns, self.costs)))
 
     def fresh(self):
         program = LinearProgram(name="fresh")
         columns = [program.add_variable(upper=upper).index for upper in self.uppers]
         for coefficients, upper in self.rows.values():
-            program.add_less_equal(
-                {columns[position]: value for position, value in coefficients.items()}, upper
+            add_row(
+                program,
+                {columns[position]: value for position, value in coefficients.items()},
+                upper=upper,
             )
         self._set_objective(program, columns)
         return program
@@ -80,8 +83,8 @@ class _Twin:
             column = self.columns[position]
             for handle, (coefficients, _upper) in self.rows.items():
                 if coefficients.pop(position, None) is not None:
-                    self.live.remove_terms_from_constraint(handle, [column])
-            self.live.release_variable(column)
+                    self.live.remove_terms_from_constraints([handle], [column])
+            self.live.release_variables([column])
             self.uppers[position] = data.draw(st.sampled_from([0.5, 1.0, 2.0]))
             self.costs[position] = data.draw(st.sampled_from([0.5, 1.0, 3.0]))
             self.columns[position] = self.live.add_variable(upper=self.uppers[position]).index
@@ -90,7 +93,9 @@ class _Twin:
         elif edit == "column_bound":
             position = data.draw(positions)
             self.uppers[position] = data.draw(st.sampled_from([0.0, 0.5, 1.5]))
-            self.live.set_variable_bounds(self.columns[position], 0.0, self.uppers[position])
+            self.live.set_variable_bounds_from_arrays(
+                [self.columns[position]], 0.0, self.uppers[position]
+            )
         elif edit == "bound_sweep" and self.rows:
             # Every row's bounds written back, a few of them moved.
             handles = sorted(self.rows)
@@ -103,13 +108,13 @@ class _Twin:
         elif edit in ("add_row", "bound_sweep") or not self.rows:
             # Right-hand sides stay non-negative: x = 0 is always feasible.
             coefficients, upper = data.draw(row), data.draw(st.sampled_from([0.0, 1.0, 2.5]))
-            self.rows[self.live.add_less_equal(self._live_terms(coefficients), upper)] = (
+            self.rows[add_row(self.live, self._live_terms(coefficients), upper=upper)] = (
                 coefficients,
                 upper,
             )
         elif edit == "remove_rows":
             for handle in data.draw(st.lists(st.sampled_from(sorted(self.rows)), unique=True)):
-                self.live.remove_constraint(handle)
+                self.live.remove_constraints([handle])
                 del self.rows[handle]
         elif edit == "column_edit":
             # One column written across 1-3 rows; a zero drops the term.
@@ -128,16 +133,21 @@ class _Twin:
             handle = data.draw(st.sampled_from(sorted(self.rows)))
             coefficients, upper = self.rows[handle]
             if edit == "remove_row":
-                self.live.remove_constraint(handle)
+                self.live.remove_constraints([handle])
                 del self.rows[handle]
             elif edit == "rewrite_row":
                 coefficients = data.draw(row)
-                self.live.set_constraint_coefficients(handle, self._live_terms(coefficients))
+                terms = self._live_terms(coefficients)
+                rows = np.zeros(len(terms), dtype=np.int64)
+                self.live.set_constraints_coefficients_from_arrays(
+                    [handle], rows, list(terms), list(terms.values())
+                )
                 self.rows[handle] = (coefficients, upper)
             elif edit == "add_terms":
                 added = data.draw(row)
-                self.live.add_terms_to_constraint_from_arrays(
-                    handle,
+                self.live.add_terms_to_constraints_from_arrays(
+                    [handle],
+                    np.zeros(len(added), dtype=np.int64),
                     np.array([self.columns[position] for position in added]),
                     np.array(list(added.values())),
                 )
@@ -145,14 +155,14 @@ class _Twin:
                     coefficients[position] = coefficients.get(position, 0.0) + value
             elif edit == "remove_terms":
                 dropped = data.draw(st.lists(positions, unique=True))
-                self.live.remove_terms_from_constraint(
-                    handle, [self.columns[position] for position in dropped]
+                self.live.remove_terms_from_constraints(
+                    [handle], [self.columns[position] for position in dropped]
                 )
                 for position in dropped:
                     coefficients.pop(position, None)
             else:
                 upper = data.draw(st.sampled_from([0.0, 0.5, 4.0]))
-                self.live.set_constraint_bounds(handle, upper=upper)
+                self.live.set_constraint_bounds_from_arrays([handle], upper=upper)
                 self.rows[handle] = (coefficients, upper)
 
 
@@ -194,8 +204,8 @@ def test_counters_of_a_cold_and_a_warm_solve():
     lp = LinearProgram()
     x = lp.add_variable("x", upper=4.0)
     y = lp.add_variable("y", upper=3.0)
-    lp.add_less_equal(x + y, 5.0)
-    lp.maximize(x * 2.0 + y)
+    add_row(lp, {x.index: 1.0, y.index: 1.0}, upper=5.0)
+    set_objective(lp, {x.index: 2.0, y.index: 1.0})
     cold = lp.solve()
     assert not cold.warm_started
     again = lp.solve()
