@@ -1,41 +1,29 @@
-"""Seeded ``+ss`` churn runs whose allocations are pinned in ``data/churn_fingerprints.json``.
+"""Seeded churn runs of live policy sessions: the scenarios behind the churn corpus.
 
-Two recordings, both made by :func:`churn_fingerprints` for every spec in
-:data:`SS_POLICY_SPECS`:
+:func:`churn_problems` builds one problem sequence (16 jobs, then six
+events that each retire one job and admit another) and
+:func:`session_solves` feeds it to one live session.  ``tests/outcomes.py``
+replays every :data:`CALL_COUNT_CASES` entry, plus ``min_cost_slo+ss`` on the
+same sequence with SLOs, and pins in ``tests/data/outcomes.json`` every
+allocation vertex for vertex and, per HiGHS model, the calls it received.  A
+live program re-solves from the basis its previous solve left, so where a
+policy's optimum is not unique the vertex depends on the solve history *and
+on how the LP layer carries the basis across edits*: a refactor of the LP
+assembly must reproduce those entries, a change to basis handling (or
+another HiGHS build) may legitimately not, after :func:`policy_objective`
+has shown the new vertices to be ties.
 
-* ``churn_fingerprints.json`` pins every allocation of a live session fed the
-  sequence, vertex and all.  A live program re-solves from the basis its
-  previous solve left, so where a policy's optimum is not unique the vertex
-  depends on the solve history *and on how the LP layer carries the basis
-  across edits*: a refactor of the LP assembly must reproduce this file, a
-  change to basis handling (or another HiGHS build) may legitimately not.
-  Re-record with ``python tests/core/churn_fingerprint_scenarios.py --record``
-  — after :func:`policy_objective` has shown the new vertices to be ties.
-* ``churn_fingerprints_cold.json`` is the recording from before the basis
-  survived row edits (every re-solve after a row rewrite started cold; made
-  where ``tests/core/test_lp_vectorized.py`` still proved the dict and columnar
-  assembly bit-identical on this sequence).  It is never re-recorded: tests
-  compare against it by *objective*, which no tie-break can move, and
-  :data:`UNIQUE_OPTIMUM_SPECS` still match it bit for bit.
-
-``churn_call_counts.json`` pins, per spec and per HiGHS model in creation
-order, how many calls of each kind the live models receive over the
-sequence and a SHA-256 over every call's name and arguments, in order
-(:func:`counting_highs`).  The counts do not depend on the HiGHS build; the
-digests do where an argument was read back from HiGHS (a ``setBasis``
-basis).  An LP-layer refactor that claims to send the same calls must
-reproduce this file; re-record with ``--record-calls`` only when the calls
-are meant to change.
+``data/churn_fingerprints_cold.json`` is the recording from before the basis
+survived row edits (every re-solve after a row rewrite started cold; made
+where ``tests/core/test_lp_vectorized.py`` still proved the dict and columnar
+assembly bit-identical on this sequence).  It is never re-recorded: tests
+compare against it by *objective*, which no tie-break can move, and
+:data:`UNIQUE_OPTIMUM_SPECS` still match it bit for bit.
 """
 
 from __future__ import annotations
 
-import argparse
-import contextlib
-import hashlib
-import json
-from pathlib import Path
-from typing import Any, Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
@@ -48,19 +36,7 @@ from repro.core.finish_time_fairness import finish_time_requirements
 from repro.core.makespan import makespan_requirements
 from repro.core.problem import PolicyProblem
 from repro.core.session import PolicySession
-from repro.solver import lp
 from repro.workloads import ColocationModel, ThroughputOracle, TraceGenerator
-
-RECORDED = Path(__file__).parent / "data" / "churn_fingerprints.json"
-RECORDED_COLD = Path(__file__).parent / "data" / "churn_fingerprints_cold.json"
-RECORDED_CALLS = Path(__file__).parent / "data" / "churn_call_counts.json"
-
-#: Every ``_Highs`` method the LP layer drives a live model through.
-HIGHS_CALLS = (
-    "passModel", "addCols", "addRows", "deleteRows", "changeCoeff", "changeRowBounds",
-    "changeColsBounds", "changeColsCost", "changeObjectiveSense", "setBasis", "run",
-    "setOptionValue",
-)
 
 #: Every LP/fractional-program policy from the registry, with space sharing.
 SS_POLICY_SPECS = [
@@ -79,8 +55,8 @@ SS_POLICY_SPECS = [
 #: Specs whose optimum is unique on this sequence: no basis can move them.
 UNIQUE_OPTIMUM_SPECS = ["fifo+ss", "shortest_job_first+ss"]
 
-#: ``(spec, aggregation)`` runs whose HiGHS call counts are pinned: the
-#: ``+ss`` specs above, plus plain LAS, the water-filling family and
+#: ``(spec, aggregation)`` runs whose allocations and HiGHS calls the corpus
+#: pins: the ``+ss`` specs above, plus plain LAS, the water-filling family and
 #: type-aggregated sessions, so every incremental session kind is covered.
 CALL_COUNT_CASES = [(spec, "job") for spec in SS_POLICY_SPECS] + [
     ("max_min_fairness", "job"),
@@ -91,15 +67,22 @@ CALL_COUNT_CASES = [(spec, "job") for spec in SS_POLICY_SPECS] + [
 ]
 
 
-def load_recorded(path: Path = RECORDED) -> Dict[str, Any]:
-    return json.loads(path.read_text(encoding="utf-8"))
-
-
 def churn_problems(
-    oracle: ThroughputOracle, num_jobs: int = 16, num_events: int = 6, seed: int = 7
+    oracle: ThroughputOracle,
+    num_jobs: int = 16,
+    num_events: int = 6,
+    seed: int = 7,
+    slos: bool = False,
 ) -> List[Tuple[PolicyProblem, list]]:
-    """A problem sequence plus per-step deltas from the engine under churn."""
-    trace = TraceGenerator(oracle).generate_static(num_jobs=num_jobs + num_events, seed=seed)
+    """A problem sequence plus per-step deltas from the engine under churn.
+
+    With ``slos`` every job carries an SLO (:meth:`TraceGenerator.assign_slos`),
+    which ``min_cost_slo`` turns into throughput rows.
+    """
+    generator = TraceGenerator(oracle)
+    trace = generator.generate_static(num_jobs=num_jobs + num_events, seed=seed)
+    if slos:
+        trace = generator.assign_slos(trace, seed=seed)
     jobs = list(trace.jobs)
     spec = ClusterSpec.from_counts({"v100": 2, "p100": 2, "k80": 2})
     engine = AllocationEngine(
@@ -145,81 +128,6 @@ def session_allocations(policy_spec: str, steps) -> List[Allocation]:
     return [allocation for _session, allocation in session_solves(policy_spec, steps)]
 
 
-def feed_call(digest: "hashlib._Hash", value: Any) -> None:
-    """Hash one call argument: arrays by their bytes, HiGHS objects by their arrays.
-
-    A ``setBasis`` basis is hashed as its two status lists, a ``passModel``
-    LP as its column count, sense, bounds, costs and row-wise matrix.
-    """
-    if isinstance(value, np.ndarray):
-        digest.update(repr((value.dtype.str, value.shape)).encode())
-        digest.update(np.ascontiguousarray(value).tobytes())
-    elif isinstance(value, (list, tuple)):
-        digest.update(f"[{len(value)}".encode())
-        for item in value:
-            feed_call(digest, item)
-    elif hasattr(value, "col_status"):
-        feed_call(digest, [[int(s) for s in value.col_status], [int(s) for s in value.row_status]])
-    elif hasattr(value, "a_matrix_"):
-        matrix = value.a_matrix_
-        feed_call(digest, [
-            value.num_col_, int(value.sense_), value.col_cost_, value.col_lower_,
-            value.col_upper_, value.row_lower_, value.row_upper_,
-            matrix.start_, matrix.index_, matrix.value_,
-        ])
-    else:
-        digest.update(repr(value).encode())
-
-
-@contextlib.contextmanager
-def counting_highs() -> Iterator[List[Tuple[Dict[str, int], "hashlib._Hash"]]]:
-    """Count and digest the calls of every HiGHS model created inside the block.
-
-    Yields a list that receives one ``({call kind: count}, sha256)`` pair per
-    model, in creation order; each element of a ``changeCoeff`` or
-    ``changeRowBounds`` loop counts as one call, and every call's name and
-    arguments go into the model's digest in the order they were made.
-    """
-    models: List[Tuple[Dict[str, int], "hashlib._Hash"]] = []
-    base = lp._highs_core._Highs
-
-    class Counting(base):  # type: ignore[misc, valid-type]
-        def __init__(self) -> None:
-            super().__init__()
-            self.counts: Dict[str, int] = {}
-            self.digest = hashlib.sha256()
-            models.append((self.counts, self.digest))
-
-    for name in HIGHS_CALLS:
-        def counted(self, *args, _name=name, _real=getattr(base, name)):
-            self.counts[_name] = self.counts.get(_name, 0) + 1
-            feed_call(self.digest, (_name, args))
-            return _real(self, *args)
-
-        setattr(Counting, name, counted)
-    lp._highs_core._Highs = Counting
-    try:
-        yield models
-    finally:
-        lp._highs_core._Highs = base
-
-
-def call_count_key(policy_spec: str, aggregation: str) -> str:
-    """The recording's key of one :data:`CALL_COUNT_CASES` entry."""
-    return policy_spec if aggregation == "job" else f"{policy_spec} aggregation={aggregation}"
-
-
-def churn_call_counts(policy_spec: str, steps, aggregation: str = "job") -> List[Dict[str, Any]]:
-    """Per HiGHS model, in creation order: its calls by kind and their digest over the sequence."""
-    with counting_highs() as models:
-        for _solved in session_solves(policy_spec, steps, aggregation):
-            pass
-    return [
-        {"calls": dict(sorted(counts.items())), "sha256": digest.hexdigest()}
-        for counts, digest in models
-    ]
-
-
 def allocation_fingerprint(allocation: Allocation) -> Dict[str, List[float]]:
     """Every non-zero allocation row, keyed by its combination, as JSON-ready data."""
     return {
@@ -227,10 +135,6 @@ def allocation_fingerprint(allocation: Allocation) -> Dict[str, List[float]]:
         for combination in allocation.combinations
         if allocation.row(combination).any()
     }
-
-
-def churn_fingerprints(policy_spec: str, steps) -> List[Dict[str, List[float]]]:
-    return [allocation_fingerprint(a) for a in session_allocations(policy_spec, steps)]
 
 
 def allocation_from_fingerprint(problem: PolicyProblem, rows: Dict[str, List[float]]) -> Allocation:
@@ -290,32 +194,3 @@ def policy_objective(policy_spec: str, problem: PolicyProblem, allocation: Alloc
         )
         return normalized / (dollars + 1e-9)
     raise KeyError(f"no objective written down for {policy_spec!r}")
-
-
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--record", action="store_true", help=f"rewrite {RECORDED.name}")
-    parser.add_argument(
-        "--record-calls", action="store_true", help=f"rewrite {RECORDED_CALLS.name}"
-    )
-    arguments = parser.parse_args()
-    if not (arguments.record or arguments.record_calls):
-        parser.error("nothing to do without --record or --record-calls")
-    steps = churn_problems(ThroughputOracle())
-    recordings = []
-    if arguments.record:
-        recordings.append(
-            (RECORDED, {spec: churn_fingerprints(spec, steps) for spec in SS_POLICY_SPECS})
-        )
-    if arguments.record_calls:
-        recordings.append((RECORDED_CALLS, {
-            call_count_key(spec, aggregation): churn_call_counts(spec, steps, aggregation)
-            for spec, aggregation in CALL_COUNT_CASES
-        }))
-    for path, recording in recordings:
-        path.write_text(json.dumps(recording, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-        print(f"recorded {len(recording)} runs x {len(steps)} steps into {path}")
-
-
-if __name__ == "__main__":
-    main()

@@ -28,6 +28,8 @@ from repro.workloads import Job, ThroughputOracle, TraceGenerator
 
 from solved_problems import solved_problems
 
+from tests.outcomes import result_fingerprint
+
 
 @pytest.fixture(scope="module")
 def oracle():
@@ -51,28 +53,6 @@ def _scheduler(oracle, spec, policy="max_min_fairness", config=None):
 def _trace(oracle, num_jobs=10, jobs_per_hour=6.0, seed=5):
     return TraceGenerator(oracle).generate_continuous(
         num_jobs=num_jobs, jobs_per_hour=jobs_per_hour, seed=seed
-    )
-
-
-def _fingerprint(result):
-    """Every per-job outcome plus the aggregate accumulators, bit-for-bit."""
-    return (
-        {
-            j: (
-                r.completion_time,
-                r.steps_done,
-                r.cost_dollars,
-                r.cancelled,
-                r.first_allocation_time,
-            )
-            for j, r in result.records.items()
-        },
-        result.end_time,
-        result.num_rounds,
-        result.busy_worker_seconds,
-        result.total_cost_dollars,
-        result.allocation_staleness_integral,
-        result.num_allocation_stale_events,
     )
 
 
@@ -105,7 +85,7 @@ class TestModeEquivalenceRegistryWide:
             scheduler.schedule_resize({small_spec.registry.names[0]: +1}, at=mid_run)
             scheduler.schedule_swap_policy(spec, at=mid_run + 600.0)
             scheduler.run_until()
-            return _fingerprint(scheduler.result())
+            return result_fingerprint(scheduler.result())
 
         assert run("ideal") == run("continuous"), f"{spec}: continuous diverged from ideal"
 
@@ -141,7 +121,7 @@ class TestSnapshotRestoreMidChurn:
         restored.restore(snapshot)
         scheduler.run_until()
         restored.run_until()
-        assert _fingerprint(scheduler.result()) == _fingerprint(restored.result())
+        assert result_fingerprint(scheduler.result()) == result_fingerprint(restored.result())
         assert scheduler.result().records[5].cancelled
         assert restored.status().num_queued_events == 0
 
@@ -222,7 +202,7 @@ class TestSnapshotRestoreMidChurn:
         assert forward[0][0], "the first solve after the snapshot starts from a basis"
         cold = [warm for warm, _iterations in forward].count(False)
         assert (cold == 0) if max_history is None else (cold >= 1)
-        assert _fingerprint(original.result()) == _fingerprint(twin.result())
+        assert result_fingerprint(original.result()) == result_fingerprint(twin.result())
 
 
     @pytest.mark.parametrize("max_history", [None, 6])
@@ -283,7 +263,7 @@ class TestSnapshotRestoreMidChurn:
             flags = [warm for program, warm, _iterations in forward if program == name]
             assert flags[0], f"{name}: the first solve after the snapshot starts from a basis"
             assert (flags.count(False) == 0) if max_history is None else (flags.count(False) >= 1)
-        assert _fingerprint(original.result()) == _fingerprint(twin.result())
+        assert result_fingerprint(original.result()) == result_fingerprint(twin.result())
 
 
 class TestResolveTicks:
@@ -343,7 +323,7 @@ class TestResolveTicks:
             for job in _trace(oracle, num_jobs=8, jobs_per_hour=6.0, seed=9).jobs:
                 scheduler.submit(job)
             scheduler.run_until()
-            return _fingerprint(scheduler.result())
+            return result_fingerprint(scheduler.result())
 
         assert run() == run()
 
@@ -439,7 +419,7 @@ class TestLatencyMetrics:
             return scheduler.result()
 
         past = run(past=True)
-        assert _fingerprint(past) == _fingerprint(run(past=False))
+        assert result_fingerprint(past) == result_fingerprint(run(past=False))
         if mode == "continuous":
             assert past.allocation_staleness_integral == 0.0
 

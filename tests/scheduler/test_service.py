@@ -1,6 +1,8 @@
 """Tests for the event-driven ClusterScheduler service."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,13 +17,16 @@ from repro.simulator import Simulator, SimulatorConfig
 from repro.workloads import Job, ThroughputOracle, Trace, TraceGenerator
 
 from round_fingerprint_scenarios import (
-    RECORDED_COLD,
     SCENARIOS,
     WATER_FILLING_SPECS,
-    fingerprint,
-    load_recorded,
     run_scenario,
+    scenario_scheduler,
 )
+
+from tests.outcomes import result_fingerprint
+
+#: Round runs recorded before the basis survived row edits; never re-recorded.
+RECORDED_COLD = Path(__file__).parent / "data" / "round_fingerprints_cold.json"
 
 
 @pytest.fixture(scope="module")
@@ -46,25 +51,6 @@ def _scheduler(oracle, spec, policy="max_min_fairness", config=None):
         spec,
         oracle=oracle,
         config=config,
-    )
-
-
-def _result_fingerprint(result):
-    """Everything a SimulationResult derives its metrics from, comparably."""
-    return (
-        {j: r.completion_time for j, r in result.records.items()},
-        {j: r.cost_dollars for j, r in result.records.items()},
-        {j: r.steps_done for j, r in result.records.items()},
-        {j: r.preemptions for j, r in result.records.items()},
-        {j: r.checkpoint_seconds for j, r in result.records.items()},
-        result.end_time,
-        result.num_rounds,
-        result.busy_worker_seconds,
-        result.capacity_worker_seconds,
-        result.total_cost_dollars,
-        result.isolated_durations,
-        result.num_policy_recomputations,
-        result.checkpoint_worker_seconds,
     )
 
 
@@ -103,7 +89,7 @@ class TestTraceReplayParity:
         for job in trace.jobs:
             scheduler.submit(job)
         scheduler.run_until()
-        assert _result_fingerprint(scheduler.result()) == _result_fingerprint(simulated)
+        assert result_fingerprint(scheduler.result()) == result_fingerprint(simulated)
 
     def test_simulator_config_is_scheduler_config(self):
         assert SimulatorConfig is SchedulerConfig
@@ -435,7 +421,7 @@ class TestAggregatedScheduling:
         for job in trace.jobs:
             uninterrupted.submit(job)
         uninterrupted.run_until()
-        reference = _result_fingerprint(uninterrupted.result())
+        reference = result_fingerprint(uninterrupted.result())
 
         interrupted = _scheduler(oracle, small_spec, policy, config)
         for job in trace.jobs:
@@ -447,7 +433,7 @@ class TestAggregatedScheduling:
         resumed.restore(checkpoint)
         assert isinstance(resumed._session, AggregatedSession)
         resumed.run_until()
-        assert _result_fingerprint(resumed.result()) == reference
+        assert result_fingerprint(resumed.result()) == reference
 
     def test_mid_churn_swap_into_aggregated_water_filling_restores(
         self, oracle, small_spec
@@ -469,7 +455,7 @@ class TestAggregatedScheduling:
         checkpoint = scheduler.snapshot()
         assert len(checkpoint.session_history) > 1
         scheduler.run_until()
-        reference = _result_fingerprint(scheduler.result())
+        reference = result_fingerprint(scheduler.result())
 
         resumed = _scheduler(oracle, small_spec, "max_min_fairness", config)
         resumed.restore(checkpoint)
@@ -477,7 +463,7 @@ class TestAggregatedScheduling:
         assert isinstance(resumed._session, AggregatedSession)
         assert isinstance(resumed._session.inner, WaterFillingSession)
         resumed.run_until()
-        assert _result_fingerprint(resumed.result()) == reference
+        assert result_fingerprint(resumed.result()) == reference
 
     @pytest.mark.parametrize("policy", ["max_min_fairness", "max_min_fairness+ss"])
     def test_snapshot_restore_is_deterministic_under_type_mode(
@@ -490,7 +476,7 @@ class TestAggregatedScheduling:
         for job in trace.jobs:
             uninterrupted.submit(job)
         uninterrupted.run_until()
-        reference = _result_fingerprint(uninterrupted.result())
+        reference = result_fingerprint(uninterrupted.result())
 
         interrupted = _scheduler(oracle, small_spec, policy, config)
         for job in trace.jobs:
@@ -501,7 +487,7 @@ class TestAggregatedScheduling:
         resumed = _scheduler(oracle, small_spec, policy, config)
         resumed.restore(checkpoint)
         resumed.run_until()
-        assert _result_fingerprint(resumed.result()) == reference
+        assert result_fingerprint(resumed.result()) == reference
 
 
 class TestSnapshotRestore:
@@ -526,7 +512,7 @@ class TestSnapshotRestore:
         for job in trace.jobs:
             uninterrupted.submit(job)
         uninterrupted.run_until()
-        reference = _result_fingerprint(uninterrupted.result())
+        reference = result_fingerprint(uninterrupted.result())
 
         interrupted = _scheduler(oracle, small_spec, policy, config)
         for job in trace.jobs:
@@ -537,7 +523,7 @@ class TestSnapshotRestore:
         resumed = _scheduler(oracle, small_spec, policy, config)
         resumed.restore(checkpoint)
         resumed.run_until()
-        assert _result_fingerprint(resumed.result()) == reference
+        assert result_fingerprint(resumed.result()) == reference
 
     def test_rollback_on_same_instance(self, oracle, small_spec):
         trace = _trace(oracle, num_jobs=8)
@@ -547,11 +533,11 @@ class TestSnapshotRestore:
         scheduler.run_until(30_000.0)
         checkpoint = scheduler.snapshot()
         scheduler.run_until()
-        first = _result_fingerprint(scheduler.result())
+        first = result_fingerprint(scheduler.result())
         scheduler.restore(checkpoint)
         assert scheduler.now == pytest.approx(checkpoint.time)
         scheduler.run_until()
-        assert _result_fingerprint(scheduler.result()) == first
+        assert result_fingerprint(scheduler.result()) == first
 
     def test_snapshot_is_isolated_from_later_mutation(self, oracle, small_spec):
         scheduler = _scheduler(oracle, small_spec)
@@ -585,14 +571,14 @@ class TestSnapshotRestore:
         scheduler.run_until(40_000.0)
         checkpoint = scheduler.snapshot()
         scheduler.run_until()
-        reference = _result_fingerprint(scheduler.result())
+        reference = result_fingerprint(scheduler.result())
 
         resumed = _scheduler(oracle, small_spec)
         resumed.restore(checkpoint)
         assert resumed.cluster_spec.count("v100") == 3
         assert resumed.status().cancelled_job_ids == (victim,)
         resumed.run_until()
-        assert _result_fingerprint(resumed.result()) == reference
+        assert result_fingerprint(resumed.result()) == reference
 
     def test_swap_to_water_filling_snapshot_restore_is_byte_deterministic(
         self, oracle, small_spec
@@ -619,7 +605,7 @@ class TestSnapshotRestore:
         checkpoint = scheduler.snapshot()
         assert len(checkpoint.session_history) > 1
         scheduler.run_until()
-        reference = _result_fingerprint(scheduler.result())
+        reference = result_fingerprint(scheduler.result())
 
         resumed = _scheduler(oracle, small_spec, "max_min_fairness")
         resumed.restore(checkpoint)
@@ -628,7 +614,7 @@ class TestSnapshotRestore:
 
         assert isinstance(resumed._session, WaterFillingSession)
         resumed.run_until()
-        assert _result_fingerprint(resumed.result()) == reference
+        assert result_fingerprint(resumed.result()) == reference
 
     def test_restore_requires_virtual_clock(self, oracle, small_spec):
         scheduler = _scheduler(oracle, small_spec)
@@ -746,7 +732,7 @@ class TestSessionCorrectnessUnderChurn:
             results[label] = scheduler.result()
         session, rebuild = results["session"], results["rebuild"]
         if mode == "round":
-            assert _result_fingerprint(session) == _result_fingerprint(rebuild)
+            assert result_fingerprint(session) == result_fingerprint(rebuild)
             return
         assert session.num_rounds == rebuild.num_rounds
         for job_id, record in session.records.items():
@@ -757,25 +743,8 @@ class TestSessionCorrectnessUnderChurn:
             )
 
 
-def _assert_matches_recorded(actual, recorded, path=""):
-    """Counts and names exactly; times and dollars to 1e-9 (LP round-off may
-    differ in the last bits across HiGHS builds, a changed schedule by far more)."""
-    if isinstance(recorded, dict):
-        assert actual.keys() == recorded.keys(), path
-        for key in recorded:
-            _assert_matches_recorded(actual[key], recorded[key], f"{path}/{key}")
-    elif isinstance(recorded, float):
-        assert actual == pytest.approx(recorded, rel=1e-9, abs=1e-9), path
-    else:
-        assert actual == recorded, path
-
-
 class TestRoundMechanismReproducesRecordedRuns:
-    """Seeded round runs reproduce their recording (see ``round_fingerprint_scenarios``)."""
-
-    @pytest.mark.parametrize("name", sorted(SCENARIOS))
-    def test_result_matches_fingerprint_recorded_before_the_rewrite(self, name):
-        _assert_matches_recorded(fingerprint(run_scenario(name).result()), load_recorded()[name])
+    """Seeded round runs (see ``round_fingerprint_scenarios``; pinned in ``tests/outcomes.py``)."""
 
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_run_keeps_what_no_tie_break_may_move_in_the_cold_recording(self, name):
@@ -786,7 +755,7 @@ class TestRoundMechanismReproducesRecordedRuns:
         the validity of the run may not.
         """
         result = run_scenario(name).result()
-        recorded = load_recorded(RECORDED_COLD)[name]
+        recorded = json.loads(RECORDED_COLD.read_text(encoding="utf-8"))[name]
         completed = {str(job_id) for job_id, record in result.records.items() if record.completed}
         assert completed == {
             job_id for job_id, time in recorded["completion_time"].items() if time is not None
@@ -802,20 +771,18 @@ class TestRoundMechanismReproducesRecordedRuns:
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_mid_period_snapshot_resumes_byte_identically(self, name):
         """Snapshot between two re-allocations, with time already received this period."""
-        reference = _result_fingerprint(run_scenario(name).result())
+        reference = result_fingerprint(run_scenario(name).result())
         interrupted = run_scenario(name, until=30_000.0)
         checkpoint = interrupted.snapshot()
         while checkpoint.allocation_stale or not checkpoint.tracker_state.any():
             interrupted.step()
             checkpoint = interrupted.snapshot()
-        policy, config, _per_type, _multi = SCENARIOS[name]
-        resumed = ClusterScheduler(policy, checkpoint.cluster_spec, config=config)
-        resumed.restore(checkpoint)
+        resumed = scenario_scheduler(name).restore(checkpoint)
         np.testing.assert_array_equal(
             resumed.snapshot().tracker_state, checkpoint.tracker_state
         )
         resumed.run_until()
-        assert _result_fingerprint(resumed.result()) == reference
+        assert result_fingerprint(resumed.result()) == reference
 
 
 @pytest.mark.parametrize("spec", WATER_FILLING_SPECS)
@@ -916,4 +883,4 @@ def test_restored_hierarchical_twin_re_solves_both_programs_from_the_same_bases(
         flags = [warm for program, warm, _iterations in forward if program == name]
         assert flags[0], f"{name}: the first solve after the snapshot starts from a basis"
         assert (flags.count(False) == 0) if max_history is None else (flags.count(False) >= 1)
-    assert _result_fingerprint(original.result()) == _result_fingerprint(twin.result())
+    assert result_fingerprint(original.result()) == result_fingerprint(twin.result())

@@ -23,6 +23,8 @@ from repro.exceptions import ConfigurationError
 from repro.scheduler import ClusterScheduler, SchedulerConfig
 from repro.workloads import Job, ThroughputOracle
 
+from tests.outcomes import result_fingerprint
+
 #: Single-worker job types mixing fast and slow models (and with beneficial
 #: colocations between them, so space-sharing rows churn too).
 _SOAK_TYPES = [
@@ -52,18 +54,6 @@ def soak_jobs():
         )
         for i in range(320)
     ]
-
-
-def _result_fingerprint(result):
-    return (
-        {j: r.completion_time for j, r in result.records.items()},
-        {j: r.cost_dollars for j, r in result.records.items()},
-        {j: r.steps_done for j, r in result.records.items()},
-        result.end_time,
-        result.num_rounds,
-        result.busy_worker_seconds,
-        result.total_cost_dollars,
-    )
 
 
 class TestSoakChurn:
@@ -302,11 +292,11 @@ class TestWaterFillingSoak:
         checkpoint = scheduler.snapshot()
         assert len(checkpoint.session_history) > 1
         scheduler.run_until(math.inf)
-        reference = _result_fingerprint(scheduler.result())
+        reference = result_fingerprint(scheduler.result())
 
         resumed = fresh().restore(checkpoint)
         resumed.run_until(math.inf)
-        assert _result_fingerprint(resumed.result()) == reference
+        assert result_fingerprint(resumed.result()) == reference
 
 
 class TestBoundedSessionHistory:
@@ -375,7 +365,7 @@ class TestBoundedSessionHistory:
             assert max_history is None or len(snapshot.session_history) == 1
             restored.append(fresh(max_history).restore(snapshot).run_until(math.inf))
         full_restore, bounded_restore = restored
-        assert _result_fingerprint(full_restore.result()) == _result_fingerprint(
+        assert result_fingerprint(full_restore.result()) == result_fingerprint(
             bounded_restore.result()
         )
 
@@ -404,6 +394,6 @@ class TestBoundedSessionHistory:
         # bounded run's schedule matches the unbounded one exactly (in
         # general a cold re-base may pick a different equally-optimal
         # allocation — see SchedulerConfig.max_session_history).
-        assert _result_fingerprint(bounded.result()) == _result_fingerprint(
+        assert result_fingerprint(bounded.result()) == result_fingerprint(
             unbounded.result()
         )

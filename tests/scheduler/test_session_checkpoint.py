@@ -5,95 +5,52 @@ replaces the pin with a clone without HiGHS models.  ``restore()`` clones the
 pinned session onto the restoring scheduler's policy and rebuilds each
 program's HiGHS model by replaying the calls that model received (its
 journal).  These tests pin that a restored model equals the live one it
-copies — LP arrays, basis, solution, the very calls it received — for every
-session family, that a restore solves no LP, that restored runs finish record
-for record like the uninterrupted run (rollbacks, chained restores, repeated
-restores, a failed solve before or after the snapshot), what the journal
-costs per solve, and that restored Gandiva runs draw their packings from a
-generator of their own.
+copies — LP arrays, basis, solution, the calls it received (counts and
+digest) — for every session family, that a restore solves no LP, that
+restored runs finish record for record like the uninterrupted run
+(rollbacks, chained restores, repeated restores, a failed solve before or
+after the snapshot), what the journal costs per solve, and that restored
+Gandiva runs draw their packings from a generator of their own.
 """
 
 import dataclasses
 import gc
 import tracemalloc
 
-import numpy as np
 import pytest
 
 from repro.cluster import ClusterSpec
 from repro.exceptions import ConfigurationError
 from repro.scheduler import ClusterScheduler, SchedulerConfig
-from repro.solver import lp
 from repro.solver.lp import LinearProgram
 from repro.workloads import Job, ThroughputOracle, TraceGenerator
 from repro.workloads.job_table import JobTypeTable, default_job_type_table
 
 from checkpoints import model_states, session_content
 
+from tests.outcomes import recording_highs
+
 SPEC = ClusterSpec.from_counts({"v100": 2, "p100": 2, "k80": 2})
 MODES = ["round", "physical", "continuous", "ideal"]
-
-#: The HiGHS calls that change a model: what a journal records.
-_RECORDED = (
-    "setOptionValue", "passModel", "addCols", "addRows", "deleteRows", "setBasis",
-    "changeCoeff", "changeRowBounds", "changeColsBounds", "changeColsCost",
-    "changeObjectiveSense", "run",
-)
-
 
 @pytest.fixture(scope="module")
 def oracle():
     return ThroughputOracle()
 
 
-def _value(argument):
-    """A HiGHS call argument as a plain comparable value."""
-    if isinstance(argument, np.ndarray):
-        return argument.tolist()
-    if hasattr(argument, "a_matrix_"):  # a HighsLp
-        matrix = argument.a_matrix_
-        return [
-            _value(np.asarray(array))
-            for array in (
-                argument.col_cost_, argument.col_lower_, argument.col_upper_,
-                argument.row_lower_, argument.row_upper_,
-                matrix.start_, matrix.index_, matrix.value_,
-            )
-        ] + [int(argument.sense_)]
-    if hasattr(argument, "col_status"):  # a HighsBasis
-        return [int(s) for s in argument.col_status], [int(s) for s in argument.row_status]
-    return argument
-
-
 @pytest.fixture
-def recorded_calls(monkeypatch):
-    """Record, per HiGHS model, every state-changing call it receives (``model.calls``)."""
-
-    class Recording(lp._highs_core._Highs):
-        def __init__(self):
-            super().__init__()
-            self.calls = []
-
-    def recorder(name):
-        method = getattr(lp._highs_core._Highs, name)
-
-        def recording(self, *args):
-            self.calls.append((name, [_value(argument) for argument in args]))
-            return method(self, *args)
-
-        return recording
-
-    for name in _RECORDED:
-        setattr(Recording, name, recorder(name))
-    monkeypatch.setattr(lp._highs_core, "_Highs", Recording)
+def recorded_calls():
+    """Count and digest, per HiGHS model, every call it receives (``tests/outcomes.py``)."""
+    with recording_highs() as models:
+        yield models
 
 
 def _calls(session):
-    """Per program of ``session``, the calls its live model has received so far."""
+    """Per program of ``session``, the calls its live model has received: counts and digest."""
     if session is None:
         return []
     return [
-        None if program._backend is None else list(program._backend._highs.calls)
+        None if program._backend is None else program._backend._highs.entry()
         for program in session.programs()
     ]
 
