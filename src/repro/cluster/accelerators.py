@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.exceptions import ConfigurationError, UnknownAcceleratorError
 
 __all__ = [
@@ -130,6 +132,16 @@ class AcceleratorRegistry:
         if cached is None:
             cached = tuple(t.name for t in self._types)
             self._names = cached
+        return cached
+
+    @property
+    def name_order(self) -> np.ndarray:
+        """The column indices sorted by name (read-only): name order, which is not column order."""
+        cached = getattr(self, "_name_order", None)
+        if cached is None:
+            cached = np.argsort(self.names, kind="stable")
+            cached.setflags(write=False)
+            self._name_order = cached
         return cached
 
     def get(self, name: str) -> AcceleratorType:

@@ -55,7 +55,23 @@ the groups a job left or joined are re-derived, and those jobs are spliced
 into the last view's :class:`_JobIndex`), and the expansion is one gather
 through that index.  What stays per job is C-level: the diff, the copies a
 splice makes and the gather.  The per-group steps left and elapsed times are
-reduced only if a policy reads them.
+reduced only if a policy reads them.  An event costs the groups it touched:
+
+* *count-only* — every touched group keeps its representative and no group
+  came or went (a member other than the smallest id joined or left): the
+  group order and the representatives are the last view's, only the touched
+  groups' ``w · n_g`` representatives are remade, and without pair rows the
+  aggregated matrix is the last view's too, which the inner session takes
+  as a count-only update
+  (:meth:`~repro.core.policy.AllocationVariables.update_to`: no row diff;
+  the moved groups' job-row right-hand sides and the caps of the rows
+  holding them, found through the job index of the dense rows);
+* *group-changing* — a group came, went or changed its representative: the
+  groups are re-sorted, the representatives re-derived and the aggregated
+  matrix rebuilt from the representatives' rows, and the inner session diffs
+  the rows by key.  A matrix with pair rows is rebuilt and diffed on every
+  event, count-only or not: its pair rows hang on the group sizes.
+
 ``tests/core/reference_aggregation.py`` is the per-job, per-member code this
 replaced, kept as the oracle: both agree bit for bit.
 """
@@ -386,8 +402,9 @@ class AggregatedProblem:
                     f"job {job_id} is not in the group its key names: the aggregation "
                     "key must be a pure function of the job"
                 ) from None
-        for job_id, job in joined.items():
-            insort(members_of(key_fn(job)), job_id)
+        joined_keys = {job_id: key_fn(job) for job_id, job in joined.items()}
+        for job_id, group_key in joined_keys.items():
+            insort(members_of(group_key), job_id)
         reordered = False
         for group_key, members in touched.items():
             was = groups.get(group_key)
@@ -414,7 +431,6 @@ class AggregatedProblem:
         if previous is None:
             index = _JobIndex.of(list(groups.values()), rep_jobs)
         elif touched:
-            joined_keys = {job_id: key_fn(job) for job_id, job in joined.items()}
             index = previous._index.spliced(left, joined_keys, previous.groups, groups, rep_jobs)
         else:
             index = previous._index

@@ -258,13 +258,19 @@ class AllocationVariables:
             (counts.get(job_id, 1) for job_id in job_ids.tolist()), dtype=float, count=len(job_ids)
         )
 
-    def _row_caps(self, dense: DenseRows) -> np.ndarray:
-        """Per-row variable caps, aligned to ``dense``: min group size over the row's jobs."""
+    def _row_caps(self, dense: DenseRows, rows: Sequence[int]) -> np.ndarray:
+        """Variable caps of ``dense``'s rows ``rows``: the smallest group size among a row's jobs.
+
+        Type-aggregated problems have few rows and an event touches a handful,
+        so a row's members are read off its combination.
+        """
         if not self._counts:
-            return np.ones(len(dense.combinations))
-        counts_by_ordinal = self._job_counts(dense.job_ids)
-        return np.minimum.reduceat(
-            counts_by_ordinal[dense.member_ordinals], dense.offsets[:-1]
+            return np.ones(len(rows))
+        count, combinations = self._counts.get, dense.combinations
+        return np.fromiter(
+            (min(count(job_id, 1) for job_id in combinations[row]) for row in rows),
+            float,
+            len(rows),
         )
 
     # -- construction ---------------------------------------------------------------
@@ -283,7 +289,7 @@ class AllocationVariables:
         dense = self._matrix.dense_rows()
         num_columns = self._num_columns
         num_rows = len(dense.combinations)
-        caps = self._row_caps(dense)
+        caps = self._row_caps(dense, range(num_rows))
         var_matrix = program.add_variables_from_arrays(
             num_rows * num_columns,
             lower=0.0,
@@ -330,24 +336,36 @@ class AllocationVariables:
         persisting rows whose values changed (estimate refinements) get their
         runnable bounds refreshed.  Edits reach the program in the order a
         row-by-row diff would make them, so the live model receives the same
-        calls.  Jobs whose rows changed lose their cached terms; they, the
-        departed jobs and those whose group size moved are
-        :meth:`touched_since`'s answer.
+        calls.  The matrix held already (a type-aggregated view that carried
+        it over: no group came or went, no representative changed) has no
+        row to match, so such an update costs the group sizes that moved.
+        Jobs whose rows changed lose their cached terms; they, the departed
+        jobs and those whose group size moved are :meth:`touched_since`'s
+        answer.
         """
-        program = self._program
         previous_cluster = self._problem.cluster_spec
         previous_counts = self._counts
         self._problem = problem
         self._counts = dict(problem.group_counts or {})
+        # Only ids whose (id, size) pair differs can have moved; a size absent reads 1.
         changed_counts = {
             job_id
-            for job_id in previous_counts.keys() | self._counts.keys()
+            for job_id, _count in previous_counts.items() ^ self._counts.items()
             if previous_counts.get(job_id, 1) != self._counts.get(job_id, 1)
         }
         if problem.cluster_spec is not previous_cluster:
-            program.set_constraint_bounds_from_arrays(
+            self._program.set_constraint_bounds_from_arrays(
                 self._capacity_constraints, upper=problem.cluster_spec.counts_vector()
             )
+        invalidated = set() if matrix is self._matrix else self._realign_rows(problem, matrix)
+        if changed_counts:
+            self._resync_counts(changed_counts)
+        self.revision += 1
+        self._touched = invalidated | changed_counts
+
+    def _realign_rows(self, problem: PolicyProblem, matrix: ThroughputMatrix) -> Set[int]:
+        """Match the held rows to ``matrix``'s by key and edit what differs; returns the jobs touched."""
+        program = self._program
         old_dense = self._matrix.dense_rows()
         new_dense = matrix.dense_rows()
         old_keys, new_keys = self._keys, _packed_keys(new_dense)
@@ -398,7 +416,7 @@ class AllocationVariables:
             program.set_variable_bounds_from_arrays(
                 var_matrix[rows].ravel(),
                 0.0,
-                (new_dense.runnable[rows] * self._row_caps(new_dense)[rows, None]).ravel(),
+                (new_dense.runnable[rows] * self._row_caps(new_dense, rows)[:, None]).ravel(),
             )
             invalidated.update(new_dense.member_jobs[_member_positions(new_dense, rows)].tolist())
 
@@ -409,10 +427,7 @@ class AllocationVariables:
         self._var_matrix = var_matrix
         for job_id in sorted(invalidated):
             self._throughput_terms_cache.pop(job_id, None)
-        if changed_counts:
-            self._resync_counts(changed_counts)
-        self.revision += 1
-        self._touched = invalidated | changed_counts
+        return invalidated
 
     def touched_since(self, revision: int) -> Optional[Set[int]]:
         """Jobs whose terms, rows or group size moved since :attr:`revision` was ``revision``.
@@ -430,7 +445,9 @@ class AllocationVariables:
         Per-job validity right-hand sides of the affected representatives are
         reset to the new group size, and the variable caps of every persisting
         row touching one of them are recomputed (rows inserted this update
-        already used the new counts).
+        already used the new counts).  The rows come through the dense rows'
+        job index, so the work is the moved groups' rows, not a scan of every
+        member.
         """
         present = [job_id for job_id in sorted(changed_jobs) if job_id in self._job_constraints]
         if not present:
@@ -442,12 +459,19 @@ class AllocationVariables:
             upper=[float(counts.get(job_id, 1)) for job_id in present],
         )
         dense = self._matrix.dense_rows()
-        rows = np.unique(dense.member_rows[np.isin(dense.member_jobs, present)]).tolist()
-        caps = [min(counts.get(job_id, 1) for job_id in dense.combinations[row]) for row in rows]
+        member_rows = dense.member_rows
+        # A job with a job row is a job of the matrix, so each is found.
+        rows = sorted(
+            {
+                row
+                for ordinal in np.searchsorted(dense.job_ids, present).tolist()
+                for row in member_rows[dense.job_members(ordinal)].tolist()
+            }
+        )
         program.set_variable_bounds_from_arrays(
             self._var_matrix[rows].ravel(),
             0.0,
-            (dense.runnable[rows] * np.array(caps, dtype=float)[:, None]).ravel(),
+            (dense.runnable[rows] * self._row_caps(dense, rows)[:, None]).ravel(),
         )
 
     def _remove_rows(self, dense: DenseRows, rows: np.ndarray) -> List[int]:
@@ -481,7 +505,7 @@ class AllocationVariables:
         num_new = len(rows)
         upper = dense.runnable[rows]
         if self._counts:
-            upper = upper * self._row_caps(dense)[rows, None]
+            upper = upper * self._row_caps(dense, rows)[:, None]
         var_new = program.add_variables_from_arrays(
             num_new * num_columns, lower=0.0, upper=upper.ravel(), name="x"
         ).reshape(num_new, num_columns)
@@ -560,7 +584,7 @@ class AllocationVariables:
             if ordinal == len(job_ids) or job_ids[ordinal] != job_id:
                 raise UnknownJobError(f"job {job_id} is not in this throughput matrix")
             dense = self._matrix.dense_rows()
-            members = dense.members_by_job[dense.job_starts[ordinal] : dense.job_starts[ordinal + 1]]
+            members = dense.job_members(ordinal)
             cached = (
                 self._var_matrix[dense.member_rows[members]].ravel(),
                 dense.values[members].ravel(),
@@ -596,42 +620,6 @@ class AllocationVariables:
                     vals[starts[position] : starts[position + 1]],
                 )
         return dense.job_ids, starts, cols, vals
-
-    @staticmethod
-    def rows_with_column(
-        starts: np.ndarray,
-        cols: np.ndarray,
-        coeffs: np.ndarray,
-        column: "int | np.ndarray",
-        value: "float | np.ndarray",
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One row per job from throughput blocks, each ending in ``value * x[column]``.
-
-        ``starts`` / ``cols`` come from :meth:`effective_throughput_blocks`
-        and ``coeffs`` are the (already scaled) coefficients aligned with
-        ``cols``; ``column`` / ``value`` are one scalar shared by every row (an
-        epigraph variable) or one entry per job (water-filling's detection
-        indicators).  Returns the ``(rows, cols, coeffs)`` triplet
-        ``add_constraints_from_arrays`` takes — the shape of every epigraph
-        row family (``t <= scale_m * throughput(m, X)``, water-filling level
-        rows).
-        """
-        num_jobs = len(starts) - 1
-        total = len(cols)
-        ordinals = np.arange(num_jobs, dtype=np.int64)
-        extra_positions = starts[1:] + ordinals
-        term_mask = np.ones(total + num_jobs, dtype=bool)
-        term_mask[extra_positions] = False
-        all_rows = np.empty(total + num_jobs, dtype=np.int64)
-        all_cols = np.empty(total + num_jobs, dtype=np.int64)
-        all_coeffs = np.empty(total + num_jobs)
-        all_rows[term_mask] = np.repeat(ordinals, np.diff(starts))
-        all_cols[term_mask] = cols
-        all_coeffs[term_mask] = coeffs
-        all_rows[extra_positions] = ordinals
-        all_cols[extra_positions] = column
-        all_coeffs[extra_positions] = value
-        return all_rows, all_cols, all_coeffs
 
     def throughput_sum_terms(
         self, weights: Iterable[Tuple[int, float]]

@@ -54,6 +54,7 @@ import copy
 import math
 from dataclasses import dataclass
 from itertools import filterfalse
+from operator import itemgetter
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
@@ -512,22 +513,43 @@ class JobRows:
 def _row_kinds(
     entries: List[Tuple[int, Encoding]], columns: np.ndarray, layout: Layout
 ) -> List[_Triplet]:
-    """One ``(rows, cols, coeffs)`` triplet per row kind of ``entries``, jobs in order."""
+    """One ``(rows, cols, coeffs)`` triplet per row kind of ``entries``, jobs in order.
+
+    A kind with a ``column`` ends each job's row in ``value * x[column]``.
+    An event rewrites a row or two, so what every kind shares (the ordinals
+    and, for the kinds with a column, where the terms and the last terms go)
+    is made once.
+    """
     terms = [encoding[0] for _job_id, encoding in entries]
     size = len(terms)
-    lengths = np.fromiter((len(cols) for cols, _vals in terms), np.int64, size)
-    starts = np.zeros(size + 1, dtype=np.int64)
-    np.cumsum(lengths, out=starts[1:])
+    lengths = np.fromiter(map(len, map(itemgetter(0), terms)), np.int64, size)
     cols = np.concatenate([cols for cols, _vals in terms])
     vals = np.concatenate([vals for _cols, vals in terms])
+    ordinals = np.arange(size, dtype=np.int64)
+    rows = np.repeat(ordinals, lengths)
+    placed: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
     kinds: List[_Triplet] = []
     job_ids = [job_id for job_id, _encoding in entries]
     for factors, column, value in layout(job_ids, [encoding for _id, encoding in entries], columns):
-        coeffs = vals if factors is None else vals * np.repeat(factors, lengths)
+        coeffs = vals if factors is None else vals * np.asarray(factors)[rows]
         if column is None:
-            kinds.append((np.repeat(np.arange(size, dtype=np.int64), lengths), cols, coeffs))
-        else:
-            kinds.append(AllocationVariables.rows_with_column(starts, cols, coeffs, column, value))
+            kinds.append((rows, cols, coeffs))
+            continue
+        if placed is None:
+            # A job's terms move right by one place per job before it; its last term follows them.
+            placed = (
+                np.arange(len(cols)) + rows,
+                np.cumsum(lengths) + ordinals,
+                np.repeat(ordinals, lengths + 1),
+            )
+        term_positions, last_positions, with_rows = placed
+        all_cols = np.empty(len(with_rows), dtype=np.int64)
+        all_coeffs = np.empty(len(with_rows))
+        all_cols[term_positions] = cols
+        all_coeffs[term_positions] = coeffs
+        all_cols[last_positions] = column
+        all_coeffs[last_positions] = value
+        kinds.append((with_rows, all_cols, all_coeffs))
     return kinds
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
+from operator import lt
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -81,6 +82,10 @@ class DenseRows:
     job_ids: np.ndarray
     members_by_job: np.ndarray
     job_starts: np.ndarray
+
+    def job_members(self, ordinal: int) -> np.ndarray:
+        """The member positions of ``job_ids[ordinal]``, in row order (a view, not a copy)."""
+        return self.members_by_job[self.job_starts[ordinal] : self.job_starts[ordinal + 1]]
 
 
 def _normalize_combination(combination: Sequence[int]) -> JobCombination:
@@ -163,14 +168,14 @@ class ThroughputMatrix:
         Validation is vectorized rather than per-row.
         """
         matrix = cls.__new__(cls)
-        job_ids = tuple(int(j) for j in job_ids)
+        job_ids = tuple(map(int, job_ids))
         singles = np.asarray(singles, dtype=float)
         if singles.shape != (len(job_ids), len(registry)):
             raise ConfigurationError(
                 f"singleton block has shape {singles.shape}, expected "
                 f"{(len(job_ids), len(registry))}"
             )
-        if any(a >= b for a, b in zip(job_ids, job_ids[1:])):
+        if not all(map(lt, job_ids, job_ids[1:])):
             raise ConfigurationError("from_parts job_ids must be sorted and unique")
         if np.any(singles < 0):
             raise ConfigurationError("singleton block contains negative throughputs")
@@ -220,7 +225,7 @@ class ThroughputMatrix:
         if pair_block is not None:
             matrix._pair_endpoints = endpoints
             _check_members(job_ids, endpoints.ravel())
-        else:
+        elif pair_entries:
             _check_members(job_ids, np.fromiter(chain.from_iterable(pair_entries), np.int64))
         return matrix
 
@@ -340,7 +345,7 @@ class ThroughputMatrix:
         if ordinal is None:
             raise UnknownJobError(f"job {job_id} is not in this throughput matrix")
         dense = self.dense_rows()
-        members = dense.members_by_job[dense.job_starts[ordinal] : dense.job_starts[ordinal + 1]]
+        members = dense.job_members(ordinal)
         rows = dense.member_rows[members]
         combinations = dense.combinations
         return tuple(

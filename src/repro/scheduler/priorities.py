@@ -34,7 +34,7 @@ perform, per cell, the same IEEE operations as the scalar definition above.
 from __future__ import annotations
 
 import math
-from typing import Dict, NamedTuple, Sequence, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,7 +50,8 @@ class PriorityTracker:
 
     Attributes:
         combinations: The allocation's combinations, sorted; row order of every array.
-        row_of: Inverse of ``combinations``.
+        row_of: Inverse of ``combinations``, made on first read (a round
+            addresses rows by index and never reads it).
         target: ``X_opt`` as a read-only ``(n_combinations, n_types)`` array.
         demand: Workers each combination occupies when scheduled — the largest
             scale factor among its members, per row.
@@ -64,20 +65,24 @@ class PriorityTracker:
     def __init__(self, allocation: Allocation) -> None:
         self._allocation = allocation
         self.combinations: Tuple[JobCombination, ...] = allocation.combinations
-        self.row_of: Dict[JobCombination, int] = dict(
-            zip(self.combinations, range(len(self.combinations)))
-        )
+        self._row_of: Optional[Dict[JobCombination, int]] = None
         self.target: np.ndarray = allocation.matrix
         self.demand: Tuple[int, ...] = allocation.demand
         self.num_jobs: int = len(allocation.job_ids)
         self.time_received: np.ndarray = np.zeros(self.target.shape)
         self._wanted: np.ndarray = self.target > 0
-        self.candidates: Candidates = Candidates.build(self.target, allocation.registry.names)
+        self.candidates: Candidates = Candidates.build(self.target, allocation.registry.name_order)
 
     # -- bookkeeping -------------------------------------------------------------
     @property
     def allocation(self) -> Allocation:
         return self._allocation
+
+    @property
+    def row_of(self) -> Dict[JobCombination, int]:
+        if self._row_of is None:
+            self._row_of = dict(zip(self.combinations, range(len(self.combinations))))
+        return self._row_of
 
     def row(self, combination: Sequence[int]) -> int:
         """Row of ``combination`` (members in any order) in every array."""
@@ -170,14 +175,22 @@ class Candidates(NamedTuple):
     target: np.ndarray
 
     @classmethod
-    def build(cls, target: np.ndarray, names: Sequence[str]) -> "Candidates":
-        """The cells of ``target`` (one column per name) above zero, in static order."""
-        rows, columns = np.nonzero(target > 0)
-        values = target[rows, columns]
-        name_rank = np.argsort(np.argsort(names))
-        order = np.lexsort((name_rank[columns], rows, -values))
-        rows, columns = rows[order], columns[order]
-        return cls(rows, columns, rows * target.shape[1] + columns, values[order])
+    def build(cls, target: np.ndarray, by_name: np.ndarray) -> "Candidates":
+        """The cells of ``target`` above zero, in static order.
+
+        ``by_name`` is ``target``'s columns in accelerator-name order
+        (:attr:`~repro.cluster.accelerators.AcceleratorRegistry.name_order`).
+        The columns are visited in that order, so the cells come by row, then
+        name, and one stable sort on the target completes the order.
+        """
+        width = target.shape[1]
+        named = target[:, by_name]
+        (positions,) = np.nonzero(named.ravel() > 0)
+        values = named.ravel()[positions]
+        order = np.argsort(-values, kind="stable")
+        rows, ranks = np.divmod(positions[order], width)
+        columns = by_name[ranks]
+        return cls(rows, columns, rows * width + columns, values[order])
 
 
 # Figure 4 per cell, its one implementation: the whole matrix and a round's

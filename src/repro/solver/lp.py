@@ -634,21 +634,18 @@ class _HighsBackend:
         lower, upper = self._col_lower, self._col_upper
         held = len(lower)
         fixed = lower == upper
-        ambiguous = fixed.copy()
-        listed = np.fromiter(program._free_variables, np.int64, len(program._free_variables))
-        ambiguous[listed[listed < held]] = False
-        if np.count_nonzero(ambiguous):
+        # Few columns are fixed (released ones, mostly): a set test, not a mask per column.
+        if not set(np.flatnonzero(fixed).tolist()).issubset(program._free_variables):
             return None
         status, basic = highs.getBasicVariables()
         if status != _highs_core.HighsStatus.kOk:
             return None
-        basic = basic[basic >= 0]  # rows are numbered from -1 down
-        codes = np.empty(program.num_variables(), dtype=np.int64)
-        codes[:held] = _nonbasic_codes(lower, upper)
-        codes[:held][(value == upper) & ~fixed] = _UPPER
-        if held < len(codes):  # appended by this sync's addCols
-            codes[held:] = _nonbasic_codes(program._lower[held:], program._upper[held:])
-        codes[basic] = _BASIC
+        codes = _nonbasic_codes(lower, upper)
+        codes[(value == upper) & ~fixed] = _UPPER
+        if held < program.num_variables():  # appended by this sync's addCols
+            appended = _nonbasic_codes(program._lower[held:], program._upper[held:])
+            codes = np.concatenate((codes, appended))
+        codes[basic[basic >= 0]] = _BASIC  # rows are numbered from -1 down
         lower, upper = program._lower_buf, program._upper_buf
         for column in program._hs_released:
             codes[column] = _nonbasic_code(lower[column], upper[column])

@@ -18,7 +18,10 @@ survived row edits (every re-solve after a row rewrite started cold; made
 where ``tests/core/test_lp_vectorized.py`` still proved the dict and columnar
 assembly bit-identical on this sequence).  It is never re-recorded: tests
 compare against it by *objective*, which no tie-break can move, and
-:data:`UNIQUE_OPTIMUM_SPECS` still match it bit for bit.
+:data:`UNIQUE_OPTIMUM_SPECS` still match it bit for bit.  A spec is listed
+there only if a pure reordering of the LP's columns leaves every vertex in
+place: ``fifo+ss`` does; ``shortest_job_first+ss`` does not (its step 6 is a
+tie), so :func:`policy_objective` holds it to its rank-weighted objective.
 """
 
 from __future__ import annotations
@@ -53,7 +56,11 @@ SS_POLICY_SPECS = [
 
 
 #: Specs whose optimum is unique on this sequence: no basis can move them.
-UNIQUE_OPTIMUM_SPECS = ["fifo+ss", "shortest_job_first+ss"]
+#: ``shortest_job_first+ss`` is not one: at step 6 a pure reordering of the
+#: new rows' columns returns another vertex with the same rank-weighted
+#: objective, so it is held to the objective like the other ties.
+#: ``fifo+ss`` kept every vertex under that reordering.
+UNIQUE_OPTIMUM_SPECS = ["fifo+ss"]
 
 #: ``(spec, aggregation)`` runs whose allocations and HiGHS calls the corpus
 #: pins: the ``+ss`` specs above, plus plain LAS, the water-filling family and
@@ -179,6 +186,13 @@ def policy_objective(policy_spec: str, problem: PolicyProblem, allocation: Alloc
         )
     if name in ("makespan", "finish_time_fairness"):
         return sum(throughputs.values())
+    if name == "shortest_job_first":
+        # Rank-weighted normalized throughput, shortest best-case duration first.
+        ranked = policy.ranked_jobs(problem)
+        return sum(
+            (len(ranked) - position) * throughputs[job_id] / fastest_reference_throughput(matrix, job_id)
+            for position, (job_id, _duration) in enumerate(ranked)
+        )
     normalized = sum(
         throughputs[job_id] / fastest_reference_throughput(matrix, job_id)
         for job_id in matrix.job_ids

@@ -17,7 +17,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from bisection_oracle import bisected_optimum
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.cluster import ClusterSpec
 from repro.core import PolicyProblem, ThroughputMatrix, build_throughput_matrix, make_policy
@@ -71,6 +71,39 @@ def _scenarios(draw):
     elapsed = [draw(st.sampled_from([0.0, 600.0, 86_400.0, 3e5])) for _ in jobs]
     lateness = draw(st.floats(100.0, 1e4))
     return shape, draw(st.booleans()), cluster, jobs, fractions, elapsed, lateness
+
+
+#: A case where the epigraph LP of ``_max_min_makespan`` stops 1.5e-6 (relative)
+#: short of its optimum: HiGHS reports it optimal (no primal infeasibility, dual
+#: infeasibility 8.4e-11, inside the default 1e-7), with t near 1.2e-5.  Solved
+#: at tolerances of 1e-9 it lands within 1e-14 of the certificate, whose
+#: witness allocation achieves the certified makespan (81609.6607...), so the
+#: comparison is held to ``_SOLVER_SLACK``, not to 1e-7.
+_LOOSE_EPIGRAPH = (
+    "crowded",
+    True,
+    (1, 2, 2),
+    [
+        Job(job_id=job_id, job_type=job_type, total_steps=steps)
+        for job_id, (job_type, steps) in enumerate(
+            [
+                ("cyclegan-bs1", 369806.5315290853), ("lstm-bs10", 374317.0142166233),
+                ("transformer-bs256", 498519.8140091831), ("lstm-bs10", 837414.5821766838),
+                ("resnet50-bs32", 940500.1477556122), ("transformer-bs64", 246947.72331195232),
+                ("resnet18-bs64", 253222.83457627447), ("transformer-bs128", 317041.12461453344),
+                ("recoder-bs2048", 422420.140400361), ("lstm-bs40", 832249.5861308532),
+                ("recoder-bs512", 684749.7215959718),
+            ]
+        )
+    ],
+    [
+        0.5045683841330492, 0.14564867368584083, 0.5683036977926864, 0.06472688216288618,
+        0.5091121471319716, 0.9600196987068567, 0.5933323144702154, 0.9896123372631922,
+        0.49999074381196557, 0.5249421051159221, 0.8823831824657236,
+    ],
+    [600.0, 0.0, 600.0, 600.0, 300000.0, 86400.0, 86400.0, 86400.0, 86400.0, 0.0, 0.0],
+    5980.423573861125,
+)  # fmt: skip
 
 
 def _problem(scenario, jobs):
@@ -154,6 +187,7 @@ def _solve_counting_scaling_lps(session, problem):
 
 @pytest.mark.parametrize("base", ["makespan", "finish_time_fairness"])
 @given(scenario=_scenarios(), churned=st.booleans())
+@example(scenario=_LOOSE_EPIGRAPH, churned=True)
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_certificate_brackets_the_bisection_oracle(base, scenario, churned):
     _shape, space_sharing, _cluster, jobs, *_ = scenario
@@ -180,8 +214,8 @@ def test_certificate_brackets_the_bisection_oracle(base, scenario, churned):
         # Multiplicative requirements: one LP, and it is the max-min LP.
         assert scaling_lps == 1
         exact = _max_min_makespan(policy, problem)
-        assert lower == pytest.approx(exact, rel=1e-7)
-        assert upper == pytest.approx(exact, rel=1e-7)
+        assert lower == pytest.approx(exact, rel=_SOLVER_SLACK)
+        assert upper == pytest.approx(exact, rel=_SOLVER_SLACK)
 
 
 class TestRequirementCurves:
